@@ -33,9 +33,6 @@ from .chart import (
 from .charges import (
     adm_energy,
     adm_mass,
-    adm_momentum,
-    bom_center,
-    correction_z,
     euclidean_motion_transform,
     fit_power_tail,
     sphere_fluxes,
@@ -89,9 +86,6 @@ __all__ = [
     "ricci_scalar_curvature",
     "adm_energy",
     "adm_mass",
-    "adm_momentum",
-    "bom_center",
-    "correction_z",
     "euclidean_motion_transform",
     "fit_power_tail",
     "sphere_fluxes",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import DataProvider, build_provider, conjugate_momentum
+from .chart import as_provider, conjugate_momentum, constraint_densities
 from .errors import (
     ConfigError,
     InsufficientLeaves,
@@ -29,11 +29,7 @@ from .errors import (
     SpacelikeEnergyMomentum,
     ZeroEnergy,
 )
-from .surfaces import get_grid
-
-
-def _provider(spec):
-    return spec if isinstance(spec, DataProvider) else build_provider(spec)
+from .spectral import get_grid
 
 
 # -- extrapolation ------------------------------------------------------------
@@ -134,12 +130,12 @@ def sphere_fluxes(spec, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     """All per-radius flux integrands in one sweep over coordinate spheres.
 
     Returns dict with per-radius arrays: E, P (n,3), bom_raw (n,3), z_raw
-    (n,3) (both centers premultiplied by 16 pi E resp. 32 pi E), velocity_raw
-    (n,3), and matter moments int |mu x^i| dmu_delta.  Spheres are centered
-    at `center`; the explicit position factors in the center integrands stay
-    in global chart coordinates.
+    (n,3) (both centers premultiplied by 16 pi E resp. 32 pi E) and
+    velocity_raw (n,3).  Spheres are centered at `center`; the explicit
+    position factors in the center integrands stay in global chart
+    coordinates.
     """
-    prov = _provider(spec)
+    prov = as_provider(spec)
     radii = np.asarray(radii, dtype=float)
     center = np.asarray(center, dtype=float).reshape(3)
     grid = get_grid(lmax)
@@ -147,9 +143,7 @@ def sphere_fluxes(spec, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     uv = grid.unit_vectors()
     th, _ = grid.mesh()
     st = np.sin(th)
-    out = {"E": [], "P": [], "bom_raw": [], "z_raw": [], "velocity_raw": [], "mu_moment": []}
-    from .chart import constraint_densities
-
+    out = {"E": [], "P": [], "bom_raw": [], "z_raw": [], "velocity_raw": []}
     for s in radii:
         x = center + s * om
         mj = prov.metric_jet(x)
@@ -179,8 +173,6 @@ def sphere_fluxes(spec, radii, lmax=24, center=(0.0, 0.0, 0.0)):
         dmu_g = np.sqrt(det2) / st
         v_int = np.einsum("nij,nj->ni", pi, om)
         out["velocity_raw"].append((v_int * (grid.w * dmu_g)[:, None]).sum(axis=0))
-        mu, _ = constraint_densities(prov, x)
-        out["mu_moment"].append((np.abs(mu[:, None] * x) * wq[:, None]).sum(axis=0))
     return {k: np.asarray(v) for k, v in out.items()}
 
 
@@ -258,11 +250,6 @@ def adm_energy(spec, radii, lmax=24, fluxes=None):
     )
 
 
-def adm_momentum(spec, radii, lmax=24, fluxes=None):
-    """Same report as adm_energy; both charges come from one flux sweep."""
-    return adm_energy(spec, radii, lmax, fluxes)
-
-
 def adm_mass(E, P):
     P = np.asarray(P, dtype=float).reshape(3)
     m2 = float(E) ** 2 - float(P @ P)
@@ -271,7 +258,13 @@ def adm_mass(E, P):
     return math.sqrt(m2)
 
 
-def _center_reports(spec, radii, E, lmax=24, fluxes=None):
+def stcmc_center_coordinate(spec, radii, E, lmax=24, fluxes=None):
+    """Center report: the metric (Beig-O Murchadha) center, the correction Z and their sum.
+
+    sum_values is exactly bom_values + z_values per sampled radius; its limit
+    is the coordinate center of the foliation by surfaces of constant
+    spacetime mean curvature.  Each column carries its own power-tail fit.
+    """
     if abs(E) <= 1e-12:
         raise ZeroEnergy("center integrals are undefined at E = 0")
     fx = fluxes if fluxes is not None else sphere_fluxes(spec, radii, lmax)
@@ -288,19 +281,6 @@ def _center_reports(spec, radii, E, lmax=24, fluxes=None):
         z_fits=[fit_power_tail(radii, z[:, i]) for i in range(3)],
         sum_fits=[fit_power_tail(radii, total[:, i]) for i in range(3)],
     )
-
-
-def bom_center(spec, radii, E, lmax=24, fluxes=None):
-    return _center_reports(spec, radii, E, lmax, fluxes)
-
-
-def correction_z(spec, radii, E, lmax=24, fluxes=None):
-    return _center_reports(spec, radii, E, lmax, fluxes)
-
-
-def stcmc_center_coordinate(spec, radii, E, lmax=24, fluxes=None):
-    """Center report whose sum column is exactly bom + z per sampled radius."""
-    return _center_reports(spec, radii, E, lmax, fluxes)
 
 
 def stcmc_center_foliation(foliation):
@@ -336,10 +316,17 @@ def velocity_integral(spec, radii, E, lmax=24, fluxes=None):
     )
 
 
-def matter_moment_shells(spec, radii, lmax=24, fluxes=None):
-    """Shell integrals int |mu x^i| dmu_delta (diagnostic, no threshold)."""
-    fx = fluxes if fluxes is not None else sphere_fluxes(spec, radii, lmax)
-    return fx["mu_moment"]
+def matter_moment_shells(spec, radii, lmax=24):
+    """Shell integrals int |mu x^i| dmu_delta over centered spheres (diagnostic, no threshold)."""
+    prov = as_provider(spec)
+    grid = get_grid(lmax)
+    om = grid.unit_vectors()["o"]
+    out = []
+    for s in np.asarray(radii, dtype=float):
+        x = s * om
+        mu, _ = constraint_densities(prov, x)
+        out.append((np.abs(mu[:, None] * x) * (grid.w * s**2)[:, None]).sum(axis=0))
+    return np.asarray(out)
 
 
 def euclidean_motion_transform(reports, O, T):

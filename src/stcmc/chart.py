@@ -33,6 +33,7 @@ from .errors import (
     SingularMetric,
     SliceNotSpacelike,
 )
+from .spectral import get_grid
 
 _EYE = np.eye(3)
 
@@ -273,7 +274,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
         base_jet = self.base.metric_jet(x)
         g, dg, ddg = base_jet.g, base_jet.dg, base_jet.ddg
         ginv = np.linalg.inv(g)
-        dginv = -np.einsum("nap,nbq,npqk->nabk", ginv, ginv, dg)
+        dginv = inverse_metric_derivative(ginv, dg)
         T, dT, ddT, dddT = self._T_jets(x, r)
         N, dN, ddN = self._N_jets(x, r)
         Gam, dGam = christoffel(MetricJet(g, dg, ddg), derivative=True)
@@ -620,15 +621,18 @@ def build_provider(spec: DataProviderSpec) -> DataProvider:
     raise ConfigError(f"unknown provider kind {spec.kind!r}")
 
 
+def as_provider(spec) -> DataProvider:
+    """The provider itself, or the one a DataProviderSpec describes."""
+    return spec if isinstance(spec, DataProvider) else build_provider(spec)
+
+
 def evaluate_metric(spec, p):
     """Metric jet of a provider spec (or provider) at chart points p."""
-    prov = spec if isinstance(spec, DataProvider) else build_provider(spec)
-    return prov.metric_jet(p)
+    return as_provider(spec).metric_jet(p)
 
 
 def evaluate_extrinsic(spec, p):
-    prov = spec if isinstance(spec, DataProvider) else build_provider(spec)
-    return prov.extrinsic_jet(p)
+    return as_provider(spec).extrinsic_jet(p)
 
 
 # -- curvature / constraint operations --------------------------------------
@@ -655,7 +659,7 @@ def christoffel(jet: MetricJet, derivative=False):
     if not derivative:
         return Gam if batched else Gam[0]
     ddg = jet.ddg if batched else jet.ddg[None]
-    dginv = -np.einsum("nap,nbq,npqk->nabk", ginv, ginv, dg)
+    dginv = inverse_metric_derivative(ginv, dg)
     db1 = np.einsum("ndcbe->ndbce", ddg)
     db2 = ddg
     db3 = np.einsum("nbcde->ndbce", ddg)
@@ -667,6 +671,25 @@ def christoffel(jet: MetricJet, derivative=False):
     if batched:
         return Gam, dGam
     return Gam[0], dGam[0]
+
+
+def inverse_metric_derivative(ginv, dg):
+    """d_k g^ab = -g^ap g^bq d_k g_pq."""
+    return -np.einsum("nap,nbq,npqk->nabk", ginv, ginv, dg)
+
+
+def trace_derivative(ginv, dginv, K, dK):
+    """d_k tr K = d_k g^ab K_ab + g^ab d_k K_ab."""
+    return np.einsum("nabk,nab->nk", dginv, K) + np.einsum("nab,nabk->nk", ginv, dK)
+
+
+def covariant_derivative(Gam, K, dK):
+    """nabla_k K_ij = d_k K_ij - Gamma^l_ki K_lj - Gamma^l_kj K_il."""
+    return (
+        dK
+        - np.einsum("nlki,nlj->nijk", Gam, K)
+        - np.einsum("nlkj,nil->nijk", Gam, K)
+    )
 
 
 def ricci_scalar_curvature(jet: MetricJet):
@@ -705,7 +728,7 @@ def constraint_densities(spec, p):
     mu = (Scal - |K|^2 + (tr K)^2) / 2,
     J_j = g^{ik} nabla_k K_ij - d_j tr K.
     """
-    prov = spec if isinstance(spec, DataProvider) else build_provider(spec)
+    prov = as_provider(spec)
     p_arr, single = _as_points(p)
     mj = prov.metric_jet(p_arr)
     ej = prov.extrinsic_jet(p_arr)
@@ -716,15 +739,8 @@ def constraint_densities(spec, p):
     K2 = np.einsum("nij,nij->n", Kup, K)
     trK = np.einsum("nij,nij->n", ginv, K)
     mu = 0.5 * (scal - K2 + trK**2)
-    Gam = christoffel(mj)
-    # nabla_k K_ij = d_k K_ij - Gamma^l_ki K_lj - Gamma^l_kj K_il
-    covK = (
-        dK
-        - np.einsum("nlki,nlj->nijk", Gam, K)
-        - np.einsum("nlkj,nil->nijk", Gam, K)
-    )
-    dginv = -np.einsum("nap,nbq,npqk->nabk", ginv, ginv, dg)
-    dtrK = np.einsum("nabk,nab->nk", dginv, K) + np.einsum("nab,nabk->nk", ginv, dK)
+    covK = covariant_derivative(christoffel(mj), K, dK)
+    dtrK = trace_derivative(ginv, inverse_metric_derivative(ginv, dg), K, dK)
     J = np.einsum("nik,nijk->nj", ginv, covK) - dtrK
     if single:
         return mu[0], J[0]
@@ -772,13 +788,11 @@ def _fit_exponent(radii, sups):
 
 def decay_check(spec, radii, eps, lmax=16):
     """Sample the decay inequalities and parity conditions on coordinate spheres."""
-    from .spectral import build_grid
-
-    prov = spec if isinstance(spec, DataProvider) else build_provider(spec)
+    prov = as_provider(spec)
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ConfigError("radii must be strictly increasing")
-    grid = build_grid(lmax)
+    grid = get_grid(lmax)
     om = grid.unit_vectors()["o"]
     rows = {k: [] for k in (
         "ratio1", "ratio2", "ratio3", "rt1", "rt2", "rt3",
@@ -847,9 +861,8 @@ def decay_check(spec, radii, eps, lmax=16):
 def _dpi(mj: MetricJet, ej: ExtrinsicJet):
     """d_k pi_ij for pi = (tr K) g - K."""
     ginv = _inv(mj.g)
-    dginv = -np.einsum("nap,nbq,npqk->nabk", ginv, ginv, mj.dg)
     trK = np.einsum("nab,nab->n", ginv, ej.K)
-    dtrK = np.einsum("nabk,nab->nk", dginv, ej.K) + np.einsum("nab,nabk->nk", ginv, ej.dK)
+    dtrK = trace_derivative(ginv, inverse_metric_derivative(ginv, mj.dg), ej.K, ej.dK)
     return (
         dtrK[:, None, None, :] * mj.g[:, :, :, None]
         + trK[:, None, None, None] * mj.dg

@@ -15,7 +15,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,16 +23,6 @@ from .charges import adm_energy, charges_to_csv, sphere_fluxes, stcmc_center_coo
 from .errors import ConfigError, StcmcError
 from .solver import SolveConfig, foliate, laplace_spectrum, newton_solve
 from .surfaces import GraphSurface, surface_scalars, surface_to_csv
-
-
-@dataclass
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
-
-    spec: DataProviderSpec
-    lmax: int = 24
-    tol: float = 1e-10
-    out: str | None = None
 
 
 def parse_grid(text):

@@ -25,7 +25,7 @@ class SingularMetric(StcmcError):
     """Metric is not invertible at an evaluation point."""
 
 
-class BandLimitTooSmall(StcmcError):
+class BandLimitTooSmall(ConfigError):
     """Requested spherical-harmonic band limit below the supported minimum."""
 
 

@@ -26,37 +26,33 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .chart import DataProvider, build_provider, ricci_scalar_curvature
+from .chart import (
+    DataProvider,
+    as_provider,
+    covariant_derivative,
+    inverse_metric_derivative,
+    ricci_scalar_curvature,
+    trace_derivative,
+)
 from .errors import (
     ConfigError,
     ContinuationStalled,
+    DegenerateInducedMetric,
     EigenSolverFailure,
     MaxIterations,
     NewtonDiverged,
     TrappedRegion,
 )
-from .spectral import n_coeffs, pad_coeffs, truncate_coeffs
+from .spectral import get_grid, n_coeffs, pad_coeffs, truncate_coeffs
 from .surfaces import (
     CurvatureField,
     GraphSurface,
-    get_grid,
     rebase,
     surface_frames,
     surface_scalars,
 )
 
 OPERATOR_TAGS = ("L_H", "L_script", "expansion_plus", "expansion_minus", "laplacian")
-
-
-def _provider(spec):
-    return spec if isinstance(spec, DataProvider) else build_provider(spec)
-
-
-@dataclass
-class OperatorMatrix:
-    matrix: np.ndarray
-    tag: str
-    lmax: int
 
 
 @dataclass
@@ -142,13 +138,8 @@ class _OperatorFields:
         self.ricnn = np.einsum("nij,ni,nj->n", ric, nu, nu)
         self.A2 = fr.Aring2 + 0.5 * fr.H**2
         # grad_nu tr K - grad_nu K(nu, nu)
-        dginv = -np.einsum("nap,nbq,npqk->nabk", ginv, ginv, mj.dg)
-        dtrK = np.einsum("nabk,nab->nk", dginv, K) + np.einsum("nab,nabk->nk", ginv, dK)
-        covK = (
-            dK
-            - np.einsum("nlki,nlj->nijk", fr.Gam, K)
-            - np.einsum("nlkj,nil->nijk", fr.Gam, K)
-        )
+        dtrK = trace_derivative(ginv, inverse_metric_derivative(ginv, mj.dg), K, dK)
+        covK = covariant_derivative(fr.Gam, K, dK)
         covK_nnn = np.einsum("nk,ni,nj,nijk->n", nu, nu, nu, covK)
         self.kscal = np.einsum("nk,nk->n", nu, dtrK) - covK_nnn
         # K(grad^S u, nu) = kv^beta d_beta u
@@ -206,12 +197,6 @@ class _OperatorFields:
         raise ConfigError(f"unknown operator tag {tag!r}; choose from {OPERATOR_TAGS}")
 
 
-def _columns_jet(grid, C):
-    """Nodal values and derivatives of the fields with coefficient rows C."""
-    j = grid.synth_jet(C)
-    return tuple(j[k].T for k in ("f", "ft", "fp", "ftt", "ftp", "fpp"))
-
-
 def assemble_linearization(spec, surface: GraphSurface, which="L_H", frames=None):
     """Dense matrix of a linearized-curvature operator in the harmonic basis.
 
@@ -223,12 +208,9 @@ def assemble_linearization(spec, surface: GraphSurface, which="L_H", frames=None
         raise TrappedRegion("L_H undefined where H^2 - P^2 vanishes")
     fields = _OperatorFields(fr)
     grid = fr.grid
-    nb = n_coeffs(surface.lmax)
-    C = np.zeros((nb, grid.nbasis))
-    C[:, :nb] = np.eye(nb)
-    out = fields.apply(which, *_columns_jet(grid, C))
+    out = fields.apply(which, *grid.basis_jet(surface.lmax))
     mat = truncate_coeffs(grid.analyze(out.T), surface.lmax)
-    return OperatorMatrix(matrix=mat.T, tag=which, lmax=surface.lmax)
+    return mat.T
 
 
 def graph_jacobian(spec, surface: GraphSurface, frames=None):
@@ -241,15 +223,12 @@ def graph_jacobian(spec, surface: GraphSurface, frames=None):
     fr = frames if frames is not None else surface_frames(spec, surface)
     fields = _OperatorFields(fr)
     grid = fr.grid
-    nb = n_coeffs(surface.lmax)
     g = fr.metric_jet.g
     c = np.einsum("ni,nij,nj->n", fr.omega, g, fr.nu)
     # basis jets (exact) and the normal-projection factor's jets (spectral,
     # limited only by the smooth tail of c itself); the product rule avoids
     # re-analyzing c*v, whose tail would alias into the retained band
-    C0 = np.zeros((nb, grid.nbasis))
-    C0[:, :nb] = np.eye(nb)
-    B, Bt, Bp, Btt, Btp, Bpp = _columns_jet(grid, C0)
+    B, Bt, Bp, Btt, Btp, Bpp = grid.basis_jet(surface.lmax)
     cj = grid.synth_jet(grid.analyze(c))
     U = c[:, None] * B
     Ut = cj["ft"][:, None] * B + c[:, None] * Bt
@@ -289,7 +268,7 @@ def newton_solve(spec, sigma, initial: GraphSurface, config: SolveConfig | None 
     iterations, which keeps the low-order height content (and hence the
     conditioning of the translational block) small.
     """
-    prov = _provider(spec)
+    prov = as_provider(spec)
     cfg = config or SolveConfig(lmax=initial.lmax)
     if sigma <= 0:
         raise ConfigError("sigma must be positive")
@@ -322,7 +301,7 @@ def newton_solve(spec, sigma, initial: GraphSurface, config: SolveConfig | None 
             S_try = GraphSurface(S.center.copy(), S.r0, S.coeffs + scale * step, S.lmax)
             try:
                 res_t, proj_t, fr_t = curvature_residual(prov, S_try, sigma)
-            except TrappedRegion:
+            except (TrappedRegion, DegenerateInducedMetric):
                 scale *= cfg.damping
                 continue
             sup_t = float(np.max(np.abs(res_t)))
@@ -381,7 +360,7 @@ def continuation_in_tau(spec, sigma, initial: GraphSurface, config: SolveConfig 
     1/256.  At every accepted tau the deformation lapse u is recorded by
     solving script-L u = tau (tr_S K)^2 / H with the unscaled K.
     """
-    prov = _provider(spec)
+    prov = as_provider(spec)
     cfg = config or SolveConfig(lmax=initial.lmax)
     nsteps = steps if steps is not None else cfg.tau_steps
     out = []
@@ -397,7 +376,7 @@ def continuation_in_tau(spec, sigma, initial: GraphSurface, config: SolveConfig 
             try:
                 result = newton_solve(ScaledExtrinsicProvider(prov, tau + step), sigma, S, cfg)
                 break
-            except (NewtonDiverged, MaxIterations, TrappedRegion):
+            except (NewtonDiverged, MaxIterations, TrappedRegion, DegenerateInducedMetric):
                 step *= 0.5
                 if step < 1.0 / 256.0:
                     raise ContinuationStalled(
@@ -413,7 +392,7 @@ def _continuation_record(prov, tau, sigma, result):
     S = result.surface
     fr = surface_frames(ScaledExtrinsicProvider(prov, tau), S)
     fr_full = surface_frames(prov, S)
-    Lmat = assemble_linearization(ScaledExtrinsicProvider(prov, tau), S, "L_script", frames=fr).matrix
+    Lmat = assemble_linearization(ScaledExtrinsicProvider(prov, tau), S, "L_script", frames=fr)
     rhs_nodal = tau * fr_full.P**2 / fr.H
     rhs = truncate_coeffs(fr.grid.analyze(rhs_nodal), S.lmax)
     u = np.linalg.solve(Lmat, rhs)
@@ -429,7 +408,7 @@ def _continuation_record(prov, tau, sigma, result):
 
 def foliate(spec, sigma_list, config: SolveConfig | None = None, initial=None, spectra=True):
     """Sweep sigma upward, seeding each leaf by radial rescaling of the last."""
-    prov = _provider(spec)
+    prov = as_provider(spec)
     sigma_list = [float(s) for s in sigma_list]
     if any(b <= a for a, b in zip(sigma_list, sigma_list[1:])):
         raise ConfigError("sigma list must be strictly increasing")
@@ -490,14 +469,7 @@ def _annotate_lapse_positivity(leaves):
 
 def _stiffness_mass(fr: CurvatureField, lmax):
     grid = fr.grid
-    nb = n_coeffs(lmax)
-    B = grid.Y[:, :nb]
-    Bt = grid.Yt[:, :nb]
-    # d_phi of basis columns via the (l, -m) partner relation
-    ls = grid.ls[:nb]
-    ms = grid.ms[:nb]
-    partner = np.arange(nb) - 2 * ms
-    Bp = grid.Y[:, :nb][:, partner] * (-ms)[None, :]
+    B, Bt, Bp, *_ = grid.basis_jet(lmax)
     w = grid.w * fr.dmu
     gi = fr.g2inv
     S = (
@@ -519,7 +491,7 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     eigenfunctions are aligned with the scaled coordinate functions by
     projection and re-orthonormalization.
     """
-    prov = _provider(spec)
+    prov = as_provider(spec)
     fr = frames if frames is not None else surface_frames(prov, surface)
     nb = n_coeffs(surface.lmax)
     if k + 1 > nb:
@@ -574,7 +546,7 @@ def _sigma_min_weighted(prov, surface, fr, M):
     With mass matrix M = R^T R, the weighted operator is R L R^{-1} acting on
     orthonormalized coordinates.
     """
-    Lmat = assemble_linearization(prov, surface, "L_script", frames=fr).matrix
+    Lmat = assemble_linearization(prov, surface, "L_script", frames=fr)
     R = np.linalg.cholesky(0.5 * (M + M.T)).T
     W = R @ Lmat @ np.linalg.inv(R)
     return float(np.linalg.svd(W, compute_uv=False).min())
@@ -595,7 +567,7 @@ def center_variation_check(spec, surface: GraphSurface, u_coeffs, h=1e-5):
     """
     from .surfaces import parametrized_area_and_center
 
-    prov = _provider(spec)
+    prov = as_provider(spec)
     fr = surface_frames(prov, surface)
     grid = fr.grid
     u = grid.synthesize(pad_coeffs(np.asarray(u_coeffs, dtype=float), surface.lmax, grid.lmax))
@@ -612,7 +584,7 @@ def center_variation_check(spec, surface: GraphSurface, u_coeffs, h=1e-5):
 
 def uniqueness_cross_check(spec, sigma, seeds, config: SolveConfig | None = None):
     """Max pairwise sup-distance between leaves converged from different seeds."""
-    prov = _provider(spec)
+    prov = as_provider(spec)
     cfg = config or SolveConfig(lmax=seeds[0].lmax)
     solved = [newton_solve(prov, sigma, s, cfg) for s in seeds]
     base = solved[0].surface.center

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -211,6 +212,29 @@ class SphereGrid:
         ftt = -(ct / st) * ft - (lap_c * coeffs) @ self.Y.T + ((m2 * coeffs) @ self.Y.T) / st**2
         return {"f": f, "ft": ft, "fp": fp, "ftt": ftt, "ftp": ftp, "fpp": fpp}
 
+    def basis_jet(self, lmax):
+        """synth_jet of the first n_coeffs(lmax) basis functions, one column each.
+
+        Returns (B, Bt, Bp, Btt, Btp, Bpp) of shape (nnodes, n_coeffs(lmax)),
+        bit-identical to the transposed synth_jet of identity coefficient
+        rows: columns of Y and Yt, the (l, -m) partner map for d/dphi and the
+        harmonic ODE in synth_jet's operation order.  B and Bt are views of
+        the (read-only) grid matrices.
+        """
+        nb = n_coeffs(lmax)
+        th, _ = self.mesh()
+        ct, st = np.cos(th), np.sin(th)
+        ls, ms = self.ls[:nb], self.ms[:nb]
+        partner = np.arange(nb) - 2 * ms
+        B = self.Y[:, :nb]
+        Bt = self.Yt[:, :nb]
+        Bp = self.Y[:, partner] * (-ms)
+        Btp = self.Yt[:, partner] * (-ms)
+        m2 = ms.astype(float) ** 2
+        Bpp = B * -m2
+        Btt = -(ct / st)[:, None] * Bt - (ls * (ls + 1.0)) * B + (m2 * B) / (st**2)[:, None]
+        return B, Bt, Bp, Btt, Btp, Bpp
+
     def integrate(self, values):
         """Quadrature of nodal values against the round measure sin(theta) dtheta dphi."""
         values = self._check_values(values)
@@ -231,7 +255,15 @@ def build_grid(lmax):
     TH, PH = np.meshgrid(theta, phi, indexing="ij")
     Y, Yt = real_sph_basis(lmax, TH.ravel(), PH.ravel())
     ls, ms = lm_arrays(lmax)
+    for a in (theta, phi, w, Y, Yt, ls, ms):
+        a.flags.writeable = False
     return SphereGrid(lmax=lmax, theta=theta, phi=phi, w=w, Y=Y, Yt=Yt, ls=ls, ms=ms)
+
+
+@lru_cache(maxsize=32)
+def get_grid(lmax):
+    """Cached grid of a band limit; its arrays are read-only."""
+    return build_grid(lmax)
 
 
 def dealias_lmax(lmax):

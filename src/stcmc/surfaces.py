@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import chart
-from .chart import DataProvider, build_provider, christoffel
+from .chart import as_provider, christoffel
 from .errors import (
     ConfigError,
     DegenerateInducedMetric,
@@ -26,23 +25,13 @@ from .errors import (
     TrappedRegion,
 )
 from .spectral import (
-    build_grid,
     dealias_lmax,
+    get_grid,
     n_coeffs,
     pad_coeffs,
     real_sph_basis,
     truncate_coeffs,
 )
-
-
-@lru_cache(maxsize=32)
-def get_grid(lmax):
-    """Cached immutable grid; treat returned arrays as read-only."""
-    return build_grid(lmax)
-
-
-def _provider(spec):
-    return spec if isinstance(spec, DataProvider) else build_provider(spec)
 
 
 @dataclass
@@ -184,9 +173,22 @@ def embedding_nodes(surface: GraphSurface, grid):
     return X, (Xt, Xp), (Xtt, Xtp, Xpp), uv["o"], R
 
 
+def _inverse_2x2(m):
+    """Adjugate inverse and determinant of a stack of 2x2 matrices."""
+    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+    inv = np.empty_like(m)
+    inv[:, 0, 0] = m[:, 1, 1]
+    inv[:, 1, 1] = m[:, 0, 0]
+    inv[:, 0, 1] = -m[:, 0, 1]
+    inv[:, 1, 0] = -m[:, 1, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv /= det[:, None, None]
+    return inv, det
+
+
 def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
     """Full curvature data of the surface in the data set, on the dealiased grid."""
-    prov = _provider(spec)
+    prov = as_provider(spec)
     grid = get_grid(dealias_lmax(surface.lmax))
     X, (Xt, Xp), (Xtt, Xtp, Xpp), om, R = embedding_nodes(surface, grid)
     if np.any(R <= 0):
@@ -199,15 +201,9 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
 
     tang = np.stack([Xt, Xp], axis=1)                       # (n, 2, 3)
     g2 = np.einsum("nai,nij,nbj->nab", tang, g, tang)
-    det2 = g2[:, 0, 0] * g2[:, 1, 1] - g2[:, 0, 1] ** 2
+    g2inv, det2 = _inverse_2x2(g2)
     if np.any(det2 <= 0):
         raise DegenerateInducedMetric("induced metric has nonpositive determinant")
-    g2inv = np.empty_like(g2)
-    g2inv[:, 0, 0] = g2[:, 1, 1]
-    g2inv[:, 1, 1] = g2[:, 0, 0]
-    g2inv[:, 0, 1] = -g2[:, 0, 1]
-    g2inv[:, 1, 0] = -g2[:, 1, 0]
-    g2inv /= det2[:, None, None]
 
     ncross = np.cross(Xt, Xp)
     orient = np.einsum("ni,ni->n", ncross, X - surface.center)
@@ -227,13 +223,7 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
     Aring2 = np.einsum("nac,nbd,nab,ncd->n", g2inv, g2inv, Aring, Aring)
 
     delta2 = np.einsum("nai,nbi->nab", tang, tang)
-    ddet2 = delta2[:, 0, 0] * delta2[:, 1, 1] - delta2[:, 0, 1] ** 2
-    d2inv = np.empty_like(delta2)
-    d2inv[:, 0, 0] = delta2[:, 1, 1]
-    d2inv[:, 1, 1] = delta2[:, 0, 0]
-    d2inv[:, 0, 1] = -delta2[:, 0, 1]
-    d2inv[:, 1, 0] = -delta2[:, 1, 0]
-    d2inv /= ddet2[:, None, None]
+    d2inv, ddet2 = _inverse_2x2(delta2)
     A_delta = -np.einsum("ni,nabi->nab", nu_delta, sec)
     H_delta = np.einsum("nab,nab->n", d2inv, A_delta)
 
@@ -422,7 +412,7 @@ def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
     geodesics; the prescribed surface has Lorentzian mean curvature 2/sigma.
     Returns nodal dicts on the dealiased grid.
     """
-    prov = _provider(spec) if spec is not None else chart.EuclideanProvider()
+    prov = as_provider(spec) if spec is not None else chart.EuclideanProvider()
     grid = get_grid(dealias_lmax(lmax))
     th, _ = grid.mesh()
     st, ct = np.sin(th), np.cos(th)

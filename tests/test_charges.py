@@ -16,9 +16,7 @@ from stcmc.charges import (
     ChargeReport,
     adm_energy,
     adm_mass,
-    bom_center,
     charges_to_csv,
-    correction_z,
     euclidean_motion_transform,
     fit_power_tail,
     matter_moment_shells,
@@ -99,7 +97,7 @@ def test_adm_mass_values():
 # -- centers -----------------------------------------------------------------------
 
 def test_bom_center_symmetric_slice(schw, canonical_report):
-    rep = bom_center(schw, RADII, canonical_report.energy)
+    rep = stcmc_center_coordinate(schw, RADII, canonical_report.energy)
     # zero up to quadrature roundoff accumulated over ~s^3-scaled integrands
     assert np.max(np.abs(rep.bom_values)) < 1e-11
 
@@ -107,7 +105,7 @@ def test_bom_center_symmetric_slice(schw, canonical_report):
 def test_bom_center_translated(schw):
     c = np.array([0.7, -0.3, 0.2])
     prov = TranslatedProvider(schw, c)
-    rep = bom_center(prov, RADII, 1.0)
+    rep = stcmc_center_coordinate(prov, RADII, 1.0)
     assert np.max(np.abs(rep.bom_limit - c)) < 1e-3
     assert not rep.bom_divergent
 
@@ -121,7 +119,7 @@ def test_bom_center_log_periodic_amplitude(graphical):
 
 
 def test_correction_zero_without_extrinsic(schw, canonical_report):
-    rep = correction_z(schw, RADII, canonical_report.energy)
+    rep = stcmc_center_coordinate(schw, RADII, canonical_report.energy)
     assert np.max(np.abs(rep.z_values)) < 1e-15
 
 
@@ -161,7 +159,7 @@ def test_translated_graphical_center_recovers_shift(graphical):
 
 def test_zero_energy_raises(euclid):
     with pytest.raises(ZeroEnergy):
-        bom_center(euclid, RADII, 0.0)
+        stcmc_center_coordinate(euclid, RADII, 0.0)
     with pytest.raises(ZeroEnergy):
         velocity_integral(euclid, RADII, 0.0)
 

@@ -108,6 +108,12 @@ def test_exit_code_numerical_error(capsys):
     assert "ZeroEnergy" in err
 
 
+def test_exit_code_band_limit_too_small(capsys):
+    rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "50,100,200", "--lmax", "3"])
+    assert rc == 2
+    assert "band limit 3" in capsys.readouterr().err
+
+
 def test_center_flag_translates(capsys):
     rc = main([
         "charges", "--data", "schwarzschild", "--mass", "1", "--center", "1,0,0",

@@ -8,7 +8,7 @@ from stcmc.chart import (
     RotatedProvider,
     SchwarzschildProvider,
 )
-from stcmc.errors import ConfigError, MaxIterations, TrappedRegion
+from stcmc.errors import ConfigError, DegenerateInducedMetric, MaxIterations, TrappedRegion
 from stcmc.solver import (
     OPERATOR_TAGS,
     ScaledExtrinsicProvider,
@@ -54,10 +54,10 @@ def random_surface(rng, lmax=8, r0=10.0, amp=0.1, center=(0.0, 0.0, 0.0)):
 
 def test_operator_on_constants_flat(euclid):
     S = GraphSurface.round([0, 0, 0], 5.0, 8)
-    op = assemble_linearization(euclid, S, "L_H")
-    e0 = np.zeros(op.matrix.shape[0])
+    L = assemble_linearization(euclid, S, "L_H")
+    e0 = np.zeros(L.shape[0])
     e0[0] = 1.0
-    act = op.matrix @ e0
+    act = L @ e0
     assert abs(act[0] + 2.0 / 25.0) < 1e-13
     assert np.max(np.abs(act[1:])) < 1e-13
 
@@ -67,13 +67,13 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
     S = random_surface(rng, r0=12.0, amp=0.1)
     fr = surface_frames(schw, S)
     mats = {
-        tag: assemble_linearization(schw, S, tag, frames=fr).matrix
+        tag: assemble_linearization(schw, S, tag, frames=fr)
         for tag in ("L_H", "L_script", "expansion_plus", "expansion_minus")
     }
     for tag in ("L_script", "expansion_plus", "expansion_minus"):
         assert np.max(np.abs(mats[tag] - mats["L_H"])) < 1e-12
     # and they all equal the classical stability operator -Lap - |A|^2 - Ric
-    lap = assemble_linearization(schw, S, "laplacian", frames=fr).matrix
+    lap = assemble_linearization(schw, S, "laplacian", frames=fr)
     import stcmc.solver as sv
 
     fields = sv._OperatorFields(fr)
@@ -130,6 +130,20 @@ def test_newton_flat_sphere(euclid):
     assert abs(rho - 10.0) < 1e-10
     assert np.linalg.norm(res.surface.center) < 1e-10
     assert np.max(np.abs(res.surface.coeffs[1:])) < 1e-10
+
+
+def test_newton_damps_degenerate_step(euclid):
+    # from r0 = 25 at sigma = 10 the full step R -> 2R - R^2/sigma is negative:
+    # the first trial graph reaches the base center and must be damped
+    seed = GraphSurface.round([0, 0, 0], 25.0, 8)
+    _, proj, fr = curvature_residual(euclid, seed, 10.0)
+    step = np.linalg.lstsq(graph_jacobian(euclid, seed, frames=fr), -proj, rcond=1e-13)[0]
+    with pytest.raises(DegenerateInducedMetric):
+        surface_frames(euclid, GraphSurface(seed.center, seed.r0, seed.coeffs + step, seed.lmax))
+    res = newton_solve(euclid, 10.0, seed)
+    rho = res.surface.r0 + res.surface.coeffs[0] / np.sqrt(4 * np.pi)
+    assert res.residual_sup <= 1e-10
+    assert abs(rho - 10.0) < 1e-9
 
 
 def test_newton_schwarzschild_cubic(schw_leaf20):
@@ -296,7 +310,7 @@ def test_operator_selfadjoint_when_time_symmetric(schw, schw_leaf20):
 
     S = schw_leaf20.surface
     fr = surface_frames(schw, S)
-    L = assemble_linearization(schw, S, "L_script", frames=fr).matrix
+    L = assemble_linearization(schw, S, "L_script", frames=fr)
     _, M, _ = _stiffness_mass(fr, S.lmax)
     # weighted operator is symmetric; sigma_min equals the smallest |eigenvalue|
     R = np.linalg.cholesky(0.5 * (M + M.T)).T

@@ -8,6 +8,7 @@ from stcmc.spectral import (
     build_grid,
     coeff_index,
     dealias_lmax,
+    get_grid,
     laplace_round,
     lm_arrays,
     n_coeffs,
@@ -130,6 +131,26 @@ def test_synth_jet_derivatives_match_finite_differences():
     _, Ytm = real_sph_basis(8, th, ph - h)
     fd_tp = (Ytp @ c - Ytm @ c) / (2 * h)
     assert np.max(np.abs(fd_tp - jet["ftp"])) < 1e-7
+
+
+@pytest.mark.parametrize("grid,lmax", [(G8, 8), (G8, 5), (G16, 10)])
+def test_basis_jet_matches_synth_jet(grid, lmax):
+    nb = n_coeffs(lmax)
+    jet = grid.synth_jet(np.eye(nb, grid.nbasis))
+    for key, col in zip(("f", "ft", "fp", "ftt", "ftp", "fpp"), grid.basis_jet(lmax)):
+        assert col.shape == (grid.nnodes, nb)
+        assert np.array_equal(col, jet[key].T), key
+
+
+def test_cached_grid_is_read_only():
+    grid = get_grid(8)
+    for name in ("theta", "phi", "w", "Y", "Yt", "ls", "ms"):
+        with pytest.raises(ValueError):
+            getattr(grid, name)[0] = 0
+    B, Bt, *_ = grid.basis_jet(8)
+    for view in (B, Bt):
+        with pytest.raises(ValueError):
+            view *= 2.0
 
 
 def test_pad_truncate_round_trip():
