@@ -46,17 +46,18 @@ def _normalized_legendre(lmax, theta):
     Normalization is such that int_0^pi P_lm^2 sin(theta) dtheta = 1/(2 pi),
     i.e. the m=0 harmonics are P_l0 themselves and the m>0 harmonics pick up a
     sqrt(2) azimuthal factor.  No Condon-Shortley phase.  Returns arrays of
-    shape (len(theta), lmax+1, lmax+1) indexed [node, l, m], zero for m > l.
+    shape (lmax+1, lmax+1, len(theta)) indexed [l, m, node], zero for m > l;
+    nodes run last so each recurrence step is a contiguous row operation.
     """
     theta = np.asarray(theta, dtype=float)
     ct, st = np.cos(theta), np.sin(theta)
     n = theta.shape[0]
-    P = np.zeros((n, lmax + 1, lmax + 1))
-    P[:, 0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
+    P = np.zeros((lmax + 1, lmax + 1, n))
+    P[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
     for m in range(1, lmax + 1):
-        P[:, m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * P[:, m - 1, m - 1]
+        P[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * P[m - 1, m - 1]
     for m in range(0, lmax):
-        P[:, m + 1, m] = math.sqrt(2.0 * m + 3.0) * ct * P[:, m, m]
+        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * ct * P[m, m]
     for m in range(0, lmax + 1):
         for l in range(m + 2, lmax + 1):
             a = math.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
@@ -64,14 +65,14 @@ def _normalized_legendre(lmax, theta):
                 (2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
                 / ((2.0 * l - 3.0) * (l - m) * (l + m))
             )
-            P[:, l, m] = a * ct * P[:, l - 1, m] - b * P[:, l - 2, m]
+            P[l, m] = a * ct * P[l - 1, m] - b * P[l - 2, m]
     # dP/dtheta from sin(theta) P' = l cos(theta) P_lm - c_lm P_{l-1,m}
     dP = np.zeros_like(P)
     for m in range(0, lmax + 1):
         for l in range(m, lmax + 1):
             c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > 0 else 0.0
-            low = P[:, l - 1, m] if l >= 1 else 0.0
-            dP[:, l, m] = (l * ct * P[:, l, m] - c * low) / st
+            low = P[l - 1, m] if l >= 1 else 0.0
+            dP[l, m] = (l * ct * P[l, m] - c * low) / st
     return P, dP
 
 
@@ -85,19 +86,21 @@ def real_sph_basis(lmax, theta, phi):
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
     P, dP = _normalized_legendre(lmax, theta)
     nb = n_coeffs(lmax)
-    Y = np.zeros((theta.shape[0], nb))
+    # filled one harmonic per contiguous row, transposed once at the end
+    Y = np.zeros((nb, theta.shape[0]))
     Yt = np.zeros_like(Y)
     sq2 = math.sqrt(2.0)
     for l in range(lmax + 1):
-        Y[:, coeff_index(l, 0)] = P[:, l, 0]
-        Yt[:, coeff_index(l, 0)] = dP[:, l, 0]
-        for m in range(1, l + 1):
-            cm, sm = np.cos(m * phi), np.sin(m * phi)
-            Y[:, coeff_index(l, m)] = sq2 * P[:, l, m] * cm
-            Y[:, coeff_index(l, -m)] = sq2 * P[:, l, m] * sm
-            Yt[:, coeff_index(l, m)] = sq2 * dP[:, l, m] * cm
-            Yt[:, coeff_index(l, -m)] = sq2 * dP[:, l, m] * sm
-    return Y, Yt
+        Y[coeff_index(l, 0)] = P[l, 0]
+        Yt[coeff_index(l, 0)] = dP[l, 0]
+    for m in range(1, lmax + 1):
+        cm, sm = np.cos(m * phi), np.sin(m * phi)
+        for l in range(m, lmax + 1):
+            Y[coeff_index(l, m)] = sq2 * P[l, m] * cm
+            Y[coeff_index(l, -m)] = sq2 * P[l, m] * sm
+            Yt[coeff_index(l, m)] = sq2 * dP[l, m] * cm
+            Yt[coeff_index(l, -m)] = sq2 * dP[l, m] * sm
+    return np.ascontiguousarray(Y.T), np.ascontiguousarray(Yt.T)
 
 
 @dataclass

@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DegenerateInducedMetric,
     FoliationNotSupported,
+    MaxIterations,
     TrappedRegion,
 )
 from .spectral import (
@@ -34,6 +35,13 @@ from .spectral import (
 )
 
 
+def _as_center(center):
+    center = np.asarray(center, dtype=float)
+    if center.size != 3:
+        raise ConfigError(f"center must be a 3-vector, got shape {center.shape}")
+    return center.reshape(3)
+
+
 @dataclass
 class GraphSurface:
     """Radial graph over the coordinate sphere of radius r0 about center."""
@@ -44,7 +52,7 @@ class GraphSurface:
     lmax: int
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(3)
+        self.center = _as_center(self.center)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (n_coeffs(self.lmax),):
             raise ConfigError(
@@ -82,20 +90,25 @@ class GraphSurface:
         return GraphSurface(self.center + np.asarray(shift, dtype=float), self.r0, self.coeffs.copy(), self.lmax)
 
 
+REBASE_MAX_ITER = 60
+
+
 def rebase(surface: GraphSurface, new_center, lmax=None):
     """Re-express a surface as a radial graph about a different center.
 
     Solves |rho' w' - d| = rho(direction) per node by a scalar Newton
     iteration, where d = old_center - new_center.  The new base radius is the
-    mean of rho' so the new height has small low-order content.
+    mean of rho' so the new height has small low-order content.  Raises
+    MaxIterations when the iteration does not converge, e.g. when the new
+    center lies outside the surface.
     """
     lmax = lmax or surface.lmax
     grid = get_grid(lmax)
-    new_center = np.asarray(new_center, dtype=float).reshape(3)
+    new_center = _as_center(new_center)
     d = surface.center - new_center
     om = grid.unit_vectors()["o"]
     rho = np.full(grid.nnodes, float(surface.r0))
-    for _ in range(60):
+    for _ in range(REBASE_MAX_ITER):
         q = rho[:, None] * om - d[None, :]
         qn = np.linalg.norm(q, axis=1)
         theta = np.arccos(np.clip(q[:, 2] / qn, -1.0, 1.0))
@@ -108,6 +121,11 @@ def rebase(surface: GraphSurface, new_center, lmax=None):
         rho = rho - step
         if np.max(np.abs(step)) < 1e-13 * surface.r0:
             break
+    else:
+        raise MaxIterations(
+            f"rebase to center {new_center} did not converge in {REBASE_MAX_ITER} iterations; "
+            f"last max|step|/r0 = {np.max(np.abs(step)) / surface.r0:.3e}"
+        )
     r0_new = grid.integrate(rho) / (4.0 * np.pi)
     coeffs = grid.analyze(rho - r0_new)
     return GraphSurface(new_center, r0_new, truncate_coeffs(coeffs, lmax), lmax)
@@ -410,7 +428,8 @@ def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
 
     The background is flat space foliated by round spheres along radial
     geodesics; the prescribed surface has Lorentzian mean curvature 2/sigma.
-    Returns nodal dicts on the dealiased grid.
+    f_coeffs has shape (..., n_coeffs(lmax)); returns nodal dicts on the
+    dealiased grid with the same leading axes.
     """
     prov = as_provider(spec) if spec is not None else chart.EuclideanProvider()
     grid = get_grid(dealias_lmax(lmax))
@@ -421,98 +440,110 @@ def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
     rho = sigma + jets["f"]
     if np.any(rho <= 0):
         raise DegenerateInducedMetric("graph reaches the origin")
-    X = rho[:, None] * uv["o"]
-    _check_flat_metric(prov, X)
+    X = rho[..., None] * uv["o"]
+    points = X.reshape(-1, 3)
+    _check_flat_metric(prov, points)
 
     ghat_inv = np.zeros((grid.nnodes, 2, 2))
     ghat_inv[:, 0, 0] = 1.0
     ghat_inv[:, 1, 1] = 1.0 / st**2
-    gt_inv = ghat_inv / rho[:, None, None] ** 2
-    df = np.stack([jets["ft"], jets["fp"]], axis=1)
-    df_up = np.einsum("nab,nb->na", gt_inv, df)
-    df2 = np.einsum("na,na->n", df, df_up)
+    gt_inv = ghat_inv / rho[..., None, None] ** 2
+    df = np.stack([jets["ft"], jets["fp"]], axis=-1)
+    df_up = np.einsum("...ab,...b->...a", gt_inv, df)
+    df2 = np.einsum("...a,...a->...", df, df_up)
     W2 = 1.0 + df2
     W = np.sqrt(W2)
-    G = gt_inv - df_up[:, :, None] * df_up[:, None, :] / W2[:, None, None]
+    G = gt_inv - df_up[..., :, None] * df_up[..., None, :] / W2[..., None, None]
 
-    a = G / W[:, None, None]
+    a = G / W[..., None, None]
     # round-sphere Christoffels: Gam^theta_pp = -sin cos, Gam^phi_tp = cot
-    b = np.zeros((grid.nnodes, 2))
-    b[:, 0] = -G[:, 1, 1] * (-st * ct) / W
-    b[:, 1] = -2.0 * G[:, 0, 1] * (ct / st) / W
+    b = np.stack([-G[..., 1, 1] * (-st * ct) / W, -2.0 * G[..., 0, 1] * (ct / st) / W], axis=-1)
 
-    At = rho[:, None, None] * np.stack(
+    At = rho[..., None, None] * np.stack(
         [np.stack([np.ones_like(st), np.zeros_like(st)], axis=1),
          np.stack([np.zeros_like(st), st**2], axis=1)], axis=1)
     # (A_t)^g_a = delta^g_a / rho, so 2 (A_t)^g_a f_b f_g = 2 f_a f_b / rho
-    quad = 2.0 * df[:, :, None] * df[:, None, :] / rho[:, None, None]
+    quad = 2.0 * df[..., :, None] * df[..., None, :] / rho[..., None, None]
     # Outward-normal graph curvature is G(-hess f + A_t + quad)/W: the residual
     # a d2f + b df - F with a = G/W then needs F = G(A_t + quad)/W - sqrt(...),
     # which makes translated round spheres exact roots in the flat vacuum case.
-    curv = np.einsum("nab,nab->n", G, At + quad) / W
+    curv = np.einsum("...ab,...ab->...", G, At + quad) / W
 
-    ej = prov.extrinsic_jet(X)
-    e_t = rho[:, None] * uv["ot"]
-    e_p = rho[:, None] * uv["op"]
-    frame = np.stack([e_t, e_p], axis=1)
-    K_ab = np.einsum("nai,nbj,nij->nab", frame, frame, ej.K)
-    K_ta = np.einsum("ni,naj,nij->na", uv["o"], frame, ej.K)
-    K_tt = np.einsum("ni,nj,nij->n", uv["o"], uv["o"], ej.K)
+    K = prov.extrinsic_jet(points).K.reshape(X.shape + (3,))
+    e_t = rho[..., None] * uv["ot"]
+    e_p = rho[..., None] * uv["op"]
+    frame = np.stack([e_t, e_p], axis=-2)
+    K_ab = np.einsum("...ai,...bj,...ij->...ab", frame, frame, K)
+    K_ta = np.einsum("...i,...aj,...ij->...a", uv["o"], frame, K)
+    K_tt = np.einsum("...i,...j,...ij->...", uv["o"], uv["o"], K)
     P = np.einsum(
-        "nab,nab->n",
+        "...ab,...ab->...",
         G,
-        K_ab + 2.0 * df[:, :, None] * K_ta[:, None, :] + df[:, :, None] * df[:, None, :] * K_tt[:, None, None],
+        K_ab + 2.0 * df[..., :, None] * K_ta[..., None, :] + df[..., :, None] * df[..., None, :] * K_tt[..., None, None],
     )
     F = curv - np.sqrt(P**2 + 4.0 / sigma**2)
     return {"grid": grid, "jets": jets, "a": a, "b": b, "F": F, "P": P}
 
 
 def appendix_graph_residual(sigma, f_coeffs, lmax, spec=None):
-    """Nodal residual a^{ab} d2f + b^a df - F of the graph equation."""
+    """Nodal residual a^{ab} d2f + b^a df - F of the graph equation.
+
+    f_coeffs has shape (..., n_coeffs(lmax)); the residual has shape
+    (..., nnodes) on the dealiased grid.
+    """
     c = appendix_graph_coefficients(sigma, f_coeffs, lmax, spec)
     jets = c["jets"]
     hess = np.stack(
-        [np.stack([jets["ftt"], jets["ftp"]], axis=1), np.stack([jets["ftp"], jets["fpp"]], axis=1)],
-        axis=1,
+        [np.stack([jets["ftt"], jets["ftp"]], axis=-1), np.stack([jets["ftp"], jets["fpp"]], axis=-1)],
+        axis=-2,
     )
-    df = np.stack([jets["ft"], jets["fp"]], axis=1)
-    return np.einsum("nab,nab->n", c["a"], hess) + np.einsum("na,na->n", c["b"], df) - c["F"]
+    df = np.stack([jets["ft"], jets["fp"]], axis=-1)
+    return np.einsum("...ab,...ab->...", c["a"], hess) + np.einsum("...a,...a->...", c["b"], df) - c["F"]
+
+
+# Perturbed coefficient vectors per batched residual call in the
+# finite-difference Jacobian of solve_graph_residual.  Peak memory grows with
+# it: the flatness check asks the provider for full metric jets at every node
+# of every row (peak RSS of one lmax-10 root: 67 MB before the root, 74 MB at
+# 16 rows, 103 MB at 64, 151 MB with all 242 rows in one call).
+FD_BLOCK = 16
 
 
 def solve_graph_residual(sigma, f0_coeffs, lmax, spec=None, tol=1e-12, max_iter=40):
     """Newton-solve the graph equation with a finite-difference Jacobian.
 
     Deliberately independent of the embedding-based machinery so the two
-    routes to a prescribed-curvature surface can be cross-checked.
+    routes to a prescribed-curvature surface can be cross-checked.  The
+    central differences f +- h e_j are evaluated FD_BLOCK rows per residual
+    call.
     """
     grid = get_grid(dealias_lmax(lmax))
     nb = n_coeffs(lmax)
     f = np.asarray(f0_coeffs, dtype=float).copy()
     h = 1e-7 * max(1.0, sigma)
+    E = h * np.eye(nb)
 
     def proj_res(fc):
         r = appendix_graph_residual(sigma, fc, lmax, spec)
-        return truncate_coeffs(grid.analyze(r), lmax), np.max(np.abs(r))
+        return truncate_coeffs(grid.analyze(r), lmax)
 
-    R, _ = proj_res(f)
+    R = proj_res(f)
     for _ in range(max_iter):
         # converge on the projected system; the nodal sup also reflects
         # truncation of the data and is reported by the caller if needed
         rnorm = np.max(np.abs(R))
         if rnorm < tol:
             return f
-        J = np.empty((nb, nb))
-        for j in range(nb):
-            e = np.zeros(nb)
-            e[j] = h
-            J[:, j] = (proj_res(f + e)[0] - proj_res(f - e)[0]) / (2.0 * h)
+        rows = np.concatenate([f + E, f - E])
+        R_pm = np.concatenate([proj_res(rows[i : i + FD_BLOCK]) for i in range(0, 2 * nb, FD_BLOCK)])
+        J = ((R_pm[:nb] - R_pm[nb:]) / (2.0 * h)).T
         # min-norm step (translations are a near-kernel in flat space) with
         # backtracking: the raw step can be huge along those directions
         step = np.linalg.lstsq(J, -R, rcond=1e-10)[0]
         scale = 1.0
         for _ in range(30):
             try:
-                R_try, _ = proj_res(f + scale * step)
+                R_try = proj_res(f + scale * step)
             except DegenerateInducedMetric:
                 scale *= 0.5
                 continue

@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stcmc.chart import PerturbationProvider, RotatedProvider, SchwarzschildProvider, TranslatedProvider
-from stcmc.errors import FoliationNotSupported, TrappedRegion
-from stcmc.spectral import coeff_index, n_coeffs
+from stcmc.errors import ConfigError, DegenerateInducedMetric, FoliationNotSupported, MaxIterations, TrappedRegion
+from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs
 from stcmc.surfaces import (
     GraphSurface,
     appendix_graph_coefficients,
@@ -223,6 +223,29 @@ def test_rebase_preserves_surface(euclid):
     assert np.max(np.abs(rr - S.radius_at(tho, pho))) < 1e-6
 
 
+def test_rebase_near_the_surface_converges():
+    # the new center 0.01 inside the unit sphere; the 6e-3 distance left is the
+    # lmax-8 truncation of a sphere seen from near its edge, not the iteration
+    S2 = rebase(GraphSurface.round([0, 0, 0], 1.0, 8), [0.99, 0.0, 0.0])
+    grid = get_grid(8)
+    th, ph = grid.mesh()
+    pts = S2.center + S2.radius_at(th, ph)[:, None] * grid.unit_vectors()["o"]
+    assert np.max(np.abs(np.linalg.norm(pts, axis=1) - 1.0)) < 1e-2
+
+
+def test_rebase_outside_the_surface_raises():
+    with pytest.raises(MaxIterations, match="1.5"):
+        rebase(GraphSurface.round([0, 0, 0], 1.0, 8), [1.5, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("center", [0.0, [1.0, 2.0], np.zeros((2, 3))])
+def test_center_must_be_a_3_vector(center):
+    with pytest.raises(ConfigError):
+        GraphSurface.round(center, 25.0, 8)
+    with pytest.raises(ConfigError):
+        rebase(GraphSurface.round([0, 0, 0], 25.0, 8), center)
+
+
 # -- flat-foliation graph equation ----------------------------------------------
 
 def test_graph_equation_round_sphere_is_root():
@@ -282,6 +305,31 @@ def test_graph_equation_with_extrinsic_data():
 def test_graph_equation_rejects_curved_background(schw):
     with pytest.raises(FoliationNotSupported):
         appendix_graph_residual(10.0, np.zeros(n_coeffs(8)), 8, schw)
+
+
+def test_graph_residual_batch_rows_match_single_calls():
+    rng = np.random.default_rng(17)
+    lmax = 10
+    F = 0.1 * rng.normal(size=(2, 3, n_coeffs(lmax))) * np.exp(-0.4 * np.sqrt(np.arange(n_coeffs(lmax))))
+    res = appendix_graph_residual(7.0, F, lmax)
+    nnodes = get_grid(dealias_lmax(lmax)).nnodes
+    assert res.shape == (2, 3, nnodes)
+    rows = appendix_graph_residual(7.0, F.reshape(6, -1), lmax)
+    assert rows.shape == (6, nnodes)
+    for f, r in zip(F.reshape(6, -1), rows):
+        assert np.max(np.abs(r - appendix_graph_residual(7.0, f, lmax))) <= 1e-14
+
+
+def test_graph_residual_batch_rejects_curved_background(schw):
+    with pytest.raises(FoliationNotSupported):
+        appendix_graph_residual(10.0, np.zeros((3, n_coeffs(8))), 8, schw)
+
+
+def test_graph_residual_batch_row_reaching_origin_raises():
+    F = np.zeros((3, n_coeffs(8)))
+    F[1, 0] = -1.1 * 7.0 * np.sqrt(4.0 * np.pi)  # constant height -1.1 sigma
+    with pytest.raises(DegenerateInducedMetric):
+        appendix_graph_residual(7.0, F, 8)
 
 
 def test_surface_csv(tmp_path, schw):
