@@ -26,8 +26,6 @@ from .chart import (
     conjugate_momentum,
     constraint_densities,
     decay_check,
-    evaluate_extrinsic,
-    evaluate_metric,
     ricci_scalar_curvature,
 )
 from .charges import (
@@ -81,8 +79,6 @@ __all__ = [
     "conjugate_momentum",
     "constraint_densities",
     "decay_check",
-    "evaluate_extrinsic",
-    "evaluate_metric",
     "ricci_scalar_curvature",
     "adm_energy",
     "adm_mass",

@@ -268,9 +268,13 @@ def stcmc_center_coordinate(spec, radii, E, lmax=24, fluxes=None):
     if abs(E) <= 1e-12:
         raise ZeroEnergy("center integrals are undefined at E = 0")
     fx = fluxes if fluxes is not None else sphere_fluxes(spec, radii, lmax)
-    radii = np.asarray(radii, dtype=float)
     bom = fx["bom_raw"] / (16.0 * math.pi * E)
     z = fx["z_raw"] / (32.0 * math.pi * E)
+    return _center_report(np.asarray(radii, dtype=float), bom, z)
+
+
+def _center_report(radii, bom, z):
+    """CenterReport with sum_values = bom + z and a power-tail fit per column."""
     total = bom + z
     return CenterReport(
         radii=radii,
@@ -354,20 +358,7 @@ def euclidean_motion_transform(reports, O, T):
                 )
             )
         elif isinstance(rep, CenterReport):
-            bom = rep.bom_values @ O.T + T
-            z = rep.z_values @ O.T
-            total = rep.sum_values @ O.T + T
-            out.append(
-                CenterReport(
-                    radii=rep.radii,
-                    bom_values=bom,
-                    z_values=z,
-                    sum_values=total,
-                    bom_fits=[fit_power_tail(rep.radii, bom[:, i]) for i in range(3)],
-                    z_fits=[fit_power_tail(rep.radii, z[:, i]) for i in range(3)],
-                    sum_fits=[fit_power_tail(rep.radii, total[:, i]) for i in range(3)],
-                )
-            )
+            out.append(_center_report(rep.radii, rep.bom_values @ O.T + T, rep.z_values @ O.T))
         else:
             raise ConfigError(f"cannot transform report of type {type(rep).__name__}")
     return out if isinstance(reports, (list, tuple)) else out[0]

@@ -2,13 +2,15 @@
 
 Every provider returns exact analytic jets (values plus first and second
 derivatives of the metric, values plus first derivatives of the extrinsic
-curvature); finite differencing appears only in test oracles.  Index layout:
+curvature); finite differencing appears only in test oracles.  Providers
+take points of shape (n, 3), and the curvature operations take the jets they
+return.  Index layout:
 
-    g[..., i, j]            metric components
-    dg[..., i, j, k]        d_k g_ij
-    ddg[..., i, j, k, l]    d_k d_l g_ij
-    K[..., i, j]            extrinsic curvature
-    dK[..., i, j, k]        d_k K_ij
+    g[n, i, j]              metric components
+    dg[n, i, j, k]          d_k g_ij
+    ddg[n, i, j, k, l]      d_k d_l g_ij
+    K[n, i, j]              extrinsic curvature
+    dK[n, i, j, k]          d_k K_ij
 
 The catalog covers the flat chart, the Schwarzschild slice in areal
 coordinates g = N^-2 dr^2 + r^2 dOmega^2 with N = sqrt(1 - 2m/r), the
@@ -53,12 +55,9 @@ class ExtrinsicJet:
 
 def _as_points(x):
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != 3:
         raise ConfigError(f"points must have shape (n, 3), got {x.shape}")
-    return x, single
+    return x
 
 
 def _radial_tensors(r, n, d1, d2=None, d3=None):
@@ -94,13 +93,13 @@ class DataProvider:
     inner_radius = 0.0
 
     def _check(self, x):
-        x, single = _as_points(x)
+        x = _as_points(x)
         r = np.linalg.norm(x, axis=1)
         if np.any(r <= self.inner_radius):
             raise PointInsideCore(
                 f"point with |x| = {r.min():.6g} inside core radius {self.inner_radius:.6g}"
             )
-        return x, r, single
+        return x, r
 
     def metric_jet(self, x) -> MetricJet:
         raise NotImplementedError
@@ -113,28 +112,15 @@ class EuclideanProvider(DataProvider):
     """Flat chart: g = delta, K = 0."""
 
     def metric_jet(self, x):
-        x, r, single = self._check(x)
+        x, _ = self._check(x)
         n = x.shape[0]
         g = np.broadcast_to(_EYE, (n, 3, 3)).copy()
-        jet = MetricJet(g, np.zeros((n, 3, 3, 3)), np.zeros((n, 3, 3, 3, 3)))
-        return _squeeze_metric(jet, single)
+        return MetricJet(g, np.zeros((n, 3, 3, 3)), np.zeros((n, 3, 3, 3, 3)))
 
     def extrinsic_jet(self, x):
-        x, r, single = self._check(x)
+        x, _ = self._check(x)
         n = x.shape[0]
-        return _squeeze_ext(ExtrinsicJet(np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3))), single)
-
-
-def _squeeze_metric(jet, single):
-    if single:
-        return MetricJet(jet.g[0], jet.dg[0], jet.ddg[0])
-    return jet
-
-
-def _squeeze_ext(jet, single):
-    if single:
-        return ExtrinsicJet(jet.K[0], jet.dK[0])
-    return jet
+        return ExtrinsicJet(np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3)))
 
 
 class SchwarzschildProvider(DataProvider):
@@ -152,7 +138,7 @@ class SchwarzschildProvider(DataProvider):
         self.inner_radius = 1.05 * max(0.0, 2.0 * self.mass)
 
     def _check(self, x):
-        x, single = _as_points(x)
+        x = _as_points(x)
         r = np.linalg.norm(x, axis=1)
         if self.mass > 0 and np.any(r <= 2.0 * self.mass):
             raise HorizonReached(f"r <= 2m = {2 * self.mass:.6g}")
@@ -160,7 +146,7 @@ class SchwarzschildProvider(DataProvider):
             raise PointInsideCore(
                 f"point with |x| = {r.min():.6g} inside core radius {self.inner_radius:.6g}"
             )
-        return x, r, single
+        return x, r
 
     def _psi(self, r):
         m = self.mass
@@ -171,7 +157,7 @@ class SchwarzschildProvider(DataProvider):
         return psi, dpsi, ddpsi
 
     def metric_jet(self, x):
-        x, r, single = self._check(x)
+        x, r = self._check(x)
         nvec = x / r[:, None]
         psi, dpsi, ddpsi = self._psi(r)
         xx = x[:, :, None] * x[:, None, :]
@@ -194,12 +180,12 @@ class SchwarzschildProvider(DataProvider):
                 + _EYE[None, None, :, :, None] * _EYE[None, :, None, None, :]
             )
         )
-        return _squeeze_metric(MetricJet(g, dg, ddg), single)
+        return MetricJet(g, dg, ddg)
 
     def extrinsic_jet(self, x):
-        x, r, single = self._check(x)
+        x, _ = self._check(x)
         n = x.shape[0]
-        return _squeeze_ext(ExtrinsicJet(np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3))), single)
+        return ExtrinsicJet(np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3)))
 
 
 class GraphicalSchwarzschildProvider(DataProvider):
@@ -228,7 +214,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
         return self.base._check(x)
 
     def _T_jets(self, x, r):
-        """T, dT, ddT, dddT for T = sin(ln r) + (u.x)/r."""
+        """dT, ddT, dddT for T = sin(ln r) + (u.x)/r."""
         lr = np.log(r)
         s, c = np.sin(lr), np.cos(lr)
         nvec = x / r[:, None]
@@ -244,7 +230,6 @@ class GraphicalSchwarzschildProvider(DataProvider):
         r3 = -6.0 / r**4
         gR, hR, tR = _radial_tensors(r, nvec, r1, r2, r3)
         ux = x @ self.u
-        T = s + ux * rho
         dT = gS + self.u[None, :] * rho[:, None] + ux[:, None] * gR
         ddT = (
             hS
@@ -259,7 +244,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
             + self.u[None, None, None, :] * hR[:, :, :, None]
             + ux[:, None, None, None] * tR
         )
-        return T, dT, ddT, dddT
+        return dT, ddT, dddT
 
     def _N_jets(self, x, r):
         m = self.mass
@@ -270,41 +255,25 @@ class GraphicalSchwarzschildProvider(DataProvider):
         gN, hN, _ = _radial_tensors(r, nvec, N1, N2)
         return N, gN, hN
 
-    def _pieces(self, x, r):
-        base_jet = self.base.metric_jet(x)
-        g, dg, ddg = base_jet.g, base_jet.dg, base_jet.ddg
-        ginv = np.linalg.inv(g)
-        dginv = inverse_metric_derivative(ginv, dg)
-        T, dT, ddT, dddT = self._T_jets(x, r)
-        N, dN, ddN = self._N_jets(x, r)
-        Gam, dGam = christoffel(MetricJet(g, dg, ddg), derivative=True)
-        hessT = ddT - np.einsum("nkij,nk->nij", Gam, dT)
-        dhessT = (
-            dddT
-            - np.einsum("nkijl,nk->nijl", dGam, dT)
-            - np.einsum("nkij,nkl->nijl", Gam, ddT)
-        )
+    def _spacelike_factor(self, ginv, dT, N):
+        """grad_g T, |dT|^2_g and W = sqrt(1 - N^2 |dT|^2_g); raises where W^2 <= 0."""
         gradT = np.einsum("nab,nb->na", ginv, dT)
         dT2 = np.einsum("na,na->n", dT, gradT)
         w2 = 1.0 - N**2 * dT2
         if np.any(w2 <= 0.0):
             raise SliceNotSpacelike("1 - N^2 |dT|^2 <= 0")
-        W = np.sqrt(w2)
-        return dict(
-            g=g, dg=dg, ddg=ddg, ginv=ginv, dginv=dginv,
-            T=T, dT=dT, ddT=ddT, dddT=dddT,
-            N=N, dN=dN, ddN=ddN,
-            hessT=hessT, dhessT=dhessT, gradT=gradT, dT2=dT2, W=W,
-        )
+        return gradT, dT2, np.sqrt(w2)
 
     def metric_jet(self, x):
-        x, r, single = self._check(x)
-        p = self._pieces(x, r)
-        g, dg, ddg, dT, ddT, dddT = p["g"], p["dg"], p["ddg"], p["dT"], p["ddT"], p["dddT"]
-        # N^2 = 1 - 2m/r is radial with simple derivatives
+        x, r = self._check(x)
+        base = self.base.metric_jet(x)
+        g, dg, ddg = base.g, base.dg, base.ddg
+        dT, ddT, dddT = self._T_jets(x, r)
+        # N^2 = 1 - 2m/r is radial with simple derivatives; sqrt(N2) is _N_jets' N
         m = self.mass
         nvec = x / r[:, None]
         N2 = 1.0 - 2.0 * m / r
+        self._spacelike_factor(np.linalg.inv(g), dT, np.sqrt(N2))
         dN2, ddN2, _ = _radial_tensors(r, nvec, 2.0 * m / r**2, -4.0 * m / r**3)
         TT = dT[:, :, None] * dT[:, None, :]
         gT = g - N2[:, None, None] * TT
@@ -323,14 +292,23 @@ class GraphicalSchwarzschildProvider(DataProvider):
             - dN2[:, None, None, None, :] * dTT[:, :, :, :, None]
             - N2[:, None, None, None, None] * ddTT
         )
-        return _squeeze_metric(MetricJet(gT, dgT, ddgT), single)
+        return MetricJet(gT, dgT, ddgT)
 
     def extrinsic_jet(self, x):
-        x, r, single = self._check(x)
-        p = self._pieces(x, r)
-        g, ginv, dginv = p["g"], p["ginv"], p["dginv"]
-        dT, ddT, N, dN, ddN = p["dT"], p["ddT"], p["N"], p["dN"], p["ddN"]
-        hessT, dhessT, gradT, W = p["hessT"], p["dhessT"], p["gradT"], p["W"]
+        x, r = self._check(x)
+        base = self.base.metric_jet(x)
+        ginv = np.linalg.inv(base.g)
+        dginv = inverse_metric_derivative(ginv, base.dg)
+        dT, ddT, dddT = self._T_jets(x, r)
+        N, dN, ddN = self._N_jets(x, r)
+        Gam, dGam = christoffel(base, derivative=True)
+        hessT = ddT - np.einsum("nkij,nk->nij", Gam, dT)
+        dhessT = (
+            dddT
+            - np.einsum("nkijl,nk->nijl", dGam, dT)
+            - np.einsum("nkij,nkl->nijl", Gam, ddT)
+        )
+        gradT, dT2, W = self._spacelike_factor(ginv, dT, N)
         m = self.mass
         nvec = x / r[:, None]
         N2 = N**2
@@ -365,10 +343,10 @@ class GraphicalSchwarzschildProvider(DataProvider):
             np.einsum("nabk,na,nb->nk", dginv, dT, dT)
             + 2.0 * np.einsum("nab,nak,nb->nk", ginv, ddT, dT)
         )
-        dW = -(dN2 * p["dT2"][:, None] + N2[:, None] * ddT2) / (2.0 * W[:, None])
+        dW = -(dN2 * dT2[:, None] + N2[:, None] * ddT2) / (2.0 * W[:, None])
         K = D / W[:, None, None]
         dK = dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
-        return _squeeze_ext(ExtrinsicJet(K, dK), single)
+        return ExtrinsicJet(K, dK)
 
 
 class TranslatedProvider(DataProvider):
@@ -384,14 +362,10 @@ class TranslatedProvider(DataProvider):
         return self.inner.inner_radius + np.linalg.norm(self.center)
 
     def metric_jet(self, x):
-        x, single = _as_points(x)
-        jet = self.inner.metric_jet(x - self.center)
-        return _squeeze_metric(jet, single)
+        return self.inner.metric_jet(_as_points(x) - self.center)
 
     def extrinsic_jet(self, x):
-        x, single = _as_points(x)
-        jet = self.inner.extrinsic_jet(x - self.center)
-        return _squeeze_ext(jet, single)
+        return self.inner.extrinsic_jet(_as_points(x) - self.center)
 
 
 class RotatedProvider(DataProvider):
@@ -409,21 +383,19 @@ class RotatedProvider(DataProvider):
         return self.inner.inner_radius
 
     def metric_jet(self, x):
-        x, single = _as_points(x)
-        jet = self.inner.metric_jet(x @ self.O)  # x @ O = O^T applied to rows
+        jet = self.inner.metric_jet(_as_points(x) @ self.O)  # x @ O = O^T applied to rows
         O = self.O
         g = np.einsum("ia,jb,nab->nij", O, O, jet.g)
         dg = np.einsum("ia,jb,kc,nabc->nijk", O, O, O, jet.dg)
         ddg = np.einsum("ia,jb,kc,ld,nabcd->nijkl", O, O, O, O, jet.ddg)
-        return _squeeze_metric(MetricJet(g, dg, ddg), single)
+        return MetricJet(g, dg, ddg)
 
     def extrinsic_jet(self, x):
-        x, single = _as_points(x)
-        jet = self.inner.extrinsic_jet(x @ self.O)
+        jet = self.inner.extrinsic_jet(_as_points(x) @ self.O)
         O = self.O
         K = np.einsum("ia,jb,nab->nij", O, O, jet.K)
         dK = np.einsum("ia,jb,kc,nabc->nijk", O, O, O, jet.dK)
-        return _squeeze_ext(ExtrinsicJet(K, dK), single)
+        return ExtrinsicJet(K, dK)
 
 
 # -- power-law angular perturbations of the flat data ----------------------
@@ -499,7 +471,7 @@ class PerturbationProvider(DataProvider):
         self._kp1 = [[[self._kp[i][j].diff(k) for k in range(3)] for j in range(3)] for i in range(3)]
 
     def metric_jet(self, x):
-        x, r, single = self._check(x)
+        x, r = self._check(x)
         n = x.shape[0]
         g = np.broadcast_to(_EYE, (n, 3, 3)).copy()
         dg = np.zeros((n, 3, 3, 3))
@@ -513,10 +485,10 @@ class PerturbationProvider(DataProvider):
                     dg[:, i, j, k] += self._gp1[i][j][k](x, r)
                     for l in range(3):
                         ddg[:, i, j, k, l] += self._gp2[i][j][k][l](x, r)
-        return _squeeze_metric(MetricJet(g, dg, ddg), single)
+        return MetricJet(g, dg, ddg)
 
     def extrinsic_jet(self, x):
-        x, r, single = self._check(x)
+        x, r = self._check(x)
         n = x.shape[0]
         K = np.zeros((n, 3, 3))
         dK = np.zeros((n, 3, 3, 3))
@@ -527,7 +499,7 @@ class PerturbationProvider(DataProvider):
                 K[:, i, j] += self._kp[i][j](x, r)
                 for k in range(3):
                     dK[:, i, j, k] += self._kp1[i][j][k](x, r)
-        return _squeeze_ext(ExtrinsicJet(K, dK), single)
+        return ExtrinsicJet(K, dK)
 
 
 # -- provider specs ---------------------------------------------------------
@@ -626,15 +598,6 @@ def as_provider(spec) -> DataProvider:
     return spec if isinstance(spec, DataProvider) else build_provider(spec)
 
 
-def evaluate_metric(spec, p):
-    """Metric jet of a provider spec (or provider) at chart points p."""
-    return as_provider(spec).metric_jet(p)
-
-
-def evaluate_extrinsic(spec, p):
-    return as_provider(spec).extrinsic_jet(p)
-
-
 # -- curvature / constraint operations --------------------------------------
 
 def _inv(g):
@@ -645,11 +608,9 @@ def _inv(g):
 
 
 def christoffel(jet: MetricJet, derivative=False):
-    """Christoffel symbols Gamma[..., a, b, c] = Gamma^a_bc (and optionally d_e Gamma)."""
-    batched = np.asarray(jet.g).ndim == 3
-    g = jet.g if batched else jet.g[None]
-    dg = jet.dg if batched else jet.dg[None]
-    ginv = _inv(g)
+    """Christoffel symbols Gamma[n, a, b, c] = Gamma^a_bc (and optionally d_e Gamma)."""
+    dg = jet.dg
+    ginv = _inv(jet.g)
     # bracket[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc, with dg[i, j, k] = d_k g_ij
     b1 = np.einsum("ndcb->ndbc", dg)
     b2 = dg
@@ -657,8 +618,8 @@ def christoffel(jet: MetricJet, derivative=False):
     bracket = b1 + b2 - b3
     Gam = 0.5 * np.einsum("nad,ndbc->nabc", ginv, bracket)
     if not derivative:
-        return Gam if batched else Gam[0]
-    ddg = jet.ddg if batched else jet.ddg[None]
+        return Gam
+    ddg = jet.ddg
     dginv = inverse_metric_derivative(ginv, dg)
     db1 = np.einsum("ndcbe->ndbce", ddg)
     db2 = ddg
@@ -668,9 +629,7 @@ def christoffel(jet: MetricJet, derivative=False):
         np.einsum("nade,ndbc->nabce", dginv, bracket)
         + np.einsum("nad,ndbce->nabce", ginv, dbracket)
     )
-    if batched:
-        return Gam, dGam
-    return Gam[0], dGam[0]
+    return Gam, dGam
 
 
 def inverse_metric_derivative(ginv, dg):
@@ -694,10 +653,8 @@ def covariant_derivative(Gam, K, dK):
 
 def ricci_scalar_curvature(jet: MetricJet):
     """Ricci tensor and scalar curvature from a metric jet."""
-    batched = np.asarray(jet.g).ndim == 3
-    j = jet if batched else MetricJet(jet.g[None], jet.dg[None], jet.ddg[None])
-    Gam, dGam = christoffel(j, derivative=True)
-    ginv = _inv(j.g)
+    Gam, dGam = christoffel(jet, derivative=True)
+    ginv = _inv(jet.g)
     ric = (
         np.einsum("nkijk->nij", dGam)
         - np.einsum("nkkji->nij", dGam)
@@ -705,21 +662,13 @@ def ricci_scalar_curvature(jet: MetricJet):
         - np.einsum("nkil,nlkj->nij", Gam, Gam)
     )
     scal = np.einsum("nij,nij->n", ginv, ric)
-    if batched:
-        return ric, scal
-    return ric[0], scal[0]
+    return ric, scal
 
 
 def conjugate_momentum(g, K):
     """pi = (tr K) g - K."""
-    g = np.asarray(g, dtype=float)
-    K = np.asarray(K, dtype=float)
-    batched = g.ndim == 3
-    if not batched:
-        g, K = g[None], K[None]
     trK = np.einsum("nij,nij->n", _inv(g), K)
-    pi = trK[:, None, None] * g - K
-    return pi if batched else pi[0]
+    return trK[:, None, None] * g - K
 
 
 def constraint_densities(spec, p):
@@ -729,9 +678,8 @@ def constraint_densities(spec, p):
     J_j = g^{ik} nabla_k K_ij - d_j tr K.
     """
     prov = as_provider(spec)
-    p_arr, single = _as_points(p)
-    mj = prov.metric_jet(p_arr)
-    ej = prov.extrinsic_jet(p_arr)
+    mj = prov.metric_jet(p)
+    ej = prov.extrinsic_jet(p)
     g, dg, K, dK = mj.g, mj.dg, ej.K, ej.dK
     ginv = _inv(g)
     _, scal = ricci_scalar_curvature(mj)
@@ -742,8 +690,6 @@ def constraint_densities(spec, p):
     covK = covariant_derivative(christoffel(mj), K, dK)
     dtrK = trace_derivative(ginv, inverse_metric_derivative(ginv, dg), K, dK)
     J = np.einsum("nik,nijk->nj", ginv, covK) - dtrK
-    if single:
-        return mu[0], J[0]
     return mu, J
 
 

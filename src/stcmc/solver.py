@@ -54,22 +54,19 @@ from .surfaces import (
 
 OPERATOR_TAGS = ("L_H", "L_script", "expansion_plus", "expansion_minus", "laplacian")
 
+DAMPING = 0.5           # Newton step shrink factor on residual increase
+MAX_DAMPING_ROUNDS = 6
+
 
 @dataclass
 class SolveConfig:
     lmax: int = 24
     tol: float = 1e-10          # sup-norm tolerance on sqrt(H^2-P^2) - 2/sigma
     max_iter: int = 30
-    damping: float = 0.5        # step shrink factor on residual increase
-    max_damping_rounds: int = 6
-    tau_steps: int = 8
-    recenter: bool = True
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ConfigError("tolerance must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ConfigError("damping factor must lie in (0, 1]")
 
 
 @dataclass
@@ -78,7 +75,6 @@ class SolveResult:
     iterations: int
     residual_sup: float
     residual_l2: float
-    condition: float
     history: list = field(default_factory=list)
 
 
@@ -95,17 +91,6 @@ class FoliationLeaf:
     residual_sup: float
     lapse_positive: bool | None = None
     min_normal_gap: float | None = None
-
-
-@dataclass
-class FoliationResult:
-    leaves: list
-
-    def __iter__(self):
-        return iter(self.leaves)
-
-    def __len__(self):
-        return len(self.leaves)
 
 
 @dataclass
@@ -285,40 +270,37 @@ def newton_solve(spec, sigma, initial: GraphSurface, config: SolveConfig | None 
     history = []
     res, proj, fr = curvature_residual(prov, S, sigma)
     sup = float(np.max(np.abs(res)))
-    cond = float("nan")
     for it in range(cfg.max_iter):
         history.append(sup)
         if sup <= cfg.tol:
             l2 = float(np.sqrt(fr.integrate(res**2)))
-            return SolveResult(S, it, sup, l2, cond, history)
+            return SolveResult(S, it, sup, l2, history)
         J = graph_jacobian(prov, S, frames=fr)
         # min-norm least squares: equals the direct solve away from degeneracy
         # but stays finite when the translational block vanishes (zero energy)
         step = np.linalg.lstsq(J, -proj, rcond=1e-13)[0]
-        cond = float(np.linalg.cond(J, 1))
         scale = 1.0
-        for attempt in range(cfg.max_damping_rounds + 1):
+        for attempt in range(MAX_DAMPING_ROUNDS + 1):
             S_try = GraphSurface(S.center.copy(), S.r0, S.coeffs + scale * step, S.lmax)
             try:
                 res_t, proj_t, fr_t = curvature_residual(prov, S_try, sigma)
             except (TrappedRegion, DegenerateInducedMetric):
-                scale *= cfg.damping
+                scale *= DAMPING
                 continue
             sup_t = float(np.max(np.abs(res_t)))
             if sup_t < sup or sup_t <= cfg.tol:
                 break
-            scale *= cfg.damping
+            scale *= DAMPING
         else:
             raise NewtonDiverged(
-                f"residual stuck at {sup:.3e} after {cfg.max_damping_rounds} damped retries"
+                f"residual stuck at {sup:.3e} after {MAX_DAMPING_ROUNDS} damped retries"
             )
         S, res, proj, fr, sup = S_try, res_t, proj_t, fr_t, sup_t
-        if cfg.recenter:
-            sc = surface_scalars(prov, S, fr)
-            if np.linalg.norm(sc.center - S.center) > 1e-12 * S.r0:
-                S = rebase(S, sc.center)
-                res, proj, fr = curvature_residual(prov, S, sigma)
-                sup = float(np.max(np.abs(res)))
+        sc = surface_scalars(prov, S, fr)
+        if np.linalg.norm(sc.center - S.center) > 1e-12 * S.r0:
+            S = rebase(S, sc.center)
+            res, proj, fr = curvature_residual(prov, S, sigma)
+            sup = float(np.max(np.abs(res)))
     raise MaxIterations(f"no convergence in {cfg.max_iter} iterations; residual {sup:.3e}")
 
 
@@ -352,7 +334,7 @@ class ContinuationStep:
     lapse_l2: float
 
 
-def continuation_in_tau(spec, sigma, initial: GraphSurface, config: SolveConfig | None = None, steps=None):
+def continuation_in_tau(spec, sigma, initial: GraphSurface, config: SolveConfig | None = None, steps=8):
     """Deform the purely Riemannian solution to the full-K solution.
 
     Walks tau from 0 to 1 through data with K scaled by tau, seeding each
@@ -362,10 +344,9 @@ def continuation_in_tau(spec, sigma, initial: GraphSurface, config: SolveConfig 
     """
     prov = as_provider(spec)
     cfg = config or SolveConfig(lmax=initial.lmax)
-    nsteps = steps if steps is not None else cfg.tau_steps
     out = []
     tau = 0.0
-    dtau = 1.0 / nsteps
+    dtau = 1.0 / steps
     S = initial
     result = newton_solve(ScaledExtrinsicProvider(prov, 0.0), sigma, S, cfg)
     out.append(_continuation_record(prov, 0.0, sigma, result))
@@ -422,9 +403,10 @@ def foliate(spec, sigma_list, config: SolveConfig | None = None, initial=None, s
         result = newton_solve(prov, sg, S, cfg)
         S = result.surface
         prev_sigma = sg
-        sc = surface_scalars(prov, S)
+        fr = surface_frames(prov, S)
+        sc = surface_scalars(prov, S, fr)
         if spectra:
-            rep = laplace_spectrum(prov, S, k=8)
+            rep = laplace_spectrum(prov, S, k=8, frames=fr)
             lam123 = rep.eigenvalues[1:4]
             lam4 = float(rep.eigenvalues[4])
             smin = rep.sigma_min_L
@@ -432,6 +414,7 @@ def foliate(spec, sigma_list, config: SolveConfig | None = None, initial=None, s
             lam123 = np.full(3, np.nan)
             lam4 = float("nan")
             smin = float("nan")
+        del fr  # not held through the next leaf's solve, which sets the peak memory
         leaves.append(
             FoliationLeaf(
                 sigma=sg,
@@ -446,7 +429,7 @@ def foliate(spec, sigma_list, config: SolveConfig | None = None, initial=None, s
             )
         )
     _annotate_lapse_positivity(leaves)
-    return FoliationResult(leaves)
+    return leaves
 
 
 def _annotate_lapse_positivity(leaves):

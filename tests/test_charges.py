@@ -230,11 +230,18 @@ def test_motion_transform_identity(graphical, s9_fluxes):
     assert out.energy == rep.energy
 
 
-def test_motion_transform_translation(schw, canonical_report):
+def test_motion_transform_translation(schw, canonical_report, graphical, s9_fluxes):
     cen = stcmc_center_coordinate(schw, RADII, canonical_report.energy)
     out = euclidean_motion_transform(cen, np.eye(3), [1.0, 2.0, 3.0])
     assert np.max(np.abs(out.bom_limit - np.array([1.0, 2.0, 3.0]))) < 1e-10
     assert out.bom_values.shape == cen.bom_values.shape
+    # the graphical slice has a nonzero correction Z, so the sum is a real sum
+    sgrid, fx = s9_fluxes
+    E = adm_energy(graphical, sgrid, fluxes=fx).energy
+    moved = euclidean_motion_transform(
+        stcmc_center_coordinate(graphical, sgrid, E, fluxes=fx), ROT, [1.0, 2.0, 3.0]
+    )
+    assert np.array_equal(moved.sum_values, moved.bom_values + moved.z_values)
 
 
 def test_motion_transform_rotation(graphical):

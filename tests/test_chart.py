@@ -15,9 +15,8 @@ from stcmc.chart import (
     christoffel,
     conjugate_momentum,
     constraint_densities,
+    as_provider,
     decay_check,
-    evaluate_extrinsic,
-    evaluate_metric,
     ricci_scalar_curvature,
 )
 from stcmc.errors import (
@@ -57,11 +56,11 @@ def test_euclidean_is_flat(euclid, sample_points):
 
 
 def test_schwarzschild_radial_component(schw):
-    jet = schw.metric_jet(np.array([10.0, 0.0, 0.0]))
-    assert abs(jet.g[0, 0] - 1.25) < 1e-14
+    g = schw.metric_jet(np.array([[10.0, 0.0, 0.0]])).g[0]
+    assert abs(g[0, 0] - 1.25) < 1e-14
     # tangential directions carry the flat r^2 dOmega^2 scaling
-    assert abs(jet.g[1, 1] - 1.0) < 1e-14
-    assert abs(jet.g[2, 2] - 1.0) < 1e-14
+    assert abs(g[1, 1] - 1.0) < 1e-14
+    assert abs(g[2, 2] - 1.0) < 1e-14
 
 
 def test_schwarzschild_time_symmetric(schw, sample_points):
@@ -71,8 +70,8 @@ def test_schwarzschild_time_symmetric(schw, sample_points):
 
 def test_negative_mass_has_no_horizon():
     prov = SchwarzschildProvider(-1.0)
-    jet = prov.metric_jet(np.array([1.0, 0.0, 0.0]))
-    assert np.isfinite(jet.g).all()
+    jet = prov.metric_jet(np.array([[1.0, 0.0, 0.0]]))
+    assert np.isfinite(jet.g[0]).all()
     assert prov.inner_radius == 0.0
 
 
@@ -136,13 +135,14 @@ def test_jet_symmetries(seed):
     p = rng.normal(size=3)
     p *= rng.uniform(10, 50) / np.linalg.norm(p)
     prov = GraphicalSchwarzschildProvider(1.0, [0.3, -1.0, 0.2])
-    jet = prov.metric_jet(p)
-    assert np.max(np.abs(jet.g - jet.g.T)) == 0.0
-    assert np.max(np.abs(jet.dg - jet.dg.transpose(1, 0, 2))) < 1e-15
-    assert np.max(np.abs(jet.ddg - jet.ddg.transpose(1, 0, 2, 3))) < 1e-15
-    assert np.max(np.abs(jet.ddg - jet.ddg.transpose(0, 1, 3, 2))) < 1e-12
-    ext = prov.extrinsic_jet(p)
-    assert np.max(np.abs(ext.K - ext.K.T)) < 1e-16
+    jet = prov.metric_jet(p[None])
+    g, dg, ddg = jet.g[0], jet.dg[0], jet.ddg[0]
+    assert np.max(np.abs(g - g.T)) == 0.0
+    assert np.max(np.abs(dg - dg.transpose(1, 0, 2))) < 1e-15
+    assert np.max(np.abs(ddg - ddg.transpose(1, 0, 2, 3))) < 1e-15
+    assert np.max(np.abs(ddg - ddg.transpose(0, 1, 3, 2))) < 1e-12
+    K = prov.extrinsic_jet(p[None]).K[0]
+    assert np.max(np.abs(K - K.T)) < 1e-16
 
 
 # -- curvature operations ------------------------------------------------------
@@ -191,13 +191,13 @@ def conformal_oracle(a, p):
 def test_christoffel_conformal_closed_form():
     prov = conformal_provider(0.5)
     p = np.array([3.0, -4.0, 12.0])
-    jet = prov.metric_jet(p)
-    gam = christoffel(jet)
+    jet = prov.metric_jet(p[None])
+    gam = christoffel(jet)[0]
     gam_exact, ric_exact, scal_exact = conformal_oracle(0.5, p)
     assert np.max(np.abs(gam - gam_exact)) < 1e-12
     ric, scal = ricci_scalar_curvature(jet)
-    assert np.max(np.abs(ric - ric_exact)) < 1e-12
-    assert abs(scal - scal_exact) < 1e-12
+    assert np.max(np.abs(ric[0] - ric_exact)) < 1e-12
+    assert abs(scal[0] - scal_exact) < 1e-12
 
 
 def test_christoffel_definition_identity(graphical, sample_points):
@@ -286,8 +286,8 @@ def test_constraints_perturbation_sympy_oracle():
     scal = sum(ginv[i, j] * ric[i, j] for i in range(3) for j in range(3))
     pt = {x: 3.0, y: -2.0, z: 5.0}
     mu_exact = float(scal.subs(pt)) / 2.0
-    mu, J = constraint_densities(prov, np.array([3.0, -2.0, 5.0]))
-    assert abs(mu - mu_exact) < 1e-10
+    mu, J = constraint_densities(prov, np.array([[3.0, -2.0, 5.0]]))
+    assert abs(mu[0] - mu_exact) < 1e-10
 
 
 def test_mixed_partial_consistency(graphical, sample_points):
@@ -428,10 +428,10 @@ def test_spec_round_trip():
 
 def test_evaluate_helpers_accept_specs():
     spec = DataProviderSpec(kind="schwarzschild_canonical", mass=1.0)
-    jet = evaluate_metric(spec, np.array([10.0, 0.0, 0.0]))
-    assert abs(jet.g[0, 0] - 1.25) < 1e-14
-    ext = evaluate_extrinsic(spec, np.array([10.0, 0.0, 0.0]))
-    assert not ext.K.any()
+    jet = as_provider(spec).metric_jet(np.array([[10.0, 0.0, 0.0]]))
+    assert abs(jet.g[0, 0, 0] - 1.25) < 1e-14
+    ext = as_provider(spec).extrinsic_jet(np.array([[10.0, 0.0, 0.0]]))
+    assert not ext.K[0].any()
 
 
 def test_validation_errors():
@@ -446,13 +446,15 @@ def test_validation_errors():
     with pytest.raises(NotOrthogonal):
         RotatedProvider(EuclideanProvider(), np.eye(3) + 1e-6)
     with pytest.raises(PointInsideCore):
-        SchwarzschildProvider(1.0).metric_jet(np.array([2.05, 0.0, 0.0]))
+        SchwarzschildProvider(1.0).metric_jet(np.array([[2.05, 0.0, 0.0]]))
     with pytest.raises(HorizonReached):
-        SchwarzschildProvider(1.0).metric_jet(np.array([1.9, 0.0, 0.0]))
+        SchwarzschildProvider(1.0).metric_jet(np.array([[1.9, 0.0, 0.0]]))
+    with pytest.raises(ConfigError):
+        SchwarzschildProvider(1.0).metric_jet(np.array([10.0, 0.0, 0.0]))
 
 
 def test_slice_not_spacelike():
     # a steep graph: |dT| ~ |u|/r exceeds 1/N away from the u-axis
     prov = GraphicalSchwarzschildProvider(1.0, [80.0, 0.0, 0.0])
     with pytest.raises(SliceNotSpacelike):
-        prov.metric_jet(np.array([0.0, 30.0, 0.0]))
+        prov.metric_jet(np.array([[0.0, 30.0, 0.0]]))

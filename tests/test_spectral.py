@@ -176,6 +176,12 @@ def test_errors():
         G8.synthesize(np.ones(7))
     with pytest.raises(ShapeMismatch):
         laplace_round(np.zeros(5), 1.0)
+    nan_nodes = np.ones(G8.nnodes)
+    nan_nodes[3] = np.nan
+    with pytest.raises(ShapeMismatch):
+        G8.analyze(nan_nodes)
+    with pytest.raises(ShapeMismatch):
+        G8.integrate(nan_nodes)
 
 
 def test_lm_arrays_layout():
