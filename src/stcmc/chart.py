@@ -109,18 +109,18 @@ class DataProvider:
 
 
 class EuclideanProvider(DataProvider):
-    """Flat chart: g = delta, K = 0."""
+    """Flat chart: g = delta, K = 0; dg, ddg, K and dK are read-only broadcast zeros."""
 
     def metric_jet(self, x):
         x, _ = self._check(x)
         n = x.shape[0]
         g = np.broadcast_to(_EYE, (n, 3, 3)).copy()
-        return MetricJet(g, np.zeros((n, 3, 3, 3)), np.zeros((n, 3, 3, 3, 3)))
+        return MetricJet(g, np.broadcast_to(0.0, (n, 3, 3, 3)), np.broadcast_to(0.0, (n, 3, 3, 3, 3)))
 
     def extrinsic_jet(self, x):
         x, _ = self._check(x)
         n = x.shape[0]
-        return ExtrinsicJet(np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3)))
+        return ExtrinsicJet(np.broadcast_to(0.0, (n, 3, 3)), np.broadcast_to(0.0, (n, 3, 3, 3)))
 
 
 class SchwarzschildProvider(DataProvider):

@@ -8,14 +8,17 @@ graph.  Its linearization with respect to normal speed u is
            / sqrt(H^2 - P^2),
 
 and the rescaled operator script-L = sqrt(1 - (P/H)^2) L has the same kernel
-structure with a uniformly bounded prefactor.  Operators are assembled by
-applying the nodal action to each harmonic basis function and projecting
-back (collocation + projection); the Laplace spectrum uses the variational
-stiffness/mass form instead, which preserves self-adjointness.
+structure with a uniformly bounded prefactor.  Each operator is six nodal
+coefficient fields of (u, u_t, u_p, u_tt, u_tp, u_pp); operator_matrix
+applies them to every harmonic and projects back in one GEMM.  The Laplace
+spectrum uses the variational stiffness/mass form instead, which preserves
+self-adjointness.
 
 Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
-transport term, which vanishes on exact solutions.
+transport term, which vanishes on exact solutions; both fold into the fields.
+Each step is one LU solve, with least squares where the condition estimate
+flags the zero-energy case.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ OPERATOR_TAGS = ("L_H", "L_script", "expansion_plus", "expansion_minus", "laplac
 
 DAMPING = 0.5           # Newton step shrink factor on residual increase
 MAX_DAMPING_ROUNDS = 6
+RCOND = 1e-13           # Newton steps below this condition estimate use lstsq
 
 
 @dataclass
@@ -114,7 +118,6 @@ class _OperatorFields:
 
     def __init__(self, fr: CurvatureField):
         self.fr = fr
-        grid = fr.grid
         mj, ej = fr.metric_jet, fr.extrinsic_jet
         g, K, dK = mj.g, ej.K, ej.dK
         ginv = fr.ginv
@@ -150,36 +153,34 @@ class _OperatorFields:
         self.P = fr.P
         self.stcmc = fr.stcmc
         self.g2inv = fr.g2inv
-        self.grid = grid
 
-    def laplace(self, U, Ut, Up, Utt, Utp, Upp):
-        gi = self.g2inv
-        return (
-            gi[:, 0, 0, None] * Utt
-            + 2.0 * gi[:, 0, 1, None] * Utp
-            + gi[:, 1, 1, None] * Upp
-            - self.cgam[:, 0, None] * Ut
-            - self.cgam[:, 1, None] * Up
-        )
 
-    def apply(self, tag, U, Ut, Up, Utt, Utp, Upp):
-        lap = self.laplace(U, Ut, Up, Utt, Utp, Upp)
-        core = -lap - (self.A2 + self.ricnn)[:, None] * U
-        if tag == "laplacian":
-            return -lap
-        # sign of the gradient coupling fixed against the finite-difference
-        # oracle: the normal variation of tr_S K is
-        # u (grad_nu tr K - grad_nu K(nu,nu)) + 2 K(grad^S u, nu)
-        kterm = self.kscal[:, None] * U + 2.0 * (self.kv[:, 0, None] * Ut + self.kv[:, 1, None] * Up)
-        if tag == "L_H":
-            return (self.H[:, None] * core - self.P[:, None] * kterm) / self.stcmc[:, None]
-        if tag == "L_script":
-            return core - (self.P / self.H)[:, None] * kterm
-        if tag == "expansion_plus":
-            return core + kterm
-        if tag == "expansion_minus":
-            return core - kterm
+def _nodal_coefficients(f: _OperatorFields, tag):
+    """Coefficient fields a0..a5 of an operator tag, as taken by operator_matrix.
+
+    The operator acts on u as a0 u + a1 u_t + a2 u_p + a3 u_tt + a4 u_tp + a5 u_pp.
+    """
+    gi = f.g2inv
+    # -Lap u = -g2inv^{ab} u_ab + cgam^g u_g
+    lap = [np.zeros_like(f.H), f.cgam[:, 0], f.cgam[:, 1], -gi[:, 0, 0], -2.0 * gi[:, 0, 1], -gi[:, 1, 1]]
+    if tag == "laplacian":
+        return lap
+    core = [lap[0] - (f.A2 + f.ricnn)] + lap[1:]
+    # sign of the gradient coupling fixed against the finite-difference
+    # oracle: the normal variation of tr_S K is
+    # u (grad_nu tr K - grad_nu K(nu,nu)) + 2 K(grad^S u, nu)
+    kterm = [f.kscal, 2.0 * f.kv[:, 0], 2.0 * f.kv[:, 1]]
+    if tag == "L_H":
+        alpha, beta = f.H / f.stcmc, -f.P / f.stcmc
+    elif tag == "L_script":
+        alpha, beta = 1.0, -f.P / f.H
+    elif tag == "expansion_plus":
+        alpha, beta = 1.0, 1.0
+    elif tag == "expansion_minus":
+        alpha, beta = 1.0, -1.0
+    else:
         raise ConfigError(f"unknown operator tag {tag!r}; choose from {OPERATOR_TAGS}")
+    return [alpha * c + beta * k for c, k in zip(core, kterm)] + [alpha * c for c in core[3:]]
 
 
 def assemble_linearization(spec, surface: GraphSurface, which="L_H", frames=None):
@@ -191,11 +192,7 @@ def assemble_linearization(spec, surface: GraphSurface, which="L_H", frames=None
     fr = frames if frames is not None else surface_frames(spec, surface)
     if which == "L_H" and np.any(fr.stcmc <= 0):
         raise TrappedRegion("L_H undefined where H^2 - P^2 vanishes")
-    fields = _OperatorFields(fr)
-    grid = fr.grid
-    out = fields.apply(which, *grid.basis_jet(surface.lmax))
-    mat = truncate_coeffs(grid.analyze(out.T), surface.lmax)
-    return mat.T
+    return fr.grid.operator_matrix(_nodal_coefficients(_OperatorFields(fr), which), surface.lmax)
 
 
 def graph_jacobian(spec, surface: GraphSurface, frames=None):
@@ -206,36 +203,28 @@ def graph_jacobian(spec, surface: GraphSurface, frames=None):
     curvature along the surface.
     """
     fr = frames if frames is not None else surface_frames(spec, surface)
-    fields = _OperatorFields(fr)
     grid = fr.grid
+    a0, a1, a2, a3, a4, a5 = _nodal_coefficients(_OperatorFields(fr), "L_H")
     g = fr.metric_jet.g
     c = np.einsum("ni,nij,nj->n", fr.omega, g, fr.nu)
-    # basis jets (exact) and the normal-projection factor's jets (spectral,
-    # limited only by the smooth tail of c itself); the product rule avoids
-    # re-analyzing c*v, whose tail would alias into the retained band
-    B, Bt, Bp, Btt, Btp, Bpp = grid.basis_jet(surface.lmax)
+    # L_H[c v] by the product rule, with the jets of the normal-projection
+    # factor c taken spectrally (limited only by the smooth tail of c itself);
+    # this avoids re-analyzing c*v, whose tail would alias into the retained band
     cj = grid.synth_jet(grid.analyze(c))
-    U = c[:, None] * B
-    Ut = cj["ft"][:, None] * B + c[:, None] * Bt
-    Up = cj["fp"][:, None] * B + c[:, None] * Bp
-    Utt = cj["ftt"][:, None] * B + 2.0 * cj["ft"][:, None] * Bt + c[:, None] * Btt
-    Utp = (
-        cj["ftp"][:, None] * B
-        + cj["ft"][:, None] * Bp
-        + cj["fp"][:, None] * Bt
-        + c[:, None] * Btp
-    )
-    Upp = cj["fpp"][:, None] * B + 2.0 * cj["fp"][:, None] * Bp + c[:, None] * Bpp
-    out = fields.apply("L_H", U, Ut, Up, Utt, Utp, Upp)
     # tangential transport: (g2inv)^{ab} g(omega, e_a) d_b(stcmc) * v
     hjet = grid.synth_jet(grid.analyze(fr.stcmc))
     tang = np.stack(fr.tangents, axis=1)
     gom = np.einsum("ni,nij,naj->na", fr.omega, g, tang)
     tfield = np.einsum("nab,na->nb", fr.g2inv, gom)
     transport = tfield[:, 0] * hjet["ft"] + tfield[:, 1] * hjet["fp"]
-    out = out + transport[:, None] * B
-    mat = truncate_coeffs(grid.analyze(out.T), surface.lmax)
-    return mat.T
+    ct, cp = cj["ft"], cj["fp"]
+    fields = (
+        a0 * c + a1 * ct + a2 * cp + a3 * cj["ftt"] + a4 * cj["ftp"] + a5 * cj["fpp"] + transport,
+        a1 * c + 2.0 * a3 * ct + a4 * cp,
+        a2 * c + a4 * ct + 2.0 * a5 * cp,
+        a3 * c, a4 * c, a5 * c,
+    )
+    return grid.operator_matrix(fields, surface.lmax)
 
 
 def curvature_residual(spec, surface: GraphSurface, sigma, frames=None):
@@ -275,10 +264,7 @@ def newton_solve(spec, sigma, initial: GraphSurface, config: SolveConfig | None 
         if sup <= cfg.tol:
             l2 = float(np.sqrt(fr.integrate(res**2)))
             return SolveResult(S, it, sup, l2, history)
-        J = graph_jacobian(prov, S, frames=fr)
-        # min-norm least squares: equals the direct solve away from degeneracy
-        # but stays finite when the translational block vanishes (zero energy)
-        step = np.linalg.lstsq(J, -proj, rcond=1e-13)[0]
+        step, _ = _newton_step(graph_jacobian(prov, S, frames=fr), -proj)
         scale = 1.0
         for attempt in range(MAX_DAMPING_ROUNDS + 1):
             S_try = GraphSurface(S.center.copy(), S.r0, S.coeffs + scale * step, S.lmax)
@@ -293,7 +279,8 @@ def newton_solve(spec, sigma, initial: GraphSurface, config: SolveConfig | None 
             scale *= DAMPING
         else:
             raise NewtonDiverged(
-                f"residual stuck at {sup:.3e} after {MAX_DAMPING_ROUNDS} damped retries"
+                f"sigma {sigma:g}, iteration {it}: residual sup stuck at {sup:.3e} "
+                f"after {MAX_DAMPING_ROUNDS} damped retries"
             )
         S, res, proj, fr, sup = S_try, res_t, proj_t, fr_t, sup_t
         sc = surface_scalars(prov, S, fr)
@@ -301,7 +288,20 @@ def newton_solve(spec, sigma, initial: GraphSurface, config: SolveConfig | None 
             S = rebase(S, sc.center)
             res, proj, fr = curvature_residual(prov, S, sigma)
             sup = float(np.max(np.abs(res)))
-    raise MaxIterations(f"no convergence in {cfg.max_iter} iterations; residual {sup:.3e}")
+    raise MaxIterations(f"sigma {sigma:g}, iteration {cfg.max_iter}: no convergence; residual sup {sup:.3e}")
+
+
+def _newton_step(J, rhs):
+    """Solve J step = rhs by one LU; returns (step, 1-norm rcond estimate of J).
+
+    At zero energy the translational block vanishes and rcond falls below
+    RCOND; the min-norm least-squares step stays finite there.
+    """
+    lu = scipy.linalg.lu_factor(J)
+    rcond = scipy.linalg.lapack.dgecon(lu[0], np.linalg.norm(J, 1), norm="1")[0]
+    if rcond > RCOND:
+        return scipy.linalg.lu_solve(lu, rhs), rcond
+    return np.linalg.lstsq(J, rhs, rcond=RCOND)[0], rcond
 
 
 # -- scaled-K family for the method of continuity -----------------------------
@@ -451,16 +451,16 @@ def _annotate_lapse_positivity(leaves):
 # -- spectra -------------------------------------------------------------------
 
 def _stiffness_mass(fr: CurvatureField, lmax):
+    """Stiffness and mass matrices of the induced Laplacian, and the basis columns."""
     grid = fr.grid
-    B, Bt, Bp, *_ = grid.basis_jet(lmax)
+    nb = n_coeffs(lmax)
+    B, Bt = grid.Y[:, :nb], grid.Yt[:, :nb]
+    Bp = grid.Y[:, grid.partner(lmax)] * -grid.ms[:nb]
     w = grid.w * fr.dmu
-    gi = fr.g2inv
-    S = (
-        (Bt * (w * gi[:, 0, 0])[:, None]).T @ Bt
-        + (Bt * (w * gi[:, 0, 1])[:, None]).T @ Bp
-        + (Bp * (w * gi[:, 1, 0])[:, None]).T @ Bt
-        + (Bp * (w * gi[:, 1, 1])[:, None]).T @ Bp
-    )
+    wgi = w[:, None, None] * fr.g2inv
+    # one GEMM: node-stacked gradients [Bt; Bp] against their g2inv-weighted images
+    wgrad = np.concatenate([wgi[:, a, 0, None] * Bt + wgi[:, a, 1, None] * Bp for a in (0, 1)])
+    S = np.concatenate([Bt, Bp]).T @ wgrad
     M = (B * w[:, None]).T @ B
     return S, M, B
 
@@ -484,7 +484,7 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     M = 0.5 * (M + M.T)
     try:
         lam, V = scipy.linalg.eigh(S, M)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+    except scipy.linalg.LinAlgError as exc:
         raise EigenSolverFailure(str(exc)) from exc
     lam = lam[: k + 1]
     V = V[:, : k + 1]
@@ -503,12 +503,11 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
         aligned[:, j] /= nrm
     mH = sc.hawking_mass
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
-    ric, _ = ricci_scalar_curvature(fr.metric_jet)
-    ricnn = np.einsum("nij,ni,nj->n", ric, fr.nu, fr.nu)
+    fields = _OperatorFields(fr)
     al_nodal = B @ aligned
-    ric_ints = np.einsum("n,ni,ni->i", w * ricnn, al_nodal, al_nodal)
+    ric_ints = np.einsum("n,ni,ni->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
-    smin = _sigma_min_weighted(prov, surface, fr, M)
+    smin = _sigma_min_weighted(fields, surface.lmax, M)
     return SpectralReport(
         eigenvalues=lam,
         eigenfunctions=V,
@@ -523,15 +522,16 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     )
 
 
-def _sigma_min_weighted(prov, surface, fr, M):
+def _sigma_min_weighted(fields: _OperatorFields, lmax, M):
     """Smallest singular value of script-L in the dmu-weighted L2 norm.
 
     With mass matrix M = R^T R, the weighted operator is R L R^{-1} acting on
     orthonormalized coordinates.
     """
-    Lmat = assemble_linearization(prov, surface, "L_script", frames=fr)
+    Lmat = fields.fr.grid.operator_matrix(_nodal_coefficients(fields, "L_script"), lmax)
     R = np.linalg.cholesky(0.5 * (M + M.T)).T
-    W = R @ Lmat @ np.linalg.inv(R)
+    # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
+    W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
     return float(np.linalg.svd(W, compute_uv=False).min())
 
 

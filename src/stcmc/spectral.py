@@ -7,8 +7,9 @@ spherical-harmonic basis on the unit sphere; coefficients are stored flat,
 ordered by (l, m) with index l**2 + l + m.
 
 Transforms are dense matrix applications: synthesize is Y @ coeffs, analyze is
-Y.T @ (w * values).  At the band limits used here (a few dozen) this is far
-below any cost that would justify fast transforms.
+Y.T @ (w * values).  Separable transforms (an rfft along phi, one Legendre
+GEMM per m) are not implemented, though they would now pay for the 625 columns
+of an operator matrix at lmax 24.
 """
 
 from __future__ import annotations
@@ -182,16 +183,8 @@ class SphereGrid:
 
     def d_phi_coeffs(self, coeffs):
         """Coefficients of the longitude derivative of the synthesized field."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        out = np.zeros_like(coeffs)
-        pos = self.ms > 0
-        neg = self.ms < 0
         # d/dphi maps cos(m phi) -> -m sin(m phi) and sin(m phi) -> m cos(m phi)
-        idx = np.arange(self.nbasis)
-        swap = idx - 2 * self.ms  # index of the partner harmonic (l, -m)
-        out[..., swap[pos]] = -self.ms[pos] * coeffs[..., pos]
-        out[..., swap[neg]] = -self.ms[neg] * coeffs[..., neg]
-        return out
+        return (-self.ms * np.asarray(coeffs, dtype=float))[..., self.partner(self.lmax)]
 
     def synth_jet(self, coeffs):
         """Nodal value and first/second angular derivatives of a field.
@@ -215,28 +208,34 @@ class SphereGrid:
         ftt = -(ct / st) * ft - (lap_c * coeffs) @ self.Y.T + ((m2 * coeffs) @ self.Y.T) / st**2
         return {"f": f, "ft": ft, "fp": fp, "ftt": ftt, "ftp": ftp, "fpp": fpp}
 
-    def basis_jet(self, lmax):
-        """synth_jet of the first n_coeffs(lmax) basis functions, one column each.
+    def partner(self, lmax):
+        """(l, -m) partner p_j of each harmonic j up to lmax: d/dphi Y_j = -m_j Y_{p_j}."""
+        return np.arange(n_coeffs(lmax)) - 2 * self.ms[: n_coeffs(lmax)]
 
-        Returns (B, Bt, Bp, Btt, Btp, Bpp) of shape (nnodes, n_coeffs(lmax)),
-        bit-identical to the transposed synth_jet of identity coefficient
-        rows: columns of Y and Yt, the (l, -m) partner map for d/dphi and the
-        harmonic ODE in synth_jet's operation order.  B and Bt are views of
-        the (read-only) grid matrices.
+    def operator_matrix(self, a, lmax):
+        """Base-band matrix of a0 u + a1 u_t + a2 u_p + a3 u_tt + a4 u_tp + a5 u_pp.
+
+        `a` holds the six nodal fields; entry [k, j] projects the action on
+        harmonic j onto harmonic k, for j, k < n_coeffs(lmax).  The harmonic
+        ODE folds the second derivatives into columns of Y, Yt and their
+        partners; the projection is one GEMM onto the base band.
         """
         nb = n_coeffs(lmax)
+        a0, a1, a2, a3, a4, a5 = (self.w * np.asarray(f, dtype=float) for f in a)
         th, _ = self.mesh()
         ct, st = np.cos(th), np.sin(th)
         ls, ms = self.ls[:nb], self.ms[:nb]
-        partner = np.arange(nb) - 2 * ms
-        B = self.Y[:, :nb]
-        Bt = self.Yt[:, :nb]
-        Bp = self.Y[:, partner] * (-ms)
-        Btp = self.Yt[:, partner] * (-ms)
-        m2 = ms.astype(float) ** 2
-        Bpp = B * -m2
-        Btt = -(ct / st)[:, None] * Bt - (ls * (ls + 1.0)) * B + (m2 * B) / (st**2)[:, None]
-        return B, Bt, Bp, Btt, Btp, Bpp
+        # u_tt = -cot u_t - l(l+1) u + m^2 u / sin^2 and u_pp = -m^2 u per harmonic
+        out = np.multiply.outer(a3, -(ls * (ls + 1.0)))
+        out += np.multiply.outer(a3 / st**2 - a5, ms.astype(float) ** 2)
+        out += a0[:, None]
+        out *= self.Y[:, :nb]
+        out += self.Yt[:, :nb] * (a1 - a3 * ct / st)[:, None]
+        # u_p of harmonic j is -m_j times harmonic p_j, and m_{p_j} = -m_j
+        dphi = self.Y[:, :nb] * np.multiply.outer(a2, ms)
+        dphi += self.Yt[:, :nb] * np.multiply.outer(a4, ms)
+        out += dphi[:, self.partner(lmax)]
+        return (out.T @ self.Y[:, :nb]).T
 
     def integrate(self, values):
         """Quadrature of nodal values against the round measure sin(theta) dtheta dphi."""

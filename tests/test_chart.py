@@ -7,6 +7,7 @@ from stcmc.chart import (
     DataProviderSpec,
     EuclideanProvider,
     GraphicalSchwarzschildProvider,
+    MetricJet,
     PerturbationProvider,
     RotatedProvider,
     SchwarzschildProvider,
@@ -24,6 +25,7 @@ from stcmc.errors import (
     HorizonReached,
     NotOrthogonal,
     PointInsideCore,
+    SingularMetric,
     SliceNotSpacelike,
 )
 
@@ -53,6 +55,19 @@ def test_euclidean_is_flat(euclid, sample_points):
     assert not jet.dg.any() and not jet.ddg.any()
     ext = euclid.extrinsic_jet(sample_points)
     assert not ext.K.any() and not ext.dK.any()
+
+
+def test_euclidean_zero_jets_are_read_only(euclid, sample_points):
+    jet, ext = euclid.metric_jet(sample_points), euclid.extrinsic_jet(sample_points)
+    for arr in (jet.dg, jet.ddg, ext.K, ext.dK):
+        with pytest.raises(ValueError):
+            arr[0] += 1.0
+
+
+def test_christoffel_zero_metric_raises():
+    jet = MetricJet(np.zeros((2, 3, 3)), np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3, 3)))
+    with pytest.raises(SingularMetric):
+        christoffel(jet)
 
 
 def test_schwarzschild_radial_component(schw):

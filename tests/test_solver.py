@@ -8,9 +8,19 @@ from stcmc.chart import (
     RotatedProvider,
     SchwarzschildProvider,
 )
-from stcmc.errors import ConfigError, DegenerateInducedMetric, MaxIterations, TrappedRegion
+import stcmc.solver as sv
+from stcmc.errors import (
+    ConfigError,
+    ContinuationStalled,
+    DegenerateInducedMetric,
+    EigenSolverFailure,
+    MaxIterations,
+    NewtonDiverged,
+    TrappedRegion,
+)
 from stcmc.solver import (
     OPERATOR_TAGS,
+    RCOND,
     ScaledExtrinsicProvider,
     SolveConfig,
     assemble_linearization,
@@ -24,7 +34,7 @@ from stcmc.solver import (
     operator_bound_check,
     uniqueness_cross_check,
 )
-from stcmc.spectral import coeff_index, n_coeffs
+from stcmc.spectral import coeff_index, n_coeffs, truncate_coeffs
 from stcmc.surfaces import GraphSurface, apriori_class_check, surface_frames
 
 R_STAR_SIGMA20 = 18.912985478471837  # largest root of r^3 - 400 r + 800 (np.roots oracle)
@@ -74,8 +84,6 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
         assert np.max(np.abs(mats[tag] - mats["L_H"])) < 1e-12
     # and they all equal the classical stability operator -Lap - |A|^2 - Ric
     lap = assemble_linearization(schw, S, "laplacian", frames=fr)
-    import stcmc.solver as sv
-
     fields = sv._OperatorFields(fr)
     grid = fr.grid
     nb = n_coeffs(S.lmax)
@@ -85,6 +93,88 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
     pot = grid.analyze(((fields.A2 + fields.ricnn)[:, None] * U.T).T)[:, :nb]
     classical = lap - pot.T
     assert np.max(np.abs(mats["L_H"] - classical)) < 1e-12
+
+
+def _product_rule_reference(fr, lmax):
+    """Every operator tag and the graph Jacobian, assembled term by term.
+
+    The operators act on the synth_jet of identity coefficient rows; the
+    Jacobian takes the jets of c v by the product rule; each nodal action is
+    analysed onto the full grid band and truncated.
+    """
+    grid = fr.grid
+    f = sv._OperatorFields(fr)
+    B = {key: jet.T for key, jet in grid.synth_jet(np.eye(n_coeffs(lmax), grid.nbasis)).items()}
+
+    def apply(tag, U):
+        gi = f.g2inv
+        lap = (
+            gi[:, 0, 0, None] * U["ftt"]
+            + 2.0 * gi[:, 0, 1, None] * U["ftp"]
+            + gi[:, 1, 1, None] * U["fpp"]
+            - f.cgam[:, 0, None] * U["ft"]
+            - f.cgam[:, 1, None] * U["fp"]
+        )
+        if tag == "laplacian":
+            return -lap
+        core = -lap - (f.A2 + f.ricnn)[:, None] * U["f"]
+        kterm = f.kscal[:, None] * U["f"] + 2.0 * (f.kv[:, 0, None] * U["ft"] + f.kv[:, 1, None] * U["fp"])
+        return {
+            "L_H": lambda: (f.H[:, None] * core - f.P[:, None] * kterm) / f.stcmc[:, None],
+            "L_script": lambda: core - (f.P / f.H)[:, None] * kterm,
+            "expansion_plus": lambda: core + kterm,
+            "expansion_minus": lambda: core - kterm,
+        }[tag]()
+
+    def project(out):
+        return truncate_coeffs(grid.analyze(out.T), lmax).T
+
+    mats = {tag: project(apply(tag, B)) for tag in OPERATOR_TAGS}
+    g = fr.metric_jet.g
+    c = np.einsum("ni,nij,nj->n", fr.omega, g, fr.nu)
+    cj = {key: val[:, None] for key, val in grid.synth_jet(grid.analyze(c)).items()}
+    c = c[:, None]
+    U = {
+        "f": c * B["f"],
+        "ft": cj["ft"] * B["f"] + c * B["ft"],
+        "fp": cj["fp"] * B["f"] + c * B["fp"],
+        "ftt": cj["ftt"] * B["f"] + 2.0 * cj["ft"] * B["ft"] + c * B["ftt"],
+        "ftp": cj["ftp"] * B["f"] + cj["ft"] * B["fp"] + cj["fp"] * B["ft"] + c * B["ftp"],
+        "fpp": cj["fpp"] * B["f"] + 2.0 * cj["fp"] * B["fp"] + c * B["fpp"],
+    }
+    hjet = grid.synth_jet(grid.analyze(fr.stcmc))
+    gom = np.einsum("ni,nij,naj->na", fr.omega, g, np.stack(fr.tangents, axis=1))
+    tfield = np.einsum("nab,na->nb", fr.g2inv, gom)
+    transport = tfield[:, 0] * hjet["ft"] + tfield[:, 1] * hjet["fp"]
+    mats["jacobian"] = project(apply("L_H", U) + transport[:, None] * B["f"])
+    return mats
+
+
+@pytest.mark.parametrize("lmax", [8, 24])
+@pytest.mark.parametrize("case", ["schw", "graphical", "perturbed"])
+def test_fused_assembly_matches_product_rule(case, lmax, schw, graphical):
+    prov = {
+        "schw": schw,
+        "graphical": graphical,
+        "perturbed": PerturbationProvider(
+            [
+                {"target": "K", "i": 0, "j": 1, "coeff": 0.3, "decay": 1.5, "angular": (1, 0, 0)},
+                {"target": "K", "i": 2, "j": 2, "coeff": 0.2, "decay": 1.0},
+                {"target": "g", "i": 1, "j": 2, "coeff": 0.2, "decay": 1.0, "angular": (0, 0, 1)},
+            ]
+        ),
+    }[case]
+    rng = np.random.default_rng(lmax)
+    S = random_surface(rng, lmax=lmax, r0=12.0, amp=0.05, center=(0.3, -0.2, 0.1))
+    fr = surface_frames(prov, S)
+    if case == "perturbed":
+        assert np.max(np.abs(fr.P)) > 1e-3  # the K couplings are exercised
+    ref = _product_rule_reference(fr, lmax)
+    got = {tag: assemble_linearization(prov, S, tag, frames=fr) for tag in OPERATOR_TAGS}
+    got["jacobian"] = graph_jacobian(prov, S, frames=fr)
+    for key, mat in got.items():
+        assert mat.shape == (n_coeffs(lmax), n_coeffs(lmax))
+        assert np.max(np.abs(mat - ref[key])) <= 1e-13 * np.max(np.abs(ref[key])), key
 
 
 def test_unknown_tag_raises(euclid):
@@ -173,8 +263,32 @@ def test_newton_graphical_leaf_in_apriori_class(graphical, graphical_leaf60):
     assert chk.all_ok
 
 
+def test_newton_step_lu_matches_lstsq(schw, euclid):
+    S = random_surface(np.random.default_rng(5), r0=12.0, amp=0.05)
+    _, proj, fr = curvature_residual(schw, S, 12.0)
+    J = graph_jacobian(schw, S, frames=fr)
+    step, rcond = sv._newton_step(J, -proj)
+    ref = np.linalg.lstsq(J, -proj, rcond=RCOND)[0]
+    assert rcond > RCOND
+    assert np.linalg.norm(step - ref) <= 1e-12 * np.linalg.norm(ref)
+    # zero energy: flat data from r0 = 25 towards sigma = 10 takes the lstsq fallback
+    seed = GraphSurface.round([0, 0, 0], 25.0, 8)
+    _, proj, fr = curvature_residual(euclid, seed, 10.0)
+    J = graph_jacobian(euclid, seed, frames=fr)
+    step, rcond = sv._newton_step(J, -proj)
+    assert rcond <= RCOND
+    assert np.array_equal(step, np.linalg.lstsq(J, -proj, rcond=RCOND)[0])
+
+
+def test_newton_diverges_with_flipped_jacobian(schw, monkeypatch):
+    jacobian = sv.graph_jacobian
+    monkeypatch.setattr(sv, "graph_jacobian", lambda *args, **kw: -jacobian(*args, **kw))
+    with pytest.raises(NewtonDiverged, match=r"sigma 20, iteration 0: residual sup stuck at \d"):
+        newton_solve(schw, 20.0, GraphSurface.round([0, 0, 0], 18.0, 8), SolveConfig(lmax=8))
+
+
 def test_newton_max_iterations(euclid):
-    with pytest.raises(MaxIterations):
+    with pytest.raises(MaxIterations, match=r"sigma 10, iteration 1: .*residual sup \d"):
         newton_solve(
             euclid,
             10.0,
@@ -226,6 +340,23 @@ def test_continuation_lapse_magnitudes(graphical):
     assert np.all(np.isfinite(centers))
     assert max(st.lapse_l2 for st in steps) < 1e3  # finite, moderate norm
     assert steps[-1].lapse_l2 > 0
+
+
+def test_continuation_stalls_when_every_step_fails(euclid, monkeypatch):
+    # the tau = 0 solve succeeds; every solve at tau > 0 fails
+    taus = []
+
+    def failing_solve(prov, sigma, initial, config=None):
+        taus.append(prov.tau)
+        if prov.tau == 0.0:
+            return sv.SolveResult(initial, 0, 0.0, 0.0)
+        raise NewtonDiverged("injected")
+
+    monkeypatch.setattr(sv, "newton_solve", failing_solve)
+    monkeypatch.setattr(sv, "_continuation_record", lambda *args: None)
+    with pytest.raises(ContinuationStalled, match="tau = 0.0000"):
+        continuation_in_tau(euclid, 10.0, GraphSurface.round([0, 0, 0], 10.0, 8), SolveConfig(lmax=8))
+    assert taus == [0.0] + [2.0**-k for k in range(3, 9)]
 
 
 # -- foliations ---------------------------------------------------------------------
@@ -286,6 +417,17 @@ def test_spectrum_eigenvalue_law_on_leaves(schw):
         if rel_prev is not None:
             assert rel < rel_prev
         rel_prev = rel
+
+
+def test_eigensolver_failure_is_reported(euclid, monkeypatch):
+    import scipy.linalg
+
+    def broken_eigh(*args, **kw):
+        raise scipy.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(scipy.linalg, "eigh", broken_eigh)
+    with pytest.raises(EigenSolverFailure, match="injected"):
+        laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 5.0, 8))
 
 
 def test_operator_bound_schwarzschild(schw, schw_leaf20):
