@@ -149,7 +149,7 @@ def sphere_fluxes(spec, radii, lmax=24, center=(0.0, 0.0, 0.0)):
         mj = prov.metric_jet(x)
         ej = prov.extrinsic_jet(x)
         g, dg, K = mj.g, mj.dg, ej.K
-        pi = conjugate_momentum(g, K)
+        pi = conjugate_momentum(mj, K)
         wq = grid.w * s**2  # euclidean measure on the sphere of radius s
         # energy integrand: sum_ij (d_i g_ij - d_j g_ii) x^j / s
         lhs = np.einsum("niji->nj", dg) - np.einsum("niij->nj", dg)

@@ -12,6 +12,11 @@ return.  Index layout:
     K[n, i, j]              extrinsic curvature
     dK[n, i, j, k]          d_k K_ij
 
+A MetricJet owns the geometry derived from it: its read-only ginv[n, a, b],
+dginv[n, a, b, k] = d_k g^ab and Gam[n, a, b, c] = Gamma^a_bc are each formed
+once, when first read, so every consumer of a point set shares one inverse
+and one set of Christoffel symbols.
+
 The catalog covers the flat chart, the Schwarzschild slice in areal
 coordinates g = N^-2 dr^2 + r^2 dOmega^2 with N = sqrt(1 - 2m/r), the
 bounded-height graphical slice over it cut out by t = sin(ln r) + u.x/r,
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,11 +46,35 @@ from .spectral import get_grid
 _EYE = np.eye(3)
 
 
+def _read_only(a):
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class MetricJet:
+    """Metric jet; ginv, dginv and Gam are formed once, when first read."""
+
     g: np.ndarray
     dg: np.ndarray
     ddg: np.ndarray
+
+    @cached_property
+    def ginv(self):
+        det = np.linalg.det(self.g)
+        if np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)):
+            raise SingularMetric("metric not invertible")
+        return _read_only(np.linalg.inv(self.g))
+
+    @cached_property
+    def dginv(self):
+        """dginv[n, a, b, k] = d_k g^ab = -g^ap g^bq d_k g_pq."""
+        return _read_only(-np.einsum("nap,nbq,npqk->nabk", self.ginv, self.ginv, self.dg))
+
+    @cached_property
+    def Gam(self):
+        """Christoffel symbols Gam[n, a, b, c] = Gamma^a_bc."""
+        return _read_only(0.5 * np.einsum("nad,ndbc->nabc", self.ginv, _bracket(self.dg)))
 
 
 @dataclass(frozen=True)
@@ -273,7 +303,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
         m = self.mass
         nvec = x / r[:, None]
         N2 = 1.0 - 2.0 * m / r
-        self._spacelike_factor(np.linalg.inv(g), dT, np.sqrt(N2))
+        self._spacelike_factor(base.ginv, dT, np.sqrt(N2))
         dN2, ddN2, _ = _radial_tensors(r, nvec, 2.0 * m / r**2, -4.0 * m / r**3)
         TT = dT[:, :, None] * dT[:, None, :]
         gT = g - N2[:, None, None] * TT
@@ -297,8 +327,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
     def extrinsic_jet(self, x):
         x, r = self._check(x)
         base = self.base.metric_jet(x)
-        ginv = np.linalg.inv(base.g)
-        dginv = inverse_metric_derivative(ginv, base.dg)
+        ginv, dginv = base.ginv, base.dginv
         dT, ddT, dddT = self._T_jets(x, r)
         N, dN, ddN = self._N_jets(x, r)
         Gam, dGam = christoffel(base, derivative=True)
@@ -600,52 +629,34 @@ def as_provider(spec) -> DataProvider:
 
 # -- curvature / constraint operations --------------------------------------
 
-def _inv(g):
-    det = np.linalg.det(g)
-    if np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)):
-        raise SingularMetric("metric not invertible")
-    return np.linalg.inv(g)
+def _bracket(dg):
+    """bracket[n, d, b, c] = d_b g_dc + d_c g_db - d_d g_bc, with dg[i, j, k] = d_k g_ij."""
+    return np.einsum("ndcb->ndbc", dg) + dg - np.einsum("nbcd->ndbc", dg)
 
 
 def christoffel(jet: MetricJet, derivative=False):
-    """Christoffel symbols Gamma[n, a, b, c] = Gamma^a_bc (and optionally d_e Gamma)."""
-    dg = jet.dg
-    ginv = _inv(jet.g)
-    # bracket[d, b, c] = d_b g_dc + d_c g_db - d_d g_bc, with dg[i, j, k] = d_k g_ij
-    b1 = np.einsum("ndcb->ndbc", dg)
-    b2 = dg
-    b3 = np.einsum("nbcd->ndbc", dg)
-    bracket = b1 + b2 - b3
-    Gam = 0.5 * np.einsum("nad,ndbc->nabc", ginv, bracket)
+    """The jet's Christoffel symbols Gamma^a_bc, and d_e Gamma^a_bc [n, a, b, c, e] if asked."""
     if not derivative:
-        return Gam
+        return jet.Gam
     ddg = jet.ddg
-    dginv = inverse_metric_derivative(ginv, dg)
-    db1 = np.einsum("ndcbe->ndbce", ddg)
-    db2 = ddg
-    db3 = np.einsum("nbcde->ndbce", ddg)
-    dbracket = db1 + db2 - db3
+    dbracket = np.einsum("ndcbe->ndbce", ddg) + ddg - np.einsum("nbcde->ndbce", ddg)
     dGam = 0.5 * (
-        np.einsum("nade,ndbc->nabce", dginv, bracket)
-        + np.einsum("nad,ndbce->nabce", ginv, dbracket)
+        np.einsum("nade,ndbc->nabce", jet.dginv, _bracket(jet.dg))
+        + np.einsum("nad,ndbce->nabce", jet.ginv, dbracket)
     )
-    return Gam, dGam
+    return jet.Gam, dGam
 
 
-def inverse_metric_derivative(ginv, dg):
-    """d_k g^ab = -g^ap g^bq d_k g_pq."""
-    return -np.einsum("nap,nbq,npqk->nabk", ginv, ginv, dg)
-
-
-def trace_derivative(ginv, dginv, K, dK):
+def trace_derivative(mj: MetricJet, ej: ExtrinsicJet):
     """d_k tr K = d_k g^ab K_ab + g^ab d_k K_ab."""
-    return np.einsum("nabk,nab->nk", dginv, K) + np.einsum("nab,nabk->nk", ginv, dK)
+    return np.einsum("nabk,nab->nk", mj.dginv, ej.K) + np.einsum("nab,nabk->nk", mj.ginv, ej.dK)
 
 
-def covariant_derivative(Gam, K, dK):
+def covariant_derivative(mj: MetricJet, ej: ExtrinsicJet):
     """nabla_k K_ij = d_k K_ij - Gamma^l_ki K_lj - Gamma^l_kj K_il."""
+    Gam, K = mj.Gam, ej.K
     return (
-        dK
+        ej.dK
         - np.einsum("nlki,nlj->nijk", Gam, K)
         - np.einsum("nlkj,nil->nijk", Gam, K)
     )
@@ -654,21 +665,32 @@ def covariant_derivative(Gam, K, dK):
 def ricci_scalar_curvature(jet: MetricJet):
     """Ricci tensor and scalar curvature from a metric jet."""
     Gam, dGam = christoffel(jet, derivative=True)
-    ginv = _inv(jet.g)
     ric = (
         np.einsum("nkijk->nij", dGam)
         - np.einsum("nkkji->nij", dGam)
         + np.einsum("nkkl,nlij->nij", Gam, Gam)
         - np.einsum("nkil,nlkj->nij", Gam, Gam)
     )
-    scal = np.einsum("nij,nij->n", ginv, ric)
+    scal = np.einsum("nij,nij->n", jet.ginv, ric)
     return ric, scal
 
 
-def conjugate_momentum(g, K):
+def conjugate_momentum(jet: MetricJet, K):
     """pi = (tr K) g - K."""
-    trK = np.einsum("nij,nij->n", _inv(g), K)
-    return trK[:, None, None] * g - K
+    trK = np.einsum("nij,nij->n", jet.ginv, K)
+    return trK[:, None, None] * jet.g - K
+
+
+def _constraints(mj: MetricJet, ej: ExtrinsicJet):
+    """mu and J from the jets of one point set (see constraint_densities)."""
+    ginv, K = mj.ginv, ej.K
+    _, scal = ricci_scalar_curvature(mj)
+    Kup = np.einsum("nia,njb,nab->nij", ginv, ginv, K)
+    K2 = np.einsum("nij,nij->n", Kup, K)
+    trK = np.einsum("nij,nij->n", ginv, K)
+    mu = 0.5 * (scal - K2 + trK**2)
+    J = np.einsum("nik,nijk->nj", ginv, covariant_derivative(mj, ej)) - trace_derivative(mj, ej)
+    return mu, J
 
 
 def constraint_densities(spec, p):
@@ -678,19 +700,7 @@ def constraint_densities(spec, p):
     J_j = g^{ik} nabla_k K_ij - d_j tr K.
     """
     prov = as_provider(spec)
-    mj = prov.metric_jet(p)
-    ej = prov.extrinsic_jet(p)
-    g, dg, K, dK = mj.g, mj.dg, ej.K, ej.dK
-    ginv = _inv(g)
-    _, scal = ricci_scalar_curvature(mj)
-    Kup = np.einsum("nia,njb,nab->nij", ginv, ginv, K)
-    K2 = np.einsum("nij,nij->n", Kup, K)
-    trK = np.einsum("nij,nij->n", ginv, K)
-    mu = 0.5 * (scal - K2 + trK**2)
-    covK = covariant_derivative(christoffel(mj), K, dK)
-    dtrK = trace_derivative(ginv, inverse_metric_derivative(ginv, dg), K, dK)
-    J = np.einsum("nik,nijk->nj", ginv, covK) - dtrK
-    return mu, J
+    return _constraints(prov.metric_jet(p), prov.extrinsic_jet(p))
 
 
 # -- decay diagnostics -------------------------------------------------------
@@ -749,8 +759,8 @@ def decay_check(spec, radii, eps, lmax=16):
         xm = -xp
         mj_p, mj_m = prov.metric_jet(xp), prov.metric_jet(xm)
         ej_p, ej_m = prov.extrinsic_jet(xp), prov.extrinsic_jet(xm)
-        mu_p, J_p = constraint_densities(prov, xp)
-        mu_m, J_m = constraint_densities(prov, xm)
+        mu_p, J_p = _constraints(mj_p, ej_p)
+        mu_m, J_m = _constraints(mj_m, ej_m)
         sup_g = _maxabs(mj_p.g - _EYE, (1, 2)).max()
         lhs1 = _maxabs(mj_p.g - _EYE, (1, 2)) + r * _maxabs(mj_p.dg, (1, 2, 3)) + r**2 * _maxabs(mj_p.ddg, (1, 2, 3, 4))
         rows["ratio1"].append(lhs1.max() / r ** (-0.5 - eps))
@@ -764,8 +774,8 @@ def decay_check(spec, radii, eps, lmax=16):
         ddg_odd = 0.5 * (mj_p.ddg - mj_m.ddg)
         lhs_rt1 = _maxabs(g_odd, (1, 2)) + r * _maxabs(dg_odd, (1, 2, 3)) + r**2 * _maxabs(ddg_odd, (1, 2, 3, 4))
         rows["rt1"].append(lhs_rt1.max() / r ** (-1.0 - eps))
-        pi_p = conjugate_momentum(mj_p.g, ej_p.K)
-        pi_m = conjugate_momentum(mj_m.g, ej_m.K)
+        pi_p = conjugate_momentum(mj_p, ej_p.K)
+        pi_m = conjugate_momentum(mj_m, ej_m.K)
         dpi_p = _dpi(mj_p, ej_p)
         dpi_m = _dpi(mj_m, ej_m)
         pi_even = 0.5 * (pi_p + pi_m)
@@ -806,11 +816,9 @@ def decay_check(spec, radii, eps, lmax=16):
 
 def _dpi(mj: MetricJet, ej: ExtrinsicJet):
     """d_k pi_ij for pi = (tr K) g - K."""
-    ginv = _inv(mj.g)
-    trK = np.einsum("nab,nab->n", ginv, ej.K)
-    dtrK = trace_derivative(ginv, inverse_metric_derivative(ginv, mj.dg), ej.K, ej.dK)
+    trK = np.einsum("nab,nab->n", mj.ginv, ej.K)
     return (
-        dtrK[:, None, None, :] * mj.g[:, :, :, None]
+        trace_derivative(mj, ej)[:, None, None, :] * mj.g[:, :, :, None]
         + trK[:, None, None, None] * mj.dg
         - ej.dK
     )

@@ -10,7 +10,11 @@ graph.  Its linearization with respect to normal speed u is
 and the rescaled operator script-L = sqrt(1 - (P/H)^2) L has the same kernel
 structure with a uniformly bounded prefactor.  Each operator is six nodal
 coefficient fields of (u, u_t, u_p, u_tt, u_tp, u_pp); operator_matrix
-applies them to every harmonic and projects back in one GEMM.  The Laplace
+applies them to every harmonic and projects back in one GEMM.  The fields
+reuse the frame's geometry: CurvatureField's ambient Hessian D_ab feeds both
+A (normal part, in surface_frames) and the induced connection of the
+Laplacian (tangential part, Gauss formula), and Ric(nu, nu) and nabla K read
+the inverse and Christoffel symbols its metric jet already holds.  The Laplace
 spectrum uses the variational stiffness/mass form instead, which preserves
 self-adjointness.
 
@@ -33,7 +37,6 @@ from .chart import (
     DataProvider,
     as_provider,
     covariant_derivative,
-    inverse_metric_derivative,
     ricci_scalar_curvature,
     trace_derivative,
 )
@@ -119,36 +122,21 @@ class _OperatorFields:
     def __init__(self, fr: CurvatureField):
         self.fr = fr
         mj, ej = fr.metric_jet, fr.extrinsic_jet
-        g, K, dK = mj.g, ej.K, ej.dK
-        ginv = fr.ginv
         nu = fr.nu
         ric, _ = ricci_scalar_curvature(mj)
         self.ricnn = np.einsum("nij,ni,nj->n", ric, nu, nu)
         self.A2 = fr.Aring2 + 0.5 * fr.H**2
         # grad_nu tr K - grad_nu K(nu, nu)
-        dtrK = trace_derivative(ginv, inverse_metric_derivative(ginv, mj.dg), K, dK)
-        covK = covariant_derivative(fr.Gam, K, dK)
-        covK_nnn = np.einsum("nk,ni,nj,nijk->n", nu, nu, nu, covK)
-        self.kscal = np.einsum("nk,nk->n", nu, dtrK) - covK_nnn
+        covK_nnn = np.einsum("nk,ni,nj,nijk->n", nu, nu, nu, covariant_derivative(mj, ej))
+        self.kscal = np.einsum("nk,nk->n", nu, trace_derivative(mj, ej)) - covK_nnn
         # K(grad^S u, nu) = kv^beta d_beta u
         tang = np.stack(fr.tangents, axis=1)
-        self.kv = np.einsum("nab,nai,nj,nij->nb", fr.g2inv, tang, nu, K)
-        # induced Christoffels for the nodal Laplacian
-        Xtt, Xtp, Xpp = fr.second
-        sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
-        dg2 = (
-            np.einsum("nijk,ngk,nai,nbj->ngab", mj.dg, tang, tang, tang)
-            + np.einsum("nij,ngai,nbj->ngab", g, sec.transpose(0, 2, 1, 3), tang)
-            + np.einsum("nij,nai,ngbj->ngab", g, tang, sec.transpose(0, 2, 1, 3))
-        )
-        # T[a, d, b] = d_a g2_db + d_b g2_da - d_d g2_ab, with dg2[g, a, b] = d_g g2_ab
-        gamS = 0.5 * np.einsum(
-            "ngd,nadb->ngab",
-            fr.g2inv,
-            dg2 + dg2.transpose(0, 3, 2, 1) - dg2.transpose(0, 2, 1, 3),
-        )
-        # contracted: g2inv^{ab} GammaS^g_{ab}
-        self.cgam = np.einsum("nab,ngab->ng", fr.g2inv, gamS)
+        self.kv = np.einsum("nab,nai,nj,nij->nb", fr.g2inv, tang, nu, ej.K)
+        # contracted induced Christoffels g2inv^{ab} GammaS^g_ab for the nodal
+        # Laplacian, from the tangential part of the ambient Hessian (Gauss formula):
+        # GammaS^g_ab = g2inv^{gd} g(X_d, D_ab)
+        Dtr = np.einsum("nab,nabi->ni", fr.g2inv, fr.hess)
+        self.cgam = np.einsum("ngd,ndi,nij,nj->ng", fr.g2inv, tang, mj.g, Dtr)
         self.H = fr.H
         self.P = fr.P
         self.stcmc = fr.stcmc

@@ -6,7 +6,10 @@ All pointwise geometry (induced metric, normal, second fundamental form,
 mean curvature H, expansion trace P = tr_Sigma K, and the Lorentzian norm
 sqrt(H^2 - P^2) of the mean curvature vector) is obtained by exact pullback
 of the analytic ambient jets through the embedding, with angular derivatives
-of f taken spectrally on a dealiased working grid.
+of f taken spectrally on a dealiased working grid.  The ambient covariant
+Hessian D_ab = X_ab + Gamma(X_a, X_b) of the embedding is formed once: its
+normal part gives A = -g(nu, D) and its tangential part the induced
+connection (Gauss formula) that the solver's Laplacian uses.
 """
 
 from __future__ import annotations
@@ -152,12 +155,10 @@ class CurvatureField:
     nu_delta: np.ndarray = field(repr=False)
     A_delta: np.ndarray = field(repr=False)
     H_delta: np.ndarray = field(repr=False)
-    delta2: np.ndarray = field(repr=False)       # euclidean induced metric
+    delta2inv: np.ndarray = field(repr=False)    # inverse euclidean induced metric
     metric_jet: object = field(repr=False)
     extrinsic_jet: object = field(repr=False)
-    Gam: np.ndarray = field(repr=False)          # ambient Christoffels at X
-    ginv: np.ndarray = field(repr=False)
-    second: tuple = field(repr=False)            # (X_tt, X_tp, X_pp)
+    hess: np.ndarray = field(repr=False)         # ambient Hessian D_ab = X_ab + Gamma(X_a, X_b), (n, 2, 2, 3)
 
     def integrate(self, values, measure="g"):
         dens = self.dmu if measure == "g" else self.dmu_delta
@@ -214,8 +215,6 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
     mj = prov.metric_jet(X)
     ej = prov.extrinsic_jet(X)
     g = mj.g
-    Gam = christoffel(mj)
-    ginv = np.linalg.inv(g)
 
     tang = np.stack([Xt, Xp], axis=1)                       # (n, 2, 3)
     g2 = np.einsum("nai,nij,nbj->nab", tang, g, tang)
@@ -226,22 +225,20 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
     ncross = np.cross(Xt, Xp)
     orient = np.einsum("ni,ni->n", ncross, X - surface.center)
     ncross[orient < 0] *= -1.0
-    v = np.einsum("nij,nj->ni", ginv, ncross)
+    v = np.einsum("nij,nj->ni", mj.ginv, ncross)
     vnorm = np.sqrt(np.einsum("ni,nij,nj->n", v, g, v))
     nu = v / vnorm[:, None]
     nu_delta = ncross / np.linalg.norm(ncross, axis=1)[:, None]
 
     sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)  # (n,2,2,3)
-    # A_ab = -g(nu, d2_ab X + Gamma(X_a, X_b))
-    gam_term = np.einsum("nkij,nai,nbj->nabk", Gam, tang, tang)
+    hess = sec + np.einsum("nkij,nai,nbj->nabk", christoffel(mj), tang, tang)
     nu_low = np.einsum("nij,nj->ni", g, nu)
-    A = -np.einsum("ni,nabi->nab", nu_low, sec + gam_term)
+    A = -np.einsum("ni,nabi->nab", nu_low, hess)
     H = np.einsum("nab,nab->n", g2inv, A)
     Aring = A - 0.5 * H[:, None, None] * g2
     Aring2 = np.einsum("nac,nbd,nab,ncd->n", g2inv, g2inv, Aring, Aring)
 
-    delta2 = np.einsum("nai,nbi->nab", tang, tang)
-    d2inv, ddet2 = _inverse_2x2(delta2)
+    d2inv, ddet2 = _inverse_2x2(np.einsum("nai,nbi->nab", tang, tang))
     A_delta = -np.einsum("ni,nabi->nab", nu_delta, sec)
     H_delta = np.einsum("nab,nab->n", d2inv, A_delta)
 
@@ -273,12 +270,10 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
         nu_delta=nu_delta,
         A_delta=A_delta,
         H_delta=H_delta,
-        delta2=delta2,
+        delta2inv=d2inv,
         metric_jet=mj,
         extrinsic_jet=ej,
-        Gam=Gam,
-        ginv=ginv,
-        second=(Xtt, Xtp, Xpp),
+        hess=hess,
     )
 
 
@@ -372,7 +367,7 @@ def euclidean_comparison(spec, surface: GraphSurface):
     fr = surface_frames(spec, surface)
     dnu = np.linalg.norm(fr.nu - fr.nu_delta, axis=1).max()
     dA = fr.A - fr.A_delta
-    dA_norm = np.sqrt(np.einsum("nac,nbd,nab,ncd->n", np.linalg.inv(fr.delta2), np.linalg.inv(fr.delta2), dA, dA))
+    dA_norm = np.sqrt(np.einsum("nac,nbd,nab,ncd->n", fr.delta2inv, fr.delta2inv, dA, dA))
     dH = np.abs(fr.H - fr.H_delta).max()
     rel_dmu = np.abs(fr.dmu / fr.dmu_delta - 1.0).max()
     return {

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from stcmc.chart import (
+    DataProvider,
     DataProviderSpec,
     EuclideanProvider,
     GraphicalSchwarzschildProvider,
@@ -28,6 +31,8 @@ from stcmc.errors import (
     SingularMetric,
     SliceNotSpacelike,
 )
+from stcmc.solver import graph_jacobian
+from stcmc.surfaces import GraphSurface, surface_frames
 
 ROT = np.array(
     [
@@ -250,17 +255,18 @@ def test_scalar_is_trace_of_ricci(graphical, sample_points):
 
 
 def test_conjugate_momentum_identities(graphical, sample_points):
-    g = graphical.metric_jet(sample_points).g
+    jet = graphical.metric_jet(sample_points)
+    g = jet.g
     K0 = np.zeros_like(g)
-    assert not conjugate_momentum(g, K0).any()
-    pi = conjugate_momentum(g, g)
+    assert not conjugate_momentum(jet, K0).any()
+    pi = conjugate_momentum(jet, g)
     assert np.max(np.abs(pi - 2 * g)) < 1e-13
     K = graphical.extrinsic_jet(sample_points).K
     ginv = np.linalg.inv(g)
     trK = np.einsum("nij,nij->n", ginv, K)
-    assert np.max(np.abs(conjugate_momentum(g, K) - (trK[:, None, None] * g - K))) == 0.0
+    assert np.max(np.abs(conjugate_momentum(jet, K) - (trK[:, None, None] * g - K))) == 0.0
     # trace identity: tr pi = 2 tr K
-    trpi = np.einsum("nij,nij->n", ginv, conjugate_momentum(g, K))
+    trpi = np.einsum("nij,nij->n", ginv, conjugate_momentum(jet, K))
     assert np.max(np.abs(trpi - 2 * trK)) < 1e-13
 
 
@@ -399,6 +405,72 @@ def test_graphical_extrinsic_matches_4d_embedding_oracle(graphical):
     K_oracle = second_fundamental_form_4d_oracle(1.0, [1.0, 0.0, 0.0], pts)
     K = graphical.extrinsic_jet(pts).K
     assert np.max(np.abs(K - K_oracle)) < 1e-6
+
+
+# -- one ambient-geometry pass per point set -------------------------------------
+
+class _FixedJets(DataProvider):
+    """One point set's jets, handed out as fresh MetricJets with nothing derived yet."""
+
+    def __init__(self, prov, x):
+        self.mj, self.ej = prov.metric_jet(x), prov.extrinsic_jet(x)
+
+    def metric_jet(self, x):
+        return MetricJet(self.mj.g, self.mj.dg, self.mj.ddg)
+
+    def extrinsic_jet(self, x):
+        return self.ej
+
+
+@pytest.fixture
+def formations(monkeypatch):
+    """Counts metric inversions and formations of each jet's dginv and Gam."""
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    # a cached_property calls its func once per instance, on the first read
+    for name in ("dginv", "Gam"):
+        prop = MetricJet.__dict__[name]
+        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+    return counts
+
+
+def test_jet_geometry_is_formed_once_and_read_only(graphical, sample_points, formations):
+    jet = graphical.metric_jet(sample_points)
+    formations.clear()
+    for name in ("ginv", "dginv", "Gam"):
+        arr = getattr(jet, name)
+        assert getattr(jet, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] += 1.0
+    assert formations == Counter(inv=1, dginv=1, Gam=1)
+    assert christoffel(jet) is jet.Gam
+
+
+def test_constraint_densities_invert_once(graphical, sample_points, formations):
+    prov = _FixedJets(graphical, sample_points)
+    formations.clear()
+    constraint_densities(prov, sample_points)
+    assert formations == Counter(inv=1, dginv=1, Gam=1)
+
+
+def test_graphical_extrinsic_jet_forms_base_geometry_once(graphical, sample_points, formations):
+    graphical.extrinsic_jet(sample_points)
+    assert formations == Counter(inv=1, dginv=1, Gam=1)
+
+
+def test_graph_jacobian_reuses_frame_geometry(graphical, formations):
+    S = GraphSurface.round([0.5, 0.0, 0.0], 30.0, 6)
+    fr = surface_frames(graphical, S)
+    formations.clear()
+    graph_jacobian(graphical, S, frames=fr)
+    assert formations["inv"] == 0 and formations["Gam"] == 0
 
 
 # -- decay diagnostics ---------------------------------------------------------

@@ -35,7 +35,7 @@ from stcmc.solver import (
     uniqueness_cross_check,
 )
 from stcmc.spectral import coeff_index, n_coeffs, truncate_coeffs
-from stcmc.surfaces import GraphSurface, apriori_class_check, surface_frames
+from stcmc.surfaces import GraphSurface, apriori_class_check, embedding_nodes, surface_frames
 
 R_STAR_SIGMA20 = 18.912985478471837  # largest root of r^3 - 400 r + 800 (np.roots oracle)
 
@@ -175,6 +175,35 @@ def test_fused_assembly_matches_product_rule(case, lmax, schw, graphical):
     for key, mat in got.items():
         assert mat.shape == (n_coeffs(lmax), n_coeffs(lmax))
         assert np.max(np.abs(mat - ref[key])) <= 1e-13 * np.max(np.abs(ref[key])), key
+
+
+def _induced_christoffel_reference(fr, surface):
+    """g2inv^{ab} GammaS^g_ab from d_g g2_ab, differentiated through the ambient dg."""
+    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(surface, fr.grid)
+    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
+    tang = np.stack(fr.tangents, axis=1)
+    g, dg = fr.metric_jet.g, fr.metric_jet.dg
+    dg2 = (
+        np.einsum("nijk,ngk,nai,nbj->ngab", dg, tang, tang, tang)
+        + np.einsum("nij,ngai,nbj->ngab", g, sec.transpose(0, 2, 1, 3), tang)
+        + np.einsum("nij,nai,ngbj->ngab", g, tang, sec.transpose(0, 2, 1, 3))
+    )
+    gamS = 0.5 * np.einsum(
+        "ngd,nadb->ngab",
+        fr.g2inv,
+        dg2 + dg2.transpose(0, 3, 2, 1) - dg2.transpose(0, 2, 1, 3),
+    )
+    return np.einsum("nab,ngab->ng", fr.g2inv, gamS)
+
+
+@pytest.mark.parametrize("lmax", [8, 24])
+def test_gauss_formula_induced_christoffels(graphical, lmax):
+    rng = np.random.default_rng(lmax)
+    S = random_surface(rng, lmax=lmax, r0=30.0, amp=0.3, center=(0.5, -0.2, 0.1))
+    fr = surface_frames(graphical, S)
+    ref = _induced_christoffel_reference(fr, S)
+    cgam = sv._OperatorFields(fr).cgam
+    assert np.max(np.abs(cgam - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_unknown_tag_raises(euclid):
