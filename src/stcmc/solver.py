@@ -442,8 +442,8 @@ def _stiffness_mass(fr: CurvatureField, lmax):
     """Stiffness and mass matrices of the induced Laplacian, and the basis columns."""
     grid = fr.grid
     nb = n_coeffs(lmax)
-    B, Bt = grid.Y[:, :nb], grid.Yt[:, :nb]
-    Bp = grid.Y[:, grid.partner(lmax)] * -grid.ms[:nb]
+    B, Bt = grid.base_basis(lmax)
+    Bp = B[:, grid.partner(lmax)] * -grid.ms[:nb]
     w = grid.w * fr.dmu
     wgi = w[:, None, None] * fr.g2inv
     # one GEMM: node-stacked gradients [Bt; Bp] against their g2inv-weighted images

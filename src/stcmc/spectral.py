@@ -6,17 +6,20 @@ to 2*lmax+1 are integrated exactly.  The basis is the real orthonormal
 spherical-harmonic basis on the unit sphere; coefficients are stored flat,
 ordered by (l, m) with index l**2 + l + m.
 
-Transforms are dense matrix applications: synthesize is Y @ coeffs, analyze is
-Y.T @ (w * values).  Separable transforms (an rfft along phi, one Legendre
-GEMM per m) are not implemented, though they would now pay for the 625 columns
-of an operator matrix at lmax 24.
+Transforms are separable (Driscoll & Healy, Adv. Appl. Math. 15, 202, 1994;
+Schaeffer, G^3 14, 751, 2013): an FFT along phi and one Legendre product per
+order m.  A grid keeps the normalized P_lm, dP_lm/dtheta and d2P_lm/dtheta2 at
+its colatitudes, not a dense (nodes x harmonics) basis.  Only the solver's
+matrix assembly reads a dense basis, and only its base band, built from those
+tables on first use per band limit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -35,10 +38,43 @@ def coeff_index(l, m):
     return l * l + l + m
 
 
+def _band_limit(nb):
+    """lmax of a flat coefficient vector of length nb."""
+    lmax = int(round(math.sqrt(nb))) - 1
+    if n_coeffs(lmax) != nb:
+        raise ShapeMismatch(f"coefficient vector length {nb} is not a square")
+    return lmax
+
+
 def lm_arrays(lmax):
     ls = np.concatenate([np.full(2 * l + 1, l) for l in range(lmax + 1)])
     ms = np.concatenate([np.arange(-l, l + 1) for l in range(lmax + 1)])
     return ls, ms
+
+
+def _legendre_orders(lmax, ct, st):
+    """Yield (m, P) with P[l - m] = P_lm(cos theta) for l = m..lmax.
+
+    Normalization as in _normalized_legendre; one three-term recurrence in l
+    per order m, seeded by the sectoral P_mm.  Nothing divides by sin(theta),
+    so the poles are regular.
+    """
+    pmm = np.full(ct.shape, math.sqrt(1.0 / (4.0 * math.pi)))
+    for m in range(lmax + 1):
+        if m > 0:
+            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * pmm
+        P = np.empty((lmax + 1 - m,) + ct.shape)
+        P[0] = pmm
+        if m < lmax:
+            P[1] = math.sqrt(2.0 * m + 3.0) * ct * pmm
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
+            b = math.sqrt(
+                (2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
+                / ((2.0 * l - 3.0) * (l - m) * (l + m))
+            )
+            P[l - m] = a * ct * P[l - m - 1] - b * P[l - m - 2]
+        yield m, P
 
 
 def _normalized_legendre(lmax, theta):
@@ -47,26 +83,13 @@ def _normalized_legendre(lmax, theta):
     Normalization is such that int_0^pi P_lm^2 sin(theta) dtheta = 1/(2 pi),
     i.e. the m=0 harmonics are P_l0 themselves and the m>0 harmonics pick up a
     sqrt(2) azimuthal factor.  No Condon-Shortley phase.  Returns arrays of
-    shape (lmax+1, lmax+1, len(theta)) indexed [l, m, node], zero for m > l;
-    nodes run last so each recurrence step is a contiguous row operation.
+    shape (lmax+1, lmax+1, len(theta)) indexed [l, m, node], zero for m > l.
     """
     theta = np.asarray(theta, dtype=float)
     ct, st = np.cos(theta), np.sin(theta)
-    n = theta.shape[0]
-    P = np.zeros((lmax + 1, lmax + 1, n))
-    P[0, 0] = math.sqrt(1.0 / (4.0 * math.pi))
-    for m in range(1, lmax + 1):
-        P[m, m] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * P[m - 1, m - 1]
-    for m in range(0, lmax):
-        P[m + 1, m] = math.sqrt(2.0 * m + 3.0) * ct * P[m, m]
-    for m in range(0, lmax + 1):
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
-            b = math.sqrt(
-                (2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
-                / ((2.0 * l - 3.0) * (l - m) * (l + m))
-            )
-            P[l, m] = a * ct * P[l - 1, m] - b * P[l - 2, m]
+    P = np.zeros((lmax + 1, lmax + 1, theta.shape[0]))
+    for m, Pm in _legendre_orders(lmax, ct, st):
+        P[m:, m] = Pm
     # dP/dtheta from sin(theta) P' = l cos(theta) P_lm - c_lm P_{l-1,m}
     dP = np.zeros_like(P)
     for m in range(0, lmax + 1):
@@ -81,7 +104,8 @@ def real_sph_basis(lmax, theta, phi):
     """Real orthonormal harmonics and their theta-derivatives at given angles.
 
     theta, phi are flat arrays of equal length; returns (Y, Yt) of shape
-    (npoints, (lmax+1)**2).
+    (npoints, (lmax+1)**2).  A dense reference: the grid transforms and
+    synthesize_at do not use it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -104,16 +128,43 @@ def real_sph_basis(lmax, theta, phi):
     return np.ascontiguousarray(Y.T), np.ascontiguousarray(Yt.T)
 
 
+def synthesize_at(coeffs, theta, phi):
+    """Field of flat harmonic coefficients at scattered directions.
+
+    The degrees of each order m are summed against its Legendre recurrence,
+    so no (points x harmonics) matrix is formed; the poles are regular.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    lmax = _band_limit(coeffs.shape[-1])
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    out = np.zeros(theta.shape)
+    for m, P in _legendre_orders(lmax, np.cos(theta), np.sin(theta)):
+        l = np.arange(m, lmax + 1)
+        if m == 0:
+            out += coeffs[l * l + l] @ P
+            continue
+        cos_sin = coeffs[np.stack([l * l + l + m, l * l + l - m])] @ P
+        out += math.sqrt(2.0) * (cos_sin[0] * np.cos(m * phi) + cos_sin[1] * np.sin(m * phi))
+    return out
+
+
 @dataclass
 class SphereGrid:
-    """Gauss-Legendre x equispaced-longitude quadrature grid with transforms."""
+    """Gauss-Legendre x equispaced-longitude quadrature grid with transforms.
+
+    `legendre[m, q * ntheta + i, l]` holds P_lm (q = 0), dP_lm/dtheta (q = 1)
+    and d2P_lm/dtheta2 (q = 2) at colatitude i, with the sqrt(2) of the m > 0
+    harmonics folded in and zeros for l < m.  Coefficients map into
+    (order m, degree l, cos/sin) slots through `spectral_index`.
+    """
 
     lmax: int
     theta: np.ndarray          # colatitudes, shape (ntheta,)
     phi: np.ndarray            # longitudes, shape (nphi,)
     w: np.ndarray              # node weights (flattened), sum = 4 pi
-    Y: np.ndarray = field(repr=False)       # (nnodes, nbasis)
-    Yt: np.ndarray = field(repr=False)      # d/dtheta
+    legendre: np.ndarray = field(repr=False)        # (lmax+1, 3 ntheta, lmax+1)
+    spectral_index: np.ndarray = field(repr=False)  # flat (l, m) -> (|m|, l, m < 0)
     ls: np.ndarray = field(repr=False)
     ms: np.ndarray = field(repr=False)
 
@@ -133,17 +184,17 @@ class SphereGrid:
     def nbasis(self):
         return n_coeffs(self.lmax)
 
-    def mesh(self):
-        """(theta, phi) node arrays, flattened theta-major."""
+    @cached_property
+    def _mesh(self):
         TH, PH = np.meshgrid(self.theta, self.phi, indexing="ij")
-        return TH.ravel(), PH.ravel()
+        return _read_only(TH.ravel(), PH.ravel())
 
-    def unit_vectors(self):
-        """Unit directions omega and their first/second angular derivatives.
+    def mesh(self):
+        """(theta, phi) node arrays, flattened theta-major; read-only."""
+        return self._mesh
 
-        Returns dict with keys 'o', 'ot', 'op', 'ott', 'otp', 'opp', each of
-        shape (nnodes, 3).
-        """
+    @cached_property
+    def _unit_vectors(self):
         th, ph = self.mesh()
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
@@ -153,7 +204,42 @@ class SphereGrid:
         ott = -o
         otp = np.stack([-ct * sp, ct * cp, np.zeros_like(st)], axis=-1)
         opp = np.stack([-st * cp, -st * sp, np.zeros_like(st)], axis=-1)
-        return {"o": o, "ot": ot, "op": op, "ott": ott, "otp": otp, "opp": opp}
+        keys = ("o", "ot", "op", "ott", "otp", "opp")
+        return MappingProxyType(dict(zip(keys, _read_only(o, ot, op, ott, otp, opp))))
+
+    def unit_vectors(self):
+        """Unit directions omega and their first/second angular derivatives.
+
+        Returns a read-only mapping with keys 'o', 'ot', 'op', 'ott', 'otp',
+        'opp', each of shape (nnodes, 3).
+        """
+        return self._unit_vectors
+
+    @cached_property
+    def _base(self):
+        return {}
+
+    def base_basis(self, lmax):
+        """Dense (Y, Y_theta) of the harmonics up to lmax at the nodes.
+
+        Shape (nnodes, n_coeffs(lmax)) each, built from the Legendre tables
+        once per band limit and kept read-only; the matrix assemblies of the
+        solver read it.
+        """
+        if lmax not in self._base:
+            nb = n_coeffs(lmax)
+            ls, ms = self.ls[:nb], self.ms[:nb]
+            am = np.abs(ms)
+            nt = self.ntheta
+            mphi = np.multiply.outer(self.phi, am)
+            trig = np.where(ms >= 0, np.cos(mphi), np.sin(mphi))
+            # table[|m_j|, q * nt + i, l_j] * trig(m_j phi), node i * nphi + k
+            Y, Yt = (
+                (self.legendre[am, q * nt : (q + 1) * nt, ls].T[:, None, :] * trig).reshape(self.nnodes, nb)
+                for q in (0, 1)
+            )
+            self._base[lmax] = _read_only(Y, Yt)
+        return self._base[lmax]
 
     # -- transforms -------------------------------------------------------
 
@@ -170,42 +256,71 @@ class SphereGrid:
     def analyze(self, values):
         """Forward transform: nodal values -> real harmonic coefficients."""
         values = self._check_values(values)
-        return (values * self.w) @ self.Y
+        lead = values.shape[:-1]
+        nt, M = self.ntheta, self.lmax + 1
+        k = math.prod(lead)
+        # nphi = 2 M: the orders m <= lmax stop below the Nyquist frequency
+        F = np.fft.rfft(values.reshape(k, nt, self.nphi))[..., :M] * self.w[:: self.nphi, None]
+        # (m, theta, field) with each field's real and imaginary part adjacent
+        F = np.ascontiguousarray(F.transpose(2, 1, 0)).view(np.float64)
+        out = np.matmul(self.legendre[:, :nt].transpose(0, 2, 1), F)
+        # sum_j f_j cos(m phi_j) = Re F_m and sum_j f_j sin(m phi_j) = -Im F_m
+        out = out.reshape(M * M, k, 2).transpose(1, 0, 2).reshape(k, 2 * M * M)[:, self.spectral_index]
+        out[:, self.ms < 0] *= -1.0
+        return out.reshape(lead + (self.nbasis,))
 
-    def synthesize(self, coeffs):
-        """Inverse transform: coefficients -> nodal values."""
+    def _legendre_sums(self, coeffs, rows):
+        """Legendre sums of each order m against table rows, as phi spectra.
+
+        Returns complex (field, row, m): A_m - i B_m for the cos and sin sums
+        A_m, B_m, halved for m > 0, so that an inverse rfft without the
+        1/nphi factor sums the orders into nodal values.
+        """
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape[-1] != self.nbasis:
             raise ShapeMismatch(
                 f"expected {self.nbasis} coefficients, got {coeffs.shape[-1]}"
             )
-        return coeffs @ self.Y.T
+        k = math.prod(coeffs.shape[:-1])
+        M = self.lmax + 1
+        S = np.zeros((k, 2 * M * M))
+        S[:, self.spectral_index] = coeffs.reshape(k, self.nbasis) * self._synthesis_scale
+        S = S.reshape(k, M * M, 2).transpose(1, 0, 2).reshape(M, M, 2 * k)
+        return np.matmul(self.legendre[:, rows], S).view(np.complex128).T
 
-    def d_phi_coeffs(self, coeffs):
-        """Coefficients of the longitude derivative of the synthesized field."""
-        # d/dphi maps cos(m phi) -> -m sin(m phi) and sin(m phi) -> m cos(m phi)
-        return (-self.ms * np.asarray(coeffs, dtype=float))[..., self.partner(self.lmax)]
+    @cached_property
+    def _synthesis_scale(self):
+        return np.where(self.ms == 0, 1.0, np.where(self.ms > 0, 0.5, -0.5))
+
+    def _nodal(self, spectra, lead):
+        """(..., field, theta, m) spectra -> (..., *lead, nnodes) nodal values."""
+        out = np.fft.irfft(spectra, n=self.nphi, norm="forward")
+        return out.reshape(out.shape[:-3] + lead + (self.nnodes,))
+
+    def synthesize(self, coeffs):
+        """Inverse transform: coefficients -> nodal values."""
+        C = self._legendre_sums(coeffs, slice(0, self.ntheta))
+        # the Nyquist order stays zero: m <= lmax < nphi / 2
+        X = np.zeros(C.shape[:-1] + (C.shape[-1] + 1,), dtype=np.complex128)
+        X[..., :-1] = C
+        return self._nodal(X, np.shape(coeffs)[:-1])
 
     def synth_jet(self, coeffs):
         """Nodal value and first/second angular derivatives of a field.
 
         Returns dict with keys 'f', 'ft', 'fp', 'ftt', 'ftp', 'fpp'.  The
-        second theta-derivative uses the harmonic ODE
-        d2Y/dtheta2 = -cot(theta) dY/dtheta - (l(l+1) - m^2/sin^2) Y,
-        which is exact on the (pole-free) Gauss nodes.
+        theta-derivatives come from the tabulated dP and d2P; d/dphi acts on
+        the order-m spectra as multiplication by i m.
         """
-        coeffs = np.asarray(coeffs, dtype=float)
-        th, _ = self.mesh()
-        ct, st = np.cos(th), np.sin(th)
-        dphi = self.d_phi_coeffs(coeffs)
-        f = coeffs @ self.Y.T
-        ft = coeffs @ self.Yt.T
-        fp = dphi @ self.Y.T
-        ftp = dphi @ self.Yt.T
-        fpp = self.d_phi_coeffs(dphi) @ self.Y.T
-        lap_c = self.ls * (self.ls + 1.0)
-        m2 = self.ms.astype(float) ** 2
-        ftt = -(ct / st) * ft - (lap_c * coeffs) @ self.Y.T + ((m2 * coeffs) @ self.Y.T) / st**2
+        nt, M = self.ntheta, self.lmax + 1
+        C = self._legendre_sums(coeffs, slice(None))
+        C = C.reshape(C.shape[0], 3, nt, M).swapaxes(0, 1)
+        X = np.zeros((6,) + C.shape[1:-1] + (M + 1,), dtype=np.complex128)
+        X[:3, ..., :M] = C                                  # f, ft, ftt from P, dP, d2P
+        m = np.arange(M + 0.0)
+        np.multiply(C[:2], 1j * m, out=X[3:5, ..., :M])     # fp, ftp
+        np.multiply(C[0], -m * m, out=X[5, ..., :M])        # fpp
+        f, ft, ftt, fp, ftp, fpp = self._nodal(X, np.shape(coeffs)[:-1])
         return {"f": f, "ft": ft, "fp": fp, "ftt": ftt, "ftp": ftp, "fpp": fpp}
 
     def partner(self, lmax):
@@ -221,6 +336,7 @@ class SphereGrid:
         partners; the projection is one GEMM onto the base band.
         """
         nb = n_coeffs(lmax)
+        Y, Yt = self.base_basis(lmax)
         a0, a1, a2, a3, a4, a5 = (self.w * np.asarray(f, dtype=float) for f in a)
         th, _ = self.mesh()
         ct, st = np.cos(th), np.sin(th)
@@ -229,13 +345,13 @@ class SphereGrid:
         out = np.multiply.outer(a3, -(ls * (ls + 1.0)))
         out += np.multiply.outer(a3 / st**2 - a5, ms.astype(float) ** 2)
         out += a0[:, None]
-        out *= self.Y[:, :nb]
-        out += self.Yt[:, :nb] * (a1 - a3 * ct / st)[:, None]
+        out *= Y
+        out += Yt * (a1 - a3 * ct / st)[:, None]
         # u_p of harmonic j is -m_j times harmonic p_j, and m_{p_j} = -m_j
-        dphi = self.Y[:, :nb] * np.multiply.outer(a2, ms)
-        dphi += self.Yt[:, :nb] * np.multiply.outer(a4, ms)
+        dphi = Y * np.multiply.outer(a2, ms)
+        dphi += Yt * np.multiply.outer(a4, ms)
         out += dphi[:, self.partner(lmax)]
-        return (out.T @ self.Y[:, :nb]).T
+        return (out.T @ Y).T
 
     def integrate(self, values):
         """Quadrature of nodal values against the round measure sin(theta) dtheta dphi."""
@@ -243,8 +359,14 @@ class SphereGrid:
         return values @ self.w
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def build_grid(lmax):
-    """Build the quadrature grid and transform matrices for a band limit."""
+    """Build the quadrature grid and its Legendre tables for a band limit."""
     if lmax < MIN_LMAX:
         raise BandLimitTooSmall(f"band limit {lmax} < {MIN_LMAX}")
     x, wgl = leggauss(lmax + 1)
@@ -254,12 +376,22 @@ def build_grid(lmax):
     nphi = 2 * lmax + 2
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     w = np.repeat(wtheta, nphi) * (2.0 * np.pi / nphi)
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    Y, Yt = real_sph_basis(lmax, TH.ravel(), PH.ravel())
+    P, dP = _normalized_legendre(lmax, theta)
+    # harmonic ODE, exact at the pole-free Gauss nodes:
+    # d2P/dtheta2 = -cot(theta) dP/dtheta - (l(l+1) - m^2/sin^2) P
+    l = np.arange(lmax + 1.0)[:, None, None]
+    m = np.arange(lmax + 1.0)[None, :, None]
+    ct, st = np.cos(theta), np.sin(theta)
+    d2P = -(ct / st) * dP - (l * (l + 1.0) - m**2 / st**2) * P
+    scale = np.where(m > 0, math.sqrt(2.0), 1.0)
+    legendre = np.ascontiguousarray((np.concatenate([P, dP, d2P], axis=2) * scale).transpose(1, 2, 0))
     ls, ms = lm_arrays(lmax)
-    for a in (theta, phi, w, Y, Yt, ls, ms):
-        a.flags.writeable = False
-    return SphereGrid(lmax=lmax, theta=theta, phi=phi, w=w, Y=Y, Yt=Yt, ls=ls, ms=ms)
+    spectral_index = (np.abs(ms) * (lmax + 1) + ls) * 2 + (ms < 0)
+    _read_only(theta, phi, w, legendre, spectral_index, ls, ms)
+    return SphereGrid(
+        lmax=lmax, theta=theta, phi=phi, w=w, legendre=legendre,
+        spectral_index=spectral_index, ls=ls, ms=ms,
+    )
 
 
 @lru_cache(maxsize=32)
@@ -297,9 +429,5 @@ def laplace_round(coeffs, r):
     if r <= 0:
         raise NonpositiveRadius(f"radius {r} <= 0")
     coeffs = np.asarray(coeffs, dtype=float)
-    nb = coeffs.shape[-1]
-    lmax = int(round(math.sqrt(nb))) - 1
-    if n_coeffs(lmax) != nb:
-        raise ShapeMismatch(f"coefficient vector length {nb} is not a square")
-    ls, _ = lm_arrays(lmax)
+    ls, _ = lm_arrays(_band_limit(coeffs.shape[-1]))
     return -(ls * (ls + 1.0)) / r**2 * coeffs

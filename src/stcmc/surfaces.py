@@ -33,7 +33,7 @@ from .spectral import (
     get_grid,
     n_coeffs,
     pad_coeffs,
-    real_sph_basis,
+    synthesize_at,
     truncate_coeffs,
 )
 
@@ -81,8 +81,7 @@ class GraphSurface:
 
     def radius_at(self, theta, phi):
         """r0 + f at arbitrary directions (for re-basing and leaf comparison)."""
-        Y, _ = real_sph_basis(self.lmax, theta, phi)
-        return self.r0 + Y @ self.coeffs
+        return self.r0 + synthesize_at(self.coeffs, theta, phi)
 
     def scaled(self, factor):
         """Radial rescaling about the own center: rho -> factor * rho."""
@@ -468,9 +467,10 @@ def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
     e_t = rho[..., None] * uv["ot"]
     e_p = rho[..., None] * uv["op"]
     frame = np.stack([e_t, e_p], axis=-2)
-    K_ab = np.einsum("...ai,...bj,...ij->...ab", frame, frame, K)
-    K_ta = np.einsum("...i,...aj,...ij->...a", uv["o"], frame, K)
-    K_tt = np.einsum("...i,...j,...ij->...", uv["o"], uv["o"], K)
+    K_ab = frame @ K @ frame.swapaxes(-1, -2)
+    Ko = (uv["o"][..., None, :] @ K)[..., 0, :]              # o_i K_ij
+    K_ta = (frame @ Ko[..., None])[..., 0]
+    K_tt = (Ko[..., None, :] @ uv["o"][..., None])[..., 0, 0]
     P = np.einsum(
         "...ab,...ab->...",
         G,

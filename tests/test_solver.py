@@ -87,9 +87,7 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
     fields = sv._OperatorFields(fr)
     grid = fr.grid
     nb = n_coeffs(S.lmax)
-    C = np.zeros((nb, grid.nbasis))
-    C[:, :nb] = np.eye(nb)
-    U = C @ grid.Y.T
+    U = grid.base_basis(S.lmax)[0].T
     pot = grid.analyze(((fields.A2 + fields.ricnn)[:, None] * U.T).T)[:, :nb]
     classical = lap - pot.T
     assert np.max(np.abs(mats["L_H"] - classical)) < 1e-12

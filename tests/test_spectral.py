@@ -39,8 +39,48 @@ def test_orthonormality_l3m2():
 
 
 def test_full_gram_matrix_identity():
-    gram = (G16.Y * G16.w[:, None]).T @ G16.Y
+    gram = G16.analyze(G16.synthesize(np.eye(G16.nbasis)))
     assert np.max(np.abs(gram - np.eye(G16.nbasis))) < 1e-12
+
+
+def _dense_jet(lmax, c, th, ph):
+    """Every synth_jet key from the dense basis: partners for d/dphi, the harmonic ODE for d2/dtheta2."""
+    Y, Yt = real_sph_basis(lmax, th, ph)
+    ls, ms = lm_arrays(lmax)
+    partner = np.arange(n_coeffs(lmax)) - 2 * ms
+    dphi = (-ms * c)[..., partner]
+    st, ct = np.sin(th), np.cos(th)
+    return {
+        "f": c @ Y.T,
+        "ft": c @ Yt.T,
+        "fp": dphi @ Y.T,
+        "ftt": -(ct / st) * (c @ Yt.T) - ((ls * (ls + 1.0)) * c) @ Y.T + ((ms**2.0 * c) @ Y.T) / st**2,
+        "ftp": dphi @ Yt.T,
+        "fpp": (-ms * dphi)[..., partner] @ Y.T,
+    }
+
+
+@pytest.mark.parametrize("lmax", [4, 8, 16, 37])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_transforms_match_dense_basis(lmax, lead):
+    grid = get_grid(lmax)
+    th, ph = grid.mesh()
+    rng = np.random.default_rng(lmax + len(lead))
+    c = rng.normal(size=lead + (grid.nbasis,))
+    values = rng.normal(size=lead + (grid.nnodes,))
+    Y, _ = real_sph_basis(lmax, th, ph)
+
+    def rel(x, ref):
+        assert x.shape == ref.shape
+        return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+    assert rel(grid.analyze(values), (values * grid.w) @ Y) <= 1e-13
+    assert rel(grid.synthesize(c), c @ Y.T) <= 1e-13
+    jet = grid.synth_jet(c)
+    ref = _dense_jet(lmax, c, th, ph)
+    assert list(jet) == list(ref)
+    for key in ref:
+        assert rel(jet[key], ref[key]) <= 1e-13, key
 
 
 def test_constant_has_only_monopole():
@@ -149,13 +189,70 @@ def test_basis_jet_matches_synth_jet(grid, lmax):
 
 def test_cached_grid_is_read_only():
     grid = get_grid(8)
-    for name in ("theta", "phi", "w", "Y", "Yt", "ls", "ms"):
+    for name in ("theta", "phi", "w", "legendre", "spectral_index", "ls", "ms"):
         with pytest.raises(ValueError):
             getattr(grid, name)[0] = 0
-    nb = n_coeffs(8)
-    for view in (grid.Y[:, :nb], grid.Yt[:, :nb]):
+    for lmax in (5, 8):
+        for view in grid.base_basis(lmax):
+            assert view.shape == (grid.nnodes, n_coeffs(lmax))
+            with pytest.raises(ValueError):
+                view *= 2.0
+    assert grid.base_basis(5)[0] is grid.base_basis(5)[0]
+
+
+def test_base_basis_is_the_dense_basis():
+    grid = get_grid(16)
+    Y, Yt = real_sph_basis(16, *grid.mesh())
+    B, Bt = grid.base_basis(10)
+    nb = n_coeffs(10)
+    assert np.array_equal(B, Y[:, :nb]) and np.array_equal(Bt, Yt[:, :nb])
+
+
+def test_mesh_and_unit_vectors_are_cached_read_only():
+    grid = get_grid(8)
+    TH, PH = np.meshgrid(grid.theta, grid.phi, indexing="ij")
+    th, ph = grid.mesh()
+    assert np.array_equal(th, TH.ravel()) and np.array_equal(ph, PH.ravel())
+    st_, ct = np.sin(th), np.cos(th)
+    sp, cp = np.sin(ph), np.cos(ph)
+    zero = np.zeros_like(th)
+    expected = {
+        "o": np.stack([st_ * cp, st_ * sp, ct], axis=-1),
+        "ot": np.stack([ct * cp, ct * sp, -st_], axis=-1),
+        "op": np.stack([-st_ * sp, st_ * cp, zero], axis=-1),
+        "ott": -np.stack([st_ * cp, st_ * sp, ct], axis=-1),
+        "otp": np.stack([-ct * sp, ct * cp, zero], axis=-1),
+        "opp": np.stack([-st_ * cp, -st_ * sp, zero], axis=-1),
+    }
+    uv = grid.unit_vectors()
+    assert uv is grid.unit_vectors() and grid.mesh()[0] is th
+    assert list(uv) == list(expected)
+    for key, val in expected.items():
+        assert np.array_equal(uv[key], val)
         with pytest.raises(ValueError):
-            view *= 2.0
+            uv[key][0, 0] = 1.0
+    for a in (th, ph):
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+
+
+def test_operator_matrix_holds_no_full_width_basis():
+    grid = get_grid(37)
+    a = np.random.default_rng(2).normal(size=(6, grid.nnodes))
+    grid.operator_matrix(a, 24)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif hasattr(obj, "items"):
+            for v in obj.values():
+                yield from arrays(v)
+        elif isinstance(obj, (tuple, list)):
+            for v in obj:
+                yield from arrays(v)
+
+    sizes = [a.size for a in arrays(vars(grid))]
+    assert sizes and max(sizes) < grid.nnodes * grid.nbasis
 
 
 def test_pad_truncate_round_trip():

@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from stcmc.chart import PerturbationProvider, RotatedProvider, SchwarzschildProvider, TranslatedProvider
 from stcmc.errors import ConfigError, DegenerateInducedMetric, FoliationNotSupported, MaxIterations, TrappedRegion
-from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs
+from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, real_sph_basis
 from stcmc.surfaces import (
     GraphSurface,
     appendix_graph_coefficients,
@@ -205,6 +206,27 @@ def test_trapped_region_raises():
     prov = PerturbationProvider(terms)
     with pytest.raises(TrappedRegion):
         surface_frames(prov, GraphSurface.round([0, 0, 0], 50.0, 8))
+
+
+def test_radius_at_matches_dense_basis():
+    rng = np.random.default_rng(21)
+    S = random_surface(rng, lmax=24, r0=7.0, amp=0.2)
+    th = np.arccos(rng.uniform(-1.0, 1.0, 500))
+    ph = rng.uniform(0.0, 2 * np.pi, 500)
+    Y, _ = real_sph_basis(24, th, ph)
+    ref = S.r0 + Y @ S.coeffs
+    assert np.max(np.abs(S.radius_at(th, ph) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_radius_at_poles_is_the_zonal_sum():
+    rng = np.random.default_rng(22)
+    S = random_surface(rng, lmax=10, r0=3.0, amp=0.3)
+    l = np.arange(11)
+    zonal = S.coeffs[l * l + l] * np.sqrt((2 * l + 1) / (4 * np.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = S.radius_at(np.array([0.0, np.pi]), np.array([0.7, 2.0]))
+    assert np.allclose(rho, [S.r0 + zonal.sum(), S.r0 + (zonal * (-1.0) ** l).sum()], rtol=0, atol=1e-14)
 
 
 def test_rebase_preserves_surface(euclid):
