@@ -69,7 +69,10 @@ class MetricJet:
     @cached_property
     def dginv(self):
         """dginv[n, a, b, k] = d_k g^ab = -g^ap g^bq d_k g_pq."""
-        return _read_only(-np.einsum("nap,nbq,npqk->nabk", self.ginv, self.ginv, self.dg))
+        # two batched products: t[n, a, q, k] = g^ap d_k g_pq, then g^bq t[n, a, q, k]
+        n = self.dg.shape[0]
+        t = np.matmul(self.ginv, self.dg.reshape(n, 3, 9)).reshape(n, 3, 3, 3)
+        return _read_only(-np.matmul(self.ginv[:, None], t))
 
     @cached_property
     def Gam(self):

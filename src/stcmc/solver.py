@@ -10,13 +10,14 @@ graph.  Its linearization with respect to normal speed u is
 and the rescaled operator script-L = sqrt(1 - (P/H)^2) L has the same kernel
 structure with a uniformly bounded prefactor.  Each operator is six nodal
 coefficient fields of (u, u_t, u_p, u_tt, u_tp, u_pp); operator_matrix
-applies them to every harmonic and projects back in one GEMM.  The fields
-reuse the frame's geometry: CurvatureField's ambient Hessian D_ab feeds both
-A (normal part, in surface_frames) and the induced connection of the
+projects their action on each base-band harmonic onto the base band by the
+grid's separable quadrature (SphereGrid.bilinear), with no dense basis.  The
+fields reuse the frame's geometry: CurvatureField's ambient Hessian D_ab feeds
+both A (normal part, in surface_frames) and the induced connection of the
 Laplacian (tangential part, Gauss formula), and Ric(nu, nu) and nabla K read
 the inverse and Christoffel symbols its metric jet already holds.  The Laplace
-spectrum uses the variational stiffness/mass form instead, which preserves
-self-adjointness.
+spectrum uses the variational stiffness/mass form instead, from the same
+quadrature, which preserves self-adjointness.
 
 Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
@@ -439,18 +440,12 @@ def _annotate_lapse_positivity(leaves):
 # -- spectra -------------------------------------------------------------------
 
 def _stiffness_mass(fr: CurvatureField, lmax):
-    """Stiffness and mass matrices of the induced Laplacian, and the basis columns."""
-    grid = fr.grid
-    nb = n_coeffs(lmax)
-    B, Bt = grid.base_basis(lmax)
-    Bp = B[:, grid.partner(lmax)] * -grid.ms[:nb]
-    w = grid.w * fr.dmu
-    wgi = w[:, None, None] * fr.g2inv
-    # one GEMM: node-stacked gradients [Bt; Bp] against their g2inv-weighted images
-    wgrad = np.concatenate([wgi[:, a, 0, None] * Bt + wgi[:, a, 1, None] * Bp for a in (0, 1)])
-    S = np.concatenate([Bt, Bp]).T @ wgrad
-    M = (B * w[:, None]).T @ B
-    return S, M, B
+    """Stiffness and mass matrices of the induced Laplacian in the base band."""
+    gi = fr.dmu[:, None, None] * fr.g2inv
+    grad = ("ft", "fp")
+    S = fr.grid.bilinear([(grad[a], grad[b], gi[:, a, b]) for a in (0, 1) for b in (0, 1)], lmax)
+    M = fr.grid.bilinear([("f", "f", fr.dmu)], lmax)
+    return S, M
 
 
 def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
@@ -465,9 +460,11 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     prov = as_provider(spec)
     fr = frames if frames is not None else surface_frames(prov, surface)
     nb = n_coeffs(surface.lmax)
+    if k < 3:
+        raise ConfigError(f"k = {k}: the aligned l = 1 triple needs the eigenpairs 1..3, so k >= 3")
     if k + 1 > nb:
         raise ConfigError(f"requested {k} eigenvalues exceeds basis size {nb}")
-    S, M, B = _stiffness_mass(fr, surface.lmax)
+    S, M = _stiffness_mass(fr, surface.lmax)
     S = 0.5 * (S + S.T)
     M = 0.5 * (M + M.T)
     try:
@@ -480,8 +477,11 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     r = sc.area_radius
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * r**4)) * (fr.X - sc.center[None, :])
     w = fr.grid.w * fr.dmu
-    phi_nodal = B @ V[:, 1:4]
-    proj = np.einsum("ni,nj,n->ij", phi_nodal, fdelta, w)
+
+    def nodal(columns):
+        return fr.grid.synthesize(pad_coeffs(columns.T, surface.lmax, fr.grid.lmax))
+
+    proj = np.einsum("in,nj,n->ij", nodal(V[:, 1:4]), fdelta, w)
     aligned = V[:, 1:4] @ proj
     # re-orthonormalize in the M inner product (Gram-Schmidt)
     for j in range(3):
@@ -492,8 +492,8 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     mH = sc.hawking_mass
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
     fields = _OperatorFields(fr)
-    al_nodal = B @ aligned
-    ric_ints = np.einsum("n,ni,ni->i", w * fields.ricnn, al_nodal, al_nodal)
+    al_nodal = nodal(aligned)
+    ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
     smin = _sigma_min_weighted(fields, surface.lmax, M)
     return SpectralReport(

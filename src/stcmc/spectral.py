@@ -9,9 +9,10 @@ ordered by (l, m) with index l**2 + l + m.
 Transforms are separable (Driscoll & Healy, Adv. Appl. Math. 15, 202, 1994;
 Schaeffer, G^3 14, 751, 2013): an FFT along phi and one Legendre product per
 order m.  A grid keeps the normalized P_lm, dP_lm/dtheta and d2P_lm/dtheta2 at
-its colatitudes, not a dense (nodes x harmonics) basis.  Only the solver's
-matrix assembly reads a dense basis, and only its base band, built from those
-tables on first use per band limit.
+its colatitudes and cos(m phi), sin(m phi) with their phi-derivatives at its
+longitudes, not a dense (nodes x harmonics) basis.  The Galerkin matrices of
+the solver (bilinear) separate the same way: phi-sums per latitude, then one
+Legendre contraction per order.
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from numpy.polynomial.legendre import leggauss
 from .errors import BandLimitTooSmall, NonpositiveRadius, ShapeMismatch
 
 MIN_LMAX = 4
+
+# synth_jet key -> (Legendre table q: P, dP or d2P; order of the phi-derivative)
+_JET_DERIVATIVES = {"f": (0, 0), "ft": (1, 0), "fp": (0, 1), "ftt": (2, 0), "ftp": (1, 1), "fpp": (0, 2)}
 
 
 def n_coeffs(lmax):
@@ -104,8 +108,8 @@ def real_sph_basis(lmax, theta, phi):
     """Real orthonormal harmonics and their theta-derivatives at given angles.
 
     theta, phi are flat arrays of equal length; returns (Y, Yt) of shape
-    (npoints, (lmax+1)**2).  A dense reference: the grid transforms and
-    synthesize_at do not use it.
+    (npoints, (lmax+1)**2).  A dense reference: the grid transforms, bilinear
+    and synthesize_at do not use it.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
@@ -155,8 +159,10 @@ class SphereGrid:
 
     `legendre[m, q * ntheta + i, l]` holds P_lm (q = 0), dP_lm/dtheta (q = 1)
     and d2P_lm/dtheta2 (q = 2) at colatitude i, with the sqrt(2) of the m > 0
-    harmonics folded in and zeros for l < m.  Coefficients map into
-    (order m, degree l, cos/sin) slots through `spectral_index`.
+    harmonics folded in and zeros for l < m.  `trig[d, k, m, c]` holds the
+    d-th phi-derivative (d = 0, 1, 2) of cos(m phi) (c = 0) and sin(m phi)
+    (c = 1) at longitude k.  Coefficients map into (order m, degree l,
+    cos/sin) slots through `spectral_index`.
     """
 
     lmax: int
@@ -216,30 +222,13 @@ class SphereGrid:
         return self._unit_vectors
 
     @cached_property
-    def _base(self):
-        return {}
-
-    def base_basis(self, lmax):
-        """Dense (Y, Y_theta) of the harmonics up to lmax at the nodes.
-
-        Shape (nnodes, n_coeffs(lmax)) each, built from the Legendre tables
-        once per band limit and kept read-only; the matrix assemblies of the
-        solver read it.
-        """
-        if lmax not in self._base:
-            nb = n_coeffs(lmax)
-            ls, ms = self.ls[:nb], self.ms[:nb]
-            am = np.abs(ms)
-            nt = self.ntheta
-            mphi = np.multiply.outer(self.phi, am)
-            trig = np.where(ms >= 0, np.cos(mphi), np.sin(mphi))
-            # table[|m_j|, q * nt + i, l_j] * trig(m_j phi), node i * nphi + k
-            Y, Yt = (
-                (self.legendre[am, q * nt : (q + 1) * nt, ls].T[:, None, :] * trig).reshape(self.nnodes, nb)
-                for q in (0, 1)
-            )
-            self._base[lmax] = _read_only(Y, Yt)
-        return self._base[lmax]
+    def trig(self):
+        """The phi table `trig[d, k, m, c]` of bilinear; read-only, built on first use."""
+        mphi = np.multiply.outer(self.phi, np.arange(self.lmax + 1))
+        cos_sin = np.stack([np.cos(mphi), np.sin(mphi)], axis=-1)
+        m = np.arange(self.lmax + 1.0)[:, None]
+        # d/dphi (cos, sin)(m phi) = m (-sin, cos)(m phi); d2/dphi2 = -m^2
+        return _read_only(np.stack([cos_sin, m * cos_sin[..., ::-1] * [-1.0, 1.0], -(m**2) * cos_sin]))[0]
 
     # -- transforms -------------------------------------------------------
 
@@ -323,35 +312,56 @@ class SphereGrid:
         f, ft, ftt, fp, ftp, fpp = self._nodal(X, np.shape(coeffs)[:-1])
         return {"f": f, "ft": ft, "fp": fp, "ftt": ftt, "ftp": ftp, "fpp": fpp}
 
-    def partner(self, lmax):
-        """(l, -m) partner p_j of each harmonic j up to lmax: d/dphi Y_j = -m_j Y_{p_j}."""
-        return np.arange(n_coeffs(lmax)) - 2 * self.ms[: n_coeffs(lmax)]
+    def bilinear(self, terms, lmax):
+        """Base-band matrix of a sum of bilinear forms, by quadrature.
+
+        `terms` holds (left, right, f): synth_jet keys ('f', 'ft', 'fp',
+        'ftt', 'ftp', 'fpp') of the derivatives D_left, D_right and a nodal
+        field f.  Entry [k, j] is the sum over terms of the quadrature of
+        f (D_left Y_k)(D_right Y_j), for j, k < n_coeffs(lmax).
+
+        Each derivative of Y is a Legendre table in theta times a `trig`
+        factor in phi, so the sum separates: one phi-sum per latitude and
+        pair of (order, cos/sin) slots, the right theta table folded in per
+        harmonic j, and one theta contraction per left order m.
+        """
+        nb = n_coeffs(lmax)
+        M, nt, nphi = lmax + 1, self.ntheta, self.nphi
+        ls, ms = self.ls[:nb], self.ms[:nb]
+        slots = 2 * np.abs(ms) + (ms < 0)
+        trig = self.trig[:, :, :M].reshape(3, nphi, 2 * M)
+        leg = self.legendre[:M].reshape(M, 3, nt, -1)[..., :M]       # [m, q, i, l]
+        right = leg[np.abs(ms), :, :, ls].transpose(1, 2, 0)         # [q, i, j]
+        # left derivative -> right theta table -> weighted field times the
+        # right trig factor, [longitude, latitude, slot_j]
+        groups = {}
+        for lkey, rkey, f in terms:
+            q, d = _JET_DERIVATIVES[rkey]
+            fw = (self.w * np.asarray(f, dtype=float)).reshape(nt, nphi).T[:, :, None] * trig[d][:, None, :]
+            sums = groups.setdefault(_JET_DERIVATIVES[lkey], {})
+            sums[q] = sums[q] + fw if q in sums else fw
+        # phi-sums G[m_k, c_k, i, slot_j] against the left trig factor, and the
+        # left theta tables stacked along the contracted (left, i) axis
+        folds = [
+            [((trig[d].T @ fw.reshape(nphi, -1)).reshape(M, 2, nt, 2 * M), right[q]) for q, fw in sums.items()]
+            for (_, d), sums in groups.items()
+        ]
+        left = np.concatenate([leg[:, q] for q, _ in groups], axis=1)  # [m, (left, i), l]
+        out = np.empty((M, 2, M, nb))
+        for m in range(M):
+            # per order, so the folded (cos/sin, (left, i), j) block stays in cache;
+            # l < m rows of the table are zero and stay unset
+            W = np.concatenate([sum(G[m][..., slots] * P for G, P in fold) for fold in folds], axis=1)
+            np.matmul(left[m, :, m:].T, W, out=out[m, :, m:])
+        return out.reshape(2 * M * M, nb)[slots * M + ls]
 
     def operator_matrix(self, a, lmax):
         """Base-band matrix of a0 u + a1 u_t + a2 u_p + a3 u_tt + a4 u_tp + a5 u_pp.
 
         `a` holds the six nodal fields; entry [k, j] projects the action on
-        harmonic j onto harmonic k, for j, k < n_coeffs(lmax).  The harmonic
-        ODE folds the second derivatives into columns of Y, Yt and their
-        partners; the projection is one GEMM onto the base band.
+        harmonic j onto harmonic k, for j, k < n_coeffs(lmax).
         """
-        nb = n_coeffs(lmax)
-        Y, Yt = self.base_basis(lmax)
-        a0, a1, a2, a3, a4, a5 = (self.w * np.asarray(f, dtype=float) for f in a)
-        th, _ = self.mesh()
-        ct, st = np.cos(th), np.sin(th)
-        ls, ms = self.ls[:nb], self.ms[:nb]
-        # u_tt = -cot u_t - l(l+1) u + m^2 u / sin^2 and u_pp = -m^2 u per harmonic
-        out = np.multiply.outer(a3, -(ls * (ls + 1.0)))
-        out += np.multiply.outer(a3 / st**2 - a5, ms.astype(float) ** 2)
-        out += a0[:, None]
-        out *= Y
-        out += Yt * (a1 - a3 * ct / st)[:, None]
-        # u_p of harmonic j is -m_j times harmonic p_j, and m_{p_j} = -m_j
-        dphi = Y * np.multiply.outer(a2, ms)
-        dphi += Yt * np.multiply.outer(a4, ms)
-        out += dphi[:, self.partner(lmax)]
-        return (out.T @ Y).T
+        return self.bilinear([("f", key, f) for key, f in zip(_JET_DERIVATIVES, a, strict=True)], lmax)
 
     def integrate(self, values):
         """Quadrature of nodal values against the round measure sin(theta) dtheta dphi."""

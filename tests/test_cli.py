@@ -74,6 +74,13 @@ def test_spectrum_command(capsys):
     assert "eigenvalues" in out and "sigma_min" in out
 
 
+@pytest.mark.parametrize("k", ["-1", "0", "2"])
+def test_spectrum_command_rejects_k_below_three(capsys, k):
+    rc = main(["spectrum", "--data", "schwarzschild", "--mass", "1", "--sigma", "40", "--lmax", "8", "--k", k])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
 def test_example_s9(tmp_path, capsys):
     out = tmp_path / "s9.csv"
     rc = main([

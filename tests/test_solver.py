@@ -34,7 +34,7 @@ from stcmc.solver import (
     operator_bound_check,
     uniqueness_cross_check,
 )
-from stcmc.spectral import coeff_index, n_coeffs, truncate_coeffs
+from stcmc.spectral import coeff_index, lm_arrays, n_coeffs, real_sph_basis, truncate_coeffs
 from stcmc.surfaces import GraphSurface, apriori_class_check, embedding_nodes, surface_frames
 
 R_STAR_SIGMA20 = 18.912985478471837  # largest root of r^3 - 400 r + 800 (np.roots oracle)
@@ -87,8 +87,8 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
     fields = sv._OperatorFields(fr)
     grid = fr.grid
     nb = n_coeffs(S.lmax)
-    U = grid.base_basis(S.lmax)[0].T
-    pot = grid.analyze(((fields.A2 + fields.ricnn)[:, None] * U.T).T)[:, :nb]
+    Y, _ = real_sph_basis(S.lmax, *grid.mesh())
+    pot = grid.analyze(((fields.A2 + fields.ricnn)[:, None] * Y).T)[:, :nb]
     classical = lap - pot.T
     assert np.max(np.abs(mats["L_H"] - classical)) < 1e-12
 
@@ -457,6 +457,30 @@ def test_eigensolver_failure_is_reported(euclid, monkeypatch):
         laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 5.0, 8))
 
 
+@pytest.mark.parametrize("lmax", [8, 24])
+def test_stiffness_mass_match_dense_basis(graphical, lmax):
+    # reference: gradients [Y_t; Y_p] of the dense basis, Y_p from the (l, -m) partners
+    S = random_surface(np.random.default_rng(lmax), lmax=lmax, r0=30.0, amp=0.3)
+    fr = surface_frames(graphical, S)
+    Y, Yt = real_sph_basis(lmax, *fr.grid.mesh())
+    ms = lm_arrays(lmax)[1]
+    Yp = Y[:, np.arange(n_coeffs(lmax)) - 2 * ms] * -ms
+    w = fr.grid.w * fr.dmu
+    grad = (Yt, Yp)
+    S_ref = sum(grad[a].T @ ((w * fr.g2inv[:, a, b])[:, None] * grad[b]) for a in (0, 1) for b in (0, 1))
+    M_ref = Y.T @ (w[:, None] * Y)
+    S_sep, M_sep = sv._stiffness_mass(fr, lmax)
+    for mat, ref in ((S_sep, S_ref), (M_sep, M_ref)):
+        assert mat.shape == ref.shape
+        assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("k", [-1, 0, 2])
+def test_spectrum_needs_the_l1_triple(euclid, k):
+    with pytest.raises(ConfigError):
+        laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 5.0, 8), k=k)
+
+
 def test_operator_bound_schwarzschild(schw, schw_leaf20):
     smin, bound, ratio = operator_bound_check(schw, schw_leaf20.surface)
     assert ratio >= 1.0
@@ -478,7 +502,7 @@ def test_operator_selfadjoint_when_time_symmetric(schw, schw_leaf20):
     S = schw_leaf20.surface
     fr = surface_frames(schw, S)
     L = assemble_linearization(schw, S, "L_script", frames=fr)
-    _, M, _ = _stiffness_mass(fr, S.lmax)
+    _, M = _stiffness_mass(fr, S.lmax)
     # weighted operator is symmetric; sigma_min equals the smallest |eigenvalue|
     R = np.linalg.cholesky(0.5 * (M + M.T)).T
     W = R @ L @ np.linalg.inv(R)

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from stcmc.errors import BandLimitTooSmall, NonpositiveRadius, ShapeMismatch
+from stcmc.solver import laplace_spectrum
 from stcmc.spectral import (
     build_grid,
     coeff_index,
@@ -16,6 +17,7 @@ from stcmc.spectral import (
     real_sph_basis,
     truncate_coeffs,
 )
+from stcmc.surfaces import GraphSurface
 
 G8 = build_grid(8)
 G16 = build_grid(16)
@@ -189,23 +191,9 @@ def test_basis_jet_matches_synth_jet(grid, lmax):
 
 def test_cached_grid_is_read_only():
     grid = get_grid(8)
-    for name in ("theta", "phi", "w", "legendre", "spectral_index", "ls", "ms"):
+    for name in ("theta", "phi", "w", "legendre", "trig", "spectral_index", "ls", "ms"):
         with pytest.raises(ValueError):
             getattr(grid, name)[0] = 0
-    for lmax in (5, 8):
-        for view in grid.base_basis(lmax):
-            assert view.shape == (grid.nnodes, n_coeffs(lmax))
-            with pytest.raises(ValueError):
-                view *= 2.0
-    assert grid.base_basis(5)[0] is grid.base_basis(5)[0]
-
-
-def test_base_basis_is_the_dense_basis():
-    grid = get_grid(16)
-    Y, Yt = real_sph_basis(16, *grid.mesh())
-    B, Bt = grid.base_basis(10)
-    nb = n_coeffs(10)
-    assert np.array_equal(B, Y[:, :nb]) and np.array_equal(Bt, Yt[:, :nb])
 
 
 def test_mesh_and_unit_vectors_are_cached_read_only():
@@ -236,10 +224,11 @@ def test_mesh_and_unit_vectors_are_cached_read_only():
             a[0] = 1.0
 
 
-def test_operator_matrix_holds_no_full_width_basis():
+def test_operator_matrix_holds_no_full_width_basis(euclid):
     grid = get_grid(37)
     a = np.random.default_rng(2).normal(size=(6, grid.nnodes))
     grid.operator_matrix(a, 24)
+    laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 5.0, 24), k=4)
 
     def arrays(obj):
         if isinstance(obj, np.ndarray):
@@ -252,7 +241,7 @@ def test_operator_matrix_holds_no_full_width_basis():
                 yield from arrays(v)
 
     sizes = [a.size for a in arrays(vars(grid))]
-    assert sizes and max(sizes) < grid.nnodes * grid.nbasis
+    assert sizes and max(sizes) < grid.nnodes * n_coeffs(24)
 
 
 def test_pad_truncate_round_trip():
