@@ -468,11 +468,9 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     S = 0.5 * (S + S.T)
     M = 0.5 * (M + M.T)
     try:
-        lam, V = scipy.linalg.eigh(S, M)
+        lam, V = scipy.linalg.eigh(S, M, subset_by_index=[0, k])
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverFailure(str(exc)) from exc
-    lam = lam[: k + 1]
-    V = V[:, : k + 1]
     sc = surface_scalars(prov, surface, fr)
     r = sc.area_radius
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * r**4)) * (fr.X - sc.center[None, :])

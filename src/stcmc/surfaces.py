@@ -26,6 +26,7 @@ from .errors import (
     DegenerateInducedMetric,
     FoliationNotSupported,
     MaxIterations,
+    NewtonDiverged,
     TrappedRegion,
 )
 from .spectral import (
@@ -417,13 +418,10 @@ def _check_flat_metric(prov, points):
         raise FoliationNotSupported("graph residual requires the flat background metric")
 
 
-def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
-    """Coefficient fields (a, b, F) of the quasilinear graph equation.
+def _graph_fields(sigma, f_coeffs, lmax, spec):
+    """(grid, jets, W, (G00, G01, G11), (b0, b1), F, P) of the graph equation.
 
-    The background is flat space foliated by round spheres along radial
-    geodesics; the prescribed surface has Lorentzian mean curvature 2/sigma.
-    f_coeffs has shape (..., n_coeffs(lmax)); returns nodal dicts on the
-    dealiased grid with the same leading axes.
+    Every field is a scalar of shape (..., nnodes); G is the inverse metric.
     """
     prov = as_provider(spec) if spec is not None else chart.EuclideanProvider()
     grid = get_grid(dealias_lmax(lmax))
@@ -434,50 +432,53 @@ def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
     rho = sigma + jets["f"]
     if np.any(rho <= 0):
         raise DegenerateInducedMetric("graph reaches the origin")
-    X = rho[..., None] * uv["o"]
-    points = X.reshape(-1, 3)
+    rho3 = rho[..., None]
+    points = (rho3 * uv["o"]).reshape(-1, 3)
     _check_flat_metric(prov, points)
 
-    ghat_inv = np.zeros((grid.nnodes, 2, 2))
-    ghat_inv[:, 0, 0] = 1.0
-    ghat_inv[:, 1, 1] = 1.0 / st**2
-    gt_inv = ghat_inv / rho[..., None, None] ** 2
-    df = np.stack([jets["ft"], jets["fp"]], axis=-1)
-    df_up = np.einsum("...ab,...b->...a", gt_inv, df)
-    df2 = np.einsum("...a,...a->...", df, df_up)
-    W2 = 1.0 + df2
+    ft, fp = jets["ft"], jets["fp"]
+    # inverse of the leaf metric g_t = rho^2 (round metric), and df raised by it
+    g0, g1 = 1.0 / rho**2, (1.0 / st**2) / rho**2
+    u0, u1 = g0 * ft, g1 * fp
+    W2 = 1.0 + (ft * u0 + fp * u1)
     W = np.sqrt(W2)
-    G = gt_inv - df_up[..., :, None] * df_up[..., None, :] / W2[..., None, None]
+    G00, G01, G11 = g0 - u0 * u0 / W2, -(u0 * u1 / W2), g1 - u1 * u1 / W2
 
-    a = G / W[..., None, None]
     # round-sphere Christoffels: Gam^theta_pp = -sin cos, Gam^phi_tp = cot
-    b = np.stack([-G[..., 1, 1] * (-st * ct) / W, -2.0 * G[..., 0, 1] * (ct / st) / W], axis=-1)
-
-    At = rho[..., None, None] * np.stack(
-        [np.stack([np.ones_like(st), np.zeros_like(st)], axis=1),
-         np.stack([np.zeros_like(st), st**2], axis=1)], axis=1)
-    # (A_t)^g_a = delta^g_a / rho, so 2 (A_t)^g_a f_b f_g = 2 f_a f_b / rho
-    quad = 2.0 * df[..., :, None] * df[..., None, :] / rho[..., None, None]
-    # Outward-normal graph curvature is G(-hess f + A_t + quad)/W: the residual
-    # a d2f + b df - F with a = G/W then needs F = G(A_t + quad)/W - sqrt(...),
+    b = (-G11 * (-st * ct) / W, -2.0 * G01 * (ct / st) / W)
+    # (A_t)_ab = rho ghat_ab and (A_t)^g_a = delta^g_a / rho, so 2 (A_t)^g_a f_b f_g
+    # = 2 f_a f_b / rho.  Outward-normal graph curvature is G(-hess f + A_t + quad)/W:
+    # the residual a d2f + b df - F with a = G/W then needs F = G(A_t + quad)/W - sqrt(...),
     # which makes translated round spheres exact roots in the flat vacuum case.
-    curv = np.einsum("...ab,...ab->...", G, At + quad) / W
+    q = 2.0 / rho
+    curv = (G00 * (rho + q * ft * ft) + 2.0 * G01 * (q * ft * fp) + G11 * (rho * st**2 + q * fp * fp)) / W
 
-    K = prov.extrinsic_jet(points).K.reshape(X.shape + (3,))
-    e_t = rho[..., None] * uv["ot"]
-    e_p = rho[..., None] * uv["op"]
-    frame = np.stack([e_t, e_p], axis=-2)
-    K_ab = frame @ K @ frame.swapaxes(-1, -2)
-    Ko = (uv["o"][..., None, :] @ K)[..., 0, :]              # o_i K_ij
-    K_ta = (frame @ Ko[..., None])[..., 0]
-    K_tt = (Ko[..., None, :] @ uv["o"][..., None])[..., 0, 0]
-    P = np.einsum(
-        "...ab,...ab->...",
-        G,
-        K_ab + 2.0 * df[..., :, None] * K_ta[..., None, :] + df[..., :, None] * df[..., None, :] * K_tt[..., None, None],
+    # P = G^{ab} K(X_a, X_b) with the graph tangents X_a = f_a o + rho o_a
+    K = prov.extrinsic_jet(points).K.reshape(rho.shape + (3, 3))
+    Xt = ft[..., None] * uv["o"] + rho3 * uv["ot"]
+    Xp = fp[..., None] * uv["o"] + rho3 * uv["op"]
+    KXt, KXp = (K @ Xt[..., None])[..., 0], (K @ Xp[..., None])[..., 0]
+    P = (
+        G00 * np.einsum("...i,...i", Xt, KXt)
+        + 2.0 * G01 * np.einsum("...i,...i", Xt, KXp)
+        + G11 * np.einsum("...i,...i", Xp, KXp)
     )
     F = curv - np.sqrt(P**2 + 4.0 / sigma**2)
-    return {"grid": grid, "jets": jets, "a": a, "b": b, "F": F, "P": P}
+    return grid, jets, W, (G00, G01, G11), b, F, P
+
+
+def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
+    """Coefficient fields (a, b, F) of the quasilinear graph equation.
+
+    The background is flat space foliated by round spheres along radial
+    geodesics; the prescribed surface has Lorentzian mean curvature 2/sigma.
+    f_coeffs has shape (..., n_coeffs(lmax)).  Returns a dict with the
+    dealiased `grid`, the height `jets` and the nodal fields `a` (..., nnodes,
+    2, 2), `b` (..., nnodes, 2), `F` and the expansion trace `P` (..., nnodes).
+    """
+    grid, jets, W, (G00, G01, G11), b, F, P = _graph_fields(sigma, f_coeffs, lmax, spec)
+    a = np.stack([np.stack([G00, G01], axis=-1), np.stack([G01, G11], axis=-1)], axis=-2) / W[..., None, None]
+    return {"grid": grid, "jets": jets, "a": a, "b": np.stack(b, axis=-1), "F": F, "P": P}
 
 
 def appendix_graph_residual(sigma, f_coeffs, lmax, spec=None):
@@ -486,21 +487,15 @@ def appendix_graph_residual(sigma, f_coeffs, lmax, spec=None):
     f_coeffs has shape (..., n_coeffs(lmax)); the residual has shape
     (..., nnodes) on the dealiased grid.
     """
-    c = appendix_graph_coefficients(sigma, f_coeffs, lmax, spec)
-    jets = c["jets"]
-    hess = np.stack(
-        [np.stack([jets["ftt"], jets["ftp"]], axis=-1), np.stack([jets["ftp"], jets["fpp"]], axis=-1)],
-        axis=-2,
-    )
-    df = np.stack([jets["ft"], jets["fp"]], axis=-1)
-    return np.einsum("...ab,...ab->...", c["a"], hess) + np.einsum("...a,...a->...", c["b"], df) - c["F"]
+    _, j, W, (G00, G01, G11), (b0, b1), F, _ = _graph_fields(sigma, f_coeffs, lmax, spec)
+    return (G00 * j["ftt"] + 2.0 * G01 * j["ftp"] + G11 * j["fpp"]) / W + b0 * j["ft"] + b1 * j["fp"] - F
 
 
 # Perturbed coefficient vectors per batched residual call in the
 # finite-difference Jacobian of solve_graph_residual.  Peak memory grows with
 # it: the flatness check asks the provider for full metric jets at every node
-# of every row (peak RSS of one lmax-10 root: 67 MB before the root, 74 MB at
-# 16 rows, 103 MB at 64, 151 MB with all 242 rows in one call).
+# of every row (peak RSS of one lmax-10 root: 60 MB before the root, 65 MB at
+# 16 rows, 75 MB at 64, 110 MB with all 242 rows in one call).
 FD_BLOCK = 16
 
 
@@ -510,7 +505,9 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, spec=None, tol=1e-12, max_iter=
     Deliberately independent of the embedding-based machinery so the two
     routes to a prescribed-curvature surface can be cross-checked.  The
     central differences f +- h e_j are evaluated FD_BLOCK rows per residual
-    call.
+    call.  Raises MaxIterations after max_iter steps, NewtonDiverged when 30
+    halvings of a step do not lower the residual sup (DegenerateInducedMetric
+    if the last one still reaches the origin), with sigma, iteration and sup.
     """
     grid = get_grid(dealias_lmax(lmax))
     nb = n_coeffs(lmax)
@@ -523,7 +520,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, spec=None, tol=1e-12, max_iter=
         return truncate_coeffs(grid.analyze(r), lmax)
 
     R = proj_res(f)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         # converge on the projected system; the nodal sup also reflects
         # truncation of the data and is reported by the caller if needed
         rnorm = np.max(np.abs(R))
@@ -540,16 +537,19 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, spec=None, tol=1e-12, max_iter=
             try:
                 R_try = proj_res(f + scale * step)
             except DegenerateInducedMetric:
-                scale *= 0.5
-                continue
-            if np.max(np.abs(R_try)) < rnorm:
-                break
+                R_try = None
+            else:
+                if np.max(np.abs(R_try)) < rnorm:
+                    break
             scale *= 0.5
         else:
-            raise DegenerateInducedMetric("graph-equation Newton stalled")
+            context = f"sigma {sigma:g}, iteration {it}: graph-equation residual sup {rnorm:.3e}"
+            if R_try is None:
+                raise DegenerateInducedMetric(f"{context}; the shortest damped step still reaches the origin")
+            raise NewtonDiverged(f"{context} not lowered by 30 damped steps")
         f = f + scale * step
         R = R_try
-    raise DegenerateInducedMetric("graph-equation Newton did not converge")
+    raise MaxIterations(f"sigma {sigma:g}, iteration {max_iter}: graph-equation residual sup {np.max(np.abs(R)):.3e}")
 
 
 def surface_to_csv(spec, surface: GraphSurface, path):

@@ -6,9 +6,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stcmc.chart import PerturbationProvider, RotatedProvider, SchwarzschildProvider, TranslatedProvider
-from stcmc.errors import ConfigError, DegenerateInducedMetric, FoliationNotSupported, MaxIterations, TrappedRegion
-from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, real_sph_basis
+from stcmc.chart import (
+    EuclideanProvider,
+    PerturbationProvider,
+    RotatedProvider,
+    SchwarzschildProvider,
+    TranslatedProvider,
+)
+from stcmc.errors import (
+    ConfigError,
+    DegenerateInducedMetric,
+    FoliationNotSupported,
+    MaxIterations,
+    NewtonDiverged,
+    TrappedRegion,
+)
+from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, pad_coeffs, real_sph_basis
 from stcmc.surfaces import (
     GraphSurface,
     appendix_graph_coefficients,
@@ -352,6 +365,122 @@ def test_graph_residual_batch_row_reaching_origin_raises():
     F[1, 0] = -1.1 * 7.0 * np.sqrt(4.0 * np.pi)  # constant height -1.1 sigma
     with pytest.raises(DegenerateInducedMetric):
         appendix_graph_residual(7.0, F, 8)
+
+
+def _stacked_graph_reference(sigma, f_coeffs, lmax, prov):
+    """The graph-equation fields in stacked 2x2 tensors, with P from the
+    orthonormal-direction frame: the formulas the component code replaced."""
+    grid = get_grid(dealias_lmax(lmax))
+    th, _ = grid.mesh()
+    st, ct = np.sin(th), np.cos(th)
+    jets = grid.synth_jet(pad_coeffs(f_coeffs, lmax, grid.lmax))
+    uv = grid.unit_vectors()
+    rho = sigma + jets["f"]
+    X = rho[..., None] * uv["o"]
+    ghat_inv = np.zeros((grid.nnodes, 2, 2))
+    ghat_inv[:, 0, 0] = 1.0
+    ghat_inv[:, 1, 1] = 1.0 / st**2
+    gt_inv = ghat_inv / rho[..., None, None] ** 2
+    df = np.stack([jets["ft"], jets["fp"]], axis=-1)
+    df_up = np.einsum("...ab,...b->...a", gt_inv, df)
+    W2 = 1.0 + np.einsum("...a,...a->...", df, df_up)
+    W = np.sqrt(W2)
+    G = gt_inv - df_up[..., :, None] * df_up[..., None, :] / W2[..., None, None]
+    a = G / W[..., None, None]
+    b = np.stack([-G[..., 1, 1] * (-st * ct) / W, -2.0 * G[..., 0, 1] * (ct / st) / W], axis=-1)
+    At = rho[..., None, None] * np.stack(
+        [np.stack([np.ones_like(st), np.zeros_like(st)], axis=1),
+         np.stack([np.zeros_like(st), st**2], axis=1)], axis=1)
+    quad = 2.0 * df[..., :, None] * df[..., None, :] / rho[..., None, None]
+    curv = np.einsum("...ab,...ab->...", G, At + quad) / W
+    K = prov.extrinsic_jet(X.reshape(-1, 3)).K.reshape(X.shape + (3,))
+    frame = np.stack([rho[..., None] * uv["ot"], rho[..., None] * uv["op"]], axis=-2)
+    K_ab = np.einsum("...ai,...ij,...bj->...ab", frame, K, frame)
+    K_ta = np.einsum("...i,...ij,...aj->...a", uv["o"], K, frame)
+    K_tt = np.einsum("...i,...ij,...j->...", uv["o"], K, uv["o"])
+    P = np.einsum(
+        "...ab,...ab->...",
+        G,
+        K_ab + 2.0 * df[..., :, None] * K_ta[..., None, :] + df[..., :, None] * df[..., None, :] * K_tt[..., None, None],
+    )
+    F = curv - np.sqrt(P**2 + 4.0 / sigma**2)
+    hess = np.stack(
+        [np.stack([jets["ftt"], jets["ftp"]], axis=-1), np.stack([jets["ftp"], jets["fpp"]], axis=-1)], axis=-2)
+    res = np.einsum("...ab,...ab->...", a, hess) + np.einsum("...a,...a->...", b, df) - F
+    return {"a": a, "b": b, "F": F, "P": P, "res": res}
+
+
+K_TERMS = [
+    {"target": "K", "i": 0, "j": 2, "coeff": 0.04, "decay": 2.0, "angular": [0, 1, 0]},
+    {"target": "K", "i": 1, "j": 1, "coeff": 0.02, "decay": 2.0},
+]
+
+
+@pytest.mark.parametrize("lmax", [8, 10])
+@pytest.mark.parametrize("data", ["flat", "extrinsic"])
+@pytest.mark.parametrize("batch", [(), (2, 3)])
+def test_graph_equation_components_match_stacked_reference(lmax, data, batch):
+    prov = EuclideanProvider() if data == "flat" else PerturbationProvider(K_TERMS)
+    rng = np.random.default_rng(18)
+    F = 0.1 * rng.normal(size=batch + (n_coeffs(lmax),)) * np.exp(-0.4 * np.sqrt(np.arange(n_coeffs(lmax))))
+    ref = _stacked_graph_reference(7.0, F, lmax, prov)
+    c = appendix_graph_coefficients(7.0, F, lmax, prov)
+    res = appendix_graph_residual(7.0, F, lmax, prov)
+    assert c["a"].shape == ref["a"].shape and c["b"].shape == ref["b"].shape
+    for key in ("a", "b", "F", "P"):
+        assert np.max(np.abs(c[key] - ref[key])) <= 1e-14, key
+    assert np.max(np.abs(res - ref["res"])) <= 1e-14
+    if data == "extrinsic":
+        assert np.max(np.abs(ref["P"])) > 1e-5
+
+
+def _criterion_10_like_seed(lmax=10):
+    rng = np.random.default_rng(99)
+    ls = np.concatenate([np.full(2 * l + 1, l) for l in range(6)])
+    f0 = np.zeros(n_coeffs(lmax))
+    f0[: n_coeffs(5)] = 0.12 * rng.normal(size=n_coeffs(5)) * np.exp(-0.5 * ls)
+    f0[0] = 0.0
+    return f0
+
+
+def test_graph_newton_iteration_limit_raises_max_iterations():
+    with pytest.raises(MaxIterations, match="sigma 7"):
+        solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=1e-13, max_iter=1)
+
+
+def test_graph_newton_stall_raises_newton_diverged(monkeypatch):
+    import stcmc.surfaces as surfaces
+
+    calls = []
+    true_residual = surfaces.appendix_graph_residual
+
+    def never_decreasing(sigma, f_coeffs, lmax, spec=None):
+        # the first call (the initial residual) and the Jacobian blocks are
+        # exact; every trial step returns a larger residual
+        r = true_residual(sigma, f_coeffs, lmax, spec)
+        calls.append(np.ndim(f_coeffs))
+        return r if np.ndim(f_coeffs) > 1 or len(calls) == 1 else 10.0 * r + 1.0
+
+    monkeypatch.setattr(surfaces, "appendix_graph_residual", never_decreasing)
+    with pytest.raises(NewtonDiverged, match="sigma 7"):
+        solve_graph_residual(7.0, _criterion_10_like_seed(8), 8)
+
+
+def test_graph_newton_steps_reaching_origin_raise_degenerate(monkeypatch):
+    import stcmc.surfaces as surfaces
+
+    true_residual = surfaces.appendix_graph_residual
+    calls = []
+
+    def trial_steps_degenerate(sigma, f_coeffs, lmax, spec=None):
+        calls.append(np.ndim(f_coeffs))
+        if np.ndim(f_coeffs) == 1 and len(calls) > 1:
+            raise DegenerateInducedMetric("graph reaches the origin")
+        return true_residual(sigma, f_coeffs, lmax, spec)
+
+    monkeypatch.setattr(surfaces, "appendix_graph_residual", trial_steps_degenerate)
+    with pytest.raises(DegenerateInducedMetric, match="sigma 7"):
+        solve_graph_residual(7.0, _criterion_10_like_seed(8), 8)
 
 
 def test_surface_csv(tmp_path, schw):
