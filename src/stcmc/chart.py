@@ -4,7 +4,9 @@ Every provider returns exact analytic jets (values plus first and second
 derivatives of the metric, values plus first derivatives of the extrinsic
 curvature); finite differencing appears only in test oracles.  Providers
 take points of shape (n, 3), and the curvature operations take the jets they
-return.  Index layout:
+return.  A provider call forms only g, dg and K; ddg and dK, which only the
+curvature of the data (Ricci, nabla K) and the constraint and decay
+diagnostics read, are formed from the points on first read.  Index layout:
 
     g[n, i, j]              metric components
     dg[n, i, j, k]          d_k g_ij
@@ -12,10 +14,12 @@ return.  Index layout:
     K[n, i, j]              extrinsic curvature
     dK[n, i, j, k]          d_k K_ij
 
-A MetricJet owns the geometry derived from it: its read-only ginv[n, a, b],
-dginv[n, a, b, k] = d_k g^ab and Gam[n, a, b, c] = Gamma^a_bc are each formed
-once, when first read, so every consumer of a point set shares one inverse
-and one set of Christoffel symbols.
+A MetricJet owns the geometry derived from it: its read-only ddg,
+ginv[n, a, b], dginv[n, a, b, k] = d_k g^ab and Gam[n, a, b, c] = Gamma^a_bc
+are each formed once, when first read, so every consumer of a point set
+shares one inverse and one set of Christoffel symbols; an ExtrinsicJet forms
+its read-only dK the same way.  The horizon, core and spacelike checks run
+when the jet is made.
 
 The catalog covers the flat chart, the Schwarzschild slice in areal
 coordinates g = N^-2 dr^2 + r^2 dOmega^2 with N = sqrt(1 - 2m/r), the
@@ -28,8 +32,9 @@ data.  Negative mass is allowed (no horizon); the inner chart radius is
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -51,13 +56,32 @@ def _read_only(a):
     return a
 
 
+def _deferred(form, x, *args):
+    """A jet's second order, form(x, *args) when first read, from a private copy of the points."""
+    return partial(form, x.copy(), *args)
+
+
+def _second_order(jet):
+    """The read-only result of jet.second(); the callable is dropped, so nothing it holds outlives it."""
+    out = _read_only(jet.second())
+    object.__setattr__(jet, "second", None)
+    return out
+
+
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric jet; ginv, dginv and Gam are formed once, when first read."""
+    """Metric jet; ddg, ginv, dginv and Gam are formed once, when first read.
+
+    ddg is `second()`, which is then dropped (set to None).
+    """
 
     g: np.ndarray
     dg: np.ndarray
-    ddg: np.ndarray
+    second: Callable[[], np.ndarray] | None = field(repr=False)
+
+    @cached_property
+    def ddg(self):
+        return _second_order(self)
 
     @cached_property
     def ginv(self):
@@ -82,8 +106,14 @@ class MetricJet:
 
 @dataclass(frozen=True)
 class ExtrinsicJet:
+    """Extrinsic-curvature jet; dK is `second()`, formed once, when first read, and `second` is then dropped."""
+
     K: np.ndarray
-    dK: np.ndarray
+    second: Callable[[], np.ndarray] | None = field(repr=False)
+
+    @cached_property
+    def dK(self):
+        return _second_order(self)
 
 
 def _as_points(x):
@@ -120,6 +150,11 @@ def _radial_tensors(r, n, d1, d2=None, d3=None):
     return grad, hess, third
 
 
+def _sym_ik(x):
+    """d_k (x_i x_j) = delta_ik x_j + delta_jk x_i, as [n, i, j, k]."""
+    return _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
+
+
 class DataProvider:
     """Immutable pointwise evaluator of an initial data set in its chart."""
 
@@ -142,18 +177,21 @@ class DataProvider:
 
 
 class EuclideanProvider(DataProvider):
-    """Flat chart: g = delta, K = 0; dg, ddg, K and dK are read-only broadcast zeros."""
+    """Flat chart: g = delta, K = 0; g, dg, ddg, K and dK are read-only broadcasts."""
 
     def metric_jet(self, x):
         x, _ = self._check(x)
         n = x.shape[0]
-        g = np.broadcast_to(_EYE, (n, 3, 3)).copy()
-        return MetricJet(g, np.broadcast_to(0.0, (n, 3, 3, 3)), np.broadcast_to(0.0, (n, 3, 3, 3, 3)))
+        return MetricJet(
+            np.broadcast_to(_EYE, (n, 3, 3)),
+            np.broadcast_to(0.0, (n, 3, 3, 3)),
+            lambda: np.broadcast_to(0.0, (n, 3, 3, 3, 3)),
+        )
 
     def extrinsic_jet(self, x):
         x, _ = self._check(x)
         n = x.shape[0]
-        return ExtrinsicJet(np.broadcast_to(0.0, (n, 3, 3)), np.broadcast_to(0.0, (n, 3, 3, 3)))
+        return ExtrinsicJet(np.broadcast_to(0.0, (n, 3, 3)), lambda: np.broadcast_to(0.0, (n, 3, 3, 3)))
 
 
 class SchwarzschildProvider(DataProvider):
@@ -192,14 +230,20 @@ class SchwarzschildProvider(DataProvider):
     def metric_jet(self, x):
         x, r = self._check(x)
         nvec = x / r[:, None]
-        psi, dpsi, ddpsi = self._psi(r)
+        psi, dpsi, _ = self._psi(r)
         xx = x[:, :, None] * x[:, None, :]
         g = _EYE + psi[:, None, None] * xx
         # d_k (psi x_i x_j) = psi' n_k x_i x_j + psi (delta_ik x_j + delta_jk x_i)
-        sym_ik = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
-        dg = dpsi[:, None, None, None] * nvec[:, None, None, :] * xx[:, :, :, None] + psi[:, None, None, None] * sym_ik
+        dg = dpsi[:, None, None, None] * nvec[:, None, None, :] * xx[:, :, :, None] + psi[:, None, None, None] * _sym_ik(x)
+        return MetricJet(g, dg, _deferred(self._ddg, x, r))
+
+    def _ddg(self, x, r):
+        nvec = x / r[:, None]
+        psi, dpsi, ddpsi = self._psi(r)
+        xx = x[:, :, None] * x[:, None, :]
+        sym_ik = _sym_ik(x)
         nn = nvec[:, :, None] * nvec[:, None, :]
-        ddg = (
+        return (
             ddpsi[:, None, None, None, None] * nn[:, None, None, :, :] * xx[:, :, :, None, None]
             + (dpsi / r)[:, None, None, None, None] * (_EYE - nn)[:, None, None, :, :] * xx[:, :, :, None, None]
             + dpsi[:, None, None, None, None]
@@ -213,12 +257,11 @@ class SchwarzschildProvider(DataProvider):
                 + _EYE[None, None, :, :, None] * _EYE[None, :, None, None, :]
             )
         )
-        return MetricJet(g, dg, ddg)
 
     def extrinsic_jet(self, x):
         x, _ = self._check(x)
         n = x.shape[0]
-        return ExtrinsicJet(np.zeros((n, 3, 3)), np.zeros((n, 3, 3, 3)))
+        return ExtrinsicJet(np.zeros((n, 3, 3)), lambda: np.zeros((n, 3, 3, 3)))
 
 
 class GraphicalSchwarzschildProvider(DataProvider):
@@ -246,21 +289,21 @@ class GraphicalSchwarzschildProvider(DataProvider):
     def _check(self, x):
         return self.base._check(x)
 
-    def _T_jets(self, x, r):
-        """dT, ddT, dddT for T = sin(ln r) + (u.x)/r."""
+    def _T_jets(self, x, r, third=False):
+        """dT, ddT and, if asked, dddT (else None) for T = sin(ln r) + (u.x)/r."""
         lr = np.log(r)
         s, c = np.sin(lr), np.cos(lr)
         nvec = x / r[:, None]
         # sin(ln r) part
         s1 = c / r
         s2 = -(s + c) / r**2
-        s3 = (3.0 * s + c) / r**3
+        s3 = (3.0 * s + c) / r**3 if third else None
         gS, hS, tS = _radial_tensors(r, nvec, s1, s2, s3)
         # (u.x) * rho(r) part with rho = 1/r
         rho = 1.0 / r
         r1 = -1.0 / r**2
         r2 = 2.0 / r**3
-        r3 = -6.0 / r**4
+        r3 = -6.0 / r**4 if third else None
         gR, hR, tR = _radial_tensors(r, nvec, r1, r2, r3)
         ux = x @ self.u
         dT = gS + self.u[None, :] * rho[:, None] + ux[:, None] * gR
@@ -270,6 +313,8 @@ class GraphicalSchwarzschildProvider(DataProvider):
             + self.u[None, None, :] * gR[:, :, None]
             + ux[:, None, None] * hR
         )
+        if not third:
+            return dT, ddT, None
         dddT = (
             tS
             + self.u[None, :, None, None] * hR[:, None, :, :]
@@ -279,12 +324,13 @@ class GraphicalSchwarzschildProvider(DataProvider):
         )
         return dT, ddT, dddT
 
-    def _N_jets(self, x, r):
+    def _N_jets(self, x, r, second=False):
+        """N, dN and, if asked, ddN (else None) for the lapse N = sqrt(1 - 2m/r)."""
         m = self.mass
         nvec = x / r[:, None]
         N = np.sqrt(1.0 - 2.0 * m / r)
         N1 = m / (r**2 * N)
-        N2 = -2.0 * m / (r**3 * N) - m**2 / (r**4 * N**3)
+        N2 = -2.0 * m / (r**3 * N) - m**2 / (r**4 * N**3) if second else None
         gN, hN, _ = _radial_tensors(r, nvec, N1, N2)
         return N, gN, hN
 
@@ -297,69 +343,94 @@ class GraphicalSchwarzschildProvider(DataProvider):
             raise SliceNotSpacelike("1 - N^2 |dT|^2 <= 0")
         return gradT, dT2, np.sqrt(w2)
 
+    @staticmethod
+    def _TT_jets(dT, ddT):
+        """TT_ij = T_,i T_,j and its derivative d_k TT_ij."""
+        TT = dT[:, :, None] * dT[:, None, :]
+        dTT = ddT[:, :, None, :] * dT[:, None, :, None] + dT[:, :, None, None] * ddT[:, None, :, :]
+        return TT, dTT
+
     def metric_jet(self, x):
         x, r = self._check(x)
         base = self.base.metric_jet(x)
-        g, dg, ddg = base.g, base.dg, base.ddg
-        dT, ddT, dddT = self._T_jets(x, r)
+        dT, ddT, _ = self._T_jets(x, r)
         # N^2 = 1 - 2m/r is radial with simple derivatives; sqrt(N2) is _N_jets' N
         m = self.mass
         nvec = x / r[:, None]
         N2 = 1.0 - 2.0 * m / r
         self._spacelike_factor(base.ginv, dT, np.sqrt(N2))
+        dN2, _, _ = _radial_tensors(r, nvec, 2.0 * m / r**2)
+        TT, dTT = self._TT_jets(dT, ddT)
+        gT = base.g - N2[:, None, None] * TT
+        dgT = base.dg - dN2[:, None, None, :] * TT[:, :, :, None] - N2[:, None, None, None] * dTT
+        return MetricJet(gT, dgT, _deferred(self._ddgT, x, r))
+
+    def _ddgT(self, x, r):
+        """d_k d_l (g - N^2 dT dT), formed again from the points."""
+        dT, ddT, dddT = self._T_jets(x, r, third=True)
+        m = self.mass
+        nvec = x / r[:, None]
+        N2 = 1.0 - 2.0 * m / r
         dN2, ddN2, _ = _radial_tensors(r, nvec, 2.0 * m / r**2, -4.0 * m / r**3)
-        TT = dT[:, :, None] * dT[:, None, :]
-        gT = g - N2[:, None, None] * TT
-        dTT = ddT[:, :, None, :] * dT[:, None, :, None] + dT[:, :, None, None] * ddT[:, None, :, :]
-        dgT = dg - dN2[:, None, None, :] * TT[:, :, :, None] - N2[:, None, None, None] * dTT
+        TT, dTT = self._TT_jets(dT, ddT)
         ddTT = (
             dddT[:, :, None, :, :] * dT[:, None, :, None, None]
             + ddT[:, :, None, :, None] * ddT[:, None, :, None, :]
             + ddT[:, :, None, None, :] * ddT[:, None, :, :, None]
             + dT[:, :, None, None, None] * dddT[:, None, :, :, :]
         )
-        ddgT = (
-            ddg
+        return (
+            self.base._ddg(x, r)
             - ddN2[:, None, None, :, :] * TT[:, :, :, None, None]
             - dN2[:, None, None, :, None] * dTT[:, :, :, None, :]
             - dN2[:, None, None, None, :] * dTT[:, :, :, :, None]
             - N2[:, None, None, None, None] * ddTT
         )
-        return MetricJet(gT, dgT, ddgT)
 
     def extrinsic_jet(self, x):
         x, r = self._check(x)
         base = self.base.metric_jet(x)
-        ginv, dginv = base.ginv, base.dginv
-        dT, ddT, dddT = self._T_jets(x, r)
-        N, dN, ddN = self._N_jets(x, r)
-        Gam, dGam = christoffel(base, derivative=True)
+        return ExtrinsicJet(self._extrinsic(x, r, base), _deferred(self._extrinsic, x, r, base, True))
+
+    def _extrinsic(self, x, r, base, second=False):
+        """K of the slice, or with `second` dK, from the points and the base jet's geometry.
+
+        dK forms K's ingredients again from the points rather than keep them
+        alive with the jet; it reads the base jet's inverse and Christoffel
+        symbols, so the base metric is inverted once.
+        """
+        ginv, Gam = base.ginv, base.Gam
+        dT, ddT, dddT = self._T_jets(x, r, third=second)
+        N, dN, ddN = self._N_jets(x, r, second)
         hessT = ddT - np.einsum("nkij,nk->nij", Gam, dT)
-        dhessT = (
-            dddT
-            - np.einsum("nkijl,nk->nijl", dGam, dT)
-            - np.einsum("nkij,nkl->nijl", Gam, ddT)
-        )
         gradT, dT2, W = self._spacelike_factor(ginv, dT, N)
-        m = self.mass
-        nvec = x / r[:, None]
-        N2 = N**2
-        dN2 = (2.0 * m / r**2)[:, None] * nvec
         # c1 = dN(grad_g T)
         c1 = np.einsum("na,na->n", dN, gradT)
-        dc1 = (
-            np.einsum("nak,nab,nb->nk", ddN, ginv, dT)
-            + np.einsum("na,nabk,nb->nk", dN, dginv, dT)
-            + np.einsum("na,nab,nbk->nk", dN, ginv, ddT)
-        )
+        N2 = N**2
         TT = dT[:, :, None] * dT[:, None, :]
-        dTT = ddT[:, :, None, :] * dT[:, None, :, None] + dT[:, :, None, None] * ddT[:, None, :, :]
         D = (
             dT[:, :, None] * dN[:, None, :]
             + dT[:, None, :] * dN[:, :, None]
             + N[:, None, None] * hessT
             - (N2 * c1)[:, None, None] * TT
         )
+        if not second:
+            return D / W[:, None, None]
+        dginv = base.dginv
+        _, dGam = christoffel(base, derivative=True)
+        dhessT = (
+            dddT
+            - np.einsum("nkijl,nk->nijl", dGam, dT)
+            - np.einsum("nkij,nkl->nijl", Gam, ddT)
+        )
+        nvec = x / r[:, None]
+        dN2 = (2.0 * self.mass / r**2)[:, None] * nvec
+        dc1 = (
+            np.einsum("nak,nab,nb->nk", ddN, ginv, dT)
+            + np.einsum("na,nabk,nb->nk", dN, dginv, dT)
+            + np.einsum("na,nab,nbk->nk", dN, ginv, ddT)
+        )
+        _, dTT = self._TT_jets(dT, ddT)
         dD = (
             ddT[:, :, None, :] * dN[:, None, :, None]
             + dT[:, :, None, None] * ddN[:, None, :, :]
@@ -376,9 +447,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
             + 2.0 * np.einsum("nab,nak,nb->nk", ginv, ddT, dT)
         )
         dW = -(dN2 * dT2[:, None] + N2[:, None] * ddT2) / (2.0 * W[:, None])
-        K = D / W[:, None, None]
-        dK = dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
-        return ExtrinsicJet(K, dK)
+        return dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
 
 
 class TranslatedProvider(DataProvider):
@@ -419,15 +488,13 @@ class RotatedProvider(DataProvider):
         O = self.O
         g = np.einsum("ia,jb,nab->nij", O, O, jet.g)
         dg = np.einsum("ia,jb,kc,nabc->nijk", O, O, O, jet.dg)
-        ddg = np.einsum("ia,jb,kc,ld,nabcd->nijkl", O, O, O, O, jet.ddg)
-        return MetricJet(g, dg, ddg)
+        return MetricJet(g, dg, lambda: np.einsum("ia,jb,kc,ld,nabcd->nijkl", O, O, O, O, jet.ddg))
 
     def extrinsic_jet(self, x):
         jet = self.inner.extrinsic_jet(_as_points(x) @ self.O)
         O = self.O
         K = np.einsum("ia,jb,nab->nij", O, O, jet.K)
-        dK = np.einsum("ia,jb,kc,nabc->nijk", O, O, O, jet.dK)
-        return ExtrinsicJet(K, dK)
+        return ExtrinsicJet(K, lambda: np.einsum("ia,jb,kc,nabc->nijk", O, O, O, jet.dK))
 
 
 # -- power-law angular perturbations of the flat data ----------------------
@@ -501,37 +568,43 @@ class PerturbationProvider(DataProvider):
             for i in range(3)
         ]
         self._kp1 = [[[self._kp[i][j].diff(k) for k in range(3)] for j in range(3)] for i in range(3)]
+        # the (i, j) components with terms
+        self._g_entries = [(i, j) for i in range(3) for j in range(3) if self.g_terms[i][j]]
+        self._k_entries = [(i, j) for i in range(3) for j in range(3) if self.k_terms[i][j]]
 
     def metric_jet(self, x):
         x, r = self._check(x)
         n = x.shape[0]
         g = np.broadcast_to(_EYE, (n, 3, 3)).copy()
         dg = np.zeros((n, 3, 3, 3))
-        ddg = np.zeros((n, 3, 3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                if not self.g_terms[i][j]:
-                    continue
-                g[:, i, j] += self._gp[i][j](x, r)
-                for k in range(3):
-                    dg[:, i, j, k] += self._gp1[i][j][k](x, r)
-                    for l in range(3):
-                        ddg[:, i, j, k, l] += self._gp2[i][j][k][l](x, r)
-        return MetricJet(g, dg, ddg)
+        for i, j in self._g_entries:
+            g[:, i, j] += self._gp[i][j](x, r)
+            for k in range(3):
+                dg[:, i, j, k] += self._gp1[i][j][k](x, r)
+        return MetricJet(g, dg, _deferred(self._ddg, x, r))
+
+    def _ddg(self, x, r):
+        ddg = np.zeros((x.shape[0], 3, 3, 3, 3))
+        for i, j in self._g_entries:
+            for k in range(3):
+                for l in range(3):
+                    ddg[:, i, j, k, l] += self._gp2[i][j][k][l](x, r)
+        return ddg
 
     def extrinsic_jet(self, x):
         x, r = self._check(x)
         n = x.shape[0]
         K = np.zeros((n, 3, 3))
-        dK = np.zeros((n, 3, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                if not self.k_terms[i][j]:
-                    continue
-                K[:, i, j] += self._kp[i][j](x, r)
-                for k in range(3):
-                    dK[:, i, j, k] += self._kp1[i][j][k](x, r)
-        return ExtrinsicJet(K, dK)
+        for i, j in self._k_entries:
+            K[:, i, j] += self._kp[i][j](x, r)
+        return ExtrinsicJet(K, _deferred(self._dK, x, r))
+
+    def _dK(self, x, r):
+        dK = np.zeros((x.shape[0], 3, 3, 3))
+        for i, j in self._k_entries:
+            for k in range(3):
+                dK[:, i, j, k] += self._kp1[i][j][k](x, r)
+        return dK
 
 
 # -- provider specs ---------------------------------------------------------

@@ -311,7 +311,8 @@ class ScaledExtrinsicProvider(DataProvider):
 
     def extrinsic_jet(self, x):
         ej = self.inner.extrinsic_jet(x)
-        return type(ej)(self.tau * ej.K, self.tau * ej.dK)
+        tau = self.tau
+        return type(ej)(tau * ej.K, lambda: tau * ej.dK)
 
 
 @dataclass

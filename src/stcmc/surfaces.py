@@ -493,9 +493,9 @@ def appendix_graph_residual(sigma, f_coeffs, lmax, spec=None):
 
 # Perturbed coefficient vectors per batched residual call in the
 # finite-difference Jacobian of solve_graph_residual.  Peak memory grows with
-# it: the flatness check asks the provider for full metric jets at every node
-# of every row (peak RSS of one lmax-10 root: 60 MB before the root, 65 MB at
-# 16 rows, 75 MB at 64, 110 MB with all 242 rows in one call).
+# it, because each nodal field of the residual is formed for all rows of a
+# call at once (peak RSS of one lmax-10 root, 1 BLAS thread: 60 MB before the
+# root, 64 MB at 16 rows, 73 MB at 64, 104 MB with all 242 rows in one call).
 FD_BLOCK = 16
 
 

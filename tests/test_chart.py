@@ -9,6 +9,7 @@ from stcmc.chart import (
     DataProvider,
     DataProviderSpec,
     EuclideanProvider,
+    ExtrinsicJet,
     GraphicalSchwarzschildProvider,
     MetricJet,
     PerturbationProvider,
@@ -31,7 +32,8 @@ from stcmc.errors import (
     SingularMetric,
     SliceNotSpacelike,
 )
-from stcmc.solver import graph_jacobian
+from stcmc.charges import sphere_fluxes
+from stcmc.solver import ScaledExtrinsicProvider, curvature_residual, graph_jacobian
 from stcmc.surfaces import GraphSurface, surface_frames
 
 ROT = np.array(
@@ -64,13 +66,13 @@ def test_euclidean_is_flat(euclid, sample_points):
 
 def test_euclidean_zero_jets_are_read_only(euclid, sample_points):
     jet, ext = euclid.metric_jet(sample_points), euclid.extrinsic_jet(sample_points)
-    for arr in (jet.dg, jet.ddg, ext.K, ext.dK):
+    for arr in (jet.g, jet.dg, jet.ddg, ext.K, ext.dK):
         with pytest.raises(ValueError):
             arr[0] += 1.0
 
 
 def test_christoffel_zero_metric_raises():
-    jet = MetricJet(np.zeros((2, 3, 3)), np.zeros((2, 3, 3, 3)), np.zeros((2, 3, 3, 3, 3)))
+    jet = MetricJet(np.zeros((2, 3, 3)), np.zeros((2, 3, 3, 3)), lambda: np.zeros((2, 3, 3, 3, 3)))
     with pytest.raises(SingularMetric):
         christoffel(jet)
 
@@ -410,13 +412,18 @@ def test_graphical_extrinsic_matches_4d_embedding_oracle(graphical):
 # -- one ambient-geometry pass per point set -------------------------------------
 
 class _FixedJets(DataProvider):
-    """One point set's jets, handed out as fresh MetricJets with nothing derived yet."""
+    """One point set's jets, handed out as fresh MetricJets with nothing derived yet.
+
+    The inner jets' second order is formed here, so that the counts of a
+    consumer do not include the provider's own work.
+    """
 
     def __init__(self, prov, x):
         self.mj, self.ej = prov.metric_jet(x), prov.extrinsic_jet(x)
+        self.mj.ddg, self.ej.dK
 
     def metric_jet(self, x):
-        return MetricJet(self.mj.g, self.mj.dg, self.mj.ddg)
+        return MetricJet(self.mj.g, self.mj.dg, lambda: self.mj.ddg)
 
     def extrinsic_jet(self, x):
         return self.ej
@@ -424,7 +431,7 @@ class _FixedJets(DataProvider):
 
 @pytest.fixture
 def formations(monkeypatch):
-    """Counts metric inversions and formations of each jet's dginv and Gam."""
+    """Counts metric inversions and formations of each jet's ddg, dginv, Gam and dK."""
     counts = Counter()
 
     def counted(key, fn):
@@ -435,21 +442,24 @@ def formations(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     # a cached_property calls its func once per instance, on the first read
-    for name in ("dginv", "Gam"):
-        prop = MetricJet.__dict__[name]
+    for cls, name in ((MetricJet, "ddg"), (MetricJet, "dginv"), (MetricJet, "Gam"), (ExtrinsicJet, "dK")):
+        prop = cls.__dict__[name]
         monkeypatch.setattr(prop, "func", counted(name, prop.func))
     return counts
 
 
 def test_jet_geometry_is_formed_once_and_read_only(graphical, sample_points, formations):
-    jet = graphical.metric_jet(sample_points)
+    jet, ext = graphical.metric_jet(sample_points), graphical.extrinsic_jet(sample_points)
     formations.clear()
-    for name in ("ginv", "dginv", "Gam"):
-        arr = getattr(jet, name)
-        assert getattr(jet, name) is arr
+    for owner, name in ((jet, "ddg"), (jet, "ginv"), (jet, "dginv"), (jet, "Gam"), (ext, "dK")):
+        arr = getattr(owner, name)
+        assert getattr(owner, name) is arr
         with pytest.raises(ValueError):
             arr[0] += 1.0
-    assert formations == Counter(inv=1, dginv=1, Gam=1)
+    # dK also forms its base slice's dginv and ddg (see the next tests)
+    assert formations == Counter(ddg=2, inv=1, dginv=2, Gam=1, dK=1)
+    # once formed, a jet keeps nothing of what formed its second order
+    assert jet.second is None and ext.second is None
     assert christoffel(jet) is jet.Gam
 
 
@@ -457,20 +467,84 @@ def test_constraint_densities_invert_once(graphical, sample_points, formations):
     prov = _FixedJets(graphical, sample_points)
     formations.clear()
     constraint_densities(prov, sample_points)
-    assert formations == Counter(inv=1, dginv=1, Gam=1)
+    assert formations == Counter(ddg=1, inv=1, dginv=1, Gam=1)
 
 
 def test_graphical_extrinsic_jet_forms_base_geometry_once(graphical, sample_points, formations):
-    graphical.extrinsic_jet(sample_points)
-    assert formations == Counter(inv=1, dginv=1, Gam=1)
+    ext = graphical.extrinsic_jet(sample_points)
+    ext.K
+    assert formations == Counter(inv=1, Gam=1)
+    # dK reads the base jet's inverse and Christoffel symbols and adds only
+    # what its derivative needs: d g^ab and the base jet's ddg
+    ext.dK
+    assert formations == Counter(inv=1, Gam=1, dginv=1, ddg=1, dK=1)
 
 
-def test_graph_jacobian_reuses_frame_geometry(graphical, formations):
+def test_first_order_consumers_form_no_second_order(graphical, formations):
+    sphere_fluxes(graphical, [50.0, 100.0], 8)
+    curvature_residual(graphical, GraphSurface.round([0.5, 0.0, 0.0], 30.0, 6), 30.0)
+    assert formations["ddg"] == 0 and formations["dK"] == 0
+
+
+def test_graph_jacobian_reuses_frame_geometry(schw, graphical, formations):
     S = GraphSurface.round([0.5, 0.0, 0.0], 30.0, 6)
-    fr = surface_frames(graphical, S)
-    formations.clear()
-    graph_jacobian(graphical, S, frames=fr)
-    assert formations["inv"] == 0 and formations["Gam"] == 0
+    # metric jets behind the frames: the graphical dK reads its base slice's
+    for prov, metrics in ((schw, 1), (graphical, 2)):
+        fr = surface_frames(prov, S)
+        formations.clear()
+        graph_jacobian(prov, S, frames=fr)
+        graph_jacobian(prov, S, frames=fr)
+        # once per frames and no inversion: the extrinsic jet's dK, and ddg
+        # and dginv of each metric jet
+        assert formations == Counter(ddg=metrics, dginv=metrics, dK=1)
+
+
+# -- wrappers pass the second order through ----------------------------------------
+
+_WRAPPERS = {
+    "rotated": lambda inner: RotatedProvider(inner, ROT),
+    "translated": lambda inner: TranslatedProvider(inner, [1.0, -2.0, 0.5]),
+    "scaled": lambda inner: ScaledExtrinsicProvider(inner, 0.3),
+}
+
+
+def _inner_jets(kind, inner, x):
+    """The inner jets a wrapper reads at x, and its map of ddg and of dK."""
+    if kind == "rotated":
+        O = ROT
+        return (
+            inner.metric_jet(x @ O),
+            inner.extrinsic_jet(x @ O),
+            lambda ddg: np.einsum("ia,jb,kc,ld,nabcd->nijkl", O, O, O, O, ddg),
+            lambda dK: np.einsum("ia,jb,kc,nabc->nijk", O, O, O, dK),
+        )
+    if kind == "translated":
+        c = np.array([1.0, -2.0, 0.5])
+        return inner.metric_jet(x - c), inner.extrinsic_jet(x - c), lambda ddg: ddg, lambda dK: dK
+    return inner.metric_jet(x), inner.extrinsic_jet(x), lambda ddg: ddg, lambda dK: 0.3 * dK
+
+
+@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+def test_wrappers_defer_the_inner_second_order(kind, graphical, sample_points, formations):
+    prov = _WRAPPERS[kind](graphical)
+    jet, ext = prov.metric_jet(sample_points), prov.extrinsic_jet(sample_points)
+    jet.g, jet.dg, ext.K
+    assert formations["ddg"] == 0 and formations["dK"] == 0
+    mj, ej, rot_ddg, rot_dK = _inner_jets(kind, graphical, sample_points)
+    assert np.array_equal(jet.ddg, rot_ddg(mj.ddg))
+    assert np.array_equal(ext.dK, rot_dK(ej.dK))
+
+
+@pytest.mark.parametrize("kind", sorted(_WRAPPERS))
+def test_wrapper_jets_do_not_depend_on_read_order(kind, graphical, sample_points):
+    prov = _WRAPPERS[kind](graphical)
+    first = prov.metric_jet(sample_points), prov.extrinsic_jet(sample_points)
+    second = prov.metric_jet(sample_points), prov.extrinsic_jet(sample_points)
+    second_order = second[0].ddg, second[1].dK
+    for name in ("g", "dg", "ddg"):
+        assert np.array_equal(getattr(first[0], name), getattr(second[0], name))
+    assert np.array_equal(first[1].K, second[1].K)
+    assert np.array_equal(first[1].dK, second_order[1])
 
 
 # -- decay diagnostics ---------------------------------------------------------
