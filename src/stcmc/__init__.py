@@ -12,7 +12,6 @@ read-only use is safe.
 """
 
 from .chart import (
-    DataProviderSpec,
     EuclideanProvider,
     GraphicalSchwarzschildProvider,
     MetricJet,
@@ -65,7 +64,6 @@ from .surfaces import (
 )
 
 __all__ = [
-    "DataProviderSpec",
     "EuclideanProvider",
     "GraphicalSchwarzschildProvider",
     "MetricJet",

@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import as_provider, conjugate_momentum, constraint_densities
+from .chart import conjugate_momentum, constraint_densities, orthogonal_matrix
 from .errors import (
     ConfigError,
     InsufficientLeaves,
-    NotOrthogonal,
     SpacelikeEnergyMomentum,
     ZeroEnergy,
 )
@@ -126,7 +125,7 @@ def fit_power_tail(radii, values, p_grid=None):
 
 # -- raw sphere fluxes ---------------------------------------------------------
 
-def sphere_fluxes(spec, radii, lmax=24, center=(0.0, 0.0, 0.0)):
+def sphere_fluxes(prov, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     """All per-radius flux integrands in one sweep over coordinate spheres.
 
     Returns dict with per-radius arrays: E, P (n,3), bom_raw (n,3), z_raw
@@ -135,7 +134,6 @@ def sphere_fluxes(spec, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     position factors in the center integrands stay in global chart
     coordinates.
     """
-    prov = as_provider(spec)
     radii = np.asarray(radii, dtype=float)
     center = np.asarray(center, dtype=float).reshape(3)
     grid = get_grid(lmax)
@@ -230,8 +228,8 @@ class EvolutionReport:
     discrepancy: float
 
 
-def adm_energy(spec, radii, lmax=24, fluxes=None):
-    fx = fluxes if fluxes is not None else sphere_fluxes(spec, radii, lmax)
+def adm_energy(prov, radii, lmax=24, fluxes=None):
+    fx = fluxes if fluxes is not None else sphere_fluxes(prov, radii, lmax)
     radii = np.asarray(radii, dtype=float)
     efit = fit_power_tail(radii, fx["E"])
     pfits = [fit_power_tail(radii, fx["P"][:, i]) for i in range(3)]
@@ -258,7 +256,7 @@ def adm_mass(E, P):
     return math.sqrt(m2)
 
 
-def stcmc_center_coordinate(spec, radii, E, lmax=24, fluxes=None):
+def stcmc_center_coordinate(prov, radii, E, lmax=24, fluxes=None):
     """Center report: the metric (Beig-O Murchadha) center, the correction Z and their sum.
 
     sum_values is exactly bom_values + z_values per sampled radius; its limit
@@ -267,7 +265,7 @@ def stcmc_center_coordinate(spec, radii, E, lmax=24, fluxes=None):
     """
     if abs(E) <= 1e-12:
         raise ZeroEnergy("center integrals are undefined at E = 0")
-    fx = fluxes if fluxes is not None else sphere_fluxes(spec, radii, lmax)
+    fx = fluxes if fluxes is not None else sphere_fluxes(prov, radii, lmax)
     bom = fx["bom_raw"] / (16.0 * math.pi * E)
     z = fx["z_raw"] / (32.0 * math.pi * E)
     return _center_report(np.asarray(radii, dtype=float), bom, z)
@@ -301,15 +299,15 @@ def stcmc_center_foliation(foliation):
     return limit, residual, converged, fits
 
 
-def velocity_integral(spec, radii, E, lmax=24, fluxes=None):
+def velocity_integral(prov, radii, E, lmax=24, fluxes=None):
     if abs(E) <= 1e-12:
         raise ZeroEnergy("velocity integral undefined at E = 0")
-    fx = fluxes if fluxes is not None else sphere_fluxes(spec, radii, lmax)
+    fx = fluxes if fluxes is not None else sphere_fluxes(prov, radii, lmax)
     radii = np.asarray(radii, dtype=float)
     v = fx["velocity_raw"] / (8.0 * math.pi * E)
     vfits = [fit_power_tail(radii, v[:, i]) for i in range(3)]
     vlim = np.array([f.c0 for f in vfits])
-    rep = adm_energy(spec, radii, lmax, fluxes=fx)
+    rep = adm_energy(prov, radii, lmax, fluxes=fx)
     poe = rep.momentum / E
     return EvolutionReport(
         radii=radii,
@@ -320,9 +318,8 @@ def velocity_integral(spec, radii, E, lmax=24, fluxes=None):
     )
 
 
-def matter_moment_shells(spec, radii, lmax=24):
+def matter_moment_shells(prov, radii, lmax=24):
     """Shell integrals int |mu x^i| dmu_delta over centered spheres (diagnostic, no threshold)."""
-    prov = as_provider(spec)
     grid = get_grid(lmax)
     om = grid.unit_vectors()["o"]
     out = []
@@ -338,10 +335,8 @@ def euclidean_motion_transform(reports, O, T):
 
     Energy is invariant, momenta rotate, centers rotate and translate.
     """
-    O = np.asarray(O, dtype=float).reshape(3, 3)
+    O = orthogonal_matrix(O)
     T = np.asarray(T, dtype=float).reshape(3)
-    if np.max(np.abs(O.T @ O - np.eye(3))) > 1e-12:
-        raise NotOrthogonal("rotation matrix is not orthogonal to 1e-12")
     out = []
     for rep in reports if isinstance(reports, (list, tuple)) else [reports]:
         if isinstance(rep, ChargeReport):
@@ -364,13 +359,13 @@ def euclidean_motion_transform(reports, O, T):
     return out if isinstance(reports, (list, tuple)) else out[0]
 
 
-def charges_to_csv(path, spec, radii, E=None, lmax=24):
+def charges_to_csv(path, prov, radii, E=None, lmax=24):
     """Write the per-radius flux table; returns the underlying reports."""
-    fx = sphere_fluxes(spec, radii, lmax)
-    charge = adm_energy(spec, radii, lmax, fluxes=fx)
+    fx = sphere_fluxes(prov, radii, lmax)
+    charge = adm_energy(prov, radii, lmax, fluxes=fx)
     E_used = E if E is not None else charge.energy
-    center = stcmc_center_coordinate(spec, radii, E_used, lmax, fluxes=fx)
-    evo = velocity_integral(spec, radii, E_used, lmax, fluxes=fx)
+    center = stcmc_center_coordinate(prov, radii, E_used, lmax, fluxes=fx)
+    evo = velocity_integral(prov, radii, E_used, lmax, fluxes=fx)
     header = (
         ["radius", "E", "P1", "P2", "P3", "CBOM1", "CBOM2", "CBOM3",
          "Z1", "Z2", "Z3", "CSTCMC1", "CSTCMC2", "CSTCMC3", "V1", "V2", "V3"]

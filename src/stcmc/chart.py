@@ -31,7 +31,6 @@ data.  Negative mass is allowed (no horizon); the inner chart radius is
 
 from __future__ import annotations
 
-import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -203,9 +202,9 @@ class SchwarzschildProvider(DataProvider):
     """
 
     def __init__(self, mass):
-        if mass == 0.0:
-            raise ConfigError("mass parameter must be nonzero")
         self.mass = float(mass)
+        if self.mass == 0.0 or not np.isfinite(self.mass):
+            raise ConfigError(f"mass parameter must be finite and nonzero, got {mass!r}")
         self.inner_radius = 1.05 * max(0.0, 2.0 * self.mass)
 
     def _check(self, x):
@@ -279,11 +278,9 @@ class GraphicalSchwarzschildProvider(DataProvider):
     """
 
     def __init__(self, mass, u):
-        if mass == 0.0:
-            raise ConfigError("mass parameter must be nonzero")
-        self.mass = float(mass)
-        self.u = np.asarray(u, dtype=float).reshape(3)
         self.base = SchwarzschildProvider(mass)
+        self.mass = self.base.mass
+        self.u = np.asarray(u, dtype=float).reshape(3)
         self.inner_radius = self.base.inner_radius
 
     def _check(self, x):
@@ -469,15 +466,20 @@ class TranslatedProvider(DataProvider):
         return self.inner.extrinsic_jet(_as_points(x) - self.center)
 
 
+def orthogonal_matrix(O):
+    """O as a 3x3 float array; raises NotOrthogonal unless O^T O = 1 to 1e-12."""
+    O = np.asarray(O, dtype=float).reshape(3, 3)
+    if np.max(np.abs(O.T @ O - _EYE)) > 1e-12:
+        raise NotOrthogonal("rotation matrix is not orthogonal to 1e-12")
+    return O
+
+
 class RotatedProvider(DataProvider):
     """Chart rotation: tensors transform with one O factor per index."""
 
     def __init__(self, inner, rotation):
-        O = np.asarray(rotation, dtype=float).reshape(3, 3)
-        if np.max(np.abs(O.T @ O - _EYE)) > 1e-12:
-            raise NotOrthogonal("rotation matrix is not orthogonal to 1e-12")
         self.inner = inner
-        self.O = O
+        self.O = orthogonal_matrix(rotation)
 
     @property
     def inner_radius(self):
@@ -547,6 +549,8 @@ class PerturbationProvider(DataProvider):
         for t in terms:
             target = t.get("target", "g")
             i, j = int(t["i"]), int(t["j"])
+            if not (0 <= i < 3 and 0 <= j < 3):
+                raise ConfigError(f"perturbation component ({i}, {j}) is outside 0..2")
             coeff = float(t["coeff"])
             decay = float(t["decay"])
             ang = tuple(int(a) for a in t.get("angular", (0, 0, 0)))
@@ -607,7 +611,7 @@ class PerturbationProvider(DataProvider):
         return dK
 
 
-# -- provider specs ---------------------------------------------------------
+# -- provider configs -------------------------------------------------------
 
 KINDS = (
     "euclidean",
@@ -617,90 +621,57 @@ KINDS = (
     "rotated",
     "custom_perturbation",
 )
+_CONFIG_KEYS = ("kind", "mass", "u", "center", "rotation", "perturbation_terms", "inner")
 
 
-@dataclass
-class DataProviderSpec:
-    """Serializable description of a catalog provider."""
-
-    kind: str
-    mass: float | None = None
-    u: tuple | None = None
-    center: tuple | None = None
-    rotation: tuple | None = None
-    perturbation_terms: list = field(default_factory=list)
-    inner: "DataProviderSpec | None" = None
-
-    def to_dict(self):
-        d = {"kind": self.kind}
-        if self.mass is not None:
-            d["mass"] = self.mass
-        if self.u is not None:
-            d["u"] = list(self.u)
-        if self.center is not None:
-            d["center"] = list(self.center)
-        if self.rotation is not None:
-            d["rotation"] = [list(row) for row in self.rotation]
-        if self.perturbation_terms:
-            d["perturbation_terms"] = self.perturbation_terms
-        if self.inner is not None:
-            d["inner"] = self.inner.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        if "kind" not in d:
-            raise ConfigError("provider spec needs a 'kind' field")
-        kind = d["kind"]
-        if kind not in KINDS:
-            raise ConfigError(f"unknown provider kind {kind!r}; choose from {KINDS}")
-        inner = cls.from_dict(d["inner"]) if "inner" in d and d["inner"] else None
-        return cls(
-            kind=kind,
-            mass=d.get("mass"),
-            u=tuple(d["u"]) if "u" in d and d["u"] is not None else None,
-            center=tuple(d["center"]) if "center" in d and d["center"] is not None else None,
-            rotation=tuple(tuple(r) for r in d["rotation"]) if d.get("rotation") is not None else None,
-            perturbation_terms=list(d.get("perturbation_terms", [])),
-            inner=inner,
-        )
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        return cls.from_dict(json.loads(text))
+def _config_array(config, key, shape, default=None):
+    """config[key] as a float array of the given shape of finite numbers, else ConfigError."""
+    value = config.get(key, default)
+    if value is None:
+        raise ConfigError(f"{config['kind']} requires {key!r}")
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"malformed {key!r}: {value!r}") from exc
+    if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key!r} must hold finite numbers of shape {shape}, got {value!r}")
+    return arr.astype(float)
 
 
-def build_provider(spec: DataProviderSpec) -> DataProvider:
-    if spec.kind == "euclidean":
+def build_provider(config) -> DataProvider:
+    """The catalog provider that a JSON config mapping describes.
+
+    Keys: `kind` (one of KINDS), `mass`, `u` (default (1, 0, 0)), `center`,
+    `rotation`, `perturbation_terms`, and the nested `inner` config of the
+    translated and rotated kinds.  A missing, unknown or malformed entry
+    raises ConfigError.
+    """
+    if not isinstance(config, dict):
+        raise ConfigError(f"provider config must be a JSON object, got {config!r}")
+    unknown = sorted(set(config) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown provider config keys {unknown}; choose from {_CONFIG_KEYS}")
+    kind = config.get("kind")
+    if kind not in KINDS:
+        raise ConfigError(f"unknown provider kind {kind!r}; choose from {KINDS}")
+    if kind == "euclidean":
         return EuclideanProvider()
-    if spec.kind == "schwarzschild_canonical":
-        if spec.mass is None:
-            raise ConfigError("schwarzschild_canonical requires a mass")
-        return SchwarzschildProvider(spec.mass)
-    if spec.kind == "schwarzschild_graphical":
-        if spec.mass is None:
-            raise ConfigError("schwarzschild_graphical requires a mass")
-        u = spec.u if spec.u is not None else (1.0, 0.0, 0.0)
-        return GraphicalSchwarzschildProvider(spec.mass, u)
-    if spec.kind == "translated":
-        if spec.inner is None or spec.center is None:
-            raise ConfigError("translated requires 'inner' and 'center'")
-        return TranslatedProvider(build_provider(spec.inner), spec.center)
-    if spec.kind == "rotated":
-        if spec.inner is None or spec.rotation is None:
-            raise ConfigError("rotated requires 'inner' and 'rotation'")
-        return RotatedProvider(build_provider(spec.inner), spec.rotation)
-    if spec.kind == "custom_perturbation":
-        return PerturbationProvider(spec.perturbation_terms)
-    raise ConfigError(f"unknown provider kind {spec.kind!r}")
-
-
-def as_provider(spec) -> DataProvider:
-    """The provider itself, or the one a DataProviderSpec describes."""
-    return spec if isinstance(spec, DataProvider) else build_provider(spec)
+    if kind == "schwarzschild_canonical":
+        return SchwarzschildProvider(float(_config_array(config, "mass", ())))
+    if kind == "schwarzschild_graphical":
+        mass = float(_config_array(config, "mass", ()))
+        return GraphicalSchwarzschildProvider(mass, _config_array(config, "u", (3,), (1.0, 0.0, 0.0)))
+    if kind == "custom_perturbation":
+        try:
+            return PerturbationProvider(config.get("perturbation_terms") or [])
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"malformed perturbation term: {exc!r}") from exc
+    if config.get("inner") is None:
+        raise ConfigError(f"{kind} requires 'inner'")
+    inner = build_provider(config["inner"])
+    if kind == "translated":
+        return TranslatedProvider(inner, _config_array(config, "center", (3,)))
+    return RotatedProvider(inner, _config_array(config, "rotation", (3, 3)))
 
 
 # -- curvature / constraint operations --------------------------------------
@@ -769,13 +740,12 @@ def _constraints(mj: MetricJet, ej: ExtrinsicJet):
     return mu, J
 
 
-def constraint_densities(spec, p):
+def constraint_densities(prov, p):
     """Energy density mu and momentum one-form J at chart points.
 
     mu = (Scal - |K|^2 + (tr K)^2) / 2,
     J_j = g^{ik} nabla_k K_ij - d_j tr K.
     """
-    prov = as_provider(spec)
     return _constraints(prov.metric_jet(p), prov.extrinsic_jet(p))
 
 
@@ -818,9 +788,8 @@ def _fit_exponent(radii, sups):
     return float(-slope)
 
 
-def decay_check(spec, radii, eps, lmax=16):
+def decay_check(prov, radii, eps, lmax=16):
     """Sample the decay inequalities and parity conditions on coordinate spheres."""
-    prov = as_provider(spec)
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0):
         raise ConfigError("radii must be strictly increasing")

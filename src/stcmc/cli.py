@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .chart import DataProviderSpec, build_provider
+from .chart import GraphicalSchwarzschildProvider, build_provider
 from .charges import adm_energy, charges_to_csv, sphere_fluxes, stcmc_center_coordinate
 from .errors import ConfigError, StcmcError
 from .solver import SolveConfig, foliate, laplace_spectrum, newton_solve
@@ -41,25 +41,26 @@ def parse_grid(text):
         raise ConfigError(f"cannot parse grid {text!r}") from exc
 
 
-def _spec_from_args(args):
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            spec = DataProviderSpec.from_dict(json.load(fh))
+def _provider_from_args(args):
+    """The provider of the --config file, or of --data/--mass/--u, translated by --center."""
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read provider config {args.config!r}: {exc}") from exc
+    elif args.data is None:
+        raise ConfigError("either --data or --config is required")
     else:
-        data = getattr(args, "data", None)
-        if data is None:
-            raise ConfigError("either --data or --config is required")
         aliases = {"schwarzschild": "schwarzschild_canonical"}
-        kind = aliases.get(data, data)
-        spec = DataProviderSpec(
-            kind=kind,
-            mass=getattr(args, "mass", None),
-            u=tuple(parse_grid(args.u)) if getattr(args, "u", None) else None,
-        )
-    if getattr(args, "center", None):
-        spec = DataProviderSpec(kind="translated", center=tuple(parse_grid(args.center)), inner=spec)
-    build_provider(spec)  # validate eagerly
-    return spec
+        config = {"kind": aliases.get(args.data, args.data)}
+        if args.mass is not None:
+            config["mass"] = args.mass
+        if args.u:
+            config["u"] = parse_grid(args.u)
+    if args.center:
+        config = {"kind": "translated", "center": parse_grid(args.center), "inner": config}
+    return build_provider(config)
 
 
 def _add_provider_flags(p):
@@ -67,7 +68,7 @@ def _add_provider_flags(p):
     p.add_argument("--mass", type=float, default=None)
     p.add_argument("--u", help="slice direction vector, e.g. 1,0,0")
     p.add_argument("--center", help="translate the data by this vector")
-    p.add_argument("--config", help="JSON provider spec file")
+    p.add_argument("--config", help="JSON provider config file")
     p.add_argument("--lmax", type=int, default=24)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", help="output CSV path")
@@ -106,18 +107,27 @@ def build_parser():
     return ap
 
 
+def _write_csv(path, header, rows):
+    """Write a header and rows of floats printed with 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    print(f"wrote {path}")
+
+
 def cmd_charges(args):
-    spec = _spec_from_args(args)
+    prov = _provider_from_args(args)
     radii = parse_grid(args.radii)
     if args.out:
-        charge, center, evo = charges_to_csv(args.out, spec, radii, lmax=args.lmax)
+        charge, center, evo = charges_to_csv(args.out, prov, radii, lmax=args.lmax)
         print(f"wrote {args.out}")
     else:
-        fx = sphere_fluxes(spec, radii, args.lmax)
-        charge = adm_energy(spec, radii, args.lmax, fluxes=fx)
+        fx = sphere_fluxes(prov, radii, args.lmax)
+        charge = adm_energy(prov, radii, args.lmax, fluxes=fx)
         center = None
         if abs(charge.energy) > 1e-12:
-            center = stcmc_center_coordinate(spec, radii, charge.energy, args.lmax, fluxes=fx)
+            center = stcmc_center_coordinate(prov, radii, charge.energy, args.lmax, fluxes=fx)
         print(f"{'radius':>10} {'E':>14} {'|P|':>12} {'C_sum_1':>12}")
         for i, s in enumerate(radii):
             csum = center.sum_values[i, 0] if center is not None else float("nan")
@@ -131,25 +141,25 @@ def cmd_charges(args):
 
 
 def cmd_solve(args):
-    spec = _spec_from_args(args)
+    prov = _provider_from_args(args)
     r0 = args.r0 if args.r0 is not None else args.sigma
     seed = GraphSurface.round(np.zeros(3), r0, args.lmax)
-    result = newton_solve(spec, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    sc = surface_scalars(spec, result.surface)
+    result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
+    sc = surface_scalars(prov, result.surface)
     print(
         f"converged in {result.iterations} iterations; residual sup {result.residual_sup:.3e}\n"
         f"area radius {sc.area_radius:.10g}  center {sc.center}  m_H {sc.hawking_mass:.10g}"
     )
     if args.out:
-        surface_to_csv(spec, result.surface, args.out)
+        surface_to_csv(prov, result.surface, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_foliate(args):
-    spec = _spec_from_args(args)
+    prov = _provider_from_args(args)
     sigmas = parse_grid(args.sigma_list)
-    fol = foliate(spec, sigmas, SolveConfig(lmax=args.lmax, tol=args.tol))
+    fol = foliate(prov, sigmas, SolveConfig(lmax=args.lmax, tol=args.tol))
     rows = []
     for leaf in fol:
         rows.append(
@@ -159,12 +169,7 @@ def cmd_foliate(args):
     header = ["sigma", "r_area", "z1", "z2", "z3", "m_hawking",
               "lambda1", "lambda2", "lambda3", "sigma_min_L", "residual"]
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([f"{v:.17g}" for v in row])
-        print(f"wrote {args.out}")
+        _write_csv(args.out, header, rows)
     else:
         print(" ".join(f"{h:>12}" for h in header))
         for row in rows:
@@ -175,10 +180,10 @@ def cmd_foliate(args):
 
 
 def cmd_spectrum(args):
-    spec = _spec_from_args(args)
+    prov = _provider_from_args(args)
     seed = GraphSurface.round(np.zeros(3), args.sigma, args.lmax)
-    result = newton_solve(spec, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    rep = laplace_spectrum(spec, result.surface, k=args.k)
+    result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
+    rep = laplace_spectrum(prov, result.surface, k=args.k)
     print(f"eigenvalues: {rep.eigenvalues}")
     print(f"predicted l=1 values: {rep.predicted_lambda}")
     print(f"sigma_min(L) = {rep.sigma_min_L:.6e}  bound 3|m_H|/sigma^3 = {rep.invertibility_bound:.6e}")
@@ -186,16 +191,16 @@ def cmd_spectrum(args):
 
 
 def cmd_example_s9(args):
-    u = tuple(parse_grid(args.u))
-    spec = DataProviderSpec(kind="schwarzschild_graphical", mass=args.mass, u=u)
-    build_provider(spec)
+    u = np.asarray(parse_grid(args.u))
+    if u.shape != (3,) or not np.linalg.norm(u) > 0:
+        raise ConfigError(f"--u must be a nonzero 3-vector, got {args.u!r}")
+    prov = GraphicalSchwarzschildProvider(args.mass, u)
     sgrid = parse_grid(args.s_grid)
-    fx = sphere_fluxes(spec, sgrid, args.lmax)
-    charge = adm_energy(spec, sgrid, args.lmax, fluxes=fx)
-    cen = stcmc_center_coordinate(spec, sgrid, charge.energy, args.lmax, fluxes=fx)
+    fx = sphere_fluxes(prov, sgrid, args.lmax)
+    charge = adm_energy(prov, sgrid, args.lmax, fluxes=fx)
+    cen = stcmc_center_coordinate(prov, sgrid, charge.energy, args.lmax, fluxes=fx)
     print(f"{'s':>10} {'C_BOM.u':>12} {'Z.u':>12} {'sum.u':>12}")
-    uhat = np.asarray(u, dtype=float)
-    uhat /= np.linalg.norm(uhat)
+    uhat = u / np.linalg.norm(u)
     for i, s in enumerate(sgrid):
         print(
             f"{s:10.1f} {cen.bom_values[i] @ uhat:12.6f} "
@@ -206,13 +211,9 @@ def cmd_example_s9(args):
         f"sum divergent: {cen.sum_divergent}; sum limit: {cen.sum_limit}"
     )
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["s", "CBOM1", "CBOM2", "CBOM3", "Z1", "Z2", "Z3", "SUM1", "SUM2", "SUM3"])
-            for i, s in enumerate(sgrid):
-                row = [s, *cen.bom_values[i], *cen.z_values[i], *cen.sum_values[i]]
-                writer.writerow([f"{v:.17g}" for v in row])
-        print(f"wrote {args.out}")
+        header = ["s", "CBOM1", "CBOM2", "CBOM3", "Z1", "Z2", "Z3", "SUM1", "SUM2", "SUM3"]
+        rows = ([s, *cen.bom_values[i], *cen.z_values[i], *cen.sum_values[i]] for i, s in enumerate(sgrid))
+        _write_csv(args.out, header, rows)
     return 0
 
 

@@ -6,7 +6,7 @@ class StcmcError(Exception):
 
 
 class ConfigError(StcmcError):
-    """Invalid provider spec, run configuration, or CLI arguments."""
+    """Invalid provider config, run configuration, or CLI arguments."""
 
 
 class PointInsideCore(StcmcError):
@@ -73,8 +73,8 @@ class SpacelikeEnergyMomentum(StcmcError):
     """Energy-momentum vector is spacelike: |P| exceeds E."""
 
 
-class NotOrthogonal(StcmcError):
-    """Matrix is not orthogonal to machine precision."""
+class NotOrthogonal(ConfigError):
+    """Rotation matrix is not orthogonal to machine precision."""
 
 
 class FoliationNotSupported(StcmcError):

@@ -36,7 +36,6 @@ import scipy.linalg
 
 from .chart import (
     DataProvider,
-    as_provider,
     covariant_derivative,
     ricci_scalar_curvature,
     trace_derivative,
@@ -172,26 +171,26 @@ def _nodal_coefficients(f: _OperatorFields, tag):
     return [alpha * c + beta * k for c, k in zip(core, kterm)] + [alpha * c for c in core[3:]]
 
 
-def assemble_linearization(spec, surface: GraphSurface, which="L_H", frames=None):
+def assemble_linearization(prov, surface: GraphSurface, which="L_H", frames=None):
     """Dense matrix of a linearized-curvature operator in the harmonic basis.
 
     The operator acts on the normal speed; entries are the base-band
     projections of the nodal action on each basis function.
     """
-    fr = frames if frames is not None else surface_frames(spec, surface)
+    fr = frames if frames is not None else surface_frames(prov, surface)
     if which == "L_H" and np.any(fr.stcmc <= 0):
         raise TrappedRegion("L_H undefined where H^2 - P^2 vanishes")
     return fr.grid.operator_matrix(_nodal_coefficients(_OperatorFields(fr), which), surface.lmax)
 
 
-def graph_jacobian(spec, surface: GraphSurface, frames=None):
+def graph_jacobian(prov, surface: GraphSurface, frames=None):
     """Jacobian of the nodal curvature map with respect to the graph height.
 
     A radial perturbation v moves points by v * omega; its normal part is
     g(omega, nu) v and the tangential part transports the (nonconstant)
     curvature along the surface.
     """
-    fr = frames if frames is not None else surface_frames(spec, surface)
+    fr = frames if frames is not None else surface_frames(prov, surface)
     grid = fr.grid
     a0, a1, a2, a3, a4, a5 = _nodal_coefficients(_OperatorFields(fr), "L_H")
     g = fr.metric_jet.g
@@ -216,22 +215,21 @@ def graph_jacobian(spec, surface: GraphSurface, frames=None):
     return grid.operator_matrix(fields, surface.lmax)
 
 
-def curvature_residual(spec, surface: GraphSurface, sigma, frames=None):
+def curvature_residual(prov, surface: GraphSurface, sigma, frames=None):
     """Nodal residual sqrt(H^2 - P^2) - 2/sigma and its base-band projection."""
-    fr = frames if frames is not None else surface_frames(spec, surface)
+    fr = frames if frames is not None else surface_frames(prov, surface)
     res = fr.stcmc - 2.0 / sigma
     proj = truncate_coeffs(fr.grid.analyze(res), surface.lmax)
     return res, proj, fr
 
 
-def newton_solve(spec, sigma, initial: GraphSurface, config: SolveConfig | None = None):
+def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None):
     """Solve sqrt(H^2 - P^2) = 2/sigma by damped Newton on the graph height.
 
     The base sphere is re-centered to the measured coordinate center between
     iterations, which keeps the low-order height content (and hence the
     conditioning of the translational block) small.
     """
-    prov = as_provider(spec)
     cfg = config or SolveConfig(lmax=initial.lmax)
     if sigma <= 0:
         raise ConfigError("sigma must be positive")
@@ -324,7 +322,7 @@ class ContinuationStep:
     lapse_l2: float
 
 
-def continuation_in_tau(spec, sigma, initial: GraphSurface, config: SolveConfig | None = None, steps=8):
+def continuation_in_tau(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None, steps=8):
     """Deform the purely Riemannian solution to the full-K solution.
 
     Walks tau from 0 to 1 through data with K scaled by tau, seeding each
@@ -332,7 +330,6 @@ def continuation_in_tau(spec, sigma, initial: GraphSurface, config: SolveConfig 
     1/256.  At every accepted tau the deformation lapse u is recorded by
     solving script-L u = tau (tr_S K)^2 / H with the unscaled K.
     """
-    prov = as_provider(spec)
     cfg = config or SolveConfig(lmax=initial.lmax)
     out = []
     tau = 0.0
@@ -377,10 +374,11 @@ def _continuation_record(prov, tau, sigma, result):
     )
 
 
-def foliate(spec, sigma_list, config: SolveConfig | None = None, initial=None, spectra=True):
+def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, spectra=True):
     """Sweep sigma upward, seeding each leaf by radial rescaling of the last."""
-    prov = as_provider(spec)
     sigma_list = [float(s) for s in sigma_list]
+    if not sigma_list:
+        raise ConfigError("sigma list is empty")
     if any(b <= a for a, b in zip(sigma_list, sigma_list[1:])):
         raise ConfigError("sigma list must be strictly increasing")
     cfg = config or SolveConfig()
@@ -449,7 +447,7 @@ def _stiffness_mass(fr: CurvatureField, lmax):
     return S, M
 
 
-def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
+def laplace_spectrum(prov, surface: GraphSurface, k=8, frames=None):
     """Low eigenpairs of the induced Laplacian and invertibility diagnostics.
 
     The generalized symmetric problem S v = lambda M v is assembled in the
@@ -458,7 +456,6 @@ def laplace_spectrum(spec, surface: GraphSurface, k=8, frames=None):
     eigenfunctions are aligned with the scaled coordinate functions by
     projection and re-orthonormalization.
     """
-    prov = as_provider(spec)
     fr = frames if frames is not None else surface_frames(prov, surface)
     nb = n_coeffs(surface.lmax)
     if k < 3:
@@ -522,14 +519,14 @@ def _sigma_min_weighted(fields: _OperatorFields, lmax, M):
     return float(np.linalg.svd(W, compute_uv=False).min())
 
 
-def operator_bound_check(spec, surface: GraphSurface):
+def operator_bound_check(prov, surface: GraphSurface):
     """Smallest weighted singular value of script-L against 3|m_H|/sigma^3."""
-    rep = laplace_spectrum(spec, surface, k=4)
+    rep = laplace_spectrum(prov, surface, k=4)
     ratio = rep.sigma_min_L / rep.invertibility_bound if rep.invertibility_bound > 0 else float("inf")
     return rep.sigma_min_L, rep.invertibility_bound, ratio
 
 
-def center_variation_check(spec, surface: GraphSurface, u_coeffs, h=1e-5):
+def center_variation_check(prov, surface: GraphSurface, u_coeffs, h=1e-5):
     """First variation of the Euclidean center against the normal-flux formula.
 
     Compares a central difference of the center of X + s u nu with
@@ -537,7 +534,6 @@ def center_variation_check(spec, surface: GraphSurface, u_coeffs, h=1e-5):
     """
     from .surfaces import parametrized_area_and_center
 
-    prov = as_provider(spec)
     fr = surface_frames(prov, surface)
     grid = fr.grid
     u = grid.synthesize(pad_coeffs(np.asarray(u_coeffs, dtype=float), surface.lmax, grid.lmax))
@@ -552,9 +548,8 @@ def center_variation_check(spec, surface: GraphSurface, u_coeffs, h=1e-5):
     return fd, formula, float(np.linalg.norm(fd - formula))
 
 
-def uniqueness_cross_check(spec, sigma, seeds, config: SolveConfig | None = None):
+def uniqueness_cross_check(prov, sigma, seeds, config: SolveConfig | None = None):
     """Max pairwise sup-distance between leaves converged from different seeds."""
-    prov = as_provider(spec)
     cfg = config or SolveConfig(lmax=seeds[0].lmax)
     solved = [newton_solve(prov, sigma, s, cfg) for s in seeds]
     base = solved[0].surface.center

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import chart
-from .chart import as_provider, christoffel
+from .chart import EuclideanProvider, christoffel
 from .errors import (
     ConfigError,
     DegenerateInducedMetric,
@@ -151,11 +150,7 @@ class CurvatureField:
     H: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     stcmc: np.ndarray = field(repr=False)        # sqrt(H^2 - P^2)
-    dmu_delta: np.ndarray = field(repr=False)
-    nu_delta: np.ndarray = field(repr=False)
-    A_delta: np.ndarray = field(repr=False)
-    H_delta: np.ndarray = field(repr=False)
-    delta2inv: np.ndarray = field(repr=False)    # inverse euclidean induced metric
+    dmu_delta: np.ndarray = field(repr=False)    # Euclidean area density wrt round dOmega
     metric_jet: object = field(repr=False)
     extrinsic_jet: object = field(repr=False)
     hess: np.ndarray = field(repr=False)         # ambient Hessian D_ab = X_ab + Gamma(X_a, X_b), (n, 2, 2, 3)
@@ -192,9 +187,14 @@ def embedding_nodes(surface: GraphSurface, grid):
     return X, (Xt, Xp), (Xtt, Xtp, Xpp), uv["o"], R
 
 
+def _det_2x2(m):
+    """Determinant of a stack of symmetric 2x2 matrices."""
+    return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+
+
 def _inverse_2x2(m):
     """Adjugate inverse and determinant of a stack of 2x2 matrices."""
-    det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
+    det = _det_2x2(m)
     inv = np.empty_like(m)
     inv[:, 0, 0] = m[:, 1, 1]
     inv[:, 1, 1] = m[:, 0, 0]
@@ -205,9 +205,8 @@ def _inverse_2x2(m):
     return inv, det
 
 
-def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
+def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     """Full curvature data of the surface in the data set, on the dealiased grid."""
-    prov = as_provider(spec)
     grid = get_grid(dealias_lmax(surface.lmax))
     X, (Xt, Xp), (Xtt, Xtp, Xpp), om, R = embedding_nodes(surface, grid)
     if np.any(R <= 0):
@@ -222,13 +221,10 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
     if np.any(det2 <= 0):
         raise DegenerateInducedMetric("induced metric has nonpositive determinant")
 
-    ncross = np.cross(Xt, Xp)
-    orient = np.einsum("ni,ni->n", ncross, X - surface.center)
-    ncross[orient < 0] *= -1.0
-    v = np.einsum("nij,nj->ni", mj.ginv, ncross)
+    # X_theta x X_phi points outward: its radial part is R^2 sin(theta) > 0
+    v = np.einsum("nij,nj->ni", mj.ginv, np.cross(Xt, Xp))
     vnorm = np.sqrt(np.einsum("ni,nij,nj->n", v, g, v))
     nu = v / vnorm[:, None]
-    nu_delta = ncross / np.linalg.norm(ncross, axis=1)[:, None]
 
     sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)  # (n,2,2,3)
     hess = sec + np.einsum("nkij,nai,nbj->nabk", christoffel(mj), tang, tang)
@@ -237,10 +233,6 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
     H = np.einsum("nab,nab->n", g2inv, A)
     Aring = A - 0.5 * H[:, None, None] * g2
     Aring2 = np.einsum("nac,nbd,nab,ncd->n", g2inv, g2inv, Aring, Aring)
-
-    d2inv, ddet2 = _inverse_2x2(np.einsum("nai,nbi->nab", tang, tang))
-    A_delta = -np.einsum("ni,nabi->nab", nu_delta, sec)
-    H_delta = np.einsum("nab,nab->n", d2inv, A_delta)
 
     P = np.einsum("nab,nai,nbj,nij->n", g2inv, tang, tang, ej.K)
     h2p2 = H**2 - P**2
@@ -266,11 +258,7 @@ def surface_frames(spec, surface: GraphSurface) -> CurvatureField:
         H=H,
         P=P,
         stcmc=stcmc,
-        dmu_delta=np.sqrt(ddet2) / st,
-        nu_delta=nu_delta,
-        A_delta=A_delta,
-        H_delta=H_delta,
-        delta2inv=d2inv,
+        dmu_delta=np.sqrt(_det_2x2(np.einsum("nai,nbi->nab", tang, tang))) / st,
         metric_jet=mj,
         extrinsic_jet=ej,
         hess=hess,
@@ -290,8 +278,8 @@ class SurfaceScalars:
     max_coord_radius: float
 
 
-def surface_scalars(spec, surface: GraphSurface, frames: CurvatureField | None = None):
-    fr = frames if frames is not None else surface_frames(spec, surface)
+def surface_scalars(prov, surface: GraphSurface, frames: CurvatureField | None = None):
+    fr = frames if frames is not None else surface_frames(prov, surface)
     area = fr.area
     area_d = fr.area_delta
     r = np.sqrt(area / (4.0 * np.pi))
@@ -334,7 +322,7 @@ class AprioriCheck:
 APRIORI_ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
-def apriori_class_check(spec, surface: GraphSurface, a, b, eta, eps):
+def apriori_class_check(prov, surface: GraphSurface, a, b, eta, eps):
     """Membership in the asymptotically-centered class (genus 0).
 
     Checks |z| <= a r + b r^(1-eta),  r^(2+eta) <= min |x|^(5/2+eps)  and
@@ -345,8 +333,8 @@ def apriori_class_check(spec, surface: GraphSurface, a, b, eta, eps):
     cases of a flat round sphere (zero deficit; |z| = 0 when centered) pass.
     The `*_slack` fields are the raw rhs - lhs, without allowance.
     """
-    fr = surface_frames(spec, surface)
-    sc = surface_scalars(spec, surface, fr)
+    fr = surface_frames(prov, surface)
+    sc = surface_scalars(prov, surface, fr)
     r = sc.area_radius
     zn = np.linalg.norm(sc.center)
     lhs1, rhs1 = zn, a * r + b * r ** (1.0 - eta)
@@ -362,13 +350,21 @@ def apriori_class_check(spec, surface: GraphSurface, a, b, eta, eps):
     )
 
 
-def euclidean_comparison(spec, surface: GraphSurface):
+def euclidean_comparison(prov, surface: GraphSurface):
     """Sup norms of the flat-vs-curved frame differences on the surface."""
-    fr = surface_frames(spec, surface)
-    dnu = np.linalg.norm(fr.nu - fr.nu_delta, axis=1).max()
-    dA = fr.A - fr.A_delta
-    dA_norm = np.sqrt(np.einsum("nac,nbd,nab,ncd->n", fr.delta2inv, fr.delta2inv, dA, dA))
-    dH = np.abs(fr.H - fr.H_delta).max()
+    fr = surface_frames(prov, surface)
+    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(surface, fr.grid)
+    ncross = np.cross(*fr.tangents)
+    nu_delta = ncross / np.linalg.norm(ncross, axis=1)[:, None]
+    tang = np.stack(fr.tangents, axis=1)
+    delta2inv, _ = _inverse_2x2(np.einsum("nai,nbi->nab", tang, tang))
+    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
+    A_delta = -np.einsum("ni,nabi->nab", nu_delta, sec)
+    H_delta = np.einsum("nab,nab->n", delta2inv, A_delta)
+    dnu = np.linalg.norm(fr.nu - nu_delta, axis=1).max()
+    dA = fr.A - A_delta
+    dA_norm = np.sqrt(np.einsum("nac,nbd,nab,ncd->n", delta2inv, delta2inv, dA, dA))
+    dH = np.abs(fr.H - H_delta).max()
     rel_dmu = np.abs(fr.dmu / fr.dmu_delta - 1.0).max()
     return {
         "nu": float(dnu),
@@ -398,12 +394,8 @@ def parametrized_area_and_center(grid, X, metric_of=None):
         g = metric_of.metric_jet(X).g
     else:
         g = np.broadcast_to(np.eye(3), (X.shape[0], 3, 3))
-    g2 = np.einsum("nai,nij,nbj->nab", tang, g, tang)
-    det2 = g2[:, 0, 0] * g2[:, 1, 1] - g2[:, 0, 1] ** 2
-    dens = np.sqrt(det2) / st
-    d2 = np.einsum("nai,nbi->nab", tang, tang)
-    det2d = d2[:, 0, 0] * d2[:, 1, 1] - d2[:, 0, 1] ** 2
-    dens_d = np.sqrt(det2d) / st
+    dens = np.sqrt(_det_2x2(np.einsum("nai,nij,nbj->nab", tang, g, tang))) / st
+    dens_d = np.sqrt(_det_2x2(np.einsum("nai,nbi->nab", tang, tang))) / st
     area = grid.integrate(dens)
     area_d = grid.integrate(dens_d)
     center = np.stack([grid.integrate(X[:, i] * dens_d) for i in range(3)]) / area_d
@@ -418,12 +410,12 @@ def _check_flat_metric(prov, points):
         raise FoliationNotSupported("graph residual requires the flat background metric")
 
 
-def _graph_fields(sigma, f_coeffs, lmax, spec):
+def _graph_fields(sigma, f_coeffs, lmax, prov):
     """(grid, jets, W, (G00, G01, G11), (b0, b1), F, P) of the graph equation.
 
     Every field is a scalar of shape (..., nnodes); G is the inverse metric.
     """
-    prov = as_provider(spec) if spec is not None else chart.EuclideanProvider()
+    prov = prov if prov is not None else EuclideanProvider()
     grid = get_grid(dealias_lmax(lmax))
     th, _ = grid.mesh()
     st, ct = np.sin(th), np.cos(th)
@@ -467,7 +459,7 @@ def _graph_fields(sigma, f_coeffs, lmax, spec):
     return grid, jets, W, (G00, G01, G11), b, F, P
 
 
-def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
+def appendix_graph_coefficients(sigma, f_coeffs, lmax, prov=None):
     """Coefficient fields (a, b, F) of the quasilinear graph equation.
 
     The background is flat space foliated by round spheres along radial
@@ -476,18 +468,18 @@ def appendix_graph_coefficients(sigma, f_coeffs, lmax, spec=None):
     dealiased `grid`, the height `jets` and the nodal fields `a` (..., nnodes,
     2, 2), `b` (..., nnodes, 2), `F` and the expansion trace `P` (..., nnodes).
     """
-    grid, jets, W, (G00, G01, G11), b, F, P = _graph_fields(sigma, f_coeffs, lmax, spec)
+    grid, jets, W, (G00, G01, G11), b, F, P = _graph_fields(sigma, f_coeffs, lmax, prov)
     a = np.stack([np.stack([G00, G01], axis=-1), np.stack([G01, G11], axis=-1)], axis=-2) / W[..., None, None]
     return {"grid": grid, "jets": jets, "a": a, "b": np.stack(b, axis=-1), "F": F, "P": P}
 
 
-def appendix_graph_residual(sigma, f_coeffs, lmax, spec=None):
+def appendix_graph_residual(sigma, f_coeffs, lmax, prov=None):
     """Nodal residual a^{ab} d2f + b^a df - F of the graph equation.
 
     f_coeffs has shape (..., n_coeffs(lmax)); the residual has shape
     (..., nnodes) on the dealiased grid.
     """
-    _, j, W, (G00, G01, G11), (b0, b1), F, _ = _graph_fields(sigma, f_coeffs, lmax, spec)
+    _, j, W, (G00, G01, G11), (b0, b1), F, _ = _graph_fields(sigma, f_coeffs, lmax, prov)
     return (G00 * j["ftt"] + 2.0 * G01 * j["ftp"] + G11 * j["fpp"]) / W + b0 * j["ft"] + b1 * j["fp"] - F
 
 
@@ -499,7 +491,7 @@ def appendix_graph_residual(sigma, f_coeffs, lmax, spec=None):
 FD_BLOCK = 16
 
 
-def solve_graph_residual(sigma, f0_coeffs, lmax, spec=None, tol=1e-12, max_iter=40):
+def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12, max_iter=40):
     """Newton-solve the graph equation with a finite-difference Jacobian.
 
     Deliberately independent of the embedding-based machinery so the two
@@ -516,7 +508,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, spec=None, tol=1e-12, max_iter=
     E = h * np.eye(nb)
 
     def proj_res(fc):
-        r = appendix_graph_residual(sigma, fc, lmax, spec)
+        r = appendix_graph_residual(sigma, fc, lmax, prov)
         return truncate_coeffs(grid.analyze(r), lmax)
 
     R = proj_res(f)
@@ -552,9 +544,9 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, spec=None, tol=1e-12, max_iter=
     raise MaxIterations(f"sigma {sigma:g}, iteration {max_iter}: graph-equation residual sup {np.max(np.abs(R)):.3e}")
 
 
-def surface_to_csv(spec, surface: GraphSurface, path):
+def surface_to_csv(prov, surface: GraphSurface, path):
     """Per-node snapshot: theta, phi, f, H, P, stcmc, with a metadata header."""
-    fr = surface_frames(spec, surface)
+    fr = surface_frames(prov, surface)
     th, ph = fr.grid.mesh()
     f_nodal = surface.nodal(fr.grid)
     with open(path, "w", newline="") as fh:

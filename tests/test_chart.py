@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from stcmc.chart import (
     DataProvider,
-    DataProviderSpec,
     EuclideanProvider,
     ExtrinsicJet,
     GraphicalSchwarzschildProvider,
@@ -20,7 +20,6 @@ from stcmc.chart import (
     christoffel,
     conjugate_momentum,
     constraint_densities,
-    as_provider,
     decay_check,
     ricci_scalar_curvature,
 )
@@ -569,37 +568,74 @@ def test_decay_requires_increasing_radii(schw):
         decay_check(schw, [40.0, 20.0], 0.5)
 
 
-# -- specs, serialization, validation -------------------------------------------
+# -- provider configs, validation -----------------------------------------------
 
-def test_spec_round_trip():
-    spec = DataProviderSpec(
-        kind="rotated",
-        rotation=tuple(tuple(row) for row in ROT),
-        inner=DataProviderSpec(
-            kind="translated",
-            center=(1.0, 2.0, 3.0),
-            inner=DataProviderSpec(kind="schwarzschild_graphical", mass=1.0, u=(1.0, 0.0, 0.0)),
-        ),
+def test_build_provider_reads_a_nested_json_config(sample_points):
+    text = json.dumps({
+        "kind": "rotated",
+        "rotation": ROT.tolist(),
+        "inner": {
+            "kind": "translated",
+            "center": [1.0, 2.0, 3.0],
+            "inner": {"kind": "schwarzschild_graphical", "mass": 1.0, "u": [1.0, 0.0, 0.0]},
+        },
+    })
+    built = build_provider(json.loads(text))
+    composed = RotatedProvider(
+        TranslatedProvider(GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), [1.0, 2.0, 3.0]), ROT
     )
-    text = spec.to_json()
-    back = DataProviderSpec.from_json(text)
-    assert back == spec
-    build_provider(back)
+    assert isinstance(built, RotatedProvider) and isinstance(built.inner, TranslatedProvider)
+    assert isinstance(built.inner.inner, GraphicalSchwarzschildProvider)
+    mb, mc = built.metric_jet(sample_points), composed.metric_jet(sample_points)
+    eb, ec = built.extrinsic_jet(sample_points), composed.extrinsic_jet(sample_points)
+    for a, b in ((mb.g, mc.g), (mb.dg, mc.dg), (mb.ddg, mc.ddg), (eb.K, ec.K), (eb.dK, ec.dK)):
+        assert np.array_equal(a, b)
+    # u defaults to (1, 0, 0)
+    default_u = build_provider({"kind": "schwarzschild_graphical", "mass": 1.0})
+    assert np.array_equal(default_u.u, [1.0, 0.0, 0.0])
 
 
-def test_evaluate_helpers_accept_specs():
-    spec = DataProviderSpec(kind="schwarzschild_canonical", mass=1.0)
-    jet = as_provider(spec).metric_jet(np.array([[10.0, 0.0, 0.0]]))
-    assert abs(jet.g[0, 0, 0] - 1.25) < 1e-14
-    ext = as_provider(spec).extrinsic_jet(np.array([[10.0, 0.0, 0.0]]))
-    assert not ext.K[0].any()
+MALFORMED_CONFIGS = {
+    "no-kind": {},
+    "unknown-kind": {"kind": "nonsense"},
+    "unknown-key": {"kind": "euclidean", "centre": [1, 2, 3]},
+    "no-mass": {"kind": "schwarzschild_canonical"},
+    "mass-string": {"kind": "schwarzschild_canonical", "mass": "abc"},
+    "mass-bool": {"kind": "schwarzschild_canonical", "mass": True},
+    "mass-list": {"kind": "schwarzschild_canonical", "mass": [1.0]},
+    "u-2": {"kind": "schwarzschild_graphical", "mass": 1.0, "u": [1.0, 0.0]},
+    "u-nan": {"kind": "schwarzschild_graphical", "mass": 1.0, "u": [1.0, float("nan"), 0.0]},
+    "no-inner": {"kind": "translated", "center": [1.0, 2.0, 3.0]},
+    "center-2": {"kind": "translated", "center": [1.0, 2.0], "inner": {"kind": "euclidean"}},
+    "rotation-2x2": {"kind": "rotated", "rotation": [[1.0, 0.0], [0.0, 1.0]], "inner": {"kind": "euclidean"}},
+    "rotation-ragged": {"kind": "rotated", "rotation": [[1.0, 0.0, 0.0], [0.0, 1.0]], "inner": {"kind": "euclidean"}},
+    "rotation-not-orthogonal": {"kind": "rotated", "rotation": (2.0 * np.eye(3)).tolist(), "inner": {"kind": "euclidean"}},
+    "inner-unknown": {"kind": "rotated", "rotation": np.eye(3).tolist(), "inner": {"kind": "nonsense"}},
+    "term-no-j": {"kind": "custom_perturbation", "perturbation_terms": [{"i": 0, "coeff": 1.0, "decay": 1.0}]},
+    "term-string": {"kind": "custom_perturbation", "perturbation_terms": ["g"]},
+    "term-index-negative": {
+        "kind": "custom_perturbation",
+        "perturbation_terms": [{"i": -1, "j": 0, "coeff": 1.0, "decay": 1.0}],
+    },
+    "not-a-mapping": [],
+}
+
+
+@pytest.mark.parametrize("config", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys())
+def test_build_provider_rejects_malformed_configs(config):
+    with pytest.raises(ConfigError):
+        build_provider(config)
+
+
+@pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+def test_providers_reject_a_nonfinite_mass(mass):
+    with pytest.raises(ConfigError):
+        SchwarzschildProvider(mass)
+    with pytest.raises(ConfigError):
+        GraphicalSchwarzschildProvider(mass, [1.0, 0.0, 0.0])
 
 
 def test_validation_errors():
-    with pytest.raises(ConfigError):
-        build_provider(DataProviderSpec(kind="nonsense"))
-    with pytest.raises(ConfigError):
-        DataProviderSpec.from_dict({"kind": "nonsense"})
     with pytest.raises(ConfigError):
         SchwarzschildProvider(0.0)
     with pytest.raises(ConfigError):

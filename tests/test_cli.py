@@ -1,5 +1,7 @@
 import filecmp
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -107,9 +109,10 @@ def test_exit_code_config_error(capsys):
     assert rc == 2
 
 
-def test_exit_code_numerical_error(capsys):
+def test_exit_code_numerical_error(tmp_path, capsys):
     # flat data has zero energy: the center/velocity sweep fails numerically
-    rc = main(["charges", "--data", "euclidean", "--radii", "10,20,30", "--lmax", "8", "--out", "/tmp/zz.csv"])
+    out = tmp_path / "zz.csv"
+    rc = main(["charges", "--data", "euclidean", "--radii", "10,20,30", "--lmax", "8", "--out", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
     assert "ZeroEnergy" in err
@@ -129,3 +132,64 @@ def test_center_flag_translates(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "E = 1.000" in out
+
+
+def _config_file(tmp_path, text):
+    path = tmp_path / "prov.json"
+    path.write_text(text)
+    return ["--config", str(path)]
+
+
+SOLVE = ["solve", "--sigma", "20", "--lmax", "8"]
+MALFORMED_PROVIDER_ARGS = {
+    "u-2": lambda tmp: ["--data", "schwarzschild_graphical", "--mass", "1", "--u", "1,0"],
+    "center-2": lambda tmp: ["--data", "schwarzschild", "--mass", "1", "--center", "1,2"],
+    "config-mass-string": lambda tmp: _config_file(tmp, '{"kind": "schwarzschild_canonical", "mass": "abc"}'),
+    "config-rotation-2x2": lambda tmp: _config_file(
+        tmp, '{"kind": "rotated", "rotation": [[1, 0], [0, 1]], "inner": {"kind": "euclidean"}}'
+    ),
+    "config-missing": lambda tmp: ["--config", str(tmp / "missing.json")],
+    "config-not-json": lambda tmp: _config_file(tmp, "{kind: euclidean"),
+}
+
+
+@pytest.mark.parametrize("provider_args", MALFORMED_PROVIDER_ARGS.values(), ids=MALFORMED_PROVIDER_ARGS.keys())
+def test_malformed_provider_input_is_a_config_error(tmp_path, capsys, provider_args):
+    rc = main(SOLVE + provider_args(tmp_path))
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def test_foliate_rejects_an_empty_sigma_list(capsys):
+    rc = main(["foliate", "--data", "euclidean", "--sigma-list", ",", "--lmax", "8"])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u", ["0,0,0", "1,0"])
+def test_example_s9_rejects_a_degenerate_direction(monkeypatch, capsys, u):
+    import stcmc.cli as cli
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "sphere_fluxes", no_sweep)
+    rc = main(["example-s9", "--u", u, "--s-grid", "log:100:10000:4", "--lmax", "8"])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """The stcmc invocations of the README's "Command line" block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("stcmc ")]
+
+
+def test_readme_examples_run(tmp_path, capsys):
+    commands = [argv for argv in _readme_commands() if argv[0] != "check"]
+    assert len(commands) >= 5
+    for argv in commands:
+        argv = [str(tmp_path / Path(a).name) if i and argv[i - 1] == "--out" else a for i, a in enumerate(argv)]
+        rc = main(argv + ["--lmax", "8"])
+        assert rc == 0, argv

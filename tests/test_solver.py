@@ -414,6 +414,11 @@ def test_foliation_requires_increasing_sigma(euclid):
         foliate(euclid, [10.0, 10.0], SolveConfig(lmax=8))
 
 
+def test_foliation_requires_a_sigma(euclid):
+    with pytest.raises(ConfigError, match="empty"):
+        foliate(euclid, [], SolveConfig(lmax=8))
+
+
 # -- spectra -----------------------------------------------------------------------
 
 def test_spectrum_round_sphere(euclid):
