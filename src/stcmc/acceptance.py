@@ -42,7 +42,6 @@ from .surfaces import (
     rebase,
     solve_graph_residual,
     surface_frames,
-    surface_scalars,
 )
 
 
@@ -201,7 +200,7 @@ def criterion_5_eigenvalue_law():
     literal = []
     lam4_ok = True
     for leaf in fol:
-        rep = laplace_spectrum(prov, leaf.surface, k=8)
+        rep = laplace_spectrum(surface_frames(prov, leaf.surface), k=8)
         ratio = (rep.eigenvalues[1:4] - 2.0 / rep.sigma**2 - rep.ricci_integrals) * rep.sigma**3 / 6.0
         rel_errors.append(float(np.max(np.abs(ratio / rep.hawking_mass - 1.0))))
         literal.append(float(np.mean((rep.eigenvalues[1:4] - 2.0 / rep.sigma**2) * rep.sigma**3 / 6.0)))
@@ -240,7 +239,7 @@ def criterion_6_linearization_suite():
     for prov, S, ndir in cases:
         sigma = S.r0
         _, _, fr = curvature_residual(prov, S, sigma)
-        J = graph_jacobian(prov, S, frames=fr)
+        J = graph_jacobian(fr)
         for _ in range(ndir):
             v = rng.normal(size=n_coeffs(S.lmax))
             v /= np.linalg.norm(v)

@@ -15,7 +15,6 @@ signature mode of the bounded-oscillation examples.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ class PowerFit:
     divergent: bool
 
 
-def fit_power_tail(radii, values, p_grid=None):
+def fit_power_tail(radii, values):
     """Least-squares fit of c0 + c1 s^-p with p scanned then refined.
 
     With six or more radii the log-periodic pair cos(ln s), sin(ln s) is
@@ -72,10 +71,9 @@ def fit_power_tail(radii, values, p_grid=None):
         r = A @ c - y
         return float(np.sqrt(r @ r)), c
 
-    if p_grid is None:
-        p_grid = np.linspace(0.25, 4.0, 76)
-    best_p, (best_r, best_c) = p_grid[0], solve_for(p_grid[0])
-    for p in p_grid[1:]:
+    scan = np.linspace(0.25, 4.0, 76)  # coarse exponent scan, then golden-section refinement
+    best_p, (best_r, best_c) = scan[0], solve_for(scan[0])
+    for p in scan[1:]:
         r, c = solve_for(p)
         if r < best_r:
             best_p, best_r, best_c = p, r, c
@@ -135,6 +133,8 @@ def sphere_fluxes(prov, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     coordinates.
     """
     radii = np.asarray(radii, dtype=float)
+    if not np.all((radii > 0) & (radii < np.inf)):
+        raise ConfigError(f"sphere radii must be finite and positive, got {radii}")
     center = np.asarray(center, dtype=float).reshape(3)
     grid = get_grid(lmax)
     om = grid.unit_vectors()["o"]
@@ -330,57 +330,24 @@ def matter_moment_shells(prov, radii, lmax=24):
     return np.asarray(out)
 
 
-def euclidean_motion_transform(reports, O, T):
-    """Transform charge/center reports under y = O x + T.
+def euclidean_motion_transform(rep, O, T):
+    """Transform a charge or center report under y = O x + T.
 
     Energy is invariant, momenta rotate, centers rotate and translate.
     """
     O = orthogonal_matrix(O)
     T = np.asarray(T, dtype=float).reshape(3)
-    out = []
-    for rep in reports if isinstance(reports, (list, tuple)) else [reports]:
-        if isinstance(rep, ChargeReport):
-            out.append(
-                ChargeReport(
-                    radii=rep.radii,
-                    energy_values=rep.energy_values.copy(),
-                    momentum_values=rep.momentum_values @ O.T,
-                    energy=rep.energy,
-                    momentum=O @ rep.momentum,
-                    mass=rep.mass,
-                    energy_fit=rep.energy_fit,
-                    momentum_fits=rep.momentum_fits,
-                )
-            )
-        elif isinstance(rep, CenterReport):
-            out.append(_center_report(rep.radii, rep.bom_values @ O.T + T, rep.z_values @ O.T))
-        else:
-            raise ConfigError(f"cannot transform report of type {type(rep).__name__}")
-    return out if isinstance(reports, (list, tuple)) else out[0]
-
-
-def charges_to_csv(path, prov, radii, E=None, lmax=24):
-    """Write the per-radius flux table; returns the underlying reports."""
-    fx = sphere_fluxes(prov, radii, lmax)
-    charge = adm_energy(prov, radii, lmax, fluxes=fx)
-    E_used = E if E is not None else charge.energy
-    center = stcmc_center_coordinate(prov, radii, E_used, lmax, fluxes=fx)
-    evo = velocity_integral(prov, radii, E_used, lmax, fluxes=fx)
-    header = (
-        ["radius", "E", "P1", "P2", "P3", "CBOM1", "CBOM2", "CBOM3",
-         "Z1", "Z2", "Z3", "CSTCMC1", "CSTCMC2", "CSTCMC3", "V1", "V2", "V3"]
-    )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, s in enumerate(np.asarray(radii, dtype=float)):
-            row = (
-                [s, charge.energy_values[i]]
-                + list(charge.momentum_values[i])
-                + list(center.bom_values[i])
-                + list(center.z_values[i])
-                + list(center.sum_values[i])
-                + list(evo.velocity_values[i])
-            )
-            writer.writerow([f"{v:.17g}" for v in row])
-    return charge, center, evo
+    if isinstance(rep, ChargeReport):
+        return ChargeReport(
+            radii=rep.radii,
+            energy_values=rep.energy_values.copy(),
+            momentum_values=rep.momentum_values @ O.T,
+            energy=rep.energy,
+            momentum=O @ rep.momentum,
+            mass=rep.mass,
+            energy_fit=rep.energy_fit,
+            momentum_fits=rep.momentum_fits,
+        )
+    if isinstance(rep, CenterReport):
+        return _center_report(rep.radii, rep.bom_values @ O.T + T, rep.z_values @ O.T)
+    raise ConfigError(f"cannot transform report of type {type(rep).__name__}")

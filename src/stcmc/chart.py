@@ -613,15 +613,15 @@ class PerturbationProvider(DataProvider):
 
 # -- provider configs -------------------------------------------------------
 
-KINDS = (
-    "euclidean",
-    "schwarzschild_canonical",
-    "schwarzschild_graphical",
-    "translated",
-    "rotated",
-    "custom_perturbation",
-)
-_CONFIG_KEYS = ("kind", "mass", "u", "center", "rotation", "perturbation_terms", "inner")
+# the keys each provider kind reads, besides `kind`
+KIND_KEYS = {
+    "euclidean": (),
+    "schwarzschild_canonical": ("mass",),
+    "schwarzschild_graphical": ("mass", "u"),
+    "translated": ("center", "inner"),
+    "rotated": ("rotation", "inner"),
+    "custom_perturbation": ("perturbation_terms",),
+}
 
 
 def _config_array(config, key, shape, default=None):
@@ -641,19 +641,19 @@ def _config_array(config, key, shape, default=None):
 def build_provider(config) -> DataProvider:
     """The catalog provider that a JSON config mapping describes.
 
-    Keys: `kind` (one of KINDS), `mass`, `u` (default (1, 0, 0)), `center`,
-    `rotation`, `perturbation_terms`, and the nested `inner` config of the
-    translated and rotated kinds.  A missing, unknown or malformed entry
-    raises ConfigError.
+    `kind` is a key of KIND_KEYS, which lists the other keys that kind reads:
+    `mass`, `u` (default (1, 0, 0)), `center`, `rotation`,
+    `perturbation_terms`, and the nested `inner` config of the translated and
+    rotated kinds.  A missing, malformed or unread entry raises ConfigError.
     """
     if not isinstance(config, dict):
         raise ConfigError(f"provider config must be a JSON object, got {config!r}")
-    unknown = sorted(set(config) - set(_CONFIG_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown provider config keys {unknown}; choose from {_CONFIG_KEYS}")
     kind = config.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"unknown provider kind {kind!r}; choose from {KINDS}")
+    if not isinstance(kind, str) or kind not in KIND_KEYS:
+        raise ConfigError(f"unknown provider kind {kind!r}; choose from {tuple(KIND_KEYS)}")
+    unread = sorted(set(config) - {"kind", *KIND_KEYS[kind]})
+    if unread:
+        raise ConfigError(f"{kind} does not read the config keys {unread}; it reads {KIND_KEYS[kind]}")
     if kind == "euclidean":
         return EuclideanProvider()
     if kind == "schwarzschild_canonical":

@@ -14,31 +14,30 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
 
 from .chart import GraphicalSchwarzschildProvider, build_provider
-from .charges import adm_energy, charges_to_csv, sphere_fluxes, stcmc_center_coordinate
+from .charges import adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
 from .errors import ConfigError, StcmcError
 from .solver import SolveConfig, foliate, laplace_spectrum, newton_solve
-from .surfaces import GraphSurface, surface_scalars, surface_to_csv
+from .surfaces import GraphSurface, surface_frames, surface_scalars, surface_to_csv
 
 
 def parse_grid(text):
     """Parse a list '1,2,3' or a log grid 'log:<start>:<stop>:<count>'."""
-    if text.startswith("log:"):
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise ConfigError("log grid syntax is log:<start>:<stop>:<count>")
-        start, stop, count = float(parts[1]), float(parts[2]), int(parts[3])
-        if start <= 0 or stop <= start or count < 2:
-            raise ConfigError("log grid needs 0 < start < stop and count >= 2")
-        return list(np.exp(np.linspace(np.log(start), np.log(stop), count)))
     try:
-        return [float(tok) for tok in text.split(",") if tok]
+        if not text.startswith("log:"):
+            return [float(tok) for tok in text.split(",") if tok]
+        _, start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse grid {text!r}") from exc
+        raise ConfigError(f"cannot parse grid {text!r}; use 1,2,3 or log:<start>:<stop>:<count>") from exc
+    if not 0 < start < stop < math.inf or count < 2:
+        raise ConfigError("log grid needs 0 < start < stop < inf and an integer count >= 2")
+    return list(np.exp(np.linspace(np.log(start), np.log(stop), count)))
 
 
 def _provider_from_args(args):
@@ -70,7 +69,13 @@ def _add_provider_flags(p):
     p.add_argument("--center", help="translate the data by this vector")
     p.add_argument("--config", help="JSON provider config file")
     p.add_argument("--lmax", type=int, default=24)
-    p.add_argument("--tol", type=float, default=1e-10)
+
+
+def _add_tol(p):
+    p.add_argument("--tol", type=float, default=1e-10, help="residual sup tolerance of the solve")
+
+
+def _add_out(p):
     p.add_argument("--out", help="output CSV path")
 
 
@@ -81,29 +86,35 @@ def build_parser():
     p = sub.add_parser("charges", help="flux integrals over a radius sweep")
     _add_provider_flags(p)
     p.add_argument("--radii", required=True, help="comma list or log:<a>:<b>:<n>")
+    _add_out(p)
 
     p = sub.add_parser("solve", help="one prescribed-curvature surface")
     _add_provider_flags(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--r0", type=float, default=None, help="seed sphere radius (default sigma)")
+    _add_tol(p)
+    _add_out(p)
 
     p = sub.add_parser("foliate", help="sweep sigma and report the leaves")
     _add_provider_flags(p)
     p.add_argument("--sigma-list", required=True, help="comma list or log:<a>:<b>:<n>")
+    _add_tol(p)
+    _add_out(p)
 
     p = sub.add_parser("spectrum", help="Laplace spectrum of a solved leaf")
     _add_provider_flags(p)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--k", type=int, default=8)
+    _add_tol(p)
 
     p = sub.add_parser("example-s9", help="graphical-slice center cancellation demo")
     p.add_argument("--mass", type=float, default=1.0)
     p.add_argument("--u", default="1,0,0")
     p.add_argument("--s-grid", default="log:100:10000:16")
     p.add_argument("--lmax", type=int, default=24)
-    p.add_argument("--out", help="output CSV path")
+    _add_out(p)
 
-    p = sub.add_parser("check", help="run the acceptance suite")
+    sub.add_parser("check", help="run the acceptance suite")
     return ap
 
 
@@ -119,23 +130,29 @@ def _write_csv(path, header, rows):
 def cmd_charges(args):
     prov = _provider_from_args(args)
     radii = parse_grid(args.radii)
+    fx = sphere_fluxes(prov, radii, args.lmax)
+    charge = adm_energy(prov, radii, args.lmax, fluxes=fx)
+    if abs(charge.energy) > 1e-12:
+        center = stcmc_center_coordinate(prov, radii, charge.energy, args.lmax, fluxes=fx)
+        evo = velocity_integral(prov, radii, charge.energy, args.lmax, fluxes=fx)
+        bom, z, csum, vel = center.bom_values, center.z_values, center.sum_values, evo.velocity_values
+    else:  # the center and velocity integrals divide by E
+        bom = z = csum = vel = np.full((len(radii), 3), np.nan)
+    print(f"{'radius':>10} {'E':>14} {'|P|':>12} {'C_sum_1':>12}")
+    for i, s in enumerate(radii):
+        print(
+            f"{s:10.2f} {charge.energy_values[i]:14.8f} "
+            f"{np.linalg.norm(charge.momentum_values[i]):12.3e} "
+            f"{csum[i, 0]:12.5f}"
+        )
     if args.out:
-        charge, center, evo = charges_to_csv(args.out, prov, radii, lmax=args.lmax)
-        print(f"wrote {args.out}")
-    else:
-        fx = sphere_fluxes(prov, radii, args.lmax)
-        charge = adm_energy(prov, radii, args.lmax, fluxes=fx)
-        center = None
-        if abs(charge.energy) > 1e-12:
-            center = stcmc_center_coordinate(prov, radii, charge.energy, args.lmax, fluxes=fx)
-        print(f"{'radius':>10} {'E':>14} {'|P|':>12} {'C_sum_1':>12}")
-        for i, s in enumerate(radii):
-            csum = center.sum_values[i, 0] if center is not None else float("nan")
-            print(
-                f"{s:10.2f} {charge.energy_values[i]:14.8f} "
-                f"{np.linalg.norm(charge.momentum_values[i]):12.3e} "
-                f"{csum:12.5f}"
-            )
+        header = ["radius", "E", "P1", "P2", "P3", "CBOM1", "CBOM2", "CBOM3",
+                  "Z1", "Z2", "Z3", "CSTCMC1", "CSTCMC2", "CSTCMC3", "V1", "V2", "V3"]
+        rows = (
+            [s, charge.energy_values[i], *charge.momentum_values[i], *bom[i], *z[i], *csum[i], *vel[i]]
+            for i, s in enumerate(radii)
+        )
+        _write_csv(args.out, header, rows)
     print(f"E = {charge.energy:.10g}  P = {charge.momentum}  m = {charge.mass:.10g}")
     return 0
 
@@ -145,7 +162,7 @@ def cmd_solve(args):
     r0 = args.r0 if args.r0 is not None else args.sigma
     seed = GraphSurface.round(np.zeros(3), r0, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    sc = surface_scalars(prov, result.surface)
+    sc = surface_scalars(surface_frames(prov, result.surface))
     print(
         f"converged in {result.iterations} iterations; residual sup {result.residual_sup:.3e}\n"
         f"area radius {sc.area_radius:.10g}  center {sc.center}  m_H {sc.hawking_mass:.10g}"
@@ -183,7 +200,7 @@ def cmd_spectrum(args):
     prov = _provider_from_args(args)
     seed = GraphSurface.round(np.zeros(3), args.sigma, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    rep = laplace_spectrum(prov, result.surface, k=args.k)
+    rep = laplace_spectrum(surface_frames(prov, result.surface), k=args.k)
     print(f"eigenvalues: {rep.eigenvalues}")
     print(f"predicted l=1 values: {rep.predicted_lambda}")
     print(f"sigma_min(L) = {rep.sigma_min_L:.6e}  bound 3|m_H|/sigma^3 = {rep.invertibility_bound:.6e}")

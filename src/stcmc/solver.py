@@ -72,8 +72,8 @@ class SolveConfig:
     max_iter: int = 30
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tolerance must be finite and positive, got {self.tol!r}")
 
 
 @dataclass
@@ -171,26 +171,24 @@ def _nodal_coefficients(f: _OperatorFields, tag):
     return [alpha * c + beta * k for c, k in zip(core, kterm)] + [alpha * c for c in core[3:]]
 
 
-def assemble_linearization(prov, surface: GraphSurface, which="L_H", frames=None):
+def assemble_linearization(fr: CurvatureField, which="L_H"):
     """Dense matrix of a linearized-curvature operator in the harmonic basis.
 
     The operator acts on the normal speed; entries are the base-band
     projections of the nodal action on each basis function.
     """
-    fr = frames if frames is not None else surface_frames(prov, surface)
     if which == "L_H" and np.any(fr.stcmc <= 0):
         raise TrappedRegion("L_H undefined where H^2 - P^2 vanishes")
-    return fr.grid.operator_matrix(_nodal_coefficients(_OperatorFields(fr), which), surface.lmax)
+    return fr.grid.operator_matrix(_nodal_coefficients(_OperatorFields(fr), which), fr.lmax)
 
 
-def graph_jacobian(prov, surface: GraphSurface, frames=None):
+def graph_jacobian(fr: CurvatureField):
     """Jacobian of the nodal curvature map with respect to the graph height.
 
     A radial perturbation v moves points by v * omega; its normal part is
     g(omega, nu) v and the tangential part transports the (nonconstant)
     curvature along the surface.
     """
-    fr = frames if frames is not None else surface_frames(prov, surface)
     grid = fr.grid
     a0, a1, a2, a3, a4, a5 = _nodal_coefficients(_OperatorFields(fr), "L_H")
     g = fr.metric_jet.g
@@ -212,12 +210,12 @@ def graph_jacobian(prov, surface: GraphSurface, frames=None):
         a2 * c + a4 * ct + 2.0 * a5 * cp,
         a3 * c, a4 * c, a5 * c,
     )
-    return grid.operator_matrix(fields, surface.lmax)
+    return grid.operator_matrix(fields, fr.lmax)
 
 
-def curvature_residual(prov, surface: GraphSurface, sigma, frames=None):
-    """Nodal residual sqrt(H^2 - P^2) - 2/sigma and its base-band projection."""
-    fr = frames if frames is not None else surface_frames(prov, surface)
+def curvature_residual(prov, surface: GraphSurface, sigma):
+    """Nodal residual sqrt(H^2 - P^2) - 2/sigma, its base-band projection and the frames."""
+    fr = surface_frames(prov, surface)
     res = fr.stcmc - 2.0 / sigma
     proj = truncate_coeffs(fr.grid.analyze(res), surface.lmax)
     return res, proj, fr
@@ -231,8 +229,8 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
     conditioning of the translational block) small.
     """
     cfg = config or SolveConfig(lmax=initial.lmax)
-    if sigma <= 0:
-        raise ConfigError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
     S = initial
     if S.lmax != cfg.lmax:
         S = GraphSurface(
@@ -251,7 +249,7 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
         if sup <= cfg.tol:
             l2 = float(np.sqrt(fr.integrate(res**2)))
             return SolveResult(S, it, sup, l2, history)
-        step, _ = _newton_step(graph_jacobian(prov, S, frames=fr), -proj)
+        step, _ = _newton_step(graph_jacobian(fr), -proj)
         scale = 1.0
         for attempt in range(MAX_DAMPING_ROUNDS + 1):
             S_try = GraphSurface(S.center.copy(), S.r0, S.coeffs + scale * step, S.lmax)
@@ -270,7 +268,7 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
                 f"after {MAX_DAMPING_ROUNDS} damped retries"
             )
         S, res, proj, fr, sup = S_try, res_t, proj_t, fr_t, sup_t
-        sc = surface_scalars(prov, S, fr)
+        sc = surface_scalars(fr)
         if np.linalg.norm(sc.center - S.center) > 1e-12 * S.r0:
             S = rebase(S, sc.center)
             res, proj, fr = curvature_residual(prov, S, sigma)
@@ -360,7 +358,7 @@ def _continuation_record(prov, tau, sigma, result):
     S = result.surface
     fr = surface_frames(ScaledExtrinsicProvider(prov, tau), S)
     fr_full = surface_frames(prov, S)
-    Lmat = assemble_linearization(ScaledExtrinsicProvider(prov, tau), S, "L_script", frames=fr)
+    Lmat = assemble_linearization(fr, "L_script")
     rhs_nodal = tau * fr_full.P**2 / fr.H
     rhs = truncate_coeffs(fr.grid.analyze(rhs_nodal), S.lmax)
     u = np.linalg.solve(Lmat, rhs)
@@ -379,6 +377,8 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
     sigma_list = [float(s) for s in sigma_list]
     if not sigma_list:
         raise ConfigError("sigma list is empty")
+    if not all(0 < s < math.inf for s in sigma_list):
+        raise ConfigError(f"sigma list must hold finite positive values, got {sigma_list}")
     if any(b <= a for a, b in zip(sigma_list, sigma_list[1:])):
         raise ConfigError("sigma list must be strictly increasing")
     cfg = config or SolveConfig()
@@ -392,9 +392,9 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
         S = result.surface
         prev_sigma = sg
         fr = surface_frames(prov, S)
-        sc = surface_scalars(prov, S, fr)
+        sc = surface_scalars(fr)
         if spectra:
-            rep = laplace_spectrum(prov, S, k=8, frames=fr)
+            rep = laplace_spectrum(fr, k=8)
             lam123 = rep.eigenvalues[1:4]
             lam4 = float(rep.eigenvalues[4])
             smin = rep.sigma_min_L
@@ -447,7 +447,7 @@ def _stiffness_mass(fr: CurvatureField, lmax):
     return S, M
 
 
-def laplace_spectrum(prov, surface: GraphSurface, k=8, frames=None):
+def laplace_spectrum(fr: CurvatureField, k=8):
     """Low eigenpairs of the induced Laplacian and invertibility diagnostics.
 
     The generalized symmetric problem S v = lambda M v is assembled in the
@@ -456,26 +456,26 @@ def laplace_spectrum(prov, surface: GraphSurface, k=8, frames=None):
     eigenfunctions are aligned with the scaled coordinate functions by
     projection and re-orthonormalization.
     """
-    fr = frames if frames is not None else surface_frames(prov, surface)
-    nb = n_coeffs(surface.lmax)
+    lmax = fr.lmax
+    nb = n_coeffs(lmax)
     if k < 3:
         raise ConfigError(f"k = {k}: the aligned l = 1 triple needs the eigenpairs 1..3, so k >= 3")
     if k + 1 > nb:
         raise ConfigError(f"requested {k} eigenvalues exceeds basis size {nb}")
-    S, M = _stiffness_mass(fr, surface.lmax)
+    S, M = _stiffness_mass(fr, lmax)
     S = 0.5 * (S + S.T)
     M = 0.5 * (M + M.T)
     try:
         lam, V = scipy.linalg.eigh(S, M, subset_by_index=[0, k])
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverFailure(str(exc)) from exc
-    sc = surface_scalars(prov, surface, fr)
+    sc = surface_scalars(fr)
     r = sc.area_radius
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * r**4)) * (fr.X - sc.center[None, :])
     w = fr.grid.w * fr.dmu
 
     def nodal(columns):
-        return fr.grid.synthesize(pad_coeffs(columns.T, surface.lmax, fr.grid.lmax))
+        return fr.grid.synthesize(pad_coeffs(columns.T, lmax, fr.grid.lmax))
 
     proj = np.einsum("in,nj,n->ij", nodal(V[:, 1:4]), fdelta, w)
     aligned = V[:, 1:4] @ proj
@@ -491,7 +491,7 @@ def laplace_spectrum(prov, surface: GraphSurface, k=8, frames=None):
     al_nodal = nodal(aligned)
     ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
-    smin = _sigma_min_weighted(fields, surface.lmax, M)
+    smin = _sigma_min_weighted(fields, lmax, M)
     return SpectralReport(
         eigenvalues=lam,
         eigenfunctions=V,
@@ -521,12 +521,12 @@ def _sigma_min_weighted(fields: _OperatorFields, lmax, M):
 
 def operator_bound_check(prov, surface: GraphSurface):
     """Smallest weighted singular value of script-L against 3|m_H|/sigma^3."""
-    rep = laplace_spectrum(prov, surface, k=4)
+    rep = laplace_spectrum(surface_frames(prov, surface), k=4)
     ratio = rep.sigma_min_L / rep.invertibility_bound if rep.invertibility_bound > 0 else float("inf")
     return rep.sigma_min_L, rep.invertibility_bound, ratio
 
 
-def center_variation_check(prov, surface: GraphSurface, u_coeffs, h=1e-5):
+def center_variation_check(prov, surface: GraphSurface, u_coeffs):
     """First variation of the Euclidean center against the normal-flux formula.
 
     Compares a central difference of the center of X + s u nu with
@@ -537,7 +537,7 @@ def center_variation_check(prov, surface: GraphSurface, u_coeffs, h=1e-5):
     fr = surface_frames(prov, surface)
     grid = fr.grid
     u = grid.synthesize(pad_coeffs(np.asarray(u_coeffs, dtype=float), surface.lmax, grid.lmax))
-    step = h * surface.r0
+    step = 1e-5 * surface.r0
     centers = []
     for s in (step, -step):
         X = fr.X + s * u[:, None] * fr.nu

@@ -62,8 +62,8 @@ class GraphSurface:
                 f"coefficient vector has length {self.coeffs.shape}, "
                 f"expected {n_coeffs(self.lmax)} for lmax={self.lmax}"
             )
-        if self.r0 <= 0:
-            raise ConfigError("base radius must be positive")
+        if not 0 < self.r0 < np.inf:
+            raise ConfigError(f"base radius must be finite and positive, got {self.r0!r}")
 
     @classmethod
     def round(cls, center, r0, lmax):
@@ -72,12 +72,6 @@ class GraphSurface:
     @classmethod
     def from_nodal(cls, grid, center, r0, values):
         return cls(np.asarray(center, dtype=float), float(r0), grid.analyze(values), grid.lmax)
-
-    def nodal(self, grid=None):
-        grid = grid or get_grid(self.lmax)
-        if grid.lmax == self.lmax:
-            return grid.synthesize(self.coeffs)
-        return grid.synthesize(pad_coeffs(self.coeffs, self.lmax, grid.lmax))
 
     def radius_at(self, theta, phi):
         """r0 + f at arbitrary directions (for re-basing and leaf comparison)."""
@@ -95,7 +89,7 @@ class GraphSurface:
 REBASE_MAX_ITER = 60
 
 
-def rebase(surface: GraphSurface, new_center, lmax=None):
+def rebase(surface: GraphSurface, new_center):
     """Re-express a surface as a radial graph about a different center.
 
     Solves |rho' w' - d| = rho(direction) per node by a scalar Newton
@@ -104,8 +98,7 @@ def rebase(surface: GraphSurface, new_center, lmax=None):
     MaxIterations when the iteration does not converge, e.g. when the new
     center lies outside the surface.
     """
-    lmax = lmax or surface.lmax
-    grid = get_grid(lmax)
+    grid = get_grid(surface.lmax)
     new_center = _as_center(new_center)
     d = surface.center - new_center
     om = grid.unit_vectors()["o"]
@@ -130,7 +123,7 @@ def rebase(surface: GraphSurface, new_center, lmax=None):
         )
     r0_new = grid.integrate(rho) / (4.0 * np.pi)
     coeffs = grid.analyze(rho - r0_new)
-    return GraphSurface(new_center, r0_new, truncate_coeffs(coeffs, lmax), lmax)
+    return GraphSurface(new_center, r0_new, truncate_coeffs(coeffs, surface.lmax), surface.lmax)
 
 
 @dataclass
@@ -138,6 +131,7 @@ class CurvatureField:
     """Per-node geometry of a surface in a given data set (on the working grid)."""
 
     grid: object = field(repr=False)
+    lmax: int                                    # base band of the surface
     X: np.ndarray = field(repr=False)            # embedding points
     omega: np.ndarray = field(repr=False)        # base directions
     tangents: tuple = field(repr=False)          # (X_theta, X_phi)
@@ -155,17 +149,12 @@ class CurvatureField:
     extrinsic_jet: object = field(repr=False)
     hess: np.ndarray = field(repr=False)         # ambient Hessian D_ab = X_ab + Gamma(X_a, X_b), (n, 2, 2, 3)
 
-    def integrate(self, values, measure="g"):
-        dens = self.dmu if measure == "g" else self.dmu_delta
-        return self.grid.integrate(values * dens)
+    def integrate(self, values):
+        return self.grid.integrate(values * self.dmu)
 
     @property
     def area(self):
         return self.grid.integrate(self.dmu)
-
-    @property
-    def area_delta(self):
-        return self.grid.integrate(self.dmu_delta)
 
 
 def embedding_nodes(surface: GraphSurface, grid):
@@ -246,6 +235,7 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     st = np.sin(th)
     return CurvatureField(
         grid=grid,
+        lmax=surface.lmax,
         X=X,
         omega=om,
         tangents=(Xt, Xp),
@@ -278,12 +268,12 @@ class SurfaceScalars:
     max_coord_radius: float
 
 
-def surface_scalars(prov, surface: GraphSurface, frames: CurvatureField | None = None):
-    fr = frames if frames is not None else surface_frames(prov, surface)
+def surface_scalars(fr: CurvatureField):
+    """Areas, area radius, Euclidean center, Hawking/Geroch masses and coordinate radii of a surface."""
     area = fr.area
-    area_d = fr.area_delta
+    area_d = fr.grid.integrate(fr.dmu_delta)
     r = np.sqrt(area / (4.0 * np.pi))
-    z = np.stack([fr.integrate(fr.X[:, i], measure="delta") for i in range(3)]) / area_d
+    z = np.stack([fr.grid.integrate(fr.X[:, i] * fr.dmu_delta) for i in range(3)]) / area_d
     int_st2 = fr.integrate(fr.stcmc**2)
     int_h2 = fr.integrate(fr.H**2)
     mH = np.sqrt(area / (16.0 * np.pi)) * (1.0 - int_st2 / (16.0 * np.pi))
@@ -333,8 +323,7 @@ def apriori_class_check(prov, surface: GraphSurface, a, b, eta, eps):
     cases of a flat round sphere (zero deficit; |z| = 0 when centered) pass.
     The `*_slack` fields are the raw rhs - lhs, without allowance.
     """
-    fr = surface_frames(prov, surface)
-    sc = surface_scalars(prov, surface, fr)
+    sc = surface_scalars(surface_frames(prov, surface))
     r = sc.area_radius
     zn = np.linalg.norm(sc.center)
     lhs1, rhs1 = zn, a * r + b * r ** (1.0 - eta)
@@ -548,7 +537,7 @@ def surface_to_csv(prov, surface: GraphSurface, path):
     """Per-node snapshot: theta, phi, f, H, P, stcmc, with a metadata header."""
     fr = surface_frames(prov, surface)
     th, ph = fr.grid.mesh()
-    f_nodal = surface.nodal(fr.grid)
+    f_nodal = fr.grid.synthesize(pad_coeffs(surface.coeffs, surface.lmax, fr.grid.lmax))
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# center = {surface.center[0]:.17g} {surface.center[1]:.17g} "

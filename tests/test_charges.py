@@ -1,5 +1,3 @@
-import filecmp
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,7 +14,6 @@ from stcmc.charges import (
     ChargeReport,
     adm_energy,
     adm_mass,
-    charges_to_csv,
     euclidean_motion_transform,
     fit_power_tail,
     matter_moment_shells,
@@ -304,15 +301,3 @@ def test_matter_moments_vacuum(graphical):
     mom = matter_moment_shells(graphical, [50.0, 100.0])
     assert np.max(np.abs(mom)) < 1e-12
 
-
-# -- csv -----------------------------------------------------------------------------------
-
-def test_charges_csv_deterministic(tmp_path, graphical):
-    p1 = tmp_path / "a.csv"
-    p2 = tmp_path / "b.csv"
-    charges_to_csv(p1, graphical, [100.0, 200.0, 400.0], lmax=12)
-    charges_to_csv(p2, graphical, [100.0, 200.0, 400.0], lmax=12)
-    assert filecmp.cmp(p1, p2, shallow=False)
-    header = p1.read_text().splitlines()[0].split(",")
-    assert header[:5] == ["radius", "E", "P1", "P2", "P3"]
-    assert header[-1] == "V3"

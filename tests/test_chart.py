@@ -491,8 +491,8 @@ def test_graph_jacobian_reuses_frame_geometry(schw, graphical, formations):
     for prov, metrics in ((schw, 1), (graphical, 2)):
         fr = surface_frames(prov, S)
         formations.clear()
-        graph_jacobian(prov, S, frames=fr)
-        graph_jacobian(prov, S, frames=fr)
+        graph_jacobian(fr)
+        graph_jacobian(fr)
         # once per frames and no inversion: the extrinsic jet's dK, and ddg
         # and dginv of each metric jet
         assert formations == Counter(ddg=metrics, dginv=metrics, dK=1)
@@ -599,6 +599,9 @@ MALFORMED_CONFIGS = {
     "no-kind": {},
     "unknown-kind": {"kind": "nonsense"},
     "unknown-key": {"kind": "euclidean", "centre": [1, 2, 3]},
+    "unread-key": {"kind": "euclidean", "mass": 5.0},
+    "unread-u": {"kind": "schwarzschild_canonical", "mass": 1.0, "u": [1.0, 0.0, 0.0]},
+    "kind-list": {"kind": ["euclidean"]},
     "no-mass": {"kind": "schwarzschild_canonical"},
     "mass-string": {"kind": "schwarzschild_canonical", "mass": "abc"},
     "mass-bool": {"kind": "schwarzschild_canonical", "mass": True},

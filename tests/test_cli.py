@@ -1,10 +1,14 @@
+import argparse
 import filecmp
+import inspect
 import json
+import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import stcmc.cli as cli
 from stcmc.cli import main, parse_grid
 from stcmc.errors import ConfigError
 
@@ -22,12 +26,9 @@ def test_parse_grid_log():
 
 
 def test_parse_grid_errors():
-    with pytest.raises(ConfigError):
-        parse_grid("log:10:5:4")
-    with pytest.raises(ConfigError):
-        parse_grid("log:1:2")
-    with pytest.raises(ConfigError):
-        parse_grid("a,b")
+    for text in ("log:10:5:4", "log:1:2", "a,b", "log:100:1000:2.5", "log:a:1000:3", "log:100:1000:nan", "log:nan:1000:3"):
+        with pytest.raises(ConfigError):
+            parse_grid(text)
 
 
 def test_solve_flat(capsys):
@@ -53,6 +54,25 @@ def test_charges_csv_reruns_identical(tmp_path):
         ])
         assert rc == 0
     assert filecmp.cmp(a, b, shallow=False)
+    header = a.read_text().splitlines()[0].split(",")
+    assert header[:5] == ["radius", "E", "P1", "P2", "P3"]
+    assert header[-1] == "V3"
+
+
+def test_charges_at_zero_energy_reports_nan_centers(tmp_path, capsys):
+    argv = ["charges", "--data", "euclidean", "--radii", "10,20,30", "--lmax", "8"]
+    assert main(argv) == 0
+    table = capsys.readouterr().out
+    out = tmp_path / "flat.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    # the same table and E/P line, with the CSV written between them
+    assert capsys.readouterr().out == table.replace("E = ", f"wrote {out}\nE = ")
+    lines = out.read_text().splitlines()
+    assert len(lines) == 4
+    for line in lines[1:]:
+        row = [float(v) for v in line.split(",")]
+        assert all(abs(v) < 1e-12 for v in row[1:5])  # E and P
+        assert all(v != v for v in row[5:])  # center and velocity columns are NaN
 
 
 def test_foliate_csv(tmp_path, capsys):
@@ -110,12 +130,29 @@ def test_exit_code_config_error(capsys):
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):
-    # flat data has zero energy: the center/velocity sweep fails numerically
-    out = tmp_path / "zz.csv"
-    rc = main(["charges", "--data", "euclidean", "--radii", "10,20,30", "--lmax", "8", "--out", str(out)])
+    # spheres of radius 1 and 2 lie inside the horizon r = 2m
+    out = tmp_path / "horizon.csv"
+    rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "1,2,3", "--out", str(out)])
     assert rc == 3
     err = capsys.readouterr().err
-    assert "ZeroEnergy" in err
+    assert "HorizonReached" in err
+
+
+NONFINITE_OR_NONPOSITIVE = {
+    "negative-radius": ["charges", "--data", "schwarzschild", "--mass", "1", "--radii=-50,100,200,400"],
+    "negative-s": ["example-s9", "--s-grid", "100,200,400,-800"],
+    "infinite-radius": ["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,200,inf"],
+    "nan-sigma": ["solve", "--data", "schwarzschild", "--mass", "1", "--sigma", "nan"],
+    "nan-in-sigma-list": ["foliate", "--data", "schwarzschild", "--mass", "1", "--sigma-list", "20,nan"],
+    "nan-tol": ["solve", "--data", "schwarzschild", "--mass", "1", "--sigma", "20", "--tol", "nan"],
+}
+
+
+@pytest.mark.parametrize("argv", NONFINITE_OR_NONPOSITIVE.values(), ids=NONFINITE_OR_NONPOSITIVE.keys())
+def test_nonfinite_or_nonpositive_input_is_a_config_error(capsys, argv):
+    rc = main(argv + ["--lmax", "8"])
+    assert rc == 2
+    assert "ConfigError" in capsys.readouterr().err
 
 
 def test_exit_code_band_limit_too_small(capsys):
@@ -143,6 +180,7 @@ def _config_file(tmp_path, text):
 SOLVE = ["solve", "--sigma", "20", "--lmax", "8"]
 MALFORMED_PROVIDER_ARGS = {
     "u-2": lambda tmp: ["--data", "schwarzschild_graphical", "--mass", "1", "--u", "1,0"],
+    "mass-unread": lambda tmp: ["--data", "euclidean", "--mass", "5"],
     "center-2": lambda tmp: ["--data", "schwarzschild", "--mass", "1", "--center", "1,2"],
     "config-mass-string": lambda tmp: _config_file(tmp, '{"kind": "schwarzschild_canonical", "mass": "abc"}'),
     "config-rotation-2x2": lambda tmp: _config_file(
@@ -193,3 +231,34 @@ def test_readme_examples_run(tmp_path, capsys):
         argv = [str(tmp_path / Path(a).name) if i and argv[i - 1] == "--out" else a for i, a in enumerate(argv)]
         rc = main(argv + ["--lmax", "8"])
         assert rc == 0, argv
+
+
+def _subcommands():
+    """(name, subparser) for each subcommand of build_parser()."""
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(action.choices.items())
+
+
+def test_every_declared_flag_is_read():
+    provider_reader = inspect.getsource(cli._provider_from_args)
+    assert len(_subcommands()) == len(cli.COMMANDS)
+    for name, parser in _subcommands():
+        source = inspect.getsource(cli.COMMANDS[name])
+        if "_provider_from_args(args)" in source:
+            source += provider_reader
+        for action in parser._actions:
+            if action.dest != "help":
+                assert re.search(rf"\bargs\.{action.dest}\b", source), f"{name} declares {action.dest} but never reads it"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--data", "schwarzschild", "--mass", "1", "--sigma", "20", "--out", "x.csv"],
+        ["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "50,100,200", "--tol", "1"],
+    ],
+)
+def test_undeclared_flag_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

@@ -64,7 +64,7 @@ def random_surface(rng, lmax=8, r0=10.0, amp=0.1, center=(0.0, 0.0, 0.0)):
 
 def test_operator_on_constants_flat(euclid):
     S = GraphSurface.round([0, 0, 0], 5.0, 8)
-    L = assemble_linearization(euclid, S, "L_H")
+    L = assemble_linearization(surface_frames(euclid, S), "L_H")
     e0 = np.zeros(L.shape[0])
     e0[0] = 1.0
     act = L @ e0
@@ -77,13 +77,13 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
     S = random_surface(rng, r0=12.0, amp=0.1)
     fr = surface_frames(schw, S)
     mats = {
-        tag: assemble_linearization(schw, S, tag, frames=fr)
+        tag: assemble_linearization(fr, tag)
         for tag in ("L_H", "L_script", "expansion_plus", "expansion_minus")
     }
     for tag in ("L_script", "expansion_plus", "expansion_minus"):
         assert np.max(np.abs(mats[tag] - mats["L_H"])) < 1e-12
     # and they all equal the classical stability operator -Lap - |A|^2 - Ric
-    lap = assemble_linearization(schw, S, "laplacian", frames=fr)
+    lap = assemble_linearization(fr, "laplacian")
     fields = sv._OperatorFields(fr)
     grid = fr.grid
     nb = n_coeffs(S.lmax)
@@ -168,8 +168,8 @@ def test_fused_assembly_matches_product_rule(case, lmax, schw, graphical):
     if case == "perturbed":
         assert np.max(np.abs(fr.P)) > 1e-3  # the K couplings are exercised
     ref = _product_rule_reference(fr, lmax)
-    got = {tag: assemble_linearization(prov, S, tag, frames=fr) for tag in OPERATOR_TAGS}
-    got["jacobian"] = graph_jacobian(prov, S, frames=fr)
+    got = {tag: assemble_linearization(fr, tag) for tag in OPERATOR_TAGS}
+    got["jacobian"] = graph_jacobian(fr)
     for key, mat in got.items():
         assert mat.shape == (n_coeffs(lmax), n_coeffs(lmax))
         assert np.max(np.abs(mat - ref[key])) <= 1e-13 * np.max(np.abs(ref[key])), key
@@ -206,7 +206,7 @@ def test_gauss_formula_induced_christoffels(graphical, lmax):
 
 def test_unknown_tag_raises(euclid):
     with pytest.raises(ConfigError):
-        assemble_linearization(euclid, GraphSurface.round([0, 0, 0], 5.0, 8), "bogus")
+        assemble_linearization(surface_frames(euclid, GraphSurface.round([0, 0, 0], 5.0, 8)), "bogus")
     assert "L_H" in OPERATOR_TAGS
 
 
@@ -218,7 +218,7 @@ def test_linearization_matches_finite_differences(case, euclid, schw, graphical)
     S = random_surface(rng, lmax=8, r0=r0, amp=0.05)
     sigma = r0
     _, _, fr = curvature_residual(prov, S, sigma)
-    J = graph_jacobian(prov, S, frames=fr)
+    J = graph_jacobian(fr)
     h = 1e-5
     for _ in range(4):
         v = rng.normal(size=n_coeffs(8))
@@ -235,7 +235,7 @@ def test_trapped_region_in_assembly():
     terms = [{"target": "K", "i": i, "j": i, "coeff": 2.0, "decay": 0.5} for i in range(3)]
     prov = PerturbationProvider(terms)
     with pytest.raises(TrappedRegion):
-        assemble_linearization(prov, GraphSurface.round([0, 0, 0], 50.0, 8), "L_H")
+        assemble_linearization(surface_frames(prov, GraphSurface.round([0, 0, 0], 50.0, 8)), "L_H")
 
 
 # -- Newton solves ---------------------------------------------------------------
@@ -254,7 +254,7 @@ def test_newton_damps_degenerate_step(euclid):
     # the first trial graph reaches the base center and must be damped
     seed = GraphSurface.round([0, 0, 0], 25.0, 8)
     _, proj, fr = curvature_residual(euclid, seed, 10.0)
-    step = np.linalg.lstsq(graph_jacobian(euclid, seed, frames=fr), -proj, rcond=1e-13)[0]
+    step = np.linalg.lstsq(graph_jacobian(fr), -proj, rcond=1e-13)[0]
     with pytest.raises(DegenerateInducedMetric):
         surface_frames(euclid, GraphSurface(seed.center, seed.r0, seed.coeffs + step, seed.lmax))
     res = newton_solve(euclid, 10.0, seed)
@@ -293,7 +293,7 @@ def test_newton_graphical_leaf_in_apriori_class(graphical, graphical_leaf60):
 def test_newton_step_lu_matches_lstsq(schw, euclid):
     S = random_surface(np.random.default_rng(5), r0=12.0, amp=0.05)
     _, proj, fr = curvature_residual(schw, S, 12.0)
-    J = graph_jacobian(schw, S, frames=fr)
+    J = graph_jacobian(fr)
     step, rcond = sv._newton_step(J, -proj)
     ref = np.linalg.lstsq(J, -proj, rcond=RCOND)[0]
     assert rcond > RCOND
@@ -301,7 +301,7 @@ def test_newton_step_lu_matches_lstsq(schw, euclid):
     # zero energy: flat data from r0 = 25 towards sigma = 10 takes the lstsq fallback
     seed = GraphSurface.round([0, 0, 0], 25.0, 8)
     _, proj, fr = curvature_residual(euclid, seed, 10.0)
-    J = graph_jacobian(euclid, seed, frames=fr)
+    J = graph_jacobian(fr)
     step, rcond = sv._newton_step(J, -proj)
     assert rcond <= RCOND
     assert np.array_equal(step, np.linalg.lstsq(J, -proj, rcond=RCOND)[0])
@@ -324,9 +324,13 @@ def test_newton_max_iterations(euclid):
         )
 
 
-def test_solve_config_validation():
-    with pytest.raises(ConfigError):
-        SolveConfig(tol=-1.0)
+def test_solve_config_validation(euclid):
+    for tol in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            SolveConfig(tol=tol)
+    for sigma in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            newton_solve(euclid, sigma, GraphSurface.round([0, 0, 0], 5.0, 8))
 
 
 # -- continuation ------------------------------------------------------------------
@@ -422,7 +426,7 @@ def test_foliation_requires_a_sigma(euclid):
 # -- spectra -----------------------------------------------------------------------
 
 def test_spectrum_round_sphere(euclid):
-    rep = laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 3.0, 8), k=8)
+    rep = laplace_spectrum(surface_frames(euclid, GraphSurface.round([0, 0, 0], 3.0, 8)), k=8)
     lam = rep.eigenvalues
     assert abs(lam[0]) < 1e-12
     assert np.max(np.abs(lam[1:4] - 2.0 / 9.0)) < 1e-12
@@ -431,7 +435,7 @@ def test_spectrum_round_sphere(euclid):
 
 
 def test_spectrum_alignment_and_projection(schw_leaf20, schw):
-    rep = laplace_spectrum(schw, schw_leaf20.surface, k=8)
+    rep = laplace_spectrum(surface_frames(schw, schw_leaf20.surface), k=8)
     # projections of the aligned modes onto the scaled coordinate functions
     # form a near-orthogonal matrix
     gram = rep.projections @ rep.projections.T
@@ -442,7 +446,7 @@ def test_spectrum_eigenvalue_law_on_leaves(schw):
     rel_prev = None
     for sigma in (40.0, 80.0):
         res = newton_solve(schw, sigma, GraphSurface.round([0, 0, 0], sigma, 8), SolveConfig(lmax=8, tol=1e-11))
-        rep = laplace_spectrum(schw, res.surface, k=8)
+        rep = laplace_spectrum(surface_frames(schw, res.surface), k=8)
         rel = np.max(np.abs(rep.eigenvalues[1:4] - rep.predicted_lambda) / rep.eigenvalues[1:4])
         # mass-plus-curvature prediction is accurate to the next order
         assert rel < 10.0 / sigma**1.0 * 0.1
@@ -459,7 +463,7 @@ def test_eigensolver_failure_is_reported(euclid, monkeypatch):
 
     monkeypatch.setattr(scipy.linalg, "eigh", broken_eigh)
     with pytest.raises(EigenSolverFailure, match="injected"):
-        laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 5.0, 8))
+        laplace_spectrum(surface_frames(euclid, GraphSurface.round([0, 0, 0], 5.0, 8)))
 
 
 @pytest.mark.parametrize("lmax", [8, 24])
@@ -483,7 +487,7 @@ def test_stiffness_mass_match_dense_basis(graphical, lmax):
 @pytest.mark.parametrize("k", [-1, 0, 2])
 def test_spectrum_needs_the_l1_triple(euclid, k):
     with pytest.raises(ConfigError):
-        laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 5.0, 8), k=k)
+        laplace_spectrum(surface_frames(euclid, GraphSurface.round([0, 0, 0], 5.0, 8)), k=k)
 
 
 def test_operator_bound_schwarzschild(schw, schw_leaf20):
@@ -506,7 +510,7 @@ def test_operator_selfadjoint_when_time_symmetric(schw, schw_leaf20):
 
     S = schw_leaf20.surface
     fr = surface_frames(schw, S)
-    L = assemble_linearization(schw, S, "L_script", frames=fr)
+    L = assemble_linearization(fr, "L_script")
     _, M = _stiffness_mass(fr, S.lmax)
     # weighted operator is symmetric; sigma_min equals the smallest |eigenvalue|
     R = np.linalg.cholesky(0.5 * (M + M.T)).T
@@ -576,7 +580,7 @@ def test_rotation_equivariance_of_leaf(graphical, graphical_leaf60):
 
 
 def test_eigenvalue_ordering_invariant(graphical, graphical_leaf60):
-    rep = laplace_spectrum(graphical, graphical_leaf60.surface, k=8)
+    rep = laplace_spectrum(surface_frames(graphical, graphical_leaf60.surface), k=8)
     lam = rep.eigenvalues
     assert abs(lam[0]) < 1e-10
     assert lam[1] <= lam[2] <= lam[3] < lam[4]

@@ -17,7 +17,7 @@ from stcmc.spectral import (
     real_sph_basis,
     truncate_coeffs,
 )
-from stcmc.surfaces import GraphSurface
+from stcmc.surfaces import GraphSurface, surface_frames
 
 G8 = build_grid(8)
 G16 = build_grid(16)
@@ -228,7 +228,7 @@ def test_operator_matrix_holds_no_full_width_basis(euclid):
     grid = get_grid(37)
     a = np.random.default_rng(2).normal(size=(6, grid.nnodes))
     grid.operator_matrix(a, 24)
-    laplace_spectrum(euclid, GraphSurface.round([0, 0, 0], 5.0, 24), k=4)
+    laplace_spectrum(surface_frames(euclid, GraphSurface.round([0, 0, 0], 5.0, 24)), k=4)
 
     def arrays(obj):
         if isinstance(obj, np.ndarray):
