@@ -1,3 +1,5 @@
+import filecmp
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from stcmc.charges import (
     stcmc_center_foliation,
     velocity_integral,
 )
+from stcmc.cli import main
 from stcmc.errors import (
     ConfigError,
     InsufficientLeaves,
@@ -301,3 +304,19 @@ def test_matter_moments_vacuum(graphical):
     mom = matter_moment_shells(graphical, [50.0, 100.0])
     assert np.max(np.abs(mom)) < 1e-12
 
+
+# -- csv -----------------------------------------------------------------------------------
+
+def test_charges_csv_deterministic(tmp_path):
+    """The charges CSV, written by the CLI's one CSV writer, reruns byte-identically."""
+    p1 = tmp_path / "a.csv"
+    p2 = tmp_path / "b.csv"
+    for p in (p1, p2):
+        assert main([
+            "charges", "--data", "schwarzschild_graphical", "--mass", "1", "--u", "1,0,0",
+            "--radii", "100,200,400", "--lmax", "12", "--out", str(p),
+        ]) == 0
+    assert filecmp.cmp(p1, p2, shallow=False)
+    header = p1.read_text().splitlines()[0].split(",")
+    assert header[:5] == ["radius", "E", "P1", "P2", "P3"]
+    assert header[-1] == "V3"
