@@ -50,6 +50,14 @@ def fit_power_tail(radii, values):
     fitted jointly, so the power tail cannot absorb an oscillation; the value
     is flagged divergent when the oscillatory amplitude dominates the
     remaining (decaying) residual tenfold.
+
+    The exponent search uses variable projection (Golub and Pereyra 1973):
+    the columns that do not depend on p (1, the log-periodic pair and, from
+    eight radii on, that pair over s) are factored by one QR, and for any
+    set of exponents the residual is that of y and s^-p projected off them,
+    r(p) = y' - v'(y'.v')/|v'|^2.  The 76-point scan is one batched call,
+    each of the 40 golden-section steps one call on its two points, and the
+    coefficients come from one least-squares solve at the chosen p.
     """
     s = np.asarray(radii, dtype=float)
     y = np.asarray(values, dtype=float)
@@ -58,35 +66,40 @@ def fit_power_tail(radii, values):
     with_osc = s.size >= 6
     damped_osc = s.size >= 8
     osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)
+    fixed = [np.ones_like(s)]
+    if with_osc:
+        fixed += [osc[:, 0], osc[:, 1]]
+    if damped_osc:
+        # a decaying oscillation is not divergence; give it its own columns
+        fixed += [osc[:, 0] / s, osc[:, 1] / s]
+    Q, _ = np.linalg.qr(np.stack(fixed, axis=1))
+    y_perp = y - Q @ (Q.T @ y)
+    # r(p) ignores the scale of s^-p; equal to 1 at the smallest radius, the column cannot underflow
+    s_rel = (s / s.min())[:, None]
 
-    def solve_for(p):
-        cols = [np.ones_like(s), s**-p]
-        if with_osc:
-            cols += [osc[:, 0], osc[:, 1]]
-        if damped_osc:
-            # a decaying oscillation is not divergence; give it its own columns
-            cols += [osc[:, 0] / s, osc[:, 1] / s]
-        A = np.stack(cols, axis=1)
-        c, *_ = np.linalg.lstsq(A, y, rcond=None)
-        r = A @ c - y
-        return float(np.sqrt(r @ r)), c
+    def residuals(p):
+        """Least-squares residual norm of the fit at each exponent of p, by variable projection."""
+        v = s_rel ** -np.asarray(p)
+        v_perp = v - Q @ (Q.T @ v)
+        r = y_perp[:, None] - v_perp * ((y_perp @ v_perp) / (v_perp * v_perp).sum(axis=0))
+        return np.sqrt((r * r).sum(axis=0))
 
     scan = np.linspace(0.25, 4.0, 76)  # coarse exponent scan, then golden-section refinement
-    best_p, (best_r, best_c) = scan[0], solve_for(scan[0])
-    for p in scan[1:]:
-        r, c = solve_for(p)
-        if r < best_r:
-            best_p, best_r, best_c = p, r, c
+    best_p = scan[np.argmin(residuals(scan))]
     lo, hi = max(best_p - 0.25, 0.05), best_p + 0.25
     for _ in range(40):
         m1 = lo + 0.382 * (hi - lo)
         m2 = lo + 0.618 * (hi - lo)
-        if solve_for(m1)[0] < solve_for(m2)[0]:
+        r1, r2 = residuals([m1, m2])
+        if r1 < r2:
             hi = m2
         else:
             lo = m1
     best_p = 0.5 * (lo + hi)
-    best_r, best_c = solve_for(best_p)
+    A = np.stack([np.ones_like(s), s**-best_p, *fixed[1:]], axis=1)
+    best_c, *_ = np.linalg.lstsq(A, y, rcond=None)
+    r = A @ best_c - y
+    best_r = float(np.sqrt(r @ r))
 
     if with_osc:
         osc_amp = float(np.hypot(best_c[2], best_c[3]))

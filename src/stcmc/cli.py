@@ -22,7 +22,7 @@ import numpy as np
 from .chart import GraphicalSchwarzschildProvider, build_provider
 from .charges import adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
 from .errors import ConfigError, StcmcError
-from .solver import SolveConfig, foliate, laplace_spectrum, newton_solve
+from .solver import SolveConfig, check_sigma, check_spectrum_k, foliate, laplace_spectrum, newton_solve
 from .surfaces import GraphSurface, surface_frames, surface_scalars, surface_to_csv
 
 
@@ -159,16 +159,18 @@ def cmd_charges(args):
 
 def cmd_solve(args):
     prov = _provider_from_args(args)
+    check_sigma(args.sigma)
     r0 = args.r0 if args.r0 is not None else args.sigma
     seed = GraphSurface.round(np.zeros(3), r0, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    sc = surface_scalars(surface_frames(prov, result.surface))
+    fr = surface_frames(prov, result.surface)
+    sc = surface_scalars(fr)
     print(
         f"converged in {result.iterations} iterations; residual sup {result.residual_sup:.3e}\n"
         f"area radius {sc.area_radius:.10g}  center {sc.center}  m_H {sc.hawking_mass:.10g}"
     )
     if args.out:
-        surface_to_csv(prov, result.surface, args.out)
+        surface_to_csv(fr, result.surface, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -198,6 +200,8 @@ def cmd_foliate(args):
 
 def cmd_spectrum(args):
     prov = _provider_from_args(args)
+    check_sigma(args.sigma)
+    check_spectrum_k(args.k, args.lmax)
     seed = GraphSurface.round(np.zeros(3), args.sigma, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
     rep = laplace_spectrum(surface_frames(prov, result.surface), k=args.k)

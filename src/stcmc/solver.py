@@ -221,6 +221,12 @@ def curvature_residual(prov, surface: GraphSurface, sigma):
     return res, proj, fr
 
 
+def check_sigma(sigma):
+    """Raise ConfigError unless the leaf radius sigma is finite and positive."""
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
+
+
 def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None):
     """Solve sqrt(H^2 - P^2) = 2/sigma by damped Newton on the graph height.
 
@@ -229,8 +235,7 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
     conditioning of the translational block) small.
     """
     cfg = config or SolveConfig(lmax=initial.lmax)
-    if not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
+    check_sigma(sigma)
     S = initial
     if S.lmax != cfg.lmax:
         S = GraphSurface(
@@ -447,6 +452,15 @@ def _stiffness_mass(fr: CurvatureField, lmax):
     return S, M
 
 
+def check_spectrum_k(k, lmax):
+    """Raise ConfigError unless the k + 1 lowest eigenpairs fit the band and hold the l = 1 triple."""
+    if k < 3:
+        raise ConfigError(f"k = {k}: the aligned l = 1 triple needs the eigenpairs 1..3, so k >= 3")
+    nb = n_coeffs(lmax)
+    if k + 1 > nb:
+        raise ConfigError(f"requested {k} eigenvalues exceeds basis size {nb}")
+
+
 def laplace_spectrum(fr: CurvatureField, k=8):
     """Low eigenpairs of the induced Laplacian and invertibility diagnostics.
 
@@ -457,11 +471,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     projection and re-orthonormalization.
     """
     lmax = fr.lmax
-    nb = n_coeffs(lmax)
-    if k < 3:
-        raise ConfigError(f"k = {k}: the aligned l = 1 triple needs the eigenpairs 1..3, so k >= 3")
-    if k + 1 > nb:
-        raise ConfigError(f"requested {k} eigenvalues exceeds basis size {nb}")
+    check_spectrum_k(k, lmax)
     S, M = _stiffness_mass(fr, lmax)
     S = 0.5 * (S + S.T)
     M = 0.5 * (M + M.T)

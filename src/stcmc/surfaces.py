@@ -395,6 +395,8 @@ def parametrized_area_and_center(grid, X, metric_of=None):
 
 def _check_flat_metric(prov, points):
     g = prov.metric_jet(points).g
+    if g.strides[0] == 0:  # a broadcast metric holds one distinct point
+        g = g[:1]
     if np.max(np.abs(g - np.eye(3))) > 1e-12:
         raise FoliationNotSupported("graph residual requires the flat background metric")
 
@@ -533,9 +535,10 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12, max_iter=
     raise MaxIterations(f"sigma {sigma:g}, iteration {max_iter}: graph-equation residual sup {np.max(np.abs(R)):.3e}")
 
 
-def surface_to_csv(prov, surface: GraphSurface, path):
-    """Per-node snapshot: theta, phi, f, H, P, stcmc, with a metadata header."""
-    fr = surface_frames(prov, surface)
+def surface_to_csv(fr: CurvatureField, surface: GraphSurface, path):
+    """Per-node snapshot of the surface and its frames: theta, phi, f, H, P, stcmc, with a metadata header."""
+    if fr.lmax != surface.lmax:
+        raise ConfigError(f"frames of band {fr.lmax} do not belong to a surface of band {surface.lmax}")
     th, ph = fr.grid.mesh()
     f_nodal = fr.grid.synthesize(pad_coeffs(surface.coeffs, surface.lmax, fr.grid.lmax))
     with open(path, "w", newline="") as fh:

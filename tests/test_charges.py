@@ -295,6 +295,103 @@ def test_power_fit_flags_log_periodic():
     assert abs(fit.osc_amplitude - 0.4) < 1e-6
 
 
+def _solve_for(s, y, p):
+    """Residual norm and coefficients of the power-tail fit at one exponent, by one least-squares solve."""
+    cols = [np.ones_like(s), s**-p]
+    if s.size >= 6:
+        cols += [np.cos(np.log(s)), np.sin(np.log(s))]
+    if s.size >= 8:
+        cols += [np.cos(np.log(s)) / s, np.sin(np.log(s)) / s]
+    A = np.stack(cols, axis=1)
+    c, *_ = np.linalg.lstsq(A, y, rcond=None)
+    r = A @ c - y
+    return float(np.sqrt(r @ r)), c
+
+
+def _reference_fit(radii, values):
+    """The power-tail fit by one least-squares solve per trial exponent (157 solves)."""
+    s = np.asarray(radii, dtype=float)
+    y = np.asarray(values, dtype=float)
+    with_osc = s.size >= 6
+    damped_osc = s.size >= 8
+    osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)
+
+    scan = np.linspace(0.25, 4.0, 76)
+    best_p, (best_r, best_c) = scan[0], _solve_for(s, y, scan[0])
+    for p in scan[1:]:
+        r, c = _solve_for(s, y, p)
+        if r < best_r:
+            best_p, best_r, best_c = p, r, c
+    lo, hi = max(best_p - 0.25, 0.05), best_p + 0.25
+    for _ in range(40):
+        m1 = lo + 0.382 * (hi - lo)
+        m2 = lo + 0.618 * (hi - lo)
+        if _solve_for(s, y, m1)[0] < _solve_for(s, y, m2)[0]:
+            hi = m2
+        else:
+            lo = m1
+    best_p = 0.5 * (lo + hi)
+    best_r, best_c = _solve_for(s, y, best_p)
+
+    if with_osc:
+        osc_amp = float(np.hypot(best_c[2], best_c[3]))
+        model = best_c[0] + best_c[1] * s**-best_p + osc @ best_c[2:4]
+        if damped_osc:
+            model = model + (osc / s[:, None]) @ best_c[4:6]
+        rest = y - model
+    else:
+        resid = y - best_c[0] - best_c[1] * s**-best_p
+        ab, *_ = np.linalg.lstsq(osc, resid, rcond=None)
+        osc_amp = float(np.hypot(*ab))
+        rest = resid - osc @ ab
+    rest_rms = float(np.sqrt(np.mean(rest**2)))
+    scale = max(np.max(np.abs(y)), 1e-300)
+    divergent = (
+        osc_amp > 10.0 * max(rest_rms, 1e-13 * scale)
+        and osc_amp > 0.05 * float(np.ptp(y))
+        and osc_amp > 1e-7 * max(1.0, scale)
+    )
+    return best_c[0], best_p, best_r, bool(divergent)
+
+
+def _fit_columns(s9_fluxes):
+    """Fixed flat, decaying, log-periodic and damped-oscillation data at 5, 7 and 16 radii, and the s9 flux columns."""
+    columns = []
+    for s in (
+        np.array([50.0, 100.0, 200.0, 400.0, 800.0]),
+        np.exp(np.linspace(np.log(20.0), np.log(2000.0), 7)),
+        np.exp(np.linspace(np.log(100.0), np.log(10000.0), 16)),
+    ):
+        ln = np.log(s)
+        columns += [
+            (s, np.full_like(s, 0.7)),
+            (s, 1.0 - 2.0 / s),
+            (s, -0.3 + 5.0 * s**-1.37),
+            (s, 0.4 * np.cos(ln) + 1.5 / s),
+            (s, 0.2 + 0.25 * np.sin(ln + 0.3) - 3.0 * s**-0.8),
+            (s, 0.1 + (2.0 * np.cos(ln) - np.sin(ln)) / s + 4.0 * s**-2.0),
+        ]
+    sgrid, fx = s9_fluxes
+    columns.append((sgrid, fx["E"]))
+    for key in ("P", "bom_raw", "z_raw", "velocity_raw"):
+        columns += [(sgrid, fx[key][:, i]) for i in range(3)]
+    return columns
+
+
+def test_power_fit_matches_one_solve_per_exponent(s9_fluxes):
+    for s, y in _fit_columns(s9_fluxes):
+        fit = fit_power_tail(s, y)
+        c0, p, residual, divergent = _reference_fit(s, y)
+        scale = np.max(np.abs(y))
+        assert fit.divergent == divergent
+        assert abs(fit.c0 - c0) <= 1e-6 * scale
+        assert abs(fit.residual - residual) <= 1e-9 * scale
+        # the landscape is sharp where a step of 1e-6 in p moves the residual above its roundoff
+        rise = max(abs(_solve_for(s, y, p + h)[0] - residual) for h in (-1e-6, 1e-6))
+        if rise > 1e-12 * scale:
+            assert abs(fit.p - p) <= 1e-6
+
+
 def test_power_fit_needs_three_radii():
     with pytest.raises(ConfigError):
         fit_power_tail([10.0, 20.0], [1.0, 2.0])

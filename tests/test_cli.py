@@ -93,8 +93,15 @@ def test_spectrum_command(capsys):
     assert "eigenvalues" in out and "sigma_min" in out
 
 
-@pytest.mark.parametrize("k", ["-1", "0", "2"])
-def test_spectrum_command_rejects_k_below_three(capsys, k):
+@pytest.mark.parametrize("k", ["-1", "0", "2", "81"])
+def test_spectrum_command_rejects_k_below_three(monkeypatch, capsys, k):
+    """k below 3, or k + 1 above the 81 basis functions at lmax 8, exits 2 before the solve."""
+    import stcmc.cli as cli
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the leaf was solved")
+
+    monkeypatch.setattr(cli, "newton_solve", no_solve)
     rc = main(["spectrum", "--data", "schwarzschild", "--mass", "1", "--sigma", "40", "--lmax", "8", "--k", k])
     assert rc == 2
     assert "ConfigError" in capsys.readouterr().err
@@ -135,21 +142,39 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert "HorizonReached" in err
 
 
+RADII_MESSAGE = "sphere radii must be finite and positive"
 NONFINITE_OR_NONPOSITIVE = {
-    "negative-radius": ["charges", "--data", "schwarzschild", "--mass", "1", "--radii=-50,100,200,400"],
-    "negative-s": ["example-s9", "--s-grid", "100,200,400,-800"],
-    "infinite-radius": ["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,200,inf"],
-    "nan-sigma": ["solve", "--data", "schwarzschild", "--mass", "1", "--sigma", "nan"],
-    "nan-in-sigma-list": ["foliate", "--data", "schwarzschild", "--mass", "1", "--sigma-list", "20,nan"],
-    "nan-tol": ["solve", "--data", "schwarzschild", "--mass", "1", "--sigma", "20", "--tol", "nan"],
+    "negative-radius": (
+        ["charges", "--data", "schwarzschild", "--mass", "1", "--radii=-50,100,200,400"], RADII_MESSAGE
+    ),
+    "negative-s": (["example-s9", "--s-grid", "100,200,400,-800"], RADII_MESSAGE),
+    "infinite-radius": (
+        ["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,200,inf"], RADII_MESSAGE
+    ),
+    "nan-sigma": (["solve", "--data", "schwarzschild", "--mass", "1", "--sigma", "nan"], "sigma must be finite"),
+    "spectrum-nan-sigma": (
+        ["spectrum", "--data", "schwarzschild", "--mass", "1", "--sigma", "nan"], "sigma must be finite"
+    ),
+    "nan-in-sigma-list": (
+        ["foliate", "--data", "schwarzschild", "--mass", "1", "--sigma-list", "20,nan"],
+        "sigma list must hold finite positive values",
+    ),
+    "nan-tol": (
+        ["solve", "--data", "schwarzschild", "--mass", "1", "--sigma", "20", "--tol", "nan"],
+        "tolerance must be finite and positive",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", NONFINITE_OR_NONPOSITIVE.values(), ids=NONFINITE_OR_NONPOSITIVE.keys())
-def test_nonfinite_or_nonpositive_input_is_a_config_error(capsys, argv):
+@pytest.mark.parametrize(
+    ("argv", "message"), NONFINITE_OR_NONPOSITIVE.values(), ids=NONFINITE_OR_NONPOSITIVE.keys()
+)
+def test_nonfinite_or_nonpositive_input_is_a_config_error(capsys, argv, message):
+    """Each bad value exits 2 with a message that names it."""
     rc = main(argv + ["--lmax", "8"])
     assert rc == 2
-    assert "ConfigError" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and message in err
 
 
 def test_exit_code_band_limit_too_small(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from stcmc.chart import (
     EuclideanProvider,
+    MetricJet,
     PerturbationProvider,
     RotatedProvider,
     SchwarzschildProvider,
@@ -341,6 +342,30 @@ def test_graph_equation_rejects_curved_background(schw):
         appendix_graph_residual(10.0, np.zeros(n_coeffs(8)), 8, schw)
 
 
+class _NonFlatMetricProvider(EuclideanProvider):
+    """Flat data except g: a broadcast constant g0, or a dense identity with g0 at the last point."""
+
+    def __init__(self, g0, dense):
+        self.g0, self.dense = np.asarray(g0, dtype=float), dense
+
+    def metric_jet(self, x):
+        n = x.shape[0]
+        if self.dense:
+            g = np.tile(np.eye(3), (n, 1, 1))
+            g[-1] = self.g0
+        else:
+            g = np.broadcast_to(self.g0, (n, 3, 3))
+        return MetricJet(g, np.broadcast_to(0.0, (n, 3, 3, 3)), lambda: np.broadcast_to(0.0, (n, 3, 3, 3, 3)))
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["broadcast", "dense"])
+def test_graph_equation_rejects_a_metric_off_the_identity(dense):
+    g0 = np.eye(3)
+    g0[0, 1] = g0[1, 0] = 1e-9
+    with pytest.raises(FoliationNotSupported):
+        appendix_graph_residual(10.0, np.zeros((2, n_coeffs(8))), 8, _NonFlatMetricProvider(g0, dense))
+
+
 def test_graph_residual_batch_rows_match_single_calls():
     rng = np.random.default_rng(17)
     lmax = 10
@@ -485,10 +510,12 @@ def test_graph_newton_steps_reaching_origin_raise_degenerate(monkeypatch):
 def test_surface_csv(tmp_path, schw):
     S = GraphSurface.round([0.5, 0.0, 0.0], 10.0, 8)
     path = tmp_path / "snap.csv"
-    surface_to_csv(schw, S, path)
+    surface_to_csv(surface_frames(schw, S), S, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("# center = 0.5")
     header = lines[1].split(",")
     assert header == ["theta", "phi", "f", "H", "P", "stcmc"]
     row = next(csv.reader([lines[2]]))
     assert len(row) == 6
+    with pytest.raises(ConfigError):
+        surface_to_csv(surface_frames(schw, GraphSurface.round([0.5, 0.0, 0.0], 10.0, 6)), S, path)
