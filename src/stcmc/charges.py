@@ -63,6 +63,8 @@ def fit_power_tail(radii, values):
     y = np.asarray(values, dtype=float)
     if s.size < 3:
         raise ConfigError("need at least three radii for extrapolation")
+    if np.unique(s).size < s.size:
+        raise ConfigError(f"radii must be distinct for extrapolation, got {s.tolist()}")
     with_osc = s.size >= 6
     damped_osc = s.size >= 8
     osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)

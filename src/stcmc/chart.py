@@ -542,8 +542,7 @@ class PerturbationProvider(DataProvider):
 
     inner_radius = 1.0
 
-    def __init__(self, terms, inner_radius=1.0):
-        self.inner_radius = float(inner_radius)
+    def __init__(self, terms):
         self.g_terms = [[[] for _ in range(3)] for _ in range(3)]
         self.k_terms = [[[] for _ in range(3)] for _ in range(3)]
         for t in terms:

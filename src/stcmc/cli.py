@@ -23,7 +23,7 @@ from .chart import GraphicalSchwarzschildProvider, build_provider
 from .charges import adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
 from .errors import ConfigError, StcmcError
 from .solver import SolveConfig, check_sigma, check_spectrum_k, foliate, laplace_spectrum, newton_solve
-from .surfaces import GraphSurface, surface_frames, surface_scalars, surface_to_csv
+from .surfaces import GraphSurface, surface_scalars, surface_to_csv
 
 
 def parse_grid(text):
@@ -163,14 +163,13 @@ def cmd_solve(args):
     r0 = args.r0 if args.r0 is not None else args.sigma
     seed = GraphSurface.round(np.zeros(3), r0, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    fr = surface_frames(prov, result.surface)
-    sc = surface_scalars(fr)
+    sc = surface_scalars(result.frames)
     print(
         f"converged in {result.iterations} iterations; residual sup {result.residual_sup:.3e}\n"
         f"area radius {sc.area_radius:.10g}  center {sc.center}  m_H {sc.hawking_mass:.10g}"
     )
     if args.out:
-        surface_to_csv(fr, result.surface, args.out)
+        surface_to_csv(result.frames, result.surface, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -204,7 +203,7 @@ def cmd_spectrum(args):
     check_spectrum_k(args.k, args.lmax)
     seed = GraphSurface.round(np.zeros(3), args.sigma, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    rep = laplace_spectrum(surface_frames(prov, result.surface), k=args.k)
+    rep = laplace_spectrum(result.frames, k=args.k)
     print(f"eigenvalues: {rep.eigenvalues}")
     print(f"predicted l=1 values: {rep.predicted_lambda}")
     print(f"sigma_min(L) = {rep.sigma_min_L:.6e}  bound 3|m_H|/sigma^3 = {rep.invertibility_bound:.6e}")

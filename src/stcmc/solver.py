@@ -23,7 +23,8 @@ Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
 transport term, which vanishes on exact solutions; both fold into the fields.
 Each step is one LU solve, with least squares where the condition estimate
-flags the zero-energy case.
+flags the zero-energy case.  A solve returns its leaf's frames, formed by its
+last residual evaluation (SolveResult.frames), so no caller forms them again.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .spectral import get_grid, n_coeffs, pad_coeffs, truncate_coeffs
 from .surfaces import (
     CurvatureField,
     GraphSurface,
+    parametrized_area_and_center,
     rebase,
     surface_frames,
     surface_scalars,
@@ -62,6 +64,7 @@ OPERATOR_TAGS = ("L_H", "L_script", "expansion_plus", "expansion_minus", "laplac
 
 DAMPING = 0.5           # Newton step shrink factor on residual increase
 MAX_DAMPING_ROUNDS = 6
+NEWTON_MAX_ITER = 30    # Newton iterations before MaxIterations
 RCOND = 1e-13           # Newton steps below this condition estimate use lstsq
 
 
@@ -69,7 +72,6 @@ RCOND = 1e-13           # Newton steps below this condition estimate use lstsq
 class SolveConfig:
     lmax: int = 24
     tol: float = 1e-10          # sup-norm tolerance on sqrt(H^2-P^2) - 2/sigma
-    max_iter: int = 30
 
     def __post_init__(self):
         if not 0 < self.tol < math.inf:
@@ -82,6 +84,7 @@ class SolveResult:
     iterations: int
     residual_sup: float
     residual_l2: float
+    frames: CurvatureField      # of surface, from the last residual evaluation
     history: list = field(default_factory=list)
 
 
@@ -249,11 +252,11 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
     history = []
     res, proj, fr = curvature_residual(prov, S, sigma)
     sup = float(np.max(np.abs(res)))
-    for it in range(cfg.max_iter):
+    for it in range(NEWTON_MAX_ITER):
         history.append(sup)
         if sup <= cfg.tol:
             l2 = float(np.sqrt(fr.integrate(res**2)))
-            return SolveResult(S, it, sup, l2, history)
+            return SolveResult(S, it, sup, l2, fr, history)
         step, _ = _newton_step(graph_jacobian(fr), -proj)
         scale = 1.0
         for attempt in range(MAX_DAMPING_ROUNDS + 1):
@@ -278,7 +281,7 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
             S = rebase(S, sc.center)
             res, proj, fr = curvature_residual(prov, S, sigma)
             sup = float(np.max(np.abs(res)))
-    raise MaxIterations(f"sigma {sigma:g}, iteration {cfg.max_iter}: no convergence; residual sup {sup:.3e}")
+    raise MaxIterations(f"sigma {sigma:g}, iteration {NEWTON_MAX_ITER}: no convergence; residual sup {sup:.3e}")
 
 
 def _newton_step(J, rhs):
@@ -339,7 +342,7 @@ def continuation_in_tau(prov, sigma, initial: GraphSurface, config: SolveConfig 
     dtau = 1.0 / steps
     S = initial
     result = newton_solve(ScaledExtrinsicProvider(prov, 0.0), sigma, S, cfg)
-    out.append(_continuation_record(prov, 0.0, sigma, result))
+    out.append(_continuation_record(prov, 0.0, result))
     S = result.surface
     while tau < 1.0 - 1e-12:
         step = min(dtau, 1.0 - tau)
@@ -355,13 +358,13 @@ def continuation_in_tau(prov, sigma, initial: GraphSurface, config: SolveConfig 
                     ) from None
         tau += step
         S = result.surface
-        out.append(_continuation_record(prov, tau, sigma, result))
+        out.append(_continuation_record(prov, tau, result))
     return out
 
 
-def _continuation_record(prov, tau, sigma, result):
+def _continuation_record(prov, tau, result):
     S = result.surface
-    fr = surface_frames(ScaledExtrinsicProvider(prov, tau), S)
+    fr = result.frames  # of the tau-scaled data the leaf was solved in
     fr_full = surface_frames(prov, S)
     Lmat = assemble_linearization(fr, "L_script")
     rhs_nodal = tau * fr_full.P**2 / fr.H
@@ -396,18 +399,12 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
         result = newton_solve(prov, sg, S, cfg)
         S = result.surface
         prev_sigma = sg
-        fr = surface_frames(prov, S)
+        fr = result.frames
         sc = surface_scalars(fr)
+        lam, smin = np.full(5, np.nan), float("nan")
         if spectra:
             rep = laplace_spectrum(fr, k=8)
-            lam123 = rep.eigenvalues[1:4]
-            lam4 = float(rep.eigenvalues[4])
-            smin = rep.sigma_min_L
-        else:
-            lam123 = np.full(3, np.nan)
-            lam4 = float("nan")
-            smin = float("nan")
-        del fr  # not held through the next leaf's solve, which sets the peak memory
+            lam, smin = rep.eigenvalues, rep.sigma_min_L
         leaves.append(
             FoliationLeaf(
                 sigma=sg,
@@ -415,12 +412,13 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
                 center=sc.center,
                 area_radius=sc.area_radius,
                 hawking_mass=sc.hawking_mass,
-                eigenvalues=np.asarray(lam123),
-                lambda4=lam4,
+                eigenvalues=lam[1:4],
+                lambda4=float(lam[4]),
                 sigma_min_L=smin,
                 residual_sup=result.residual_sup,
             )
         )
+        del result, fr  # not held through the next leaf's solve, which sets the peak memory
     _annotate_lapse_positivity(leaves)
     return leaves
 
@@ -519,19 +517,19 @@ def laplace_spectrum(fr: CurvatureField, k=8):
 def _sigma_min_weighted(fields: _OperatorFields, lmax, M):
     """Smallest singular value of script-L in the dmu-weighted L2 norm.
 
-    With mass matrix M = R^T R, the weighted operator is R L R^{-1} acting on
-    orthonormalized coordinates.
+    With the symmetric mass matrix M = R^T R, the weighted operator is
+    R L R^{-1} acting on orthonormalized coordinates.
     """
     Lmat = fields.fr.grid.operator_matrix(_nodal_coefficients(fields, "L_script"), lmax)
-    R = np.linalg.cholesky(0.5 * (M + M.T)).T
+    R = np.linalg.cholesky(M).T
     # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
     W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
     return float(np.linalg.svd(W, compute_uv=False).min())
 
 
-def operator_bound_check(prov, surface: GraphSurface):
+def operator_bound_check(fr: CurvatureField):
     """Smallest weighted singular value of script-L against 3|m_H|/sigma^3."""
-    rep = laplace_spectrum(surface_frames(prov, surface), k=4)
+    rep = laplace_spectrum(fr, k=4)
     ratio = rep.sigma_min_L / rep.invertibility_bound if rep.invertibility_bound > 0 else float("inf")
     return rep.sigma_min_L, rep.invertibility_bound, ratio
 
@@ -540,10 +538,9 @@ def center_variation_check(prov, surface: GraphSurface, u_coeffs):
     """First variation of the Euclidean center against the normal-flux formula.
 
     Compares a central difference of the center of X + s u nu with
-    (3/|S|) int u nu dmu, returning (fd, formula, discrepancy).
+    (3/|S|) int u nu dmu, returning (fd, formula, discrepancy).  Takes the
+    surface, not its frames: its base radius and band set the step and u.
     """
-    from .surfaces import parametrized_area_and_center
-
     fr = surface_frames(prov, surface)
     grid = fr.grid
     u = grid.synthesize(pad_coeffs(np.asarray(u_coeffs, dtype=float), surface.lmax, grid.lmax))
@@ -559,7 +556,7 @@ def center_variation_check(prov, surface: GraphSurface, u_coeffs):
 
 
 def uniqueness_cross_check(prov, sigma, seeds, config: SolveConfig | None = None):
-    """Max pairwise sup-distance between leaves converged from different seeds."""
+    """Max pairwise sup-distance between leaves converged from different seeds, and the solve results."""
     cfg = config or SolveConfig(lmax=seeds[0].lmax)
     solved = [newton_solve(prov, sigma, s, cfg) for s in seeds]
     base = solved[0].surface.center

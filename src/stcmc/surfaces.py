@@ -312,7 +312,7 @@ class AprioriCheck:
 APRIORI_ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
-def apriori_class_check(prov, surface: GraphSurface, a, b, eta, eps):
+def apriori_class_check(fr: CurvatureField, a, b, eta, eps):
     """Membership in the asymptotically-centered class (genus 0).
 
     Checks |z| <= a r + b r^(1-eta),  r^(2+eta) <= min |x|^(5/2+eps)  and
@@ -323,7 +323,7 @@ def apriori_class_check(prov, surface: GraphSurface, a, b, eta, eps):
     cases of a flat round sphere (zero deficit; |z| = 0 when centered) pass.
     The `*_slack` fields are the raw rhs - lhs, without allowance.
     """
-    sc = surface_scalars(surface_frames(prov, surface))
+    sc = surface_scalars(fr)
     r = sc.area_radius
     zn = np.linalg.norm(sc.center)
     lhs1, rhs1 = zn, a * r + b * r ** (1.0 - eta)
@@ -340,7 +340,7 @@ def apriori_class_check(prov, surface: GraphSurface, a, b, eta, eps):
 
 
 def euclidean_comparison(prov, surface: GraphSurface):
-    """Sup norms of the flat-vs-curved frame differences on the surface."""
+    """Sup norms of the flat-vs-curved frame differences; reads the surface's parametrization, not only its frames."""
     fr = surface_frames(prov, surface)
     _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(surface, fr.grid)
     ncross = np.cross(*fr.tangents)
@@ -480,15 +480,16 @@ def appendix_graph_residual(sigma, f_coeffs, lmax, prov=None):
 # call at once (peak RSS of one lmax-10 root, 1 BLAS thread: 60 MB before the
 # root, 64 MB at 16 rows, 73 MB at 64, 104 MB with all 242 rows in one call).
 FD_BLOCK = 16
+GRAPH_MAX_ITER = 40
 
 
-def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12, max_iter=40):
+def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
     """Newton-solve the graph equation with a finite-difference Jacobian.
 
     Deliberately independent of the embedding-based machinery so the two
     routes to a prescribed-curvature surface can be cross-checked.  The
     central differences f +- h e_j are evaluated FD_BLOCK rows per residual
-    call.  Raises MaxIterations after max_iter steps, NewtonDiverged when 30
+    call.  Raises MaxIterations after GRAPH_MAX_ITER steps, NewtonDiverged when 30
     halvings of a step do not lower the residual sup (DegenerateInducedMetric
     if the last one still reaches the origin), with sigma, iteration and sup.
     """
@@ -503,7 +504,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12, max_iter=
         return truncate_coeffs(grid.analyze(r), lmax)
 
     R = proj_res(f)
-    for it in range(max_iter):
+    for it in range(GRAPH_MAX_ITER):
         # converge on the projected system; the nodal sup also reflects
         # truncation of the data and is reported by the caller if needed
         rnorm = np.max(np.abs(R))
@@ -532,7 +533,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12, max_iter=
             raise NewtonDiverged(f"{context} not lowered by 30 damped steps")
         f = f + scale * step
         R = R_try
-    raise MaxIterations(f"sigma {sigma:g}, iteration {max_iter}: graph-equation residual sup {np.max(np.abs(R)):.3e}")
+    raise MaxIterations(f"sigma {sigma:g}, iteration {GRAPH_MAX_ITER}: graph-equation residual sup {np.max(np.abs(R)):.3e}")
 
 
 def surface_to_csv(fr: CurvatureField, surface: GraphSurface, path):

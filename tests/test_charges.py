@@ -397,6 +397,14 @@ def test_power_fit_needs_three_radii():
         fit_power_tail([10.0, 20.0], [1.0, 2.0])
 
 
+def test_power_fit_needs_distinct_radii():
+    # three copies of one sphere are one sample, not a tail
+    with pytest.raises(ConfigError, match="distinct"):
+        fit_power_tail([100.0, 100.0, 100.0], [1.02, 1.02, 1.02])
+    with pytest.raises(ConfigError, match="distinct"):
+        fit_power_tail([10.0, 20.0, 40.0, 40.0, 80.0, 160.0], np.ones(6))
+
+
 def test_matter_moments_vacuum(graphical):
     mom = matter_moment_shells(graphical, [50.0, 100.0])
     assert np.max(np.abs(mom)) < 1e-12

@@ -177,6 +177,14 @@ def test_nonfinite_or_nonpositive_input_is_a_config_error(capsys, argv, message)
     assert "ConfigError" in err and message in err
 
 
+def test_exit_code_repeated_radii(capsys):
+    rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,100,100", "--lmax", "8"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "radii must be distinct" in captured.err
+    assert "E = " not in captured.out
+
+
 def test_exit_code_band_limit_too_small(capsys):
     rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "50,100,200", "--lmax", "3"])
     assert rc == 2

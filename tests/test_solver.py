@@ -285,8 +285,8 @@ def test_newton_quadratic_tail(graphical):
     assert all(c < 1e4 for c in consts)
 
 
-def test_newton_graphical_leaf_in_apriori_class(graphical, graphical_leaf60):
-    chk = apriori_class_check(graphical, graphical_leaf60.surface, 0.0, 10.0, 0.25, 0.5)
+def test_newton_graphical_leaf_in_apriori_class(graphical_leaf60):
+    chk = apriori_class_check(graphical_leaf60.frames, 0.0, 10.0, 0.25, 0.5)
     assert chk.all_ok
 
 
@@ -314,14 +314,10 @@ def test_newton_diverges_with_flipped_jacobian(schw, monkeypatch):
         newton_solve(schw, 20.0, GraphSurface.round([0, 0, 0], 18.0, 8), SolveConfig(lmax=8))
 
 
-def test_newton_max_iterations(euclid):
+def test_newton_max_iterations(euclid, monkeypatch):
+    monkeypatch.setattr(sv, "NEWTON_MAX_ITER", 1)
     with pytest.raises(MaxIterations, match=r"sigma 10, iteration 1: .*residual sup \d"):
-        newton_solve(
-            euclid,
-            10.0,
-            GraphSurface.round([0, 0, 0], 5.0, 8),
-            SolveConfig(lmax=8, tol=1e-15, max_iter=1),
-        )
+        newton_solve(euclid, 10.0, GraphSurface.round([0, 0, 0], 5.0, 8), SolveConfig(lmax=8, tol=1e-15))
 
 
 def test_solve_config_validation(euclid):
@@ -331,6 +327,49 @@ def test_solve_config_validation(euclid):
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             newton_solve(euclid, sigma, GraphSurface.round([0, 0, 0], 5.0, 8))
+
+
+# -- a solve's frames ----------------------------------------------------------------
+
+@pytest.mark.parametrize(("data", "leaf"), [("schw", "schw_leaf20"), ("graphical", "graphical_leaf60")])
+def test_solve_returns_its_leafs_frames(request, data, leaf):
+    result = request.getfixturevalue(leaf)
+    fresh = surface_frames(request.getfixturevalue(data), result.surface)
+    for name in ("X", "H", "P", "stcmc", "dmu"):
+        assert np.array_equal(getattr(result.frames, name), getattr(fresh, name)), name
+
+
+def _count_frames(monkeypatch):
+    """Count calls of sv.surface_frames and of sv.curvature_residual, which forms one frame each."""
+    calls = {"frames": 0, "residual": 0}
+    frames, residual = sv.surface_frames, sv.curvature_residual
+
+    def counted_frames(*args):
+        calls["frames"] += 1
+        return frames(*args)
+
+    def counted_residual(*args):
+        calls["residual"] += 1
+        return residual(*args)
+
+    monkeypatch.setattr(sv, "surface_frames", counted_frames)
+    monkeypatch.setattr(sv, "curvature_residual", counted_residual)
+    return calls
+
+
+@pytest.mark.parametrize("data", ["schw", "graphical"])
+def test_foliate_forms_frames_only_in_residuals(request, monkeypatch, data):
+    calls = _count_frames(monkeypatch)
+    seed = GraphSurface.round([0.2, -0.3, 0.1], 20.0, 8)
+    fol = foliate(request.getfixturevalue(data), [20.0, 40.0], SolveConfig(lmax=8), initial=seed)
+    assert len(fol) == 2 and calls["residual"] > 0
+    assert calls["frames"] == calls["residual"]
+
+
+def test_continuation_record_forms_only_the_unscaled_frames(schw, monkeypatch):
+    calls = _count_frames(monkeypatch)
+    steps = continuation_in_tau(schw, 20.0, GraphSurface.round([0, 0, 0], 20.0, 8), SolveConfig(lmax=8), steps=1)
+    assert calls["frames"] == calls["residual"] + len(steps)
 
 
 # -- continuation ------------------------------------------------------------------
@@ -380,7 +419,7 @@ def test_continuation_stalls_when_every_step_fails(euclid, monkeypatch):
     def failing_solve(prov, sigma, initial, config=None):
         taus.append(prov.tau)
         if prov.tau == 0.0:
-            return sv.SolveResult(initial, 0, 0.0, 0.0)
+            return sv.SolveResult(initial, 0, 0.0, 0.0, frames=None)
         raise NewtonDiverged("injected")
 
     monkeypatch.setattr(sv, "newton_solve", failing_solve)
@@ -434,8 +473,8 @@ def test_spectrum_round_sphere(euclid):
     assert np.all(np.diff(lam) > -1e-12)
 
 
-def test_spectrum_alignment_and_projection(schw_leaf20, schw):
-    rep = laplace_spectrum(surface_frames(schw, schw_leaf20.surface), k=8)
+def test_spectrum_alignment_and_projection(schw_leaf20):
+    rep = laplace_spectrum(schw_leaf20.frames, k=8)
     # projections of the aligned modes onto the scaled coordinate functions
     # form a near-orthogonal matrix
     gram = rep.projections @ rep.projections.T
@@ -446,7 +485,7 @@ def test_spectrum_eigenvalue_law_on_leaves(schw):
     rel_prev = None
     for sigma in (40.0, 80.0):
         res = newton_solve(schw, sigma, GraphSurface.round([0, 0, 0], sigma, 8), SolveConfig(lmax=8, tol=1e-11))
-        rep = laplace_spectrum(surface_frames(schw, res.surface), k=8)
+        rep = laplace_spectrum(res.frames, k=8)
         rel = np.max(np.abs(rep.eigenvalues[1:4] - rep.predicted_lambda) / rep.eigenvalues[1:4])
         # mass-plus-curvature prediction is accurate to the next order
         assert rel < 10.0 / sigma**1.0 * 0.1
@@ -490,8 +529,8 @@ def test_spectrum_needs_the_l1_triple(euclid, k):
         laplace_spectrum(surface_frames(euclid, GraphSurface.round([0, 0, 0], 5.0, 8)), k=k)
 
 
-def test_operator_bound_schwarzschild(schw, schw_leaf20):
-    smin, bound, ratio = operator_bound_check(schw, schw_leaf20.surface)
+def test_operator_bound_schwarzschild(schw_leaf20):
+    smin, bound, ratio = operator_bound_check(schw_leaf20.frames)
     assert ratio >= 1.0
     # exact translational eigenvalue of the rescaled operator on the leaf
     r = R_STAR_SIGMA20
@@ -500,18 +539,17 @@ def test_operator_bound_schwarzschild(schw, schw_leaf20):
 
 
 def test_operator_bound_flat_degenerates(euclid):
-    smin, bound, ratio = operator_bound_check(euclid, GraphSurface.round([0, 0, 0], 10.0, 8))
+    smin, bound, ratio = operator_bound_check(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)))
     assert bound < 1e-12
     assert smin < 1e-10  # translation near-kernel
 
 
-def test_operator_selfadjoint_when_time_symmetric(schw, schw_leaf20):
+def test_operator_selfadjoint_when_time_symmetric(schw_leaf20):
     from stcmc.solver import _stiffness_mass
 
-    S = schw_leaf20.surface
-    fr = surface_frames(schw, S)
+    fr = schw_leaf20.frames
     L = assemble_linearization(fr, "L_script")
-    _, M = _stiffness_mass(fr, S.lmax)
+    _, M = _stiffness_mass(fr, fr.lmax)
     # weighted operator is symmetric; sigma_min equals the smallest |eigenvalue|
     R = np.linalg.cholesky(0.5 * (M + M.T)).T
     W = R @ L @ np.linalg.inv(R)
@@ -543,7 +581,7 @@ def test_center_variation_bound_on_leaf(schw, schw_leaf20):
     rng = np.random.default_rng(3)
     u = rng.normal(size=n_coeffs(8)) * np.exp(-0.5 * np.arange(n_coeffs(8)))
     fd, formula, disc = center_variation_check(schw, schw_leaf20.surface, u)
-    fr = surface_frames(schw, schw_leaf20.surface)
+    fr = schw_leaf20.frames
     unodal = fr.grid.synthesize(np.concatenate([u, np.zeros(fr.grid.nbasis - u.size)]))
     l2 = np.sqrt(fr.integrate(unodal**2))
     sigma = 20.0
@@ -579,8 +617,8 @@ def test_rotation_equivariance_of_leaf(graphical, graphical_leaf60):
     assert np.max(np.abs(rot.surface.center - O @ graphical_leaf60.surface.center)) < 1e-9
 
 
-def test_eigenvalue_ordering_invariant(graphical, graphical_leaf60):
-    rep = laplace_spectrum(surface_frames(graphical, graphical_leaf60.surface), k=8)
+def test_eigenvalue_ordering_invariant(graphical_leaf60):
+    rep = laplace_spectrum(graphical_leaf60.frames, k=8)
     lam = rep.eigenvalues
     assert abs(lam[0]) < 1e-10
     assert lam[1] <= lam[2] <= lam[3] < lam[4]

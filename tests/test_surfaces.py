@@ -146,13 +146,13 @@ def test_first_variation_of_area(schw):
 
 
 def test_apriori_class_check(schw, euclid):
-    chk = apriori_class_check(schw, GraphSurface.round([0, 0, 0], 100.0, 8), 0.0, 10.0, 0.5, 0.5)
+    chk = apriori_class_check(surface_frames(schw, GraphSurface.round([0, 0, 0], 100.0, 8)), 0.0, 10.0, 0.5, 0.5)
     assert chk.all_ok
     # |z| = 2r fails the centering inequality with a = b = 0
     off = GraphSurface.round([200.0, 0.0, 0.0], 100.0, 8)
-    chk2 = apriori_class_check(euclid, off, 0.0, 0.0, 0.5, 0.5)
+    chk2 = apriori_class_check(surface_frames(euclid, off), 0.0, 0.0, 0.5, 0.5)
     assert not chk2.center_ok
-    chk3 = apriori_class_check(euclid, GraphSurface.round([0, 0, 0], 10.0, 8), 0.0, 0.0, 0.5, 0.5)
+    chk3 = apriori_class_check(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)), 0.0, 0.0, 0.5, 0.5)
     assert chk3.willmore_ok  # zero deficit passes for any b >= 0
 
 
@@ -160,14 +160,15 @@ def test_apriori_class_check(schw, euclid):
 @pytest.mark.parametrize("r", [1.0, 10.0, 1000.0])
 def test_apriori_class_roundoff_allowance(euclid, r, lmax):
     # equality cases: a flat round sphere has zero Willmore deficit and |z| = |c|
-    chk = apriori_class_check(euclid, GraphSurface.round([0, 0, 0], r, lmax), 0.0, 0.0, 0.5, 0.5)
+    chk = apriori_class_check(surface_frames(euclid, GraphSurface.round([0, 0, 0], r, lmax)), 0.0, 0.0, 0.5, 0.5)
     assert chk.willmore_ok and chk.center_ok
-    off = apriori_class_check(euclid, GraphSurface.round([3.0 * r, 0, 0], r, lmax), 3.0, 0.0, 0.5, 0.5)
+    off_fr = surface_frames(euclid, GraphSurface.round([3.0 * r, 0, 0], r, lmax))
+    off = apriori_class_check(off_fr, 3.0, 0.0, 0.5, 0.5)
     assert off.center_ok
     # the allowance never absorbs a real deficit (~2.4e-7 for this l=2 bump)
     coeffs = np.zeros(n_coeffs(lmax))
     coeffs[coeff_index(2, 0)] = 1e-3 * r / 10.0
-    bump = apriori_class_check(euclid, GraphSurface(np.zeros(3), r, coeffs, lmax), 0.0, 0.0, 0.5, 0.5)
+    bump = apriori_class_check(surface_frames(euclid, GraphSurface(np.zeros(3), r, coeffs, lmax)), 0.0, 0.0, 0.5, 0.5)
     assert 1e-7 < -bump.willmore_slack < 1e-6
     assert not bump.willmore_ok
 
@@ -467,9 +468,12 @@ def _criterion_10_like_seed(lmax=10):
     return f0
 
 
-def test_graph_newton_iteration_limit_raises_max_iterations():
-    with pytest.raises(MaxIterations, match="sigma 7"):
-        solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=1e-13, max_iter=1)
+def test_graph_newton_iteration_limit_raises_max_iterations(monkeypatch):
+    import stcmc.surfaces as surfaces
+
+    monkeypatch.setattr(surfaces, "GRAPH_MAX_ITER", 1)
+    with pytest.raises(MaxIterations, match="sigma 7, iteration 1"):
+        solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=1e-13)
 
 
 def test_graph_newton_stall_raises_newton_diverged(monkeypatch):
