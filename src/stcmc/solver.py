@@ -83,24 +83,8 @@ class SolveResult:
     surface: GraphSurface
     iterations: int
     residual_sup: float
-    residual_l2: float
     frames: CurvatureField      # of surface, from the last residual evaluation
     history: list = field(default_factory=list)
-
-
-@dataclass
-class FoliationLeaf:
-    sigma: float
-    surface: GraphSurface
-    center: np.ndarray
-    area_radius: float
-    hawking_mass: float
-    eigenvalues: np.ndarray      # lambda_1..3 of -Lap on the leaf
-    lambda4: float
-    sigma_min_L: float
-    residual_sup: float
-    lapse_positive: bool | None = None
-    min_normal_gap: float | None = None
 
 
 @dataclass
@@ -115,6 +99,32 @@ class SpectralReport:
     sigma: float
     sigma_min_L: float
     invertibility_bound: float
+
+
+@dataclass
+class FoliationLeaf:
+    sigma: float
+    surface: GraphSurface
+    center: np.ndarray
+    area_radius: float
+    hawking_mass: float
+    spectrum: SpectralReport | None  # laplace_spectrum(k=8) of the leaf; None without spectra
+    residual_sup: float
+    lapse_positive: bool | None = None
+    min_normal_gap: float | None = None
+
+    @property
+    def eigenvalues(self):
+        """lambda_1..3 of -Lap on the leaf (NaN without spectra)."""
+        return self.spectrum.eigenvalues[1:4] if self.spectrum is not None else np.full(3, np.nan)
+
+    @property
+    def lambda4(self):
+        return float(self.spectrum.eigenvalues[4]) if self.spectrum is not None else float("nan")
+
+    @property
+    def sigma_min_L(self):
+        return self.spectrum.sigma_min_L if self.spectrum is not None else float("nan")
 
 
 # -- nodal operator ingredients ----------------------------------------------
@@ -255,8 +265,7 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
     for it in range(NEWTON_MAX_ITER):
         history.append(sup)
         if sup <= cfg.tol:
-            l2 = float(np.sqrt(fr.integrate(res**2)))
-            return SolveResult(S, it, sup, l2, fr, history)
+            return SolveResult(S, it, sup, fr, history)
         step, _ = _newton_step(graph_jacobian(fr), -proj)
         scale = 1.0
         for attempt in range(MAX_DAMPING_ROUNDS + 1):
@@ -401,10 +410,6 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
         prev_sigma = sg
         fr = result.frames
         sc = surface_scalars(fr)
-        lam, smin = np.full(5, np.nan), float("nan")
-        if spectra:
-            rep = laplace_spectrum(fr, k=8)
-            lam, smin = rep.eigenvalues, rep.sigma_min_L
         leaves.append(
             FoliationLeaf(
                 sigma=sg,
@@ -412,9 +417,7 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
                 center=sc.center,
                 area_radius=sc.area_radius,
                 hawking_mass=sc.hawking_mass,
-                eigenvalues=lam[1:4],
-                lambda4=float(lam[4]),
-                sigma_min_L=smin,
+                spectrum=laplace_spectrum(fr, k=8) if spectra else None,
                 residual_sup=result.residual_sup,
             )
         )

@@ -4,9 +4,11 @@ Each test prints the one-line pass/fail summary of its criterion so the
 numbers appear in the pytest output (-s or on failure).
 """
 
+import numpy as np
 import pytest
 
-from stcmc import acceptance
+from stcmc import acceptance, solver, surfaces
+from stcmc.chart import SchwarzschildProvider
 
 
 def _run(fn):
@@ -45,6 +47,31 @@ def test_criterion_5_eigenvalue_law():
     res = _run(acceptance.criterion_5_eigenvalue_law)
     assert res.details["rel_errors"][-1] <= 0.10
     assert res.details["monotone"]
+
+
+def test_criterion_5_reads_the_foliations_spectra(monkeypatch):
+    fol = acceptance._memo("schw_foliation", acceptance._schwarzschild_foliation)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with monkeypatch.context() as m:
+        frames = counted(surfaces.surface_frames)
+        for mod in (surfaces, solver, acceptance):
+            m.setattr(mod, "surface_frames", frames)
+        m.setattr(solver, "laplace_spectrum", counted(solver.laplace_spectrum))
+        acceptance.criterion_5_eigenvalue_law()
+    assert calls == []
+    # the kept spectra are those of the leaves' frames formed afresh
+    prov = SchwarzschildProvider(1.0)
+    for leaf in fol:
+        fresh = solver.laplace_spectrum(surfaces.surface_frames(prov, leaf.surface), k=8)
+        for name in ("eigenvalues", "ricci_integrals", "hawking_mass", "sigma", "sigma_min_L"):
+            assert np.array_equal(getattr(leaf.spectrum, name), getattr(fresh, name)), name
 
 
 def test_criterion_6_linearization_suite():

@@ -419,7 +419,7 @@ def test_continuation_stalls_when_every_step_fails(euclid, monkeypatch):
     def failing_solve(prov, sigma, initial, config=None):
         taus.append(prov.tau)
         if prov.tau == 0.0:
-            return sv.SolveResult(initial, 0, 0.0, 0.0, frames=None)
+            return sv.SolveResult(initial, 0, 0.0, frames=None)
         raise NewtonDiverged("injected")
 
     monkeypatch.setattr(sv, "newton_solve", failing_solve)

@@ -511,6 +511,79 @@ def test_graph_newton_steps_reaching_origin_raise_degenerate(monkeypatch):
         solve_graph_residual(7.0, _criterion_10_like_seed(8), 8)
 
 
+def _graph_residual_calls(monkeypatch, sabotage=None):
+    """Record a copy of each appendix_graph_residual height argument: 1-D for one height, 2-D for a Jacobian block.
+
+    sabotage(k, r) may replace the nodal residual r of the k-th one-height call (k from 1).
+    """
+    import stcmc.surfaces as surfaces
+
+    calls = []
+    true_residual = surfaces.appendix_graph_residual
+
+    def recorded(sigma, f_coeffs, lmax, prov=None):
+        r = true_residual(sigma, f_coeffs, lmax, prov)
+        calls.append(np.array(f_coeffs))
+        if sabotage is not None and np.ndim(f_coeffs) == 1:
+            r = sabotage(sum(c.ndim == 1 for c in calls), r)
+        return r
+
+    monkeypatch.setattr(surfaces, "appendix_graph_residual", recorded)
+    return calls
+
+
+def _fd_blocks(lmax):
+    import stcmc.surfaces as surfaces
+
+    return -(-2 * n_coeffs(lmax) // surfaces.FD_BLOCK)
+
+
+def test_graph_newton_takes_fewer_jacobians_than_steps(monkeypatch):
+    import stcmc.surfaces as surfaces
+
+    calls = _graph_residual_calls(monkeypatch)
+    f0 = _criterion_10_like_seed()
+    solve_graph_residual(7.0, f0, 10, tol=1e-13)
+    blocks = sum(c.ndim == 2 for c in calls)
+    assert blocks % _fd_blocks(10) == 0
+    jacobians = blocks // _fd_blocks(10)
+    assert jacobians >= 1
+    # a solve of k steps converges in iteration k, so with GRAPH_MAX_ITER =
+    # jacobians + 1 it stops short exactly when it takes more steps than Jacobians
+    monkeypatch.setattr(surfaces, "GRAPH_MAX_ITER", jacobians + 1)
+    with pytest.raises(MaxIterations):
+        solve_graph_residual(7.0, f0, 10, tol=1e-13)
+
+
+@pytest.mark.parametrize("chord_trial", ["contracts_too_little", "reaches_origin"])
+def test_graph_newton_rebuilds_the_jacobian_when_a_chord_step_fails(monkeypatch, chord_trial):
+    import stcmc.surfaces as surfaces
+
+    single = []
+
+    def sabotage(k, r):
+        # one-height calls: 1 the seed, 2 the full step of iteration 0, 3 the chord trial of iteration 1
+        single.append(r)
+        if k != 3:
+            return r
+        if chord_trial == "reaches_origin":
+            raise DegenerateInducedMetric("graph reaches the origin")
+        return single[1] / (0.9 * surfaces.CHORD_CONTRACTION)
+
+    calls = _graph_residual_calls(monkeypatch, sabotage)
+    monkeypatch.setattr(surfaces, "GRAPH_MAX_ITER", 2)
+    with pytest.raises(MaxIterations, match="iteration 2"):
+        solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=1e-13)
+    # the rejected chord trial is followed, within iteration 1, by a fresh
+    # Jacobian and its full damped-Newton step
+    jac = [2] * _fd_blocks(10)
+    assert [c.ndim for c in calls] == [1] + jac + [1] + [1] + jac + [1]
+    # that Jacobian is taken at the iterate the chord trial started from:
+    # its first perturbed row is that iterate moved along the first coefficient
+    iterate, row = calls[1 + len(jac)], calls[3 + len(jac)][0]
+    assert np.array_equal(row[1:], iterate[1:]) and row[0] != iterate[0]
+
+
 def test_surface_csv(tmp_path, schw):
     S = GraphSurface.round([0.5, 0.0, 0.0], 10.0, 8)
     path = tmp_path / "snap.csv"
