@@ -181,7 +181,7 @@ def sphere_fluxes(prov, radii, lmax=24, center=(0.0, 0.0, 0.0)):
         out["z_raw"].append((z_int * wq[:, None]).sum(axis=0))
         # velocity integrand over the induced (curved) sphere measure
         tang = np.stack([s * uv["ot"], s * uv["op"]], axis=1)
-        g2 = np.einsum("nai,nij,nbj->nab", tang, g, tang)
+        g2 = tang @ g @ tang.transpose(0, 2, 1)
         det2 = g2[:, 0, 0] * g2[:, 1, 1] - g2[:, 0, 1] ** 2
         dmu_g = np.sqrt(det2) / st
         v_int = np.einsum("nij,nj->ni", pi, om)
@@ -224,10 +224,6 @@ class CenterReport:
     @property
     def bom_limit(self):
         return np.array([f.c0 for f in self.bom_fits])
-
-    @property
-    def z_limit(self):
-        return np.array([f.c0 for f in self.z_fits])
 
     @property
     def sum_limit(self):

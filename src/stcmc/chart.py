@@ -18,7 +18,10 @@ A MetricJet owns the geometry derived from it: its read-only ddg,
 ginv[n, a, b], dginv[n, a, b, k] = d_k g^ab and Gam[n, a, b, c] = Gamma^a_bc
 are each formed once, when first read, so every consumer of a point set
 shares one inverse and one set of Christoffel symbols; an ExtrinsicJet forms
-its read-only dK the same way.  The horizon, core and spacelike checks run
+its read-only dK the same way.  The inverse is the closed-form cofactor
+(adjugate) inverse, exactly symmetric for a symmetric g, and the 3x3
+contractions of the curvature operations are batched matrix products on
+reshaped or transposed views.  The horizon, core and spacelike checks run
 when the jet is made.
 
 The catalog covers the flat chart, the Schwarzschild slice in areal
@@ -71,7 +74,8 @@ def _second_order(jet):
 class MetricJet:
     """Metric jet; ddg, ginv, dginv and Gam are formed once, when first read.
 
-    ddg is `second()`, which is then dropped (set to None).
+    ddg is `second()`, which is then dropped (set to None).  ginv is the
+    cofactor inverse, with the determinant taken from the same cofactors.
     """
 
     g: np.ndarray
@@ -84,10 +88,10 @@ class MetricJet:
 
     @cached_property
     def ginv(self):
-        det = np.linalg.det(self.g)
+        adj, det = _adjugate_3x3(self.g)
         if np.any(np.abs(det) < 1e-300) or not np.all(np.isfinite(det)):
             raise SingularMetric("metric not invertible")
-        return _read_only(np.linalg.inv(self.g))
+        return _read_only((adj / det).T.reshape(-1, 3, 3))
 
     @cached_property
     def dginv(self):
@@ -100,7 +104,8 @@ class MetricJet:
     @cached_property
     def Gam(self):
         """Christoffel symbols Gam[n, a, b, c] = Gamma^a_bc."""
-        return _read_only(0.5 * np.einsum("nad,ndbc->nabc", self.ginv, _bracket(self.dg)))
+        n = self.dg.shape[0]
+        return _read_only(0.5 * np.matmul(self.ginv, _bracket(self.dg).reshape(n, 3, 9)).reshape(n, 3, 3, 3))
 
 
 @dataclass(frozen=True)
@@ -113,6 +118,26 @@ class ExtrinsicJet:
     @cached_property
     def dK(self):
         return _second_order(self)
+
+
+def _adjugate_3x3(g):
+    """Adjugate and determinant of a stack of 3x3 matrices g[n, i, j].
+
+    Returns adj[3 * i + j, n], the (i, j) entry of the adjugate (the
+    transposed cofactor matrix), and det[n] = sum_j g_0j adj_j0.
+    """
+    g00, g01, g02, g10, g11, g12, g20, g21, g22 = g.reshape(-1, 9).T
+    adj = np.empty((9, g.shape[0]))
+    adj[0] = g11 * g22 - g12 * g21
+    adj[1] = g02 * g21 - g01 * g22
+    adj[2] = g01 * g12 - g02 * g11
+    adj[3] = g12 * g20 - g10 * g22
+    adj[4] = g00 * g22 - g02 * g20
+    adj[5] = g02 * g10 - g00 * g12
+    adj[6] = g10 * g21 - g11 * g20
+    adj[7] = g01 * g20 - g00 * g21
+    adj[8] = g00 * g11 - g01 * g10
+    return adj, g00 * adj[0] + g01 * adj[3] + g02 * adj[6]
 
 
 def _as_points(x):
@@ -685,10 +710,13 @@ def christoffel(jet: MetricJet, derivative=False):
     if not derivative:
         return jet.Gam
     ddg = jet.ddg
+    n = ddg.shape[0]
     dbracket = np.einsum("ndcbe->ndbce", ddg) + ddg - np.einsum("nbcde->ndbce", ddg)
+    # d_e g^ad bracket_dbc: one (a, d) @ (d, bc) product per (n, e), moved to [n, a, b, c, e]
+    dginv_bracket = np.matmul(jet.dginv.transpose(0, 3, 1, 2), _bracket(jet.dg).reshape(n, 1, 3, 9))
     dGam = 0.5 * (
-        np.einsum("nade,ndbc->nabce", jet.dginv, _bracket(jet.dg))
-        + np.einsum("nad,ndbce->nabce", jet.ginv, dbracket)
+        dginv_bracket.reshape(n, 3, 3, 3, 3).transpose(0, 2, 3, 4, 1)
+        + np.matmul(jet.ginv, dbracket.reshape(n, 3, 27)).reshape(n, 3, 3, 3, 3)
     )
     return jet.Gam, dGam
 
@@ -711,11 +739,14 @@ def covariant_derivative(mj: MetricJet, ej: ExtrinsicJet):
 def ricci_scalar_curvature(jet: MetricJet):
     """Ricci tensor and scalar curvature from a metric jet."""
     Gam, dGam = christoffel(jet, derivative=True)
+    n = Gam.shape[0]
+    # Gam^k_il Gam^l_kj as one (i, kl) @ (kl, j) product per point
+    Gam_ikl = np.ascontiguousarray(Gam.transpose(0, 2, 1, 3))
     ric = (
         np.einsum("nkijk->nij", dGam)
         - np.einsum("nkkji->nij", dGam)
         + np.einsum("nkkl,nlij->nij", Gam, Gam)
-        - np.einsum("nkil,nlkj->nij", Gam, Gam)
+        - np.matmul(Gam_ikl.reshape(n, 3, 9), Gam_ikl.reshape(n, 9, 3))
     )
     scal = np.einsum("nij,nij->n", jet.ginv, ric)
     return ric, scal

@@ -45,11 +45,26 @@ class TrappedRegion(StcmcError):
     """H^2 < P^2 somewhere: the spacetime mean curvature is not real."""
 
 
-class NewtonDiverged(StcmcError):
+class IterationFailure(StcmcError):
+    """An iterative solve stopped without meeting its tolerance.
+
+    `sigma`, `iteration` and `residual_sup` hold the leaf radius, the
+    iteration and the residual sup where it stopped; each is None where it
+    does not apply (e.g. `rebase`, which has no leaf radius or residual).
+    """
+
+    def __init__(self, message, *, sigma=None, iteration=None, residual_sup=None):
+        super().__init__(message)
+        self.sigma = sigma
+        self.iteration = iteration
+        self.residual_sup = residual_sup
+
+
+class NewtonDiverged(IterationFailure):
     """Residual increased under full and damped Newton steps."""
 
 
-class MaxIterations(StcmcError):
+class MaxIterations(IterationFailure):
     """Newton iteration limit reached without meeting the tolerance."""
 
 

@@ -65,7 +65,12 @@ OPERATOR_TAGS = ("L_H", "L_script", "expansion_plus", "expansion_minus", "laplac
 DAMPING = 0.5           # Newton step shrink factor on residual increase
 MAX_DAMPING_ROUNDS = 6
 NEWTON_MAX_ITER = 30    # Newton iterations before MaxIterations
-RCOND = 1e-13           # Newton steps below this condition estimate use lstsq
+RCOND = 1e-13           # Newton steps below this condition estimate use lstsq; sigma_min the full SVD
+# sigma_min of script-L by block inverse iteration (_sigma_min_weighted): the
+# sweeps stop when sigma_min changes by at most SIGMA_MIN_RTOL relative, and
+# fall back to the full SVD after SIGMA_MIN_SWEEPS
+SIGMA_MIN_RTOL = 1e-13
+SIGMA_MIN_SWEEPS = 20
 
 
 @dataclass
@@ -144,12 +149,12 @@ class _OperatorFields:
         self.kscal = np.einsum("nk,nk->n", nu, trace_derivative(mj, ej)) - covK_nnn
         # K(grad^S u, nu) = kv^beta d_beta u
         tang = np.stack(fr.tangents, axis=1)
-        self.kv = np.einsum("nab,nai,nj,nij->nb", fr.g2inv, tang, nu, ej.K)
+        self.kv = (fr.g2inv.transpose(0, 2, 1) @ (tang @ (ej.K @ nu[:, :, None])))[:, :, 0]
         # contracted induced Christoffels g2inv^{ab} GammaS^g_ab for the nodal
         # Laplacian, from the tangential part of the ambient Hessian (Gauss formula):
         # GammaS^g_ab = g2inv^{gd} g(X_d, D_ab)
         Dtr = np.einsum("nab,nabi->ni", fr.g2inv, fr.hess)
-        self.cgam = np.einsum("ngd,ndi,nij,nj->ng", fr.g2inv, tang, mj.g, Dtr)
+        self.cgam = (fr.g2inv @ (tang @ (mj.g @ Dtr[:, :, None])))[:, :, 0]
         self.H = fr.H
         self.P = fr.P
         self.stcmc = fr.stcmc
@@ -245,7 +250,9 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
 
     The base sphere is re-centered to the measured coordinate center between
     iterations, which keeps the low-order height content (and hence the
-    conditioning of the translational block) small.
+    conditioning of the translational block) small.  Raises NewtonDiverged
+    when damped retries cannot lower the residual sup and MaxIterations after
+    NEWTON_MAX_ITER iterations, each with sigma, iteration and residual_sup.
     """
     cfg = config or SolveConfig(lmax=initial.lmax)
     check_sigma(sigma)
@@ -282,7 +289,8 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
         else:
             raise NewtonDiverged(
                 f"sigma {sigma:g}, iteration {it}: residual sup stuck at {sup:.3e} "
-                f"after {MAX_DAMPING_ROUNDS} damped retries"
+                f"after {MAX_DAMPING_ROUNDS} damped retries",
+                sigma=float(sigma), iteration=it, residual_sup=sup,
             )
         S, res, proj, fr, sup = S_try, res_t, proj_t, fr_t, sup_t
         sc = surface_scalars(fr)
@@ -290,7 +298,10 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
             S = rebase(S, sc.center)
             res, proj, fr = curvature_residual(prov, S, sigma)
             sup = float(np.max(np.abs(res)))
-    raise MaxIterations(f"sigma {sigma:g}, iteration {NEWTON_MAX_ITER}: no convergence; residual sup {sup:.3e}")
+    raise MaxIterations(
+        f"sigma {sigma:g}, iteration {NEWTON_MAX_ITER}: no convergence; residual sup {sup:.3e}",
+        sigma=float(sigma), iteration=NEWTON_MAX_ITER, residual_sup=sup,
+    )
 
 
 def _newton_step(J, rhs):
@@ -299,11 +310,17 @@ def _newton_step(J, rhs):
     At zero energy the translational block vanishes and rcond falls below
     RCOND; the min-norm least-squares step stays finite there.
     """
-    lu = scipy.linalg.lu_factor(J)
-    rcond = scipy.linalg.lapack.dgecon(lu[0], np.linalg.norm(J, 1), norm="1")[0]
+    lu, rcond = _lu_rcond(J)
     if rcond > RCOND:
         return scipy.linalg.lu_solve(lu, rhs), rcond
     return np.linalg.lstsq(J, rhs, rcond=RCOND)[0], rcond
+
+
+def _lu_rcond(A):
+    """One LU of A and the LAPACK (dgecon) estimate of its 1-norm reciprocal condition number."""
+    anorm = np.linalg.norm(A, 1)  # its |A| temporary is freed before the LU copies A
+    lu = scipy.linalg.lu_factor(A)
+    return lu, scipy.linalg.lapack.dgecon(lu[0], anorm, norm="1")[0]
 
 
 # -- scaled-K family for the method of continuity -----------------------------
@@ -521,12 +538,36 @@ def _sigma_min_weighted(fields: _OperatorFields, lmax, M):
     """Smallest singular value of script-L in the dmu-weighted L2 norm.
 
     With the symmetric mass matrix M = R^T R, the weighted operator is
-    R L R^{-1} acting on orthonormalized coordinates.
+    W = R L R^{-1} acting on orthonormalized coordinates.  sigma_min(W) is
+    found by block inverse iteration on W^T W from one LU of W.  The start
+    block holds the l = 1 triple, where the smallest singular values sit (the
+    translations), and one guard column of equal weights on every harmonic;
+    no random start.  Each sweep applies (W^T W)^{-1} by two LU solves,
+    orthonormalizes the block by QR and takes the singular values of the
+    625x4 (at lmax 24) product W Q, whose smallest is an upper bound on
+    sigma_min(W) that falls to it.  The sweeps stop when that value changes
+    by at most SIGMA_MIN_RTOL relative.  Where the condition estimate of W
+    is at or below RCOND (at zero energy the translations are a kernel and W
+    is singular), or the sweeps do not settle in SIGMA_MIN_SWEEPS, the full
+    SVD of W is taken instead.
     """
     Lmat = fields.fr.grid.operator_matrix(_nodal_coefficients(fields, "L_script"), lmax)
     R = np.linalg.cholesky(M).T
     # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
     W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
+    lu, rcond = _lu_rcond(W)
+    if rcond > RCOND:
+        nb = W.shape[0]
+        Q = np.zeros((nb, 4))
+        Q[1:4, :3] = np.eye(3)  # the l = 1 harmonics, coeff_index(1, m) = 2 + m
+        Q[:, 3] = 1.0 / math.sqrt(nb)
+        smin = math.inf
+        for _ in range(SIGMA_MIN_SWEEPS):
+            Y = scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, Q, trans=1))
+            Q = np.linalg.qr(Y)[0]
+            prev, smin = smin, float(np.linalg.svd(W @ Q, compute_uv=False).min())
+            if abs(prev - smin) <= SIGMA_MIN_RTOL * smin:
+                return smin
     return float(np.linalg.svd(W, compute_uv=False).min())
 
 

@@ -205,7 +205,8 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     g = mj.g
 
     tang = np.stack([Xt, Xp], axis=1)                       # (n, 2, 3)
-    g2 = np.einsum("nai,nij,nbj->nab", tang, g, tang)
+    tangT = tang.transpose(0, 2, 1)
+    g2 = tang @ g @ tangT
     g2inv, det2 = _inverse_2x2(g2)
     if np.any(det2 <= 0):
         raise DegenerateInducedMetric("induced metric has nonpositive determinant")
@@ -216,14 +217,17 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     nu = v / vnorm[:, None]
 
     sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)  # (n,2,2,3)
-    hess = sec + np.einsum("nkij,nai,nbj->nabk", christoffel(mj), tang, tang)
+    # Gamma^k_ij X_a^i X_b^j as (a, i) @ (i, j) @ (j, b) per (n, k), moved to [n, a, b, k]
+    n = X.shape[0]
+    gam_b = np.matmul(christoffel(mj).reshape(n, 9, 3), tangT).reshape(n, 3, 3, 2)
+    hess = sec + np.matmul(tang[:, None], gam_b).transpose(0, 2, 3, 1)
     nu_low = np.einsum("nij,nj->ni", g, nu)
     A = -np.einsum("ni,nabi->nab", nu_low, hess)
     H = np.einsum("nab,nab->n", g2inv, A)
     Aring = A - 0.5 * H[:, None, None] * g2
-    Aring2 = np.einsum("nac,nbd,nab,ncd->n", g2inv, g2inv, Aring, Aring)
+    Aring2 = np.einsum("ncd,ncd->n", g2inv.transpose(0, 2, 1) @ Aring @ g2inv, Aring)
 
-    P = np.einsum("nab,nai,nbj,nij->n", g2inv, tang, tang, ej.K)
+    P = np.einsum("nab,nab->n", g2inv, tang @ ej.K @ tangT)
     h2p2 = H**2 - P**2
     if np.any(h2p2 < 0):
         raise TrappedRegion(
@@ -504,7 +508,8 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
     damped Newton step is taken.  Raises MaxIterations after GRAPH_MAX_ITER
     steps, NewtonDiverged when 30 halvings of a fresh step do not lower the
     residual sup (DegenerateInducedMetric if the last one still reaches the
-    origin), with sigma, iteration and sup.
+    origin), with sigma, iteration and sup in the message; MaxIterations and
+    NewtonDiverged also carry them as attributes.
     """
     grid = get_grid(dealias_lmax(lmax))
     nb = n_coeffs(lmax)
@@ -554,10 +559,16 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
             context = f"sigma {sigma:g}, iteration {it}: graph-equation residual sup {rnorm:.3e}"
             if R_try is None:
                 raise DegenerateInducedMetric(f"{context}; the shortest damped step still reaches the origin")
-            raise NewtonDiverged(f"{context} not lowered by 30 damped steps")
+            raise NewtonDiverged(
+                f"{context} not lowered by 30 damped steps", sigma=float(sigma), iteration=it, residual_sup=float(rnorm)
+            )
         f = f + scale * step
         R = R_try
-    raise MaxIterations(f"sigma {sigma:g}, iteration {GRAPH_MAX_ITER}: graph-equation residual sup {np.max(np.abs(R)):.3e}")
+    rnorm = np.max(np.abs(R))
+    raise MaxIterations(
+        f"sigma {sigma:g}, iteration {GRAPH_MAX_ITER}: graph-equation residual sup {rnorm:.3e}",
+        sigma=float(sigma), iteration=GRAPH_MAX_ITER, residual_sup=float(rnorm),
+    )
 
 
 def surface_to_csv(fr: CurvatureField, surface: GraphSurface, path):

@@ -76,6 +76,44 @@ def test_christoffel_zero_metric_raises():
         christoffel(jet)
 
 
+_CATALOG_CONFIGS = {
+    "euclidean": {"kind": "euclidean"},
+    "schwarzschild_canonical": {"kind": "schwarzschild_canonical", "mass": 1.0},
+    "schwarzschild_graphical": {"kind": "schwarzschild_graphical", "mass": 1.0, "u": [1.0, 0.0, 0.0]},
+    "translated": {"kind": "translated", "center": [1.0, -2.0, 0.5], "inner": {"kind": "schwarzschild_canonical", "mass": 2.0}},
+    "rotated": {"kind": "rotated", "rotation": ROT.tolist(), "inner": {"kind": "schwarzschild_graphical", "mass": 1.5, "u": [0.2, 0.3, 0.4]}},
+    "custom_perturbation": {
+        "kind": "custom_perturbation",
+        "perturbation_terms": [
+            {"target": "g", "i": 0, "j": 1, "coeff": 0.3, "decay": 1.0, "angular": [1, 0, 1]},
+            {"target": "g", "i": 2, "j": 2, "coeff": -0.4, "decay": 0.5},
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CATALOG_CONFIGS))
+def test_cofactor_inverse_matches_lapack(kind, sample_points):
+    jet = build_provider(_CATALOG_CONFIGS[kind]).metric_jet(sample_points)
+    ref = np.linalg.inv(jet.g)
+    assert np.max(np.abs(jet.ginv - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # the cofactors of an exactly symmetric metric are symmetric term by term
+    # (a rotated metric is symmetric only to roundoff)
+    if np.array_equal(jet.g, jet.g.transpose(0, 2, 1)):
+        assert np.array_equal(jet.ginv, jet.ginv.transpose(0, 2, 1))
+
+
+_RANK_2 = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) + np.outer([0.0, 1.0, -1.0], [0.0, 1.0, -1.0])
+
+
+@pytest.mark.parametrize("g", [np.zeros((3, 3)), np.diag([1.0, 2.0, 0.0]), _RANK_2], ids=["zero", "rank2-diagonal", "rank2"])
+def test_singular_metric_raises(g):
+    stack = np.stack([np.eye(3), g])
+    jet = MetricJet(stack, np.zeros((2, 3, 3, 3)), None)
+    with pytest.raises(SingularMetric):
+        jet.ginv
+
+
 def test_schwarzschild_radial_component(schw):
     g = schw.metric_jet(np.array([[10.0, 0.0, 0.0]])).g[0]
     assert abs(g[0, 0] - 1.25) < 1e-14
@@ -248,6 +286,36 @@ def test_schwarzschild_scalar_curvature_vanishes(schw, sample_points):
     assert np.max(np.abs(scal)) < 1e-10
 
 
+def _relative_gap(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+def _einsum_curvature(jet):
+    """Gam, d_e Gam and Ricci by the multi-operand einsums the batched products replace."""
+    dg, ddg = jet.dg, jet.ddg
+    bracket = np.einsum("ndcb->ndbc", dg) + dg - np.einsum("nbcd->ndbc", dg)
+    dbracket = np.einsum("ndcbe->ndbce", ddg) + ddg - np.einsum("nbcde->ndbce", ddg)
+    Gam = 0.5 * np.einsum("nad,ndbc->nabc", jet.ginv, bracket)
+    dGam = 0.5 * (np.einsum("nade,ndbc->nabce", jet.dginv, bracket) + np.einsum("nad,ndbce->nabce", jet.ginv, dbracket))
+    ric = (
+        np.einsum("nkijk->nij", dGam)
+        - np.einsum("nkkji->nij", dGam)
+        + np.einsum("nkkl,nlij->nij", Gam, Gam)
+        - np.einsum("nkil,nlkj->nij", Gam, Gam)
+    )
+    return Gam, dGam, ric
+
+
+def test_curvature_products_match_einsum(graphical):
+    x = surface_frames(graphical, GraphSurface.round([0.5, -0.3, 0.2], 25.0, 8)).X
+    jet = graphical.metric_jet(x)
+    Gam, dGam, ric = _einsum_curvature(jet)
+    got_Gam, got_dGam = christoffel(jet, derivative=True)
+    got_ric, _ = ricci_scalar_curvature(jet)
+    for got, ref in ((got_Gam, Gam), (got_dGam, dGam), (got_ric, ric)):
+        assert _relative_gap(got, ref) <= 1e-14
+
+
 def test_scalar_is_trace_of_ricci(graphical, sample_points):
     jet = graphical.metric_jet(sample_points)
     ric, scal = ricci_scalar_curvature(jet)
@@ -263,7 +331,7 @@ def test_conjugate_momentum_identities(graphical, sample_points):
     pi = conjugate_momentum(jet, g)
     assert np.max(np.abs(pi - 2 * g)) < 1e-13
     K = graphical.extrinsic_jet(sample_points).K
-    ginv = np.linalg.inv(g)
+    ginv = jet.ginv
     trK = np.einsum("nij,nij->n", ginv, K)
     assert np.max(np.abs(conjugate_momentum(jet, K) - (trK[:, None, None] * g - K))) == 0.0
     # trace identity: tr pi = 2 tr K
@@ -430,7 +498,7 @@ class _FixedJets(DataProvider):
 
 @pytest.fixture
 def formations(monkeypatch):
-    """Counts metric inversions and formations of each jet's ddg, dginv, Gam and dK."""
+    """Counts formations of each jet's ginv (as `inv`), ddg, dginv, Gam and dK."""
     counts = Counter()
 
     def counted(key, fn):
@@ -439,11 +507,16 @@ def formations(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     # a cached_property calls its func once per instance, on the first read
-    for cls, name in ((MetricJet, "ddg"), (MetricJet, "dginv"), (MetricJet, "Gam"), (ExtrinsicJet, "dK")):
+    for cls, name, key in (
+        (MetricJet, "ginv", "inv"),
+        (MetricJet, "ddg", "ddg"),
+        (MetricJet, "dginv", "dginv"),
+        (MetricJet, "Gam", "Gam"),
+        (ExtrinsicJet, "dK", "dK"),
+    ):
         prop = cls.__dict__[name]
-        monkeypatch.setattr(prop, "func", counted(name, prop.func))
+        monkeypatch.setattr(prop, "func", counted(key, prop.func))
     return counts
 
 

@@ -314,6 +314,23 @@ def test_newton_diverges_with_flipped_jacobian(schw, monkeypatch):
         newton_solve(schw, 20.0, GraphSurface.round([0, 0, 0], 18.0, 8), SolveConfig(lmax=8))
 
 
+def test_newton_failures_carry_their_context(schw, euclid, monkeypatch):
+    jacobian = sv.graph_jacobian
+    monkeypatch.setattr(sv, "graph_jacobian", lambda *args, **kw: -jacobian(*args, **kw))
+    with pytest.raises(NewtonDiverged) as diverged:
+        newton_solve(schw, 20.0, GraphSurface.round([0, 0, 0], 18.0, 8), SolveConfig(lmax=8))
+    err = diverged.value
+    assert (err.sigma, err.iteration) == (20.0, 0) and err.residual_sup > 0
+    assert f"residual sup stuck at {err.residual_sup:.3e}" in str(err)
+    monkeypatch.setattr(sv, "graph_jacobian", jacobian)
+    monkeypatch.setattr(sv, "NEWTON_MAX_ITER", 1)
+    with pytest.raises(MaxIterations) as stopped:
+        newton_solve(euclid, 10.0, GraphSurface.round([0, 0, 0], 5.0, 8), SolveConfig(lmax=8, tol=1e-15))
+    err = stopped.value
+    assert (err.sigma, err.iteration) == (10.0, 1) and err.residual_sup > 1e-15
+    assert f"residual sup {err.residual_sup:.3e}" in str(err)
+
+
 def test_newton_max_iterations(euclid, monkeypatch):
     monkeypatch.setattr(sv, "NEWTON_MAX_ITER", 1)
     with pytest.raises(MaxIterations, match=r"sigma 10, iteration 1: .*residual sup \d"):
@@ -542,6 +559,56 @@ def test_operator_bound_flat_degenerates(euclid):
     smin, bound, ratio = operator_bound_check(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)))
     assert bound < 1e-12
     assert smin < 1e-10  # translation near-kernel
+
+
+def _full_svds(monkeypatch):
+    """Counts full (square) SVDs; the inverse iteration takes only thin ones."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return lambda: sum(1 for m, n in shapes if m == n)
+
+
+PERTURBED_TERMS = [
+    {"target": "g", "i": 0, "j": 0, "coeff": 2.0, "decay": 1.0},
+    {"target": "g", "i": 1, "j": 2, "coeff": 0.3, "decay": 1.0, "angular": (0, 0, 1)},
+    {"target": "K", "i": 0, "j": 1, "coeff": 0.5, "decay": 2.0, "angular": (1, 0, 0)},
+]
+
+
+@pytest.mark.parametrize("leaf", ["canonical", "graphical", "perturbed"])
+def test_sigma_min_inverse_iteration_matches_svd(request, monkeypatch, leaf):
+    if leaf == "perturbed":
+        # the angular terms are not band-limited: the residual floors near 1e-7 at lmax 8
+        fr = newton_solve(
+            PerturbationProvider(PERTURBED_TERMS), 20.0, GraphSurface.round([0, 0, 0], 20.0, 8), SolveConfig(lmax=8, tol=1e-6)
+        ).frames
+        assert np.max(np.abs(fr.P)) > 1e-4  # the K terms are exercised
+    else:
+        fr = request.getfixturevalue({"canonical": "schw_leaf20", "graphical": "graphical_leaf60"}[leaf]).frames
+    weighted = []
+    lu_rcond = sv._lu_rcond
+    monkeypatch.setattr(sv, "_lu_rcond", lambda W: weighted.append(W) or lu_rcond(W))
+    full_svds = _full_svds(monkeypatch)
+    smin = laplace_spectrum(fr, k=4).sigma_min_L
+    assert full_svds() == 0 and len(weighted) == 1
+    ref = np.linalg.svd(weighted[0], compute_uv=False).min()
+    # both values carry a roundoff of order eps * sigma_max / sigma_min relative
+    assert abs(smin - ref) <= 1e-12 * ref
+
+
+def test_sigma_min_takes_the_svd_only_where_w_is_singular(schw_leaf20, euclid, monkeypatch):
+    full_svds = _full_svds(monkeypatch)
+    operator_bound_check(schw_leaf20.frames)
+    assert full_svds() == 0
+    # the flat leaf of test_operator_bound_flat_degenerates: zero energy, W singular
+    smin, _, _ = operator_bound_check(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)))
+    assert full_svds() == 1 and smin < 1e-10
 
 
 def test_operator_selfadjoint_when_time_symmetric(schw_leaf20):

@@ -23,11 +23,13 @@ from stcmc.errors import (
     TrappedRegion,
 )
 from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, pad_coeffs, real_sph_basis
+from stcmc.solver import _OperatorFields
 from stcmc.surfaces import (
     GraphSurface,
     appendix_graph_coefficients,
     appendix_graph_residual,
     apriori_class_check,
+    embedding_nodes,
     euclidean_comparison,
     get_grid,
     parametrized_area_and_center,
@@ -45,6 +47,34 @@ def random_surface(rng, lmax=8, r0=10.0, amp=0.1, center=(0.0, 0.0, 0.0)):
     ls = np.concatenate([np.full(2 * l + 1, l) for l in range(lmax + 1)])
     coeffs = amp * rng.normal(size=n_coeffs(lmax)) * np.exp(-0.4 * ls)
     return GraphSurface(np.asarray(center, dtype=float), r0, coeffs, lmax)
+
+
+def _relative_gap(a, ref):
+    return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
+
+
+def test_frame_products_match_einsum(graphical):
+    S = random_surface(np.random.default_rng(21), lmax=10, r0=25.0, amp=0.3, center=(0.5, -0.3, 0.2))
+    fr = surface_frames(graphical, S)
+    mj, ej = fr.metric_jet, fr.extrinsic_jet
+    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(S, fr.grid)
+    tang = np.stack(fr.tangents, axis=1)
+    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
+    # the multi-operand einsums the batched products replace
+    g2 = np.einsum("nai,nij,nbj->nab", tang, mj.g, tang)
+    hess = sec + np.einsum("nkij,nai,nbj->nabk", mj.Gam, tang, tang)
+    Aring = fr.A - 0.5 * fr.H[:, None, None] * fr.g2
+    Aring2 = np.einsum("nac,nbd,nab,ncd->n", fr.g2inv, fr.g2inv, Aring, Aring)
+    P = np.einsum("nab,nai,nbj,nij->n", fr.g2inv, tang, tang, ej.K)
+    for got, ref in ((fr.g2, g2), (fr.hess, hess), (fr.Aring2, Aring2), (fr.P, P)):
+        assert _relative_gap(got, ref) <= 1e-14
+    assert np.max(np.abs(fr.P)) > 1e-4  # the graphical slice has a nonzero expansion trace
+    fields = _OperatorFields(fr)
+    kv = np.einsum("nab,nai,nj,nij->nb", fr.g2inv, tang, fr.nu, ej.K)
+    Dtr = np.einsum("nab,nabi->ni", fr.g2inv, fr.hess)
+    cgam = np.einsum("ngd,ndi,nij,nj->ng", fr.g2inv, tang, mj.g, Dtr)
+    for got, ref in ((fields.kv, kv), (fields.cgam, cgam)):
+        assert _relative_gap(got, ref) <= 1e-14
 
 
 def test_round_sphere_flat(euclid):
@@ -492,6 +522,39 @@ def test_graph_newton_stall_raises_newton_diverged(monkeypatch):
     monkeypatch.setattr(surfaces, "appendix_graph_residual", never_decreasing)
     with pytest.raises(NewtonDiverged, match="sigma 7"):
         solve_graph_residual(7.0, _criterion_10_like_seed(8), 8)
+
+
+def test_graph_newton_failures_carry_their_context(monkeypatch):
+    import stcmc.surfaces as surfaces
+
+    monkeypatch.setattr(surfaces, "GRAPH_MAX_ITER", 1)
+    with pytest.raises(MaxIterations) as stopped:
+        solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=1e-13)
+    err = stopped.value
+    assert (err.sigma, err.iteration) == (7.0, 1) and err.residual_sup > 1e-13
+    assert f"residual sup {err.residual_sup:.3e}" in str(err)
+    monkeypatch.setattr(surfaces, "GRAPH_MAX_ITER", 40)
+    true_residual = surfaces.appendix_graph_residual
+    # the initial residual and the Jacobian blocks are exact; every trial step is worse
+    trials = []
+
+    def never_decreasing(sigma, f_coeffs, lmax, prov=None):
+        r = true_residual(sigma, f_coeffs, lmax, prov)
+        trials.append(np.ndim(f_coeffs) == 1)
+        return 10.0 * r + 1.0 if np.ndim(f_coeffs) == 1 and sum(trials) > 1 else r
+
+    monkeypatch.setattr(surfaces, "appendix_graph_residual", never_decreasing)
+    with pytest.raises(NewtonDiverged) as diverged:
+        solve_graph_residual(7.0, _criterion_10_like_seed(8), 8)
+    err = diverged.value
+    assert (err.sigma, err.iteration) == (7.0, 0) and err.residual_sup > 0
+    assert f"graph-equation residual sup {err.residual_sup:.3e} not lowered" in str(err)
+
+
+def test_rebase_failure_has_no_leaf_context():
+    with pytest.raises(MaxIterations) as stopped:
+        rebase(GraphSurface.round([0, 0, 0], 1.0, 8), [1.5, 0.0, 0.0])
+    assert (stopped.value.sigma, stopped.value.iteration, stopped.value.residual_sup) == (None, None, None)
 
 
 def test_graph_newton_steps_reaching_origin_raise_degenerate(monkeypatch):
