@@ -54,6 +54,7 @@ from .spectral import get_grid, n_coeffs, pad_coeffs, truncate_coeffs
 from .surfaces import (
     CurvatureField,
     GraphSurface,
+    euclidean_center,
     parametrized_area_and_center,
     rebase,
     surface_frames,
@@ -248,11 +249,17 @@ def check_sigma(sigma):
 def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None):
     """Solve sqrt(H^2 - P^2) = 2/sigma by damped Newton on the graph height.
 
-    The base sphere is re-centered to the measured coordinate center between
-    iterations, which keeps the low-order height content (and hence the
-    conditioning of the translational block) small.  Raises NewtonDiverged
-    when damped retries cannot lower the residual sup and MaxIterations after
-    NEWTON_MAX_ITER iterations, each with sigma, iteration and residual_sup.
+    Each iteration takes the Newton step, re-centers the trial surface on its
+    Euclidean center (formed from the embedding alone, no provider call), and
+    evaluates the residual once, on the re-centered trial; re-centering keeps
+    the low-order height content (and hence the conditioning of the
+    translational block) small.  A trial is damped by DAMPING when its
+    re-centered residual sup does not fall, or when it is trapped, degenerate
+    or cannot be re-centered.  A solve therefore makes one residual
+    evaluation per trial, 1 + iterations without damping.  Raises
+    NewtonDiverged when MAX_DAMPING_ROUNDS damped retries cannot lower the
+    residual sup and MaxIterations after NEWTON_MAX_ITER iterations, each with
+    sigma, iteration and residual_sup.
     """
     cfg = config or SolveConfig(lmax=initial.lmax)
     check_sigma(sigma)
@@ -276,10 +283,10 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
         step, _ = _newton_step(graph_jacobian(fr), -proj)
         scale = 1.0
         for attempt in range(MAX_DAMPING_ROUNDS + 1):
-            S_try = GraphSurface(S.center.copy(), S.r0, S.coeffs + scale * step, S.lmax)
             try:
+                S_try = _recentered(GraphSurface(S.center.copy(), S.r0, S.coeffs + scale * step, S.lmax))
                 res_t, proj_t, fr_t = curvature_residual(prov, S_try, sigma)
-            except (TrappedRegion, DegenerateInducedMetric):
+            except (TrappedRegion, DegenerateInducedMetric, MaxIterations):
                 scale *= DAMPING
                 continue
             sup_t = float(np.max(np.abs(res_t)))
@@ -293,15 +300,18 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
                 sigma=float(sigma), iteration=it, residual_sup=sup,
             )
         S, res, proj, fr, sup = S_try, res_t, proj_t, fr_t, sup_t
-        sc = surface_scalars(fr)
-        if np.linalg.norm(sc.center - S.center) > 1e-12 * S.r0:
-            S = rebase(S, sc.center)
-            res, proj, fr = curvature_residual(prov, S, sigma)
-            sup = float(np.max(np.abs(res)))
     raise MaxIterations(
         f"sigma {sigma:g}, iteration {NEWTON_MAX_ITER}: no convergence; residual sup {sup:.3e}",
         sigma=float(sigma), iteration=NEWTON_MAX_ITER, residual_sup=sup,
     )
+
+
+def _recentered(S: GraphSurface):
+    """S re-based on its Euclidean center where that moved by more than 1e-12 r0 (rebase's MaxIterations passes)."""
+    center = euclidean_center(S)
+    if np.linalg.norm(center - S.center) > 1e-12 * S.r0:
+        return rebase(S, center)
+    return S
 
 
 def _newton_step(J, rhs):

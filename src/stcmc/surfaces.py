@@ -176,6 +176,35 @@ def embedding_nodes(surface: GraphSurface, grid):
     return X, (Xt, Xp), (Xtt, Xtp, Xpp), uv["o"], R
 
 
+def _embedding(surface: GraphSurface):
+    """(grid, X, tangents, second derivatives, omega) on the dealiased grid; raises where the height reaches the base center."""
+    grid = get_grid(dealias_lmax(surface.lmax))
+    X, tangents, sec, om, R = embedding_nodes(surface, grid)
+    if np.any(R <= 0):
+        raise DegenerateInducedMetric("graph height reaches the base center")
+    return grid, X, tangents, sec, om
+
+
+def _euclidean_density(grid, tang):
+    """Euclidean area density wrt round dOmega from the stacked tangents (n, 2, 3)."""
+    th, _ = grid.mesh()
+    return np.sqrt(_det_2x2(np.einsum("nai,nbi->nab", tang, tang))) / np.sin(th)
+
+
+def _euclidean_center(grid, X, dmu_delta):
+    """Euclidean center int x dmu_delta / int dmu_delta."""
+    return np.stack([grid.integrate(X[:, i] * dmu_delta) for i in range(3)]) / grid.integrate(dmu_delta)
+
+
+def euclidean_center(surface: GraphSurface):
+    """Euclidean center of a surface from its embedding alone (no provider, no frames).
+
+    Bit-identical to surface_scalars(surface_frames(prov, surface)).center.
+    """
+    grid, X, (Xt, Xp), _, _ = _embedding(surface)
+    return _euclidean_center(grid, X, _euclidean_density(grid, np.stack([Xt, Xp], axis=1)))
+
+
 def _det_2x2(m):
     """Determinant of a stack of symmetric 2x2 matrices."""
     return m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] ** 2
@@ -196,10 +225,7 @@ def _inverse_2x2(m):
 
 def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     """Full curvature data of the surface in the data set, on the dealiased grid."""
-    grid = get_grid(dealias_lmax(surface.lmax))
-    X, (Xt, Xp), (Xtt, Xtp, Xpp), om, R = embedding_nodes(surface, grid)
-    if np.any(R <= 0):
-        raise DegenerateInducedMetric("graph height reaches the base center")
+    grid, X, (Xt, Xp), (Xtt, Xtp, Xpp), om = _embedding(surface)
     mj = prov.metric_jet(X)
     ej = prov.extrinsic_jet(X)
     g = mj.g
@@ -252,7 +278,7 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
         H=H,
         P=P,
         stcmc=stcmc,
-        dmu_delta=np.sqrt(_det_2x2(np.einsum("nai,nbi->nab", tang, tang))) / st,
+        dmu_delta=_euclidean_density(grid, tang),
         metric_jet=mj,
         extrinsic_jet=ej,
         hess=hess,
@@ -277,7 +303,7 @@ def surface_scalars(fr: CurvatureField):
     area = fr.area
     area_d = fr.grid.integrate(fr.dmu_delta)
     r = np.sqrt(area / (4.0 * np.pi))
-    z = np.stack([fr.grid.integrate(fr.X[:, i] * fr.dmu_delta) for i in range(3)]) / area_d
+    z = _euclidean_center(fr.grid, fr.X, fr.dmu_delta)
     int_st2 = fr.integrate(fr.stcmc**2)
     int_h2 = fr.integrate(fr.H**2)
     mH = np.sqrt(area / (16.0 * np.pi)) * (1.0 - int_st2 / (16.0 * np.pi))
@@ -388,11 +414,7 @@ def parametrized_area_and_center(grid, X, metric_of=None):
     else:
         g = np.broadcast_to(np.eye(3), (X.shape[0], 3, 3))
     dens = np.sqrt(_det_2x2(np.einsum("nai,nij,nbj->nab", tang, g, tang))) / st
-    dens_d = np.sqrt(_det_2x2(np.einsum("nai,nbi->nab", tang, tang))) / st
-    area = grid.integrate(dens)
-    area_d = grid.integrate(dens_d)
-    center = np.stack([grid.integrate(X[:, i] * dens_d) for i in range(3)]) / area_d
-    return area, center
+    return grid.integrate(dens), _euclidean_center(grid, X, _euclidean_density(grid, tang))
 
 
 # -- quasilinear graph equation over the flat polar foliation ----------------
