@@ -262,25 +262,29 @@ class SchwarzschildProvider(DataProvider):
         return MetricJet(g, dg, _deferred(self._ddg, x, r))
 
     def _ddg(self, x, r):
+        """d_k d_l (psi x_i x_j) as one (x x) outer (n n) product plus delta-slice updates.
+
+        d_k d_l (psi x_i x_j) = (psi'' - psi'/r) n_k n_l x_i x_j + (psi'/r) delta_kl x_i x_j
+            + psi' (n_k (delta_il x_j + delta_jl x_i) + n_l (delta_ik x_j + delta_jk x_i))
+            + psi (delta_ik delta_jl + delta_jk delta_il)
+        """
+        n = x.shape[0]
         nvec = x / r[:, None]
         psi, dpsi, ddpsi = self._psi(r)
         xx = x[:, :, None] * x[:, None, :]
-        sym_ik = _sym_ik(x)
-        nn = nvec[:, :, None] * nvec[:, None, :]
-        return (
-            ddpsi[:, None, None, None, None] * nn[:, None, None, :, :] * xx[:, :, :, None, None]
-            + (dpsi / r)[:, None, None, None, None] * (_EYE - nn)[:, None, None, :, :] * xx[:, :, :, None, None]
-            + dpsi[:, None, None, None, None]
-            * (
-                nvec[:, None, None, :, None] * sym_ik[:, :, :, None, :]
-                + nvec[:, None, None, None, :] * sym_ik[:, :, :, :, None]
-            )
-            + psi[:, None, None, None, None]
-            * (
-                _EYE[None, :, None, :, None] * _EYE[None, None, :, None, :]
-                + _EYE[None, None, :, :, None] * _EYE[None, :, None, None, :]
-            )
-        )
+        out = (((ddpsi - dpsi / r)[:, None] * xx.reshape(n, 9))[:, :, None] * (nvec[:, :, None] * nvec[:, None, :]).reshape(n, 1, 9)).reshape(n, 3, 3, 3, 3)
+        xxr = (dpsi / r)[:, None, None] * xx
+        xn = dpsi[:, None, None] * x[:, :, None] * nvec[:, None, :]  # psi' x_a n_b
+        for a in range(3):
+            out[:, :, :, a, a] += xxr
+            out[:, a, :, :, a] += xn  # psi' n_k delta_il x_j
+            out[:, :, a, :, a] += xn  # psi' n_k delta_jl x_i
+            out[:, a, :, a, :] += xn  # psi' n_l delta_ik x_j
+            out[:, :, a, a, :] += xn  # psi' n_l delta_jk x_i
+            for b in range(3):
+                out[:, a, b, a, b] += psi
+                out[:, a, b, b, a] += psi
+        return out
 
     def extrinsic_jet(self, x):
         x, _ = self._check(x)
@@ -312,38 +316,30 @@ class GraphicalSchwarzschildProvider(DataProvider):
         return self.base._check(x)
 
     def _T_jets(self, x, r, third=False):
-        """dT, ddT and, if asked, dddT (else None) for T = sin(ln r) + (u.x)/r."""
+        """dT, ddT and, if asked, dddT (else None) for T = sin(ln r) + (u.x)/r.
+
+        The radial tensors are linear in their coefficients, so sin(ln r) and
+        (u.x) times the radial 1/r share one _radial_tensors call; the product
+        rule's u-symmetrized terms are added from transposed views.
+        """
         lr = np.log(r)
         s, c = np.sin(lr), np.cos(lr)
         nvec = x / r[:, None]
-        # sin(ln r) part
-        s1 = c / r
-        s2 = -(s + c) / r**2
-        s3 = (3.0 * s + c) / r**3 if third else None
-        gS, hS, tS = _radial_tensors(r, nvec, s1, s2, s3)
-        # (u.x) * rho(r) part with rho = 1/r
-        rho = 1.0 / r
-        r1 = -1.0 / r**2
-        r2 = 2.0 / r**3
-        r3 = -6.0 / r**4 if third else None
-        gR, hR, tR = _radial_tensors(r, nvec, r1, r2, r3)
         ux = x @ self.u
-        dT = gS + self.u[None, :] * rho[:, None] + ux[:, None] * gR
-        ddT = (
-            hS
-            + self.u[None, :, None] * gR[:, None, :]
-            + self.u[None, None, :] * gR[:, :, None]
-            + ux[:, None, None] * hR
-        )
+        d1 = c / r - ux / r**2
+        d2 = -(s + c) / r**2 + 2.0 * ux / r**3
+        d3 = (3.0 * s + c) / r**3 - 6.0 * ux / r**4 if third else None
+        dT, ddT, dddT = _radial_tensors(r, nvec, d1, d2, d3)
+        dT += self.u[None, :] / r[:, None]
+        # u_i d_j(1/r) + u_j d_i(1/r)
+        uR = self.u[None, :, None] * (-nvec / r[:, None] ** 2)[:, None, :]
+        ddT += uR + uR.transpose(0, 2, 1)
         if not third:
             return dT, ddT, None
-        dddT = (
-            tS
-            + self.u[None, :, None, None] * hR[:, None, :, :]
-            + self.u[None, None, :, None] * hR[:, :, None, :]
-            + self.u[None, None, None, :] * hR[:, :, :, None]
-            + ux[:, None, None, None] * tR
-        )
+        # u_i d_j d_k(1/r) + u_j d_i d_k(1/r) + u_k d_i d_j(1/r), with d_j d_k(1/r) = (3 n_j n_k - delta_jk) / r^3
+        hR = (3.0 * nvec[:, :, None] * nvec[:, None, :] - _EYE) / (r**3)[:, None, None]
+        uH = self.u[None, :, None, None] * hR[:, None, :, :]
+        dddT += uH + uH.transpose(0, 2, 1, 3) + uH.transpose(0, 2, 3, 1)
         return dT, ddT, dddT
 
     def _N_jets(self, x, r, second=False):
@@ -438,20 +434,21 @@ class GraphicalSchwarzschildProvider(DataProvider):
         )
         if not second:
             return D / W[:, None, None]
-        dginv = base.dginv
+        # the contractions below are batched matrix products; dginv is
+        # symmetric in its first two indices, so dT^a dginv_abk = (dT @ dginv)_bk
+        n = x.shape[0]
         _, dGam = christoffel(base, derivative=True)
         dhessT = (
             dddT
-            - np.einsum("nkijl,nk->nijl", dGam, dT)
-            - np.einsum("nkij,nkl->nijl", Gam, ddT)
+            - (dT[:, None, :] @ dGam.reshape(n, 3, 27)).reshape(n, 3, 3, 3)
+            - (Gam.reshape(n, 3, 9).transpose(0, 2, 1) @ ddT).reshape(n, 3, 3, 3)
         )
         nvec = x / r[:, None]
         dN2 = (2.0 * self.mass / r**2)[:, None] * nvec
-        dc1 = (
-            np.einsum("nak,nab,nb->nk", ddN, ginv, dT)
-            + np.einsum("na,nabk,nb->nk", dN, dginv, dT)
-            + np.einsum("na,nab,nbk->nk", dN, ginv, ddT)
-        )
+        # rows dN^a dginv_abk dT^b and dT^a dginv_abk dT^b
+        dginv_T = np.stack([dN, dT], axis=1) @ (dT[:, None, :] @ base.dginv.reshape(n, 3, 9)).reshape(n, 3, 3)
+        # ddN_ak (g^-1 dT)^a + (g^-1 dN)^b ddT_bk + dN^a dginv_abk dT^b
+        dc1 = (gradT[:, None, :] @ ddN)[:, 0] + ((dN[:, None, :] @ ginv) @ ddT)[:, 0] + dginv_T[:, 0]
         _, dTT = self._TT_jets(dT, ddT)
         dD = (
             ddT[:, :, None, :] * dN[:, None, :, None]
@@ -464,10 +461,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
             - (N2 * c1)[:, None, None, None] * dTT
         )
         # W_k: d_k W = -(dN2 |dT|^2 + N^2 d_k |dT|^2) / (2 W)
-        ddT2 = (
-            np.einsum("nabk,na,nb->nk", dginv, dT, dT)
-            + 2.0 * np.einsum("nab,nak,nb->nk", ginv, ddT, dT)
-        )
+        ddT2 = dginv_T[:, 1] + 2.0 * (gradT[:, None, :] @ ddT)[:, 0]
         dW = -(dN2 * dT2[:, None] + N2[:, None] * ddT2) / (2.0 * W[:, None])
         return dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
 

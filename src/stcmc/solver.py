@@ -416,8 +416,42 @@ def _continuation_record(prov, tau, result):
     )
 
 
+def _schwarzschild_radius(sigma, m):
+    """Largest root r of r^3 - sigma^2 r + 2 m sigma^2 = 0, the radius of the
+    sphere with H = 2N/r = 2/sigma in Schwarzschild of mass m; None where
+    there is no such root (m > 0 and sigma <= 3 sqrt(3) m).
+
+    With c = -3 sqrt(3) m / sigma the root is 2 sigma/sqrt(3) cos(arccos(c)/3)
+    for |c| <= 1 (sigma itself at m = 0, up to roundoff) and
+    2 sigma/sqrt(3) cosh(arccosh(c)/3) for c > 1 (m < 0, one real root).
+    """
+    c = -3.0 * math.sqrt(3.0) * m / sigma
+    if c <= -1.0:
+        return None
+    trig = math.cos(math.acos(c) / 3.0) if c <= 1.0 else math.cosh(math.acosh(c) / 3.0)
+    return 2.0 * sigma / math.sqrt(3.0) * trig
+
+
+def _warm_start_ratio(sigma, sigma_prev, m):
+    """Radial scale from the leaf at sigma_prev to the seed at sigma: r(sigma)/r(sigma_prev)
+    of the Schwarzschild spheres of mass m, or sigma/sigma_prev where either has no root."""
+    r, r_prev = _schwarzschild_radius(sigma, m), _schwarzschild_radius(sigma_prev, m)
+    if r is None or r_prev is None:
+        return sigma / sigma_prev
+    return r / r_prev
+
+
 def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, spectra=True):
-    """Sweep sigma upward, seeding each leaf by radial rescaling of the last."""
+    """Sweep sigma upward, seeding each leaf by radial rescaling of the last.
+
+    The first leaf starts from `initial` (the round sphere of radius sigma
+    about the origin by default).  Each later leaf starts from the previous
+    one scaled about its center by r(sigma)/r(sigma_prev), the ratio of the
+    radii of the Schwarzschild spheres with H = 2/sigma for the previous
+    leaf's Hawking mass (sigma/sigma_prev where the cubic has no root), so
+    near infinity, where the leaves are close to those spheres, a warm leaf
+    starts near its solution.
+    """
     sigma_list = [float(s) for s in sigma_list]
     if not sigma_list:
         raise ConfigError("sigma list is empty")
@@ -428,15 +462,15 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
     cfg = config or SolveConfig()
     leaves = []
     S = initial or GraphSurface.round(np.zeros(3), sigma_list[0], cfg.lmax)
-    prev_sigma = None
+    prev = None  # (sigma, Hawking mass) of the previous leaf
     for sg in sigma_list:
-        if prev_sigma is not None:
-            S = S.scaled(sg / prev_sigma)
+        if prev is not None:
+            S = S.scaled(_warm_start_ratio(sg, *prev))
         result = newton_solve(prov, sg, S, cfg)
         S = result.surface
-        prev_sigma = sg
         fr = result.frames
         sc = surface_scalars(fr)
+        prev = (sg, sc.hawking_mass)
         leaves.append(
             FoliationLeaf(
                 sigma=sg,

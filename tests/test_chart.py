@@ -35,6 +35,7 @@ from stcmc.charges import sphere_fluxes
 from stcmc.solver import ScaledExtrinsicProvider, curvature_residual, graph_jacobian
 from stcmc.surfaces import GraphSurface, surface_frames
 
+_EYE = np.eye(3)
 ROT = np.array(
     [
         [0.36, 0.48, -0.8],
@@ -314,6 +315,114 @@ def test_curvature_products_match_einsum(graphical):
     got_ric, _ = ricci_scalar_curvature(jet)
     for got, ref in ((got_Gam, Gam), (got_dGam, dGam), (got_ric, ric)):
         assert _relative_gap(got, ref) <= 1e-14
+
+
+def _leaf_points(prov):
+    """The dealiased lmax-8 nodes of an off-center sphere of radius 25."""
+    x = surface_frames(prov, GraphSurface.round([0.5, -0.3, 0.2], 25.0, 8)).X
+    return x, np.linalg.norm(x, axis=1)
+
+
+def test_schwarzschild_ddg_matches_broadcast_form(schw):
+    x, r = _leaf_points(schw)
+    nvec = x / r[:, None]
+    psi, dpsi, ddpsi = schw._psi(r)
+    xx = x[:, :, None] * x[:, None, :]
+    sym_ik = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
+    nn = nvec[:, :, None] * nvec[:, None, :]
+    ref = (
+        ddpsi[:, None, None, None, None] * nn[:, None, None, :, :] * xx[:, :, :, None, None]
+        + (dpsi / r)[:, None, None, None, None] * (_EYE - nn)[:, None, None, :, :] * xx[:, :, :, None, None]
+        + dpsi[:, None, None, None, None]
+        * (nvec[:, None, None, :, None] * sym_ik[:, :, :, None, :] + nvec[:, None, None, None, :] * sym_ik[:, :, :, :, None])
+        + psi[:, None, None, None, None]
+        * (_EYE[None, :, None, :, None] * _EYE[None, None, :, None, :] + _EYE[None, None, :, :, None] * _EYE[None, :, None, None, :])
+    )
+    assert _relative_gap(schw._ddg(x, r), ref) <= 1e-14
+
+
+def _radial(r, nvec, d1, d2, d3):
+    """grad, Hessian and third derivative of a radial function with derivatives d1, d2, d3."""
+    nn = nvec[:, :, None] * nvec[:, None, :]
+    nnn = nn[:, :, :, None] * nvec[:, None, None, :]
+    sym = (
+        _EYE[None, :, :, None] * nvec[:, None, None, :]
+        + _EYE[None, :, None, :] * nvec[:, None, :, None]
+        + _EYE[None, None, :, :] * nvec[:, :, None, None]
+    )
+    return (
+        d1[:, None] * nvec,
+        d2[:, None, None] * nn + (d1 / r)[:, None, None] * (_EYE - nn),
+        d3[:, None, None, None] * nnn
+        + (d2 / r)[:, None, None, None] * (sym - 3.0 * nnn)
+        + (d1 / r**2)[:, None, None, None] * (3.0 * nnn - sym),
+    )
+
+
+def test_time_function_jets_match_separate_radial_parts():
+    prov = GraphicalSchwarzschildProvider(1.0, [0.6, -0.3, 0.8])
+    x, r = _leaf_points(prov)
+    u = prov.u
+    lr = np.log(r)
+    s, c = np.sin(lr), np.cos(lr)
+    nvec = x / r[:, None]
+    gS, hS, tS = _radial(r, nvec, c / r, -(s + c) / r**2, (3.0 * s + c) / r**3)
+    gR, hR, tR = _radial(r, nvec, -1.0 / r**2, 2.0 / r**3, -6.0 / r**4)
+    ux = x @ u
+    ref = (
+        gS + u[None, :] / r[:, None] + ux[:, None] * gR,
+        hS + u[None, :, None] * gR[:, None, :] + u[None, None, :] * gR[:, :, None] + ux[:, None, None] * hR,
+        tS
+        + u[None, :, None, None] * hR[:, None, :, :]
+        + u[None, None, :, None] * hR[:, :, None, :]
+        + u[None, None, None, :] * hR[:, :, :, None]
+        + ux[:, None, None, None] * tR,
+    )
+    for got, want in zip(prov._T_jets(x, r, third=True), ref):
+        assert _relative_gap(got, want) <= 1e-14
+    first = prov._T_jets(x, r)
+    assert first[2] is None
+    for got, want in zip(first[:2], ref[:2]):
+        assert _relative_gap(got, want) <= 1e-14
+
+
+def test_graphical_dk_contractions_match_einsum(graphical):
+    x, r = _leaf_points(graphical)
+    base = graphical.base.metric_jet(x)
+    ginv, dginv = base.ginv, base.dginv
+    Gam, dGam = christoffel(base, derivative=True)
+    dT, ddT, dddT = graphical._T_jets(x, r, third=True)
+    N, dN, ddN = graphical._N_jets(x, r, second=True)
+    hessT = ddT - np.einsum("nkij,nk->nij", Gam, dT)
+    gradT = np.einsum("nab,nb->na", ginv, dT)
+    dT2 = np.einsum("na,na->n", dT, gradT)
+    W = np.sqrt(1.0 - N**2 * dT2)
+    c1 = np.einsum("na,na->n", dN, gradT)
+    N2 = N**2
+    TT = dT[:, :, None] * dT[:, None, :]
+    dTT = ddT[:, :, None, :] * dT[:, None, :, None] + dT[:, :, None, None] * ddT[:, None, :, :]
+    D = dT[:, :, None] * dN[:, None, :] + dT[:, None, :] * dN[:, :, None] + N[:, None, None] * hessT - (N2 * c1)[:, None, None] * TT
+    dhessT = dddT - np.einsum("nkijl,nk->nijl", dGam, dT) - np.einsum("nkij,nkl->nijl", Gam, ddT)
+    dN2 = (2.0 * graphical.mass / r**2)[:, None] * x / r[:, None]
+    dc1 = (
+        np.einsum("nak,nab,nb->nk", ddN, ginv, dT)
+        + np.einsum("na,nabk,nb->nk", dN, dginv, dT)
+        + np.einsum("na,nab,nbk->nk", dN, ginv, ddT)
+    )
+    dD = (
+        ddT[:, :, None, :] * dN[:, None, :, None]
+        + dT[:, :, None, None] * ddN[:, None, :, :]
+        + ddT[:, None, :, :] * dN[:, :, None, None]
+        + dT[:, None, :, None] * ddN[:, :, None, :]
+        + dN[:, None, None, :] * hessT[:, :, :, None]
+        + N[:, None, None, None] * dhessT
+        - (dN2 * c1[:, None] + N2[:, None] * dc1)[:, None, None, :] * TT[:, :, :, None]
+        - (N2 * c1)[:, None, None, None] * dTT
+    )
+    ddT2 = np.einsum("nabk,na,nb->nk", dginv, dT, dT) + 2.0 * np.einsum("nab,nak,nb->nk", ginv, ddT, dT)
+    dW = -(dN2 * dT2[:, None] + N2[:, None] * ddT2) / (2.0 * W[:, None])
+    ref = dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
+    assert _relative_gap(graphical.extrinsic_jet(x).dK, ref) <= 1e-14
 
 
 def test_scalar_is_trace_of_ricci(graphical, sample_points):

@@ -331,6 +331,28 @@ def test_newton_failures_carry_their_context(schw, euclid, monkeypatch):
     assert f"residual sup {err.residual_sup:.3e}" in str(err)
 
 
+def test_newton_damps_a_failed_recentering(schw, monkeypatch):
+    def failing_rebase(surface, center):
+        raise MaxIterations("rebase did not converge")
+
+    monkeypatch.setattr(sv, "rebase", failing_rebase)
+    with pytest.raises(NewtonDiverged, match=r"sigma 20, iteration 0: residual sup stuck at \d") as diverged:
+        newton_solve(schw, 20.0, GraphSurface.round([0.2, -0.3, 0.1], 20.0, 8), SolveConfig(lmax=8))
+    err = diverged.value
+    assert (err.sigma, err.iteration) == (20.0, 0) and err.residual_sup > 0
+
+
+def test_newton_evaluates_one_residual_per_iteration(graphical, monkeypatch):
+    calls = _count_frames(monkeypatch)
+    rebases = []
+    rebase = sv.rebase
+    monkeypatch.setattr(sv, "rebase", lambda *args: rebases.append(args) or rebase(*args))
+    res = newton_solve(graphical, 40.0, GraphSurface.round([0.5, -0.4, 0.3], 38.0, 8), SolveConfig(lmax=8))
+    assert res.iterations >= 2 and rebases
+    assert calls["residual"] == 1 + res.iterations
+    assert calls["frames"] == calls["residual"]
+
+
 def test_newton_max_iterations(euclid, monkeypatch):
     monkeypatch.setattr(sv, "NEWTON_MAX_ITER", 1)
     with pytest.raises(MaxIterations, match=r"sigma 10, iteration 1: .*residual sup \d"):
@@ -467,6 +489,36 @@ def test_foliation_schwarzschild(schw):
     assert all(leaf.lapse_positive for leaf in fol)
     radii = [leaf.area_radius for leaf in fol]
     assert radii == sorted(radii)
+
+
+def test_canonical_warm_leaves_start_at_their_solution(schw, monkeypatch):
+    iterations = []
+    solve = sv.newton_solve
+
+    def counted_solve(*args):
+        result = solve(*args)
+        iterations.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(sv, "newton_solve", counted_solve)
+    fol = foliate(schw, [40.0, 80.0, 160.0], SolveConfig(lmax=12), spectra=False)
+    assert len(fol) == 3 and iterations[0] > 0
+    assert iterations[1:] == [0, 0]
+
+
+def test_schwarzschild_radius_of_the_warm_start():
+    for sigma in (0.5, 20.0, 160.0):
+        assert sv._schwarzschild_radius(sigma, 0.0) == pytest.approx(sigma, rel=1e-15)
+        assert sv._warm_start_ratio(2.0 * sigma, sigma, 0.0) == pytest.approx(2.0, rel=1e-15)
+    for sigma, m in ((20.0, -1.0), (3.0, -5.0), (20.0, 1.0), (5.2, 1.0)):
+        r = sv._schwarzschild_radius(sigma, m)
+        roots = np.roots([1.0, 0.0, -sigma**2, 2.0 * m * sigma**2])
+        assert r == pytest.approx(np.max(roots[np.isreal(roots)].real), rel=1e-13)
+    assert sv._schwarzschild_radius(20.0, 1.0) == pytest.approx(R_STAR_SIGMA20, rel=1e-14)
+    # no admissible root at sigma <= 3 sqrt(3) m: the ratio falls back to sigma / sigma_prev
+    for sigma in (3.0 * np.sqrt(3.0), 4.0):
+        assert sv._schwarzschild_radius(sigma, 1.0) is None
+        assert sv._warm_start_ratio(8.0, sigma, 1.0) == 8.0 / sigma
 
 
 def test_foliation_requires_increasing_sigma(euclid):
