@@ -272,7 +272,8 @@ class SchwarzschildProvider(DataProvider):
         nvec = x / r[:, None]
         psi, dpsi, ddpsi = self._psi(r)
         xx = x[:, :, None] * x[:, None, :]
-        out = (((ddpsi - dpsi / r)[:, None] * xx.reshape(n, 9))[:, :, None] * (nvec[:, :, None] * nvec[:, None, :]).reshape(n, 1, 9)).reshape(n, 3, 3, 3, 3)
+        nn = (nvec[:, :, None] * nvec[:, None, :]).reshape(n, 1, 9)
+        out = (((ddpsi - dpsi / r)[:, None] * xx.reshape(n, 9))[:, :, None] * nn).reshape(n, 3, 3, 3, 3)
         xxr = (dpsi / r)[:, None, None] * xx
         xn = dpsi[:, None, None] * x[:, :, None] * nvec[:, None, :]  # psi' x_a n_b
         for a in range(3):

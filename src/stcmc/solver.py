@@ -23,8 +23,14 @@ Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
 transport term, which vanishes on exact solutions; both fold into the fields.
 Each step is one LU solve, with least squares where the condition estimate
-flags the zero-energy case.  A solve returns its leaf's frames, formed by its
-last residual evaluation (SolveResult.frames), so no caller forms them again.
+flags the zero-energy case.  Each trial surface is re-centered on its
+Euclidean center, which needs only the embedding, before its one residual
+evaluation, and the damping test reads the re-centered residual, so an
+undamped iteration costs one Jacobian and one residual.  A solve returns its
+leaf's frames, formed by its last residual evaluation (SolveResult.frames), so
+no caller forms them again.  A foliation seeds each later leaf on the
+Schwarzschild sphere radius for the previous leaf's Hawking mass, where the
+leaves of asymptotically Schwarzschild data lie near infinity.
 """
 
 from __future__ import annotations
@@ -307,7 +313,11 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
 
 
 def _recentered(S: GraphSurface):
-    """S re-based on its Euclidean center where that moved by more than 1e-12 r0 (rebase's MaxIterations passes)."""
+    """S re-based on its Euclidean center where that moved by more than 1e-12 r0.
+
+    Raises rebase's MaxIterations and DegenerateInducedMetric where the
+    height reaches the base center; newton_solve damps such a trial.
+    """
     center = euclidean_center(S)
     if np.linalg.norm(center - S.center) > 1e-12 * S.r0:
         return rebase(S, center)
@@ -416,29 +426,24 @@ def _continuation_record(prov, tau, result):
     )
 
 
-def _schwarzschild_radius(sigma, m):
-    """Largest root r of r^3 - sigma^2 r + 2 m sigma^2 = 0, the radius of the
-    sphere with H = 2N/r = 2/sigma in Schwarzschild of mass m; None where
-    there is no such root (m > 0 and sigma <= 3 sqrt(3) m).
-
-    With c = -3 sqrt(3) m / sigma the root is 2 sigma/sqrt(3) cos(arccos(c)/3)
-    for |c| <= 1 (sigma itself at m = 0, up to roundoff) and
-    2 sigma/sqrt(3) cosh(arccosh(c)/3) for c > 1 (m < 0, one real root).
-    """
-    c = -3.0 * math.sqrt(3.0) * m / sigma
-    if c <= -1.0:
-        return None
-    trig = math.cos(math.acos(c) / 3.0) if c <= 1.0 else math.cosh(math.acosh(c) / 3.0)
-    return 2.0 * sigma / math.sqrt(3.0) * trig
-
-
 def _warm_start_ratio(sigma, sigma_prev, m):
-    """Radial scale from the leaf at sigma_prev to the seed at sigma: r(sigma)/r(sigma_prev)
-    of the Schwarzschild spheres of mass m, or sigma/sigma_prev where either has no root."""
-    r, r_prev = _schwarzschild_radius(sigma, m), _schwarzschild_radius(sigma_prev, m)
-    if r is None or r_prev is None:
-        return sigma / sigma_prev
-    return r / r_prev
+    """r(sigma) / r(sigma_prev) for the Schwarzschild spheres of mass m with H = 2N/r = 2/sigma.
+
+    r is the largest root of r^3 - sigma^2 r + 2 m sigma^2 = 0: with
+    c = -3 sqrt(3) m / sigma it is 2 sigma/sqrt(3) cos(arccos(c)/3) for
+    |c| <= 1 (sigma itself at m = 0, up to roundoff) and
+    2 sigma/sqrt(3) cosh(arccosh(c)/3) for c > 1 (m < 0, one real root).
+    Where either cubic has no such root (m > 0 and sigma <= 3 sqrt(3) m),
+    the ratio is sigma / sigma_prev.
+    """
+    radii = []
+    for s in (sigma, sigma_prev):
+        c = -3.0 * math.sqrt(3.0) * m / s
+        if c <= -1.0:
+            return sigma / sigma_prev
+        trig = math.cos(math.acos(c) / 3.0) if c <= 1.0 else math.cosh(math.acosh(c) / 3.0)
+        radii.append(2.0 * s / math.sqrt(3.0) * trig)
+    return radii[0] / radii[1]
 
 
 def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, spectra=True):

@@ -177,7 +177,10 @@ def embedding_nodes(surface: GraphSurface, grid):
 
 
 def _embedding(surface: GraphSurface):
-    """(grid, X, tangents, second derivatives, omega) on the dealiased grid; raises where the height reaches the base center."""
+    """(grid, X, tangents, second derivatives, omega) on the dealiased grid.
+
+    Raises DegenerateInducedMetric where the height reaches the base center.
+    """
     grid = get_grid(dealias_lmax(surface.lmax))
     X, tangents, sec, om, R = embedding_nodes(surface, grid)
     if np.any(R <= 0):

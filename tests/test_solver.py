@@ -506,19 +506,21 @@ def test_canonical_warm_leaves_start_at_their_solution(schw, monkeypatch):
     assert iterations[1:] == [0, 0]
 
 
-def test_schwarzschild_radius_of_the_warm_start():
+def _cubic_root(sigma, m):
+    roots = np.roots([1.0, 0.0, -sigma**2, 2.0 * m * sigma**2])
+    return np.max(roots[np.isreal(roots)].real)
+
+
+def test_warm_start_ratio_of_schwarzschild_radii():
     for sigma in (0.5, 20.0, 160.0):
-        assert sv._schwarzschild_radius(sigma, 0.0) == pytest.approx(sigma, rel=1e-15)
         assert sv._warm_start_ratio(2.0 * sigma, sigma, 0.0) == pytest.approx(2.0, rel=1e-15)
-    for sigma, m in ((20.0, -1.0), (3.0, -5.0), (20.0, 1.0), (5.2, 1.0)):
-        r = sv._schwarzschild_radius(sigma, m)
-        roots = np.roots([1.0, 0.0, -sigma**2, 2.0 * m * sigma**2])
-        assert r == pytest.approx(np.max(roots[np.isreal(roots)].real), rel=1e-13)
-    assert sv._schwarzschild_radius(20.0, 1.0) == pytest.approx(R_STAR_SIGMA20, rel=1e-14)
-    # no admissible root at sigma <= 3 sqrt(3) m: the ratio falls back to sigma / sigma_prev
-    for sigma in (3.0 * np.sqrt(3.0), 4.0):
-        assert sv._schwarzschild_radius(sigma, 1.0) is None
-        assert sv._warm_start_ratio(8.0, sigma, 1.0) == 8.0 / sigma
+    for sigma, prev, m in ((40.0, 20.0, 1.0), (80.0, 20.0, -1.0), (3.0, 1.0, -5.0), (5.2, 5.19616, -1.0), (8.0, 5.2, 1.0)):
+        ratio = _cubic_root(sigma, m) / _cubic_root(prev, m)
+        assert sv._warm_start_ratio(sigma, prev, m) == pytest.approx(ratio, rel=1e-13)
+    assert sv._warm_start_ratio(40.0, 20.0, 1.0) * R_STAR_SIGMA20 == pytest.approx(_cubic_root(40.0, 1.0), rel=1e-14)
+    # no admissible root at sigma <= 3 sqrt(3) m: sigma / sigma_prev
+    for prev in (3.0 * np.sqrt(3.0), 4.0):
+        assert sv._warm_start_ratio(8.0, prev, 1.0) == 8.0 / prev
 
 
 def test_foliation_requires_increasing_sigma(euclid):
