@@ -28,9 +28,10 @@ Euclidean center, which needs only the embedding, before its one residual
 evaluation, and the damping test reads the re-centered residual, so an
 undamped iteration costs one Jacobian and one residual.  A solve returns its
 leaf's frames, formed by its last residual evaluation (SolveResult.frames), so
-no caller forms them again.  A foliation seeds each later leaf on the
-Schwarzschild sphere radius for the previous leaf's Hawking mass, where the
-leaves of asymptotically Schwarzschild data lie near infinity.
+no caller forms them again.  A foliation seeds each later leaf at the radius
+of the Schwarzschild sphere with H = 2/sigma for the previous leaf's Hawking
+mass, near which the leaves of asymptotically Schwarzschild data lie at large
+sigma.
 """
 
 from __future__ import annotations
