@@ -22,8 +22,8 @@ import numpy as np
 from .chart import GraphicalSchwarzschildProvider, build_provider
 from .charges import adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
 from .errors import ConfigError, StcmcError
-from .solver import SolveConfig, check_sigma, check_spectrum_k, foliate, laplace_spectrum, newton_solve
-from .surfaces import GraphSurface, surface_scalars, surface_to_csv
+from .solver import SolveConfig, check_spectrum_k, foliate, laplace_spectrum, newton_solve
+from .surfaces import GraphSurface, check_sigma, surface_scalars, surface_to_csv
 
 
 def parse_grid(text):

@@ -61,6 +61,7 @@ from .spectral import get_grid, n_coeffs, pad_coeffs, truncate_coeffs
 from .surfaces import (
     CurvatureField,
     GraphSurface,
+    check_sigma,
     euclidean_center,
     parametrized_area_and_center,
     rebase,
@@ -245,12 +246,6 @@ def curvature_residual(prov, surface: GraphSurface, sigma):
     res = fr.stcmc - 2.0 / sigma
     proj = truncate_coeffs(fr.grid.analyze(res), surface.lmax)
     return res, proj, fr
-
-
-def check_sigma(sigma):
-    """Raise ConfigError unless the leaf radius sigma is finite and positive."""
-    if not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
 
 
 def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None):

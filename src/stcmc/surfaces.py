@@ -15,6 +15,7 @@ connection (Gauss formula) that the solver's Laplacian uses.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +27,11 @@ from .errors import (
     FoliationNotSupported,
     MaxIterations,
     NewtonDiverged,
+    ShapeMismatch,
     TrappedRegion,
 )
 from .spectral import (
+    _JET_DERIVATIVES,
     dealias_lmax,
     get_grid,
     n_coeffs,
@@ -422,6 +425,12 @@ def parametrized_area_and_center(grid, X, metric_of=None):
 
 # -- quasilinear graph equation over the flat polar foliation ----------------
 
+def check_sigma(sigma):
+    """Raise ConfigError unless the leaf radius sigma is finite and positive."""
+    if not 0 < sigma < math.inf:
+        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
+
+
 def _check_flat_metric(prov, points):
     g = prov.metric_jet(points).g
     if g.strides[0] == 0:  # a broadcast metric holds one distinct point
@@ -430,16 +439,24 @@ def _check_flat_metric(prov, points):
         raise FoliationNotSupported("graph residual requires the flat background metric")
 
 
-def _graph_fields(sigma, f_coeffs, lmax, prov):
-    """(grid, jets, W, (G00, G01, G11), (b0, b1), F, P) of the graph equation.
+def _height_jets(f_coeffs, lmax):
+    """(grid, jets): the six height jets (synth_jet keys) on the dealiased grid, each (..., nnodes)."""
+    f_coeffs = np.asarray(f_coeffs, dtype=float)
+    if f_coeffs.shape[-1:] != (n_coeffs(lmax),):
+        raise ShapeMismatch(f"expected heights of {n_coeffs(lmax)} coefficients (lmax {lmax}), got shape {f_coeffs.shape}")
+    grid = get_grid(dealias_lmax(lmax))
+    return grid, grid.synth_jet(pad_coeffs(f_coeffs, lmax, grid.lmax))
 
+
+def _graph_fields(sigma, grid, jets, prov):
+    """(W, (G00, G01, G11), (b0, b1), F, P) of the graph equation at the height jets.
+
+    Pointwise: each node's fields depend only on its position and its six jets.
     Every field is a scalar of shape (..., nnodes); G is the inverse metric.
     """
     prov = prov if prov is not None else EuclideanProvider()
-    grid = get_grid(dealias_lmax(lmax))
     th, _ = grid.mesh()
     st, ct = np.sin(th), np.cos(th)
-    jets = grid.synth_jet(pad_coeffs(np.asarray(f_coeffs, dtype=float), lmax, grid.lmax))
     uv = grid.unit_vectors()
     rho = sigma + jets["f"]
     if np.any(rho <= 0):
@@ -476,39 +493,49 @@ def _graph_fields(sigma, f_coeffs, lmax, prov):
         + G11 * np.einsum("...i,...i", Xp, KXp)
     )
     F = curv - np.sqrt(P**2 + 4.0 / sigma**2)
-    return grid, jets, W, (G00, G01, G11), b, F, P
+    return W, (G00, G01, G11), b, F, P
 
 
-def appendix_graph_coefficients(sigma, f_coeffs, lmax, prov=None):
-    """Coefficient fields (a, b, F) of the quasilinear graph equation.
-
-    The background is flat space foliated by round spheres along radial
-    geodesics; the prescribed surface has Lorentzian mean curvature 2/sigma.
-    f_coeffs has shape (..., n_coeffs(lmax)).  Returns a dict with the
-    dealiased `grid`, the height `jets` and the nodal fields `a` (..., nnodes,
-    2, 2), `b` (..., nnodes, 2), `F` and the expansion trace `P` (..., nnodes).
-    """
-    grid, jets, W, (G00, G01, G11), b, F, P = _graph_fields(sigma, f_coeffs, lmax, prov)
-    a = np.stack([np.stack([G00, G01], axis=-1), np.stack([G01, G11], axis=-1)], axis=-2) / W[..., None, None]
-    return {"grid": grid, "jets": jets, "a": a, "b": np.stack(b, axis=-1), "F": F, "P": P}
+def _pointwise_residual(sigma, grid, jets, prov):
+    """Nodal residual a^{ab} d2f + b^a df - F at the height jets."""
+    W, (G00, G01, G11), (b0, b1), F, _ = _graph_fields(sigma, grid, jets, prov)
+    hess = G00 * jets["ftt"] + 2.0 * G01 * jets["ftp"] + G11 * jets["fpp"]
+    return hess / W + b0 * jets["ft"] + b1 * jets["fp"] - F
 
 
 def appendix_graph_residual(sigma, f_coeffs, lmax, prov=None):
     """Nodal residual a^{ab} d2f + b^a df - F of the graph equation.
 
+    The background is flat space foliated by round spheres along radial
+    geodesics; the prescribed surface has Lorentzian mean curvature 2/sigma.
     f_coeffs has shape (..., n_coeffs(lmax)); the residual has shape
     (..., nnodes) on the dealiased grid.
     """
-    _, j, W, (G00, G01, G11), (b0, b1), F, _ = _graph_fields(sigma, f_coeffs, lmax, prov)
-    return (G00 * j["ftt"] + 2.0 * G01 * j["ftp"] + G11 * j["fpp"]) / W + b0 * j["ft"] + b1 * j["fp"] - F
+    check_sigma(sigma)
+    grid, jets = _height_jets(f_coeffs, lmax)
+    return _pointwise_residual(sigma, grid, jets, prov)
 
 
-# Perturbed coefficient vectors per batched residual call in the
-# finite-difference Jacobian of solve_graph_residual.  Peak memory grows with
-# it, because each nodal field of the residual is formed for all rows of a
-# call at once (peak RSS of one lmax-10 root, 1 BLAS thread: 60 MB before the
-# root, 64 MB at 16 rows, 73 MB at 64, 104 MB with all 242 rows in one call).
-FD_BLOCK = 16
+def _graph_jacobian(sigma, f_coeffs, lmax, prov):
+    """Base-band Jacobian of the projected graph-equation residual at one height.
+
+    The residual is pointwise in the height jets, so its derivative along each
+    jet is one central difference (+-h, h = 1e-7 max(1, sigma)) taken at every
+    node at once; the 12 perturbed jet rows go through one pointwise evaluation.  operator_matrix
+    is the quadrature of analyze on the same grid, so the result linearizes
+    truncate(analyze(residual)).
+    """
+    grid, jets = _height_jets(f_coeffs, lmax)
+    h = 1e-7 * max(1.0, sigma)
+    keys = list(_JET_DERIVATIVES)
+    rows = {key: np.repeat(v[None], 2 * len(keys), axis=0) for key, v in jets.items()}
+    for i, key in enumerate(keys):
+        rows[key][2 * i] += h
+        rows[key][2 * i + 1] -= h
+    R = _pointwise_residual(sigma, grid, rows, prov).reshape(len(keys), 2, -1)
+    return grid.operator_matrix((R[:, 0] - R[:, 1]) / (2.0 * h), lmax)
+
+
 GRAPH_MAX_ITER = 40
 # A chord step (a full step through the last Jacobian's pseudo-inverse) is
 # kept when it lowers the projected residual sup by at least this factor;
@@ -523,24 +550,29 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
     """Chord-Newton-solve the graph equation with a finite-difference Jacobian.
 
     Deliberately independent of the embedding-based machinery so the two
-    routes to a prescribed-curvature surface can be cross-checked.  The
-    central differences f +- h e_j are evaluated FD_BLOCK rows per residual
-    call, and each Jacobian is factorized once, as its pseudo-inverse (the
-    min-norm cutoff rcond 1e-10).  Every step first tries the full chord
-    step through the last pseudo-inverse and keeps it if it lowers the
-    projected residual sup by CHORD_CONTRACTION; otherwise (or if that step
-    reaches the origin) the Jacobian is rebuilt at the current iterate and a
-    damped Newton step is taken.  Raises MaxIterations after GRAPH_MAX_ITER
-    steps, NewtonDiverged when 30 halvings of a fresh step do not lower the
-    residual sup (DegenerateInducedMetric if the last one still reaches the
-    origin), with sigma, iteration and sup in the message; MaxIterations and
-    NewtonDiverged also carry them as attributes.
+    routes to a prescribed-curvature surface can be cross-checked.  Each
+    Jacobian is built from central differences of the pointwise residual in
+    the six height jets (_graph_jacobian) and factorized once, as its
+    pseudo-inverse (the min-norm cutoff rcond 1e-10); it only steers the
+    iteration, which stops when appendix_graph_residual's projected residual
+    sup falls below tol.  Every step first tries the full chord step through
+    the last pseudo-inverse and keeps it if it lowers the projected residual
+    sup by CHORD_CONTRACTION; otherwise (or if that step reaches the origin)
+    the Jacobian is rebuilt at the current iterate and a damped Newton step
+    is taken.  Raises ConfigError for a sigma that is not finite and
+    positive and ShapeMismatch for a seed that is not one height of
+    n_coeffs(lmax) coefficients, before any evaluation; MaxIterations after
+    GRAPH_MAX_ITER steps, NewtonDiverged when 30 halvings of a fresh step do
+    not lower the residual sup (DegenerateInducedMetric if the last one still
+    reaches the origin), with sigma, iteration and sup in the message;
+    MaxIterations and NewtonDiverged also carry them as attributes.
     """
-    grid = get_grid(dealias_lmax(lmax))
+    check_sigma(sigma)
     nb = n_coeffs(lmax)
     f = np.asarray(f0_coeffs, dtype=float).copy()
-    h = 1e-7 * max(1.0, sigma)
-    E = h * np.eye(nb)
+    if f.shape != (nb,):
+        raise ShapeMismatch(f"expected one height of {nb} coefficients (lmax {lmax}), got shape {f.shape}")
+    grid = get_grid(dealias_lmax(lmax))
 
     def proj_res(fc):
         r = appendix_graph_residual(sigma, fc, lmax, prov)
@@ -567,9 +599,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
                 f = f + step
                 R = R_try
                 continue
-        rows = np.concatenate([f + E, f - E])
-        R_pm = np.concatenate([proj_res(rows[i : i + FD_BLOCK]) for i in range(0, 2 * nb, FD_BLOCK)])
-        J = ((R_pm[:nb] - R_pm[nb:]) / (2.0 * h)).T
+        J = _graph_jacobian(sigma, f, lmax, prov)
         # min-norm step (translations are a near-kernel in flat space) with
         # backtracking: the raw step can be huge along those directions
         Jpinv = np.linalg.pinv(J, rcond=1e-10)

@@ -20,13 +20,13 @@ from stcmc.errors import (
     FoliationNotSupported,
     MaxIterations,
     NewtonDiverged,
+    ShapeMismatch,
     TrappedRegion,
 )
-from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, pad_coeffs, real_sph_basis
+from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, pad_coeffs, real_sph_basis, truncate_coeffs
 from stcmc.solver import _OperatorFields
 from stcmc.surfaces import (
     GraphSurface,
-    appendix_graph_coefficients,
     appendix_graph_residual,
     apriori_class_check,
     embedding_nodes,
@@ -314,6 +314,21 @@ def test_center_must_be_a_3_vector(center):
 
 # -- flat-foliation graph equation ----------------------------------------------
 
+def appendix_graph_coefficients(sigma, f_coeffs, lmax, prov=None):
+    """Coefficient fields of the graph equation, stacked from its pointwise part.
+
+    Returns a dict with the dealiased `grid` and the nodal fields `a`
+    (..., nnodes, 2, 2), `b` (..., nnodes, 2), `F` and the expansion trace
+    `P` (..., nnodes).
+    """
+    import stcmc.surfaces as surfaces
+
+    grid, jets = surfaces._height_jets(f_coeffs, lmax)
+    W, (G00, G01, G11), b, F, P = surfaces._graph_fields(sigma, grid, jets, prov)
+    a = np.stack([np.stack([G00, G01], axis=-1), np.stack([G01, G11], axis=-1)], axis=-2) / W[..., None, None]
+    return {"grid": grid, "a": a, "b": np.stack(b, axis=-1), "F": F, "P": P}
+
+
 def test_graph_equation_round_sphere_is_root():
     res = appendix_graph_residual(7.0, np.zeros(n_coeffs(8)), 8)
     assert np.max(np.abs(res)) == 0.0
@@ -513,11 +528,11 @@ def test_graph_newton_stall_raises_newton_diverged(monkeypatch):
     true_residual = surfaces.appendix_graph_residual
 
     def never_decreasing(sigma, f_coeffs, lmax, prov=None):
-        # the first call (the initial residual) and the Jacobian blocks are
-        # exact; every trial step returns a larger residual
+        # the first call (the initial residual) is exact; every trial step
+        # returns a larger residual
         r = true_residual(sigma, f_coeffs, lmax, prov)
         calls.append(np.ndim(f_coeffs))
-        return r if np.ndim(f_coeffs) > 1 or len(calls) == 1 else 10.0 * r + 1.0
+        return r if len(calls) == 1 else 10.0 * r + 1.0
 
     monkeypatch.setattr(surfaces, "appendix_graph_residual", never_decreasing)
     with pytest.raises(NewtonDiverged, match="sigma 7"):
@@ -535,13 +550,13 @@ def test_graph_newton_failures_carry_their_context(monkeypatch):
     assert f"residual sup {err.residual_sup:.3e}" in str(err)
     monkeypatch.setattr(surfaces, "GRAPH_MAX_ITER", 40)
     true_residual = surfaces.appendix_graph_residual
-    # the initial residual and the Jacobian blocks are exact; every trial step is worse
+    # the initial residual is exact; every trial step is worse
     trials = []
 
     def never_decreasing(sigma, f_coeffs, lmax, prov=None):
         r = true_residual(sigma, f_coeffs, lmax, prov)
-        trials.append(np.ndim(f_coeffs) == 1)
-        return 10.0 * r + 1.0 if np.ndim(f_coeffs) == 1 and sum(trials) > 1 else r
+        trials.append(np.ndim(f_coeffs))
+        return 10.0 * r + 1.0 if len(trials) > 1 else r
 
     monkeypatch.setattr(surfaces, "appendix_graph_residual", never_decreasing)
     with pytest.raises(NewtonDiverged) as diverged:
@@ -565,7 +580,7 @@ def test_graph_newton_steps_reaching_origin_raise_degenerate(monkeypatch):
 
     def trial_steps_degenerate(sigma, f_coeffs, lmax, prov=None):
         calls.append(np.ndim(f_coeffs))
-        if np.ndim(f_coeffs) == 1 and len(calls) > 1:
+        if len(calls) > 1:
             raise DegenerateInducedMetric("graph reaches the origin")
         return true_residual(sigma, f_coeffs, lmax, prov)
 
@@ -574,42 +589,39 @@ def test_graph_newton_steps_reaching_origin_raise_degenerate(monkeypatch):
         solve_graph_residual(7.0, _criterion_10_like_seed(8), 8)
 
 
-def _graph_residual_calls(monkeypatch, sabotage=None):
-    """Record a copy of each appendix_graph_residual height argument: 1-D for one height, 2-D for a Jacobian block.
+def _graph_newton_calls(monkeypatch, sabotage=None):
+    """Record each residual evaluation ("R") and Jacobian build ("J") of the graph Newton with a copy of its height.
 
-    sabotage(k, r) may replace the nodal residual r of the k-th one-height call (k from 1).
+    sabotage(k, r) may replace the nodal residual r of the k-th residual evaluation (k from 1).
     """
     import stcmc.surfaces as surfaces
 
     calls = []
-    true_residual = surfaces.appendix_graph_residual
+    true_residual, true_jacobian = surfaces.appendix_graph_residual, surfaces._graph_jacobian
 
-    def recorded(sigma, f_coeffs, lmax, prov=None):
+    def residual(sigma, f_coeffs, lmax, prov=None):
         r = true_residual(sigma, f_coeffs, lmax, prov)
-        calls.append(np.array(f_coeffs))
-        if sabotage is not None and np.ndim(f_coeffs) == 1:
-            r = sabotage(sum(c.ndim == 1 for c in calls), r)
+        calls.append(("R", np.array(f_coeffs)))
+        if sabotage is not None:
+            r = sabotage(sum(kind == "R" for kind, _ in calls), r)
         return r
 
-    monkeypatch.setattr(surfaces, "appendix_graph_residual", recorded)
+    def jacobian(sigma, f_coeffs, lmax, prov):
+        calls.append(("J", np.array(f_coeffs)))
+        return true_jacobian(sigma, f_coeffs, lmax, prov)
+
+    monkeypatch.setattr(surfaces, "appendix_graph_residual", residual)
+    monkeypatch.setattr(surfaces, "_graph_jacobian", jacobian)
     return calls
-
-
-def _fd_blocks(lmax):
-    import stcmc.surfaces as surfaces
-
-    return -(-2 * n_coeffs(lmax) // surfaces.FD_BLOCK)
 
 
 def test_graph_newton_takes_fewer_jacobians_than_steps(monkeypatch):
     import stcmc.surfaces as surfaces
 
-    calls = _graph_residual_calls(monkeypatch)
+    calls = _graph_newton_calls(monkeypatch)
     f0 = _criterion_10_like_seed()
     solve_graph_residual(7.0, f0, 10, tol=1e-13)
-    blocks = sum(c.ndim == 2 for c in calls)
-    assert blocks % _fd_blocks(10) == 0
-    jacobians = blocks // _fd_blocks(10)
+    jacobians = sum(kind == "J" for kind, _ in calls)
     assert jacobians >= 1
     # a solve of k steps converges in iteration k, so with GRAPH_MAX_ITER =
     # jacobians + 1 it stops short exactly when it takes more steps than Jacobians
@@ -625,7 +637,7 @@ def test_graph_newton_rebuilds_the_jacobian_when_a_chord_step_fails(monkeypatch,
     single = []
 
     def sabotage(k, r):
-        # one-height calls: 1 the seed, 2 the full step of iteration 0, 3 the chord trial of iteration 1
+        # residual evaluations: 1 the seed, 2 the full step of iteration 0, 3 the chord trial of iteration 1
         single.append(r)
         if k != 3:
             return r
@@ -633,18 +645,67 @@ def test_graph_newton_rebuilds_the_jacobian_when_a_chord_step_fails(monkeypatch,
             raise DegenerateInducedMetric("graph reaches the origin")
         return single[1] / (0.9 * surfaces.CHORD_CONTRACTION)
 
-    calls = _graph_residual_calls(monkeypatch, sabotage)
+    calls = _graph_newton_calls(monkeypatch, sabotage)
     monkeypatch.setattr(surfaces, "GRAPH_MAX_ITER", 2)
     with pytest.raises(MaxIterations, match="iteration 2"):
         solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=1e-13)
     # the rejected chord trial is followed, within iteration 1, by a fresh
     # Jacobian and its full damped-Newton step
-    jac = [2] * _fd_blocks(10)
-    assert [c.ndim for c in calls] == [1] + jac + [1] + [1] + jac + [1]
-    # that Jacobian is taken at the iterate the chord trial started from:
-    # its first perturbed row is that iterate moved along the first coefficient
-    iterate, row = calls[1 + len(jac)], calls[3 + len(jac)][0]
-    assert np.array_equal(row[1:], iterate[1:]) and row[0] != iterate[0]
+    assert [kind for kind, _ in calls] == ["R", "J", "R", "R", "J", "R"]
+    # that Jacobian is taken at the iterate the chord trial started from
+    assert np.array_equal(calls[4][1], calls[2][1])
+
+
+def _coefficient_wise_jacobian(sigma, f, lmax, prov):
+    """Central differences f +- h e_j of the projected residual, one perturbed height per coefficient."""
+    nb, grid = n_coeffs(lmax), get_grid(dealias_lmax(lmax))
+    h = 1e-7 * max(1.0, sigma)
+    rows = np.concatenate([f + h * np.eye(nb), f - h * np.eye(nb)])
+    R = truncate_coeffs(grid.analyze(appendix_graph_residual(sigma, rows, lmax, prov)), lmax)
+    return ((R[:nb] - R[nb:]) / (2.0 * h)).T
+
+
+@pytest.mark.parametrize("data", ["flat", "extrinsic"])
+def test_graph_jet_jacobian_matches_coefficient_wise_differences(data):
+    import stcmc.surfaces as surfaces
+
+    prov = EuclideanProvider() if data == "flat" else PerturbationProvider(K_TERMS)
+    f0 = _criterion_10_like_seed()
+    J = surfaces._graph_jacobian(7.0, f0, 10, prov)
+    ref = _coefficient_wise_jacobian(7.0, f0, 10, prov)
+    assert J.shape == ref.shape == (n_coeffs(10), n_coeffs(10))
+    assert _relative_gap(J, ref) <= 1e-8
+
+
+def test_graph_newton_evaluates_one_height_per_residual(monkeypatch):
+    calls = _graph_newton_calls(monkeypatch)
+    solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=1e-13)
+    residuals = [f for kind, f in calls if kind == "R"]
+    assert len(residuals) > 1 and all(f.shape == (n_coeffs(10),) for f in residuals)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -7.0, np.nan, np.inf])
+def test_graph_equation_rejects_a_bad_sigma(monkeypatch, sigma):
+    calls = _graph_newton_calls(monkeypatch)
+    with pytest.raises(ConfigError, match="sigma must be finite and positive"):
+        solve_graph_residual(sigma, _criterion_10_like_seed(), 10)
+    assert calls == []
+    with pytest.raises(ConfigError, match="sigma must be finite and positive"):
+        appendix_graph_residual(sigma, _criterion_10_like_seed(), 10)
+
+
+@pytest.mark.parametrize("shape", [(100,), (n_coeffs(10) + 1,), (1,), (2, n_coeffs(10))])
+def test_graph_newton_rejects_a_seed_of_the_wrong_shape(monkeypatch, shape):
+    calls = _graph_newton_calls(monkeypatch)
+    with pytest.raises(ShapeMismatch, match="121"):
+        solve_graph_residual(7.0, np.zeros(shape), 10)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [(100,), (1,), (3, n_coeffs(10) - 1)])
+def test_graph_residual_rejects_heights_of_the_wrong_length(shape):
+    with pytest.raises(ShapeMismatch, match="121"):
+        appendix_graph_residual(7.0, np.zeros(shape), 10)
 
 
 def test_surface_csv(tmp_path, schw):
