@@ -50,7 +50,7 @@ from .solver import (
     operator_bound_check,
     uniqueness_cross_check,
 )
-from .spectral import build_grid, laplace_round
+from .spectral import build_grid
 from .surfaces import (
     GraphSurface,
     apriori_class_check,
@@ -98,7 +98,6 @@ __all__ = [
     "operator_bound_check",
     "uniqueness_cross_check",
     "build_grid",
-    "laplace_round",
     "GraphSurface",
     "apriori_class_check",
     "appendix_graph_residual",

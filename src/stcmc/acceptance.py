@@ -1,12 +1,16 @@
 """Acceptance suite: one runner per criterion, shared by pytest and the CLI.
 
-Each criterion returns a CriterionResult with a pass flag and the measured
-numbers, so failures are diagnosable from the printed line alone.  Heavy
-artifacts (foliations, charge sweeps) are memoized per process.
+Each check returns its pass flag and the measured numbers; the _criterion
+decorator registers it in ALL_CRITERIA and turns it into a runner that times
+it and returns a CriterionResult, so failures are diagnosable from the
+printed line alone.  Criteria 1 and 4 carry runtime budgets (10 s and 60 s)
+that the runner gates on.  Heavy artifacts (foliations, charge sweeps) are
+memoized per process.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -62,8 +66,35 @@ def _fmt(v):
     if isinstance(v, float):
         return f"{v:.4g}"
     if isinstance(v, np.ndarray):
-        return np.array2string(v, precision=3)
+        return "[" + " ".join(f"{x:.4g}" for x in v) + "]"
     return str(v)
+
+
+ALL_CRITERIA = []
+
+
+def _criterion(index, name, budget_s=None):
+    """Register a check returning (passed, details) as criterion `index` of ALL_CRITERIA.
+
+    The registered runner times the check and returns its CriterionResult;
+    with a runtime budget, a check that takes budget_s or longer fails, and
+    its runtime is reported last, as runtime_s.
+    """
+    def register(check):
+        @functools.wraps(check)
+        def run():
+            t0 = time.time()
+            passed, details = check()
+            elapsed = time.time() - t0
+            if budget_s is not None:
+                passed = passed and elapsed < budget_s
+                details["runtime_s"] = elapsed
+            return CriterionResult(index, name, passed, details, elapsed)
+
+        ALL_CRITERIA.append(run)
+        return run
+
+    return register
 
 
 _cache: dict = {}
@@ -83,43 +114,28 @@ def _schwarzschild_foliation():
     return foliate(SchwarzschildProvider(1.0), [40.0, 80.0, 160.0], SolveConfig(lmax=12, tol=1e-11))
 
 
+@_criterion(1, "ADM energy of both slices extrapolates to m", budget_s=10.0)
 def criterion_1_adm_energy():
-    t0 = time.time()
     radii = [50.0, 100.0, 200.0, 400.0]
     rep_c = _memo("canonical_energy", _canonical_energy)
     rep_g = adm_energy(GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), radii)
     err_c = abs(rep_c.energy - 1.0)
     err_g = abs(rep_g.energy - 1.0)
-    elapsed = time.time() - t0
-    passed = err_c <= 1e-3 and err_g <= 1e-2 and elapsed < 10.0
-    return CriterionResult(
-        1,
-        "ADM energy of both slices extrapolates to m",
-        passed,
-        {"err_canonical": err_c, "err_graphical": err_g, "runtime_s": elapsed},
-        elapsed,
-    )
+    return err_c <= 1e-3 and err_g <= 1e-2, {"err_canonical": err_c, "err_graphical": err_g}
 
 
+@_criterion(2, "graphical slice is vacuum at r = 20")
 def criterion_2_vacuum_constraints():
-    t0 = time.time()
     grid = get_grid(24)
     x = 20.0 * grid.unit_vectors()["o"]
     mu, J = constraint_densities(GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), x)
     mu_max = float(np.max(np.abs(mu)))
     j_max = float(np.max(np.linalg.norm(J, axis=1)))
-    passed = mu_max <= 1e-8 and j_max <= 1e-8
-    return CriterionResult(
-        2,
-        "graphical slice is vacuum at r = 20",
-        passed,
-        {"max_mu": mu_max, "max_J": j_max},
-        time.time() - t0,
-    )
+    return mu_max <= 1e-8 and j_max <= 1e-8, {"max_mu": mu_max, "max_J": j_max}
 
 
+@_criterion(3, "sigma=20 leaf matches the cubic-root sphere")
 def criterion_3_schwarzschild_solve():
-    t0 = time.time()
     # independent root oracle for (2/r) sqrt(1 - 2m/r) = 2/sigma at sigma = 20
     roots = np.roots([1.0, 0.0, -400.0, 800.0])
     r_star = float(np.sort(roots[np.abs(roots.imag) < 1e-12].real)[-1])
@@ -133,23 +149,17 @@ def criterion_3_schwarzschild_solve():
     r_err = abs(rho_mean - r_star)
     center_off = float(np.linalg.norm(res.surface.center))
     passed = r_err <= 1e-8 and res.residual_sup <= 1e-10 and res.iterations <= 8
-    return CriterionResult(
-        3,
-        "sigma=20 leaf matches the cubic-root sphere",
-        passed,
-        {
-            "r_star": r_star,
-            "radius_err": r_err,
-            "residual": res.residual_sup,
-            "iterations": res.iterations,
-            "center_offset": center_off,
-        },
-        time.time() - t0,
-    )
+    return passed, {
+        "r_star": r_star,
+        "radius_err": r_err,
+        "residual": res.residual_sup,
+        "iterations": res.iterations,
+        "center_offset": center_off,
+    }
 
 
+@_criterion(4, "log-periodic center terms cancel", budget_s=60.0)
 def criterion_4_cancellation():
-    t0 = time.time()
     prov = GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0])
     sgrid = np.exp(np.linspace(np.log(100.0), np.log(10000.0), 16))
     fx = _memo("s9_fluxes", lambda: sphere_fluxes(prov, sgrid))
@@ -164,35 +174,26 @@ def criterion_4_cancellation():
     sum200 = float(np.linalg.norm(cen200.sum_values[1]))
     mags = np.linalg.norm(cen.sum_values, axis=1)
     slope = float(np.polyfit(np.log(sgrid), np.log(mags), 1)[0])
-    elapsed = time.time() - t0
     passed = (
         abs(amp_b - 1.0 / 3.0) <= 0.05 / 3.0
         and abs(amp_z + 1.0 / 3.0) <= 0.05 / 3.0
         and sum200 <= 0.05
         and slope <= -0.8
-        and elapsed < 60.0
         and cen.bom_divergent
         and not cen.sum_divergent
     )
-    return CriterionResult(
-        4,
-        "log-periodic center terms cancel",
-        passed,
-        {
-            "bom_amplitude": amp_b,
-            "z_amplitude": amp_z,
-            "sum_at_200": sum200,
-            "decay_exponent": slope,
-            "bom_divergent": cen.bom_divergent,
-            "sum_divergent": cen.sum_divergent,
-            "runtime_s": elapsed,
-        },
-        elapsed,
-    )
+    return passed, {
+        "bom_amplitude": amp_b,
+        "z_amplitude": amp_z,
+        "sum_at_200": sum200,
+        "decay_exponent": slope,
+        "bom_divergent": cen.bom_divergent,
+        "sum_divergent": cen.sum_divergent,
+    }
 
 
+@_criterion(5, "translational eigenvalue law (mass + curvature term)")
 def criterion_5_eigenvalue_law():
-    t0 = time.time()
     fol = _memo("schw_foliation", _schwarzschild_foliation)
     rel_errors = []
     literal = []
@@ -205,23 +206,16 @@ def criterion_5_eigenvalue_law():
         if not rep.eigenvalues[4] > 5.0 / rep.sigma**2:
             lam4_ok = False
     monotone = all(b < a for a, b in zip(rel_errors, rel_errors[1:]))
-    passed = rel_errors[-1] <= 0.10 and monotone and lam4_ok
-    return CriterionResult(
-        5,
-        "translational eigenvalue law (mass + curvature term)",
-        passed,
-        {
-            "rel_errors": np.asarray(rel_errors),
-            "lambda4_above_floor": lam4_ok,
-            "monotone": monotone,
-            "uncorrected_ratio": np.asarray(literal),
-        },
-        time.time() - t0,
-    )
+    return rel_errors[-1] <= 0.10 and monotone and lam4_ok, {
+        "rel_errors": np.asarray(rel_errors),
+        "lambda4_above_floor": lam4_ok,
+        "monotone": monotone,
+        "uncorrected_ratio": np.asarray(literal),
+    }
 
 
+@_criterion(6, "linearization matches finite differences (100 directions)")
 def criterion_6_linearization_suite():
-    t0 = time.time()
     rng = np.random.default_rng(20240317)
     cases = [
         (EuclideanProvider(), GraphSurface([0.0, 0.0, 0.0], 10.0, _rand_coeffs(rng, 10, 0.1), 10), 34),
@@ -248,14 +242,7 @@ def criterion_6_linearization_suite():
             fd = (pp - pm) / (2.0 * h)
             err = np.linalg.norm(J @ v - fd) / max(np.linalg.norm(fd), 1e-300)
             worst = max(worst, float(err))
-    passed = worst <= 1e-5
-    return CriterionResult(
-        6,
-        "linearization matches finite differences (100 directions)",
-        passed,
-        {"max_rel_err": worst},
-        time.time() - t0,
-    )
+    return worst <= 1e-5, {"max_rel_err": worst}
 
 
 def _rand_coeffs(rng, lmax, amplitude):
@@ -264,8 +251,8 @@ def _rand_coeffs(rng, lmax, amplitude):
     return amplitude * c * np.exp(-0.5 * ls)
 
 
+@_criterion(7, "invertibility floor and mass-energy gap")
 def criterion_7_operator_floor():
-    t0 = time.time()
     fol = _memo("schw_foliation", _schwarzschild_foliation)
     rep_c = _memo("canonical_energy", _canonical_energy)
     E = rep_c.energy
@@ -277,18 +264,11 @@ def criterion_7_operator_floor():
         gaps.append(abs(E - leaf.hawking_mass))
     floor_ok = all(r >= 0.9 for r in ratios)
     decreasing = all(b <= a + 1e-10 for a, b in zip(gaps, gaps[1:]))
-    passed = floor_ok and decreasing
-    return CriterionResult(
-        7,
-        "invertibility floor and mass-energy gap",
-        passed,
-        {"sigma_min_over_bound": np.asarray(ratios), "E_minus_mH": np.asarray(gaps)},
-        time.time() - t0,
-    )
+    return floor_ok and decreasing, {"sigma_min_over_bound": np.asarray(ratios), "E_minus_mH": np.asarray(gaps)}
 
 
+@_criterion(8, "uniqueness across seeds; motion equivariance")
 def criterion_8_uniqueness_equivariance():
-    t0 = time.time()
     # multi-seed convergence
     seeds_e = [GraphSurface.round([0.0, 0.0, 0.0], r0, 8) for r0 in (8.0, 10.0, 12.0)]
     dist_e, _ = uniqueness_cross_check(EuclideanProvider(), 10.0, seeds_e, SolveConfig(lmax=8, tol=1e-12))
@@ -358,23 +338,17 @@ def criterion_8_uniqueness_equivariance():
         and max(leaf_equiv, leaf_translate) <= 1e-9
         and charge_equiv <= 1e-9
     )
-    return CriterionResult(
-        8,
-        "uniqueness across seeds; motion equivariance",
-        passed,
-        {
-            "seed_distance_flat": dist_e,
-            "seed_distance_schw": dist_s,
-            "seed_distance_graphical": dist_9,
-            "leaf_equivariance": max(leaf_equiv, leaf_translate),
-            "charge_equivariance": charge_equiv,
-        },
-        time.time() - t0,
-    )
+    return passed, {
+        "seed_distance_flat": dist_e,
+        "seed_distance_schw": dist_s,
+        "seed_distance_graphical": dist_9,
+        "leaf_equivariance": max(leaf_equiv, leaf_translate),
+        "charge_equivariance": charge_equiv,
+    }
 
 
+@_criterion(9, "velocity integral matches P/E; center sum identity exact")
 def criterion_9_evolution_law():
-    t0 = time.time()
     radii = [50.0, 100.0, 200.0, 400.0]
     worst = 0.0
     providers = {
@@ -391,18 +365,11 @@ def criterion_9_evolution_law():
         cen = stcmc_center_coordinate(prov, radii, rep.energy, fluxes=fx)
         if not np.array_equal(cen.sum_values, cen.bom_values + cen.z_values):
             identity_exact = False
-    passed = worst <= 1e-2 and identity_exact
-    return CriterionResult(
-        9,
-        "velocity integral matches P/E; center sum identity exact",
-        passed,
-        {"max_discrepancy": worst, "sum_identity_exact": identity_exact},
-        time.time() - t0,
-    )
+    return worst <= 1e-2 and identity_exact, {"max_discrepancy": worst, "sum_identity_exact": identity_exact}
 
 
+@_criterion(10, "graph-equation roots carry constant curvature (dual route)")
 def criterion_10_graph_equation_oracle():
-    t0 = time.time()
     rng = np.random.default_rng(99)
     sigma, lmax = 7.0, 10
     worst = 0.0
@@ -415,28 +382,8 @@ def criterion_10_graph_equation_oracle():
         S = GraphSurface(np.zeros(3), sigma, froot, lmax)
         fr = surface_frames(EuclideanProvider(), S)
         worst = max(worst, float(np.max(np.abs(fr.stcmc - 2.0 / sigma))))
-    passed = worst <= 1e-10
-    return CriterionResult(
-        10,
-        "graph-equation roots carry constant curvature (dual route)",
-        passed,
-        {"max_curvature_defect": worst},
-        time.time() - t0,
-    )
+    return worst <= 1e-10, {"max_curvature_defect": worst}
 
-
-ALL_CRITERIA = [
-    criterion_1_adm_energy,
-    criterion_2_vacuum_constraints,
-    criterion_3_schwarzschild_solve,
-    criterion_4_cancellation,
-    criterion_5_eigenvalue_law,
-    criterion_6_linearization_suite,
-    criterion_7_operator_floor,
-    criterion_8_uniqueness_equivariance,
-    criterion_9_evolution_law,
-    criterion_10_graph_equation_oracle,
-]
 
 
 def run_all(verbose=True):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import conjugate_momentum, constraint_densities, orthogonal_matrix
+from .chart import _finite_array, conjugate_momentum, orthogonal_matrix
 from .errors import (
     ConfigError,
     InsufficientLeaves,
@@ -43,6 +43,14 @@ class PowerFit:
     divergent: bool
 
 
+def _positive_radii(radii):
+    """radii as a float array; ConfigError unless each is finite and positive."""
+    radii = np.asarray(radii, dtype=float)
+    if not np.all((radii > 0) & (radii < np.inf)):
+        raise ConfigError(f"sphere radii must be finite and positive, got {radii}")
+    return radii
+
+
 def fit_power_tail(radii, values):
     """Least-squares fit of c0 + c1 s^-p with p scanned then refined.
 
@@ -59,7 +67,7 @@ def fit_power_tail(radii, values):
     each of the 40 golden-section steps one call on its two points, and the
     coefficients come from one least-squares solve at the chosen p.
     """
-    s = np.asarray(radii, dtype=float)
+    s = _positive_radii(radii)
     y = np.asarray(values, dtype=float)
     if s.size < 3:
         raise ConfigError("need at least three radii for extrapolation")
@@ -147,10 +155,8 @@ def sphere_fluxes(prov, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     position factors in the center integrands stay in global chart
     coordinates.
     """
-    radii = np.asarray(radii, dtype=float)
-    if not np.all((radii > 0) & (radii < np.inf)):
-        raise ConfigError(f"sphere radii must be finite and positive, got {radii}")
-    center = np.asarray(center, dtype=float).reshape(3)
+    radii = _positive_radii(radii)
+    center = _finite_array(center, (3,), "center")
     grid = get_grid(lmax)
     om = grid.unit_vectors()["o"]
     uv = grid.unit_vectors()
@@ -222,10 +228,6 @@ class CenterReport:
         return any(f.divergent for f in self.sum_fits)
 
     @property
-    def bom_limit(self):
-        return np.array([f.c0 for f in self.bom_fits])
-
-    @property
     def sum_limit(self):
         return np.array([f.c0 for f in self.sum_fits])
 
@@ -260,7 +262,7 @@ def adm_energy(prov, radii, lmax=24, fluxes=None):
 
 
 def adm_mass(E, P):
-    P = np.asarray(P, dtype=float).reshape(3)
+    P = _finite_array(P, (3,), "momentum")
     m2 = float(E) ** 2 - float(P @ P)
     if m2 < 0:
         raise SpacelikeEnergyMomentum(f"E^2 - |P|^2 = {m2:.3e} < 0")
@@ -329,25 +331,13 @@ def velocity_integral(prov, radii, E, lmax=24, fluxes=None):
     )
 
 
-def matter_moment_shells(prov, radii, lmax=24):
-    """Shell integrals int |mu x^i| dmu_delta over centered spheres (diagnostic, no threshold)."""
-    grid = get_grid(lmax)
-    om = grid.unit_vectors()["o"]
-    out = []
-    for s in np.asarray(radii, dtype=float):
-        x = s * om
-        mu, _ = constraint_densities(prov, x)
-        out.append((np.abs(mu[:, None] * x) * (grid.w * s**2)[:, None]).sum(axis=0))
-    return np.asarray(out)
-
-
 def euclidean_motion_transform(rep, O, T):
     """Transform a charge or center report under y = O x + T.
 
     Energy is invariant, momenta rotate, centers rotate and translate.
     """
     O = orthogonal_matrix(O)
-    T = np.asarray(T, dtype=float).reshape(3)
+    T = _finite_array(T, (3,), "translation")
     if isinstance(rep, ChargeReport):
         return ChargeReport(
             radii=rep.radii,

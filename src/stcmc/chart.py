@@ -140,6 +140,17 @@ def _adjugate_3x3(g):
     return adj, g00 * adj[0] + g01 * adj[3] + g02 * adj[6]
 
 
+def _finite_array(value, shape, what):
+    """value as a float array of the given shape of finite numbers, else ConfigError."""
+    try:
+        arr = np.asarray(value)
+    except ValueError as exc:  # ragged nesting
+        raise ConfigError(f"malformed {what}: {value!r}") from exc
+    if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} must hold finite numbers of shape {shape}, got {value!r}")
+    return arr.astype(float)
+
+
 def _as_points(x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3:
@@ -310,7 +321,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
     def __init__(self, mass, u):
         self.base = SchwarzschildProvider(mass)
         self.mass = self.base.mass
-        self.u = np.asarray(u, dtype=float).reshape(3)
+        self.u = _finite_array(u, (3,), "u")
         self.inner_radius = self.base.inner_radius
 
     def _check(self, x):
@@ -472,7 +483,7 @@ class TranslatedProvider(DataProvider):
 
     def __init__(self, inner, center):
         self.inner = inner
-        self.center = np.asarray(center, dtype=float).reshape(3)
+        self.center = _finite_array(center, (3,), "center")
 
     @property
     def inner_radius(self):
@@ -488,7 +499,7 @@ class TranslatedProvider(DataProvider):
 
 def orthogonal_matrix(O):
     """O as a 3x3 float array; raises NotOrthogonal unless O^T O = 1 to 1e-12."""
-    O = np.asarray(O, dtype=float).reshape(3, 3)
+    O = _finite_array(O, (3, 3), "rotation")
     if np.max(np.abs(O.T @ O - _EYE)) > 1e-12:
         raise NotOrthogonal("rotation matrix is not orthogonal to 1e-12")
     return O
@@ -648,13 +659,7 @@ def _config_array(config, key, shape, default=None):
     value = config.get(key, default)
     if value is None:
         raise ConfigError(f"{config['kind']} requires {key!r}")
-    try:
-        arr = np.asarray(value)
-    except ValueError as exc:  # ragged nesting
-        raise ConfigError(f"malformed {key!r}: {value!r}") from exc
-    if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{key!r} must hold finite numbers of shape {shape}, got {value!r}")
-    return arr.astype(float)
+    return _finite_array(value, shape, repr(key))
 
 
 def build_provider(config) -> DataProvider:

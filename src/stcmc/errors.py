@@ -33,10 +33,6 @@ class ShapeMismatch(StcmcError):
     """Nodal array or coefficient vector has the wrong shape for the grid."""
 
 
-class NonpositiveRadius(StcmcError):
-    """Radius argument must be positive."""
-
-
 class DegenerateInducedMetric(StcmcError):
     """Induced surface metric is degenerate at a node."""
 

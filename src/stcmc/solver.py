@@ -133,10 +133,6 @@ class FoliationLeaf:
         return self.spectrum.eigenvalues[1:4] if self.spectrum is not None else np.full(3, np.nan)
 
     @property
-    def lambda4(self):
-        return float(self.spectrum.eigenvalues[4]) if self.spectrum is not None else float("nan")
-
-    @property
     def sigma_min_L(self):
         return self.spectrum.sigma_min_L if self.spectrum is not None else float("nan")
 
@@ -258,23 +254,17 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
     translational block) small.  A trial is damped by DAMPING when its
     re-centered residual sup does not fall, or when it is trapped, degenerate
     or cannot be re-centered.  A solve therefore makes one residual
-    evaluation per trial, 1 + iterations without damping.  Raises
+    evaluation per trial, 1 + iterations without damping.  The initial
+    surface must have the config's band limit (ConfigError otherwise).  Raises
     NewtonDiverged when MAX_DAMPING_ROUNDS damped retries cannot lower the
     residual sup and MaxIterations after NEWTON_MAX_ITER iterations, each with
     sigma, iteration and residual_sup.
     """
     cfg = config or SolveConfig(lmax=initial.lmax)
     check_sigma(sigma)
+    if initial.lmax != cfg.lmax:
+        raise ConfigError(f"initial surface has band limit {initial.lmax}, the config {cfg.lmax}")
     S = initial
-    if S.lmax != cfg.lmax:
-        S = GraphSurface(
-            S.center,
-            S.r0,
-            pad_coeffs(S.coeffs, S.lmax, cfg.lmax)
-            if cfg.lmax >= S.lmax
-            else truncate_coeffs(S.coeffs, cfg.lmax),
-            cfg.lmax,
-        )
     history = []
     res, proj, fr = curvature_residual(prov, S, sigma)
     sup = float(np.max(np.abs(res)))

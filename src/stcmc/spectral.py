@@ -25,7 +25,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import BandLimitTooSmall, NonpositiveRadius, ShapeMismatch
+from .errors import BandLimitTooSmall, ShapeMismatch
 
 MIN_LMAX = 4
 
@@ -59,9 +59,11 @@ def lm_arrays(lmax):
 def _legendre_orders(lmax, ct, st):
     """Yield (m, P) with P[l - m] = P_lm(cos theta) for l = m..lmax.
 
-    Normalization as in _normalized_legendre; one three-term recurrence in l
-    per order m, seeded by the sectoral P_mm.  Nothing divides by sin(theta),
-    so the poles are regular.
+    Fully normalized, int_0^pi P_lm^2 sin(theta) dtheta = 1/(2 pi): the m = 0
+    harmonics are P_l0 themselves and the m > 0 harmonics pick up a sqrt(2)
+    azimuthal factor.  No Condon-Shortley phase.  One three-term recurrence in
+    l per order m, seeded by the sectoral P_mm.  Nothing divides by
+    sin(theta), so the poles are regular.
     """
     pmm = np.full(ct.shape, math.sqrt(1.0 / (4.0 * math.pi)))
     for m in range(lmax + 1):
@@ -81,27 +83,21 @@ def _legendre_orders(lmax, ct, st):
         yield m, P
 
 
-def _normalized_legendre(lmax, theta):
-    """Fully normalized associated Legendre P_lm(cos theta) and d/dtheta.
+def _legendre_jets(lmax, theta):
+    """Yield (m, P, dP) per order m: P as in _legendre_orders and dP = dP/dtheta.
 
-    Normalization is such that int_0^pi P_lm^2 sin(theta) dtheta = 1/(2 pi),
-    i.e. the m=0 harmonics are P_l0 themselves and the m>0 harmonics pick up a
-    sqrt(2) azimuthal factor.  No Condon-Shortley phase.  Returns arrays of
-    shape (lmax+1, lmax+1, len(theta)) indexed [l, m, node], zero for m > l.
+    dP from sin(theta) dP_lm = l cos(theta) P_lm - c_lm P_{l-1,m}, one
+    vector expression over l per order; it divides by sin(theta), so theta
+    must avoid the poles.
     """
-    theta = np.asarray(theta, dtype=float)
     ct, st = np.cos(theta), np.sin(theta)
-    P = np.zeros((lmax + 1, lmax + 1, theta.shape[0]))
-    for m, Pm in _legendre_orders(lmax, ct, st):
-        P[m:, m] = Pm
-    # dP/dtheta from sin(theta) P' = l cos(theta) P_lm - c_lm P_{l-1,m}
-    dP = np.zeros_like(P)
-    for m in range(0, lmax + 1):
-        for l in range(m, lmax + 1):
-            c = math.sqrt((l * l - m * m) * (2.0 * l + 1.0) / (2.0 * l - 1.0)) if l > 0 else 0.0
-            low = P[l - 1, m] if l >= 1 else 0.0
-            dP[l, m] = (l * ct * P[l, m] - c * low) / st
-    return P, dP
+    for m, P in _legendre_orders(lmax, ct, st):
+        l = np.arange(m, lmax + 1)
+        num = l[:, None] * ct * P
+        # c_lm = 0 at l = m, where P_{l-1,m} is absent
+        c = np.sqrt((l[1:] * l[1:] - m * m) * (2.0 * l[1:] + 1.0) / (2.0 * l[1:] - 1.0))
+        num[1:] -= c[:, None] * P[:-1]
+        yield m, P, num / st
 
 
 def real_sph_basis(lmax, theta, phi):
@@ -113,22 +109,19 @@ def real_sph_basis(lmax, theta, phi):
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
-    P, dP = _normalized_legendre(lmax, theta)
     nb = n_coeffs(lmax)
     # filled one harmonic per contiguous row, transposed once at the end
     Y = np.zeros((nb, theta.shape[0]))
     Yt = np.zeros_like(Y)
     sq2 = math.sqrt(2.0)
-    for l in range(lmax + 1):
-        Y[coeff_index(l, 0)] = P[l, 0]
-        Yt[coeff_index(l, 0)] = dP[l, 0]
-    for m in range(1, lmax + 1):
+    for m, P, dP in _legendre_jets(lmax, theta):
+        k = coeff_index(np.arange(m, lmax + 1), 0)
+        if m == 0:
+            Y[k], Yt[k] = P, dP
+            continue
         cm, sm = np.cos(m * phi), np.sin(m * phi)
-        for l in range(m, lmax + 1):
-            Y[coeff_index(l, m)] = sq2 * P[l, m] * cm
-            Y[coeff_index(l, -m)] = sq2 * P[l, m] * sm
-            Yt[coeff_index(l, m)] = sq2 * dP[l, m] * cm
-            Yt[coeff_index(l, -m)] = sq2 * dP[l, m] * sm
+        Y[k + m], Y[k - m] = sq2 * P * cm, sq2 * P * sm
+        Yt[k + m], Yt[k - m] = sq2 * dP * cm, sq2 * dP * sm
     return np.ascontiguousarray(Y.T), np.ascontiguousarray(Yt.T)
 
 
@@ -386,15 +379,14 @@ def build_grid(lmax):
     nphi = 2 * lmax + 2
     phi = 2.0 * np.pi * np.arange(nphi) / nphi
     w = np.repeat(wtheta, nphi) * (2.0 * np.pi / nphi)
-    P, dP = _normalized_legendre(lmax, theta)
-    # harmonic ODE, exact at the pole-free Gauss nodes:
-    # d2P/dtheta2 = -cot(theta) dP/dtheta - (l(l+1) - m^2/sin^2) P
-    l = np.arange(lmax + 1.0)[:, None, None]
-    m = np.arange(lmax + 1.0)[None, :, None]
     ct, st = np.cos(theta), np.sin(theta)
-    d2P = -(ct / st) * dP - (l * (l + 1.0) - m**2 / st**2) * P
-    scale = np.where(m > 0, math.sqrt(2.0), 1.0)
-    legendre = np.ascontiguousarray((np.concatenate([P, dP, d2P], axis=2) * scale).transpose(1, 2, 0))
+    legendre = np.zeros((lmax + 1, 3 * theta.shape[0], lmax + 1))
+    for m, P, dP in _legendre_jets(lmax, theta):
+        # harmonic ODE, exact at the pole-free Gauss nodes:
+        # d2P/dtheta2 = -cot(theta) dP/dtheta - (l(l+1) - m^2/sin^2) P
+        l = np.arange(m, lmax + 1.0)[:, None]
+        d2P = -(ct / st) * dP - (l * (l + 1.0) - m**2 / st**2) * P
+        legendre[m, :, m:] = np.concatenate([P, dP, d2P], axis=1).T * (math.sqrt(2.0) if m > 0 else 1.0)
     ls, ms = lm_arrays(lmax)
     spectral_index = (np.abs(ms) * (lmax + 1) + ls) * 2 + (ms < 0)
     _read_only(theta, phi, w, legendre, spectral_index, ls, ms)
@@ -428,16 +420,3 @@ def pad_coeffs(coeffs, lmax_from, lmax_to):
 def truncate_coeffs(coeffs, lmax_to):
     """Drop coefficients above a band limit."""
     return np.asarray(coeffs, dtype=float)[..., : n_coeffs(lmax_to)]
-
-
-def laplace_round(coeffs, r):
-    """Laplace-Beltrami of a field on the round sphere of radius r.
-
-    Acts diagonally in the harmonic basis: each degree-l block is multiplied
-    by -l(l+1)/r**2.
-    """
-    if r <= 0:
-        raise NonpositiveRadius(f"radius {r} <= 0")
-    coeffs = np.asarray(coeffs, dtype=float)
-    ls, _ = lm_arrays(_band_limit(coeffs.shape[-1]))
-    return -(ls * (ls + 1.0)) / r**2 * coeffs

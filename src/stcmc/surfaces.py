@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import EuclideanProvider, christoffel
+from .chart import EuclideanProvider, _finite_array, christoffel
 from .errors import (
     ConfigError,
     DegenerateInducedMetric,
@@ -41,13 +41,6 @@ from .spectral import (
 )
 
 
-def _as_center(center):
-    center = np.asarray(center, dtype=float)
-    if center.size != 3:
-        raise ConfigError(f"center must be a 3-vector, got shape {center.shape}")
-    return center.reshape(3)
-
-
 @dataclass
 class GraphSurface:
     """Radial graph over the coordinate sphere of radius r0 about center."""
@@ -58,7 +51,7 @@ class GraphSurface:
     lmax: int
 
     def __post_init__(self):
-        self.center = _as_center(self.center)
+        self.center = _finite_array(self.center, (3,), "center")
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (n_coeffs(self.lmax),):
             raise ConfigError(
@@ -70,11 +63,7 @@ class GraphSurface:
 
     @classmethod
     def round(cls, center, r0, lmax):
-        return cls(np.asarray(center, dtype=float), float(r0), np.zeros(n_coeffs(lmax)), lmax)
-
-    @classmethod
-    def from_nodal(cls, grid, center, r0, values):
-        return cls(np.asarray(center, dtype=float), float(r0), grid.analyze(values), grid.lmax)
+        return cls(center, float(r0), np.zeros(n_coeffs(lmax)), lmax)
 
     def radius_at(self, theta, phi):
         """r0 + f at arbitrary directions (for re-basing and leaf comparison)."""
@@ -86,7 +75,7 @@ class GraphSurface:
 
     def translated(self, shift):
         """Rigid translation of the surface (center moves, heights unchanged)."""
-        return GraphSurface(self.center + np.asarray(shift, dtype=float), self.r0, self.coeffs.copy(), self.lmax)
+        return GraphSurface(self.center + _finite_array(shift, (3,), "shift"), self.r0, self.coeffs.copy(), self.lmax)
 
 
 REBASE_MAX_ITER = 60
@@ -102,7 +91,7 @@ def rebase(surface: GraphSurface, new_center):
     center lies outside the surface.
     """
     grid = get_grid(surface.lmax)
-    new_center = _as_center(new_center)
+    new_center = _finite_array(new_center, (3,), "center")
     d = surface.center - new_center
     om = grid.unit_vectors()["o"]
     rho = np.full(grid.nnodes, float(surface.r0))
@@ -336,10 +325,6 @@ class AprioriCheck:
     center_slack: float
     radius_slack: float
     willmore_slack: float
-
-    @property
-    def all_ok(self):
-        return self.center_ok and self.radius_ok and self.willmore_ok
 
 
 # Relative roundoff allowance of the a-priori class inequalities: ~20x the

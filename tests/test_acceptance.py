@@ -99,3 +99,24 @@ def test_criterion_9_evolution_law():
 def test_criterion_10_graph_equation_oracle():
     res = _run(acceptance.criterion_10_graph_equation_oracle)
     assert res.details["max_curvature_defect"] <= 1e-10
+
+
+def test_all_criteria_registered_in_order():
+    names = [fn.__name__ for fn in acceptance.ALL_CRITERIA]
+    assert [int(name.split("_")[1]) for name in names] == list(range(1, 11))
+    assert all(getattr(acceptance, name) is fn for name, fn in zip(names, acceptance.ALL_CRITERIA))
+
+
+def test_runtime_budget_overrun_fails_the_criterion(monkeypatch):
+    clock = iter([0.0])  # the start, then 11 s for every later reading
+    monkeypatch.setattr(acceptance.time, "time", lambda: next(clock, 11.0))
+    res = acceptance.criterion_1_adm_energy()
+    assert not res.passed
+    assert list(res.details)[-1] == "runtime_s"
+    assert res.details["runtime_s"] == res.elapsed == 11.0
+    assert res.details["err_canonical"] <= 1e-3 and res.details["err_graphical"] <= 1e-2
+
+
+def test_array_entries_print_at_four_significant_digits():
+    assert acceptance._fmt(np.full(3, 2.5159e-4)) == "[0.0002516 0.0002516 0.0002516]"
+    assert acceptance._fmt(np.array([2.165, 2.078])) == "[2.165 2.078]"

@@ -18,7 +18,6 @@ from stcmc.charges import (
     adm_mass,
     euclidean_motion_transform,
     fit_power_tail,
-    matter_moment_shells,
     sphere_fluxes,
     stcmc_center_coordinate,
     stcmc_center_foliation,
@@ -106,7 +105,7 @@ def test_bom_center_translated(schw):
     c = np.array([0.7, -0.3, 0.2])
     prov = TranslatedProvider(schw, c)
     rep = stcmc_center_coordinate(prov, RADII, 1.0)
-    assert np.max(np.abs(rep.bom_limit - c)) < 1e-3
+    assert np.max(np.abs([f.c0 for f in rep.bom_fits] - c)) < 1e-3
     assert not rep.bom_divergent
 
 
@@ -233,7 +232,7 @@ def test_motion_transform_identity(graphical, s9_fluxes):
 def test_motion_transform_translation(schw, canonical_report, graphical, s9_fluxes):
     cen = stcmc_center_coordinate(schw, RADII, canonical_report.energy)
     out = euclidean_motion_transform(cen, np.eye(3), [1.0, 2.0, 3.0])
-    assert np.max(np.abs(out.bom_limit - np.array([1.0, 2.0, 3.0]))) < 1e-10
+    assert np.max(np.abs([f.c0 for f in out.bom_fits] - np.array([1.0, 2.0, 3.0]))) < 1e-10
     assert out.bom_values.shape == cen.bom_values.shape
     # the graphical slice has a nonzero correction Z, so the sum is a real sum
     sgrid, fx = s9_fluxes
@@ -397,17 +396,18 @@ def test_power_fit_needs_three_radii():
         fit_power_tail([10.0, 20.0], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [-20.0, np.inf])
+def test_power_fit_rejects_a_radius_that_is_not_finite_and_positive(bad):
+    with pytest.raises(ConfigError, match="sphere radii must be finite and positive"):
+        fit_power_tail([10.0, bad, 40.0], [1.0, 2.0, 3.0])
+
+
 def test_power_fit_needs_distinct_radii():
     # three copies of one sphere are one sample, not a tail
     with pytest.raises(ConfigError, match="distinct"):
         fit_power_tail([100.0, 100.0, 100.0], [1.02, 1.02, 1.02])
     with pytest.raises(ConfigError, match="distinct"):
         fit_power_tail([10.0, 20.0, 40.0, 40.0, 80.0, 160.0], np.ones(6))
-
-
-def test_matter_moments_vacuum(graphical):
-    mom = matter_moment_shells(graphical, [50.0, 100.0])
-    assert np.max(np.abs(mom)) < 1e-12
 
 
 # -- csv -----------------------------------------------------------------------------------

@@ -31,9 +31,9 @@ from stcmc.errors import (
     SingularMetric,
     SliceNotSpacelike,
 )
-from stcmc.charges import sphere_fluxes
+from stcmc.charges import adm_mass, euclidean_motion_transform, sphere_fluxes
 from stcmc.solver import ScaledExtrinsicProvider, curvature_residual, graph_jacobian
-from stcmc.surfaces import GraphSurface, surface_frames
+from stcmc.surfaces import GraphSurface, rebase, surface_frames
 
 _EYE = np.eye(3)
 ROT = np.array(
@@ -818,6 +818,28 @@ def test_providers_reject_a_nonfinite_mass(mass):
         SchwarzschildProvider(mass)
     with pytest.raises(ConfigError):
         GraphicalSchwarzschildProvider(mass, [1.0, 0.0, 0.0])
+
+
+NAN_ROTATION = np.eye(3)
+NAN_ROTATION[0, 0] = np.nan
+NOT_FINITE_VECTORS = {
+    "graphical-u-nan": (lambda: GraphicalSchwarzschildProvider(1.0, [np.nan, 0.0, 0.0]), "u"),
+    "translated-inf": (lambda: TranslatedProvider(EuclideanProvider(), [np.inf, 0.0, 0.0]), "center"),
+    "translated-2": (lambda: TranslatedProvider(EuclideanProvider(), [1.0, 2.0]), "center"),
+    "rotated-nan": (lambda: RotatedProvider(EuclideanProvider(), NAN_ROTATION), "rotation"),
+    "fluxes-center-2": (lambda: sphere_fluxes(EuclideanProvider(), [10.0, 20.0, 40.0], 8, center=(1.0, 2.0)), "center"),
+    "surface-nan": (lambda: GraphSurface.round([np.nan, 0.0, 0.0], 10.0, 8), "center"),
+    "rebase-nan": (lambda: rebase(GraphSurface.round([0.0, 0.0, 0.0], 10.0, 8), [0.0, np.nan, 0.0]), "center"),
+    "shift-2": (lambda: GraphSurface.round([0.0, 0.0, 0.0], 10.0, 8).translated([1.0, 2.0]), "shift"),
+    "motion-translation-nan": (lambda: euclidean_motion_transform(None, np.eye(3), [np.nan, 0.0, 0.0]), "translation"),
+    "momentum-2": (lambda: adm_mass(1.0, [0.1, 0.2]), "momentum"),
+}
+
+
+@pytest.mark.parametrize(("make", "what"), NOT_FINITE_VECTORS.values(), ids=NOT_FINITE_VECTORS.keys())
+def test_vectors_must_hold_finite_numbers_of_their_shape(make, what):
+    with pytest.raises(ConfigError, match=f"^{what} must hold finite numbers of shape"):
+        make()
 
 
 def test_validation_errors():

@@ -287,7 +287,7 @@ def test_newton_quadratic_tail(graphical):
 
 def test_newton_graphical_leaf_in_apriori_class(graphical_leaf60):
     chk = apriori_class_check(graphical_leaf60.frames, 0.0, 10.0, 0.25, 0.5)
-    assert chk.all_ok
+    assert chk.center_ok and chk.radius_ok and chk.willmore_ok
 
 
 def test_newton_step_lu_matches_lstsq(schw, euclid):
@@ -366,6 +366,11 @@ def test_solve_config_validation(euclid):
     for sigma in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ConfigError):
             newton_solve(euclid, sigma, GraphSurface.round([0, 0, 0], 5.0, 8))
+
+
+def test_newton_rejects_a_band_mismatch(euclid):
+    with pytest.raises(ConfigError, match="band limit 8, the config 10"):
+        newton_solve(euclid, 10.0, GraphSurface.round([0, 0, 0], 10.0, 8), SolveConfig(lmax=10))
 
 
 # -- a solve's frames ----------------------------------------------------------------
@@ -484,7 +489,7 @@ def test_foliation_schwarzschild(schw):
     fol = foliate(schw, [20.0, 40.0, 80.0], SolveConfig(lmax=8, tol=1e-11))
     for leaf in fol:
         assert abs(leaf.hawking_mass - 1.0) < 1e-9
-        assert leaf.lambda4 > 5.0 / leaf.sigma**2
+        assert leaf.spectrum.eigenvalues[4] > 5.0 / leaf.sigma**2
         assert leaf.residual_sup <= 1e-11
     assert all(leaf.lapse_positive for leaf in fol)
     radii = [leaf.area_radius for leaf in fol]

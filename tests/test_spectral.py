@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from stcmc.errors import BandLimitTooSmall, NonpositiveRadius, ShapeMismatch
+from stcmc.errors import BandLimitTooSmall, ShapeMismatch
 from stcmc.solver import laplace_spectrum
 from stcmc.spectral import (
     build_grid,
     coeff_index,
     dealias_lmax,
     get_grid,
-    laplace_round,
     lm_arrays,
     n_coeffs,
     pad_coeffs,
     real_sph_basis,
+    synthesize_at,
     truncate_coeffs,
 )
 from stcmc.surfaces import GraphSurface, surface_frames
@@ -115,36 +115,6 @@ def test_parseval(seed):
     c = rng.normal(size=G8.nbasis)
     f = G8.synthesize(c)
     assert abs(G8.integrate(f * f) - c @ c) < 1e-11
-
-
-def test_laplacian_of_constant_vanishes():
-    c = np.zeros(n_coeffs(8))
-    c[0] = 2.2
-    assert np.max(np.abs(laplace_round(c, 3.0))) == 0.0
-
-
-def test_laplacian_dipole_eigenvalue():
-    om = G8.unit_vectors()["o"]
-    c = G8.analyze(om[:, 0])
-    out = laplace_round(c, 2.0)
-    # -Lap f = (2/r^2) f = 0.5 f at r = 2
-    assert np.max(np.abs(-out - 0.5 * c)) < 1e-13
-
-
-def test_laplacian_l3_eigenvalue():
-    c = np.zeros(n_coeffs(8))
-    c[coeff_index(3, -2)] = 1.0
-    out = laplace_round(c, 1.0)
-    assert abs(out[coeff_index(3, -2)] + 12.0) < 1e-13
-
-
-def test_laplacian_self_adjoint_under_quadrature():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=G8.nbasis)
-    b = rng.normal(size=G8.nbasis)
-    lhs = G8.integrate(G8.synthesize(a) * G8.synthesize(laplace_round(b, 1.7)))
-    rhs = G8.integrate(G8.synthesize(laplace_round(a, 1.7)) * G8.synthesize(b))
-    assert abs(lhs - rhs) < 1e-11
 
 
 def test_basis_theta_derivative_matches_finite_differences():
@@ -259,14 +229,12 @@ def test_dealias_band_limit_covers_products():
 def test_errors():
     with pytest.raises(BandLimitTooSmall):
         build_grid(3)
-    with pytest.raises(NonpositiveRadius):
-        laplace_round(np.zeros(n_coeffs(4)), 0.0)
     with pytest.raises(ShapeMismatch):
         G8.analyze(np.ones(5))
     with pytest.raises(ShapeMismatch):
         G8.synthesize(np.ones(7))
     with pytest.raises(ShapeMismatch):
-        laplace_round(np.zeros(5), 1.0)
+        synthesize_at(np.zeros(5), [1.0], [0.0])
     nan_nodes = np.ones(G8.nnodes)
     nan_nodes[3] = np.nan
     with pytest.raises(ShapeMismatch):
