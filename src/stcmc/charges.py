@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import _finite_array, conjugate_momentum, orthogonal_matrix
+from .chart import _EYE, _finite_array, conjugate_momentum, orthogonal_matrix
 from .errors import (
     ConfigError,
     InsufficientLeaves,
+    ShapeMismatch,
     SpacelikeEnergyMomentum,
     ZeroEnergy,
 )
@@ -52,27 +53,35 @@ def _positive_radii(radii):
 
 
 def fit_power_tail(radii, values):
-    """Least-squares fit of c0 + c1 s^-p with p scanned then refined.
+    """Least-squares fit of c0 + c1 s^-p with p scanned then refined, per column.
 
-    With six or more radii the log-periodic pair cos(ln s), sin(ln s) is
-    fitted jointly, so the power tail cannot absorb an oscillation; the value
-    is flagged divergent when the oscillatory amplitude dominates the
-    remaining (decaying) residual tenfold.
+    values has shape (n_radii,), giving one PowerFit, or (n_radii, k), giving
+    a list of k PowerFits, one per column; a 1-D input is the k = 1 case of
+    the same search.  With six or more radii the log-periodic pair
+    cos(ln s), sin(ln s) is fitted jointly, so the power tail cannot absorb
+    an oscillation; the value is flagged divergent when the oscillatory
+    amplitude dominates the remaining (decaying) residual tenfold.
 
     The exponent search uses variable projection (Golub and Pereyra 1973):
     the columns that do not depend on p (1, the log-periodic pair and, from
     eight radii on, that pair over s) are factored by one QR, and for any
     set of exponents the residual is that of y and s^-p projected off them,
-    r(p) = y' - v'(y'.v')/|v'|^2.  The 76-point scan is one batched call,
-    each of the 40 golden-section steps one call on its two points, and the
-    coefficients come from one least-squares solve at the chosen p.
+    r(p) = y' - v'(y'.v')/|v'|^2.  The 76-point scan is one batched call on
+    all columns, each of the 40 golden-section steps one call on each
+    column's two points (each column's bracket moves on its own), and each
+    column's coefficients come from one least-squares solve at its p.
     """
     s = _positive_radii(radii)
     y = np.asarray(values, dtype=float)
+    if y.ndim > 2 or y.shape[:1] != s.shape:
+        raise ShapeMismatch(f"values of shape {y.shape} do not match {s.size} radii")
+    if not np.all(np.isfinite(y)):
+        raise ConfigError("values to extrapolate must be finite")
     if s.size < 3:
         raise ConfigError("need at least three radii for extrapolation")
     if np.unique(s).size < s.size:
         raise ConfigError(f"radii must be distinct for extrapolation, got {s.tolist()}")
+    Y = y.reshape(s.size, -1)
     with_osc = s.size >= 6
     damped_osc = s.size >= 8
     osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)
@@ -83,42 +92,48 @@ def fit_power_tail(radii, values):
         # a decaying oscillation is not divergence; give it its own columns
         fixed += [osc[:, 0] / s, osc[:, 1] / s]
     Q, _ = np.linalg.qr(np.stack(fixed, axis=1))
-    y_perp = y - Q @ (Q.T @ y)
+    Y_perp = (Y - Q @ (Q.T @ Y))[:, None, :]
     # r(p) ignores the scale of s^-p; equal to 1 at the smallest radius, the column cannot underflow
-    s_rel = (s / s.min())[:, None]
+    s_rel = (s / s.min())[:, None, None]
 
     def residuals(p):
-        """Least-squares residual norm of the fit at each exponent of p, by variable projection."""
-        v = s_rel ** -np.asarray(p)
-        v_perp = v - Q @ (Q.T @ v)
-        r = y_perp[:, None] - v_perp * ((y_perp @ v_perp) / (v_perp * v_perp).sum(axis=0))
+        """Residual norms r[t, j] of column j at exponent p[t, j] (p[t, 0] for all j if p has one column)."""
+        v = s_rel ** -p
+        v_perp = v - (Q @ (Q.T @ v.reshape(s.size, -1))).reshape(v.shape)
+        r = Y_perp - v_perp * ((Y_perp * v_perp).sum(axis=0) / (v_perp * v_perp).sum(axis=0))
         return np.sqrt((r * r).sum(axis=0))
 
     scan = np.linspace(0.25, 4.0, 76)  # coarse exponent scan, then golden-section refinement
-    best_p = scan[np.argmin(residuals(scan))]
-    lo, hi = max(best_p - 0.25, 0.05), best_p + 0.25
+    best_p = scan[np.argmin(residuals(scan[:, None]), axis=0)]
+    lo, hi = np.maximum(best_p - 0.25, 0.05), best_p + 0.25
+    golden = np.array([[0.382], [0.618]])
     for _ in range(40):
-        m1 = lo + 0.382 * (hi - lo)
-        m2 = lo + 0.618 * (hi - lo)
-        r1, r2 = residuals([m1, m2])
-        if r1 < r2:
-            hi = m2
-        else:
-            lo = m1
+        m = lo + golden * (hi - lo)
+        r = residuals(m)
+        left = r[0] < r[1]
+        hi = np.where(left, m[1], hi)
+        lo = np.where(left, lo, m[0])
     best_p = 0.5 * (lo + hi)
-    A = np.stack([np.ones_like(s), s**-best_p, *fixed[1:]], axis=1)
+    fits = [_power_fit(s, Y[:, j], float(best_p[j]), fixed, osc) for j in range(Y.shape[1])]
+    return fits[0] if y.ndim == 1 else fits
+
+
+def _power_fit(s, y, p, fixed, osc):
+    """PowerFit of one column at its exponent p: coefficients by one least-squares solve, and the verdict."""
+    with_osc, damped_osc = len(fixed) > 1, len(fixed) > 3
+    A = np.stack([np.ones_like(s), s**-p, *fixed[1:]], axis=1)
     best_c, *_ = np.linalg.lstsq(A, y, rcond=None)
     r = A @ best_c - y
     best_r = float(np.sqrt(r @ r))
 
     if with_osc:
         osc_amp = float(np.hypot(best_c[2], best_c[3]))
-        model = best_c[0] + best_c[1] * s**-best_p + osc @ best_c[2:4]
+        model = best_c[0] + best_c[1] * s**-p + osc @ best_c[2:4]
         if damped_osc:
             model = model + (osc / s[:, None]) @ best_c[4:6]
         rest = y - model
     else:
-        resid = y - best_c[0] - best_c[1] * s**-best_p
+        resid = y - best_c[0] - best_c[1] * s**-p
         ab, *_ = np.linalg.lstsq(osc, resid, rcond=None)
         osc_amp = float(np.hypot(*ab))
         rest = resid - osc @ ab
@@ -136,7 +151,7 @@ def fit_power_tail(radii, values):
     return PowerFit(
         c0=float(best_c[0]),
         c1=float(best_c[1]),
-        p=float(best_p),
+        p=p,
         residual=best_r,
         osc_amplitude=osc_amp,
         rest_rms=rest_rms,
@@ -154,45 +169,65 @@ def sphere_fluxes(prov, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     velocity_raw (n,3).  Spheres are centered at `center`; the explicit
     position factors in the center integrands stay in global chart
     coordinates.
+
+    Each radius makes one metric and one extrinsic jet call and one pass
+    over the nodes.  The tables that do not depend on the radius are built
+    once per sweep, with the powers of s taken out: the energy integrand is
+    dg against a fixed (27,) coefficient per node, and the induced metric of
+    the tangent frame is delta plus h = g - delta against three fixed frame
+    products per node.  The metric center is formed from h: the flat part
+    delta.omega - (tr delta) omega = -2 omega integrates to zero over the
+    sphere, and leaving it out spares the sum a cancellation of terms of
+    size s^2.  pi is symmetric, so the momentum and velocity integrands
+    share pi.omega.
     """
     radii = _positive_radii(radii)
     center = _finite_array(center, (3,), "center")
     grid = get_grid(lmax)
-    om = grid.unit_vectors()["o"]
     uv = grid.unit_vectors()
-    th, _ = grid.mesh()
-    st = np.sin(th)
-    out = {"E": [], "P": [], "bom_raw": [], "z_raw": [], "velocity_raw": []}
-    for s in radii:
+    om, ot, op = uv["o"], uv["ot"], uv["op"]
+    n = om.shape[0]
+    # sum_ij (d_i g_ij - d_j g_ii) omega^j = dg[i, j, k] (delta_ik omega_j - delta_ij omega_k)
+    e_coef = np.zeros((n, 3, 3, 3))
+    for a in range(3):
+        e_coef[:, a, :, a] += om
+        e_coef[:, a, a, :] -= om
+    e_coef = e_coef.reshape(n, 27)
+    # the frame products t_a (x) t_b, (a, b) = (t, t), (t, p), (p, p): g against each is the induced metric over s^2
+    frame = np.empty((n, 3, 3, 3))
+    for row, (a, b) in enumerate(((ot, ot), (ot, op), (op, op))):
+        frame[:, row] = a[:, :, None] * b[:, None, :]
+    frame_flat = np.einsum("naii->na", frame)  # delta against each
+    frame = frame.reshape(n, 3, 9)
+    w_area = grid.w / np.sin(grid.mesh()[0])  # the induced measure over s^2 is w_area sqrt(det)
+    out = {
+        "E": np.empty(radii.size),
+        "P": np.empty((radii.size, 3)),
+        "bom_raw": np.empty((radii.size, 3)),
+        "z_raw": np.empty((radii.size, 3)),
+        "velocity_raw": np.empty((radii.size, 3)),
+    }
+    for k, s in enumerate(radii):
         x = center + s * om
         mj = prov.metric_jet(x)
-        ej = prov.extrinsic_jet(x)
-        g, dg, K = mj.g, mj.dg, ej.K
-        pi = conjugate_momentum(mj, K)
+        pi = conjugate_momentum(mj, prov.extrinsic_jet(x).K)
         wq = grid.w * s**2  # euclidean measure on the sphere of radius s
-        # energy integrand: sum_ij (d_i g_ij - d_j g_ii) x^j / s
-        lhs = np.einsum("niji->nj", dg) - np.einsum("niij->nj", dg)
-        e_int = np.einsum("nj,nj->n", lhs, om)
-        out["E"].append(float((e_int * wq).sum() / (16.0 * math.pi)))
-        # momentum: P^j = (1/8 pi) int pi_ij x^i / s
-        p_int = np.einsum("nij,ni->nj", pi, om)
-        out["P"].append((p_int * wq[:, None]).sum(axis=0) / (8.0 * math.pi))
+        e_int = np.einsum("nk,nk->n", mj.dg.reshape(n, 27), e_coef)
+        h = mj.g - _EYE
+        pi_om = np.einsum("nij,nj->ni", pi, om)
+        # energy: sum_ij (d_i g_ij - d_j g_ii) x^j / s; momentum: P^j = (1/8 pi) int pi_ij x^i / s
+        out["E"][k] = wq @ e_int / (16.0 * math.pi)
+        out["P"][k] = wq @ pi_om / (8.0 * math.pi)
         # metric-only center integrand (to be divided by 16 pi E)
-        trg = np.einsum("nii->n", g)
-        b_int = e_int[:, None] * x - (np.einsum("nil,ni->nl", g, om) - trg[:, None] * om)
-        out["bom_raw"].append((b_int * wq[:, None]).sum(axis=0))
+        h_om = np.einsum("nij,nj->ni", h, om)
+        out["bom_raw"][k] = (wq * e_int) @ x - wq @ (h_om - np.einsum("nii->n", h)[:, None] * om)
         # correction: x^i (pi_kl x^k x^l)^2 / s^3
-        pixx = np.einsum("nkl,nk,nl->n", pi, x, x)
-        z_int = x * (pixx**2)[:, None] / s**3
-        out["z_raw"].append((z_int * wq[:, None]).sum(axis=0))
+        pixx = np.einsum("ni,ni->n", x, s * pi_om + (pi.reshape(-1, 3) @ center).reshape(n, 3))
+        out["z_raw"][k] = (wq * pixx**2 / s**3) @ x
         # velocity integrand over the induced (curved) sphere measure
-        tang = np.stack([s * uv["ot"], s * uv["op"]], axis=1)
-        g2 = tang @ g @ tang.transpose(0, 2, 1)
-        det2 = g2[:, 0, 0] * g2[:, 1, 1] - g2[:, 0, 1] ** 2
-        dmu_g = np.sqrt(det2) / st
-        v_int = np.einsum("nij,nj->ni", pi, om)
-        out["velocity_raw"].append((v_int * (grid.w * dmu_g)[:, None]).sum(axis=0))
-    return {k: np.asarray(v) for k, v in out.items()}
+        g2 = frame_flat + np.einsum("nak,nk->na", frame, h.reshape(n, 9))
+        out["velocity_raw"][k] = (s**2 * w_area * np.sqrt(g2[:, 0] * g2[:, 2] - g2[:, 1] ** 2)) @ pi_om
+    return out
 
 
 # -- reports -------------------------------------------------------------------
@@ -244,8 +279,7 @@ class EvolutionReport:
 def adm_energy(prov, radii, lmax=24, fluxes=None):
     fx = fluxes if fluxes is not None else sphere_fluxes(prov, radii, lmax)
     radii = np.asarray(radii, dtype=float)
-    efit = fit_power_tail(radii, fx["E"])
-    pfits = [fit_power_tail(radii, fx["P"][:, i]) for i in range(3)]
+    efit, *pfits = fit_power_tail(radii, np.column_stack([fx["E"], fx["P"]]))
     E = efit.c0
     P = np.array([f.c0 for f in pfits])
     m = adm_mass(E, P) if E**2 >= P @ P else float("nan")
@@ -285,16 +319,17 @@ def stcmc_center_coordinate(prov, radii, E, lmax=24, fluxes=None):
 
 
 def _center_report(radii, bom, z):
-    """CenterReport with sum_values = bom + z and a power-tail fit per column."""
+    """CenterReport with sum_values = bom + z and a power-tail fit per column, all nine in one call."""
     total = bom + z
+    fits = fit_power_tail(radii, np.concatenate([bom, z, total], axis=1))
     return CenterReport(
         radii=radii,
         bom_values=bom,
         z_values=z,
         sum_values=total,
-        bom_fits=[fit_power_tail(radii, bom[:, i]) for i in range(3)],
-        z_fits=[fit_power_tail(radii, z[:, i]) for i in range(3)],
-        sum_fits=[fit_power_tail(radii, total[:, i]) for i in range(3)],
+        bom_fits=fits[:3],
+        z_fits=fits[3:6],
+        sum_fits=fits[6:],
     )
 
 
@@ -305,7 +340,7 @@ def stcmc_center_foliation(foliation):
         raise InsufficientLeaves("need at least three leaves to extrapolate the center")
     sigmas = np.array([leaf.sigma for leaf in leaves])
     centers = np.stack([leaf.center for leaf in leaves])
-    fits = [fit_power_tail(sigmas, centers[:, i]) for i in range(3)]
+    fits = fit_power_tail(sigmas, centers)
     limit = np.array([f.c0 for f in fits])
     residual = float(max(f.residual for f in fits))
     converged = not any(f.divergent for f in fits)
@@ -313,15 +348,15 @@ def stcmc_center_foliation(foliation):
 
 
 def velocity_integral(prov, radii, E, lmax=24, fluxes=None):
+    """Evolution report: the limit of the velocity integral against P/E, both fitted in one call."""
     if abs(E) <= 1e-12:
         raise ZeroEnergy("velocity integral undefined at E = 0")
     fx = fluxes if fluxes is not None else sphere_fluxes(prov, radii, lmax)
     radii = np.asarray(radii, dtype=float)
     v = fx["velocity_raw"] / (8.0 * math.pi * E)
-    vfits = [fit_power_tail(radii, v[:, i]) for i in range(3)]
-    vlim = np.array([f.c0 for f in vfits])
-    rep = adm_energy(prov, radii, lmax, fluxes=fx)
-    poe = rep.momentum / E
+    fits = fit_power_tail(radii, np.concatenate([v, fx["P"]], axis=1))
+    vlim = np.array([f.c0 for f in fits[:3]])
+    poe = np.array([f.c0 for f in fits[3:]]) / E
     return EvolutionReport(
         radii=radii,
         velocity_values=v,

@@ -186,8 +186,12 @@ def _radial_tensors(r, n, d1, d2=None, d3=None):
 
 
 def _sym_ik(x):
-    """d_k (x_i x_j) = delta_ik x_j + delta_jk x_i, as [n, i, j, k]."""
-    return _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
+    """d_k (x_i x_j) = delta_ik x_j + delta_jk x_i, as [n, i, j, k]: six slice adds into zeros."""
+    out = np.zeros((x.shape[0], 3, 3, 3))
+    for a in range(3):
+        out[:, a, :, a] += x  # delta_ik x_j
+        out[:, :, a, a] += x  # delta_jk x_i
+    return out
 
 
 class DataProvider:

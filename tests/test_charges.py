@@ -1,16 +1,20 @@
 import filecmp
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from stcmc import charges
 from stcmc.chart import (
     EuclideanProvider,
     GraphicalSchwarzschildProvider,
     RotatedProvider,
     SchwarzschildProvider,
     TranslatedProvider,
+    conjugate_momentum,
 )
 from stcmc.charges import (
     ChargeReport,
@@ -28,9 +32,11 @@ from stcmc.errors import (
     ConfigError,
     InsufficientLeaves,
     NotOrthogonal,
+    ShapeMismatch,
     SpacelikeEnergyMomentum,
     ZeroEnergy,
 )
+from stcmc.spectral import get_grid
 
 RADII = [50.0, 100.0, 200.0, 400.0]
 ROT = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
@@ -83,6 +89,52 @@ def test_momentum_rotates(graphical):
     fx = sphere_fluxes(graphical, [100.0])
     fxr = sphere_fluxes(RotatedProvider(graphical, ROT), [100.0])
     assert np.max(np.abs(fxr["P"] - fx["P"] @ ROT.T)) < 1e-12
+
+
+def _einsum_fluxes(prov, radii, lmax, center):
+    """Reference of the sweep: its integrands as per-radius einsums, with the metric center formed
+    from g; bom_scale is, per radius, sum_n w_n s^2 of the absolute terms that the g-based
+    metric-center sum cancels."""
+    grid = get_grid(lmax)
+    uv = grid.unit_vectors()
+    om = uv["o"]
+    st = np.sin(grid.mesh()[0])
+    out = {k: [] for k in ("E", "P", "bom_raw", "bom_scale", "z_raw", "velocity_raw")}
+    for s in radii:
+        x = center + s * om
+        mj = prov.metric_jet(x)
+        g, dg = mj.g, mj.dg
+        pi = conjugate_momentum(mj, prov.extrinsic_jet(x).K)
+        wq = grid.w * s**2
+        lhs = np.einsum("niji->nj", dg) - np.einsum("niij->nj", dg)
+        e_int = np.einsum("nj,nj->n", lhs, om)
+        out["E"].append((e_int * wq).sum() / (16.0 * math.pi))
+        out["P"].append((np.einsum("nij,ni->nj", pi, om) * wq[:, None]).sum(axis=0) / (8.0 * math.pi))
+        terms = (e_int[:, None] * x, np.einsum("nil,ni->nl", g, om), np.einsum("nii->n", g)[:, None] * om)
+        out["bom_raw"].append(((terms[0] - (terms[1] - terms[2])) * wq[:, None]).sum(axis=0))
+        out["bom_scale"].append(wq @ sum(np.abs(t) for t in terms))
+        pixx = np.einsum("nkl,nk,nl->n", pi, x, x)
+        out["z_raw"].append((x * (pixx**2)[:, None] / s**3 * wq[:, None]).sum(axis=0))
+        tang = np.stack([s * uv["ot"], s * uv["op"]], axis=1)
+        g2 = tang @ g @ tang.transpose(0, 2, 1)
+        dmu_g = np.sqrt(g2[:, 0, 0] * g2[:, 1, 1] - g2[:, 0, 1] ** 2) / st
+        out["velocity_raw"].append((np.einsum("nij,nj->ni", pi, om) * (grid.w * dmu_g)[:, None]).sum(axis=0))
+    return {k: np.asarray(v) for k, v in out.items()}
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (3.0, -2.0, 1.0)])
+def test_sphere_fluxes_match_per_radius_einsum_integrands(graphical, center):
+    radii = [100.0, 1000.0, 10000.0]
+    fx = sphere_fluxes(graphical, radii, center=center)
+    ref = _einsum_fluxes(graphical, radii, 24, np.asarray(center))
+    for key in ("E", "P", "z_raw", "velocity_raw"):
+        assert np.max(np.abs(fx[key] - ref[key])) <= 1e-13 * np.max(np.abs(ref[key])), key
+    # g.omega - (tr g) omega holds terms of size s^2 whose flat part -2 omega integrates to
+    # zero; the sweep forms the metric center from h = g - delta without that part, so the two
+    # differ by the rounding of an n-term sum of the cancelled terms, which grows like sqrt(n):
+    # within sqrt(n) eps of their absolute sum
+    bound = math.sqrt(get_grid(24).w.size) * np.finfo(float).eps * ref["bom_scale"]
+    assert np.all(np.abs(fx["bom_raw"] - ref["bom_raw"]) <= bound)
 
 
 def test_adm_mass_values():
@@ -389,6 +441,65 @@ def test_power_fit_matches_one_solve_per_exponent(s9_fluxes):
         rise = max(abs(_solve_for(s, y, p + h)[0] - residual) for h in (-1e-6, 1e-6))
         if rise > 1e-12 * scale:
             assert abs(fit.p - p) <= 1e-6
+
+
+def test_power_fit_columns_match_one_call_per_column(s9_fluxes):
+    grids = {}
+    for s, y in _fit_columns(s9_fluxes):
+        grids.setdefault(s.tobytes(), (s, []))[1].append(y)
+    for s, ys in grids.values():
+        fits = fit_power_tail(s, np.stack(ys, axis=1))
+        assert len(fits) == len(ys)
+        for y, fit in zip(ys, fits):
+            one = fit_power_tail(s, y)
+            scale = np.max(np.abs(y))
+            assert fit.divergent == one.divergent
+            assert abs(fit.c0 - one.c0) <= 1e-6 * scale
+            assert abs(fit.residual - one.residual) <= 1e-9 * scale
+            residual = _solve_for(s, y, one.p)[0]
+            rise = max(abs(_solve_for(s, y, one.p + h)[0] - residual) for h in (-1e-6, 1e-6))
+            if rise > 1e-12 * scale:
+                assert abs(fit.p - one.p) <= 1e-6
+        # a 1-D column is the one-column case of the same search
+        assert fit_power_tail(s, ys[0][:, None]) == [fit_power_tail(s, ys[0])]
+
+
+def test_each_report_makes_one_fit_call(graphical, s9_fluxes, monkeypatch):
+    sgrid, fx = s9_fluxes
+    shapes = []
+    fit = charges.fit_power_tail
+
+    def counted(radii, values):
+        shapes.append(np.shape(values))
+        return fit(radii, values)
+
+    def no_energy_report(*args, **kwargs):
+        raise AssertionError("velocity_integral formed an energy report")
+
+    monkeypatch.setattr(charges, "fit_power_tail", counted)
+    energy = adm_energy(graphical, sgrid, fluxes=fx).energy
+    monkeypatch.setattr(charges, "adm_energy", no_energy_report)
+    stcmc_center_coordinate(graphical, sgrid, energy, fluxes=fx)
+    velocity_integral(graphical, sgrid, energy, fluxes=fx)
+    assert shapes == [(16, 4), (16, 9), (16, 6)]
+    leaves = [SimpleNamespace(sigma=s, center=np.array([1.0, 2.0, 3.0]) + 5.0 / s) for s in (20.0, 40.0, 80.0)]
+    stcmc_center_foliation(leaves)
+    assert shapes[3:] == [(3, 3)]
+
+
+def test_power_fit_rejects_non_finite_values():
+    with pytest.raises(ConfigError, match="values to extrapolate must be finite"):
+        fit_power_tail([10.0, 20.0, 40.0], [1.0, np.nan, 3.0])
+    values = np.ones((3, 3))
+    values[:, 1] = [1.0, np.nan, 3.0]
+    with pytest.raises(ConfigError, match="values to extrapolate must be finite"):
+        fit_power_tail([10.0, 20.0, 40.0], values)
+
+
+@pytest.mark.parametrize("values", [[1.0, 2.0, 3.0], np.ones((3, 4)), np.ones((4, 2, 2)), 1.0])
+def test_power_fit_rejects_values_that_do_not_match_the_radii(values):
+    with pytest.raises(ShapeMismatch):
+        fit_power_tail([10.0, 20.0, 40.0, 80.0], values)
 
 
 def test_power_fit_needs_three_radii():

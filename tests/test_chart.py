@@ -16,6 +16,7 @@ from stcmc.chart import (
     RotatedProvider,
     SchwarzschildProvider,
     TranslatedProvider,
+    _sym_ik,
     build_provider,
     christoffel,
     conjugate_momentum,
@@ -339,6 +340,12 @@ def test_schwarzschild_ddg_matches_broadcast_form(schw):
         * (_EYE[None, :, None, :, None] * _EYE[None, None, :, None, :] + _EYE[None, None, :, :, None] * _EYE[None, :, None, None, :])
     )
     assert _relative_gap(schw._ddg(x, r), ref) <= 1e-14
+
+
+def test_sym_ik_matches_broadcast_form(schw):
+    x, _ = _leaf_points(schw)
+    ref = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
+    assert np.array_equal(_sym_ik(x), ref)
 
 
 def _radial(r, nvec, d1, d2, d3):
