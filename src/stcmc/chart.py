@@ -21,15 +21,24 @@ shares one inverse and one set of Christoffel symbols; an ExtrinsicJet forms
 its read-only dK the same way.  The inverse is the closed-form cofactor
 (adjugate) inverse, exactly symmetric for a symmetric g, and the 3x3
 contractions of the curvature operations are batched matrix products on
-reshaped or transposed views.  The horizon, core and spacelike checks run
-when the jet is made.
+reshaped or transposed views.  The Schwarzschild and graphical providers
+build their jets components first, with the point axis last, so that each
+elementwise product runs along the points, and turn each array points-first
+once.  The horizon, core and spacelike checks run when the jet is made.
 
 The catalog covers the flat chart, the Schwarzschild slice in areal
 coordinates g = N^-2 dr^2 + r^2 dOmega^2 with N = sqrt(1 - 2m/r), the
 bounded-height graphical slice over it cut out by t = sin(ln r) + u.x/r,
 translated/rotated wrappers, and power-law angular perturbations of the flat
 data.  Negative mass is allowed (no horizon); the inner chart radius is
-1.05 * max(0, 2m).
+1.05 * max(0, 2m).  The graphical slice's first-order jets read two closed
+forms of the Schwarzschild slice g = delta + psi x x instead of a base jet:
+
+    g^-1 = delta - (2m/r) n n,
+    Gamma^k_ij T_,k = N^2 (x.dT) (psi'/r x_i x_j + 2 psi delta_ij) / 2,
+
+the second from 1 + psi r^2 = 1/N^2; only its deferred dK forms the base
+slice's jet, inverse and Christoffel symbols, from the points.
 """
 
 from __future__ import annotations
@@ -59,8 +68,15 @@ def _read_only(a):
 
 
 def _deferred(form, x, *args):
-    """A jet's second order, form(x, *args) when first read, from a private copy of the points."""
-    return partial(form, x.copy(), *args)
+    """A jet's second order: form(x, *args), components first, made points-first when first read.
+
+    The callable holds the form, a private copy of the points and args only.
+    """
+    return partial(_formed, form, x.copy(), *args)
+
+
+def _formed(form, *args):
+    return _points_first(form(*args))
 
 
 def _second_order(jet):
@@ -158,39 +174,52 @@ def _as_points(x):
     return x
 
 
-def _radial_tensors(r, n, d1, d2=None, d3=None):
-    """Cartesian derivative tensors of a radial function f(r).
+def _components_first(x):
+    """Points x[n, i] as the contiguous x[i, n].
 
-    d1, d2, d3 are nodal values of f', f'', f'''.  Returns (grad, hess, third)
-    where entries beyond the supplied order are None.
+    The Schwarzschild and graphical providers form their jets with the point
+    axis last, so that each elementwise product runs along it rather than
+    along an axis of length 3; a jet's arrays are turned points-first once,
+    by _points_first.
     """
-    grad = d1[:, None] * n
+    return np.ascontiguousarray(x.T)
+
+
+def _points_first(a):
+    """A components-first array a[..., n] as the contiguous a[n, ...] that the jets hold."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
+def _radial_tensors(r, n, d1, d2=None, d3=None):
+    """Cartesian derivative tensors of a radial function f(r), components first.
+
+    n[i, p] is the unit radial vector and d1, d2, d3 are nodal values of f',
+    f'', f'''.  Returns (grad, hess, third) where entries beyond the supplied
+    order are None.
+    """
+    grad = d1 * n
     hess = None
     third = None
     if d2 is not None:
-        nn = n[:, :, None] * n[:, None, :]
-        hess = d2[:, None, None] * nn + (d1 / r)[:, None, None] * (_EYE - nn)
+        nn = n[:, None] * n[None]
+        hess = d2 * nn + (d1 / r) * (_EYE[:, :, None] - nn)
     if d3 is not None:
-        nnn = n[:, :, None, None] * n[:, None, :, None] * n[:, None, None, :]
+        nnn = n[:, None, None] * n[None, :, None] * n[None, None]
         sym = (
-            _EYE[None, :, :, None] * n[:, None, None, :]
-            + _EYE[None, :, None, :] * n[:, None, :, None]
-            + _EYE[None, None, :, :] * n[:, :, None, None]
+            _EYE[:, :, None, None] * n[None, None]
+            + _EYE[:, None, :, None] * n[None, :, None]
+            + _EYE[None, :, :, None] * n[:, None, None]
         )
-        third = (
-            d3[:, None, None, None] * nnn
-            + (d2 / r)[:, None, None, None] * (sym - 3.0 * nnn)
-            + (d1 / r**2)[:, None, None, None] * (3.0 * nnn - sym)
-        )
+        third = d3 * nnn + (d2 / r) * (sym - 3.0 * nnn) + (d1 / r**2) * (3.0 * nnn - sym)
     return grad, hess, third
 
 
 def _sym_ik(x):
-    """d_k (x_i x_j) = delta_ik x_j + delta_jk x_i, as [n, i, j, k]: six slice adds into zeros."""
-    out = np.zeros((x.shape[0], 3, 3, 3))
+    """d_k (x_i x_j) = delta_ik x_j + delta_jk x_i, as [i, j, k, p] for x[i, p]: six slice adds into zeros."""
+    out = np.zeros((3, 3, 3, x.shape[1]))
     for a in range(3):
-        out[:, a, :, a] += x  # delta_ik x_j
-        out[:, :, a, a] += x  # delta_jk x_i
+        out[a, :, a] += x  # delta_ik x_j
+        out[:, a, a] += x  # delta_jk x_i
     return out
 
 
@@ -268,38 +297,45 @@ class SchwarzschildProvider(DataProvider):
 
     def metric_jet(self, x):
         x, r = self._check(x)
-        nvec = x / r[:, None]
+        g, dg = self._g_dg(x, r)
+        return MetricJet(_points_first(g), _points_first(dg), _deferred(self._ddg, x, r))
+
+    def _g_dg(self, x, r):
+        """g = delta + psi x x and its derivative, components first.
+
+        d_k (psi x_i x_j) = psi' n_k x_i x_j + psi (delta_ik x_j + delta_jk x_i);
+        psi scales x before _sym_ik's slice adds.
+        """
         psi, dpsi, _ = self._psi(r)
-        xx = x[:, :, None] * x[:, None, :]
-        g = _EYE + psi[:, None, None] * xx
-        # d_k (psi x_i x_j) = psi' n_k x_i x_j + psi (delta_ik x_j + delta_jk x_i)
-        dg = dpsi[:, None, None, None] * nvec[:, None, None, :] * xx[:, :, :, None] + psi[:, None, None, None] * _sym_ik(x)
-        return MetricJet(g, dg, _deferred(self._ddg, x, r))
+        xs = _components_first(x)
+        xx = xs[:, None] * xs[None]
+        g = _EYE[:, :, None] + psi * xx
+        dg = xx[:, :, None] * (dpsi * (xs / r)) + _sym_ik(psi * xs)
+        return g, dg
 
     def _ddg(self, x, r):
-        """d_k d_l (psi x_i x_j) as one (x x) outer (n n) product plus delta-slice updates.
+        """d_k d_l (psi x_i x_j), components first, as one (x x) outer (n n) product plus delta-slice updates.
 
         d_k d_l (psi x_i x_j) = (psi'' - psi'/r) n_k n_l x_i x_j + (psi'/r) delta_kl x_i x_j
             + psi' (n_k (delta_il x_j + delta_jl x_i) + n_l (delta_ik x_j + delta_jk x_i))
             + psi (delta_ik delta_jl + delta_jk delta_il)
         """
-        n = x.shape[0]
-        nvec = x / r[:, None]
+        xs = _components_first(x)
+        nvec = xs / r
         psi, dpsi, ddpsi = self._psi(r)
-        xx = x[:, :, None] * x[:, None, :]
-        nn = (nvec[:, :, None] * nvec[:, None, :]).reshape(n, 1, 9)
-        out = (((ddpsi - dpsi / r)[:, None] * xx.reshape(n, 9))[:, :, None] * nn).reshape(n, 3, 3, 3, 3)
-        xxr = (dpsi / r)[:, None, None] * xx
-        xn = dpsi[:, None, None] * x[:, :, None] * nvec[:, None, :]  # psi' x_a n_b
+        xx = xs[:, None] * xs[None]
+        out = ((ddpsi - dpsi / r) * xx)[:, :, None, None] * (nvec[:, None] * nvec[None])
+        xxr = (dpsi / r) * xx
+        xn = dpsi * xs[:, None] * nvec[None]  # psi' x_a n_b
         for a in range(3):
-            out[:, :, :, a, a] += xxr
-            out[:, a, :, :, a] += xn  # psi' n_k delta_il x_j
-            out[:, :, a, :, a] += xn  # psi' n_k delta_jl x_i
-            out[:, a, :, a, :] += xn  # psi' n_l delta_ik x_j
-            out[:, :, a, a, :] += xn  # psi' n_l delta_jk x_i
+            out[:, :, a, a] += xxr
+            out[a, :, :, a] += xn  # psi' n_k delta_il x_j
+            out[:, a, :, a] += xn  # psi' n_k delta_jl x_i
+            out[a, :, a, :] += xn  # psi' n_l delta_ik x_j
+            out[:, a, a, :] += xn  # psi' n_l delta_jk x_i
             for b in range(3):
-                out[:, a, b, a, b] += psi
-                out[:, a, b, b, a] += psi
+                out[a, b, a, b] += psi
+                out[a, b, b, a] += psi
         return out
 
     def extrinsic_jet(self, x):
@@ -318,8 +354,16 @@ class GraphicalSchwarzschildProvider(DataProvider):
         (K_T)_ij = [T_,i N_,j + T_,j N_,i + N Hess_ij T
                     - N^2 T_,i T_,j dN(grad_g T)] / sqrt(1 - N^2 |dT|_g^2)
 
-    with all covariant operations taken in the canonical slice metric g.
-    The data is vacuum: mu = 0 and J = 0 identically.
+    with all covariant operations taken in the canonical slice metric
+    g = delta + psi x x.  The first order reads that metric's closed forms
+
+        g^-1 = delta - (2m/r) n n,  so  grad_g T = dT - (2m/r)(n.dT) n,
+        Gamma^k_ij T_,k = N^2 (x.dT) (psi'/r x_i x_j + 2 psi delta_ij) / 2,
+
+    the second from 1 + psi r^2 = 1/N^2, so a provider call inverts no
+    matrix.  The deferred dK forms the base slice's jet, inverse and
+    Christoffel symbols from the points.  The data is vacuum: mu = 0 and
+    J = 0 identically.  The private jets below are components first.
     """
 
     def __init__(self, mass, u):
@@ -340,146 +384,155 @@ class GraphicalSchwarzschildProvider(DataProvider):
         """
         lr = np.log(r)
         s, c = np.sin(lr), np.cos(lr)
-        nvec = x / r[:, None]
+        nvec = _components_first(x) / r
         ux = x @ self.u
         d1 = c / r - ux / r**2
         d2 = -(s + c) / r**2 + 2.0 * ux / r**3
         d3 = (3.0 * s + c) / r**3 - 6.0 * ux / r**4 if third else None
         dT, ddT, dddT = _radial_tensors(r, nvec, d1, d2, d3)
-        dT += self.u[None, :] / r[:, None]
+        dT += self.u[:, None] / r
         # u_i d_j(1/r) + u_j d_i(1/r)
-        uR = self.u[None, :, None] * (-nvec / r[:, None] ** 2)[:, None, :]
-        ddT += uR + uR.transpose(0, 2, 1)
+        uR = self.u[:, None, None] * (-nvec / r**2)
+        ddT += uR + uR.transpose(1, 0, 2)
         if not third:
             return dT, ddT, None
         # u_i d_j d_k(1/r) + u_j d_i d_k(1/r) + u_k d_i d_j(1/r), with d_j d_k(1/r) = (3 n_j n_k - delta_jk) / r^3
-        hR = (3.0 * nvec[:, :, None] * nvec[:, None, :] - _EYE) / (r**3)[:, None, None]
-        uH = self.u[None, :, None, None] * hR[:, None, :, :]
-        dddT += uH + uH.transpose(0, 2, 1, 3) + uH.transpose(0, 2, 3, 1)
+        hR = (3.0 * nvec[:, None] * nvec[None] - _EYE[:, :, None]) / r**3
+        uH = self.u[:, None, None, None] * hR
+        dddT += uH + uH.transpose(1, 0, 2, 3) + uH.transpose(1, 2, 0, 3)
         return dT, ddT, dddT
 
     def _N_jets(self, x, r, second=False):
         """N, dN and, if asked, ddN (else None) for the lapse N = sqrt(1 - 2m/r)."""
         m = self.mass
-        nvec = x / r[:, None]
         N = np.sqrt(1.0 - 2.0 * m / r)
         N1 = m / (r**2 * N)
         N2 = -2.0 * m / (r**3 * N) - m**2 / (r**4 * N**3) if second else None
-        gN, hN, _ = _radial_tensors(r, nvec, N1, N2)
+        gN, hN, _ = _radial_tensors(r, _components_first(x) / r, N1, N2)
         return N, gN, hN
 
-    def _spacelike_factor(self, ginv, dT, N):
-        """grad_g T, |dT|^2_g and W = sqrt(1 - N^2 |dT|^2_g); raises where W^2 <= 0."""
-        gradT = np.einsum("nab,nb->na", ginv, dT)
-        dT2 = np.einsum("na,na->n", dT, gradT)
+    def _grad_T(self, xs, r, dT):
+        """grad_g T = dT - (2m/r)(n.dT) n = dT - (2m/r^3)(x.dT) x from the closed-form base g^-1, and x.dT."""
+        xdT = np.einsum("an,an->n", xs, dT)
+        return dT - (2.0 * self.mass / r**3 * xdT) * xs, xdT
+
+    @staticmethod
+    def _spacelike_factor(dT, gradT, N):
+        """|dT|^2_g and W = sqrt(1 - N^2 |dT|^2_g) from grad_g T; raises where W^2 <= 0."""
+        dT2 = np.einsum("an,an->n", dT, gradT)
         w2 = 1.0 - N**2 * dT2
         if np.any(w2 <= 0.0):
             raise SliceNotSpacelike("1 - N^2 |dT|^2 <= 0")
-        return gradT, dT2, np.sqrt(w2)
+        return dT2, np.sqrt(w2)
 
     @staticmethod
     def _TT_jets(dT, ddT):
         """TT_ij = T_,i T_,j and its derivative d_k TT_ij."""
-        TT = dT[:, :, None] * dT[:, None, :]
-        dTT = ddT[:, :, None, :] * dT[:, None, :, None] + dT[:, :, None, None] * ddT[:, None, :, :]
+        TT = dT[:, None] * dT[None]
+        dTT = ddT[:, None, :] * dT[None, :, None] + dT[:, None, None] * ddT[None]
         return TT, dTT
 
     def metric_jet(self, x):
         x, r = self._check(x)
-        base = self.base.metric_jet(x)
+        xs = _components_first(x)
+        g, dg = self.base._g_dg(x, r)
         dT, ddT, _ = self._T_jets(x, r)
         # N^2 = 1 - 2m/r is radial with simple derivatives; sqrt(N2) is _N_jets' N
         m = self.mass
-        nvec = x / r[:, None]
         N2 = 1.0 - 2.0 * m / r
-        self._spacelike_factor(base.ginv, dT, np.sqrt(N2))
-        dN2, _, _ = _radial_tensors(r, nvec, 2.0 * m / r**2)
+        self._spacelike_factor(dT, self._grad_T(xs, r, dT)[0], np.sqrt(N2))
+        dN2, _, _ = _radial_tensors(r, xs / r, 2.0 * m / r**2)
         TT, dTT = self._TT_jets(dT, ddT)
-        gT = base.g - N2[:, None, None] * TT
-        dgT = base.dg - dN2[:, None, None, :] * TT[:, :, :, None] - N2[:, None, None, None] * dTT
-        return MetricJet(gT, dgT, _deferred(self._ddgT, x, r))
+        gT = g - N2 * TT
+        dgT = dg - dN2[None, None] * TT[:, :, None] - N2 * dTT
+        return MetricJet(_points_first(gT), _points_first(dgT), _deferred(self._ddgT, x, r))
 
     def _ddgT(self, x, r):
         """d_k d_l (g - N^2 dT dT), formed again from the points."""
         dT, ddT, dddT = self._T_jets(x, r, third=True)
         m = self.mass
-        nvec = x / r[:, None]
         N2 = 1.0 - 2.0 * m / r
-        dN2, ddN2, _ = _radial_tensors(r, nvec, 2.0 * m / r**2, -4.0 * m / r**3)
+        dN2, ddN2, _ = _radial_tensors(r, _components_first(x) / r, 2.0 * m / r**2, -4.0 * m / r**3)
         TT, dTT = self._TT_jets(dT, ddT)
         ddTT = (
-            dddT[:, :, None, :, :] * dT[:, None, :, None, None]
-            + ddT[:, :, None, :, None] * ddT[:, None, :, None, :]
-            + ddT[:, :, None, None, :] * ddT[:, None, :, :, None]
-            + dT[:, :, None, None, None] * dddT[:, None, :, :, :]
+            dddT[:, None, :, :] * dT[None, :, None, None]
+            + ddT[:, None, :, None] * ddT[None, :, None, :]
+            + ddT[:, None, None, :] * ddT[None, :, :, None]
+            + dT[:, None, None, None] * dddT[None]
         )
         return (
             self.base._ddg(x, r)
-            - ddN2[:, None, None, :, :] * TT[:, :, :, None, None]
-            - dN2[:, None, None, :, None] * dTT[:, :, :, None, :]
-            - dN2[:, None, None, None, :] * dTT[:, :, :, :, None]
-            - N2[:, None, None, None, None] * ddTT
+            - ddN2[None, None] * TT[:, :, None, None]
+            - dN2[None, None, :, None] * dTT[:, :, None]
+            - dN2[None, None, None] * dTT[:, :, :, None]
+            - N2 * ddTT
         )
 
     def extrinsic_jet(self, x):
         x, r = self._check(x)
-        base = self.base.metric_jet(x)
-        return ExtrinsicJet(self._extrinsic(x, r, base), _deferred(self._extrinsic, x, r, base, True))
+        xs = _components_first(x)
+        dT, ddT, _ = self._T_jets(x, r)
+        N, dN, _ = self._N_jets(x, r)
+        gradT, xdT = self._grad_T(xs, r, dT)
+        psi, dpsi, _ = self.base._psi(r)
+        # Hess T = ddT - Gamma^k_ij T_,k, the contraction in closed form
+        h = 0.5 * (1.0 - 2.0 * self.mass / r) * xdT
+        hessT = ddT - (h * dpsi / r) * (xs[:, None] * xs[None]) - (2.0 * h * psi) * _EYE[:, :, None]
+        D, W, _, _, _ = self._K_parts(dT, dN, N, gradT, hessT)
+        return ExtrinsicJet(_points_first(D / W), _deferred(self._dK, x, r))
 
-    def _extrinsic(self, x, r, base, second=False):
-        """K of the slice, or with `second` dK, from the points and the base jet's geometry.
+    def _K_parts(self, dT, dN, N, gradT, hessT):
+        """K = D / W: returns D, W and what dK reads besides, |dT|^2_g, c1 = dN(grad_g T) and TT."""
+        dT2, W = self._spacelike_factor(dT, gradT, N)
+        c1 = np.einsum("an,an->n", dN, gradT)
+        TT = dT[:, None] * dT[None]
+        D = dT[:, None] * dN[None] + dT[None] * dN[:, None] + N * hessT - (N**2 * c1) * TT
+        return D, W, dT2, c1, TT
 
-        dK forms K's ingredients again from the points rather than keep them
-        alive with the jet; it reads the base jet's inverse and Christoffel
-        symbols, so the base metric is inverted once.
+    def _dK(self, x, r):
+        """dK from the points alone: the base slice's jet, its inverse and its Christoffel symbols are formed here.
+
+        K's ingredients are formed again, from the generic base geometry,
+        rather than kept alive with the jet.  The batched matrix products run
+        on points-first copies (suffix _p), the rest components first.
         """
+        base = MetricJet(*map(_points_first, self.base._g_dg(x, r)), _deferred(self.base._ddg, x, r))
         ginv, Gam = base.ginv, base.Gam
-        dT, ddT, dddT = self._T_jets(x, r, third=second)
-        N, dN, ddN = self._N_jets(x, r, second)
-        hessT = ddT - np.einsum("nkij,nk->nij", Gam, dT)
-        gradT, dT2, W = self._spacelike_factor(ginv, dT, N)
-        # c1 = dN(grad_g T)
-        c1 = np.einsum("na,na->n", dN, gradT)
+        dT, ddT, dddT = self._T_jets(x, r, third=True)
+        N, dN, ddN = self._N_jets(x, r, second=True)
+        dT_p, ddT_p, dN_p, ddN_p = map(_points_first, (dT, ddT, dN, ddN))
+        hessT = ddT - np.moveaxis(np.einsum("nkij,nk->nij", Gam, dT_p), 0, -1)
+        gradT_p = np.einsum("nab,nb->na", ginv, dT_p)
+        D, W, dT2, c1, TT = self._K_parts(dT, dN, N, gradT_p.T, hessT)
         N2 = N**2
-        TT = dT[:, :, None] * dT[:, None, :]
-        D = (
-            dT[:, :, None] * dN[:, None, :]
-            + dT[:, None, :] * dN[:, :, None]
-            + N[:, None, None] * hessT
-            - (N2 * c1)[:, None, None] * TT
-        )
-        if not second:
-            return D / W[:, None, None]
-        # the contractions below are batched matrix products; dginv is
-        # symmetric in its first two indices, so dT^a dginv_abk = (dT @ dginv)_bk
+        # dginv is symmetric in its first two indices, so dT^a dginv_abk = (dT @ dginv)_bk
         n = x.shape[0]
         _, dGam = christoffel(base, derivative=True)
         dhessT = (
             dddT
-            - (dT[:, None, :] @ dGam.reshape(n, 3, 27)).reshape(n, 3, 3, 3)
-            - (Gam.reshape(n, 3, 9).transpose(0, 2, 1) @ ddT).reshape(n, 3, 3, 3)
+            - np.moveaxis((dT_p[:, None, :] @ dGam.reshape(n, 3, 27)).reshape(n, 3, 3, 3), 0, -1)
+            - np.moveaxis((Gam.reshape(n, 3, 9).transpose(0, 2, 1) @ ddT_p).reshape(n, 3, 3, 3), 0, -1)
         )
-        nvec = x / r[:, None]
-        dN2 = (2.0 * self.mass / r**2)[:, None] * nvec
+        dN2 = (2.0 * self.mass / r**2) * (_components_first(x) / r)
         # rows dN^a dginv_abk dT^b and dT^a dginv_abk dT^b
-        dginv_T = np.stack([dN, dT], axis=1) @ (dT[:, None, :] @ base.dginv.reshape(n, 3, 9)).reshape(n, 3, 3)
+        dginv_T = np.stack([dN_p, dT_p], axis=1) @ (dT_p[:, None, :] @ base.dginv.reshape(n, 3, 9)).reshape(n, 3, 3)
         # ddN_ak (g^-1 dT)^a + (g^-1 dN)^b ddT_bk + dN^a dginv_abk dT^b
-        dc1 = (gradT[:, None, :] @ ddN)[:, 0] + ((dN[:, None, :] @ ginv) @ ddT)[:, 0] + dginv_T[:, 0]
+        dc1 = (gradT_p[:, None, :] @ ddN_p)[:, 0] + ((dN_p[:, None, :] @ ginv) @ ddT_p)[:, 0] + dginv_T[:, 0]
         _, dTT = self._TT_jets(dT, ddT)
         dD = (
-            ddT[:, :, None, :] * dN[:, None, :, None]
-            + dT[:, :, None, None] * ddN[:, None, :, :]
-            + ddT[:, None, :, :] * dN[:, :, None, None]
-            + dT[:, None, :, None] * ddN[:, :, None, :]
-            + dN[:, None, None, :] * hessT[:, :, :, None]
-            + N[:, None, None, None] * dhessT
-            - (dN2 * c1[:, None] + N2[:, None] * dc1)[:, None, None, :] * TT[:, :, :, None]
-            - (N2 * c1)[:, None, None, None] * dTT
+            ddT[:, None, :] * dN[None, :, None]
+            + dT[:, None, None] * ddN[None]
+            + ddT[None] * dN[:, None, None]
+            + dT[None, :, None] * ddN[:, None]
+            + dN[None, None] * hessT[:, :, None]
+            + N * dhessT
+            - (dN2 * c1 + N2 * dc1.T)[None, None] * TT[:, :, None]
+            - (N2 * c1) * dTT
         )
         # W_k: d_k W = -(dN2 |dT|^2 + N^2 d_k |dT|^2) / (2 W)
-        ddT2 = dginv_T[:, 1] + 2.0 * (gradT[:, None, :] @ ddT)[:, 0]
-        dW = -(dN2 * dT2[:, None] + N2[:, None] * ddT2) / (2.0 * W[:, None])
-        return dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
+        ddT2 = dginv_T[:, 1] + 2.0 * (gradT_p[:, None, :] @ ddT_p)[:, 0]
+        dW = -(dN2 * dT2 + N2 * ddT2.T) / (2.0 * W)
+        return dD / W - D[:, :, None] * dW[None, None] / W**2
 
 
 class TranslatedProvider(DataProvider):
@@ -622,11 +675,11 @@ class PerturbationProvider(DataProvider):
         return MetricJet(g, dg, _deferred(self._ddg, x, r))
 
     def _ddg(self, x, r):
-        ddg = np.zeros((x.shape[0], 3, 3, 3, 3))
+        ddg = np.zeros((3, 3, 3, 3, x.shape[0]))
         for i, j in self._g_entries:
             for k in range(3):
                 for l in range(3):
-                    ddg[:, i, j, k, l] += self._gp2[i][j][k][l](x, r)
+                    ddg[i, j, k, l] += self._gp2[i][j][k][l](x, r)
         return ddg
 
     def extrinsic_jet(self, x):
@@ -638,10 +691,10 @@ class PerturbationProvider(DataProvider):
         return ExtrinsicJet(K, _deferred(self._dK, x, r))
 
     def _dK(self, x, r):
-        dK = np.zeros((x.shape[0], 3, 3, 3))
+        dK = np.zeros((3, 3, 3, x.shape[0]))
         for i, j in self._k_entries:
             for k in range(3):
-                dK[:, i, j, k] += self._kp1[i][j][k](x, r)
+                dK[i, j, k] += self._kp1[i][j][k](x, r)
         return dK
 
 

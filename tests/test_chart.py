@@ -16,6 +16,7 @@ from stcmc.chart import (
     RotatedProvider,
     SchwarzschildProvider,
     TranslatedProvider,
+    _points_first,
     _sym_ik,
     build_provider,
     christoffel,
@@ -34,6 +35,7 @@ from stcmc.errors import (
 )
 from stcmc.charges import adm_mass, euclidean_motion_transform, sphere_fluxes
 from stcmc.solver import ScaledExtrinsicProvider, curvature_residual, graph_jacobian
+from stcmc.spectral import get_grid
 from stcmc.surfaces import GraphSurface, rebase, surface_frames
 
 _EYE = np.eye(3)
@@ -339,13 +341,67 @@ def test_schwarzschild_ddg_matches_broadcast_form(schw):
         + psi[:, None, None, None, None]
         * (_EYE[None, :, None, :, None] * _EYE[None, None, :, None, :] + _EYE[None, None, :, :, None] * _EYE[None, :, None, None, :])
     )
-    assert _relative_gap(schw._ddg(x, r), ref) <= 1e-14
+    assert _relative_gap(schw.metric_jet(x).ddg, ref) <= 1e-14
+
+
+def test_schwarzschild_dg_matches_broadcast_form(schw):
+    x, r = _leaf_points(schw)
+    nvec = x / r[:, None]
+    psi, dpsi, _ = schw._psi(r)
+    xx = x[:, :, None] * x[:, None, :]
+    sym_ik = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
+    ref = dpsi[:, None, None, None] * nvec[:, None, None, :] * xx[:, :, :, None] + psi[:, None, None, None] * sym_ik
+    assert np.array_equal(schw.metric_jet(x).dg, ref)
+
+
+def _schwarzschild_closed_forms(m, x):
+    """g^-1 = delta - (2m/r) n n and Gamma^k_ij = N^2 x_k (psi'/r x_i x_j + 2 psi delta_ij) / 2."""
+    r = np.linalg.norm(x, axis=1)
+    nvec = x / r[:, None]
+    psi, dpsi, _ = SchwarzschildProvider(m)._psi(r)
+    ginv = _EYE - (2.0 * m / r)[:, None, None] * nvec[:, :, None] * nvec[:, None, :]
+    inner = (dpsi / r)[:, None, None] * x[:, :, None] * x[:, None, :] + 2.0 * psi[:, None, None] * _EYE
+    Gam = 0.5 * (1.0 - 2.0 * m / r)[:, None, None, None] * x[:, :, None, None] * inner[:, None, :, :]
+    return ginv, Gam
+
+
+@pytest.mark.parametrize("m", [1.0, -1.0])
+def test_schwarzschild_geometry_matches_closed_forms(m):
+    prov = SchwarzschildProvider(m)
+    for radius in (2.2, 5.0, 300.0, 5000.0):
+        x = radius * get_grid(8).unit_vectors()["o"]
+        jet = prov.metric_jet(x)
+        ginv, Gam = _schwarzschild_closed_forms(m, x)
+        assert _relative_gap(jet.ginv, ginv) <= 1e-14
+        assert _relative_gap(jet.Gam, Gam) <= 1e-14
+
+
+def test_graphical_extrinsic_curvature_matches_generic_route(graphical):
+    """K from the closed forms against the base jet's cofactor inverse, Gam and an einsum Hessian."""
+    for radius in (2.2, 5.0, 300.0, 5000.0):
+        x = radius * get_grid(24).unit_vectors()["o"]
+        r = np.linalg.norm(x, axis=1)
+        base = graphical.base.metric_jet(x)
+        dT, ddT = map(_points_first, graphical._T_jets(x, r)[:2])
+        N, dN, _ = graphical._N_jets(x, r)
+        dN = _points_first(dN)
+        hessT = ddT - np.einsum("nkij,nk->nij", base.Gam, dT)
+        gradT = np.einsum("nab,nb->na", base.ginv, dT)
+        W = np.sqrt(1.0 - N**2 * np.einsum("na,na->n", dT, gradT))
+        c1 = np.einsum("na,na->n", dN, gradT)
+        D = (
+            np.einsum("ni,nj->nij", dT, dN)
+            + np.einsum("nj,ni->nij", dT, dN)
+            + N[:, None, None] * hessT
+            - (N**2 * c1)[:, None, None] * np.einsum("ni,nj->nij", dT, dT)
+        )
+        assert _relative_gap(graphical.extrinsic_jet(x).K, D / W[:, None, None]) <= 1e-14
 
 
 def test_sym_ik_matches_broadcast_form(schw):
     x, _ = _leaf_points(schw)
     ref = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
-    assert np.array_equal(_sym_ik(x), ref)
+    assert np.array_equal(_points_first(_sym_ik(x.T)), ref)
 
 
 def _radial(r, nvec, d1, d2, d3):
@@ -385,11 +441,11 @@ def test_time_function_jets_match_separate_radial_parts():
         + u[None, None, None, :] * hR[:, :, :, None]
         + ux[:, None, None, None] * tR,
     )
-    for got, want in zip(prov._T_jets(x, r, third=True), ref):
+    for got, want in zip(map(_points_first, prov._T_jets(x, r, third=True)), ref):
         assert _relative_gap(got, want) <= 1e-14
     first = prov._T_jets(x, r)
     assert first[2] is None
-    for got, want in zip(first[:2], ref[:2]):
+    for got, want in zip(map(_points_first, first[:2]), ref[:2]):
         assert _relative_gap(got, want) <= 1e-14
 
 
@@ -398,8 +454,9 @@ def test_graphical_dk_contractions_match_einsum(graphical):
     base = graphical.base.metric_jet(x)
     ginv, dginv = base.ginv, base.dginv
     Gam, dGam = christoffel(base, derivative=True)
-    dT, ddT, dddT = graphical._T_jets(x, r, third=True)
+    dT, ddT, dddT = map(_points_first, graphical._T_jets(x, r, third=True))
     N, dN, ddN = graphical._N_jets(x, r, second=True)
+    dN, ddN = _points_first(dN), _points_first(ddN)
     hessT = ddT - np.einsum("nkij,nk->nij", Gam, dT)
     gradT = np.einsum("nab,nb->na", ginv, dT)
     dT2 = np.einsum("na,na->n", dT, gradT)
@@ -461,8 +518,6 @@ def test_constraints_euclidean(euclid, sample_points):
 
 
 def test_constraints_vacuum_graphical(graphical):
-    from stcmc.surfaces import get_grid
-
     x = 20.0 * get_grid(16).unit_vectors()["o"]
     mu, J = constraint_densities(graphical, x)
     assert np.max(np.abs(mu)) < 1e-8
@@ -638,14 +693,15 @@ def formations(monkeypatch):
 
 def test_jet_geometry_is_formed_once_and_read_only(graphical, sample_points, formations):
     jet, ext = graphical.metric_jet(sample_points), graphical.extrinsic_jet(sample_points)
-    formations.clear()
+    # the first order reads the base slice's closed forms and inverts nothing
+    assert formations == Counter()
     for owner, name in ((jet, "ddg"), (jet, "ginv"), (jet, "dginv"), (jet, "Gam"), (ext, "dK")):
         arr = getattr(owner, name)
         assert getattr(owner, name) is arr
         with pytest.raises(ValueError):
             arr[0] += 1.0
-    # dK also forms its base slice's dginv and ddg (see the next tests)
-    assert formations == Counter(ddg=2, inv=1, dginv=2, Gam=1, dK=1)
+    # the slice metric's own geometry, and dK's base slice jet (see the next tests)
+    assert formations == Counter(ddg=2, inv=2, dginv=2, Gam=2, dK=1)
     # once formed, a jet keeps nothing of what formed its second order
     assert jet.second is None and ext.second is None
     assert christoffel(jet) is jet.Gam
@@ -661,30 +717,44 @@ def test_constraint_densities_invert_once(graphical, sample_points, formations):
 def test_graphical_extrinsic_jet_forms_base_geometry_once(graphical, sample_points, formations):
     ext = graphical.extrinsic_jet(sample_points)
     ext.K
-    assert formations == Counter(inv=1, Gam=1)
-    # dK reads the base jet's inverse and Christoffel symbols and adds only
-    # what its derivative needs: d g^ab and the base jet's ddg
+    assert formations == Counter()
+    # dK forms its base slice jet from the points, and of it the inverse, the
+    # Christoffel symbols, d g^ab and ddg, each once
     ext.dK
     assert formations == Counter(inv=1, Gam=1, dginv=1, ddg=1, dK=1)
 
 
+def test_graphical_dk_holds_only_the_points(graphical, sample_points):
+    ext = graphical.extrinsic_jet(sample_points)
+    form, *held = ext.second.args
+    assert callable(form) and not ext.second.keywords
+    assert not any(isinstance(a, MetricJet) for a in held)
+    x, r = held
+    assert x is not sample_points and np.array_equal(x, sample_points)
+    assert np.array_equal(r, np.linalg.norm(sample_points, axis=1))
+
+
 def test_first_order_consumers_form_no_second_order(graphical, formations):
     sphere_fluxes(graphical, [50.0, 100.0], 8)
+    # per radius one inverse, the slice metric's own (for pi); K reads the closed forms
+    assert formations == Counter(inv=2)
     curvature_residual(graphical, GraphSurface.round([0.5, 0.0, 0.0], 30.0, 6), 30.0)
     assert formations["ddg"] == 0 and formations["dK"] == 0
 
 
 def test_graph_jacobian_reuses_frame_geometry(schw, graphical, formations):
     S = GraphSurface.round([0.5, 0.0, 0.0], 30.0, 6)
-    # metric jets behind the frames: the graphical dK reads its base slice's
-    for prov, metrics in ((schw, 1), (graphical, 2)):
-        fr = surface_frames(prov, S)
+    # from the provider call on: the frames read the slice metric's inverse and
+    # Gam; a Jacobian adds its ddg and dginv and the extrinsic jet's dK, which
+    # on graphical data forms its base slice jet's geometry once
+    graphical_dk = Counter(inv=1, Gam=1, ddg=1, dginv=1)
+    for prov, extra in ((schw, Counter()), (graphical, graphical_dk)):
         formations.clear()
+        fr = surface_frames(prov, S)
         graph_jacobian(fr)
+        once = Counter(formations)
         graph_jacobian(fr)
-        # once per frames and no inversion: the extrinsic jet's dK, and ddg
-        # and dginv of each metric jet
-        assert formations == Counter(ddg=metrics, dginv=metrics, dK=1)
+        assert formations == once == Counter(inv=1, Gam=1, ddg=1, dginv=1, dK=1) + extra
 
 
 # -- wrappers pass the second order through ----------------------------------------
