@@ -288,12 +288,12 @@ class SchwarzschildProvider(DataProvider):
         return x, r
 
     def _psi(self, r):
+        """psi and psi'; _ddg, the only reader of psi'', forms it itself."""
         m = self.mass
         u = r - 2.0 * m
         psi = 2.0 * m / (r**2 * u)
         dpsi = 2.0 * m * (-2.0 / (r**3 * u) - 1.0 / (r**2 * u**2))
-        ddpsi = 2.0 * m * (6.0 / (r**4 * u) + 4.0 / (r**3 * u**2) + 2.0 / (r**2 * u**3))
-        return psi, dpsi, ddpsi
+        return psi, dpsi
 
     def metric_jet(self, x):
         x, r = self._check(x)
@@ -306,7 +306,7 @@ class SchwarzschildProvider(DataProvider):
         d_k (psi x_i x_j) = psi' n_k x_i x_j + psi (delta_ik x_j + delta_jk x_i);
         psi scales x before _sym_ik's slice adds.
         """
-        psi, dpsi, _ = self._psi(r)
+        psi, dpsi = self._psi(r)
         xs = _components_first(x)
         xx = xs[:, None] * xs[None]
         g = _EYE[:, :, None] + psi * xx
@@ -322,7 +322,9 @@ class SchwarzschildProvider(DataProvider):
         """
         xs = _components_first(x)
         nvec = xs / r
-        psi, dpsi, ddpsi = self._psi(r)
+        psi, dpsi = self._psi(r)
+        m, u = self.mass, r - 2.0 * self.mass
+        ddpsi = 2.0 * m * (6.0 / (r**4 * u) + 4.0 / (r**3 * u**2) + 2.0 / (r**2 * u**3))
         xx = xs[:, None] * xs[None]
         out = ((ddpsi - dpsi / r) * xx)[:, :, None, None] * (nvec[:, None] * nvec[None])
         xxr = (dpsi / r) * xx
@@ -474,7 +476,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
         dT, ddT, _ = self._T_jets(x, r)
         N, dN, _ = self._N_jets(x, r)
         gradT, xdT = self._grad_T(xs, r, dT)
-        psi, dpsi, _ = self.base._psi(r)
+        psi, dpsi = self.base._psi(r)
         # Hess T = ddT - Gamma^k_ij T_,k, the contraction in closed form
         h = 0.5 * (1.0 - 2.0 * self.mass / r) * xdT
         hessT = ddT - (h * dpsi / r) * (xs[:, None] * xs[None]) - (2.0 * h * psi) * _EYE[:, :, None]

@@ -31,7 +31,11 @@ leaf's frames, formed by its last residual evaluation (SolveResult.frames), so
 no caller forms them again.  A foliation seeds each later leaf at the radius
 of the Schwarzschild sphere with H = 2/sigma for the previous leaf's Hawking
 mass, near which the leaves of asymptotically Schwarzschild data lie at large
-sigma.
+sigma.  It solves each leaf coarse to fine, the first stage of nested
+iteration (full multigrid): Newton runs at half the band, where a Jacobian
+is a fraction of the full-band one, and the zero-padded coarse leaf starts a
+full-band Newton solve, which accepts it by the same tolerance, usually with
+no iteration, because the leaves' harmonic content decays geometrically in l.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ from .errors import (
     EigenSolverFailure,
     MaxIterations,
     NewtonDiverged,
+    StcmcError,
     TrappedRegion,
 )
-from .spectral import get_grid, n_coeffs, pad_coeffs, truncate_coeffs
+from .spectral import MIN_LMAX, get_grid, n_coeffs, pad_coeffs, truncate_coeffs
 from .surfaces import (
     CurvatureField,
     GraphSurface,
@@ -432,6 +437,34 @@ def _warm_start_ratio(sigma, sigma_prev, m):
     return radii[0] / radii[1]
 
 
+def _coarse_to_fine_solve(prov, sigma, start: GraphSurface, cfg: SolveConfig):
+    """newton_solve at cfg.lmax, started from the leaf solved at half the band.
+
+    The coarse leaf (band cfg.lmax // 2, same tol, from the start truncated)
+    is zero-padded to cfg.lmax, keeping its center and r0, and the full-band
+    solve runs from it, so the result is accepted at the full band exactly
+    as a plain solve.  The leaves are smooth, nearly round graphs whose
+    harmonic content decays geometrically in l, so the padded leaf usually
+    meets tol with no full-band iteration.  No coarse stage runs where half
+    the band is below MIN_LMAX; where the coarse solve fails (any error but
+    ConfigError), the full-band solve starts from the uncut start.
+    """
+    if start.lmax != cfg.lmax:
+        raise ConfigError(f"initial surface has band limit {start.lmax}, the config {cfg.lmax}")
+    coarse = cfg.lmax // 2
+    if coarse >= MIN_LMAX:
+        cut = GraphSurface(start.center.copy(), start.r0, truncate_coeffs(start.coeffs, coarse), coarse)
+        try:
+            leaf = newton_solve(prov, sigma, cut, SolveConfig(lmax=coarse, tol=cfg.tol)).surface
+        except ConfigError:
+            raise
+        except StcmcError:
+            pass
+        else:
+            start = GraphSurface(leaf.center.copy(), leaf.r0, pad_coeffs(leaf.coeffs, coarse, cfg.lmax), cfg.lmax)
+    return newton_solve(prov, sigma, start, cfg)
+
+
 def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, spectra=True):
     """Sweep sigma upward, seeding each leaf by radial rescaling of the last.
 
@@ -441,7 +474,10 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
     radii of the Schwarzschild spheres with H = 2/sigma for the previous
     leaf's Hawking mass (sigma/sigma_prev where the cubic has no root), so
     near infinity, where the leaves are close to those spheres, a warm leaf
-    starts near its solution.
+    starts near its solution.  Each leaf is solved coarse to fine
+    (_coarse_to_fine_solve): Newton runs at half the band, and the padded
+    coarse leaf is accepted by a full-band newton_solve, so every leaf keeps
+    its full-band surface, frames, residual_sup <= tol and spectrum.
     """
     sigma_list = [float(s) for s in sigma_list]
     if not sigma_list:
@@ -457,7 +493,7 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
     for sg in sigma_list:
         if prev is not None:
             S = S.scaled(_warm_start_ratio(sg, *prev))
-        result = newton_solve(prov, sg, S, cfg)
+        result = _coarse_to_fine_solve(prov, sg, S, cfg)
         S = result.surface
         fr = result.frames
         sc = surface_scalars(fr)

@@ -329,7 +329,9 @@ def _leaf_points(prov):
 def test_schwarzschild_ddg_matches_broadcast_form(schw):
     x, r = _leaf_points(schw)
     nvec = x / r[:, None]
-    psi, dpsi, ddpsi = schw._psi(r)
+    psi, dpsi = schw._psi(r)
+    u = r - 2.0 * schw.mass
+    ddpsi = 2.0 * schw.mass * (6.0 / (r**4 * u) + 4.0 / (r**3 * u**2) + 2.0 / (r**2 * u**3))
     xx = x[:, :, None] * x[:, None, :]
     sym_ik = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
     nn = nvec[:, :, None] * nvec[:, None, :]
@@ -347,18 +349,55 @@ def test_schwarzschild_ddg_matches_broadcast_form(schw):
 def test_schwarzschild_dg_matches_broadcast_form(schw):
     x, r = _leaf_points(schw)
     nvec = x / r[:, None]
-    psi, dpsi, _ = schw._psi(r)
+    psi, dpsi = schw._psi(r)
     xx = x[:, :, None] * x[:, None, :]
     sym_ik = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
     ref = dpsi[:, None, None, None] * nvec[:, None, None, :] * xx[:, :, :, None] + psi[:, None, None, None] * sym_ik
     assert np.array_equal(schw.metric_jet(x).dg, ref)
 
 
+def _schwarzschild_jets_with_psi2_in_psi(m, x):
+    """g, dg and ddg as formed when _psi also returned psi'' on every first-order call (the reference)."""
+    r = np.linalg.norm(x, axis=1)
+    u = r - 2.0 * m
+    psi = 2.0 * m / (r**2 * u)
+    dpsi = 2.0 * m * (-2.0 / (r**3 * u) - 1.0 / (r**2 * u**2))
+    ddpsi = 2.0 * m * (6.0 / (r**4 * u) + 4.0 / (r**3 * u**2) + 2.0 / (r**2 * u**3))
+    xs = np.ascontiguousarray(x.T)
+    xx = xs[:, None] * xs[None]
+    g = _EYE[:, :, None] + psi * xx
+    dg = xx[:, :, None] * (dpsi * (xs / r)) + _sym_ik(psi * xs)
+    nvec = xs / r
+    ddg = ((ddpsi - dpsi / r) * xx)[:, :, None, None] * (nvec[:, None] * nvec[None])
+    xxr = (dpsi / r) * xx
+    xn = dpsi * xs[:, None] * nvec[None]
+    for a in range(3):
+        ddg[:, :, a, a] += xxr
+        ddg[a, :, :, a] += xn
+        ddg[:, a, :, a] += xn
+        ddg[a, :, a, :] += xn
+        ddg[:, a, a, :] += xn
+        for b in range(3):
+            ddg[a, b, a, b] += psi
+            ddg[a, b, b, a] += psi
+    return _points_first(g), _points_first(dg), _points_first(ddg)
+
+
+@pytest.mark.parametrize("m", [1.0, -1.0])
+def test_schwarzschild_jets_unchanged_by_deferring_psi2(m):
+    prov = SchwarzschildProvider(m)
+    for radius in (5.0, 300.0, 5000.0):
+        x = radius * get_grid(8).unit_vectors()["o"]
+        jet = prov.metric_jet(x)
+        for got, ref in zip((jet.g, jet.dg, jet.ddg), _schwarzschild_jets_with_psi2_in_psi(m, x), strict=True):
+            assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
+
+
 def _schwarzschild_closed_forms(m, x):
     """g^-1 = delta - (2m/r) n n and Gamma^k_ij = N^2 x_k (psi'/r x_i x_j + 2 psi delta_ij) / 2."""
     r = np.linalg.norm(x, axis=1)
     nvec = x / r[:, None]
-    psi, dpsi, _ = SchwarzschildProvider(m)._psi(r)
+    psi, dpsi = SchwarzschildProvider(m)._psi(r)
     ginv = _EYE - (2.0 * m / r)[:, None, None] * nvec[:, :, None] * nvec[:, None, :]
     inner = (dpsi / r)[:, None, None] * x[:, :, None] * x[:, None, :] + 2.0 * psi[:, None, None] * _EYE
     Gam = 0.5 * (1.0 - 2.0 * m / r)[:, None, None, None] * x[:, :, None, None] * inner[:, None, :, :]

@@ -35,7 +35,7 @@ from stcmc.solver import (
     uniqueness_cross_check,
 )
 from stcmc.spectral import coeff_index, lm_arrays, n_coeffs, real_sph_basis, truncate_coeffs
-from stcmc.surfaces import GraphSurface, apriori_class_check, embedding_nodes, surface_frames
+from stcmc.surfaces import GraphSurface, apriori_class_check, embedding_nodes, surface_frames, surface_scalars
 
 R_STAR_SIGMA20 = 18.912985478471837  # largest root of r^3 - 400 r + 800 (np.roots oracle)
 
@@ -496,19 +496,85 @@ def test_foliation_schwarzschild(schw):
     assert radii == sorted(radii)
 
 
-def test_canonical_warm_leaves_start_at_their_solution(schw, monkeypatch):
-    iterations = []
+def _counted_solves(monkeypatch, fail_below=None):
+    """Record (band, iterations) of each sv.newton_solve; solves below band fail_below raise NewtonDiverged."""
+    solves = []
     solve = sv.newton_solve
 
-    def counted_solve(*args):
-        result = solve(*args)
-        iterations.append(result.iterations)
+    def counted_solve(prov, sigma, initial, config):
+        if fail_below is not None and config.lmax < fail_below:
+            solves.append((config.lmax, None))
+            raise NewtonDiverged("injected", sigma=sigma, iteration=0, residual_sup=1.0)
+        result = solve(prov, sigma, initial, config)
+        solves.append((config.lmax, result.iterations))
         return result
 
     monkeypatch.setattr(sv, "newton_solve", counted_solve)
+    return solves
+
+
+def test_canonical_warm_leaves_start_at_their_solution(schw, monkeypatch):
+    solves = _counted_solves(monkeypatch)
     fol = foliate(schw, [40.0, 80.0, 160.0], SolveConfig(lmax=12), spectra=False)
-    assert len(fol) == 3 and iterations[0] > 0
-    assert iterations[1:] == [0, 0]
+    bands, iterations = zip(*solves)
+    assert len(fol) == 3 and bands == (6, 12) * 3
+    # only the cold coarse solve iterates: each padded coarse leaf is accepted at the full band as it stands
+    assert iterations[0] > 0
+    assert list(iterations[1:]) == [0] * 5
+
+
+def _full_band_sweep(prov, sigma_list, cfg, S):
+    """foliate's loop with every leaf solved at the full band alone: (surface, scalars, residual sup) per leaf."""
+    out, prev = [], None
+    for sg in sigma_list:
+        if prev is not None:
+            S = S.scaled(sv._warm_start_ratio(sg, *prev))
+        result = newton_solve(prov, sg, S, cfg)
+        S = result.surface
+        sc = surface_scalars(result.frames)
+        prev = (sg, sc.hawking_mass)
+        out.append((S, sc, result.residual_sup))
+    return out
+
+
+@pytest.mark.parametrize(("data", "lmax"), [("graphical", 16), ("schw", 12)])
+def test_coarse_start_matches_the_full_band_sweep(request, data, lmax):
+    prov = request.getfixturevalue(data)
+    cfg = SolveConfig(lmax=lmax, tol=1e-11)
+    seed = GraphSurface.round([0.2, -0.3, 0.1], 20.0, lmax)
+    fol = foliate(prov, [20.0, 40.0, 80.0], cfg, initial=seed, spectra=False)
+    ref = _full_band_sweep(prov, [20.0, 40.0, 80.0], cfg, seed)
+    for leaf, (_, sc, _) in zip(fol, ref, strict=True):
+        assert leaf.residual_sup <= cfg.tol and leaf.surface.lmax == lmax
+        assert np.max(np.abs(leaf.center - sc.center)) <= 1e-12
+        assert abs(leaf.area_radius - sc.area_radius) <= 1e-12
+        assert abs(leaf.hawking_mass - sc.hawking_mass) <= 1e-12
+
+
+def test_failed_coarse_solve_falls_back_to_the_full_band(graphical, monkeypatch):
+    cfg = SolveConfig(lmax=10, tol=1e-11)
+    seed = GraphSurface.round([0.2, -0.3, 0.1], 20.0, 10)
+    ref = _full_band_sweep(graphical, [20.0, 40.0], cfg, seed)
+    solves = _counted_solves(monkeypatch, fail_below=10)
+    fol = foliate(graphical, [20.0, 40.0], cfg, initial=seed, spectra=False)
+    assert [band for band, _ in solves] == [5, 10, 5, 10]
+    for leaf, (S, sc, sup) in zip(fol, ref, strict=True):
+        assert np.array_equal(leaf.surface.coeffs, S.coeffs) and np.array_equal(leaf.surface.center, S.center)
+        assert leaf.surface.r0 == S.r0 and leaf.residual_sup == sup
+        assert np.array_equal(leaf.center, sc.center) and leaf.hawking_mass == sc.hawking_mass
+
+
+def test_foliation_below_twice_the_minimum_band_solves_once_per_leaf(schw, monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    foliate(schw, [20.0, 40.0], SolveConfig(lmax=7), spectra=False)
+    assert [band for band, _ in solves] == [7, 7]
+
+
+def test_foliation_rejects_a_band_mismatch_before_any_solve(euclid, monkeypatch):
+    solves = _counted_solves(monkeypatch)
+    with pytest.raises(ConfigError, match="band limit 8, the config 12"):
+        foliate(euclid, [10.0], SolveConfig(lmax=12), initial=GraphSurface.round([0, 0, 0], 10.0, 8))
+    assert solves == []
 
 
 def _cubic_root(sigma, m):
