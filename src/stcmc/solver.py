@@ -17,7 +17,15 @@ both A (normal part, in surface_frames) and the induced connection of the
 Laplacian (tangential part, Gauss formula), and Ric(nu, nu) and nabla K read
 the inverse and Christoffel symbols its metric jet already holds.  The Laplace
 spectrum uses the variational stiffness/mass form instead, from the same
-quadrature, which preserves self-adjointness.
+quadrature, which preserves self-adjointness.  Its eigenpairs come from the
+half-band pencil (the leading blocks of the full-band stiffness and mass
+matrices, so only the stiffness's first columns are assembled), and the
+full band accepts them when each pair's full-band residual, in the norm of
+the inverse mass matrix, is a backward error of at most SPECTRUM_RTOL of
+the pencil's scale; otherwise the full-band pencil is solved.  sigma_min of
+script-L is found by block inverse iteration from one LU of L and the
+Cholesky factor of the mass matrix that certifies the half-band pairs,
+without forming the weighted operator.
 
 Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
@@ -80,10 +88,12 @@ DAMPING = 0.5           # Newton step shrink factor on residual increase
 MAX_DAMPING_ROUNDS = 6
 NEWTON_MAX_ITER = 30    # Newton iterations before MaxIterations
 RCOND = 1e-13           # Newton steps below this condition estimate use lstsq; sigma_min the full SVD
-# sigma_min of script-L by block inverse iteration (_sigma_min_weighted): the
-# sweeps stop when sigma_min changes by at most SIGMA_MIN_RTOL relative, and
-# fall back to the full SVD after SIGMA_MIN_SWEEPS
-SIGMA_MIN_RTOL = 1e-13
+# Relative accuracy of the spectra: the sigma_min sweeps (_sigma_min_weighted)
+# stop when sigma_min changes by at most SPECTRUM_RTOL relative, and fall back
+# to the full SVD after SIGMA_MIN_SWEEPS; half-band eigenpairs
+# (_half_band_pairs) are kept when each one's full-band backward error is at
+# most SPECTRUM_RTOL of the pencil's scale
+SPECTRUM_RTOL = 1e-13
 SIGMA_MIN_SWEEPS = 20
 
 
@@ -108,6 +118,15 @@ class SolveResult:
 
 @dataclass
 class SpectralReport:
+    """Low Laplace eigenpairs of a leaf and its invertibility diagnostics (laplace_spectrum).
+
+    The l = 1 triple is nearly degenerate, so eigenfunctions[:, 1:4] and
+    projections are defined only up to a rotation within it: the solver's
+    roundoff picks the rotation, and the half-band and full-band pencils pick
+    different ones.  aligned, ricci_integrals and predicted_lambda do not
+    depend on it.
+    """
+
     eigenvalues: np.ndarray          # lambda_0 .. lambda_k
     eigenfunctions: np.ndarray       # coefficients, columns per eigenvalue
     projections: np.ndarray          # <phi_i, f_j^delta> for i, j = 1..3
@@ -437,6 +456,12 @@ def _warm_start_ratio(sigma, sigma_prev, m):
     return radii[0] / radii[1]
 
 
+def _coarse_lmax(lmax):
+    """The coarse band of a leaf solve and of its spectrum: lmax // 2, or None below MIN_LMAX."""
+    coarse = lmax // 2
+    return coarse if coarse >= MIN_LMAX else None
+
+
 def _coarse_to_fine_solve(prov, sigma, start: GraphSurface, cfg: SolveConfig):
     """newton_solve at cfg.lmax, started from the leaf solved at half the band.
 
@@ -445,14 +470,14 @@ def _coarse_to_fine_solve(prov, sigma, start: GraphSurface, cfg: SolveConfig):
     solve runs from it, so the result is accepted at the full band exactly
     as a plain solve.  The leaves are smooth, nearly round graphs whose
     harmonic content decays geometrically in l, so the padded leaf usually
-    meets tol with no full-band iteration.  No coarse stage runs where half
-    the band is below MIN_LMAX; where the coarse solve fails (any error but
+    meets tol with no full-band iteration.  No coarse stage runs where
+    _coarse_lmax has none; where the coarse solve fails (any error but
     ConfigError), the full-band solve starts from the uncut start.
     """
     if start.lmax != cfg.lmax:
         raise ConfigError(f"initial surface has band limit {start.lmax}, the config {cfg.lmax}")
-    coarse = cfg.lmax // 2
-    if coarse >= MIN_LMAX:
+    coarse = _coarse_lmax(cfg.lmax)
+    if coarse is not None:
         cut = GraphSurface(start.center.copy(), start.r0, truncate_coeffs(start.coeffs, coarse), coarse)
         try:
             leaf = newton_solve(prov, sigma, cut, SolveConfig(lmax=coarse, tol=cfg.tol)).surface
@@ -532,13 +557,17 @@ def _annotate_lapse_positivity(leaves):
 
 # -- spectra -------------------------------------------------------------------
 
-def _stiffness_mass(fr: CurvatureField, lmax):
-    """Stiffness and mass matrices of the induced Laplacian in the base band."""
+def _stiffness(fr: CurvatureField, lmax, col_lmax=None):
+    """Stiffness matrix of the induced Laplacian: base-band rows, columns to col_lmax (lmax by default)."""
     gi = fr.dmu[:, None, None] * fr.g2inv
     grad = ("ft", "fp")
-    S = fr.grid.bilinear([(grad[a], grad[b], gi[:, a, b]) for a in (0, 1) for b in (0, 1)], lmax)
+    return fr.grid.bilinear([(grad[a], grad[b], gi[:, a, b]) for a in (0, 1) for b in (0, 1)], lmax, col_lmax)
+
+
+def _mass(fr: CurvatureField, lmax):
+    """Mass matrix of the area measure in the base band, symmetrized."""
     M = fr.grid.bilinear([("f", "f", fr.dmu)], lmax)
-    return S, M
+    return 0.5 * (M + M.T)
 
 
 def check_spectrum_k(k, lmax):
@@ -550,24 +579,82 @@ def check_spectrum_k(k, lmax):
         raise ConfigError(f"requested {k} eigenvalues exceeds basis size {nb}")
 
 
+def _eigh(S, M, n):
+    """The n lowest eigenpairs of the pencil (S, M); EigenSolverFailure where eigh fails."""
+    try:
+        return scipy.linalg.eigh(S, M, subset_by_index=[0, n - 1])
+    except scipy.linalg.LinAlgError as exc:
+        raise EigenSolverFailure(str(exc)) from exc
+
+
+def _half_band_pairs(S_cols, M, R, k):
+    """The k + 1 lowest eigenpairs from the half-band pencil, where the full band accepts them.
+
+    S_cols holds the first nc columns of the full-band stiffness matrix and
+    M = R^T R is the full-band mass matrix; their leading nc x nc blocks are
+    the half-band Galerkin matrices on the same quadrature.  That pencil is
+    solved for k + 2 pairs (lambda_i, v_i), and each v_i, zero-padded to the
+    full band, has the full-band residual r_i = S_cols v_i - lambda_i M[:, :nc] v_i.
+    With v_i M-normalized, the M^{-1} norm of r_i is the size of the
+    smallest symmetric perturbation of the full-band pencil for which the
+    pair is exact (its backward error).  The pairs are kept when every such
+    norm is at most SPECTRUM_RTOL of the pencil's scale, taken as the
+    largest Rayleigh quotient S_jj / M_jj of the half-band harmonics: a lower
+    bound on the pencil's largest eigenvalue, so the test is no looser than
+    one against that eigenvalue.
+
+    Returns (lambda_0..k, the padded v_0..k, the Kato-Temple bound
+    max_i ||r_i||^2 / (lambda_{k+1} - lambda_k) on their eigenvalue errors),
+    or None where the pairs are not kept.
+    """
+    nb, nc = S_cols.shape
+    Sc = S_cols[:nc]
+    lam, V = _eigh(0.5 * (Sc + Sc.T), M[:nc, :nc], k + 2)
+    resid = S_cols @ V - (M[:, :nc] @ V) * lam
+    rnorm = np.linalg.norm(scipy.linalg.solve_triangular(R, resid, trans="T"), axis=0)
+    scale = float(np.max(np.diag(Sc) / np.diag(M)[:nc]))
+    if not np.max(rnorm) <= SPECTRUM_RTOL * scale:
+        return None
+    padded = np.zeros((nb, k + 1))
+    padded[:nc] = V[:, : k + 1]
+    return lam[: k + 1], padded, float(np.max(rnorm[: k + 1]) ** 2 / (lam[k + 1] - lam[k]))
+
+
 def laplace_spectrum(fr: CurvatureField, k=8):
     """Low eigenpairs of the induced Laplacian and invertibility diagnostics.
 
     The generalized symmetric problem S v = lambda M v is assembled in the
     variational form (stiffness from surface gradients, mass from the area
-    measure), so self-adjointness is exact up to quadrature.  The l = 1
-    eigenfunctions are aligned with the scaled coordinate functions by
-    projection and re-orthonormalization.
+    measure), so self-adjointness is exact up to quadrature.  The eigenpairs
+    are solved coarse to fine: the half-band pencil (band _coarse_lmax, the
+    leading blocks of the full-band matrices) gives k + 2 pairs, which are
+    kept where their full-band residuals certify them (_half_band_pairs).
+    Otherwise, and where the half band has no coarse stage or fewer than
+    k + 2 harmonics, the full-band pencil is solved.  The leaves' harmonic
+    content decays geometrically in l, so the half band fixes the low pairs
+    to roundoff.  The l = 1 eigenfunctions are aligned with the scaled
+    coordinate functions by projection and re-orthonormalization (see
+    SpectralReport for what depends on the rotation within the triple).
+    Raises EigenSolverFailure where the pencil cannot be solved.
     """
     lmax = fr.lmax
     check_spectrum_k(k, lmax)
-    S, M = _stiffness_mass(fr, lmax)
-    S = 0.5 * (S + S.T)
-    M = 0.5 * (M + M.T)
+    fields = _OperatorFields(fr)  # first, so that no matrix is held through its formation
+    coarse = _coarse_lmax(lmax)
+    M = _mass(fr, lmax)
     try:
-        lam, V = scipy.linalg.eigh(S, M, subset_by_index=[0, k])
+        R = scipy.linalg.cholesky(M)  # M = R^T R, shared by the certificate and sigma_min
     except scipy.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(str(exc)) from exc
+        raise EigenSolverFailure(f"mass matrix: {exc}") from exc
+    pairs = None
+    if coarse is not None and k + 2 <= n_coeffs(coarse):
+        pairs = _half_band_pairs(_stiffness(fr, lmax, coarse), M, R, k)
+    if pairs is None:
+        S = _stiffness(fr, lmax)
+        lam, V = _eigh(0.5 * (S + S.T), M, k + 1)
+        del S
+    else:
+        lam, V, _ = pairs
     sc = surface_scalars(fr)
     r = sc.area_radius
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * r**4)) * (fr.X - sc.center[None, :])
@@ -584,13 +671,13 @@ def laplace_spectrum(fr: CurvatureField, k=8):
             aligned[:, j] -= (aligned[:, i] @ M @ aligned[:, j]) * aligned[:, i]
         nrm = math.sqrt(aligned[:, j] @ M @ aligned[:, j])
         aligned[:, j] /= nrm
+    del M
     mH = sc.hawking_mass
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
-    fields = _OperatorFields(fr)
     al_nodal = nodal(aligned)
     ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
-    smin = _sigma_min_weighted(fields, lmax, M)
+    smin = _sigma_min_weighted(fields, lmax, R)
     return SpectralReport(
         eigenvalues=lam,
         eigenfunctions=V,
@@ -605,40 +692,43 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     )
 
 
-def _sigma_min_weighted(fields: _OperatorFields, lmax, M):
+def _sigma_min_weighted(fields: _OperatorFields, lmax, R):
     """Smallest singular value of script-L in the dmu-weighted L2 norm.
 
-    With the symmetric mass matrix M = R^T R, the weighted operator is
-    W = R L R^{-1} acting on orthonormalized coordinates.  sigma_min(W) is
-    found by block inverse iteration on W^T W from one LU of W.  The start
-    block holds the l = 1 triple, where the smallest singular values sit (the
-    translations), and one guard column of equal weights on every harmonic;
-    no random start.  Each sweep applies (W^T W)^{-1} by two LU solves,
-    orthonormalizes the block by QR and takes the singular values of the
-    625x4 (at lmax 24) product W Q, whose smallest is an upper bound on
+    With the mass matrix M = R^T R (R upper triangular), the weighted
+    operator is W = R L R^{-1} acting on orthonormalized coordinates.
+    sigma_min(W) is found by block inverse iteration on W^T W without
+    forming W: (W^T W)^{-1} = R L^{-1} M^{-1} L^{-T} R^T is applied by one
+    LU of L and triangular solves with R.  The start block holds the l = 1
+    triple, where the smallest singular values sit (the translations), and
+    one guard column of equal weights on every harmonic; no random start.
+    Each sweep forms T = R^{-T} L^{-T} R^T Q, then the new block
+    Y = R L^{-1} R^{-1} T = (W^T W)^{-1} Q, orthonormalizes it by QR,
+    Y = Q' r, and takes the singular values of the 625x4 (at lmax 24)
+    product W Q' = T r^{-1}, whose smallest is an upper bound on
     sigma_min(W) that falls to it.  The sweeps stop when that value changes
-    by at most SIGMA_MIN_RTOL relative.  Where the condition estimate of W
-    is at or below RCOND (at zero energy the translations are a kernel and W
-    is singular), or the sweeps do not settle in SIGMA_MIN_SWEEPS, the full
-    SVD of W is taken instead.
+    by at most SPECTRUM_RTOL relative.  Where the condition estimate of L is
+    at or below RCOND (at zero energy the translations are a kernel and L is
+    singular), or the sweeps do not settle in SIGMA_MIN_SWEEPS, W is formed
+    and its full SVD taken instead.
     """
     Lmat = fields.fr.grid.operator_matrix(_nodal_coefficients(fields, "L_script"), lmax)
-    R = np.linalg.cholesky(M).T
-    # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
-    W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
-    lu, rcond = _lu_rcond(W)
+    lu, rcond = _lu_rcond(Lmat)
     if rcond > RCOND:
-        nb = W.shape[0]
+        nb = Lmat.shape[0]
         Q = np.zeros((nb, 4))
         Q[1:4, :3] = np.eye(3)  # the l = 1 harmonics, coeff_index(1, m) = 2 + m
         Q[:, 3] = 1.0 / math.sqrt(nb)
         smin = math.inf
         for _ in range(SIGMA_MIN_SWEEPS):
-            Y = scipy.linalg.lu_solve(lu, scipy.linalg.lu_solve(lu, Q, trans=1))
-            Q = np.linalg.qr(Y)[0]
-            prev, smin = smin, float(np.linalg.svd(W @ Q, compute_uv=False).min())
-            if abs(prev - smin) <= SIGMA_MIN_RTOL * smin:
+            T = scipy.linalg.solve_triangular(R, scipy.linalg.lu_solve(lu, R.T @ Q, trans=1), trans="T")
+            Q, r = np.linalg.qr(R @ scipy.linalg.lu_solve(lu, scipy.linalg.solve_triangular(R, T)))
+            WQ = scipy.linalg.solve_triangular(r, T.T, trans="T").T
+            prev, smin = smin, float(np.linalg.svd(WQ, compute_uv=False).min())
+            if abs(prev - smin) <= SPECTRUM_RTOL * smin:
                 return smin
+    # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
+    W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
     return float(np.linalg.svd(W, compute_uv=False).min())
 
 

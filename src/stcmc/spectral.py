@@ -305,48 +305,54 @@ class SphereGrid:
         f, ft, ftt, fp, ftp, fpp = self._nodal(X, np.shape(coeffs)[:-1])
         return {"f": f, "ft": ft, "fp": fp, "ftt": ftt, "ftp": ftp, "fpp": fpp}
 
-    def bilinear(self, terms, lmax):
+    def bilinear(self, terms, lmax, col_lmax=None):
         """Base-band matrix of a sum of bilinear forms, by quadrature.
 
         `terms` holds (left, right, f): synth_jet keys ('f', 'ft', 'fp',
         'ftt', 'ftp', 'fpp') of the derivatives D_left, D_right and a nodal
         field f.  Entry [k, j] is the sum over terms of the quadrature of
-        f (D_left Y_k)(D_right Y_j), for j, k < n_coeffs(lmax).
+        f (D_left Y_k)(D_right Y_j), for k < n_coeffs(lmax) and
+        j < n_coeffs(col_lmax) (col_lmax <= lmax, lmax by default): a
+        column band gives the leading columns of the square matrix.
 
         Each derivative of Y is a Legendre table in theta times a `trig`
         factor in phi, so the sum separates: one phi-sum per latitude and
         pair of (order, cos/sin) slots, the right theta table folded in per
-        harmonic j, and one theta contraction per left order m.
+        harmonic j, and one theta contraction per left order m.  The right
+        factors and the fold run over the columns only.
         """
         nb = n_coeffs(lmax)
         M, nt, nphi = lmax + 1, self.ntheta, self.nphi
+        Mc = M if col_lmax is None else col_lmax + 1
+        nc = n_coeffs(Mc - 1)
         ls, ms = self.ls[:nb], self.ms[:nb]
         slots = 2 * np.abs(ms) + (ms < 0)
         trig = self.trig[:, :, :M].reshape(3, nphi, 2 * M)
         leg = self.legendre[:M].reshape(M, 3, nt, -1)[..., :M]       # [m, q, i, l]
-        right = leg[np.abs(ms), :, :, ls].transpose(1, 2, 0)         # [q, i, j]
+        right = leg[np.abs(ms[:nc]), :, :, ls[:nc]].transpose(1, 2, 0)  # [q, i, j]
         # left derivative -> right theta table -> weighted field times the
         # right trig factor, [longitude, latitude, slot_j]
         groups = {}
         for lkey, rkey, f in terms:
             q, d = _JET_DERIVATIVES[rkey]
-            fw = (self.w * np.asarray(f, dtype=float)).reshape(nt, nphi).T[:, :, None] * trig[d][:, None, :]
+            fw = (self.w * np.asarray(f, dtype=float)).reshape(nt, nphi).T[:, :, None] * trig[d][:, None, : 2 * Mc]
             sums = groups.setdefault(_JET_DERIVATIVES[lkey], {})
             sums[q] = sums[q] + fw if q in sums else fw
         # phi-sums G[m_k, c_k, i, slot_j] against the left trig factor, and the
         # left theta tables stacked along the contracted (left, i) axis
         folds = [
-            [((trig[d].T @ fw.reshape(nphi, -1)).reshape(M, 2, nt, 2 * M), right[q]) for q, fw in sums.items()]
+            [((trig[d].T @ fw.reshape(nphi, -1)).reshape(M, 2, nt, 2 * Mc), right[q]) for q, fw in sums.items()]
             for (_, d), sums in groups.items()
         ]
         left = np.concatenate([leg[:, q] for q, _ in groups], axis=1)  # [m, (left, i), l]
-        out = np.empty((M, 2, M, nb))
+        cols = slots[:nc]
+        out = np.empty((M, 2, M, nc))
         for m in range(M):
             # per order, so the folded (cos/sin, (left, i), j) block stays in cache;
             # l < m rows of the table are zero and stay unset
-            W = np.concatenate([sum(G[m][..., slots] * P for G, P in fold) for fold in folds], axis=1)
+            W = np.concatenate([sum(G[m][..., cols] * P for G, P in fold) for fold in folds], axis=1)
             np.matmul(left[m, :, m:].T, W, out=out[m, :, m:])
-        return out.reshape(2 * M * M, nb)[slots * M + ls]
+        return out.reshape(2 * M * M, nc)[slots * M + ls]
 
     def operator_matrix(self, a, lmax):
         """Base-band matrix of a0 u + a1 u_t + a2 u_p + a3 u_tt + a4 u_tp + a5 u_pp.

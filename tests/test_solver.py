@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from stcmc.chart import (
     EuclideanProvider,
@@ -637,8 +638,6 @@ def test_spectrum_eigenvalue_law_on_leaves(schw):
 
 
 def test_eigensolver_failure_is_reported(euclid, monkeypatch):
-    import scipy.linalg
-
     def broken_eigh(*args, **kw):
         raise scipy.linalg.LinAlgError("injected")
 
@@ -659,10 +658,74 @@ def test_stiffness_mass_match_dense_basis(graphical, lmax):
     grad = (Yt, Yp)
     S_ref = sum(grad[a].T @ ((w * fr.g2inv[:, a, b])[:, None] * grad[b]) for a in (0, 1) for b in (0, 1))
     M_ref = Y.T @ (w[:, None] * Y)
-    S_sep, M_sep = sv._stiffness_mass(fr, lmax)
-    for mat, ref in ((S_sep, S_ref), (M_sep, M_ref)):
+    # the column-banded stiffness of the half-band spectrum: the leading columns
+    nc = n_coeffs(lmax // 2)
+    pairs = ((sv._stiffness(fr, lmax), S_ref), (sv._stiffness(fr, lmax, lmax // 2), S_ref[:, :nc]), (sv._mass(fr, lmax), M_ref))
+    for mat, ref in pairs:
         assert mat.shape == ref.shape
         assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _eigh_shapes(monkeypatch):
+    """Records the shape of every pencil that eigh solves."""
+    shapes = []
+    eigh = scipy.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted)
+    return shapes
+
+
+@pytest.fixture(scope="module")
+def half_band_leaves(schw, graphical):
+    """A canonical leaf off the center at lmax 16 and a graphical leaf at lmax 24, where the half band is certified."""
+    canonical = newton_solve(schw, 20.0, GraphSurface.round([1.0, 0.5, 0.0], 20.0, 16), SolveConfig(lmax=16, tol=1e-11))
+    graph = sv._coarse_to_fine_solve(graphical, 40.0, GraphSurface.round([0, 0, 0], 40.0, 24), SolveConfig(lmax=24, tol=1e-11))
+    return {"canonical": canonical.frames, "graphical": graph.frames}
+
+
+@pytest.mark.parametrize("leaf", ["canonical", "graphical"])
+def test_half_band_spectrum_matches_full_band(half_band_leaves, monkeypatch, leaf):
+    fr = half_band_leaves[leaf]
+    lmax, k = fr.lmax, 8
+    shapes = _eigh_shapes(monkeypatch)
+    half = laplace_spectrum(fr, k=k)
+    nc = n_coeffs(lmax // 2)
+    assert shapes == [(nc, nc)]  # the half band is certified: no full-band eigh
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_half_band_pairs", lambda *args: None)
+        full = laplace_spectrum(fr, k=k)
+    assert shapes[1:] == [(n_coeffs(lmax),) * 2]
+    lam, ref = half.eigenvalues, full.eigenvalues
+    assert max(abs(lam[0]), abs(ref[0])) <= 1e-12 * ref[1]  # the constants
+    assert np.max(np.abs(lam[1:] - ref[1:]) / ref[1:]) <= 1e-12
+    assert abs(half.sigma_min_L - full.sigma_min_L) <= 1e-12 * full.sigma_min_L
+    # the l = 1 subspace: the half-band triple lies in the full-band one (M-orthonormal columns)
+    M = sv._mass(fr, lmax)
+    Vh, Vf = half.eigenfunctions[:, 1:4], full.eigenfunctions[:, 1:4]
+    off = Vh - Vf @ (Vf.T @ M @ Vh)
+    assert np.sqrt(np.max(np.einsum("ij,ik,kj->j", off, M, off))) <= 1e-12
+    # rotation-invariant l = 1 entries
+    for a, b in ((half.ricci_integrals, full.ricci_integrals), (half.predicted_lambda, full.predicted_lambda)):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+    # the Kato-Temple bound on the half-band eigenvalue errors
+    pairs = sv._half_band_pairs(sv._stiffness(fr, lmax, lmax // 2), M, scipy.linalg.cholesky(M), k)
+    assert pairs is not None and pairs[2] <= 1e-20 * lam[1]
+
+
+def test_uncertified_half_band_falls_back_to_the_full_band(perturbed_leaf, monkeypatch):
+    fr, k = perturbed_leaf.frames, 8
+    shapes = _eigh_shapes(monkeypatch)
+    rep = laplace_spectrum(fr, k=k)
+    nb, nc = n_coeffs(fr.lmax), n_coeffs(fr.lmax // 2)
+    assert shapes == [(nc, nc), (nb, nb)]
+    # the full-band pencil and eigh call of the single-band spectrum
+    S, M = sv._stiffness(fr, fr.lmax), sv._mass(fr, fr.lmax)
+    lam, V = scipy.linalg.eigh(0.5 * (S + S.T), M, subset_by_index=[0, k])
+    assert np.array_equal(rep.eigenvalues, lam) and np.array_equal(rep.eigenfunctions, V)
 
 
 @pytest.mark.parametrize("k", [-1, 0, 2])
@@ -706,23 +769,30 @@ PERTURBED_TERMS = [
 ]
 
 
+@pytest.fixture(scope="module")
+def perturbed_leaf():
+    # the angular terms are not band-limited: the residual floors near 1e-7 at lmax 8
+    res = newton_solve(
+        PerturbationProvider(PERTURBED_TERMS), 20.0, GraphSurface.round([0, 0, 0], 20.0, 8), SolveConfig(lmax=8, tol=1e-6)
+    )
+    assert np.max(np.abs(res.frames.P)) > 1e-4  # the K terms are exercised
+    return res
+
+
 @pytest.mark.parametrize("leaf", ["canonical", "graphical", "perturbed"])
 def test_sigma_min_inverse_iteration_matches_svd(request, monkeypatch, leaf):
-    if leaf == "perturbed":
-        # the angular terms are not band-limited: the residual floors near 1e-7 at lmax 8
-        fr = newton_solve(
-            PerturbationProvider(PERTURBED_TERMS), 20.0, GraphSurface.round([0, 0, 0], 20.0, 8), SolveConfig(lmax=8, tol=1e-6)
-        ).frames
-        assert np.max(np.abs(fr.P)) > 1e-4  # the K terms are exercised
-    else:
-        fr = request.getfixturevalue({"canonical": "schw_leaf20", "graphical": "graphical_leaf60"}[leaf]).frames
-    weighted = []
-    lu_rcond = sv._lu_rcond
-    monkeypatch.setattr(sv, "_lu_rcond", lambda W: weighted.append(W) or lu_rcond(W))
+    fr = request.getfixturevalue({"canonical": "schw_leaf20", "graphical": "graphical_leaf60", "perturbed": "perturbed_leaf"}[leaf]).frames
+    # _lu_rcond factors L; the reference forms W = R L R^{-1} from the captured L and M = R^T R
+    factored, masses = [], []
+    lu_rcond, mass = sv._lu_rcond, sv._mass
+    monkeypatch.setattr(sv, "_lu_rcond", lambda L: factored.append(L) or lu_rcond(L))
+    monkeypatch.setattr(sv, "_mass", lambda *a: masses.append(mass(*a)) or masses[-1])
     full_svds = _full_svds(monkeypatch)
     smin = laplace_spectrum(fr, k=4).sigma_min_L
-    assert full_svds() == 0 and len(weighted) == 1
-    ref = np.linalg.svd(weighted[0], compute_uv=False).min()
+    assert full_svds() == 0 and len(factored) == 1 and len(masses) == 1
+    R = np.linalg.cholesky(masses[0]).T
+    W = scipy.linalg.solve_triangular(R, (R @ factored[0]).T, trans="T").T
+    ref = np.linalg.svd(W, compute_uv=False).min()
     # both values carry a roundoff of order eps * sigma_max / sigma_min relative
     assert abs(smin - ref) <= 1e-12 * ref
 
@@ -737,13 +807,10 @@ def test_sigma_min_takes_the_svd_only_where_w_is_singular(schw_leaf20, euclid, m
 
 
 def test_operator_selfadjoint_when_time_symmetric(schw_leaf20):
-    from stcmc.solver import _stiffness_mass
-
     fr = schw_leaf20.frames
     L = assemble_linearization(fr, "L_script")
-    _, M = _stiffness_mass(fr, fr.lmax)
     # weighted operator is symmetric; sigma_min equals the smallest |eigenvalue|
-    R = np.linalg.cholesky(0.5 * (M + M.T)).T
+    R = np.linalg.cholesky(sv._mass(fr, fr.lmax)).T
     W = R @ L @ np.linalg.inv(R)
     assert np.max(np.abs(W - W.T)) < 1e-10
     eig = np.linalg.eigvalsh(0.5 * (W + W.T))
