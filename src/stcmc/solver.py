@@ -34,16 +34,16 @@ Each step is one LU solve, with least squares where the condition estimate
 flags the zero-energy case.  Each trial surface is re-centered on its
 Euclidean center, which needs only the embedding, before its one residual
 evaluation, and the damping test reads the re-centered residual, so an
-undamped iteration costs one Jacobian and one residual.  A solve returns its
-leaf's frames, formed by its last residual evaluation (SolveResult.frames), so
-no caller forms them again.  A foliation seeds each later leaf at the radius
-of the Schwarzschild sphere with H = 2/sigma for the previous leaf's Hawking
-mass, near which the leaves of asymptotically Schwarzschild data lie at large
-sigma.  It solves each leaf coarse to fine, the first stage of nested
-iteration (full multigrid): Newton runs at half the band, where a Jacobian
-is a fraction of the full-band one, and the zero-padded coarse leaf starts a
-full-band Newton solve, which accepts it by the same tolerance, usually with
-no iteration, because the leaves' harmonic content decays geometrically in l.
+undamped iteration costs one Jacobian and one residual.  Every solve runs
+coarse to fine (nested iteration, the first stage of full multigrid): Newton
+runs at half the band, where a Jacobian is a fraction of the full-band one,
+and the full-band stage accepts the zero-padded coarse leaf by the same
+tolerance, usually with no iteration, as the leaves' harmonic content decays
+geometrically in l.  A solve returns its leaf's frames, formed by its last
+residual evaluation (SolveResult.frames), so no caller forms them again.  A
+foliation seeds each later leaf at the radius of the Schwarzschild sphere
+with H = 2/sigma for the previous leaf's Hawking mass, near which the leaves
+of asymptotically Schwarzschild data lie at large sigma.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class SolveResult:
     iterations: int
     residual_sup: float
     frames: CurvatureField      # of surface, from the last residual evaluation
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list)  # (lmax, residual sup) of each residual evaluation
 
 
 @dataclass
@@ -268,8 +268,50 @@ def curvature_residual(prov, surface: GraphSurface, sigma):
     return res, proj, fr
 
 
+def _coarse_lmax(lmax):
+    """The coarse band of a leaf solve and of its spectrum: lmax // 2, or None below MIN_LMAX."""
+    coarse = lmax // 2
+    return coarse if coarse >= MIN_LMAX else None
+
+
 def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None):
-    """Solve sqrt(H^2 - P^2) = 2/sigma by damped Newton on the graph height.
+    """Solve sqrt(H^2 - P^2) = 2/sigma on the config's band, coarse to fine.
+
+    The initial surface must have the config's band limit (ConfigError
+    otherwise).  Newton (_newton_stage) runs at band _coarse_lmax(cfg.lmax)
+    from the initial surface truncated; the coarse leaf, zero-padded with its
+    center and r0, starts the full-band stage, which accepts it by the same
+    tol, usually with no iteration.  Where there is no coarse band, or the
+    coarse stage raises any StcmcError but ConfigError, the full-band stage
+    starts from the uncut initial surface.  iterations counts the iterations
+    of both stages (of the full-band stage alone after a failed coarse one);
+    history holds (lmax, residual sup) of every residual evaluation of both.
+    """
+    cfg = config or SolveConfig(lmax=initial.lmax)
+    check_sigma(sigma)
+    if initial.lmax != cfg.lmax:
+        raise ConfigError(f"initial surface has band limit {initial.lmax}, the config {cfg.lmax}")
+    history, iterations = [], 0
+    coarse = _coarse_lmax(cfg.lmax)
+    if coarse is not None:
+        cut = GraphSurface(initial.center.copy(), initial.r0, truncate_coeffs(initial.coeffs, coarse), coarse)
+        try:
+            leaf = _newton_stage(prov, sigma, cut, cfg.tol, history)
+        except ConfigError:
+            raise
+        except StcmcError:
+            pass
+        else:
+            iterations, S = leaf.iterations, leaf.surface
+            del leaf  # its frames are not held through the full-band stage
+            initial = GraphSurface(S.center.copy(), S.r0, pad_coeffs(S.coeffs, coarse, cfg.lmax), cfg.lmax)
+    result = _newton_stage(prov, sigma, initial, cfg.tol, history)
+    result.iterations += iterations
+    return result
+
+
+def _newton_stage(prov, sigma, S: GraphSurface, tol, history):
+    """One damped-Newton stage of newton_solve, at the band of S.
 
     Each iteration takes the Newton step, re-centers the trial surface on its
     Euclidean center (formed from the embedding alone, no provider call), and
@@ -277,24 +319,17 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
     the low-order height content (and hence the conditioning of the
     translational block) small.  A trial is damped by DAMPING when its
     re-centered residual sup does not fall, or when it is trapped, degenerate
-    or cannot be re-centered.  A solve therefore makes one residual
-    evaluation per trial, 1 + iterations without damping.  The initial
-    surface must have the config's band limit (ConfigError otherwise).  Raises
+    or cannot be re-centered.  Each residual evaluation appends (lmax, sup)
+    to history, 1 + iterations of them without damping.  Raises
     NewtonDiverged when MAX_DAMPING_ROUNDS damped retries cannot lower the
-    residual sup and MaxIterations after NEWTON_MAX_ITER iterations, each with
-    sigma, iteration and residual_sup.
+    residual sup and MaxIterations after NEWTON_MAX_ITER iterations, each
+    with sigma, iteration and residual_sup.
     """
-    cfg = config or SolveConfig(lmax=initial.lmax)
-    check_sigma(sigma)
-    if initial.lmax != cfg.lmax:
-        raise ConfigError(f"initial surface has band limit {initial.lmax}, the config {cfg.lmax}")
-    S = initial
-    history = []
     res, proj, fr = curvature_residual(prov, S, sigma)
     sup = float(np.max(np.abs(res)))
+    history.append((S.lmax, sup))
     for it in range(NEWTON_MAX_ITER):
-        history.append(sup)
-        if sup <= cfg.tol:
+        if sup <= tol:
             return SolveResult(S, it, sup, fr, history)
         step, _ = _newton_step(graph_jacobian(fr), -proj)
         scale = 1.0
@@ -306,7 +341,8 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
                 scale *= DAMPING
                 continue
             sup_t = float(np.max(np.abs(res_t)))
-            if sup_t < sup or sup_t <= cfg.tol:
+            history.append((S.lmax, sup_t))
+            if sup_t < sup or sup_t <= tol:
                 break
             scale *= DAMPING
         else:
@@ -326,7 +362,7 @@ def _recentered(S: GraphSurface):
     """S re-based on its Euclidean center where that moved by more than 1e-12 r0.
 
     Raises rebase's MaxIterations and DegenerateInducedMetric where the
-    height reaches the base center; newton_solve damps such a trial.
+    height reaches the base center; _newton_stage damps such a trial.
     """
     center = euclidean_center(S)
     if np.linalg.norm(center - S.center) > 1e-12 * S.r0:
@@ -456,40 +492,6 @@ def _warm_start_ratio(sigma, sigma_prev, m):
     return radii[0] / radii[1]
 
 
-def _coarse_lmax(lmax):
-    """The coarse band of a leaf solve and of its spectrum: lmax // 2, or None below MIN_LMAX."""
-    coarse = lmax // 2
-    return coarse if coarse >= MIN_LMAX else None
-
-
-def _coarse_to_fine_solve(prov, sigma, start: GraphSurface, cfg: SolveConfig):
-    """newton_solve at cfg.lmax, started from the leaf solved at half the band.
-
-    The coarse leaf (band cfg.lmax // 2, same tol, from the start truncated)
-    is zero-padded to cfg.lmax, keeping its center and r0, and the full-band
-    solve runs from it, so the result is accepted at the full band exactly
-    as a plain solve.  The leaves are smooth, nearly round graphs whose
-    harmonic content decays geometrically in l, so the padded leaf usually
-    meets tol with no full-band iteration.  No coarse stage runs where
-    _coarse_lmax has none; where the coarse solve fails (any error but
-    ConfigError), the full-band solve starts from the uncut start.
-    """
-    if start.lmax != cfg.lmax:
-        raise ConfigError(f"initial surface has band limit {start.lmax}, the config {cfg.lmax}")
-    coarse = _coarse_lmax(cfg.lmax)
-    if coarse is not None:
-        cut = GraphSurface(start.center.copy(), start.r0, truncate_coeffs(start.coeffs, coarse), coarse)
-        try:
-            leaf = newton_solve(prov, sigma, cut, SolveConfig(lmax=coarse, tol=cfg.tol)).surface
-        except ConfigError:
-            raise
-        except StcmcError:
-            pass
-        else:
-            start = GraphSurface(leaf.center.copy(), leaf.r0, pad_coeffs(leaf.coeffs, coarse, cfg.lmax), cfg.lmax)
-    return newton_solve(prov, sigma, start, cfg)
-
-
 def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, spectra=True):
     """Sweep sigma upward, seeding each leaf by radial rescaling of the last.
 
@@ -499,10 +501,9 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
     radii of the Schwarzschild spheres with H = 2/sigma for the previous
     leaf's Hawking mass (sigma/sigma_prev where the cubic has no root), so
     near infinity, where the leaves are close to those spheres, a warm leaf
-    starts near its solution.  Each leaf is solved coarse to fine
-    (_coarse_to_fine_solve): Newton runs at half the band, and the padded
-    coarse leaf is accepted by a full-band newton_solve, so every leaf keeps
-    its full-band surface, frames, residual_sup <= tol and spectrum.
+    starts near its solution.  newton_solve solves each leaf coarse to
+    fine, and every leaf keeps its full-band surface, frames,
+    residual_sup <= tol and spectrum.
     """
     sigma_list = [float(s) for s in sigma_list]
     if not sigma_list:
@@ -518,7 +519,7 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
     for sg in sigma_list:
         if prev is not None:
             S = S.scaled(_warm_start_ratio(sg, *prev))
-        result = _coarse_to_fine_solve(prov, sg, S, cfg)
+        result = newton_solve(prov, sg, S, cfg)
         S = result.surface
         fr = result.frames
         sc = surface_scalars(fr)
@@ -603,9 +604,8 @@ def _half_band_pairs(S_cols, M, R, k):
     bound on the pencil's largest eigenvalue, so the test is no looser than
     one against that eigenvalue.
 
-    Returns (lambda_0..k, the padded v_0..k, the Kato-Temple bound
-    max_i ||r_i||^2 / (lambda_{k+1} - lambda_k) on their eigenvalue errors),
-    or None where the pairs are not kept.
+    Returns (lambda_0..k, the padded v_0..k), or None where the pairs are
+    not kept.
     """
     nb, nc = S_cols.shape
     Sc = S_cols[:nc]
@@ -617,7 +617,7 @@ def _half_band_pairs(S_cols, M, R, k):
         return None
     padded = np.zeros((nb, k + 1))
     padded[:nc] = V[:, : k + 1]
-    return lam[: k + 1], padded, float(np.max(rnorm[: k + 1]) ** 2 / (lam[k + 1] - lam[k]))
+    return lam[: k + 1], padded
 
 
 def laplace_spectrum(fr: CurvatureField, k=8):
@@ -654,7 +654,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
         lam, V = _eigh(0.5 * (S + S.T), M, k + 1)
         del S
     else:
-        lam, V, _ = pairs
+        lam, V = pairs
     sc = surface_scalars(fr)
     r = sc.area_radius
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * r**4)) * (fr.X - sc.center[None, :])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -276,10 +278,13 @@ def test_newton_schwarzschild_cubic(schw_leaf20):
 
 def test_newton_quadratic_tail(graphical):
     # seed far enough that several iterations happen; once below 1e-4 the
-    # residual should contract at least quadratically up to a stable constant
+    # residual should contract at least quadratically up to a stable constant.
+    # One stage alone: newton_solve's coarse stage would end at its band's
+    # truncation floor, which is no contraction measurement
     seed = GraphSurface.round([1.0, 0.5, 0.0], 55.0, 10)
-    res = newton_solve(graphical, 60.0, seed, SolveConfig(lmax=10, tol=1e-12))
-    hist = res.history
+    res = sv._newton_stage(graphical, 60.0, seed, 1e-12, [])
+    assert {band for band, _ in res.history} == {10}
+    hist = [sup for _, sup in res.history]
     tail = [(a, b) for a, b in zip(hist, hist[1:]) if a < 1e-4 and b > 0]
     assert tail, "no contraction data below 1e-4"
     consts = [b / a**2 for a, b in tail]
@@ -350,8 +355,24 @@ def test_newton_evaluates_one_residual_per_iteration(graphical, monkeypatch):
     monkeypatch.setattr(sv, "rebase", lambda *args: rebases.append(args) or rebase(*args))
     res = newton_solve(graphical, 40.0, GraphSurface.round([0.5, -0.4, 0.3], 38.0, 8), SolveConfig(lmax=8))
     assert res.iterations >= 2 and rebases
-    assert calls["residual"] == 1 + res.iterations
+    # one residual per stage (the coarse lmax 4, then the full band) plus one per iteration
+    bands = [band for band, _ in res.history]
+    assert calls["residual"] == 2 + res.iterations == len(bands)
+    assert bands == sorted(bands) and set(bands) == {4, 8}
     assert calls["frames"] == calls["residual"]
+
+
+@pytest.mark.parametrize("sigma", [20.0, 60.0])
+def test_padded_leaf_builds_no_full_band_jacobian(graphical, monkeypatch, sigma):
+    bands = []
+    jacobian = sv.graph_jacobian
+    monkeypatch.setattr(sv, "graph_jacobian", lambda fr: bands.append(fr.lmax) or jacobian(fr))
+    cfg = SolveConfig(lmax=24)
+    res = newton_solve(graphical, sigma, GraphSurface.round([0, 0, 0], sigma, 24), cfg)
+    assert res.residual_sup <= cfg.tol and len(bands) == res.iterations > 0
+    # the padded coarse leaf meets tol, so the full-band stage accepts it without a Jacobian
+    assert next(sup for band, sup in res.history if band == 24) <= cfg.tol
+    assert bands == [12] * res.iterations
 
 
 def test_newton_max_iterations(euclid, monkeypatch):
@@ -498,19 +519,19 @@ def test_foliation_schwarzschild(schw):
 
 
 def _counted_solves(monkeypatch, fail_below=None):
-    """Record (band, iterations) of each sv.newton_solve; solves below band fail_below raise NewtonDiverged."""
+    """Record (band, iterations) of each Newton stage; stages below band fail_below raise NewtonDiverged."""
     solves = []
-    solve = sv.newton_solve
+    stage = sv._newton_stage
 
-    def counted_solve(prov, sigma, initial, config):
-        if fail_below is not None and config.lmax < fail_below:
-            solves.append((config.lmax, None))
+    def counted_stage(prov, sigma, S, tol, history):
+        if fail_below is not None and S.lmax < fail_below:
+            solves.append((S.lmax, None))
             raise NewtonDiverged("injected", sigma=sigma, iteration=0, residual_sup=1.0)
-        result = solve(prov, sigma, initial, config)
-        solves.append((config.lmax, result.iterations))
+        result = stage(prov, sigma, S, tol, history)
+        solves.append((S.lmax, result.iterations))
         return result
 
-    monkeypatch.setattr(sv, "newton_solve", counted_solve)
+    monkeypatch.setattr(sv, "_newton_stage", counted_stage)
     return solves
 
 
@@ -525,12 +546,12 @@ def test_canonical_warm_leaves_start_at_their_solution(schw, monkeypatch):
 
 
 def _full_band_sweep(prov, sigma_list, cfg, S):
-    """foliate's loop with every leaf solved at the full band alone: (surface, scalars, residual sup) per leaf."""
+    """foliate's loop with every leaf solved by the full-band stage alone: (surface, scalars, residual sup) per leaf."""
     out, prev = [], None
     for sg in sigma_list:
         if prev is not None:
             S = S.scaled(sv._warm_start_ratio(sg, *prev))
-        result = newton_solve(prov, sg, S, cfg)
+        result = sv._newton_stage(prov, sg, S, cfg.tol, [])
         S = result.surface
         sc = surface_scalars(result.frames)
         prev = (sg, sc.hawking_mass)
@@ -683,7 +704,7 @@ def _eigh_shapes(monkeypatch):
 def half_band_leaves(schw, graphical):
     """A canonical leaf off the center at lmax 16 and a graphical leaf at lmax 24, where the half band is certified."""
     canonical = newton_solve(schw, 20.0, GraphSurface.round([1.0, 0.5, 0.0], 20.0, 16), SolveConfig(lmax=16, tol=1e-11))
-    graph = sv._coarse_to_fine_solve(graphical, 40.0, GraphSurface.round([0, 0, 0], 40.0, 24), SolveConfig(lmax=24, tol=1e-11))
+    graph = newton_solve(graphical, 40.0, GraphSurface.round([0, 0, 0], 40.0, 24), SolveConfig(lmax=24, tol=1e-11))
     return {"canonical": canonical.frames, "graphical": graph.frames}
 
 
@@ -711,9 +732,25 @@ def test_half_band_spectrum_matches_full_band(half_band_leaves, monkeypatch, lea
     # rotation-invariant l = 1 entries
     for a, b in ((half.ricci_integrals, full.ricci_integrals), (half.predicted_lambda, full.predicted_lambda)):
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
-    # the Kato-Temple bound on the half-band eigenvalue errors
-    pairs = sv._half_band_pairs(sv._stiffness(fr, lmax, lmax // 2), M, scipy.linalg.cholesky(M), k)
-    assert pairs is not None and pairs[2] <= 1e-20 * lam[1]
+    # the Kato-Temple bound max_i ||r_i||^2 / (lambda_{k+1} - lambda_k) on the half-band eigenvalue
+    # errors, from the full-band residuals r_i in the M^{-1} norm and the full-band lambda_{k+1}
+    S = sv._stiffness(fr, lmax)
+    V = half.eigenfunctions
+    rnorm = np.linalg.norm(scipy.linalg.solve_triangular(scipy.linalg.cholesky(M), S @ V - (M @ V) * lam, trans="T"), axis=0)
+    gap = scipy.linalg.eigh(S, M, eigvals_only=True, subset_by_index=[k + 1, k + 1])[0] - lam[k]
+    assert gap > 0 and np.max(rnorm) ** 2 / gap <= 1e-20 * lam[1]
+
+
+@pytest.mark.parametrize("lmax", [8, 16])
+def test_half_band_spectrum_of_a_degenerate_multiplet(schw, lmax):
+    # round leaf, k = 4: lambda_4 and lambda_5 lie in the exactly degenerate l = 2 multiplet
+    fr = surface_frames(schw, GraphSurface.round([0, 0, 0], 19.0, lmax))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = laplace_spectrum(fr, k=4)
+    r2 = fr.area / (4.0 * np.pi)
+    assert abs(rep.eigenvalues[0]) <= 1e-12 / r2
+    assert np.max(np.abs(rep.eigenvalues[1:] - np.array([2.0, 2.0, 2.0, 6.0]) / r2)) <= 1e-12 / r2
 
 
 def test_uncertified_half_band_falls_back_to_the_full_band(perturbed_leaf, monkeypatch):
