@@ -24,38 +24,30 @@ from .chart import (
     christoffel,
     conjugate_momentum,
     constraint_densities,
-    decay_check,
     ricci_scalar_curvature,
 )
 from .charges import (
     adm_energy,
     adm_mass,
-    euclidean_motion_transform,
     fit_power_tail,
     sphere_fluxes,
     stcmc_center_coordinate,
-    stcmc_center_foliation,
     velocity_integral,
 )
 from .solver import (
     SolveConfig,
     SolveResult,
     assemble_linearization,
-    center_variation_check,
-    continuation_in_tau,
     foliate,
     graph_jacobian,
     laplace_spectrum,
     newton_solve,
-    operator_bound_check,
     uniqueness_cross_check,
 )
 from .spectral import build_grid
 from .surfaces import (
     GraphSurface,
-    apriori_class_check,
     appendix_graph_residual,
-    euclidean_comparison,
     rebase,
     solve_graph_residual,
     surface_frames,
@@ -76,32 +68,24 @@ __all__ = [
     "christoffel",
     "conjugate_momentum",
     "constraint_densities",
-    "decay_check",
     "ricci_scalar_curvature",
     "adm_energy",
     "adm_mass",
-    "euclidean_motion_transform",
     "fit_power_tail",
     "sphere_fluxes",
     "stcmc_center_coordinate",
-    "stcmc_center_foliation",
     "velocity_integral",
     "SolveConfig",
     "SolveResult",
     "assemble_linearization",
-    "center_variation_check",
-    "continuation_in_tau",
     "foliate",
     "graph_jacobian",
     "laplace_spectrum",
     "newton_solve",
-    "operator_bound_check",
     "uniqueness_cross_check",
     "build_grid",
     "GraphSurface",
-    "apriori_class_check",
     "appendix_graph_residual",
-    "euclidean_comparison",
     "rebase",
     "solve_graph_residual",
     "surface_frames",

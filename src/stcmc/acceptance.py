@@ -259,8 +259,7 @@ def criterion_7_operator_floor():
     ratios = []
     gaps = []
     for leaf in fol:
-        bound = 3.0 * abs(leaf.hawking_mass) / leaf.sigma**3
-        ratios.append(leaf.sigma_min_L / bound)
+        ratios.append(leaf.sigma_min_L / leaf.spectrum.invertibility_bound)
         gaps.append(abs(E - leaf.hawking_mass))
     floor_ok = all(r >= 0.9 for r in ratios)
     decreasing = all(b <= a + 1e-10 for a, b in zip(gaps, gaps[1:]))

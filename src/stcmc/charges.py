@@ -20,10 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import _EYE, _finite_array, conjugate_momentum, orthogonal_matrix
+from .chart import _EYE, _finite_array, conjugate_momentum
 from .errors import (
     ConfigError,
-    InsufficientLeaves,
     ShapeMismatch,
     SpacelikeEnergyMomentum,
     ZeroEnergy,
@@ -333,20 +332,6 @@ def _center_report(radii, bom, z):
     )
 
 
-def stcmc_center_foliation(foliation):
-    """Extrapolated limit of the leaf centers of a foliation."""
-    leaves = list(foliation)
-    if len(leaves) < 3:
-        raise InsufficientLeaves("need at least three leaves to extrapolate the center")
-    sigmas = np.array([leaf.sigma for leaf in leaves])
-    centers = np.stack([leaf.center for leaf in leaves])
-    fits = fit_power_tail(sigmas, centers)
-    limit = np.array([f.c0 for f in fits])
-    residual = float(max(f.residual for f in fits))
-    converged = not any(f.divergent for f in fits)
-    return limit, residual, converged, fits
-
-
 def velocity_integral(prov, radii, E, lmax=24, fluxes=None):
     """Evolution report: the limit of the velocity integral against P/E, both fitted in one call."""
     if abs(E) <= 1e-12:
@@ -364,26 +349,3 @@ def velocity_integral(prov, radii, E, lmax=24, fluxes=None):
         momentum_over_energy=poe,
         discrepancy=float(np.linalg.norm(vlim - poe)),
     )
-
-
-def euclidean_motion_transform(rep, O, T):
-    """Transform a charge or center report under y = O x + T.
-
-    Energy is invariant, momenta rotate, centers rotate and translate.
-    """
-    O = orthogonal_matrix(O)
-    T = _finite_array(T, (3,), "translation")
-    if isinstance(rep, ChargeReport):
-        return ChargeReport(
-            radii=rep.radii,
-            energy_values=rep.energy_values.copy(),
-            momentum_values=rep.momentum_values @ O.T,
-            energy=rep.energy,
-            momentum=O @ rep.momentum,
-            mass=rep.mass,
-            energy_fit=rep.energy_fit,
-            momentum_fits=rep.momentum_fits,
-        )
-    if isinstance(rep, CenterReport):
-        return _center_report(rep.radii, rep.bom_values @ O.T + T, rep.z_values @ O.T)
-    raise ConfigError(f"cannot transform report of type {type(rep).__name__}")

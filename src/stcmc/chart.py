@@ -5,8 +5,8 @@ derivatives of the metric, values plus first derivatives of the extrinsic
 curvature); finite differencing appears only in test oracles.  Providers
 take points of shape (n, 3), and the curvature operations take the jets they
 return.  A provider call forms only g, dg and K; ddg and dK, which only the
-curvature of the data (Ricci, nabla K) and the constraint and decay
-diagnostics read, are formed from the points on first read.  Index layout:
+curvature of the data (Ricci, nabla K) and the constraint densities
+read, are formed from the points on first read.  Index layout:
 
     g[n, i, j]              metric components
     dg[n, i, j, k]          d_k g_ij
@@ -57,7 +57,6 @@ from .errors import (
     SingularMetric,
     SliceNotSpacelike,
 )
-from .spectral import get_grid
 
 _EYE = np.eye(3)
 
@@ -836,123 +835,3 @@ def constraint_densities(prov, p):
     J_j = g^{ik} nabla_k K_ij - d_j tr K.
     """
     return _constraints(prov.metric_jet(p), prov.extrinsic_jet(p))
-
-
-# -- decay diagnostics -------------------------------------------------------
-
-@dataclass
-class DecayReport:
-    """Sampled decay ratios against the admissible fall-off rates.
-
-    ratio_* arrays are per-radius sups of the left-hand side of the decay
-    inequalities divided by the right-hand side; rt_* are the analogous
-    parity (odd/even) ratios at reference rate gamma = 1.  Fitted exponents
-    are reported without a pass/fail judgment.
-    """
-
-    radii: np.ndarray
-    eps: float
-    ratio_metric: np.ndarray
-    ratio_extrinsic: np.ndarray
-    ratio_constraints: np.ndarray
-    rt_metric_odd: np.ndarray
-    rt_momentum_even: np.ndarray
-    rt_constraints_odd: np.ndarray
-    sup_g_minus_delta: np.ndarray
-    sup_K: np.ndarray
-    sup_mu_J: np.ndarray
-    sup_g_odd: np.ndarray
-    fitted_exponents: dict
-
-
-def _maxabs(a, axes):
-    return np.max(np.abs(a), axis=axes)
-
-
-def _fit_exponent(radii, sups):
-    mask = sups > 0
-    if mask.sum() < 2:
-        return float("nan")
-    slope = np.polyfit(np.log(radii[mask]), np.log(sups[mask]), 1)[0]
-    return float(-slope)
-
-
-def decay_check(prov, radii, eps, lmax=16):
-    """Sample the decay inequalities and parity conditions on coordinate spheres."""
-    radii = np.asarray(radii, dtype=float)
-    if np.any(np.diff(radii) <= 0):
-        raise ConfigError("radii must be strictly increasing")
-    grid = get_grid(lmax)
-    om = grid.unit_vectors()["o"]
-    rows = {k: [] for k in (
-        "ratio1", "ratio2", "ratio3", "rt1", "rt2", "rt3",
-        "sup_g", "sup_K", "sup_muJ", "sup_godd",
-    )}
-    for r in radii:
-        xp = r * om
-        xm = -xp
-        mj_p, mj_m = prov.metric_jet(xp), prov.metric_jet(xm)
-        ej_p, ej_m = prov.extrinsic_jet(xp), prov.extrinsic_jet(xm)
-        mu_p, J_p = _constraints(mj_p, ej_p)
-        mu_m, J_m = _constraints(mj_m, ej_m)
-        sup_g = _maxabs(mj_p.g - _EYE, (1, 2)).max()
-        lhs1 = _maxabs(mj_p.g - _EYE, (1, 2)) + r * _maxabs(mj_p.dg, (1, 2, 3)) + r**2 * _maxabs(mj_p.ddg, (1, 2, 3, 4))
-        rows["ratio1"].append(lhs1.max() / r ** (-0.5 - eps))
-        lhs2 = _maxabs(ej_p.K, (1, 2)) + r * _maxabs(ej_p.dK, (1, 2, 3))
-        rows["ratio2"].append(lhs2.max() / r ** (-1.5 - eps))
-        lhs3 = np.abs(mu_p) + np.linalg.norm(J_p, axis=1)
-        rows["ratio3"].append(lhs3.max() / r ** (-3.0 - eps))
-        # parity parts: f_odd(x) = (f(x) - f(-x))/2; derivatives alternate sign
-        g_odd = 0.5 * (mj_p.g - mj_m.g)
-        dg_odd = 0.5 * (mj_p.dg + mj_m.dg)
-        ddg_odd = 0.5 * (mj_p.ddg - mj_m.ddg)
-        lhs_rt1 = _maxabs(g_odd, (1, 2)) + r * _maxabs(dg_odd, (1, 2, 3)) + r**2 * _maxabs(ddg_odd, (1, 2, 3, 4))
-        rows["rt1"].append(lhs_rt1.max() / r ** (-1.0 - eps))
-        pi_p = conjugate_momentum(mj_p, ej_p.K)
-        pi_m = conjugate_momentum(mj_m, ej_m.K)
-        dpi_p = _dpi(mj_p, ej_p)
-        dpi_m = _dpi(mj_m, ej_m)
-        pi_even = 0.5 * (pi_p + pi_m)
-        dpi_even = 0.5 * (dpi_p - dpi_m)
-        lhs_rt2 = _maxabs(pi_even, (1, 2)) + r * _maxabs(dpi_even, (1, 2, 3))
-        rows["rt2"].append(lhs_rt2.max() / r ** (-2.0 - eps))
-        mu_odd = 0.5 * (mu_p - mu_m)
-        J_odd = 0.5 * (J_p + J_m)
-        lhs_rt3 = np.abs(mu_odd) + np.linalg.norm(J_odd, axis=1)
-        rows["rt3"].append(lhs_rt3.max() / r ** (-3.5 - eps))
-        rows["sup_g"].append(sup_g)
-        rows["sup_K"].append(_maxabs(ej_p.K, (1, 2)).max())
-        rows["sup_muJ"].append(lhs3.max())
-        rows["sup_godd"].append(_maxabs(g_odd, (1, 2)).max())
-    arr = {k: np.asarray(v) for k, v in rows.items()}
-    fitted = {
-        "g_minus_delta": _fit_exponent(radii, arr["sup_g"]),
-        "K": _fit_exponent(radii, arr["sup_K"]),
-        "mu_J": _fit_exponent(radii, arr["sup_muJ"]),
-        "g_odd": _fit_exponent(radii, arr["sup_godd"]),
-    }
-    return DecayReport(
-        radii=radii,
-        eps=eps,
-        ratio_metric=arr["ratio1"],
-        ratio_extrinsic=arr["ratio2"],
-        ratio_constraints=arr["ratio3"],
-        rt_metric_odd=arr["rt1"],
-        rt_momentum_even=arr["rt2"],
-        rt_constraints_odd=arr["rt3"],
-        sup_g_minus_delta=arr["sup_g"],
-        sup_K=arr["sup_K"],
-        sup_mu_J=arr["sup_muJ"],
-        sup_g_odd=arr["sup_godd"],
-        fitted_exponents=fitted,
-    )
-
-
-def _dpi(mj: MetricJet, ej: ExtrinsicJet):
-    """d_k pi_ij for pi = (tr K) g - K."""
-    trK = np.einsum("nab,nab->n", mj.ginv, ej.K)
-    return (
-        trace_derivative(mj, ej)[:, None, None, :] * mj.g[:, :, :, None]
-        + trK[:, None, None, None] * mj.dg
-        - ej.dK
-    )

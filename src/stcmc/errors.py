@@ -64,16 +64,8 @@ class MaxIterations(IterationFailure):
     """Newton iteration limit reached without meeting the tolerance."""
 
 
-class ContinuationStalled(StcmcError):
-    """Homotopy step failed even after bisection refinement of the step size."""
-
-
 class EigenSolverFailure(StcmcError):
     """Generalized symmetric eigensolve did not converge."""
-
-
-class InsufficientLeaves(StcmcError):
-    """Foliation limit extrapolation needs at least three leaves."""
 
 
 class ZeroEnergy(StcmcError):

@@ -54,15 +54,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .chart import (
-    DataProvider,
-    covariant_derivative,
-    ricci_scalar_curvature,
-    trace_derivative,
-)
+from .chart import covariant_derivative, ricci_scalar_curvature, trace_derivative
 from .errors import (
     ConfigError,
-    ContinuationStalled,
     DegenerateInducedMetric,
     EigenSolverFailure,
     MaxIterations,
@@ -76,7 +70,6 @@ from .surfaces import (
     GraphSurface,
     check_sigma,
     euclidean_center,
-    parametrized_area_and_center,
     rebase,
     surface_frames,
     surface_scalars,
@@ -389,89 +382,6 @@ def _lu_rcond(A):
     return lu, scipy.linalg.lapack.dgecon(lu[0], anorm, norm="1")[0]
 
 
-# -- scaled-K family for the method of continuity -----------------------------
-
-class ScaledExtrinsicProvider(DataProvider):
-    """Same metric, extrinsic curvature scaled by tau (constraints re-derived)."""
-
-    def __init__(self, inner, tau):
-        self.inner = inner
-        self.tau = float(tau)
-
-    @property
-    def inner_radius(self):
-        return self.inner.inner_radius
-
-    def metric_jet(self, x):
-        return self.inner.metric_jet(x)
-
-    def extrinsic_jet(self, x):
-        ej = self.inner.extrinsic_jet(x)
-        tau = self.tau
-        return type(ej)(tau * ej.K, lambda: tau * ej.dK)
-
-
-@dataclass
-class ContinuationStep:
-    tau: float
-    result: SolveResult
-    lapse_coeffs: np.ndarray
-    lapse_sup: float
-    lapse_l2: float
-
-
-def continuation_in_tau(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None, steps=8):
-    """Deform the purely Riemannian solution to the full-K solution.
-
-    Walks tau from 0 to 1 through data with K scaled by tau, seeding each
-    solve with the previous leaf; on failure the step is bisected down to
-    1/256.  At every accepted tau the deformation lapse u is recorded by
-    solving script-L u = tau (tr_S K)^2 / H with the unscaled K.
-    """
-    cfg = config or SolveConfig(lmax=initial.lmax)
-    out = []
-    tau = 0.0
-    dtau = 1.0 / steps
-    S = initial
-    result = newton_solve(ScaledExtrinsicProvider(prov, 0.0), sigma, S, cfg)
-    out.append(_continuation_record(prov, 0.0, result))
-    S = result.surface
-    while tau < 1.0 - 1e-12:
-        step = min(dtau, 1.0 - tau)
-        while True:
-            try:
-                result = newton_solve(ScaledExtrinsicProvider(prov, tau + step), sigma, S, cfg)
-                break
-            except (NewtonDiverged, MaxIterations, TrappedRegion, DegenerateInducedMetric):
-                step *= 0.5
-                if step < 1.0 / 256.0:
-                    raise ContinuationStalled(
-                        f"tau step below 1/256 at tau = {tau:.4f}"
-                    ) from None
-        tau += step
-        S = result.surface
-        out.append(_continuation_record(prov, tau, result))
-    return out
-
-
-def _continuation_record(prov, tau, result):
-    S = result.surface
-    fr = result.frames  # of the tau-scaled data the leaf was solved in
-    fr_full = surface_frames(prov, S)
-    Lmat = assemble_linearization(fr, "L_script")
-    rhs_nodal = tau * fr_full.P**2 / fr.H
-    rhs = truncate_coeffs(fr.grid.analyze(rhs_nodal), S.lmax)
-    u = np.linalg.solve(Lmat, rhs)
-    u_nodal = fr.grid.synthesize(pad_coeffs(u, S.lmax, fr.grid.lmax))
-    return ContinuationStep(
-        tau=tau,
-        result=result,
-        lapse_coeffs=u,
-        lapse_sup=float(np.max(np.abs(u_nodal))),
-        lapse_l2=float(np.sqrt(fr.integrate(u_nodal**2))),
-    )
-
-
 def _warm_start_ratio(sigma, sigma_prev, m):
     """r(sigma) / r(sigma_prev) for the Schwarzschild spheres of mass m with H = 2N/r = 2/sigma.
 
@@ -594,7 +504,7 @@ def _half_band_pairs(S_cols, M, R, k):
     S_cols holds the first nc columns of the full-band stiffness matrix and
     M = R^T R is the full-band mass matrix; their leading nc x nc blocks are
     the half-band Galerkin matrices on the same quadrature.  That pencil is
-    solved for k + 2 pairs (lambda_i, v_i), and each v_i, zero-padded to the
+    solved for k + 1 pairs (lambda_i, v_i), and each v_i, zero-padded to the
     full band, has the full-band residual r_i = S_cols v_i - lambda_i M[:, :nc] v_i.
     With v_i M-normalized, the M^{-1} norm of r_i is the size of the
     smallest symmetric perturbation of the full-band pencil for which the
@@ -609,15 +519,15 @@ def _half_band_pairs(S_cols, M, R, k):
     """
     nb, nc = S_cols.shape
     Sc = S_cols[:nc]
-    lam, V = _eigh(0.5 * (Sc + Sc.T), M[:nc, :nc], k + 2)
+    lam, V = _eigh(0.5 * (Sc + Sc.T), M[:nc, :nc], k + 1)
     resid = S_cols @ V - (M[:, :nc] @ V) * lam
     rnorm = np.linalg.norm(scipy.linalg.solve_triangular(R, resid, trans="T"), axis=0)
     scale = float(np.max(np.diag(Sc) / np.diag(M)[:nc]))
     if not np.max(rnorm) <= SPECTRUM_RTOL * scale:
         return None
     padded = np.zeros((nb, k + 1))
-    padded[:nc] = V[:, : k + 1]
-    return lam[: k + 1], padded
+    padded[:nc] = V
+    return lam, padded
 
 
 def laplace_spectrum(fr: CurvatureField, k=8):
@@ -627,10 +537,10 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     variational form (stiffness from surface gradients, mass from the area
     measure), so self-adjointness is exact up to quadrature.  The eigenpairs
     are solved coarse to fine: the half-band pencil (band _coarse_lmax, the
-    leading blocks of the full-band matrices) gives k + 2 pairs, which are
+    leading blocks of the full-band matrices) gives k + 1 pairs, which are
     kept where their full-band residuals certify them (_half_band_pairs).
     Otherwise, and where the half band has no coarse stage or fewer than
-    k + 2 harmonics, the full-band pencil is solved.  The leaves' harmonic
+    k + 1 harmonics, the full-band pencil is solved.  The leaves' harmonic
     content decays geometrically in l, so the half band fixes the low pairs
     to roundoff.  The l = 1 eigenfunctions are aligned with the scaled
     coordinate functions by projection and re-orthonormalization (see
@@ -647,7 +557,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverFailure(f"mass matrix: {exc}") from exc
     pairs = None
-    if coarse is not None and k + 2 <= n_coeffs(coarse):
+    if coarse is not None and k + 1 <= n_coeffs(coarse):
         pairs = _half_band_pairs(_stiffness(fr, lmax, coarse), M, R, k)
     if pairs is None:
         S = _stiffness(fr, lmax)
@@ -730,34 +640,6 @@ def _sigma_min_weighted(fields: _OperatorFields, lmax, R):
     # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
     W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
     return float(np.linalg.svd(W, compute_uv=False).min())
-
-
-def operator_bound_check(fr: CurvatureField):
-    """Smallest weighted singular value of script-L against 3|m_H|/sigma^3."""
-    rep = laplace_spectrum(fr, k=4)
-    ratio = rep.sigma_min_L / rep.invertibility_bound if rep.invertibility_bound > 0 else float("inf")
-    return rep.sigma_min_L, rep.invertibility_bound, ratio
-
-
-def center_variation_check(prov, surface: GraphSurface, u_coeffs):
-    """First variation of the Euclidean center against the normal-flux formula.
-
-    Compares a central difference of the center of X + s u nu with
-    (3/|S|) int u nu dmu, returning (fd, formula, discrepancy).  Takes the
-    surface, not its frames: its base radius and band set the step and u.
-    """
-    fr = surface_frames(prov, surface)
-    grid = fr.grid
-    u = grid.synthesize(pad_coeffs(np.asarray(u_coeffs, dtype=float), surface.lmax, grid.lmax))
-    step = 1e-5 * surface.r0
-    centers = []
-    for s in (step, -step):
-        X = fr.X + s * u[:, None] * fr.nu
-        _, z = parametrized_area_and_center(grid, X)
-        centers.append(z)
-    fd = (centers[0] - centers[1]) / (2.0 * step)
-    formula = 3.0 / fr.area * np.stack([fr.integrate(u * fr.nu[:, i]) for i in range(3)])
-    return fd, formula, float(np.linalg.norm(fd - formula))
 
 
 def uniqueness_cross_check(prov, sigma, seeds, config: SolveConfig | None = None):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .chart import EuclideanProvider, _finite_array, christoffel
 from .errors import (
+    BandLimitTooSmall,
     ConfigError,
     DegenerateInducedMetric,
     FoliationNotSupported,
@@ -32,6 +33,7 @@ from .errors import (
 )
 from .spectral import (
     _JET_DERIVATIVES,
+    MIN_LMAX,
     dealias_lmax,
     get_grid,
     n_coeffs,
@@ -51,6 +53,8 @@ class GraphSurface:
     lmax: int
 
     def __post_init__(self):
+        if self.lmax < MIN_LMAX:
+            raise BandLimitTooSmall(f"surface band limit {self.lmax} < {MIN_LMAX}")
         self.center = _finite_array(self.center, (3,), "center")
         self.coeffs = np.asarray(self.coeffs, dtype=float)
         if self.coeffs.shape != (n_coeffs(self.lmax),):
@@ -315,97 +319,6 @@ def surface_scalars(fr: CurvatureField):
         min_coord_radius=float(coord_r.min()),
         max_coord_radius=float(coord_r.max()),
     )
-
-
-@dataclass
-class AprioriCheck:
-    center_ok: bool
-    radius_ok: bool
-    willmore_ok: bool
-    center_slack: float
-    radius_slack: float
-    willmore_slack: float
-
-
-# Relative roundoff allowance of the a-priori class inequalities: ~20x the
-# quadrature error measured on flat round spheres, ~1e5x below the Willmore
-# deficit (2.4e-7) of a radius-10 flat sphere with an l=2 height coefficient 1e-3.
-APRIORI_ROUNDOFF = 64.0 * np.finfo(float).eps
-
-
-def apriori_class_check(fr: CurvatureField, a, b, eta, eps):
-    """Membership in the asymptotically-centered class (genus 0).
-
-    Checks |z| <= a r + b r^(1-eta),  r^(2+eta) <= min |x|^(5/2+eps)  and
-    int H^2 dmu - 16 pi <= b / r^eta.  Each `*_ok` flag allows a roundoff of
-    APRIORI_ROUNDOFF times the magnitude the compared quantities carry: the
-    largest coordinate radius max |x| for the center bound, the larger side
-    for the radius bound and 16 pi for the Willmore bound, so the equality
-    cases of a flat round sphere (zero deficit; |z| = 0 when centered) pass.
-    The `*_slack` fields are the raw rhs - lhs, without allowance.
-    """
-    sc = surface_scalars(fr)
-    r = sc.area_radius
-    zn = np.linalg.norm(sc.center)
-    lhs1, rhs1 = zn, a * r + b * r ** (1.0 - eta)
-    lhs2, rhs2 = r ** (2.0 + eta), sc.min_coord_radius ** (2.5 + eps)
-    lhs3, rhs3 = sc.willmore_deficit, b / r**eta
-    return AprioriCheck(
-        center_ok=bool(lhs1 <= rhs1 + APRIORI_ROUNDOFF * sc.max_coord_radius),
-        radius_ok=bool(lhs2 <= rhs2 + APRIORI_ROUNDOFF * max(lhs2, rhs2)),
-        willmore_ok=bool(lhs3 <= rhs3 + APRIORI_ROUNDOFF * 16.0 * np.pi),
-        center_slack=float(rhs1 - lhs1),
-        radius_slack=float(rhs2 - lhs2),
-        willmore_slack=float(rhs3 - lhs3),
-    )
-
-
-def euclidean_comparison(prov, surface: GraphSurface):
-    """Sup norms of the flat-vs-curved frame differences; reads the surface's parametrization, not only its frames."""
-    fr = surface_frames(prov, surface)
-    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(surface, fr.grid)
-    ncross = np.cross(*fr.tangents)
-    nu_delta = ncross / np.linalg.norm(ncross, axis=1)[:, None]
-    tang = np.stack(fr.tangents, axis=1)
-    delta2inv, _ = _inverse_2x2(np.einsum("nai,nbi->nab", tang, tang))
-    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
-    A_delta = -np.einsum("ni,nabi->nab", nu_delta, sec)
-    H_delta = np.einsum("nab,nab->n", delta2inv, A_delta)
-    dnu = np.linalg.norm(fr.nu - nu_delta, axis=1).max()
-    dA = fr.A - A_delta
-    dA_norm = np.sqrt(np.einsum("nac,nbd,nab,ncd->n", delta2inv, delta2inv, dA, dA))
-    dH = np.abs(fr.H - H_delta).max()
-    rel_dmu = np.abs(fr.dmu / fr.dmu_delta - 1.0).max()
-    return {
-        "nu": float(dnu),
-        "A": float(dA_norm.max()),
-        "H": float(dH),
-        "dmu_rel": float(rel_dmu),
-    }
-
-
-# -- parametrized-surface utilities (used by variation checks) ---------------
-
-def parametrized_area_and_center(grid, X, metric_of=None):
-    """Area and Euclidean center of an arbitrary nodal immersion X on a grid.
-
-    Tangents are obtained by spectral differentiation of the components of X.
-    If metric_of is a provider, the area is taken in its metric; otherwise the
-    Euclidean one.
-    """
-    th, _ = grid.mesh()
-    st = np.sin(th)
-    comps = [grid.analyze(X[:, i]) for i in range(3)]
-    jets = [grid.synth_jet(c) for c in comps]
-    Xt = np.stack([j["ft"] for j in jets], axis=1)
-    Xp = np.stack([j["fp"] for j in jets], axis=1)
-    tang = np.stack([Xt, Xp], axis=1)
-    if metric_of is not None:
-        g = metric_of.metric_jet(X).g
-    else:
-        g = np.broadcast_to(np.eye(3), (X.shape[0], 3, 3))
-    dens = np.sqrt(_det_2x2(np.einsum("nai,nij,nbj->nab", tang, g, tang))) / st
-    return grid.integrate(dens), _euclidean_center(grid, X, _euclidean_density(grid, tang))
 
 
 # -- quasilinear graph equation over the flat polar foliation ----------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import filecmp
 import inspect
 import json
@@ -191,6 +192,26 @@ def test_exit_code_band_limit_too_small(capsys):
     assert "band limit 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["foliate", "--data", "schwarzschild", "--mass", "1", "--sigma-list", "20,40"],
+        ["solve", "--data", "schwarzschild_graphical", "--mass", "1", "--u", "1,0,0", "--sigma", "60"],
+        ["spectrum", "--data", "schwarzschild", "--mass", "1", "--sigma", "20"],
+    ],
+)
+def test_surface_band_below_four_exits_2_before_any_residual(monkeypatch, capsys, argv):
+    import stcmc.solver as sv
+
+    def no_residual(*args, **kwargs):
+        raise AssertionError("a residual was evaluated")
+
+    monkeypatch.setattr(sv, "curvature_residual", no_residual)
+    rc = main(argv + ["--lmax", "3"])
+    assert rc == 2
+    assert "surface band limit 3 < 4" in capsys.readouterr().err
+
+
 def test_center_flag_translates(capsys):
     rc = main([
         "charges", "--data", "schwarzschild", "--mass", "1", "--center", "1,0,0",
@@ -279,6 +300,22 @@ def test_every_declared_flag_is_read():
         for action in parser._actions:
             if action.dest != "help":
                 assert re.search(rf"\bargs\.{action.dest}\b", source), f"{name} declares {action.dest} but never reads it"
+
+
+def test_every_exported_name_has_a_program_reader():
+    """Each name of stcmc.__all__ is read by the library, the CLI, the criteria or the benchmark."""
+    import stcmc
+
+    root = Path(__file__).resolve().parents[1]
+    sources = [p for p in (root / "src" / "stcmc").glob("*.py") if p.name != "__init__.py"]
+    read = set()
+    for path in sources + sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(set(stcmc.__all__) - read) == []
 
 
 @pytest.mark.parametrize(

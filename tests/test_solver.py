@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from stcmc.chart import (
 import stcmc.solver as sv
 from stcmc.errors import (
     ConfigError,
-    ContinuationStalled,
     DegenerateInducedMetric,
     EigenSolverFailure,
     MaxIterations,
@@ -24,21 +24,20 @@ from stcmc.errors import (
 from stcmc.solver import (
     OPERATOR_TAGS,
     RCOND,
-    ScaledExtrinsicProvider,
     SolveConfig,
+    SolveResult,
     assemble_linearization,
-    center_variation_check,
-    continuation_in_tau,
     curvature_residual,
     foliate,
     graph_jacobian,
     laplace_spectrum,
     newton_solve,
-    operator_bound_check,
     uniqueness_cross_check,
 )
-from stcmc.spectral import coeff_index, lm_arrays, n_coeffs, real_sph_basis, truncate_coeffs
-from stcmc.surfaces import GraphSurface, apriori_class_check, embedding_nodes, surface_frames, surface_scalars
+from stcmc.spectral import coeff_index, lm_arrays, n_coeffs, pad_coeffs, real_sph_basis, truncate_coeffs
+from stcmc.surfaces import GraphSurface, embedding_nodes, surface_frames, surface_scalars
+
+from conftest import ScaledExtrinsicProvider, apriori_class_check, parametrized_area_and_center
 
 R_STAR_SIGMA20 = 18.912985478471837  # largest root of r^3 - 400 r + 800 (np.roots oracle)
 
@@ -440,6 +439,66 @@ def test_continuation_record_forms_only_the_unscaled_frames(schw, monkeypatch):
 
 # -- continuation ------------------------------------------------------------------
 
+@dataclass
+class ContinuationStep:
+    tau: float
+    result: SolveResult
+    lapse_coeffs: np.ndarray
+    lapse_sup: float
+    lapse_l2: float
+
+
+def continuation_in_tau(prov, sigma, initial: GraphSurface, config: SolveConfig | None = None, steps=8):
+    """Deform the purely Riemannian solution to the full-K solution.
+
+    Walks tau from 0 to 1 through data with K scaled by tau, seeding each
+    solve with the previous leaf; on failure the step is bisected down to
+    1/256, below which the solver's error is raised.  At every accepted tau
+    the deformation lapse u is recorded by solving script-L u =
+    tau (tr_S K)^2 / H with the unscaled K.
+    """
+    cfg = config or SolveConfig(lmax=initial.lmax)
+    out = []
+    tau = 0.0
+    dtau = 1.0 / steps
+    S = initial
+    result = newton_solve(ScaledExtrinsicProvider(prov, 0.0), sigma, S, cfg)
+    out.append(_continuation_record(prov, 0.0, result))
+    S = result.surface
+    while tau < 1.0 - 1e-12:
+        step = min(dtau, 1.0 - tau)
+        while True:
+            try:
+                result = newton_solve(ScaledExtrinsicProvider(prov, tau + step), sigma, S, cfg)
+                break
+            except (NewtonDiverged, MaxIterations, TrappedRegion, DegenerateInducedMetric):
+                step *= 0.5
+                if step < 1.0 / 256.0:
+                    raise
+        tau += step
+        S = result.surface
+        out.append(_continuation_record(prov, tau, result))
+    return out
+
+
+def _continuation_record(prov, tau, result):
+    S = result.surface
+    fr = result.frames  # of the tau-scaled data the leaf was solved in
+    fr_full = sv.surface_frames(prov, S)  # through the module, so that _count_frames sees it
+    Lmat = assemble_linearization(fr, "L_script")
+    rhs_nodal = tau * fr_full.P**2 / fr.H
+    rhs = truncate_coeffs(fr.grid.analyze(rhs_nodal), S.lmax)
+    u = np.linalg.solve(Lmat, rhs)
+    u_nodal = fr.grid.synthesize(pad_coeffs(u, S.lmax, fr.grid.lmax))
+    return ContinuationStep(
+        tau=tau,
+        result=result,
+        lapse_coeffs=u,
+        lapse_sup=float(np.max(np.abs(u_nodal))),
+        lapse_l2=float(np.sqrt(fr.integrate(u_nodal**2))),
+    )
+
+
 def test_continuation_tau_zero_is_riemannian_leaf(graphical):
     steps = continuation_in_tau(
         graphical, 60.0, GraphSurface.round([0, 0, 0], 60.0, 8), SolveConfig(lmax=8, tol=1e-10), steps=2
@@ -476,23 +535,6 @@ def test_continuation_lapse_magnitudes(graphical):
     assert np.all(np.isfinite(centers))
     assert max(st.lapse_l2 for st in steps) < 1e3  # finite, moderate norm
     assert steps[-1].lapse_l2 > 0
-
-
-def test_continuation_stalls_when_every_step_fails(euclid, monkeypatch):
-    # the tau = 0 solve succeeds; every solve at tau > 0 fails
-    taus = []
-
-    def failing_solve(prov, sigma, initial, config=None):
-        taus.append(prov.tau)
-        if prov.tau == 0.0:
-            return sv.SolveResult(initial, 0, 0.0, frames=None)
-        raise NewtonDiverged("injected")
-
-    monkeypatch.setattr(sv, "newton_solve", failing_solve)
-    monkeypatch.setattr(sv, "_continuation_record", lambda *args: None)
-    with pytest.raises(ContinuationStalled, match="tau = 0.0000"):
-        continuation_in_tau(euclid, 10.0, GraphSurface.round([0, 0, 0], 10.0, 8), SolveConfig(lmax=8))
-    assert taus == [0.0] + [2.0**-k for k in range(3, 9)]
 
 
 # -- foliations ---------------------------------------------------------------------
@@ -753,6 +795,17 @@ def test_half_band_spectrum_of_a_degenerate_multiplet(schw, lmax):
     assert np.max(np.abs(rep.eigenvalues[1:] - np.array([2.0, 2.0, 2.0, 6.0]) / r2)) <= 1e-12 / r2
 
 
+def test_half_band_holds_exactly_k_plus_one_pairs(schw, monkeypatch):
+    # k + 1 = 25 pairs fill the lmax-4 half band of a round lmax-8 leaf
+    fr = surface_frames(schw, GraphSurface.round([0, 0, 0], 19.0, 8))
+    shapes = _eigh_shapes(monkeypatch)
+    rep = laplace_spectrum(fr, k=24)
+    assert shapes == [(25, 25)]
+    ls = np.repeat(np.arange(5), 2 * np.arange(5) + 1)
+    r2 = fr.area / (4.0 * np.pi)
+    assert np.max(np.abs(rep.eigenvalues - ls * (ls + 1) / r2)) <= 1e-12 * 20.0 / r2
+
+
 def test_uncertified_half_band_falls_back_to_the_full_band(perturbed_leaf, monkeypatch):
     fr, k = perturbed_leaf.frames, 8
     shapes = _eigh_shapes(monkeypatch)
@@ -772,18 +825,18 @@ def test_spectrum_needs_the_l1_triple(euclid, k):
 
 
 def test_operator_bound_schwarzschild(schw_leaf20):
-    smin, bound, ratio = operator_bound_check(schw_leaf20.frames)
-    assert ratio >= 1.0
+    rep = laplace_spectrum(schw_leaf20.frames, k=4)
+    assert rep.sigma_min_L / rep.invertibility_bound >= 1.0
     # exact translational eigenvalue of the rescaled operator on the leaf
     r = R_STAR_SIGMA20
     expected = 2.0 / r**2 - 2.0 / 400.0 + 2.0 / r**3
-    assert abs(smin - expected) < 1e-8
+    assert abs(rep.sigma_min_L - expected) < 1e-8
 
 
 def test_operator_bound_flat_degenerates(euclid):
-    smin, bound, ratio = operator_bound_check(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)))
-    assert bound < 1e-12
-    assert smin < 1e-10  # translation near-kernel
+    rep = laplace_spectrum(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)), k=4)
+    assert rep.invertibility_bound < 1e-12
+    assert rep.sigma_min_L < 1e-10  # translation near-kernel
 
 
 def _full_svds(monkeypatch):
@@ -836,10 +889,10 @@ def test_sigma_min_inverse_iteration_matches_svd(request, monkeypatch, leaf):
 
 def test_sigma_min_takes_the_svd_only_where_w_is_singular(schw_leaf20, euclid, monkeypatch):
     full_svds = _full_svds(monkeypatch)
-    operator_bound_check(schw_leaf20.frames)
+    laplace_spectrum(schw_leaf20.frames, k=4)
     assert full_svds() == 0
     # the flat leaf of test_operator_bound_flat_degenerates: zero energy, W singular
-    smin, _, _ = operator_bound_check(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)))
+    smin = laplace_spectrum(surface_frames(euclid, GraphSurface.round([0, 0, 0], 10.0, 8)), k=4).sigma_min_L
     assert full_svds() == 1 and smin < 1e-10
 
 
@@ -856,6 +909,27 @@ def test_operator_selfadjoint_when_time_symmetric(schw_leaf20):
 
 
 # -- center variation and uniqueness ------------------------------------------------
+
+def center_variation_check(prov, surface: GraphSurface, u_coeffs):
+    """First variation of the Euclidean center against the normal-flux formula.
+
+    Compares a central difference of the center of X + s u nu with
+    (3/|S|) int u nu dmu, returning (fd, formula, discrepancy).  Takes the
+    surface, not its frames: its base radius and band set the step and u.
+    """
+    fr = surface_frames(prov, surface)
+    grid = fr.grid
+    u = grid.synthesize(pad_coeffs(np.asarray(u_coeffs, dtype=float), surface.lmax, grid.lmax))
+    step = 1e-5 * surface.r0
+    centers = []
+    for s in (step, -step):
+        X = fr.X + s * u[:, None] * fr.nu
+        _, z = parametrized_area_and_center(grid, X)
+        centers.append(z)
+    fd = (centers[0] - centers[1]) / (2.0 * step)
+    formula = 3.0 / fr.area * np.stack([fr.integrate(u * fr.nu[:, i]) for i in range(3)])
+    return fd, formula, float(np.linalg.norm(fd - formula))
+
 
 def test_center_variation_symmetric_speed(euclid):
     u = np.zeros(n_coeffs(8))

@@ -15,6 +15,7 @@ from stcmc.chart import (
     TranslatedProvider,
 )
 from stcmc.errors import (
+    BandLimitTooSmall,
     ConfigError,
     DegenerateInducedMetric,
     FoliationNotSupported,
@@ -27,18 +28,18 @@ from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, pad_coeffs, real
 from stcmc.solver import _OperatorFields
 from stcmc.surfaces import (
     GraphSurface,
+    _inverse_2x2,
     appendix_graph_residual,
-    apriori_class_check,
     embedding_nodes,
-    euclidean_comparison,
     get_grid,
-    parametrized_area_and_center,
     rebase,
     solve_graph_residual,
     surface_frames,
     surface_scalars,
     surface_to_csv,
 )
+
+from conftest import apriori_class_check, parametrized_area_and_center
 
 ROT = np.array([[0.36, 0.48, -0.8], [-0.8, 0.6, 0.0], [0.48, 0.64, 0.6]])
 
@@ -75,6 +76,13 @@ def test_frame_products_match_einsum(graphical):
     cgam = np.einsum("ngd,ndi,nij,nj->ng", fr.g2inv, tang, mj.g, Dtr)
     for got, ref in ((fields.kv, kv), (fields.cgam, cgam)):
         assert _relative_gap(got, ref) <= 1e-14
+
+
+@pytest.mark.parametrize("lmax", [-1, 0, 2, 3])
+def test_surface_below_the_minimum_band_is_rejected(lmax):
+    # rebase and the foliation's lapse annotation need a grid at the surface's own band
+    with pytest.raises(BandLimitTooSmall, match=f"^surface band limit {lmax} < 4$"):
+        GraphSurface.round([0, 0, 0], 10.0, lmax)
 
 
 def test_round_sphere_flat(euclid):
@@ -201,6 +209,30 @@ def test_apriori_class_roundoff_allowance(euclid, r, lmax):
     bump = apriori_class_check(surface_frames(euclid, GraphSurface(np.zeros(3), r, coeffs, lmax)), 0.0, 0.0, 0.5, 0.5)
     assert 1e-7 < -bump.willmore_slack < 1e-6
     assert not bump.willmore_ok
+
+
+def euclidean_comparison(prov, surface: GraphSurface):
+    """Sup norms of the flat-vs-curved frame differences; reads the surface's parametrization, not only its frames."""
+    fr = surface_frames(prov, surface)
+    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(surface, fr.grid)
+    ncross = np.cross(*fr.tangents)
+    nu_delta = ncross / np.linalg.norm(ncross, axis=1)[:, None]
+    tang = np.stack(fr.tangents, axis=1)
+    delta2inv, _ = _inverse_2x2(np.einsum("nai,nbi->nab", tang, tang))
+    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
+    A_delta = -np.einsum("ni,nabi->nab", nu_delta, sec)
+    H_delta = np.einsum("nab,nab->n", delta2inv, A_delta)
+    dnu = np.linalg.norm(fr.nu - nu_delta, axis=1).max()
+    dA = fr.A - A_delta
+    dA_norm = np.sqrt(np.einsum("nac,nbd,nab,ncd->n", delta2inv, delta2inv, dA, dA))
+    dH = np.abs(fr.H - H_delta).max()
+    rel_dmu = np.abs(fr.dmu / fr.dmu_delta - 1.0).max()
+    return {
+        "nu": float(dnu),
+        "A": float(dA_norm.max()),
+        "H": float(dH),
+        "dmu_rel": float(rel_dmu),
+    }
 
 
 def test_euclidean_comparison_flat(euclid):
