@@ -42,6 +42,7 @@ from .spectral import n_coeffs
 from .surfaces import (
     GraphSurface,
     get_grid,
+    nodal_radius,
     rebase,
     solve_graph_residual,
     surface_frames,
@@ -295,14 +296,13 @@ def criterion_8_uniqueness_equivariance():
     rot = newton_solve(rot_prov, 60.0, GraphSurface.round([0.0, 0.0, 0.0], 60.0, 10), SolveConfig(lmax=10, tol=1e-12))
     # compare the rotated base leaf with the leaf of the rotated data
     grid = get_grid(10)
-    th_nodes, ph_nodes = grid.mesh()
     om = grid.unit_vectors()["o"]
     om_back = om @ O  # O^T applied to each direction
     thb = np.arccos(np.clip(om_back[:, 2], -1, 1))
     phb = np.mod(np.arctan2(om_back[:, 1], om_back[:, 0]), 2 * np.pi)
     reb = rebase(base.surface, O.T @ rot.surface.center)
     rho_base = reb.radius_at(thb, phb)
-    rho_rot = rot.surface.radius_at(th_nodes, ph_nodes)
+    rho_rot = nodal_radius(rot.surface, rot.surface.center)
     leaf_equiv = float(np.max(np.abs(rho_base - rho_rot)))
 
     # translation covariance of leaves: shifted data yields the shifted leaf
@@ -312,9 +312,8 @@ def criterion_8_uniqueness_equivariance():
         prov_t9, 60.0, GraphSurface.round(c_vec, 60.0, 10), SolveConfig(lmax=10, tol=1e-12)
     )
     common = base.surface.center + c_vec
-    reb_t = rebase(tr.surface, common)
-    reb_b = rebase(base.surface.translated(c_vec), common)
-    leaf_translate = float(np.max(np.abs(reb_t.radius_at(th_nodes, ph_nodes) - reb_b.radius_at(th_nodes, ph_nodes))))
+    rho_t = nodal_radius(tr.surface, common)
+    leaf_translate = float(np.max(np.abs(rho_t - nodal_radius(base.surface.translated(c_vec), common))))
 
     # rotation equivariance of per-radius charge integrals (center scale)
     radii = [50.0, 100.0, 200.0, 400.0]

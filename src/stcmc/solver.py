@@ -64,18 +64,17 @@ from .errors import (
     StcmcError,
     TrappedRegion,
 )
-from .spectral import MIN_LMAX, get_grid, n_coeffs, pad_coeffs, truncate_coeffs
+from .spectral import MIN_LMAX, n_coeffs, pad_coeffs, truncate_coeffs
 from .surfaces import (
     CurvatureField,
     GraphSurface,
     check_sigma,
     euclidean_center,
+    nodal_radius,
     rebase,
     surface_frames,
     surface_scalars,
 )
-
-OPERATOR_TAGS = ("L_H", "L_script", "expansion_plus", "expansion_minus", "laplacian")
 
 DAMPING = 0.5           # Newton step shrink factor on residual increase
 MAX_DAMPING_ROUNDS = 6
@@ -116,14 +115,14 @@ class SpectralReport:
     The l = 1 triple is nearly degenerate, so eigenfunctions[:, 1:4] and
     projections are defined only up to a rotation within it: the solver's
     roundoff picks the rotation, and the half-band and full-band pencils pick
-    different ones.  aligned, ricci_integrals and predicted_lambda do not
+    different ones.  ricci_integrals and predicted_lambda, formed from the
+    l = 1 eigenfunctions aligned with the coordinate functions, do not
     depend on it.
     """
 
     eigenvalues: np.ndarray          # lambda_0 .. lambda_k
     eigenfunctions: np.ndarray       # coefficients, columns per eigenvalue
     projections: np.ndarray          # <phi_i, f_j^delta> for i, j = 1..3
-    aligned: np.ndarray              # aligned l=1 eigenfunction coefficients
     predicted_lambda: np.ndarray     # mass-curvature prediction per aligned mode
     ricci_integrals: np.ndarray      # int Ric(nu,nu) f_i^2 dmu per aligned mode
     hawking_mass: float
@@ -184,16 +183,13 @@ class _OperatorFields:
 
 
 def _nodal_coefficients(f: _OperatorFields, tag):
-    """Coefficient fields a0..a5 of an operator tag, as taken by operator_matrix.
+    """Coefficient fields a0..a5 of L ("L_H") or script-L ("L_script"), as taken by operator_matrix.
 
     The operator acts on u as a0 u + a1 u_t + a2 u_p + a3 u_tt + a4 u_tp + a5 u_pp.
     """
     gi = f.g2inv
-    # -Lap u = -g2inv^{ab} u_ab + cgam^g u_g
-    lap = [np.zeros_like(f.H), f.cgam[:, 0], f.cgam[:, 1], -gi[:, 0, 0], -2.0 * gi[:, 0, 1], -gi[:, 1, 1]]
-    if tag == "laplacian":
-        return lap
-    core = [lap[0] - (f.A2 + f.ricnn)] + lap[1:]
+    # -Lap u - (|A|^2 + Ric(nu, nu)) u, with -Lap u = -g2inv^{ab} u_ab + cgam^g u_g
+    core = [-(f.A2 + f.ricnn), f.cgam[:, 0], f.cgam[:, 1], -gi[:, 0, 0], -2.0 * gi[:, 0, 1], -gi[:, 1, 1]]
     # sign of the gradient coupling fixed against the finite-difference
     # oracle: the normal variation of tr_S K is
     # u (grad_nu tr K - grad_nu K(nu,nu)) + 2 K(grad^S u, nu)
@@ -202,12 +198,8 @@ def _nodal_coefficients(f: _OperatorFields, tag):
         alpha, beta = f.H / f.stcmc, -f.P / f.stcmc
     elif tag == "L_script":
         alpha, beta = 1.0, -f.P / f.H
-    elif tag == "expansion_plus":
-        alpha, beta = 1.0, 1.0
-    elif tag == "expansion_minus":
-        alpha, beta = 1.0, -1.0
     else:
-        raise ConfigError(f"unknown operator tag {tag!r}; choose from {OPERATOR_TAGS}")
+        raise ConfigError(f"unknown operator tag {tag!r}; choose from ('L_H', 'L_script')")
     return [alpha * c + beta * k for c, k in zip(core, kterm)] + [alpha * c for c in core[3:]]
 
 
@@ -453,12 +445,8 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
 def _annotate_lapse_positivity(leaves):
     """Divided-difference check that consecutive leaves are strictly nested."""
     for a, b in zip(leaves, leaves[1:]):
-        grid = get_grid(a.surface.lmax)
-        th, ph = grid.mesh()
-        rho_a = a.surface.radius_at(th, ph)
-        rebased = rebase(b.surface, a.surface.center)
-        rho_b = rebased.radius_at(th, ph)
-        gap = (rho_b - rho_a) / (b.sigma - a.sigma)
+        center = a.surface.center
+        gap = (nodal_radius(b.surface, center) - nodal_radius(a.surface, center)) / (b.sigma - a.sigma)
         b.lapse_positive = bool(np.all(gap > 0))
         b.min_normal_gap = float(np.min(gap))
     if len(leaves) > 1:
@@ -592,7 +580,6 @@ def laplace_spectrum(fr: CurvatureField, k=8):
         eigenvalues=lam,
         eigenfunctions=V,
         projections=proj,
-        aligned=aligned,
         predicted_lambda=predicted,
         ricci_integrals=ric_ints,
         hawking_mass=mH,
@@ -647,14 +634,5 @@ def uniqueness_cross_check(prov, sigma, seeds, config: SolveConfig | None = None
     cfg = config or SolveConfig(lmax=seeds[0].lmax)
     solved = [newton_solve(prov, sigma, s, cfg) for s in seeds]
     base = solved[0].surface.center
-    grid = get_grid(cfg.lmax)
-    th, ph = grid.mesh()
-    radii = []
-    for res in solved:
-        reb = rebase(res.surface, base)
-        radii.append(reb.radius_at(th, ph))
-    dist = 0.0
-    for i in range(len(radii)):
-        for j in range(i + 1, len(radii)):
-            dist = max(dist, float(np.max(np.abs(radii[i] - radii[j]))))
-    return dist, solved
+    radii = np.stack([nodal_radius(res.surface, base) for res in solved])
+    return float(np.max(np.ptp(radii, axis=0))), solved

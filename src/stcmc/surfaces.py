@@ -70,7 +70,7 @@ class GraphSurface:
         return cls(center, float(r0), np.zeros(n_coeffs(lmax)), lmax)
 
     def radius_at(self, theta, phi):
-        """r0 + f at arbitrary directions (for re-basing and leaf comparison)."""
+        """r0 + f at scattered directions (nodal_radius reads the band's grid nodes)."""
         return self.r0 + synthesize_at(self.coeffs, theta, phi)
 
     def scaled(self, factor):
@@ -120,6 +120,16 @@ def rebase(surface: GraphSurface, new_center):
     r0_new = grid.integrate(rho) / (4.0 * np.pi)
     coeffs = grid.analyze(rho - r0_new)
     return GraphSurface(new_center, r0_new, truncate_coeffs(coeffs, surface.lmax), surface.lmax)
+
+
+def nodal_radius(surface: GraphSurface, center):
+    """Radius of the surface about center at the nodes of its band's grid.
+
+    The surface is re-based only where center differs from its own.
+    """
+    if not np.array_equal(center, surface.center):
+        surface = rebase(surface, center)
+    return surface.r0 + get_grid(surface.lmax).synthesize(surface.coeffs)
 
 
 @dataclass
@@ -286,38 +296,19 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
 
 @dataclass
 class SurfaceScalars:
-    area_g: float
-    area_delta: float
     area_radius: float
     center: np.ndarray
     hawking_mass: float
-    geroch_mass: float
-    willmore_deficit: float
-    min_coord_radius: float
-    max_coord_radius: float
 
 
 def surface_scalars(fr: CurvatureField):
-    """Areas, area radius, Euclidean center, Hawking/Geroch masses and coordinate radii of a surface."""
+    """Area radius, Euclidean center and Hawking mass of a surface."""
     area = fr.area
-    area_d = fr.grid.integrate(fr.dmu_delta)
-    r = np.sqrt(area / (4.0 * np.pi))
-    z = _euclidean_center(fr.grid, fr.X, fr.dmu_delta)
-    int_st2 = fr.integrate(fr.stcmc**2)
-    int_h2 = fr.integrate(fr.H**2)
-    mH = np.sqrt(area / (16.0 * np.pi)) * (1.0 - int_st2 / (16.0 * np.pi))
-    mG = np.sqrt(area / (16.0 * np.pi)) * (1.0 - int_h2 / (16.0 * np.pi))
-    coord_r = np.linalg.norm(fr.X, axis=1)
+    mH = np.sqrt(area / (16.0 * np.pi)) * (1.0 - fr.integrate(fr.stcmc**2) / (16.0 * np.pi))
     return SurfaceScalars(
-        area_g=float(area),
-        area_delta=float(area_d),
-        area_radius=float(r),
-        center=z,
+        area_radius=float(np.sqrt(area / (4.0 * np.pi))),
+        center=_euclidean_center(fr.grid, fr.X, fr.dmu_delta),
         hawking_mass=float(mH),
-        geroch_mass=float(mG),
-        willmore_deficit=float(int_h2 - 16.0 * np.pi),
-        min_coord_radius=float(coord_r.min()),
-        max_coord_radius=float(coord_r.max()),
     )
 
 

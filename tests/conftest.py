@@ -123,12 +123,13 @@ def apriori_class_check(fr: CurvatureField, a, b, eta, eps):
     """
     sc = surface_scalars(fr)
     r = sc.area_radius
+    coord_r = np.linalg.norm(fr.X, axis=1)
     zn = np.linalg.norm(sc.center)
     lhs1, rhs1 = zn, a * r + b * r ** (1.0 - eta)
-    lhs2, rhs2 = r ** (2.0 + eta), sc.min_coord_radius ** (2.5 + eps)
-    lhs3, rhs3 = sc.willmore_deficit, b / r**eta
+    lhs2, rhs2 = r ** (2.0 + eta), coord_r.min() ** (2.5 + eps)
+    lhs3, rhs3 = fr.integrate(fr.H**2) - 16.0 * np.pi, b / r**eta
     return AprioriCheck(
-        center_ok=bool(lhs1 <= rhs1 + APRIORI_ROUNDOFF * sc.max_coord_radius),
+        center_ok=bool(lhs1 <= rhs1 + APRIORI_ROUNDOFF * coord_r.max()),
         radius_ok=bool(lhs2 <= rhs2 + APRIORI_ROUNDOFF * max(lhs2, rhs2)),
         willmore_ok=bool(lhs3 <= rhs3 + APRIORI_ROUNDOFF * 16.0 * np.pi),
         center_slack=float(rhs1 - lhs1),

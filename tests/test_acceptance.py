@@ -5,7 +5,6 @@ numbers appear in the pytest output (-s or on failure).
 """
 
 import numpy as np
-import pytest
 
 from stcmc import acceptance, solver, surfaces
 from stcmc.chart import SchwarzschildProvider

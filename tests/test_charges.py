@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from stcmc import charges
 from stcmc.chart import (
-    EuclideanProvider,
-    GraphicalSchwarzschildProvider,
     RotatedProvider,
-    SchwarzschildProvider,
     TranslatedProvider,
     _finite_array,
     conjugate_momentum,

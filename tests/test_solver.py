@@ -5,13 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stcmc.chart import (
-    EuclideanProvider,
-    GraphicalSchwarzschildProvider,
-    PerturbationProvider,
-    RotatedProvider,
-    SchwarzschildProvider,
-)
+from stcmc.chart import PerturbationProvider, RotatedProvider
 import stcmc.solver as sv
 from stcmc.errors import (
     ConfigError,
@@ -22,7 +16,6 @@ from stcmc.errors import (
     TrappedRegion,
 )
 from stcmc.solver import (
-    OPERATOR_TAGS,
     RCOND,
     SolveConfig,
     SolveResult,
@@ -78,58 +71,56 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
     rng = np.random.default_rng(0)
     S = random_surface(rng, r0=12.0, amp=0.1)
     fr = surface_frames(schw, S)
-    mats = {
-        tag: assemble_linearization(fr, tag)
-        for tag in ("L_H", "L_script", "expansion_plus", "expansion_minus")
-    }
-    for tag in ("L_script", "expansion_plus", "expansion_minus"):
-        assert np.max(np.abs(mats[tag] - mats["L_H"])) < 1e-12
-    # and they all equal the classical stability operator -Lap - |A|^2 - Ric
-    lap = assemble_linearization(fr, "laplacian")
-    fields = sv._OperatorFields(fr)
-    grid = fr.grid
-    nb = n_coeffs(S.lmax)
-    Y, _ = real_sph_basis(S.lmax, *grid.mesh())
-    pot = grid.analyze(((fields.A2 + fields.ricnn)[:, None] * Y).T)[:, :nb]
-    classical = lap - pot.T
-    assert np.max(np.abs(mats["L_H"] - classical)) < 1e-12
+    L_H = assemble_linearization(fr, "L_H")
+    assert np.max(np.abs(assemble_linearization(fr, "L_script") - L_H)) < 1e-12
+    # and both equal the classical stability operator -Lap - |A|^2 - Ric
+    f = sv._OperatorFields(fr)
+    B = _basis_jets(fr.grid, S.lmax)
+    classical = _project(fr.grid, _minus_laplacian(f, B) - (f.A2 + f.ricnn)[:, None] * B["f"], S.lmax)
+    assert np.max(np.abs(L_H - classical)) < 1e-12
+
+
+def _basis_jets(grid, lmax):
+    """synth_jet of the identity coefficient rows, each jet (nnodes, n_coeffs(lmax))."""
+    return {key: jet.T for key, jet in grid.synth_jet(np.eye(n_coeffs(lmax), grid.nbasis)).items()}
+
+
+def _minus_laplacian(f, U):
+    """-Lap u = -g2inv^{ab} u_ab + cgam^g u_g for the jets U of each column u."""
+    gi = f.g2inv
+    lap = (
+        gi[:, 0, 0, None] * U["ftt"]
+        + 2.0 * gi[:, 0, 1, None] * U["ftp"]
+        + gi[:, 1, 1, None] * U["fpp"]
+        - f.cgam[:, 0, None] * U["ft"]
+        - f.cgam[:, 1, None] * U["fp"]
+    )
+    return -lap
+
+
+def _project(grid, out, lmax):
+    """Matrix of nodal actions (nnodes, ncols): analysed onto the full grid band and truncated."""
+    return truncate_coeffs(grid.analyze(out.T), lmax).T
 
 
 def _product_rule_reference(fr, lmax):
-    """Every operator tag and the graph Jacobian, assembled term by term.
+    """L ("L_H"), script-L ("L_script") and the graph Jacobian, assembled term by term.
 
     The operators act on the synth_jet of identity coefficient rows; the
-    Jacobian takes the jets of c v by the product rule; each nodal action is
-    analysed onto the full grid band and truncated.
+    Jacobian takes the jets of c v by the product rule.
     """
     grid = fr.grid
     f = sv._OperatorFields(fr)
-    B = {key: jet.T for key, jet in grid.synth_jet(np.eye(n_coeffs(lmax), grid.nbasis)).items()}
+    B = _basis_jets(grid, lmax)
 
     def apply(tag, U):
-        gi = f.g2inv
-        lap = (
-            gi[:, 0, 0, None] * U["ftt"]
-            + 2.0 * gi[:, 0, 1, None] * U["ftp"]
-            + gi[:, 1, 1, None] * U["fpp"]
-            - f.cgam[:, 0, None] * U["ft"]
-            - f.cgam[:, 1, None] * U["fp"]
-        )
-        if tag == "laplacian":
-            return -lap
-        core = -lap - (f.A2 + f.ricnn)[:, None] * U["f"]
+        core = _minus_laplacian(f, U) - (f.A2 + f.ricnn)[:, None] * U["f"]
         kterm = f.kscal[:, None] * U["f"] + 2.0 * (f.kv[:, 0, None] * U["ft"] + f.kv[:, 1, None] * U["fp"])
-        return {
-            "L_H": lambda: (f.H[:, None] * core - f.P[:, None] * kterm) / f.stcmc[:, None],
-            "L_script": lambda: core - (f.P / f.H)[:, None] * kterm,
-            "expansion_plus": lambda: core + kterm,
-            "expansion_minus": lambda: core - kterm,
-        }[tag]()
+        if tag == "L_H":
+            return (f.H[:, None] * core - f.P[:, None] * kterm) / f.stcmc[:, None]
+        return core - (f.P / f.H)[:, None] * kterm
 
-    def project(out):
-        return truncate_coeffs(grid.analyze(out.T), lmax).T
-
-    mats = {tag: project(apply(tag, B)) for tag in OPERATOR_TAGS}
+    mats = {tag: _project(grid, apply(tag, B), lmax) for tag in ("L_H", "L_script")}
     g = fr.metric_jet.g
     c = np.einsum("ni,nij,nj->n", fr.omega, g, fr.nu)
     cj = {key: val[:, None] for key, val in grid.synth_jet(grid.analyze(c)).items()}
@@ -146,7 +137,7 @@ def _product_rule_reference(fr, lmax):
     gom = np.einsum("ni,nij,naj->na", fr.omega, g, np.stack(fr.tangents, axis=1))
     tfield = np.einsum("nab,na->nb", fr.g2inv, gom)
     transport = tfield[:, 0] * hjet["ft"] + tfield[:, 1] * hjet["fp"]
-    mats["jacobian"] = project(apply("L_H", U) + transport[:, None] * B["f"])
+    mats["jacobian"] = _project(grid, apply("L_H", U) + transport[:, None] * B["f"], lmax)
     return mats
 
 
@@ -170,7 +161,7 @@ def test_fused_assembly_matches_product_rule(case, lmax, schw, graphical):
     if case == "perturbed":
         assert np.max(np.abs(fr.P)) > 1e-3  # the K couplings are exercised
     ref = _product_rule_reference(fr, lmax)
-    got = {tag: assemble_linearization(fr, tag) for tag in OPERATOR_TAGS}
+    got = {tag: assemble_linearization(fr, tag) for tag in ("L_H", "L_script")}
     got["jacobian"] = graph_jacobian(fr)
     for key, mat in got.items():
         assert mat.shape == (n_coeffs(lmax), n_coeffs(lmax))
@@ -209,7 +200,6 @@ def test_gauss_formula_induced_christoffels(graphical, lmax):
 def test_unknown_tag_raises(euclid):
     with pytest.raises(ConfigError):
         assemble_linearization(surface_frames(euclid, GraphSurface.round([0, 0, 0], 5.0, 8)), "bogus")
-    assert "L_H" in OPERATOR_TAGS
 
 
 @pytest.mark.parametrize("case", ["euclid", "schw", "graphical"])

@@ -32,6 +32,7 @@ from stcmc.surfaces import (
     appendix_graph_residual,
     embedding_nodes,
     get_grid,
+    nodal_radius,
     rebase,
     solve_graph_residual,
     surface_frames,
@@ -124,39 +125,44 @@ def test_curvature_identity(seed):
     assert np.max(np.abs(fr.stcmc**2 + fr.P**2 - fr.H**2)) < 1e-12
 
 
+def _geroch_mass(fr):
+    """sqrt(|S|/16 pi) (1 - int H^2 dmu / 16 pi)."""
+    return np.sqrt(fr.area / (16.0 * np.pi)) * (1.0 - fr.integrate(fr.H**2) / (16.0 * np.pi))
+
+
 def test_surface_scalars_schwarzschild(schw):
     for r0 in (5.0, 10.0, 40.0):
-        sc = surface_scalars(surface_frames(schw, GraphSurface.round([0, 0, 0], r0, 8)))
-        assert abs(sc.hawking_mass - 1.0) < 1e-10
-        assert abs(sc.geroch_mass - 1.0) < 1e-10
+        fr = surface_frames(schw, GraphSurface.round([0, 0, 0], r0, 8))
+        assert abs(surface_scalars(fr).hawking_mass - 1.0) < 1e-10
+        assert abs(_geroch_mass(fr) - 1.0) < 1e-10
 
 
 def test_surface_scalars_flat(euclid):
-    sc = surface_scalars(surface_frames(euclid, GraphSurface.round([0, 0, 0], 7.0, 8)))
-    assert abs(sc.hawking_mass) < 1e-12
-    assert abs(sc.geroch_mass) < 1e-12
-    assert abs(sc.area_g - 4 * np.pi * 49) < 1e-10
-    assert abs(sc.willmore_deficit) < 1e-9
+    fr = surface_frames(euclid, GraphSurface.round([0, 0, 0], 7.0, 8))
+    assert abs(surface_scalars(fr).hawking_mass) < 1e-12
+    assert abs(_geroch_mass(fr)) < 1e-12
+    assert abs(fr.area - 4 * np.pi * 49) < 1e-10
+    assert abs(fr.integrate(fr.H**2) - 16.0 * np.pi) < 1e-9
 
 
 def test_center_shifts_with_translation(schw):
     rng = np.random.default_rng(4)
     S = random_surface(rng, r0=12.0, amp=0.2)
     c = np.array([0.8, -0.5, 0.3])
-    sc0 = surface_scalars(surface_frames(schw, S))
-    sc1 = surface_scalars(surface_frames(TranslatedProvider(schw, c), S.translated(c)))
-    assert np.max(np.abs(sc1.center - sc0.center - c)) < 1e-12
-    assert abs(sc1.area_g - sc0.area_g) < 1e-10 * sc0.area_g
+    fr0 = surface_frames(schw, S)
+    fr1 = surface_frames(TranslatedProvider(schw, c), S.translated(c))
+    assert np.max(np.abs(surface_scalars(fr1).center - surface_scalars(fr0).center - c)) < 1e-12
+    assert abs(fr1.area - fr0.area) < 1e-10 * fr0.area
 
 
 def test_masses_ordered(graphical):
     rng = np.random.default_rng(6)
     S = random_surface(rng, r0=40.0, amp=0.4)
-    sc = surface_scalars(surface_frames(graphical, S))
-    assert sc.hawking_mass >= sc.geroch_mass
+    fr = surface_frames(graphical, S)
+    assert surface_scalars(fr).hawking_mass >= _geroch_mass(fr)
     # equality when K = 0
-    sc0 = surface_scalars(surface_frames(SchwarzschildProvider(1.0), S))
-    assert abs(sc0.hawking_mass - sc0.geroch_mass) < 1e-12
+    fr0 = surface_frames(SchwarzschildProvider(1.0), S)
+    assert abs(surface_scalars(fr0).hawking_mass - _geroch_mass(fr0)) < 1e-12
 
 
 def test_spherical_symmetry_constant_H(schw):
@@ -302,6 +308,16 @@ def test_radius_at_poles_is_the_zonal_sum():
         warnings.simplefilter("error")
         rho = S.radius_at(np.array([0.0, np.pi]), np.array([0.7, 2.0]))
     assert np.allclose(rho, [S.r0 + zonal.sum(), S.r0 + (zonal * (-1.0) ** l).sum()], rtol=0, atol=1e-14)
+
+
+def test_nodal_radius_matches_radius_at_the_nodes():
+    rng = np.random.default_rng(23)
+    S = random_surface(rng, lmax=24, r0=7.0, amp=0.2, center=(0.4, -0.3, 0.2))
+    th, ph = get_grid(24).mesh()
+    assert np.max(np.abs(nodal_radius(S, S.center.copy()) - S.radius_at(th, ph))) <= 1e-13 * S.r0
+    c = np.array([-0.1, 0.25, 0.3])
+    ref = rebase(S, c).radius_at(th, ph)
+    assert np.max(np.abs(nodal_radius(S, c) - ref)) <= 1e-13 * S.r0
 
 
 def test_rebase_preserves_surface(euclid):
