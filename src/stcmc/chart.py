@@ -31,14 +31,13 @@ coordinates g = N^-2 dr^2 + r^2 dOmega^2 with N = sqrt(1 - 2m/r), the
 bounded-height graphical slice over it cut out by t = sin(ln r) + u.x/r,
 translated/rotated wrappers, and power-law angular perturbations of the flat
 data.  Negative mass is allowed (no horizon); the inner chart radius is
-1.05 * max(0, 2m).  The graphical slice's first-order jets read two closed
-forms of the Schwarzschild slice g = delta + psi x x instead of a base jet:
+1.05 * max(0, 2m).  The graphical slice's K reads two closed forms of the
+Schwarzschild slice g = delta + psi x x instead of a base jet:
 
     g^-1 = delta - (2m/r) n n,
     Gamma^k_ij T_,k = N^2 (x.dT) (psi'/r x_i x_j + 2 psi delta_ij) / 2,
 
-the second from 1 + psi r^2 = 1/N^2; only its deferred dK forms the base
-slice's jet, inverse and Christoffel symbols, from the points.
+the second from 1 + psi r^2 = 1/N^2, and its dK is their product rule.
 """
 
 from __future__ import annotations
@@ -286,13 +285,14 @@ class SchwarzschildProvider(DataProvider):
             )
         return x, r
 
-    def _psi(self, r):
-        """psi and psi'; _ddg, the only reader of psi'', forms it itself."""
+    def _psi(self, r, second=False):
+        """psi, psi' and, if asked, psi'' (else None)."""
         m = self.mass
         u = r - 2.0 * m
         psi = 2.0 * m / (r**2 * u)
         dpsi = 2.0 * m * (-2.0 / (r**3 * u) - 1.0 / (r**2 * u**2))
-        return psi, dpsi
+        ddpsi = 2.0 * m * (6.0 / (r**4 * u) + 4.0 / (r**3 * u**2) + 2.0 / (r**2 * u**3)) if second else None
+        return psi, dpsi, ddpsi
 
     def metric_jet(self, x):
         x, r = self._check(x)
@@ -305,7 +305,7 @@ class SchwarzschildProvider(DataProvider):
         d_k (psi x_i x_j) = psi' n_k x_i x_j + psi (delta_ik x_j + delta_jk x_i);
         psi scales x before _sym_ik's slice adds.
         """
-        psi, dpsi = self._psi(r)
+        psi, dpsi, _ = self._psi(r)
         xs = _components_first(x)
         xx = xs[:, None] * xs[None]
         g = _EYE[:, :, None] + psi * xx
@@ -321,9 +321,7 @@ class SchwarzschildProvider(DataProvider):
         """
         xs = _components_first(x)
         nvec = xs / r
-        psi, dpsi = self._psi(r)
-        m, u = self.mass, r - 2.0 * self.mass
-        ddpsi = 2.0 * m * (6.0 / (r**4 * u) + 4.0 / (r**3 * u**2) + 2.0 / (r**2 * u**3))
+        psi, dpsi, ddpsi = self._psi(r, second=True)
         xx = xs[:, None] * xs[None]
         out = ((ddpsi - dpsi / r) * xx)[:, :, None, None] * (nvec[:, None] * nvec[None])
         xxr = (dpsi / r) * xx
@@ -361,10 +359,10 @@ class GraphicalSchwarzschildProvider(DataProvider):
         g^-1 = delta - (2m/r) n n,  so  grad_g T = dT - (2m/r)(n.dT) n,
         Gamma^k_ij T_,k = N^2 (x.dT) (psi'/r x_i x_j + 2 psi delta_ij) / 2,
 
-    the second from 1 + psi r^2 = 1/N^2, so a provider call inverts no
-    matrix.  The deferred dK forms the base slice's jet, inverse and
-    Christoffel symbols from the points.  The data is vacuum: mu = 0 and
-    J = 0 identically.  The private jets below are components first.
+    the second from 1 + psi r^2 = 1/N^2, so no base jet is formed and no
+    matrix inverted; the deferred dK differentiates the same forms.  The data
+    is vacuum: mu = 0 and J = 0 identically.  The private jets below are
+    components first.
     """
 
     def __init__(self, mass, u):
@@ -471,54 +469,43 @@ class GraphicalSchwarzschildProvider(DataProvider):
 
     def extrinsic_jet(self, x):
         x, r = self._check(x)
-        xs = _components_first(x)
-        dT, ddT, _ = self._T_jets(x, r)
-        N, dN, _ = self._N_jets(x, r)
-        gradT, xdT = self._grad_T(xs, r, dT)
-        psi, dpsi = self.base._psi(r)
-        # Hess T = ddT - Gamma^k_ij T_,k, the contraction in closed form
-        h = 0.5 * (1.0 - 2.0 * self.mass / r) * xdT
-        hessT = ddT - (h * dpsi / r) * (xs[:, None] * xs[None]) - (2.0 * h * psi) * _EYE[:, :, None]
-        D, W, _, _, _ = self._K_parts(dT, dN, N, gradT, hessT)
-        return ExtrinsicJet(_points_first(D / W), _deferred(self._dK, x, r))
+        return ExtrinsicJet(_points_first(self._extrinsic(x, r)), _deferred(self._extrinsic, x, r, True))
 
-    def _K_parts(self, dT, dN, N, gradT, hessT):
-        """K = D / W: returns D, W and what dK reads besides, |dT|^2_g, c1 = dN(grad_g T) and TT."""
+    def _extrinsic(self, x, r, derivative=False):
+        """K = D / W or, if asked, its derivative dK instead, both from the closed forms.
+
+        Hess T = ddT - C with C_ij = Gamma^k_ij T_,k = p x_i x_j + q delta_ij,
+        p = h psi'/r, q = 2 h psi and h = N^2 (x.dT) / 2, and
+        grad_g T = dT - a (x.dT) x with a = 2m/r^3; dK is the product rule of
+        these forms, so no base jet, inverse or Christoffel symbol is formed.
+        """
+        xs = _components_first(x)
+        dT, ddT, dddT = self._T_jets(x, r, third=derivative)
+        N, dN, ddN = self._N_jets(x, r, second=derivative)
+        gradT, xdT = self._grad_T(xs, r, dT)
+        psi, dpsi, ddpsi = self.base._psi(r, second=derivative)
+        h = 0.5 * (1.0 - 2.0 * self.mass / r) * xdT
+        xx = xs[:, None] * xs[None]
+        hessT = ddT - (h * dpsi / r) * xx - (2.0 * h * psi) * _EYE[:, :, None]
         dT2, W = self._spacelike_factor(dT, gradT, N)
         c1 = np.einsum("an,an->n", dN, gradT)
         TT = dT[:, None] * dT[None]
         D = dT[:, None] * dN[None] + dT[None] * dN[:, None] + N * hessT - (N**2 * c1) * TT
-        return D, W, dT2, c1, TT
-
-    def _dK(self, x, r):
-        """dK from the points alone: the base slice's jet, its inverse and its Christoffel symbols are formed here.
-
-        K's ingredients are formed again, from the generic base geometry,
-        rather than kept alive with the jet.  The batched matrix products run
-        on points-first copies (suffix _p), the rest components first.
-        """
-        base = MetricJet(*map(_points_first, self.base._g_dg(x, r)), _deferred(self.base._ddg, x, r))
-        ginv, Gam = base.ginv, base.Gam
-        dT, ddT, dddT = self._T_jets(x, r, third=True)
-        N, dN, ddN = self._N_jets(x, r, second=True)
-        dT_p, ddT_p, dN_p, ddN_p = map(_points_first, (dT, ddT, dN, ddN))
-        hessT = ddT - np.moveaxis(np.einsum("nkij,nk->nij", Gam, dT_p), 0, -1)
-        gradT_p = np.einsum("nab,nb->na", ginv, dT_p)
-        D, W, dT2, c1, TT = self._K_parts(dT, dN, N, gradT_p.T, hessT)
-        N2 = N**2
-        # dginv is symmetric in its first two indices, so dT^a dginv_abk = (dT @ dginv)_bk
-        n = x.shape[0]
-        _, dGam = christoffel(base, derivative=True)
-        dhessT = (
-            dddT
-            - np.moveaxis((dT_p[:, None, :] @ dGam.reshape(n, 3, 27)).reshape(n, 3, 3, 3), 0, -1)
-            - np.moveaxis((Gam.reshape(n, 3, 9).transpose(0, 2, 1) @ ddT_p).reshape(n, 3, 3, 3), 0, -1)
-        )
-        dN2 = (2.0 * self.mass / r**2) * (_components_first(x) / r)
-        # rows dN^a dginv_abk dT^b and dT^a dginv_abk dT^b
-        dginv_T = np.stack([dN_p, dT_p], axis=1) @ (dT_p[:, None, :] @ base.dginv.reshape(n, 3, 9)).reshape(n, 3, 3)
-        # ddN_ak (g^-1 dT)^a + (g^-1 dN)^b ddT_bk + dN^a dginv_abk dT^b
-        dc1 = (gradT_p[:, None, :] @ ddN_p)[:, 0] + ((dN_p[:, None, :] @ ginv) @ ddT_p)[:, 0] + dginv_T[:, 0]
+        if not derivative:
+            return D / W
+        m, N2, nvec = self.mass, N**2, xs / r
+        dN2 = (2.0 * m / r**2) * nvec
+        # d_k (x.dT) = T_,k + x^a T_,ak, and d_k h
+        dxdT = dT + np.einsum("an,akn->kn", xs, ddT)
+        dh = 0.5 * (dN2 * xdT + (1.0 - 2.0 * m / r) * dxdT)
+        # d_k C_ij = d_k p x_i x_j + p (delta_ik x_j + delta_jk x_i) + d_k q delta_ij
+        dp = dh * (dpsi / r) + (h * (ddpsi - dpsi / r) / r) * nvec
+        dq = 2.0 * (dh * psi + (h * dpsi) * nvec)
+        dhessT = dddT - xx[:, :, None] * dp[None, None] - _sym_ik((h * dpsi / r) * xs) - _EYE[:, :, None, None] * dq
+        # d_k (grad_g T)_b = T_,bk - a (x.dT) delta_bk - d_k(a x.dT) x_b, with d_k a = -3 a n_k / r
+        a = 2.0 * m / r**3
+        dgradT = ddT - (a * xdT) * _EYE[:, :, None] - xs[:, None] * (a * (dxdT - (3.0 * xdT / r) * nvec))[None]
+        dc1 = np.einsum("an,akn->kn", gradT, ddN) + np.einsum("an,akn->kn", dN, dgradT)
         _, dTT = self._TT_jets(dT, ddT)
         dD = (
             ddT[:, None, :] * dN[None, :, None]
@@ -527,12 +514,12 @@ class GraphicalSchwarzschildProvider(DataProvider):
             + dT[None, :, None] * ddN[:, None]
             + dN[None, None] * hessT[:, :, None]
             + N * dhessT
-            - (dN2 * c1 + N2 * dc1.T)[None, None] * TT[:, :, None]
+            - (dN2 * c1 + N2 * dc1)[None, None] * TT[:, :, None]
             - (N2 * c1) * dTT
         )
-        # W_k: d_k W = -(dN2 |dT|^2 + N^2 d_k |dT|^2) / (2 W)
-        ddT2 = dginv_T[:, 1] + 2.0 * (gradT_p[:, None, :] @ ddT_p)[:, 0]
-        dW = -(dN2 * dT2 + N2 * ddT2.T) / (2.0 * W)
+        # d_k W = -(dN2 |dT|^2 + N^2 d_k |dT|^2) / (2 W)
+        ddT2 = np.einsum("an,akn->kn", gradT, ddT) + np.einsum("an,akn->kn", dT, dgradT)
+        dW = -(dN2 * dT2 + N2 * ddT2) / (2.0 * W)
         return dD / W - D[:, :, None] * dW[None, None] / W**2
 
 
@@ -621,34 +608,48 @@ class _PolyRadial:
         return val
 
 
+def _naturals(values):
+    """Whether every value is a non-negative integer; a bool is not one."""
+    return all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 0 for v in values)
+
+
+def _perturbation_term(t):
+    """(target, i, j, (coeff, angular, s)) of one perturbation term, else ConfigError."""
+    if not (isinstance(t, dict) and {"i", "j", "coeff", "decay"} <= set(t) <= {"target", "i", "j", "coeff", "decay", "angular"}):
+        raise ConfigError(f"perturbation term {t!r} must map i, j, coeff, decay and optionally target and angular")
+    target, i, j, ang = t.get("target", "g"), t["i"], t["j"], t.get("angular", (0, 0, 0))
+    if target not in ("g", "K"):
+        raise ConfigError(f"unknown perturbation target {target!r}")
+    if not (_naturals((i, j)) and max(i, j) < 3):
+        raise ConfigError(f"perturbation component ({i!r}, {j!r}) must be integers in 0..2")
+    if not (isinstance(ang, (list, tuple)) and len(ang) == 3 and _naturals(ang)):
+        raise ConfigError(f"perturbation angular exponents must be three non-negative integers, got {ang!r}")
+    coeff, decay = (float(_finite_array(t[k], (), repr(k))) for k in ("coeff", "decay"))
+    if decay < 0.5:
+        raise ConfigError(f"perturbation decay {decay} < 1/2 is outside the admissible class")
+    ang = tuple(int(a) for a in ang)
+    return target, i, j, (coeff, ang, -decay - sum(ang))
+
+
 class PerturbationProvider(DataProvider):
     """Flat data plus decaying angular-polynomial perturbations.
 
     Each term adds coeff * r^-decay * prod_k (x_k/r)^angular_k to one
     symmetrized component of g or K.  Terms with decay < 1/2 are rejected:
-    slower fall-off leaves the admissible decay class.
+    slower fall-off leaves the admissible decay class; a malformed term
+    raises ConfigError.
     """
 
     inner_radius = 1.0
 
     def __init__(self, terms):
+        if not isinstance(terms, (list, tuple)):
+            raise ConfigError(f"perturbation terms must be a list of mappings, got {terms!r}")
         self.g_terms = [[[] for _ in range(3)] for _ in range(3)]
         self.k_terms = [[[] for _ in range(3)] for _ in range(3)]
         for t in terms:
-            target = t.get("target", "g")
-            i, j = int(t["i"]), int(t["j"])
-            if not (0 <= i < 3 and 0 <= j < 3):
-                raise ConfigError(f"perturbation component ({i}, {j}) is outside 0..2")
-            coeff = float(t["coeff"])
-            decay = float(t["decay"])
-            ang = tuple(int(a) for a in t.get("angular", (0, 0, 0)))
-            if decay < 0.5:
-                raise ConfigError(f"perturbation decay {decay} < 1/2 is outside the admissible class")
-            s = -decay - sum(ang)
-            entry = (coeff, ang, s)
+            target, i, j, entry = _perturbation_term(t)
             table = self.g_terms if target == "g" else self.k_terms
-            if target not in ("g", "K"):
-                raise ConfigError(f"unknown perturbation target {target!r}")
             table[i][j].append(entry)
             if i != j:
                 table[j][i].append(entry)
@@ -744,10 +745,7 @@ def build_provider(config) -> DataProvider:
         mass = float(_config_array(config, "mass", ()))
         return GraphicalSchwarzschildProvider(mass, _config_array(config, "u", (3,), (1.0, 0.0, 0.0)))
     if kind == "custom_perturbation":
-        try:
-            return PerturbationProvider(config.get("perturbation_terms") or [])
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"malformed perturbation term: {exc!r}") from exc
+        return PerturbationProvider(config.get("perturbation_terms", []))
     if config.get("inner") is None:
         raise ConfigError(f"{kind} requires 'inner'")
     inner = build_provider(config["inner"])

@@ -330,7 +330,7 @@ def _leaf_points(prov):
 def test_schwarzschild_ddg_matches_broadcast_form(schw):
     x, r = _leaf_points(schw)
     nvec = x / r[:, None]
-    psi, dpsi = schw._psi(r)
+    psi, dpsi, _ = schw._psi(r)
     u = r - 2.0 * schw.mass
     ddpsi = 2.0 * schw.mass * (6.0 / (r**4 * u) + 4.0 / (r**3 * u**2) + 2.0 / (r**2 * u**3))
     xx = x[:, :, None] * x[:, None, :]
@@ -350,7 +350,7 @@ def test_schwarzschild_ddg_matches_broadcast_form(schw):
 def test_schwarzschild_dg_matches_broadcast_form(schw):
     x, r = _leaf_points(schw)
     nvec = x / r[:, None]
-    psi, dpsi = schw._psi(r)
+    psi, dpsi, _ = schw._psi(r)
     xx = x[:, :, None] * x[:, None, :]
     sym_ik = _EYE[None, :, None, :] * x[:, None, :, None] + _EYE[None, None, :, :] * x[:, :, None, None]
     ref = dpsi[:, None, None, None] * nvec[:, None, None, :] * xx[:, :, :, None] + psi[:, None, None, None] * sym_ik
@@ -398,7 +398,7 @@ def _schwarzschild_closed_forms(m, x):
     """g^-1 = delta - (2m/r) n n and Gamma^k_ij = N^2 x_k (psi'/r x_i x_j + 2 psi delta_ij) / 2."""
     r = np.linalg.norm(x, axis=1)
     nvec = x / r[:, None]
-    psi, dpsi = SchwarzschildProvider(m)._psi(r)
+    psi, dpsi, _ = SchwarzschildProvider(m)._psi(r)
     ginv = _EYE - (2.0 * m / r)[:, None, None] * nvec[:, :, None] * nvec[:, None, :]
     inner = (dpsi / r)[:, None, None] * x[:, :, None] * x[:, None, :] + 2.0 * psi[:, None, None] * _EYE
     Gam = 0.5 * (1.0 - 2.0 * m / r)[:, None, None, None] * x[:, :, None, None] * inner[:, None, :, :]
@@ -489,13 +489,14 @@ def test_time_function_jets_match_separate_radial_parts():
         assert _relative_gap(got, want) <= 1e-14
 
 
-def test_graphical_dk_contractions_match_einsum(graphical):
-    x, r = _leaf_points(graphical)
-    base = graphical.base.metric_jet(x)
+def _generic_dk(prov, x):
+    """dK of the graphical slice by the generic route: the base jet's cofactor inverse, Gam, dGam and einsums."""
+    r = np.linalg.norm(x, axis=1)
+    base = prov.base.metric_jet(x)
     ginv, dginv = base.ginv, base.dginv
     Gam, dGam = christoffel(base, derivative=True)
-    dT, ddT, dddT = map(_points_first, graphical._T_jets(x, r, third=True))
-    N, dN, ddN = graphical._N_jets(x, r, second=True)
+    dT, ddT, dddT = map(_points_first, prov._T_jets(x, r, third=True))
+    N, dN, ddN = prov._N_jets(x, r, second=True)
     dN, ddN = _points_first(dN), _points_first(ddN)
     hessT = ddT - np.einsum("nkij,nk->nij", Gam, dT)
     gradT = np.einsum("nab,nb->na", ginv, dT)
@@ -507,7 +508,7 @@ def test_graphical_dk_contractions_match_einsum(graphical):
     dTT = ddT[:, :, None, :] * dT[:, None, :, None] + dT[:, :, None, None] * ddT[:, None, :, :]
     D = dT[:, :, None] * dN[:, None, :] + dT[:, None, :] * dN[:, :, None] + N[:, None, None] * hessT - (N2 * c1)[:, None, None] * TT
     dhessT = dddT - np.einsum("nkijl,nk->nijl", dGam, dT) - np.einsum("nkij,nkl->nijl", Gam, ddT)
-    dN2 = (2.0 * graphical.mass / r**2)[:, None] * x / r[:, None]
+    dN2 = (2.0 * prov.mass / r**2)[:, None] * x / r[:, None]
     dc1 = (
         np.einsum("nak,nab,nb->nk", ddN, ginv, dT)
         + np.einsum("na,nabk,nb->nk", dN, dginv, dT)
@@ -525,8 +526,15 @@ def test_graphical_dk_contractions_match_einsum(graphical):
     )
     ddT2 = np.einsum("nabk,na,nb->nk", dginv, dT, dT) + 2.0 * np.einsum("nab,nak,nb->nk", ginv, ddT, dT)
     dW = -(dN2 * dT2[:, None] + N2[:, None] * ddT2) / (2.0 * W[:, None])
-    ref = dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
-    assert _relative_gap(graphical.extrinsic_jet(x).dK, ref) <= 1e-14
+    return dD / W[:, None, None, None] - D[:, :, :, None] * dW[:, None, None, :] / (W**2)[:, None, None, None]
+
+
+def test_graphical_dk_contractions_match_einsum(graphical):
+    """dK from the closed forms' product rule against the generic route, near the horizon and far out."""
+    for prov in (graphical, GraphicalSchwarzschildProvider(-0.5, [0.6, -0.3, 0.8])):
+        for radius in (2.2, 5.0, 300.0, 5000.0):
+            x = radius * get_grid(24).unit_vectors()["o"]
+            assert _relative_gap(prov.extrinsic_jet(x).dK, _generic_dk(prov, x)) <= 1e-14
 
 
 def test_scalar_is_trace_of_ricci(graphical, sample_points):
@@ -740,8 +748,8 @@ def test_jet_geometry_is_formed_once_and_read_only(graphical, sample_points, for
         assert getattr(owner, name) is arr
         with pytest.raises(ValueError):
             arr[0] += 1.0
-    # the slice metric's own geometry, and dK's base slice jet (see the next tests)
-    assert formations == Counter(ddg=2, inv=2, dginv=2, Gam=2, dK=1)
+    # the slice metric's own geometry; dK forms no base slice jet (see the next tests)
+    assert formations == Counter(ddg=1, inv=1, dginv=1, Gam=1, dK=1)
     # once formed, a jet keeps nothing of what formed its second order
     assert jet.second is None and ext.second is None
     assert christoffel(jet) is jet.Gam
@@ -754,14 +762,13 @@ def test_constraint_densities_invert_once(graphical, sample_points, formations):
     assert formations == Counter(ddg=1, inv=1, dginv=1, Gam=1)
 
 
-def test_graphical_extrinsic_jet_forms_base_geometry_once(graphical, sample_points, formations):
+def test_graphical_extrinsic_jet_forms_no_base_geometry(graphical, sample_points, formations):
     ext = graphical.extrinsic_jet(sample_points)
     ext.K
     assert formations == Counter()
-    # dK forms its base slice jet from the points, and of it the inverse, the
-    # Christoffel symbols, d g^ab and ddg, each once
+    # dK differentiates the closed forms: no base slice jet, inverse or Christoffel symbols
     ext.dK
-    assert formations == Counter(inv=1, Gam=1, dginv=1, ddg=1, dK=1)
+    assert formations == Counter(dK=1)
 
 
 def test_graphical_dk_holds_only_the_points(graphical, sample_points):
@@ -769,7 +776,8 @@ def test_graphical_dk_holds_only_the_points(graphical, sample_points):
     form, *held = ext.second.args
     assert callable(form) and not ext.second.keywords
     assert not any(isinstance(a, MetricJet) for a in held)
-    x, r = held
+    x, r, derivative = held
+    assert derivative is True
     assert x is not sample_points and np.array_equal(x, sample_points)
     assert np.array_equal(r, np.linalg.norm(sample_points, axis=1))
 
@@ -785,16 +793,14 @@ def test_first_order_consumers_form_no_second_order(graphical, formations):
 def test_graph_jacobian_reuses_frame_geometry(schw, graphical, formations):
     S = GraphSurface.round([0.5, 0.0, 0.0], 30.0, 6)
     # from the provider call on: the frames read the slice metric's inverse and
-    # Gam; a Jacobian adds its ddg and dginv and the extrinsic jet's dK, which
-    # on graphical data forms its base slice jet's geometry once
-    graphical_dk = Counter(inv=1, Gam=1, ddg=1, dginv=1)
-    for prov, extra in ((schw, Counter()), (graphical, graphical_dk)):
+    # Gam; a Jacobian adds its ddg and dginv and the extrinsic jet's dK
+    for prov in (schw, graphical):
         formations.clear()
         fr = surface_frames(prov, S)
         graph_jacobian(fr)
         once = Counter(formations)
         graph_jacobian(fr)
-        assert formations == once == Counter(inv=1, Gam=1, ddg=1, dginv=1, dK=1) + extra
+        assert formations == once == Counter(inv=1, Gam=1, ddg=1, dginv=1, dK=1)
 
 
 # -- wrappers pass the second order through ----------------------------------------
@@ -918,6 +924,28 @@ MALFORMED_CONFIGS = {
         "kind": "custom_perturbation",
         "perturbation_terms": [{"i": -1, "j": 0, "coeff": 1.0, "decay": 1.0}],
     },
+    **{
+        f"term-{name}": {
+            "kind": "custom_perturbation",
+            "perturbation_terms": [{"i": 0, "j": 1, "coeff": 1.0, "decay": 1.0, "angular": [0, 0, 1], **change}],
+        }
+        for name, change in {
+            "coeff-nan": {"coeff": float("nan")},
+            "decay-nan": {"decay": float("nan")},
+            "coeff-string": {"coeff": "1.0"},
+            "j-fractional": {"j": 1.7},
+            "i-bool": {"i": True},
+            "j-3": {"j": 3},
+            "angular-negative": {"angular": [0, -1, 1]},
+            "angular-4": {"angular": [0, 0, 1, 0]},
+            "angular-fractional": {"angular": [0, 0.5, 1]},
+            "unknown-key": {"angualr": [1, 0, 0]},
+            "unknown-target": {"target": "h"},
+        }.items()
+    },
+    "terms-not-a-list": {"kind": "custom_perturbation", "perturbation_terms": 5},
+    "terms-empty-mapping": {"kind": "custom_perturbation", "perturbation_terms": {}},
+    "terms-null": {"kind": "custom_perturbation", "perturbation_terms": None},
     "not-a-mapping": [],
 }
 

@@ -237,6 +237,9 @@ MALFORMED_PROVIDER_ARGS = {
     "config-rotation-2x2": lambda tmp: _config_file(
         tmp, '{"kind": "rotated", "rotation": [[1, 0], [0, 1]], "inner": {"kind": "euclidean"}}'
     ),
+    "config-term-coeff-nan": lambda tmp: _config_file(
+        tmp, '{"kind": "custom_perturbation", "perturbation_terms": [{"i": 0, "j": 0, "coeff": NaN, "decay": 1}]}'
+    ),
     "config-missing": lambda tmp: ["--config", str(tmp / "missing.json")],
     "config-not-json": lambda tmp: _config_file(tmp, "{kind: euclidean"),
 }
