@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .chart import _EYE, _finite_array, conjugate_momentum
 from .errors import (
@@ -44,10 +45,12 @@ class PowerFit:
 
 
 def _positive_radii(radii):
-    """radii as a float array; ConfigError unless each is finite and positive."""
+    """radii as a float array; ConfigError unless they are distinct and each is finite and positive."""
     radii = np.asarray(radii, dtype=float)
     if not np.all((radii > 0) & (radii < np.inf)):
         raise ConfigError(f"sphere radii must be finite and positive, got {radii}")
+    if np.unique(radii).size < radii.size:
+        raise ConfigError(f"sphere radii must be distinct, got {radii.tolist()}")
     return radii
 
 
@@ -61,14 +64,18 @@ def fit_power_tail(radii, values):
     an oscillation; the value is flagged divergent when the oscillatory
     amplitude dominates the remaining (decaying) residual tenfold.
 
-    The exponent search uses variable projection (Golub and Pereyra 1973):
-    the columns that do not depend on p (1, the log-periodic pair and, from
-    eight radii on, that pair over s) are factored by one QR, and for any
-    set of exponents the residual is that of y and s^-p projected off them,
+    The fit is one variable projection (Golub and Pereyra 1973): the columns
+    that do not depend on p (1, the log-periodic pair and, from eight radii
+    on, that pair over s) are factored by one QR, and for any set of
+    exponents the residual is that of y and s^-p projected off them,
     r(p) = y' - v'(y'.v')/|v'|^2.  The 76-point scan is one batched call on
     all columns, each of the 40 golden-section steps one call on each
-    column's two points (each column's bracket moves on its own), and each
-    column's coefficients come from one least-squares solve at its p.
+    column's two points (each column's bracket moves on its own), and the
+    projection at each column's chosen p gives its fit: c1 = y'.v'/|v'|^2
+    (times s_min^p, as the search takes v = (s/s_min)^-p), the fixed columns'
+    coefficients from the QR's R, the residual r(p), the verdict and, below
+    six radii, the log-periodic pair fitted to r(p) in one least-squares
+    solve for all columns.
     """
     s = _positive_radii(radii)
     y = np.asarray(values, dtype=float)
@@ -78,84 +85,66 @@ def fit_power_tail(radii, values):
         raise ConfigError("values to extrapolate must be finite")
     if s.size < 3:
         raise ConfigError("need at least three radii for extrapolation")
-    if np.unique(s).size < s.size:
-        raise ConfigError(f"radii must be distinct for extrapolation, got {s.tolist()}")
     Y = y.reshape(s.size, -1)
     with_osc = s.size >= 6
-    damped_osc = s.size >= 8
     osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)
     fixed = [np.ones_like(s)]
     if with_osc:
         fixed += [osc[:, 0], osc[:, 1]]
-    if damped_osc:
+    if s.size >= 8:
         # a decaying oscillation is not divergence; give it its own columns
         fixed += [osc[:, 0] / s, osc[:, 1] / s]
-    Q, _ = np.linalg.qr(np.stack(fixed, axis=1))
+    Q, R = np.linalg.qr(np.stack(fixed, axis=1))
     Y_perp = (Y - Q @ (Q.T @ Y))[:, None, :]
     # r(p) ignores the scale of s^-p; equal to 1 at the smallest radius, the column cannot underflow
     s_rel = (s / s.min())[:, None, None]
 
-    def residuals(p):
-        """Residual norms r[t, j] of column j at exponent p[t, j] (p[t, 0] for all j if p has one column)."""
+    def project(p):
+        """Column j at exponent p[t, j] (p[t, 0] for all j if p has one column): the coefficient
+        a[t, j] of v = s_rel^-p, v, the residual vector r(p) and its norm."""
         v = s_rel ** -p
         v_perp = v - (Q @ (Q.T @ v.reshape(s.size, -1))).reshape(v.shape)
-        r = Y_perp - v_perp * ((Y_perp * v_perp).sum(axis=0) / (v_perp * v_perp).sum(axis=0))
-        return np.sqrt((r * r).sum(axis=0))
+        a = (Y_perp * v_perp).sum(axis=0) / (v_perp * v_perp).sum(axis=0)
+        r = Y_perp - v_perp * a
+        return a, v, r, np.sqrt((r * r).sum(axis=0))
 
     scan = np.linspace(0.25, 4.0, 76)  # coarse exponent scan, then golden-section refinement
-    best_p = scan[np.argmin(residuals(scan[:, None]), axis=0)]
+    best_p = scan[np.argmin(project(scan[:, None])[3], axis=0)]
     lo, hi = np.maximum(best_p - 0.25, 0.05), best_p + 0.25
     golden = np.array([[0.382], [0.618]])
     for _ in range(40):
         m = lo + golden * (hi - lo)
-        r = residuals(m)
+        r = project(m)[3]
         left = r[0] < r[1]
         hi = np.where(left, m[1], hi)
         lo = np.where(left, lo, m[0])
     best_p = 0.5 * (lo + hi)
-    fits = [_power_fit(s, Y[:, j], float(best_p[j]), fixed, osc) for j in range(Y.shape[1])]
-    return fits[0] if y.ndim == 1 else fits
 
-
-def _power_fit(s, y, p, fixed, osc):
-    """PowerFit of one column at its exponent p: coefficients by one least-squares solve, and the verdict."""
-    with_osc, damped_osc = len(fixed) > 1, len(fixed) > 3
-    A = np.stack([np.ones_like(s), s**-p, *fixed[1:]], axis=1)
-    best_c, *_ = np.linalg.lstsq(A, y, rcond=None)
-    r = A @ best_c - y
-    best_r = float(np.sqrt(r @ r))
-
+    a, v, r, residual = (q[..., 0, :] for q in project(best_p[None, :]))
+    coef = scipy.linalg.solve_triangular(R, Q.T @ (Y - v * a))
     if with_osc:
-        osc_amp = float(np.hypot(best_c[2], best_c[3]))
-        model = best_c[0] + best_c[1] * s**-p + osc @ best_c[2:4]
-        if damped_osc:
-            model = model + (osc / s[:, None]) @ best_c[4:6]
-        rest = y - model
+        osc_amp = np.hypot(coef[1], coef[2])
+        rest = r
     else:
-        resid = y - best_c[0] - best_c[1] * s**-p
-        ab, *_ = np.linalg.lstsq(osc, resid, rcond=None)
-        osc_amp = float(np.hypot(*ab))
-        rest = resid - osc @ ab
-    rest_rms = float(np.sqrt(np.mean(rest**2)))
-    scale = max(np.max(np.abs(y)), 1e-300)
+        ab, *_ = np.linalg.lstsq(osc, r, rcond=None)
+        osc_amp = np.hypot(ab[0], ab[1])
+        rest = r - osc @ ab
+    rest_rms = np.sqrt(np.mean(rest**2, axis=0))
+    scale = np.maximum(np.max(np.abs(Y), axis=0), 1e-300)
     # divergence requires the non-decaying oscillation to dominate the decaying
     # residual, to account for a nontrivial fraction of the observed swing, and
     # to sit above quadrature-noise level on the unit problem scale
-    spread = float(np.ptp(y))
     divergent = (
-        osc_amp > 10.0 * max(rest_rms, 1e-13 * scale)
-        and osc_amp > 0.05 * spread
-        and osc_amp > 1e-7 * max(1.0, scale)
+        (osc_amp > 10.0 * np.maximum(rest_rms, 1e-13 * scale))
+        & (osc_amp > 0.05 * np.ptp(Y, axis=0))
+        & (osc_amp > 1e-7 * np.maximum(1.0, scale))
     )
-    return PowerFit(
-        c0=float(best_c[0]),
-        c1=float(best_c[1]),
-        p=p,
-        residual=best_r,
-        osc_amplitude=osc_amp,
-        rest_rms=rest_rms,
-        divergent=bool(divergent),
-    )
+    c1 = a * s.min() ** best_p  # the coefficient of s^-p itself
+    fits = [
+        PowerFit(*map(float, fields), divergent=bool(flag))
+        for *fields, flag in zip(coef[0], c1, best_p, residual, osc_amp, rest_rms, divergent)
+    ]
+    return fits[0] if y.ndim == 1 else fits
 
 
 # -- raw sphere fluxes ---------------------------------------------------------

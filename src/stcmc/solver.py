@@ -59,8 +59,11 @@ from .errors import (
     ConfigError,
     DegenerateInducedMetric,
     EigenSolverFailure,
+    HorizonReached,
     MaxIterations,
     NewtonDiverged,
+    PointInsideCore,
+    SliceNotSpacelike,
     StcmcError,
     TrappedRegion,
 )
@@ -303,9 +306,11 @@ def _newton_stage(prov, sigma, S: GraphSurface, tol, history):
     evaluates the residual once, on the re-centered trial; re-centering keeps
     the low-order height content (and hence the conditioning of the
     translational block) small.  A trial is damped by DAMPING when its
-    re-centered residual sup does not fall, or when it is trapped, degenerate
-    or cannot be re-centered.  Each residual evaluation appends (lmax, sup)
-    to history, 1 + iterations of them without damping.  Raises
+    re-centered residual sup does not fall, or when it is trapped, degenerate,
+    cannot be re-centered or leaves the data's domain (a point inside the
+    horizon or the core, or where the slice is not spacelike).  Each residual
+    evaluation appends (lmax, sup) to history, 1 + iterations of them without
+    damping.  Raises
     NewtonDiverged when MAX_DAMPING_ROUNDS damped retries cannot lower the
     residual sup and MaxIterations after NEWTON_MAX_ITER iterations, each
     with sigma, iteration and residual_sup.
@@ -322,7 +327,8 @@ def _newton_stage(prov, sigma, S: GraphSurface, tol, history):
             try:
                 S_try = _recentered(GraphSurface(S.center.copy(), S.r0, S.coeffs + scale * step, S.lmax))
                 res_t, proj_t, fr_t = curvature_residual(prov, S_try, sigma)
-            except (TrappedRegion, DegenerateInducedMetric, MaxIterations):
+            except (TrappedRegion, DegenerateInducedMetric, MaxIterations,
+                    HorizonReached, PointInsideCore, SliceNotSpacelike):
                 scale *= DAMPING
                 continue
             sup_t = float(np.max(np.abs(res_t)))

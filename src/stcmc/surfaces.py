@@ -118,8 +118,7 @@ def rebase(surface: GraphSurface, new_center):
             f"last max|step|/r0 = {np.max(np.abs(step)) / surface.r0:.3e}"
         )
     r0_new = grid.integrate(rho) / (4.0 * np.pi)
-    coeffs = grid.analyze(rho - r0_new)
-    return GraphSurface(new_center, r0_new, truncate_coeffs(coeffs, surface.lmax), surface.lmax)
+    return GraphSurface(new_center, r0_new, grid.analyze(rho - r0_new), surface.lmax)
 
 
 def nodal_radius(surface: GraphSurface, center):

@@ -372,8 +372,12 @@ def test_power_fit_flags_log_periodic():
 
 
 def _solve_for(s, y, p):
-    """Residual norm and coefficients of the power-tail fit at one exponent, by one least-squares solve."""
-    cols = [np.ones_like(s), s**-p]
+    """Residual norm and coefficients of the power-tail fit at one exponent, by one least-squares solve.
+
+    The tail column is (s / s_min)^-p, which spans the same space as s^-p
+    without its scale of s_min^-p, so the solve stays well conditioned at large p.
+    """
+    cols = [np.ones_like(s), (s / s.min()) ** -p]
     if s.size >= 6:
         cols += [np.cos(np.log(s)), np.sin(np.log(s))]
     if s.size >= 8:
@@ -384,39 +388,44 @@ def _solve_for(s, y, p):
     return float(np.sqrt(r @ r)), c
 
 
-def _reference_fit(radii, values):
-    """The power-tail fit by one least-squares solve per trial exponent (157 solves)."""
+def _reference_fit(radii, values, p=None):
+    """The power-tail fit by one least-squares solve per trial exponent (157 solves).
+
+    Given p, the search is skipped and the fit is the one solve at that exponent.
+    """
     s = np.asarray(radii, dtype=float)
     y = np.asarray(values, dtype=float)
     with_osc = s.size >= 6
     damped_osc = s.size >= 8
     osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)
 
-    scan = np.linspace(0.25, 4.0, 76)
-    best_p, (best_r, best_c) = scan[0], _solve_for(s, y, scan[0])
-    for p in scan[1:]:
-        r, c = _solve_for(s, y, p)
-        if r < best_r:
-            best_p, best_r, best_c = p, r, c
-    lo, hi = max(best_p - 0.25, 0.05), best_p + 0.25
-    for _ in range(40):
-        m1 = lo + 0.382 * (hi - lo)
-        m2 = lo + 0.618 * (hi - lo)
-        if _solve_for(s, y, m1)[0] < _solve_for(s, y, m2)[0]:
-            hi = m2
-        else:
-            lo = m1
-    best_p = 0.5 * (lo + hi)
+    best_p = p
+    if best_p is None:
+        scan = np.linspace(0.25, 4.0, 76)
+        best_p, best_r = scan[0], _solve_for(s, y, scan[0])[0]
+        for trial in scan[1:]:
+            r = _solve_for(s, y, trial)[0]
+            if r < best_r:
+                best_p, best_r = trial, r
+        lo, hi = max(best_p - 0.25, 0.05), best_p + 0.25
+        for _ in range(40):
+            m1 = lo + 0.382 * (hi - lo)
+            m2 = lo + 0.618 * (hi - lo)
+            if _solve_for(s, y, m1)[0] < _solve_for(s, y, m2)[0]:
+                hi = m2
+            else:
+                lo = m1
+        best_p = 0.5 * (lo + hi)
     best_r, best_c = _solve_for(s, y, best_p)
 
     if with_osc:
         osc_amp = float(np.hypot(best_c[2], best_c[3]))
-        model = best_c[0] + best_c[1] * s**-best_p + osc @ best_c[2:4]
+        model = best_c[0] + best_c[1] * (s / s.min()) ** -best_p + osc @ best_c[2:4]
         if damped_osc:
             model = model + (osc / s[:, None]) @ best_c[4:6]
         rest = y - model
     else:
-        resid = y - best_c[0] - best_c[1] * s**-best_p
+        resid = y - best_c[0] - best_c[1] * (s / s.min()) ** -best_p
         ab, *_ = np.linalg.lstsq(osc, resid, rcond=None)
         osc_amp = float(np.hypot(*ab))
         rest = resid - osc @ ab
@@ -427,7 +436,7 @@ def _reference_fit(radii, values):
         and osc_amp > 0.05 * float(np.ptp(y))
         and osc_amp > 1e-7 * max(1.0, scale)
     )
-    return best_c[0], best_p, best_r, bool(divergent)
+    return best_c[0], best_p, best_r, bool(divergent), osc_amp, rest_rms
 
 
 def _fit_columns(s9_fluxes):
@@ -457,11 +466,15 @@ def _fit_columns(s9_fluxes):
 def test_power_fit_matches_one_solve_per_exponent(s9_fluxes):
     for s, y in _fit_columns(s9_fluxes):
         fit = fit_power_tail(s, y)
-        c0, p, residual, divergent = _reference_fit(s, y)
+        c0, p, residual, divergent, *_ = _reference_fit(s, y)
         scale = np.max(np.abs(y))
         assert fit.divergent == divergent
         assert abs(fit.c0 - c0) <= 1e-6 * scale
         assert abs(fit.residual - residual) <= 1e-9 * scale
+        # the amplitudes follow p, which a flat landscape leaves loose: compare them at the fit's own p
+        *_, osc_amplitude, rest_rms = _reference_fit(s, y, fit.p)
+        assert abs(fit.osc_amplitude - osc_amplitude) <= 1e-9 * scale
+        assert abs(fit.rest_rms - rest_rms) <= 1e-9 * scale
         # the landscape is sharp where a step of 1e-6 in p moves the residual above its roundoff
         rise = max(abs(_solve_for(s, y, p + h)[0] - residual) for h in (-1e-6, 1e-6))
         if rise > 1e-12 * scale:
@@ -487,6 +500,20 @@ def test_power_fit_columns_match_one_call_per_column(s9_fluxes):
                 assert abs(fit.p - one.p) <= 1e-6
         # a 1-D column is the one-column case of the same search
         assert fit_power_tail(s, ys[0][:, None]) == [fit_power_tail(s, ys[0])]
+
+
+@pytest.mark.parametrize(("n_radii", "solves"), [(16, 0), (4, 1)])
+@pytest.mark.parametrize("n_columns", [1, 9])
+def test_power_fit_makes_one_least_squares_solve_below_six_radii(monkeypatch, n_radii, solves, n_columns):
+    # the exponent search's projection gives every field; only the log-periodic
+    # pair below six radii, where it is not a fixed column, takes one solve for all columns
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: calls.append(args) or lstsq(*args, **kw))
+    s = np.exp(np.linspace(np.log(100.0), np.log(10000.0), n_radii))
+    y = np.stack([0.3 * k + np.cos(np.log(s)) / k - 2.0 * s ** -(0.5 + 0.2 * k) for k in range(1, n_columns + 1)], axis=1)
+    fits = fit_power_tail(s, y)
+    assert len(fits) == n_columns and len(calls) == solves
 
 
 def test_each_report_makes_one_fit_call(graphical, s9_fluxes, monkeypatch):

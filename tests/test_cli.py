@@ -178,12 +178,26 @@ def test_nonfinite_or_nonpositive_input_is_a_config_error(capsys, argv, message)
     assert "ConfigError" in err and message in err
 
 
-def test_exit_code_repeated_radii(capsys):
-    rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,100,100", "--lmax", "8"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert "radii must be distinct" in captured.err
-    assert "E = " not in captured.out
+def test_exit_code_repeated_radii(monkeypatch, capsys):
+    """Repeated radii exit 2 before the sweep evaluates any sphere."""
+    calls = []
+    build_provider = cli.build_provider
+
+    def counted(config):
+        prov = build_provider(config)
+        for name in ("metric_jet", "extrinsic_jet"):
+            method = getattr(prov, name)
+            setattr(prov, name, lambda x, name=name, method=method: calls.append(name) or method(x))
+        return prov
+
+    monkeypatch.setattr(cli, "build_provider", counted)
+    for radii in ("100,100,100", "100,100,200"):
+        rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", radii, "--lmax", "8"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "radii must be distinct" in captured.err
+        assert "E = " not in captured.out
+    assert calls == []
 
 
 def test_exit_code_band_limit_too_small(capsys):

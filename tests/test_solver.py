@@ -337,6 +337,14 @@ def test_newton_damps_a_failed_recentering(schw, monkeypatch):
     assert (err.sigma, err.iteration) == (20.0, 0) and err.residual_sup > 0
 
 
+def test_newton_damps_a_trial_inside_the_horizon(schw):
+    # from r0 = 2.5 towards sigma = 20 the full step crosses r = 2m; the trial is damped, not fatal
+    with pytest.raises(NewtonDiverged, match=r"sigma 20, iteration \d+: residual sup stuck at \d") as diverged:
+        newton_solve(schw, 20.0, GraphSurface.round([0, 0, 0], 2.5, 8), SolveConfig(lmax=8))
+    err = diverged.value
+    assert err.sigma == 20.0 and err.iteration >= 0 and err.residual_sup > 0
+
+
 def test_newton_evaluates_one_residual_per_iteration(graphical, monkeypatch):
     calls = _count_frames(monkeypatch)
     rebases = []
