@@ -33,6 +33,14 @@ from .spectral import get_grid
 
 # -- extrapolation ------------------------------------------------------------
 
+# the fit's fixed columns (1, the log-periodic pair and that pair over s) must
+# be independent on the radii: each column's part off the columns before it,
+# |R_jj|, relative to its norm.  Sound sweeps read 1.9e-4 (log:100:200:8) to
+# 0.26 (log:100:10000:16); eight radii in 100..105 read 5e-9, sixteen in
+# 1000..1001 4e-15 and the radii e^(2 pi k), k = 0..5, 2e-16.
+MIN_PAIR_RESOLUTION = 1e-6
+
+
 @dataclass
 class PowerFit:
     c0: float
@@ -62,7 +70,10 @@ def fit_power_tail(radii, values):
     the same search.  With six or more radii the log-periodic pair
     cos(ln s), sin(ln s) is fitted jointly, so the power tail cannot absorb
     an oscillation; the value is flagged divergent when the oscillatory
-    amplitude dominates the remaining (decaying) residual tenfold.
+    amplitude dominates the remaining (decaying) residual tenfold.  Radii on
+    which the columns that do not depend on p are nearly dependent (a short
+    range of ln s, or radii e^(2 pi) apart) raise ConfigError rather than
+    give an answer (MIN_PAIR_RESOLUTION).
 
     The fit is one variable projection (Golub and Pereyra 1973): the columns
     that do not depend on p (1, the log-periodic pair and, from eight radii
@@ -94,7 +105,14 @@ def fit_power_tail(radii, values):
     if s.size >= 8:
         # a decaying oscillation is not divergence; give it its own columns
         fixed += [osc[:, 0] / s, osc[:, 1] / s]
-    Q, R = np.linalg.qr(np.stack(fixed, axis=1))
+    A = np.stack(fixed, axis=1)
+    Q, R = np.linalg.qr(A)
+    resolution = np.min(np.abs(np.diag(R)) / np.linalg.norm(A, axis=0))
+    if resolution < MIN_PAIR_RESOLUTION:
+        raise ConfigError(
+            f"radii do not resolve the log-periodic pair cos(ln s), sin(ln s): the fit's columns are"
+            f" independent only to {resolution:.2g} (< {MIN_PAIR_RESOLUTION:g}); spread the radii in ln s"
+        )
     Y_perp = (Y - Q @ (Q.T @ Y))[:, None, :]
     # r(p) ignores the scale of s^-p; equal to 1 at the smallest radius, the column cannot underflow
     s_rel = (s / s.min())[:, None, None]

@@ -24,15 +24,18 @@ contractions of the curvature operations are batched matrix products on
 reshaped or transposed views.  The Schwarzschild and graphical providers
 build their jets components first, with the point axis last, so that each
 elementwise product runs along the points, and turn each array points-first
-once.  The horizon, core and spacelike checks run when the jet is made.
+once.  The domain check is one method, DataProvider._check, which every
+provider of data runs on its points when a jet is made (the horizon, then
+the core); the graphical slice adds its spacelike check.
 
 The catalog covers the flat chart, the Schwarzschild slice in areal
 coordinates g = N^-2 dr^2 + r^2 dOmega^2 with N = sqrt(1 - 2m/r), the
 bounded-height graphical slice over it cut out by t = sin(ln r) + u.x/r,
 translated/rotated wrappers, and power-law angular perturbations of the flat
-data.  Negative mass is allowed (no horizon); the inner chart radius is
-1.05 * max(0, 2m).  The graphical slice's K reads two closed forms of the
-Schwarzschild slice g = delta + psi x x instead of a base jet:
+data.  Negative mass is allowed (no horizon); the Schwarzschild horizon is
+max(0, 2m) and the inner chart radius 1.05 times it.  The graphical slice's
+K reads two closed forms of the Schwarzschild slice g = delta + psi x x
+instead of a base jet:
 
     g^-1 = delta - (2m/r) n n,
     Gamma^k_ij T_,k = N^2 (x.dT) (psi'/r x_i x_j + 2 psi delta_ij) / 2,
@@ -222,13 +225,20 @@ def _sym_ik(x):
 
 
 class DataProvider:
-    """Immutable pointwise evaluator of an initial data set in its chart."""
+    """Immutable pointwise evaluator of an initial data set in its chart.
 
-    inner_radius = 0.0
+    A provider of data sets `horizon` (0 where there is none) and
+    `inner_radius`, and its jet methods call the one domain check, _check:
+    HorizonReached for r <= horizon where a horizon exists, then
+    PointInsideCore for r <= inner_radius.  The chart wrappers set neither;
+    the provider they wrap checks its points.
+    """
 
     def _check(self, x):
         x = _as_points(x)
         r = np.linalg.norm(x, axis=1)
+        if self.horizon > 0 and np.any(r <= self.horizon):
+            raise HorizonReached(f"r <= 2m = {self.horizon:.6g}")
         if np.any(r <= self.inner_radius):
             raise PointInsideCore(
                 f"point with |x| = {r.min():.6g} inside core radius {self.inner_radius:.6g}"
@@ -244,6 +254,8 @@ class DataProvider:
 
 class EuclideanProvider(DataProvider):
     """Flat chart: g = delta, K = 0; g, dg, ddg, K and dK are read-only broadcasts."""
+
+    horizon = inner_radius = 0.0
 
     def metric_jet(self, x):
         x, _ = self._check(x)
@@ -272,18 +284,8 @@ class SchwarzschildProvider(DataProvider):
         self.mass = float(mass)
         if self.mass == 0.0 or not np.isfinite(self.mass):
             raise ConfigError(f"mass parameter must be finite and nonzero, got {mass!r}")
-        self.inner_radius = 1.05 * max(0.0, 2.0 * self.mass)
-
-    def _check(self, x):
-        x = _as_points(x)
-        r = np.linalg.norm(x, axis=1)
-        if self.mass > 0 and np.any(r <= 2.0 * self.mass):
-            raise HorizonReached(f"r <= 2m = {2 * self.mass:.6g}")
-        if np.any(r <= self.inner_radius):
-            raise PointInsideCore(
-                f"point with |x| = {r.min():.6g} inside core radius {self.inner_radius:.6g}"
-            )
-        return x, r
+        self.horizon = max(0.0, 2.0 * self.mass)
+        self.inner_radius = 1.05 * self.horizon
 
     def _psi(self, r, second=False):
         """psi, psi' and, if asked, psi'' (else None)."""
@@ -369,10 +371,7 @@ class GraphicalSchwarzschildProvider(DataProvider):
         self.base = SchwarzschildProvider(mass)
         self.mass = self.base.mass
         self.u = _finite_array(u, (3,), "u")
-        self.inner_radius = self.base.inner_radius
-
-    def _check(self, x):
-        return self.base._check(x)
+        self.horizon, self.inner_radius = self.base.horizon, self.base.inner_radius
 
     def _T_jets(self, x, r, third=False):
         """dT, ddT and, if asked, dddT (else None) for T = sin(ln r) + (u.x)/r.
@@ -530,11 +529,6 @@ class TranslatedProvider(DataProvider):
         self.inner = inner
         self.center = _finite_array(center, (3,), "center")
 
-    @property
-    def inner_radius(self):
-        # conservative bound: the core ball shifted by c fits in this radius
-        return self.inner.inner_radius + np.linalg.norm(self.center)
-
     def metric_jet(self, x):
         return self.inner.metric_jet(_as_points(x) - self.center)
 
@@ -556,10 +550,6 @@ class RotatedProvider(DataProvider):
     def __init__(self, inner, rotation):
         self.inner = inner
         self.O = orthogonal_matrix(rotation)
-
-    @property
-    def inner_radius(self):
-        return self.inner.inner_radius
 
     def metric_jet(self, x):
         jet = self.inner.metric_jet(_as_points(x) @ self.O)  # x @ O = O^T applied to rows
@@ -637,67 +627,48 @@ class PerturbationProvider(DataProvider):
     Each term adds coeff * r^-decay * prod_k (x_k/r)^angular_k to one
     symmetrized component of g or K.  Terms with decay < 1/2 are rejected:
     slower fall-off leaves the admissible decay class; a malformed term
-    raises ConfigError.
+    raises ConfigError.  Each target holds one table {(i, j): _PolyRadial}
+    of the components with terms (an off-diagonal term is filed under (i, j)
+    and (j, i)), and one evaluator, _derivatives, forms any derivative order
+    of a table: g = delta + order 0, dg = order 1 and ddg = order 2; K =
+    order 0 and dK = order 1.
     """
 
+    horizon = 0.0
     inner_radius = 1.0
 
     def __init__(self, terms):
         if not isinstance(terms, (list, tuple)):
             raise ConfigError(f"perturbation terms must be a list of mappings, got {terms!r}")
-        self.g_terms = [[[] for _ in range(3)] for _ in range(3)]
-        self.k_terms = [[[] for _ in range(3)] for _ in range(3)]
+        filed = {"g": {}, "K": {}}
         for t in terms:
             target, i, j, entry = _perturbation_term(t)
-            table = self.g_terms if target == "g" else self.k_terms
-            table[i][j].append(entry)
-            if i != j:
-                table[j][i].append(entry)
-        self._gp = [[_PolyRadial(self.g_terms[i][j]) for j in range(3)] for i in range(3)]
-        self._kp = [[_PolyRadial(self.k_terms[i][j]) for j in range(3)] for i in range(3)]
-        self._gp1 = [[[self._gp[i][j].diff(k) for k in range(3)] for j in range(3)] for i in range(3)]
-        self._gp2 = [
-            [[[self._gp1[i][j][k].diff(l) for l in range(3)] for k in range(3)] for j in range(3)]
-            for i in range(3)
-        ]
-        self._kp1 = [[[self._kp[i][j].diff(k) for k in range(3)] for j in range(3)] for i in range(3)]
-        # the (i, j) components with terms
-        self._g_entries = [(i, j) for i in range(3) for j in range(3) if self.g_terms[i][j]]
-        self._k_entries = [(i, j) for i in range(3) for j in range(3) if self.k_terms[i][j]]
+            for ij in {(i, j), (j, i)}:
+                filed[target].setdefault(ij, []).append(entry)
+        self._g, self._K = ({ij: _PolyRadial(entries) for ij, entries in filed[k].items()} for k in ("g", "K"))
+
+    @staticmethod
+    def _derivatives(table, x, r, order):
+        """out[i, j, k_1, .., k_order, n] = d_k_1 .. d_k_order of each component of table, components first."""
+        out = np.zeros((3, 3) + (3,) * order + (x.shape[0],))
+        for ij, poly in table.items():
+            polys = {(): poly}
+            for _ in range(order):
+                polys = {ks + (k,): p.diff(k) for ks, p in polys.items() for k in range(3)}
+            for ks, p in polys.items():
+                out[ij + ks] += p(x, r)
+        return out
 
     def metric_jet(self, x):
         x, r = self._check(x)
-        n = x.shape[0]
-        g = np.broadcast_to(_EYE, (n, 3, 3)).copy()
-        dg = np.zeros((n, 3, 3, 3))
-        for i, j in self._g_entries:
-            g[:, i, j] += self._gp[i][j](x, r)
-            for k in range(3):
-                dg[:, i, j, k] += self._gp1[i][j][k](x, r)
-        return MetricJet(g, dg, _deferred(self._ddg, x, r))
-
-    def _ddg(self, x, r):
-        ddg = np.zeros((3, 3, 3, 3, x.shape[0]))
-        for i, j in self._g_entries:
-            for k in range(3):
-                for l in range(3):
-                    ddg[i, j, k, l] += self._gp2[i][j][k][l](x, r)
-        return ddg
+        g = _EYE[:, :, None] + self._derivatives(self._g, x, r, 0)
+        dg = self._derivatives(self._g, x, r, 1)
+        return MetricJet(_points_first(g), _points_first(dg), _deferred(partial(self._derivatives, self._g), x, r, 2))
 
     def extrinsic_jet(self, x):
         x, r = self._check(x)
-        n = x.shape[0]
-        K = np.zeros((n, 3, 3))
-        for i, j in self._k_entries:
-            K[:, i, j] += self._kp[i][j](x, r)
-        return ExtrinsicJet(K, _deferred(self._dK, x, r))
-
-    def _dK(self, x, r):
-        dK = np.zeros((3, 3, 3, x.shape[0]))
-        for i, j in self._k_entries:
-            for k in range(3):
-                dK[i, j, k] += self._kp1[i][j][k](x, r)
-        return dK
+        K = self._derivatives(self._K, x, r, 0)
+        return ExtrinsicJet(_points_first(K), _deferred(partial(self._derivatives, self._K), x, r, 1))
 
 
 # -- provider configs -------------------------------------------------------

@@ -118,9 +118,11 @@ class SpectralReport:
     The l = 1 triple is nearly degenerate, so eigenfunctions[:, 1:4] and
     projections are defined only up to a rotation within it: the solver's
     roundoff picks the rotation, and the half-band and full-band pencils pick
-    different ones.  ricci_integrals and predicted_lambda, formed from the
-    l = 1 eigenfunctions aligned with the coordinate functions, do not
-    depend on it.
+    different ones.  ricci_integrals and predicted_lambda do not depend on
+    it: they are formed from the aligned triple eigenfunctions[:, 1:4] Q with
+    projections = QR, the M-orthonormal Gram-Schmidt of the triple projected
+    onto the coordinate functions, and are quadratic in each aligned
+    function, so the signs of Q's columns do not enter.
     """
 
     eigenvalues: np.ndarray          # lambda_0 .. lambda_k
@@ -537,7 +539,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     k + 1 harmonics, the full-band pencil is solved.  The leaves' harmonic
     content decays geometrically in l, so the half band fixes the low pairs
     to roundoff.  The l = 1 eigenfunctions are aligned with the scaled
-    coordinate functions by projection and re-orthonormalization (see
+    coordinate functions by one QR of their projections onto them (see
     SpectralReport for what depends on the rotation within the triple).
     Raises EigenSolverFailure where the pencil cannot be solved.
     """
@@ -559,6 +561,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
         del S
     else:
         lam, V = pairs
+    del M
     sc = surface_scalars(fr)
     r = sc.area_radius
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * r**4)) * (fr.X - sc.center[None, :])
@@ -568,17 +571,10 @@ def laplace_spectrum(fr: CurvatureField, k=8):
         return fr.grid.synthesize(pad_coeffs(columns.T, lmax, fr.grid.lmax))
 
     proj = np.einsum("in,nj,n->ij", nodal(V[:, 1:4]), fdelta, w)
-    aligned = V[:, 1:4] @ proj
-    # re-orthonormalize in the M inner product (Gram-Schmidt)
-    for j in range(3):
-        for i in range(j):
-            aligned[:, j] -= (aligned[:, i] @ M @ aligned[:, j]) * aligned[:, i]
-        nrm = math.sqrt(aligned[:, j] @ M @ aligned[:, j])
-        aligned[:, j] /= nrm
-    del M
+    # V's columns are M-orthonormal, so V Q (proj = QR) spans the aligned triple M-orthonormally
+    al_nodal = nodal(V[:, 1:4] @ np.linalg.qr(proj)[0])
     mH = sc.hawking_mass
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
-    al_nodal = nodal(aligned)
     ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
     smin = _sigma_min_weighted(fields, lmax, R)

@@ -59,10 +59,6 @@ class ScaledExtrinsicProvider(DataProvider):
         self.inner = inner
         self.tau = float(tau)
 
-    @property
-    def inner_radius(self):
-        return self.inner.inner_radius
-
     def metric_jet(self, x):
         return self.inner.metric_jet(x)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from stcmc import charges
 from stcmc.chart import (
+    PerturbationProvider,
     RotatedProvider,
     TranslatedProvider,
     _finite_array,
@@ -77,6 +78,21 @@ def test_euclidean_energy_zero(euclid):
     rep = adm_energy(euclid, [10.0, 20.0, 40.0])
     assert abs(rep.energy) < 1e-13
     assert np.max(np.abs(rep.momentum_values)) == 0.0
+
+
+@pytest.mark.parametrize("lmax", [8, 24])
+def test_perturbation_energy_closed_form(lmax):
+    """g_22 = 1 + c/r: on every sphere the flux (d_i h_ij - d_j h_ii) nu^j is c (1 - nu_z^2) / s^2, so E = c/6.
+
+    A g_01 term proportional to x z is odd under y -> -y in every flux integrand, so it changes nothing.
+    """
+    c = 0.4
+    tail = {"i": 2, "j": 2, "coeff": c, "decay": 1.0}
+    odd = {"i": 0, "j": 1, "coeff": 0.3, "decay": 1.0, "angular": [1, 0, 1]}
+    for terms in ([tail], [tail, odd]):
+        rep = adm_energy(PerturbationProvider(terms), RADII, lmax)
+        assert np.max(np.abs(rep.energy_values - c / 6.0)) < 1e-13
+        assert abs(rep.energy - c / 6.0) < 1e-13
 
 
 def test_momentum_zero_for_time_symmetric(schw, canonical_report):
@@ -571,6 +587,26 @@ def test_power_fit_needs_distinct_radii():
         fit_power_tail([100.0, 100.0, 100.0], [1.02, 1.02, 1.02])
     with pytest.raises(ConfigError, match="distinct"):
         fit_power_tail([10.0, 20.0, 40.0, 40.0, 80.0, 160.0], np.ones(6))
+
+
+UNRESOLVED_RADII = {
+    "8-in-100..105": np.linspace(100.0, 105.0, 8),
+    "16-in-1000..1001": np.linspace(1000.0, 1001.0, 16),
+    "e^(2 pi k)": np.exp(2.0 * np.pi * np.arange(6)),
+}
+
+
+@pytest.mark.parametrize("radii", UNRESOLVED_RADII.values(), ids=UNRESOLVED_RADII.keys())
+def test_power_fit_rejects_radii_that_do_not_resolve_the_log_periodic_pair(radii):
+    # a smooth tail on these radii was fitted to c0 = -3.25, 8.7e5 and -1.4e11
+    with pytest.raises(ConfigError, match="radii do not resolve the log-periodic pair"):
+        fit_power_tail(radii, 1.0 - 2.0 / radii)
+
+
+@pytest.mark.parametrize("radii", [np.geomspace(100.0, 200.0, 8), np.arange(100.0, 106.0)], ids=["log:100:200:8", "100..105"])
+def test_power_fit_resolves_a_short_sweep(radii):
+    fit = fit_power_tail(radii, 1.0 - 2.0 / radii)
+    assert abs(fit.c0 - 1.0) < 1e-6 and not fit.divergent
 
 
 # -- csv -----------------------------------------------------------------------------------

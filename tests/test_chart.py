@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -985,6 +986,21 @@ def test_vectors_must_hold_finite_numbers_of_their_shape(make, what):
         make()
 
 
+def test_perturbation_terms_are_filed_once_per_component(sample_points):
+    """An off-diagonal term is filed under (i, j) and (j, i); a diagonal term is added once."""
+    off = {"i": 0, "j": 1, "coeff": 0.3, "decay": 1.5, "angular": [1, 0, 1]}
+    diag = {"i": 2, "j": 2, "coeff": 0.4, "decay": 1.0}
+    for target, jet in (("g", lambda p: p.metric_jet(sample_points).g), ("K", lambda p: p.extrinsic_jet(sample_points).K)):
+        a = jet(PerturbationProvider([{**off, "target": target}]))
+        assert np.array_equal(a[:, 0, 1], a[:, 1, 0]) and np.any(a[:, 0, 1])
+        b = jet(PerturbationProvider([{**diag, "target": target}]))
+        r = np.linalg.norm(sample_points, axis=1)
+        assert np.allclose(b[:, 2, 2], (target == "g") + 0.4 / r, rtol=1e-15, atol=0.0)
+    metric = PerturbationProvider([off, diag]).metric_jet(sample_points)
+    assert np.array_equal(metric.dg[:, 0, 1], metric.dg[:, 1, 0])
+    assert np.array_equal(metric.ddg[:, 0, 1], metric.ddg[:, 1, 0])
+
+
 def test_validation_errors():
     with pytest.raises(ConfigError):
         SchwarzschildProvider(0.0)
@@ -992,12 +1008,30 @@ def test_validation_errors():
         PerturbationProvider([{"target": "g", "i": 0, "j": 0, "coeff": 1.0, "decay": 0.4}])
     with pytest.raises(NotOrthogonal):
         RotatedProvider(EuclideanProvider(), np.eye(3) + 1e-6)
-    with pytest.raises(PointInsideCore):
-        SchwarzschildProvider(1.0).metric_jet(np.array([[2.05, 0.0, 0.0]]))
-    with pytest.raises(HorizonReached):
-        SchwarzschildProvider(1.0).metric_jet(np.array([[1.9, 0.0, 0.0]]))
     with pytest.raises(ConfigError):
         SchwarzschildProvider(1.0).metric_jet(np.array([10.0, 0.0, 0.0]))
+
+
+SHIFT = np.array([1.0, -2.0, 0.5])
+DOMAIN_PROVIDERS = {
+    "canonical": (lambda: SchwarzschildProvider(1.0), np.zeros(3)),
+    "graphical": (lambda: GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), np.zeros(3)),
+    "translated": (lambda: TranslatedProvider(SchwarzschildProvider(1.0), SHIFT), SHIFT),
+}
+DOMAIN_ERRORS = {
+    "horizon": (1.9, HorizonReached, "r <= 2m = 2"),
+    "core": (2.05, PointInsideCore, "point with |x| = 2.05 inside core radius 2.1"),
+}
+
+
+@pytest.mark.parametrize(("make", "shift"), DOMAIN_PROVIDERS.values(), ids=DOMAIN_PROVIDERS.keys())
+@pytest.mark.parametrize(("radius", "error", "message"), DOMAIN_ERRORS.values(), ids=DOMAIN_ERRORS.keys())
+@pytest.mark.parametrize("method", ["metric_jet", "extrinsic_jet"])
+def test_domain_errors(make, shift, radius, error, message, method):
+    """One domain check: each provider of the slice raises the same error for the same point of the data."""
+    x = np.array([[radius, 0.0, 0.0], [30.0, 0.0, 0.0]]) + shift
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        getattr(make(), method)(x)
 
 
 def test_slice_not_spacelike():

@@ -178,6 +178,14 @@ def test_nonfinite_or_nonpositive_input_is_a_config_error(capsys, argv, message)
     assert "ConfigError" in err and message in err
 
 
+def test_exit_code_unresolved_radii(capsys):
+    rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,101,102,103,104,105,106,107", "--lmax", "8"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "ConfigError: radii do not resolve the log-periodic pair" in captured.err
+    assert "E = " not in captured.out
+
+
 def test_exit_code_repeated_radii(monkeypatch, capsys):
     """Repeated radii exit 2 before the sweep evaluates any sphere."""
     calls = []
