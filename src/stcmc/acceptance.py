@@ -38,7 +38,7 @@ from .solver import (
     newton_solve,
     uniqueness_cross_check,
 )
-from .spectral import n_coeffs
+from .spectral import lm_arrays, n_coeffs
 from .surfaces import (
     GraphSurface,
     get_grid,
@@ -98,28 +98,32 @@ def _criterion(index, name, budget_s=None):
     return register
 
 
-_cache: dict = {}
+_RADII = (50.0, 100.0, 200.0, 400.0)  # the charge sweeps of criteria 1, 8 and 9
 
 
-def _memo(key, fn):
-    if key not in _cache:
-        _cache[key] = fn()
-    return _cache[key]
+@functools.cache
+def _slice_sweep(graphical):
+    """(provider, sphere_fluxes at _RADII) of the graphical or the canonical Schwarzschild slice."""
+    prov = GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]) if graphical else SchwarzschildProvider(1.0)
+    return prov, sphere_fluxes(prov, _RADII)
 
 
+@functools.cache
 def _canonical_energy():
-    return adm_energy(SchwarzschildProvider(1.0), [50.0, 100.0, 200.0, 400.0])
+    prov, fx = _slice_sweep(graphical=False)
+    return adm_energy(prov, _RADII, fluxes=fx)
 
 
+@functools.cache
 def _schwarzschild_foliation():
     return foliate(SchwarzschildProvider(1.0), [40.0, 80.0, 160.0], SolveConfig(lmax=12, tol=1e-11))
 
 
 @_criterion(1, "ADM energy of both slices extrapolates to m", budget_s=10.0)
 def criterion_1_adm_energy():
-    radii = [50.0, 100.0, 200.0, 400.0]
-    rep_c = _memo("canonical_energy", _canonical_energy)
-    rep_g = adm_energy(GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), radii)
+    rep_c = _canonical_energy()
+    prov9, fx9 = _slice_sweep(graphical=True)
+    rep_g = adm_energy(prov9, _RADII, fluxes=fx9)
     err_c = abs(rep_c.energy - 1.0)
     err_g = abs(rep_g.energy - 1.0)
     return err_c <= 1e-3 and err_g <= 1e-2, {"err_canonical": err_c, "err_graphical": err_g}
@@ -163,8 +167,7 @@ def criterion_3_schwarzschild_solve():
 def criterion_4_cancellation():
     prov = GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0])
     sgrid = np.exp(np.linspace(np.log(100.0), np.log(10000.0), 16))
-    fx = _memo("s9_fluxes", lambda: sphere_fluxes(prov, sgrid))
-    cen = stcmc_center_coordinate(prov, sgrid, 1.0, fluxes=fx)
+    cen = stcmc_center_coordinate(prov, sgrid, 1.0)
     basis = np.stack(
         [np.cos(np.log(sgrid)), np.sin(np.log(sgrid)), np.ones_like(sgrid), 1.0 / sgrid],
         axis=1,
@@ -195,7 +198,7 @@ def criterion_4_cancellation():
 
 @_criterion(5, "translational eigenvalue law (mass + curvature term)")
 def criterion_5_eigenvalue_law():
-    fol = _memo("schw_foliation", _schwarzschild_foliation)
+    fol = _schwarzschild_foliation()
     rel_errors = []
     literal = []
     lam4_ok = True
@@ -248,14 +251,13 @@ def criterion_6_linearization_suite():
 
 def _rand_coeffs(rng, lmax, amplitude):
     c = rng.normal(size=n_coeffs(lmax))
-    ls = np.concatenate([np.full(2 * l + 1, l) for l in range(lmax + 1)])
-    return amplitude * c * np.exp(-0.5 * ls)
+    return amplitude * c * np.exp(-0.5 * lm_arrays(lmax)[0])
 
 
 @_criterion(7, "invertibility floor and mass-energy gap")
 def criterion_7_operator_floor():
-    fol = _memo("schw_foliation", _schwarzschild_foliation)
-    rep_c = _memo("canonical_energy", _canonical_energy)
+    fol = _schwarzschild_foliation()
+    rep_c = _canonical_energy()
     E = rep_c.energy
     ratios = []
     gaps = []
@@ -279,7 +281,7 @@ def criterion_8_uniqueness_equivariance():
         c[1:9] = 0.05 * 20.0 * rng.uniform(-1, 1, 8) / np.sqrt(4 * np.pi)
         seeds_s.append(GraphSurface([0.0, 0.0, 0.0], 20.0, c, 8))
     dist_s, _ = uniqueness_cross_check(SchwarzschildProvider(1.0), 20.0, seeds_s, SolveConfig(lmax=8, tol=1e-12))
-    prov9 = GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0])
+    prov9, fx9 = _slice_sweep(graphical=True)
     seeds_9 = [
         GraphSurface.round([0.5, 0.0, 0.0], 60.0, 10),
         GraphSurface.round([-0.5, 0.0, 0.0], 60.0, 10),
@@ -316,15 +318,13 @@ def criterion_8_uniqueness_equivariance():
     leaf_translate = float(np.max(np.abs(rho_t - nodal_radius(base.surface.translated(c_vec), common))))
 
     # rotation equivariance of per-radius charge integrals (center scale)
-    radii = [50.0, 100.0, 200.0, 400.0]
-    fx9 = sphere_fluxes(prov9, radii)
-    fx9r = sphere_fluxes(RotatedProvider(prov9, O), radii)
+    fx9r = sphere_fluxes(RotatedProvider(prov9, O), _RADII)
     rot_p = float(np.max(np.abs(fx9r["P"] - fx9["P"] @ O.T)))
     rot_b = float(np.max(np.abs(fx9r["bom_raw"] - fx9["bom_raw"] @ O.T))) / (16.0 * np.pi)
     rot_z = float(np.max(np.abs(fx9r["z_raw"] - fx9["z_raw"] @ O.T))) / (32.0 * np.pi)
     # translation identity: integrals on spheres following the shift pick up
     # exactly c * (energy flux) in the metric-center integrand
-    fx_t = sphere_fluxes(prov_t9, radii, center=c_vec)
+    fx_t = sphere_fluxes(prov_t9, _RADII, center=c_vec)
     ident_e = float(np.max(np.abs(fx_t["E"] - fx9["E"])))
     ident_p = float(np.max(np.abs(fx_t["P"] - fx9["P"])))
     shift = 16.0 * np.pi * np.asarray(fx9["E"])[:, None] * c_vec[None, :]
@@ -347,20 +347,18 @@ def criterion_8_uniqueness_equivariance():
 
 @_criterion(9, "velocity integral matches P/E; center sum identity exact")
 def criterion_9_evolution_law():
-    radii = [50.0, 100.0, 200.0, 400.0]
+    translated = TranslatedProvider(GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), [0.4, 0.1, -0.2])
     worst = 0.0
-    providers = {
-        "canonical": SchwarzschildProvider(1.0),
-        "graphical": GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]),
-        "translated": TranslatedProvider(GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), [0.4, 0.1, -0.2]),
-    }
     identity_exact = True
-    for name, prov in providers.items():
-        fx = sphere_fluxes(prov, radii)
-        rep = adm_energy(prov, radii, fluxes=fx)
-        evo = velocity_integral(prov, radii, rep.energy, fluxes=fx)
+    for prov, fx in (
+        _slice_sweep(graphical=False),
+        _slice_sweep(graphical=True),
+        (translated, sphere_fluxes(translated, _RADII)),
+    ):
+        rep = adm_energy(prov, _RADII, fluxes=fx)
+        evo = velocity_integral(prov, _RADII, rep.energy, fluxes=fx)
         worst = max(worst, evo.discrepancy)
-        cen = stcmc_center_coordinate(prov, radii, rep.energy, fluxes=fx)
+        cen = stcmc_center_coordinate(prov, _RADII, rep.energy, fluxes=fx)
         if not np.array_equal(cen.sum_values, cen.bom_values + cen.z_values):
             identity_exact = False
     return worst <= 1e-2 and identity_exact, {"max_discrepancy": worst, "sum_identity_exact": identity_exact}

@@ -62,6 +62,35 @@ def _positive_radii(radii):
     return radii
 
 
+def _fit_columns(radii):
+    """(s, osc, Q, R): the radii, the log-periodic pair on them and the QR of the fit's fixed columns.
+
+    The rules of fit_power_tail that read only the radii, so that a sweep to
+    be fitted can check its radii before any sphere is evaluated: ConfigError
+    unless they are distinct, finite and positive (_positive_radii), at least
+    three, and resolve the fixed columns to MIN_PAIR_RESOLUTION.
+    """
+    s = _positive_radii(radii)
+    if s.size < 3:
+        raise ConfigError("need at least three radii for extrapolation")
+    osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)
+    fixed = [np.ones_like(s)]
+    if s.size >= 6:
+        fixed += [osc[:, 0], osc[:, 1]]
+    if s.size >= 8:
+        # a decaying oscillation is not divergence; give it its own columns
+        fixed += [osc[:, 0] / s, osc[:, 1] / s]
+    A = np.stack(fixed, axis=1)
+    Q, R = np.linalg.qr(A)
+    resolution = np.min(np.abs(np.diag(R)) / np.linalg.norm(A, axis=0))
+    if resolution < MIN_PAIR_RESOLUTION:
+        raise ConfigError(
+            f"radii do not resolve the log-periodic pair cos(ln s), sin(ln s): the fit's columns are"
+            f" independent only to {resolution:.2g} (< {MIN_PAIR_RESOLUTION:g}); spread the radii in ln s"
+        )
+    return s, osc, Q, R
+
+
 def fit_power_tail(radii, values):
     """Least-squares fit of c0 + c1 s^-p with p scanned then refined, per column.
 
@@ -88,31 +117,14 @@ def fit_power_tail(radii, values):
     six radii, the log-periodic pair fitted to r(p) in one least-squares
     solve for all columns.
     """
-    s = _positive_radii(radii)
+    s, osc, Q, R = _fit_columns(radii)
     y = np.asarray(values, dtype=float)
     if y.ndim > 2 or y.shape[:1] != s.shape:
         raise ShapeMismatch(f"values of shape {y.shape} do not match {s.size} radii")
     if not np.all(np.isfinite(y)):
         raise ConfigError("values to extrapolate must be finite")
-    if s.size < 3:
-        raise ConfigError("need at least three radii for extrapolation")
     Y = y.reshape(s.size, -1)
     with_osc = s.size >= 6
-    osc = np.stack([np.cos(np.log(s)), np.sin(np.log(s))], axis=1)
-    fixed = [np.ones_like(s)]
-    if with_osc:
-        fixed += [osc[:, 0], osc[:, 1]]
-    if s.size >= 8:
-        # a decaying oscillation is not divergence; give it its own columns
-        fixed += [osc[:, 0] / s, osc[:, 1] / s]
-    A = np.stack(fixed, axis=1)
-    Q, R = np.linalg.qr(A)
-    resolution = np.min(np.abs(np.diag(R)) / np.linalg.norm(A, axis=0))
-    if resolution < MIN_PAIR_RESOLUTION:
-        raise ConfigError(
-            f"radii do not resolve the log-periodic pair cos(ln s), sin(ln s): the fit's columns are"
-            f" independent only to {resolution:.2g} (< {MIN_PAIR_RESOLUTION:g}); spread the radii in ln s"
-        )
     Y_perp = (Y - Q @ (Q.T @ Y))[:, None, :]
     # r(p) ignores the scale of s^-p; equal to 1 at the smallest radius, the column cannot underflow
     s_rel = (s / s.min())[:, None, None]
@@ -309,6 +321,12 @@ def adm_mass(E, P):
     return math.sqrt(m2)
 
 
+def _check_energy(E, integrals):
+    """Raise ZeroEnergy where |E| <= 1e-12: the center and velocity integrals divide by E."""
+    if abs(E) <= 1e-12:
+        raise ZeroEnergy(f"{integrals} undefined at E = 0")
+
+
 def stcmc_center_coordinate(prov, radii, E, lmax=24, fluxes=None):
     """Center report: the metric (Beig-O Murchadha) center, the correction Z and their sum.
 
@@ -316,8 +334,7 @@ def stcmc_center_coordinate(prov, radii, E, lmax=24, fluxes=None):
     is the coordinate center of the foliation by surfaces of constant
     spacetime mean curvature.  Each column carries its own power-tail fit.
     """
-    if abs(E) <= 1e-12:
-        raise ZeroEnergy("center integrals are undefined at E = 0")
+    _check_energy(E, "center integrals")
     fx = fluxes if fluxes is not None else sphere_fluxes(prov, radii, lmax)
     bom = fx["bom_raw"] / (16.0 * math.pi * E)
     z = fx["z_raw"] / (32.0 * math.pi * E)
@@ -341,8 +358,7 @@ def _center_report(radii, bom, z):
 
 def velocity_integral(prov, radii, E, lmax=24, fluxes=None):
     """Evolution report: the limit of the velocity integral against P/E, both fitted in one call."""
-    if abs(E) <= 1e-12:
-        raise ZeroEnergy("velocity integral undefined at E = 0")
+    _check_energy(E, "velocity integral")
     fx = fluxes if fluxes is not None else sphere_fluxes(prov, radii, lmax)
     radii = np.asarray(radii, dtype=float)
     v = fx["velocity_raw"] / (8.0 * math.pi * E)

@@ -339,10 +339,8 @@ class SchwarzschildProvider(DataProvider):
                 out[a, b, b, a] += psi
         return out
 
-    def extrinsic_jet(self, x):
-        x, _ = self._check(x)
-        n = x.shape[0]
-        return ExtrinsicJet(np.zeros((n, 3, 3)), lambda: np.zeros((n, 3, 3, 3)))
+    # the slice is time-symmetric: K = 0, as read-only broadcasts
+    extrinsic_jet = EuclideanProvider.extrinsic_jet
 
 
 class GraphicalSchwarzschildProvider(DataProvider):

@@ -19,9 +19,9 @@ import sys
 
 import numpy as np
 
-from .chart import GraphicalSchwarzschildProvider, build_provider
-from .charges import adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
-from .errors import ConfigError, StcmcError
+from .chart import build_provider
+from .charges import _fit_columns, adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
+from .errors import ConfigError, StcmcError, ZeroEnergy
 from .solver import SolveConfig, check_spectrum_k, foliate, laplace_spectrum, newton_solve
 from .surfaces import GraphSurface, check_sigma, surface_scalars, surface_to_csv
 
@@ -130,13 +130,14 @@ def _write_csv(path, header, rows):
 def cmd_charges(args):
     prov = _provider_from_args(args)
     radii = parse_grid(args.radii)
+    _fit_columns(radii)  # radii the fit cannot use fail before any sphere is evaluated
     fx = sphere_fluxes(prov, radii, args.lmax)
     charge = adm_energy(prov, radii, args.lmax, fluxes=fx)
-    if abs(charge.energy) > 1e-12:
+    try:
         center = stcmc_center_coordinate(prov, radii, charge.energy, args.lmax, fluxes=fx)
         evo = velocity_integral(prov, radii, charge.energy, args.lmax, fluxes=fx)
         bom, z, csum, vel = center.bom_values, center.z_values, center.sum_values, evo.velocity_values
-    else:  # the center and velocity integrals divide by E
+    except ZeroEnergy:  # the center and velocity integrals divide by E
         bom = z = csum = vel = np.full((len(radii), 3), np.nan)
     print(f"{'radius':>10} {'E':>14} {'|P|':>12} {'C_sum_1':>12}")
     for i, s in enumerate(radii):
@@ -214,8 +215,9 @@ def cmd_example_s9(args):
     u = np.asarray(parse_grid(args.u))
     if u.shape != (3,) or not np.linalg.norm(u) > 0:
         raise ConfigError(f"--u must be a nonzero 3-vector, got {args.u!r}")
-    prov = GraphicalSchwarzschildProvider(args.mass, u)
+    prov = build_provider({"kind": "schwarzschild_graphical", "mass": args.mass, "u": u})
     sgrid = parse_grid(args.s_grid)
+    _fit_columns(sgrid)
     fx = sphere_fluxes(prov, sgrid, args.lmax)
     charge = adm_energy(prov, sgrid, args.lmax, fluxes=fx)
     cen = stcmc_center_coordinate(prov, sgrid, charge.energy, args.lmax, fluxes=fx)

@@ -161,48 +161,41 @@ class FoliationLeaf:
 # -- nodal operator ingredients ----------------------------------------------
 
 class _OperatorFields:
-    """Nodal coefficient fields of the linearized operators on a surface."""
+    """Nodal fields of the linearized operators that the frames do not hold."""
 
     def __init__(self, fr: CurvatureField):
-        self.fr = fr
         mj, ej = fr.metric_jet, fr.extrinsic_jet
         nu = fr.nu
         ric, _ = ricci_scalar_curvature(mj)
         self.ricnn = np.einsum("nij,ni,nj->n", ric, nu, nu)
-        self.A2 = fr.Aring2 + 0.5 * fr.H**2
         # grad_nu tr K - grad_nu K(nu, nu)
         covK_nnn = np.einsum("nk,ni,nj,nijk->n", nu, nu, nu, covariant_derivative(mj, ej))
         self.kscal = np.einsum("nk,nk->n", nu, trace_derivative(mj, ej)) - covK_nnn
         # K(grad^S u, nu) = kv^beta d_beta u
-        tang = np.stack(fr.tangents, axis=1)
-        self.kv = (fr.g2inv.transpose(0, 2, 1) @ (tang @ (ej.K @ nu[:, :, None])))[:, :, 0]
+        self.kv = (fr.g2inv.transpose(0, 2, 1) @ (fr.tang @ (ej.K @ nu[:, :, None])))[:, :, 0]
         # contracted induced Christoffels g2inv^{ab} GammaS^g_ab for the nodal
         # Laplacian, from the tangential part of the ambient Hessian (Gauss formula):
         # GammaS^g_ab = g2inv^{gd} g(X_d, D_ab)
         Dtr = np.einsum("nab,nabi->ni", fr.g2inv, fr.hess)
-        self.cgam = (fr.g2inv @ (tang @ (mj.g @ Dtr[:, :, None])))[:, :, 0]
-        self.H = fr.H
-        self.P = fr.P
-        self.stcmc = fr.stcmc
-        self.g2inv = fr.g2inv
+        self.cgam = (fr.g2inv @ (fr.tang @ (mj.g @ Dtr[:, :, None])))[:, :, 0]
 
 
-def _nodal_coefficients(f: _OperatorFields, tag):
+def _nodal_coefficients(fr: CurvatureField, f: _OperatorFields, tag):
     """Coefficient fields a0..a5 of L ("L_H") or script-L ("L_script"), as taken by operator_matrix.
 
     The operator acts on u as a0 u + a1 u_t + a2 u_p + a3 u_tt + a4 u_tp + a5 u_pp.
     """
-    gi = f.g2inv
+    gi = fr.g2inv
     # -Lap u - (|A|^2 + Ric(nu, nu)) u, with -Lap u = -g2inv^{ab} u_ab + cgam^g u_g
-    core = [-(f.A2 + f.ricnn), f.cgam[:, 0], f.cgam[:, 1], -gi[:, 0, 0], -2.0 * gi[:, 0, 1], -gi[:, 1, 1]]
+    core = [-(fr.A2 + f.ricnn), f.cgam[:, 0], f.cgam[:, 1], -gi[:, 0, 0], -2.0 * gi[:, 0, 1], -gi[:, 1, 1]]
     # sign of the gradient coupling fixed against the finite-difference
     # oracle: the normal variation of tr_S K is
     # u (grad_nu tr K - grad_nu K(nu,nu)) + 2 K(grad^S u, nu)
     kterm = [f.kscal, 2.0 * f.kv[:, 0], 2.0 * f.kv[:, 1]]
     if tag == "L_H":
-        alpha, beta = f.H / f.stcmc, -f.P / f.stcmc
+        alpha, beta = fr.H / fr.stcmc, -fr.P / fr.stcmc
     elif tag == "L_script":
-        alpha, beta = 1.0, -f.P / f.H
+        alpha, beta = 1.0, -fr.P / fr.H
     else:
         raise ConfigError(f"unknown operator tag {tag!r}; choose from ('L_H', 'L_script')")
     return [alpha * c + beta * k for c, k in zip(core, kterm)] + [alpha * c for c in core[3:]]
@@ -216,7 +209,7 @@ def assemble_linearization(fr: CurvatureField, which="L_H"):
     """
     if which == "L_H" and np.any(fr.stcmc <= 0):
         raise TrappedRegion("L_H undefined where H^2 - P^2 vanishes")
-    return fr.grid.operator_matrix(_nodal_coefficients(_OperatorFields(fr), which), fr.lmax)
+    return fr.grid.operator_matrix(_nodal_coefficients(fr, _OperatorFields(fr), which), fr.lmax)
 
 
 def graph_jacobian(fr: CurvatureField):
@@ -227,7 +220,7 @@ def graph_jacobian(fr: CurvatureField):
     curvature along the surface.
     """
     grid = fr.grid
-    a0, a1, a2, a3, a4, a5 = _nodal_coefficients(_OperatorFields(fr), "L_H")
+    a0, a1, a2, a3, a4, a5 = _nodal_coefficients(fr, _OperatorFields(fr), "L_H")
     g = fr.metric_jet.g
     c = np.einsum("ni,nij,nj->n", fr.omega, g, fr.nu)
     # L_H[c v] by the product rule, with the jets of the normal-projection
@@ -236,8 +229,7 @@ def graph_jacobian(fr: CurvatureField):
     cj = grid.synth_jet(grid.analyze(c))
     # tangential transport: (g2inv)^{ab} g(omega, e_a) d_b(stcmc) * v
     hjet = grid.synth_jet(grid.analyze(fr.stcmc))
-    tang = np.stack(fr.tangents, axis=1)
-    gom = np.einsum("ni,nij,naj->na", fr.omega, g, tang)
+    gom = np.einsum("ni,nij,naj->na", fr.omega, g, fr.tang)
     tfield = np.einsum("nab,na->nb", fr.g2inv, gom)
     transport = tfield[:, 0] * hjet["ft"] + tfield[:, 1] * hjet["fp"]
     ct, cp = cj["ft"], cj["fp"]
@@ -577,7 +569,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
     ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
-    smin = _sigma_min_weighted(fields, lmax, R)
+    smin = _sigma_min_weighted(fr, fields, R)
     return SpectralReport(
         eigenvalues=lam,
         eigenfunctions=V,
@@ -591,7 +583,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     )
 
 
-def _sigma_min_weighted(fields: _OperatorFields, lmax, R):
+def _sigma_min_weighted(fr: CurvatureField, fields: _OperatorFields, R):
     """Smallest singular value of script-L in the dmu-weighted L2 norm.
 
     With the mass matrix M = R^T R (R upper triangular), the weighted
@@ -611,7 +603,7 @@ def _sigma_min_weighted(fields: _OperatorFields, lmax, R):
     singular), or the sweeps do not settle in SIGMA_MIN_SWEEPS, W is formed
     and its full SVD taken instead.
     """
-    Lmat = fields.fr.grid.operator_matrix(_nodal_coefficients(fields, "L_script"), lmax)
+    Lmat = fr.grid.operator_matrix(_nodal_coefficients(fr, fields, "L_script"), fr.lmax)
     lu, rcond = _lu_rcond(Lmat)
     if rcond > RCOND:
         nb = Lmat.shape[0]

@@ -25,6 +25,7 @@ from types import MappingProxyType
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .chart import _read_only
 from .errors import BandLimitTooSmall, ShapeMismatch
 
 MIN_LMAX = 4
@@ -186,7 +187,7 @@ class SphereGrid:
     @cached_property
     def _mesh(self):
         TH, PH = np.meshgrid(self.theta, self.phi, indexing="ij")
-        return _read_only(TH.ravel(), PH.ravel())
+        return _read_only(TH.ravel()), _read_only(PH.ravel())
 
     def mesh(self):
         """(theta, phi) node arrays, flattened theta-major; read-only."""
@@ -204,7 +205,7 @@ class SphereGrid:
         otp = np.stack([-ct * sp, ct * cp, np.zeros_like(st)], axis=-1)
         opp = np.stack([-st * cp, -st * sp, np.zeros_like(st)], axis=-1)
         keys = ("o", "ot", "op", "ott", "otp", "opp")
-        return MappingProxyType(dict(zip(keys, _read_only(o, ot, op, ott, otp, opp))))
+        return MappingProxyType(dict(zip(keys, map(_read_only, (o, ot, op, ott, otp, opp)))))
 
     def unit_vectors(self):
         """Unit directions omega and their first/second angular derivatives.
@@ -221,7 +222,7 @@ class SphereGrid:
         cos_sin = np.stack([np.cos(mphi), np.sin(mphi)], axis=-1)
         m = np.arange(self.lmax + 1.0)[:, None]
         # d/dphi (cos, sin)(m phi) = m (-sin, cos)(m phi); d2/dphi2 = -m^2
-        return _read_only(np.stack([cos_sin, m * cos_sin[..., ::-1] * [-1.0, 1.0], -(m**2) * cos_sin]))[0]
+        return _read_only(np.stack([cos_sin, m * cos_sin[..., ::-1] * [-1.0, 1.0], -(m**2) * cos_sin]))
 
     # -- transforms -------------------------------------------------------
 
@@ -368,12 +369,6 @@ class SphereGrid:
         return values @ self.w
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
 def build_grid(lmax):
     """Build the quadrature grid and its Legendre tables for a band limit."""
     if lmax < MIN_LMAX:
@@ -395,7 +390,8 @@ def build_grid(lmax):
         legendre[m, :, m:] = np.concatenate([P, dP, d2P], axis=1).T * (math.sqrt(2.0) if m > 0 else 1.0)
     ls, ms = lm_arrays(lmax)
     spectral_index = (np.abs(ms) * (lmax + 1) + ls) * 2 + (ms < 0)
-    _read_only(theta, phi, w, legendre, spectral_index, ls, ms)
+    for a in (theta, phi, w, legendre, spectral_index, ls, ms):
+        _read_only(a)
     return SphereGrid(
         lmax=lmax, theta=theta, phi=phi, w=w, legendre=legendre,
         spectral_index=spectral_index, ls=ls, ms=ms,

@@ -139,13 +139,11 @@ class CurvatureField:
     lmax: int                                    # base band of the surface
     X: np.ndarray = field(repr=False)            # embedding points
     omega: np.ndarray = field(repr=False)        # base directions
-    tangents: tuple = field(repr=False)          # (X_theta, X_phi)
-    g2: np.ndarray = field(repr=False)           # induced metric, (n, 2, 2)
-    g2inv: np.ndarray = field(repr=False)
+    tang: np.ndarray = field(repr=False)         # tangents X_a, (n, 2, 3)
+    g2inv: np.ndarray = field(repr=False)        # inverse induced metric, (n, 2, 2)
     dmu: np.ndarray = field(repr=False)          # area density wrt round dOmega
     nu: np.ndarray = field(repr=False)           # g-unit outward normal
-    A: np.ndarray = field(repr=False)            # second fundamental form
-    Aring2: np.ndarray = field(repr=False)       # |tracefree A|^2
+    A2: np.ndarray = field(repr=False)           # |A|^2 of the second fundamental form
     H: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     stcmc: np.ndarray = field(repr=False)        # sqrt(H^2 - P^2)
@@ -162,35 +160,27 @@ class CurvatureField:
         return self.grid.integrate(self.dmu)
 
 
-def embedding_nodes(surface: GraphSurface, grid):
-    """Embedding X and its first/second parameter derivatives on a grid."""
-    uv = grid.unit_vectors()
-    jets = grid.synth_jet(pad_coeffs(surface.coeffs, surface.lmax, grid.lmax))
-    R = surface.r0 + jets["f"]
-    X = surface.center + R[:, None] * uv["o"]
-    Xt = jets["ft"][:, None] * uv["o"] + R[:, None] * uv["ot"]
-    Xp = jets["fp"][:, None] * uv["o"] + R[:, None] * uv["op"]
-    Xtt = jets["ftt"][:, None] * uv["o"] + 2.0 * jets["ft"][:, None] * uv["ot"] + R[:, None] * uv["ott"]
-    Xtp = (
-        jets["ftp"][:, None] * uv["o"]
-        + jets["ft"][:, None] * uv["op"]
-        + jets["fp"][:, None] * uv["ot"]
-        + R[:, None] * uv["otp"]
-    )
-    Xpp = jets["fpp"][:, None] * uv["o"] + 2.0 * jets["fp"][:, None] * uv["op"] + R[:, None] * uv["opp"]
-    return X, (Xt, Xp), (Xtt, Xtp, Xpp), uv["o"], R
-
-
 def _embedding(surface: GraphSurface):
-    """(grid, X, tangents, second derivatives, omega) on the dealiased grid.
+    """(grid, X, tang, sec, omega) on the dealiased grid.
 
-    Raises DegenerateInducedMetric where the height reaches the base center.
+    tang[:, a] = X_a, shape (n, 2, 3), and sec[:, a, b] = X_ab, shape
+    (n, 2, 2, 3), are the embedding's parameter derivatives.  Raises
+    DegenerateInducedMetric where the height reaches the base center.
     """
     grid = get_grid(dealias_lmax(surface.lmax))
-    X, tangents, sec, om, R = embedding_nodes(surface, grid)
+    uv = grid.unit_vectors()
+    jets = {k: v[:, None] for k, v in grid.synth_jet(pad_coeffs(surface.coeffs, surface.lmax, grid.lmax)).items()}
+    R = surface.r0 + jets["f"]
     if np.any(R <= 0):
         raise DegenerateInducedMetric("graph height reaches the base center")
-    return grid, X, tangents, sec, om
+    o, ot, op = uv["o"], uv["ot"], uv["op"]
+    X = surface.center + R * o
+    tang = np.stack([jets["ft"] * o + R * ot, jets["fp"] * o + R * op], axis=1)
+    Xtt = jets["ftt"] * o + 2.0 * jets["ft"] * ot + R * uv["ott"]
+    Xtp = jets["ftp"] * o + jets["ft"] * op + jets["fp"] * ot + R * uv["otp"]
+    Xpp = jets["fpp"] * o + 2.0 * jets["fp"] * op + R * uv["opp"]
+    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
+    return grid, X, tang, sec, o
 
 
 def _euclidean_density(grid, tang):
@@ -209,8 +199,8 @@ def euclidean_center(surface: GraphSurface):
 
     Bit-identical to surface_scalars(surface_frames(prov, surface)).center.
     """
-    grid, X, (Xt, Xp), _, _ = _embedding(surface)
-    return _euclidean_center(grid, X, _euclidean_density(grid, np.stack([Xt, Xp], axis=1)))
+    grid, X, tang, _, _ = _embedding(surface)
+    return _euclidean_center(grid, X, _euclidean_density(grid, tang))
 
 
 def _det_2x2(m):
@@ -233,12 +223,11 @@ def _inverse_2x2(m):
 
 def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     """Full curvature data of the surface in the data set, on the dealiased grid."""
-    grid, X, (Xt, Xp), (Xtt, Xtp, Xpp), om = _embedding(surface)
+    grid, X, tang, sec, om = _embedding(surface)
     mj = prov.metric_jet(X)
     ej = prov.extrinsic_jet(X)
     g = mj.g
 
-    tang = np.stack([Xt, Xp], axis=1)                       # (n, 2, 3)
     tangT = tang.transpose(0, 2, 1)
     g2 = tang @ g @ tangT
     g2inv, det2 = _inverse_2x2(g2)
@@ -246,11 +235,10 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
         raise DegenerateInducedMetric("induced metric has nonpositive determinant")
 
     # X_theta x X_phi points outward: its radial part is R^2 sin(theta) > 0
-    v = np.einsum("nij,nj->ni", mj.ginv, np.cross(Xt, Xp))
+    v = np.einsum("nij,nj->ni", mj.ginv, np.cross(tang[:, 0], tang[:, 1]))
     vnorm = np.sqrt(np.einsum("ni,nij,nj->n", v, g, v))
     nu = v / vnorm[:, None]
 
-    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)  # (n,2,2,3)
     # Gamma^k_ij X_a^i X_b^j as (a, i) @ (i, j) @ (j, b) per (n, k), moved to [n, a, b, k]
     n = X.shape[0]
     gam_b = np.matmul(christoffel(mj).reshape(n, 9, 3), tangT).reshape(n, 3, 3, 2)
@@ -259,7 +247,8 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     A = -np.einsum("ni,nabi->nab", nu_low, hess)
     H = np.einsum("nab,nab->n", g2inv, A)
     Aring = A - 0.5 * H[:, None, None] * g2
-    Aring2 = np.einsum("ncd,ncd->n", g2inv.transpose(0, 2, 1) @ Aring @ g2inv, Aring)
+    # |A|^2 = |Aring|^2 + H^2/2
+    A2 = np.einsum("ncd,ncd->n", g2inv.transpose(0, 2, 1) @ Aring @ g2inv, Aring) + 0.5 * H**2
 
     P = np.einsum("nab,nab->n", g2inv, tang @ ej.K @ tangT)
     h2p2 = H**2 - P**2
@@ -276,13 +265,11 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
         lmax=surface.lmax,
         X=X,
         omega=om,
-        tangents=(Xt, Xp),
-        g2=g2,
+        tang=tang,
         g2inv=g2inv,
         dmu=np.sqrt(det2) / st,
         nu=nu,
-        A=A,
-        Aring2=Aring2,
+        A2=A2,
         H=H,
         P=P,
         stcmc=stcmc,

@@ -49,7 +49,7 @@ def test_criterion_5_eigenvalue_law():
 
 
 def test_criterion_5_reads_the_foliations_spectra(monkeypatch):
-    fol = acceptance._memo("schw_foliation", acceptance._schwarzschild_foliation)
+    fol = acceptance._schwarzschild_foliation()
     calls = []
 
     def counted(fn):

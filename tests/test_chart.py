@@ -76,6 +76,14 @@ def test_euclidean_zero_jets_are_read_only(euclid, sample_points):
             arr[0] += 1.0
 
 
+def test_schwarzschild_extrinsic_jet_is_a_read_only_zero_broadcast(schw, sample_points):
+    ext = schw.extrinsic_jet(sample_points)
+    for arr in (ext.K, ext.dK):
+        assert arr.strides[0] == 0 and not np.any(arr)
+        with pytest.raises(ValueError):
+            arr[0] += 1.0
+
+
 def test_christoffel_zero_metric_raises():
     jet = MetricJet(np.zeros((2, 3, 3)), np.zeros((2, 3, 3, 3)), lambda: np.zeros((2, 3, 3, 3, 3)))
     with pytest.raises(SingularMetric):

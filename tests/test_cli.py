@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import filecmp
 import inspect
 import json
@@ -186,8 +187,9 @@ def test_exit_code_unresolved_radii(capsys):
     assert "E = " not in captured.out
 
 
-def test_exit_code_repeated_radii(monkeypatch, capsys):
-    """Repeated radii exit 2 before the sweep evaluates any sphere."""
+@pytest.fixture
+def jet_calls(monkeypatch):
+    """The jet calls made on every provider that the CLI builds, in order."""
     calls = []
     build_provider = cli.build_provider
 
@@ -199,13 +201,35 @@ def test_exit_code_repeated_radii(monkeypatch, capsys):
         return prov
 
     monkeypatch.setattr(cli, "build_provider", counted)
+    return calls
+
+
+def test_exit_code_repeated_radii(jet_calls, capsys):
+    """Repeated radii exit 2 before the sweep evaluates any sphere."""
     for radii in ("100,100,100", "100,100,200"):
         rc = main(["charges", "--data", "schwarzschild", "--mass", "1", "--radii", radii, "--lmax", "8"])
         assert rc == 2
         captured = capsys.readouterr()
         assert "radii must be distinct" in captured.err
         assert "E = " not in captured.out
-    assert calls == []
+    assert jet_calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,200"], "need at least three radii"),
+        (
+            ["charges", "--data", "schwarzschild", "--mass", "1", "--radii", "100,101,102,103,104,105,106,107"],
+            "radii do not resolve the log-periodic pair",
+        ),
+        (["example-s9", "--s-grid", "100,200"], "need at least three radii"),
+    ],
+)
+def test_radii_the_fit_cannot_use_exit_2_before_any_sphere(jet_calls, capsys, argv, message):
+    assert main(argv + ["--lmax", "8"]) == 2
+    assert f"ConfigError: {message}" in capsys.readouterr().err
+    assert jet_calls == []
 
 
 def test_exit_code_band_limit_too_small(capsys):
@@ -341,6 +365,19 @@ def test_every_exported_name_has_a_program_reader():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(set(stcmc.__all__) - read) == []
+
+
+def test_every_frame_field_has_a_program_reader():
+    """Each field of CurvatureField is read as an attribute by the library, the CLI, the criteria or the benchmark."""
+    from stcmc.surfaces import CurvatureField
+
+    root = Path(__file__).resolve().parents[1]
+    read = set()
+    for path in sorted((root / "src" / "stcmc").glob("*.py")) + sorted((root / "bench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert sorted({f.name for f in dataclasses.fields(CurvatureField)} - read) == []
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from stcmc.solver import (
     uniqueness_cross_check,
 )
 from stcmc.spectral import coeff_index, lm_arrays, n_coeffs, pad_coeffs, real_sph_basis, truncate_coeffs
-from stcmc.surfaces import GraphSurface, embedding_nodes, surface_frames, surface_scalars
+from stcmc.surfaces import GraphSurface, _embedding, surface_frames, surface_scalars
 
 from conftest import ScaledExtrinsicProvider, apriori_class_check, parametrized_area_and_center
 
@@ -76,7 +76,7 @@ def test_operators_coincide_without_extrinsic_curvature(schw):
     # and both equal the classical stability operator -Lap - |A|^2 - Ric
     f = sv._OperatorFields(fr)
     B = _basis_jets(fr.grid, S.lmax)
-    classical = _project(fr.grid, _minus_laplacian(f, B) - (f.A2 + f.ricnn)[:, None] * B["f"], S.lmax)
+    classical = _project(fr.grid, _minus_laplacian(fr, f, B) - (fr.A2 + f.ricnn)[:, None] * B["f"], S.lmax)
     assert np.max(np.abs(L_H - classical)) < 1e-12
 
 
@@ -85,9 +85,9 @@ def _basis_jets(grid, lmax):
     return {key: jet.T for key, jet in grid.synth_jet(np.eye(n_coeffs(lmax), grid.nbasis)).items()}
 
 
-def _minus_laplacian(f, U):
+def _minus_laplacian(fr, f, U):
     """-Lap u = -g2inv^{ab} u_ab + cgam^g u_g for the jets U of each column u."""
-    gi = f.g2inv
+    gi = fr.g2inv
     lap = (
         gi[:, 0, 0, None] * U["ftt"]
         + 2.0 * gi[:, 0, 1, None] * U["ftp"]
@@ -114,11 +114,11 @@ def _product_rule_reference(fr, lmax):
     B = _basis_jets(grid, lmax)
 
     def apply(tag, U):
-        core = _minus_laplacian(f, U) - (f.A2 + f.ricnn)[:, None] * U["f"]
+        core = _minus_laplacian(fr, f, U) - (fr.A2 + f.ricnn)[:, None] * U["f"]
         kterm = f.kscal[:, None] * U["f"] + 2.0 * (f.kv[:, 0, None] * U["ft"] + f.kv[:, 1, None] * U["fp"])
         if tag == "L_H":
-            return (f.H[:, None] * core - f.P[:, None] * kterm) / f.stcmc[:, None]
-        return core - (f.P / f.H)[:, None] * kterm
+            return (fr.H[:, None] * core - fr.P[:, None] * kterm) / fr.stcmc[:, None]
+        return core - (fr.P / fr.H)[:, None] * kterm
 
     mats = {tag: _project(grid, apply(tag, B), lmax) for tag in ("L_H", "L_script")}
     g = fr.metric_jet.g
@@ -134,7 +134,7 @@ def _product_rule_reference(fr, lmax):
         "fpp": cj["fpp"] * B["f"] + 2.0 * cj["fp"] * B["fp"] + c * B["fpp"],
     }
     hjet = grid.synth_jet(grid.analyze(fr.stcmc))
-    gom = np.einsum("ni,nij,naj->na", fr.omega, g, np.stack(fr.tangents, axis=1))
+    gom = np.einsum("ni,nij,naj->na", fr.omega, g, fr.tang)
     tfield = np.einsum("nab,na->nb", fr.g2inv, gom)
     transport = tfield[:, 0] * hjet["ft"] + tfield[:, 1] * hjet["fp"]
     mats["jacobian"] = _project(grid, apply("L_H", U) + transport[:, None] * B["f"], lmax)
@@ -170,9 +170,7 @@ def test_fused_assembly_matches_product_rule(case, lmax, schw, graphical):
 
 def _induced_christoffel_reference(fr, surface):
     """g2inv^{ab} GammaS^g_ab from d_g g2_ab, differentiated through the ambient dg."""
-    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(surface, fr.grid)
-    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
-    tang = np.stack(fr.tangents, axis=1)
+    _, _, tang, sec, _ = _embedding(surface)
     g, dg = fr.metric_jet.g, fr.metric_jet.dg
     dg2 = (
         np.einsum("nijk,ngk,nai,nbj->ngab", dg, tang, tang, tang)

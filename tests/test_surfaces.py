@@ -28,9 +28,9 @@ from stcmc.spectral import coeff_index, dealias_lmax, n_coeffs, pad_coeffs, real
 from stcmc.solver import _OperatorFields
 from stcmc.surfaces import (
     GraphSurface,
+    _embedding,
     _inverse_2x2,
     appendix_graph_residual,
-    embedding_nodes,
     get_grid,
     nodal_radius,
     rebase,
@@ -55,20 +55,28 @@ def _relative_gap(a, ref):
     return np.max(np.abs(a - ref)) / np.max(np.abs(ref))
 
 
+def _second_fundamental_form(fr):
+    """A_ab = -g(nu, D_ab) from the frames' ambient Hessian and normal, and the induced metric g(X_a, X_b)."""
+    g = fr.metric_jet.g
+    A = -np.einsum("ni,nij,nabj->nab", fr.nu, g, fr.hess)
+    return A, np.einsum("nai,nij,nbj->nab", fr.tang, g, fr.tang)
+
+
 def test_frame_products_match_einsum(graphical):
     S = random_surface(np.random.default_rng(21), lmax=10, r0=25.0, amp=0.3, center=(0.5, -0.3, 0.2))
     fr = surface_frames(graphical, S)
     mj, ej = fr.metric_jet, fr.extrinsic_jet
-    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(S, fr.grid)
-    tang = np.stack(fr.tangents, axis=1)
-    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
+    _, _, tang, sec, _ = _embedding(S)
     # the multi-operand einsums the batched products replace
     g2 = np.einsum("nai,nij,nbj->nab", tang, mj.g, tang)
+    g2inv = np.linalg.inv(g2)
     hess = sec + np.einsum("nkij,nai,nbj->nabk", mj.Gam, tang, tang)
-    Aring = fr.A - 0.5 * fr.H[:, None, None] * fr.g2
-    Aring2 = np.einsum("nac,nbd,nab,ncd->n", fr.g2inv, fr.g2inv, Aring, Aring)
-    P = np.einsum("nab,nai,nbj,nij->n", fr.g2inv, tang, tang, ej.K)
-    for got, ref in ((fr.g2, g2), (fr.hess, hess), (fr.Aring2, Aring2), (fr.P, P)):
+    A = -np.einsum("ni,nij,nabj->nab", fr.nu, mj.g, hess)
+    H = np.einsum("nab,nab->n", g2inv, A)
+    Aring = A - 0.5 * H[:, None, None] * g2
+    A2 = np.einsum("nac,nbd,nab,ncd->n", g2inv, g2inv, Aring, Aring) + 0.5 * H**2
+    P = np.einsum("nab,nai,nbj,nij->n", g2inv, tang, tang, ej.K)
+    for got, ref in ((fr.g2inv, g2inv), (fr.hess, hess), (fr.H, H), (fr.A2, A2), (fr.P, P)):
         assert _relative_gap(got, ref) <= 1e-14
     assert np.max(np.abs(fr.P)) > 1e-4  # the graphical slice has a nonzero expansion trace
     fields = _OperatorFields(fr)
@@ -92,7 +100,9 @@ def test_round_sphere_flat(euclid):
     assert np.max(np.abs(fr.H - 0.4)) < 1e-13
     assert np.max(np.abs(fr.P)) == 0.0
     assert np.max(np.abs(fr.stcmc - 0.4)) < 1e-13
-    assert np.max(np.abs(fr.Aring2)) < 1e-26
+    A, g2 = _second_fundamental_form(fr)
+    Aring = A - 0.5 * fr.H[:, None, None] * g2
+    assert np.max(np.abs(np.einsum("nac,nbd,nab,ncd->n", fr.g2inv, fr.g2inv, Aring, Aring))) < 1e-26
 
 
 def test_schwarzschild_sphere_mean_curvature(schw):
@@ -220,16 +230,14 @@ def test_apriori_class_roundoff_allowance(euclid, r, lmax):
 def euclidean_comparison(prov, surface: GraphSurface):
     """Sup norms of the flat-vs-curved frame differences; reads the surface's parametrization, not only its frames."""
     fr = surface_frames(prov, surface)
-    _, _, (Xtt, Xtp, Xpp), _, _ = embedding_nodes(surface, fr.grid)
-    ncross = np.cross(*fr.tangents)
+    _, _, tang, sec, _ = _embedding(surface)
+    ncross = np.cross(tang[:, 0], tang[:, 1])
     nu_delta = ncross / np.linalg.norm(ncross, axis=1)[:, None]
-    tang = np.stack(fr.tangents, axis=1)
     delta2inv, _ = _inverse_2x2(np.einsum("nai,nbi->nab", tang, tang))
-    sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
     A_delta = -np.einsum("ni,nabi->nab", nu_delta, sec)
     H_delta = np.einsum("nab,nab->n", delta2inv, A_delta)
     dnu = np.linalg.norm(fr.nu - nu_delta, axis=1).max()
-    dA = fr.A - A_delta
+    dA = _second_fundamental_form(fr)[0] - A_delta
     dA_norm = np.sqrt(np.einsum("nac,nbd,nab,ncd->n", delta2inv, delta2inv, dA, dA))
     dH = np.abs(fr.H - H_delta).max()
     rel_dmu = np.abs(fr.dmu / fr.dmu_delta - 1.0).max()
