@@ -51,7 +51,6 @@ from .surfaces import (
     rebase,
     solve_graph_residual,
     surface_frames,
-    surface_scalars,
     surface_to_csv,
 )
 
@@ -89,7 +88,6 @@ __all__ = [
     "rebase",
     "solve_graph_residual",
     "surface_frames",
-    "surface_scalars",
     "surface_to_csv",
 ]
 

@@ -132,7 +132,7 @@ def criterion_1_adm_energy():
 @_criterion(2, "graphical slice is vacuum at r = 20")
 def criterion_2_vacuum_constraints():
     grid = get_grid(24)
-    x = 20.0 * grid.unit_vectors()["o"]
+    x = 20.0 * grid.unit_vectors["o"]
     mu, J = constraint_densities(GraphicalSchwarzschildProvider(1.0, [1.0, 0.0, 0.0]), x)
     mu_max = float(np.max(np.abs(mu)))
     j_max = float(np.max(np.linalg.norm(J, axis=1)))
@@ -298,7 +298,7 @@ def criterion_8_uniqueness_equivariance():
     rot = newton_solve(rot_prov, 60.0, GraphSurface.round([0.0, 0.0, 0.0], 60.0, 10), SolveConfig(lmax=10, tol=1e-12))
     # compare the rotated base leaf with the leaf of the rotated data
     grid = get_grid(10)
-    om = grid.unit_vectors()["o"]
+    om = grid.unit_vectors["o"]
     om_back = om @ O  # O^T applied to each direction
     thb = np.arccos(np.clip(om_back[:, 2], -1, 1))
     phb = np.mod(np.arctan2(om_back[:, 1], om_back[:, 0]), 2 * np.pi)
@@ -382,11 +382,10 @@ def criterion_10_graph_equation_oracle():
 
 
 
-def run_all(verbose=True):
+def run_all():
+    """Run every criterion, printing each one's line as it finishes."""
     results = []
     for fn in ALL_CRITERIA:
-        res = fn()
-        results.append(res)
-        if verbose:
-            print(res.line(), flush=True)
+        results.append(fn())
+        print(results[-1].line(), flush=True)
     return results

@@ -202,7 +202,7 @@ def sphere_fluxes(prov, radii, lmax=24, center=(0.0, 0.0, 0.0)):
     radii = _positive_radii(radii)
     center = _finite_array(center, (3,), "center")
     grid = get_grid(lmax)
-    uv = grid.unit_vectors()
+    uv = grid.unit_vectors
     om, ot, op = uv["o"], uv["ot"], uv["op"]
     n = om.shape[0]
     # sum_ij (d_i g_ij - d_j g_ii) omega^j = dg[i, j, k] (delta_ik omega_j - delta_ij omega_k)
@@ -217,7 +217,7 @@ def sphere_fluxes(prov, radii, lmax=24, center=(0.0, 0.0, 0.0)):
         frame[:, row] = a[:, :, None] * b[:, None, :]
     frame_flat = np.einsum("naii->na", frame)  # delta against each
     frame = frame.reshape(n, 3, 9)
-    w_area = grid.w / np.sin(grid.mesh()[0])  # the induced measure over s^2 is w_area sqrt(det)
+    w_area = grid.w / np.sin(grid.mesh[0])  # the induced measure over s^2 is w_area sqrt(det)
     out = {
         "E": np.empty(radii.size),
         "P": np.empty((radii.size, 3)),

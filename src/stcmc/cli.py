@@ -23,7 +23,7 @@ from .chart import build_provider
 from .charges import _fit_columns, adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
 from .errors import ConfigError, StcmcError, ZeroEnergy
 from .solver import SolveConfig, check_spectrum_k, foliate, laplace_spectrum, newton_solve
-from .surfaces import GraphSurface, check_sigma, surface_scalars, surface_to_csv
+from .surfaces import GraphSurface, check_sigma, surface_to_csv
 
 
 def parse_grid(text):
@@ -41,8 +41,14 @@ def parse_grid(text):
 
 
 def _provider_from_args(args):
-    """The provider of the --config file, or of --data/--mass/--u, translated by --center."""
+    """The provider of the --config file, or of --data/--mass/--u, translated by --center.
+
+    --config excludes --data, --mass and --u, which would otherwise go unread.
+    """
     if args.config:
+        given = [flag for flag in ("data", "mass", "u") if getattr(args, flag) is not None]
+        if given:
+            raise ConfigError(f"--config excludes {', '.join('--' + f for f in given)}: the file gives the data")
         try:
             with open(args.config) as fh:
                 config = json.load(fh)
@@ -164,13 +170,13 @@ def cmd_solve(args):
     r0 = args.r0 if args.r0 is not None else args.sigma
     seed = GraphSurface.round(np.zeros(3), r0, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
-    sc = surface_scalars(result.frames)
+    fr = result.frames
     print(
         f"converged in {result.iterations} iterations; residual sup {result.residual_sup:.3e}\n"
-        f"area radius {sc.area_radius:.10g}  center {sc.center}  m_H {sc.hawking_mass:.10g}"
+        f"area radius {fr.area_radius:.10g}  center {fr.center}  m_H {fr.hawking_mass:.10g}"
     )
     if args.out:
-        surface_to_csv(result.frames, result.surface, args.out)
+        surface_to_csv(fr, result.surface, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -242,7 +248,7 @@ def cmd_example_s9(args):
 def cmd_check(args):
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -76,7 +76,6 @@ from .surfaces import (
     nodal_radius,
     rebase,
     surface_frames,
-    surface_scalars,
 )
 
 DAMPING = 0.5           # Newton step shrink factor on residual increase
@@ -221,15 +220,15 @@ def graph_jacobian(fr: CurvatureField):
     """
     grid = fr.grid
     a0, a1, a2, a3, a4, a5 = _nodal_coefficients(fr, _OperatorFields(fr), "L_H")
-    g = fr.metric_jet.g
-    c = np.einsum("ni,nij,nj->n", fr.omega, g, fr.nu)
+    g, om = fr.metric_jet.g, grid.unit_vectors["o"]
+    c = np.einsum("ni,nij,nj->n", om, g, fr.nu)
     # L_H[c v] by the product rule, with the jets of the normal-projection
     # factor c taken spectrally (limited only by the smooth tail of c itself);
     # this avoids re-analyzing c*v, whose tail would alias into the retained band
     cj = grid.synth_jet(grid.analyze(c))
     # tangential transport: (g2inv)^{ab} g(omega, e_a) d_b(stcmc) * v
     hjet = grid.synth_jet(grid.analyze(fr.stcmc))
-    gom = np.einsum("ni,nij,naj->na", fr.omega, g, fr.tang)
+    gom = np.einsum("ni,nij,naj->na", om, g, fr.tang)
     tfield = np.einsum("nab,na->nb", fr.g2inv, gom)
     transport = tfield[:, 0] * hjet["ft"] + tfield[:, 1] * hjet["fp"]
     ct, cp = cj["ft"], cj["fp"]
@@ -424,15 +423,14 @@ def foliate(prov, sigma_list, config: SolveConfig | None = None, initial=None, s
         result = newton_solve(prov, sg, S, cfg)
         S = result.surface
         fr = result.frames
-        sc = surface_scalars(fr)
-        prev = (sg, sc.hawking_mass)
+        prev = (sg, fr.hawking_mass)
         leaves.append(
             FoliationLeaf(
                 sigma=sg,
                 surface=S,
-                center=sc.center,
-                area_radius=sc.area_radius,
-                hawking_mass=sc.hawking_mass,
+                center=fr.center,
+                area_radius=fr.area_radius,
+                hawking_mass=fr.hawking_mass,
                 spectrum=laplace_spectrum(fr, k=8) if spectra else None,
                 residual_sup=result.residual_sup,
             )
@@ -456,16 +454,16 @@ def _annotate_lapse_positivity(leaves):
 
 # -- spectra -------------------------------------------------------------------
 
-def _stiffness(fr: CurvatureField, lmax, col_lmax=None):
-    """Stiffness matrix of the induced Laplacian: base-band rows, columns to col_lmax (lmax by default)."""
+def _stiffness(fr: CurvatureField, col_lmax=None):
+    """Stiffness matrix of the induced Laplacian: base-band rows, columns to col_lmax (fr.lmax by default)."""
     gi = fr.dmu[:, None, None] * fr.g2inv
     grad = ("ft", "fp")
-    return fr.grid.bilinear([(grad[a], grad[b], gi[:, a, b]) for a in (0, 1) for b in (0, 1)], lmax, col_lmax)
+    return fr.grid.bilinear([(grad[a], grad[b], gi[:, a, b]) for a in (0, 1) for b in (0, 1)], fr.lmax, col_lmax)
 
 
-def _mass(fr: CurvatureField, lmax):
+def _mass(fr: CurvatureField):
     """Mass matrix of the area measure in the base band, symmetrized."""
-    M = fr.grid.bilinear([("f", "f", fr.dmu)], lmax)
+    M = fr.grid.bilinear([("f", "f", fr.dmu)], fr.lmax)
     return 0.5 * (M + M.T)
 
 
@@ -535,37 +533,30 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     SpectralReport for what depends on the rotation within the triple).
     Raises EigenSolverFailure where the pencil cannot be solved.
     """
-    lmax = fr.lmax
-    check_spectrum_k(k, lmax)
+    check_spectrum_k(k, fr.lmax)
     fields = _OperatorFields(fr)  # first, so that no matrix is held through its formation
-    coarse = _coarse_lmax(lmax)
-    M = _mass(fr, lmax)
+    coarse = _coarse_lmax(fr.lmax)
+    M = _mass(fr)
     try:
         R = scipy.linalg.cholesky(M)  # M = R^T R, shared by the certificate and sigma_min
     except scipy.linalg.LinAlgError as exc:
         raise EigenSolverFailure(f"mass matrix: {exc}") from exc
     pairs = None
     if coarse is not None and k + 1 <= n_coeffs(coarse):
-        pairs = _half_band_pairs(_stiffness(fr, lmax, coarse), M, R, k)
+        pairs = _half_band_pairs(_stiffness(fr, coarse), M, R, k)
     if pairs is None:
-        S = _stiffness(fr, lmax)
+        S = _stiffness(fr)
         lam, V = _eigh(0.5 * (S + S.T), M, k + 1)
         del S
     else:
         lam, V = pairs
     del M
-    sc = surface_scalars(fr)
-    r = sc.area_radius
-    fdelta = np.sqrt(3.0 / (4.0 * np.pi * r**4)) * (fr.X - sc.center[None, :])
+    fdelta = np.sqrt(3.0 / (4.0 * np.pi * fr.area_radius**4)) * (fr.X - fr.center[None, :])
     w = fr.grid.w * fr.dmu
-
-    def nodal(columns):
-        return fr.grid.synthesize(pad_coeffs(columns.T, lmax, fr.grid.lmax))
-
-    proj = np.einsum("in,nj,n->ij", nodal(V[:, 1:4]), fdelta, w)
+    proj = np.einsum("in,nj,n->ij", fr.grid.synthesize(V[:, 1:4].T), fdelta, w)
     # V's columns are M-orthonormal, so V Q (proj = QR) spans the aligned triple M-orthonormally
-    al_nodal = nodal(V[:, 1:4] @ np.linalg.qr(proj)[0])
-    mH = sc.hawking_mass
+    al_nodal = fr.grid.synthesize((V[:, 1:4] @ np.linalg.qr(proj)[0]).T)
+    mH = fr.hawking_mass
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
     ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints

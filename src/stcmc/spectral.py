@@ -185,17 +185,19 @@ class SphereGrid:
         return n_coeffs(self.lmax)
 
     @cached_property
-    def _mesh(self):
+    def mesh(self):
+        """(theta, phi) node arrays, flattened theta-major; read-only."""
         TH, PH = np.meshgrid(self.theta, self.phi, indexing="ij")
         return _read_only(TH.ravel()), _read_only(PH.ravel())
 
-    def mesh(self):
-        """(theta, phi) node arrays, flattened theta-major; read-only."""
-        return self._mesh
-
     @cached_property
-    def _unit_vectors(self):
-        th, ph = self.mesh()
+    def unit_vectors(self):
+        """Unit directions omega and their first/second angular derivatives.
+
+        A read-only mapping with keys 'o', 'ot', 'op', 'ott', 'otp', 'opp',
+        each of shape (nnodes, 3).
+        """
+        th, ph = self.mesh
         st, ct = np.sin(th), np.cos(th)
         sp, cp = np.sin(ph), np.cos(ph)
         o = np.stack([st * cp, st * sp, ct], axis=-1)
@@ -206,14 +208,6 @@ class SphereGrid:
         opp = np.stack([-st * cp, -st * sp, np.zeros_like(st)], axis=-1)
         keys = ("o", "ot", "op", "ott", "otp", "opp")
         return MappingProxyType(dict(zip(keys, map(_read_only, (o, ot, op, ott, otp, opp)))))
-
-    def unit_vectors(self):
-        """Unit directions omega and their first/second angular derivatives.
-
-        Returns a read-only mapping with keys 'o', 'ot', 'op', 'ott', 'otp',
-        'opp', each of shape (nnodes, 3).
-        """
-        return self._unit_vectors
 
     @cached_property
     def trig(self):
@@ -257,17 +251,17 @@ class SphereGrid:
 
         Returns complex (field, row, m): A_m - i B_m for the cos and sin sums
         A_m, B_m, halved for m > 0, so that an inverse rfft without the
-        1/nphi factor sums the orders into nodal values.
+        1/nphi factor sums the orders into nodal values.  The coefficients
+        may have any band up to the grid's; the degrees above it are zero.
         """
         coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape[-1] != self.nbasis:
-            raise ShapeMismatch(
-                f"expected {self.nbasis} coefficients, got {coeffs.shape[-1]}"
-            )
+        nb = coeffs.shape[-1]
+        if _band_limit(nb) > self.lmax:
+            raise ShapeMismatch(f"{nb} coefficients exceed the grid's {self.nbasis} (band {self.lmax})")
         k = math.prod(coeffs.shape[:-1])
         M = self.lmax + 1
         S = np.zeros((k, 2 * M * M))
-        S[:, self.spectral_index] = coeffs.reshape(k, self.nbasis) * self._synthesis_scale
+        S[:, self.spectral_index[:nb]] = coeffs.reshape(k, nb) * self._synthesis_scale[:nb]
         S = S.reshape(k, M * M, 2).transpose(1, 0, 2).reshape(M, M, 2 * k)
         return np.matmul(self.legendre[:, rows], S).view(np.complex128).T
 
@@ -281,7 +275,7 @@ class SphereGrid:
         return out.reshape(out.shape[:-3] + lead + (self.nnodes,))
 
     def synthesize(self, coeffs):
-        """Inverse transform: coefficients -> nodal values."""
+        """Inverse transform: coefficients of any band up to the grid's -> nodal values."""
         C = self._legendre_sums(coeffs, slice(0, self.ntheta))
         # the Nyquist order stays zero: m <= lmax < nphi / 2
         X = np.zeros(C.shape[:-1] + (C.shape[-1] + 1,), dtype=np.complex128)
@@ -289,7 +283,7 @@ class SphereGrid:
         return self._nodal(X, np.shape(coeffs)[:-1])
 
     def synth_jet(self, coeffs):
-        """Nodal value and first/second angular derivatives of a field.
+        """Nodal value and first/second angular derivatives of a field of any band up to the grid's.
 
         Returns dict with keys 'f', 'ft', 'fp', 'ftt', 'ftp', 'fpp'.  The
         theta-derivatives come from the tabulated dP and d2P; d/dphi acts on

@@ -17,10 +17,11 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .chart import EuclideanProvider, _finite_array, christoffel
+from .chart import EuclideanProvider, _finite_array, _read_only, christoffel
 from .errors import (
     BandLimitTooSmall,
     ConfigError,
@@ -37,7 +38,6 @@ from .spectral import (
     dealias_lmax,
     get_grid,
     n_coeffs,
-    pad_coeffs,
     synthesize_at,
     truncate_coeffs,
 )
@@ -97,7 +97,7 @@ def rebase(surface: GraphSurface, new_center):
     grid = get_grid(surface.lmax)
     new_center = _finite_array(new_center, (3,), "center")
     d = surface.center - new_center
-    om = grid.unit_vectors()["o"]
+    om = grid.unit_vectors["o"]
     rho = np.full(grid.nnodes, float(surface.r0))
     for _ in range(REBASE_MAX_ITER):
         q = rho[:, None] * om - d[None, :]
@@ -133,12 +133,15 @@ def nodal_radius(surface: GraphSurface, center):
 
 @dataclass
 class CurvatureField:
-    """Per-node geometry of a surface in a given data set (on the working grid)."""
+    """Per-node geometry of a surface in a given data set (on the working grid).
+
+    Its scalars (area, area_radius, the Euclidean center and hawking_mass)
+    are formed once, when first read.
+    """
 
     grid: object = field(repr=False)
     lmax: int                                    # base band of the surface
     X: np.ndarray = field(repr=False)            # embedding points
-    omega: np.ndarray = field(repr=False)        # base directions
     tang: np.ndarray = field(repr=False)         # tangents X_a, (n, 2, 3)
     g2inv: np.ndarray = field(repr=False)        # inverse induced metric, (n, 2, 2)
     dmu: np.ndarray = field(repr=False)          # area density wrt round dOmega
@@ -147,7 +150,6 @@ class CurvatureField:
     H: np.ndarray = field(repr=False)
     P: np.ndarray = field(repr=False)
     stcmc: np.ndarray = field(repr=False)        # sqrt(H^2 - P^2)
-    dmu_delta: np.ndarray = field(repr=False)    # Euclidean area density wrt round dOmega
     metric_jet: object = field(repr=False)
     extrinsic_jet: object = field(repr=False)
     hess: np.ndarray = field(repr=False)         # ambient Hessian D_ab = X_ab + Gamma(X_a, X_b), (n, 2, 2, 3)
@@ -155,21 +157,34 @@ class CurvatureField:
     def integrate(self, values):
         return self.grid.integrate(values * self.dmu)
 
-    @property
+    @cached_property
     def area(self):
         return self.grid.integrate(self.dmu)
 
+    @cached_property
+    def area_radius(self):
+        return float(np.sqrt(self.area / (4.0 * np.pi)))
+
+    @cached_property
+    def center(self):
+        """Euclidean center int x dmu_delta / int dmu_delta; read-only."""
+        return _read_only(_euclidean_center(self.grid, self.X, _euclidean_density(self.grid, self.tang)))
+
+    @cached_property
+    def hawking_mass(self):
+        return float(np.sqrt(self.area / (16.0 * np.pi)) * (1.0 - self.integrate(self.stcmc**2) / (16.0 * np.pi)))
+
 
 def _embedding(surface: GraphSurface):
-    """(grid, X, tang, sec, omega) on the dealiased grid.
+    """(grid, X, tang, sec) on the dealiased grid.
 
     tang[:, a] = X_a, shape (n, 2, 3), and sec[:, a, b] = X_ab, shape
     (n, 2, 2, 3), are the embedding's parameter derivatives.  Raises
     DegenerateInducedMetric where the height reaches the base center.
     """
     grid = get_grid(dealias_lmax(surface.lmax))
-    uv = grid.unit_vectors()
-    jets = {k: v[:, None] for k, v in grid.synth_jet(pad_coeffs(surface.coeffs, surface.lmax, grid.lmax)).items()}
+    uv = grid.unit_vectors
+    jets = {k: v[:, None] for k, v in grid.synth_jet(surface.coeffs).items()}
     R = surface.r0 + jets["f"]
     if np.any(R <= 0):
         raise DegenerateInducedMetric("graph height reaches the base center")
@@ -180,13 +195,12 @@ def _embedding(surface: GraphSurface):
     Xtp = jets["ftp"] * o + jets["ft"] * op + jets["fp"] * ot + R * uv["otp"]
     Xpp = jets["fpp"] * o + 2.0 * jets["fp"] * op + R * uv["opp"]
     sec = np.stack([np.stack([Xtt, Xtp], axis=1), np.stack([Xtp, Xpp], axis=1)], axis=1)
-    return grid, X, tang, sec, o
+    return grid, X, tang, sec
 
 
 def _euclidean_density(grid, tang):
     """Euclidean area density wrt round dOmega from the stacked tangents (n, 2, 3)."""
-    th, _ = grid.mesh()
-    return np.sqrt(_det_2x2(np.einsum("nai,nbi->nab", tang, tang))) / np.sin(th)
+    return np.sqrt(_det_2x2(np.einsum("nai,nbi->nab", tang, tang))) / np.sin(grid.mesh[0])
 
 
 def _euclidean_center(grid, X, dmu_delta):
@@ -197,9 +211,9 @@ def _euclidean_center(grid, X, dmu_delta):
 def euclidean_center(surface: GraphSurface):
     """Euclidean center of a surface from its embedding alone (no provider, no frames).
 
-    Bit-identical to surface_scalars(surface_frames(prov, surface)).center.
+    Bit-identical to surface_frames(prov, surface).center.
     """
-    grid, X, tang, _, _ = _embedding(surface)
+    grid, X, tang, _ = _embedding(surface)
     return _euclidean_center(grid, X, _euclidean_density(grid, tang))
 
 
@@ -223,7 +237,7 @@ def _inverse_2x2(m):
 
 def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
     """Full curvature data of the surface in the data set, on the dealiased grid."""
-    grid, X, tang, sec, om = _embedding(surface)
+    grid, X, tang, sec = _embedding(surface)
     mj = prov.metric_jet(X)
     ej = prov.extrinsic_jet(X)
     g = mj.g
@@ -258,43 +272,21 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
         )
     stcmc = np.sqrt(h2p2)
 
-    th, _ = grid.mesh()
-    st = np.sin(th)
     return CurvatureField(
         grid=grid,
         lmax=surface.lmax,
         X=X,
-        omega=om,
         tang=tang,
         g2inv=g2inv,
-        dmu=np.sqrt(det2) / st,
+        dmu=np.sqrt(det2) / np.sin(grid.mesh[0]),
         nu=nu,
         A2=A2,
         H=H,
         P=P,
         stcmc=stcmc,
-        dmu_delta=_euclidean_density(grid, tang),
         metric_jet=mj,
         extrinsic_jet=ej,
         hess=hess,
-    )
-
-
-@dataclass
-class SurfaceScalars:
-    area_radius: float
-    center: np.ndarray
-    hawking_mass: float
-
-
-def surface_scalars(fr: CurvatureField):
-    """Area radius, Euclidean center and Hawking mass of a surface."""
-    area = fr.area
-    mH = np.sqrt(area / (16.0 * np.pi)) * (1.0 - fr.integrate(fr.stcmc**2) / (16.0 * np.pi))
-    return SurfaceScalars(
-        area_radius=float(np.sqrt(area / (4.0 * np.pi))),
-        center=_euclidean_center(fr.grid, fr.X, fr.dmu_delta),
-        hawking_mass=float(mH),
     )
 
 
@@ -320,7 +312,7 @@ def _height_jets(f_coeffs, lmax):
     if f_coeffs.shape[-1:] != (n_coeffs(lmax),):
         raise ShapeMismatch(f"expected heights of {n_coeffs(lmax)} coefficients (lmax {lmax}), got shape {f_coeffs.shape}")
     grid = get_grid(dealias_lmax(lmax))
-    return grid, grid.synth_jet(pad_coeffs(f_coeffs, lmax, grid.lmax))
+    return grid, grid.synth_jet(f_coeffs)
 
 
 def _graph_fields(sigma, grid, jets, prov):
@@ -330,9 +322,9 @@ def _graph_fields(sigma, grid, jets, prov):
     Every field is a scalar of shape (..., nnodes); G is the inverse metric.
     """
     prov = prov if prov is not None else EuclideanProvider()
-    th, _ = grid.mesh()
+    th, _ = grid.mesh
     st, ct = np.sin(th), np.cos(th)
-    uv = grid.unit_vectors()
+    uv = grid.unit_vectors
     rho = sigma + jets["f"]
     if np.any(rho <= 0):
         raise DegenerateInducedMetric("graph reaches the origin")
@@ -505,8 +497,8 @@ def surface_to_csv(fr: CurvatureField, surface: GraphSurface, path):
     """Per-node snapshot of the surface and its frames: theta, phi, f, H, P, stcmc, with a metadata header."""
     if fr.lmax != surface.lmax:
         raise ConfigError(f"frames of band {fr.lmax} do not belong to a surface of band {surface.lmax}")
-    th, ph = fr.grid.mesh()
-    f_nodal = fr.grid.synthesize(pad_coeffs(surface.coeffs, surface.lmax, fr.grid.lmax))
+    th, ph = fr.grid.mesh
+    f_nodal = fr.grid.synthesize(surface.coeffs)
     with open(path, "w", newline="") as fh:
         fh.write(
             f"# center = {surface.center[0]:.17g} {surface.center[1]:.17g} "

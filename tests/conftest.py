@@ -22,7 +22,6 @@ from stcmc.surfaces import (
     _det_2x2,
     _euclidean_center,
     _euclidean_density,
-    surface_scalars,
 )
 
 settings.register_profile("suite", max_examples=20, deadline=None)
@@ -75,7 +74,7 @@ def parametrized_area_and_center(grid, X, metric_of=None):
     If metric_of is a provider, the area is taken in its metric; otherwise the
     Euclidean one.
     """
-    th, _ = grid.mesh()
+    th, _ = grid.mesh
     st = np.sin(th)
     comps = [grid.analyze(X[:, i]) for i in range(3)]
     jets = [grid.synth_jet(c) for c in comps]
@@ -117,10 +116,9 @@ def apriori_class_check(fr: CurvatureField, a, b, eta, eps):
     cases of a flat round sphere (zero deficit; |z| = 0 when centered) pass.
     The `*_slack` fields are the raw rhs - lhs, without allowance.
     """
-    sc = surface_scalars(fr)
-    r = sc.area_radius
+    r = fr.area_radius
     coord_r = np.linalg.norm(fr.X, axis=1)
-    zn = np.linalg.norm(sc.center)
+    zn = np.linalg.norm(fr.center)
     lhs1, rhs1 = zn, a * r + b * r ** (1.0 - eta)
     lhs2, rhs2 = r ** (2.0 + eta), coord_r.min() ** (2.5 + eps)
     lhs3, rhs3 = fr.integrate(fr.H**2) - 16.0 * np.pi, b / r**eta

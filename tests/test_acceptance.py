@@ -1,19 +1,36 @@
 """Acceptance gate: every criterion must pass at its stated tolerance.
 
 Each test prints the one-line pass/fail summary of its criterion so the
-numbers appear in the pytest output (-s or on failure).
+numbers appear in the pytest output (-s or on failure).  Each criterion's
+numbers are also compared with the record in data/numbers.json: a "digits"
+entry must print as recorded, a "roundoff" entry must meet its pinned bound.
+The record changes only with a stated reason for each entry that moves.
 """
+
+import csv
+import json
+from pathlib import Path
 
 import numpy as np
 
-from stcmc import acceptance, solver, surfaces
+from stcmc import acceptance, cli, solver, surfaces
 from stcmc.chart import SchwarzschildProvider
+
+NUMBERS = json.loads((Path(__file__).parent / "data" / "numbers.json").read_text())
 
 
 def _run(fn):
     res = fn()
     print(res.line())
     assert res.passed, res.line()
+    record = NUMBERS["criteria"][str(res.index)]
+    details = {key: value for key, value in res.details.items() if key != "runtime_s"}
+    assert list(details) == list(record)
+    for key, entry in record.items():
+        if entry["class"] == "roundoff":
+            assert details[key] <= entry["bound"], key
+        else:
+            assert acceptance._fmt(details[key]) == entry["printed"], key
     return res
 
 
@@ -119,3 +136,28 @@ def test_runtime_budget_overrun_fails_the_criterion(monkeypatch):
 def test_array_entries_print_at_four_significant_digits():
     assert acceptance._fmt(np.full(3, 2.5159e-4)) == "[0.0002516 0.0002516 0.0002516]"
     assert acceptance._fmt(np.array([2.165, 2.078])) == "[2.165 2.078]"
+
+
+def test_record_classes_the_pinned_roundoff_entries():
+    roundoff = {(int(i), key) for i, rec in NUMBERS["criteria"].items() for key, e in rec.items() if e["class"] == "roundoff"}
+    assert roundoff == {
+        (2, "max_mu"), (2, "max_J"), (3, "residual"), (8, "seed_distance_flat"), (8, "seed_distance_schw"),
+        (8, "seed_distance_graphical"), (8, "leaf_equivariance"), (8, "charge_equivariance"),
+        (10, "max_curvature_defect"),
+    }
+    assert sorted(NUMBERS["criteria"], key=int) == [str(i) for i in range(1, 11)]
+
+
+def test_foliate_csv_matches_the_numbers_record(tmp_path, capsys):
+    record = NUMBERS["foliate"]
+    out = tmp_path / "fol.csv"
+    assert cli.main(record["argv"] + ["--out", str(out)]) == 0
+    with open(out) as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == list(record["columns"])
+    columns = np.array(rows, dtype=float).T
+    for name, got in zip(header, columns):
+        if name == "residual":
+            assert np.all(got <= record["residual_bound"])
+        else:
+            assert np.max(np.abs(got - record["columns"][name])) <= record["abs_tolerance"][name], name

@@ -110,9 +110,9 @@ def _einsum_fluxes(prov, radii, lmax, center):
     from g; bom_scale is, per radius, sum_n w_n s^2 of the absolute terms that the g-based
     metric-center sum cancels."""
     grid = get_grid(lmax)
-    uv = grid.unit_vectors()
+    uv = grid.unit_vectors
     om = uv["o"]
-    st = np.sin(grid.mesh()[0])
+    st = np.sin(grid.mesh[0])
     out = {k: [] for k in ("E", "P", "bom_raw", "bom_scale", "z_raw", "velocity_raw")}
     for s in radii:
         x = center + s * om

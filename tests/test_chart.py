@@ -397,7 +397,7 @@ def _schwarzschild_jets_with_psi2_in_psi(m, x):
 def test_schwarzschild_jets_unchanged_by_deferring_psi2(m):
     prov = SchwarzschildProvider(m)
     for radius in (5.0, 300.0, 5000.0):
-        x = radius * get_grid(8).unit_vectors()["o"]
+        x = radius * get_grid(8).unit_vectors["o"]
         jet = prov.metric_jet(x)
         for got, ref in zip((jet.g, jet.dg, jet.ddg), _schwarzschild_jets_with_psi2_in_psi(m, x), strict=True):
             assert np.array_equal(got, ref) and np.array_equal(np.signbit(got), np.signbit(ref))
@@ -418,7 +418,7 @@ def _schwarzschild_closed_forms(m, x):
 def test_schwarzschild_geometry_matches_closed_forms(m):
     prov = SchwarzschildProvider(m)
     for radius in (2.2, 5.0, 300.0, 5000.0):
-        x = radius * get_grid(8).unit_vectors()["o"]
+        x = radius * get_grid(8).unit_vectors["o"]
         jet = prov.metric_jet(x)
         ginv, Gam = _schwarzschild_closed_forms(m, x)
         assert _relative_gap(jet.ginv, ginv) <= 1e-14
@@ -428,7 +428,7 @@ def test_schwarzschild_geometry_matches_closed_forms(m):
 def test_graphical_extrinsic_curvature_matches_generic_route(graphical):
     """K from the closed forms against the base jet's cofactor inverse, Gam and an einsum Hessian."""
     for radius in (2.2, 5.0, 300.0, 5000.0):
-        x = radius * get_grid(24).unit_vectors()["o"]
+        x = radius * get_grid(24).unit_vectors["o"]
         r = np.linalg.norm(x, axis=1)
         base = graphical.base.metric_jet(x)
         dT, ddT = map(_points_first, graphical._T_jets(x, r)[:2])
@@ -542,7 +542,7 @@ def test_graphical_dk_contractions_match_einsum(graphical):
     """dK from the closed forms' product rule against the generic route, near the horizon and far out."""
     for prov in (graphical, GraphicalSchwarzschildProvider(-0.5, [0.6, -0.3, 0.8])):
         for radius in (2.2, 5.0, 300.0, 5000.0):
-            x = radius * get_grid(24).unit_vectors()["o"]
+            x = radius * get_grid(24).unit_vectors["o"]
             assert _relative_gap(prov.extrinsic_jet(x).dK, _generic_dk(prov, x)) <= 1e-14
 
 
@@ -575,7 +575,7 @@ def test_constraints_euclidean(euclid, sample_points):
 
 
 def test_constraints_vacuum_graphical(graphical):
-    x = 20.0 * get_grid(16).unit_vectors()["o"]
+    x = 20.0 * get_grid(16).unit_vectors["o"]
     mu, J = constraint_densities(graphical, x)
     assert np.max(np.abs(mu)) < 1e-8
     assert np.max(np.linalg.norm(J, axis=1)) < 1e-8

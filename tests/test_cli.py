@@ -274,6 +274,24 @@ def _config_file(tmp_path, text):
     return ["--config", str(path)]
 
 
+PROVIDER_COMMANDS = {
+    "charges": ["charges", "--radii", "50,100,200,400"],
+    "solve": ["solve", "--sigma", "20"],
+    "foliate": ["foliate", "--sigma-list", "20,40"],
+    "spectrum": ["spectrum", "--sigma", "20"],
+}
+
+
+@pytest.mark.parametrize("flag", [["--data", "euclidean"], ["--mass", "5"], ["--u", "1,0,0"]], ids=lambda f: f[0])
+@pytest.mark.parametrize("command", PROVIDER_COMMANDS.values(), ids=PROVIDER_COMMANDS.keys())
+def test_config_excludes_the_data_flags(tmp_path, jet_calls, capsys, command, flag):
+    """--config with --data, --mass or --u exits 2 before any provider is evaluated."""
+    argv = command + _config_file(tmp_path, '{"kind": "schwarzschild_canonical", "mass": 1}') + flag
+    assert main(argv + ["--lmax", "8"]) == 2
+    assert f"ConfigError: --config excludes {flag[0]}" in capsys.readouterr().err
+    assert jet_calls == []
+
+
 SOLVE = ["solve", "--sigma", "20", "--lmax", "8"]
 MALFORMED_PROVIDER_ARGS = {
     "u-2": lambda tmp: ["--data", "schwarzschild_graphical", "--mass", "1", "--u", "1,0"],

@@ -7,6 +7,7 @@ import scipy.linalg
 
 from stcmc.chart import PerturbationProvider, RotatedProvider
 import stcmc.solver as sv
+import stcmc.surfaces as surfaces
 from stcmc.errors import (
     ConfigError,
     DegenerateInducedMetric,
@@ -28,7 +29,7 @@ from stcmc.solver import (
     uniqueness_cross_check,
 )
 from stcmc.spectral import coeff_index, lm_arrays, n_coeffs, pad_coeffs, real_sph_basis, truncate_coeffs
-from stcmc.surfaces import GraphSurface, _embedding, surface_frames, surface_scalars
+from stcmc.surfaces import GraphSurface, _embedding, surface_frames
 
 from conftest import ScaledExtrinsicProvider, apriori_class_check, parametrized_area_and_center
 
@@ -121,8 +122,8 @@ def _product_rule_reference(fr, lmax):
         return core - (fr.P / fr.H)[:, None] * kterm
 
     mats = {tag: _project(grid, apply(tag, B), lmax) for tag in ("L_H", "L_script")}
-    g = fr.metric_jet.g
-    c = np.einsum("ni,nij,nj->n", fr.omega, g, fr.nu)
+    g, om = fr.metric_jet.g, grid.unit_vectors["o"]
+    c = np.einsum("ni,nij,nj->n", om, g, fr.nu)
     cj = {key: val[:, None] for key, val in grid.synth_jet(grid.analyze(c)).items()}
     c = c[:, None]
     U = {
@@ -134,7 +135,7 @@ def _product_rule_reference(fr, lmax):
         "fpp": cj["fpp"] * B["f"] + 2.0 * cj["fp"] * B["fp"] + c * B["fpp"],
     }
     hjet = grid.synth_jet(grid.analyze(fr.stcmc))
-    gom = np.einsum("ni,nij,naj->na", fr.omega, g, fr.tang)
+    gom = np.einsum("ni,nij,naj->na", om, g, fr.tang)
     tfield = np.einsum("nab,na->nb", fr.g2inv, gom)
     transport = tfield[:, 0] * hjet["ft"] + tfield[:, 1] * hjet["fp"]
     mats["jacobian"] = _project(grid, apply("L_H", U) + transport[:, None] * B["f"], lmax)
@@ -170,7 +171,7 @@ def test_fused_assembly_matches_product_rule(case, lmax, schw, graphical):
 
 def _induced_christoffel_reference(fr, surface):
     """g2inv^{ab} GammaS^g_ab from d_g g2_ab, differentiated through the ambient dg."""
-    _, _, tang, sec, _ = _embedding(surface)
+    _, _, tang, sec = _embedding(surface)
     g, dg = fr.metric_jet.g, fr.metric_jet.dg
     dg2 = (
         np.einsum("nijk,ngk,nai,nbj->ngab", dg, tang, tang, tang)
@@ -583,17 +584,33 @@ def test_canonical_warm_leaves_start_at_their_solution(schw, monkeypatch):
     assert list(iterations[1:]) == [0] * 5
 
 
+def test_frame_scalars_are_formed_once_and_read_only(graphical, monkeypatch):
+    calls = []
+    for name in ("_euclidean_density", "_euclidean_center"):
+        fn = getattr(surfaces, name)
+        monkeypatch.setattr(surfaces, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    S = random_surface(np.random.default_rng(3), lmax=8, r0=20.0, amp=0.2, center=(0.3, -0.2, 0.1))
+    _, _, fr = sv.curvature_residual(graphical, S, 20.0)
+    assert calls == []  # a residual forms no Euclidean density
+    center = fr.center
+    assert calls == ["_euclidean_density", "_euclidean_center"]
+    laplace_spectrum(fr, k=4)
+    assert fr.center is center and len(calls) == 2  # the spectrum reads the frame's center
+    assert np.array_equal(center, surfaces.euclidean_center(S))
+    with pytest.raises(ValueError):
+        center[0] = 0.0
+
+
 def _full_band_sweep(prov, sigma_list, cfg, S):
-    """foliate's loop with every leaf solved by the full-band stage alone: (surface, scalars, residual sup) per leaf."""
+    """foliate's loop with every leaf solved by the full-band stage alone: (surface, frames, residual sup) per leaf."""
     out, prev = [], None
     for sg in sigma_list:
         if prev is not None:
             S = S.scaled(sv._warm_start_ratio(sg, *prev))
         result = sv._newton_stage(prov, sg, S, cfg.tol, [])
         S = result.surface
-        sc = surface_scalars(result.frames)
-        prev = (sg, sc.hawking_mass)
-        out.append((S, sc, result.residual_sup))
+        prev = (sg, result.frames.hawking_mass)
+        out.append((S, result.frames, result.residual_sup))
     return out
 
 
@@ -710,7 +727,7 @@ def test_stiffness_mass_match_dense_basis(graphical, lmax):
     # reference: gradients [Y_t; Y_p] of the dense basis, Y_p from the (l, -m) partners
     S = random_surface(np.random.default_rng(lmax), lmax=lmax, r0=30.0, amp=0.3)
     fr = surface_frames(graphical, S)
-    Y, Yt = real_sph_basis(lmax, *fr.grid.mesh())
+    Y, Yt = real_sph_basis(lmax, *fr.grid.mesh)
     ms = lm_arrays(lmax)[1]
     Yp = Y[:, np.arange(n_coeffs(lmax)) - 2 * ms] * -ms
     w = fr.grid.w * fr.dmu
@@ -719,7 +736,7 @@ def test_stiffness_mass_match_dense_basis(graphical, lmax):
     M_ref = Y.T @ (w[:, None] * Y)
     # the column-banded stiffness of the half-band spectrum: the leading columns
     nc = n_coeffs(lmax // 2)
-    pairs = ((sv._stiffness(fr, lmax), S_ref), (sv._stiffness(fr, lmax, lmax // 2), S_ref[:, :nc]), (sv._mass(fr, lmax), M_ref))
+    pairs = ((sv._stiffness(fr), S_ref), (sv._stiffness(fr, lmax // 2), S_ref[:, :nc]), (sv._mass(fr), M_ref))
     for mat, ref in pairs:
         assert mat.shape == ref.shape
         assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -763,7 +780,7 @@ def test_half_band_spectrum_matches_full_band(half_band_leaves, monkeypatch, lea
     assert np.max(np.abs(lam[1:] - ref[1:]) / ref[1:]) <= 1e-12
     assert abs(half.sigma_min_L - full.sigma_min_L) <= 1e-12 * full.sigma_min_L
     # the l = 1 subspace: the half-band triple lies in the full-band one (M-orthonormal columns)
-    M = sv._mass(fr, lmax)
+    M = sv._mass(fr)
     Vh, Vf = half.eigenfunctions[:, 1:4], full.eigenfunctions[:, 1:4]
     off = Vh - Vf @ (Vf.T @ M @ Vh)
     assert np.sqrt(np.max(np.einsum("ij,ik,kj->j", off, M, off))) <= 1e-12
@@ -772,7 +789,7 @@ def test_half_band_spectrum_matches_full_band(half_band_leaves, monkeypatch, lea
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
     # the Kato-Temple bound max_i ||r_i||^2 / (lambda_{k+1} - lambda_k) on the half-band eigenvalue
     # errors, from the full-band residuals r_i in the M^{-1} norm and the full-band lambda_{k+1}
-    S = sv._stiffness(fr, lmax)
+    S = sv._stiffness(fr)
     V = half.eigenfunctions
     rnorm = np.linalg.norm(scipy.linalg.solve_triangular(scipy.linalg.cholesky(M), S @ V - (M @ V) * lam, trans="T"), axis=0)
     gap = scipy.linalg.eigh(S, M, eigvals_only=True, subset_by_index=[k + 1, k + 1])[0] - lam[k]
@@ -809,7 +826,7 @@ def test_uncertified_half_band_falls_back_to_the_full_band(perturbed_leaf, monke
     nb, nc = n_coeffs(fr.lmax), n_coeffs(fr.lmax // 2)
     assert shapes == [(nc, nc), (nb, nb)]
     # the full-band pencil and eigh call of the single-band spectrum
-    S, M = sv._stiffness(fr, fr.lmax), sv._mass(fr, fr.lmax)
+    S, M = sv._stiffness(fr), sv._mass(fr)
     lam, V = scipy.linalg.eigh(0.5 * (S + S.T), M, subset_by_index=[0, k])
     assert np.array_equal(rep.eigenvalues, lam) and np.array_equal(rep.eigenfunctions, V)
 
@@ -896,7 +913,7 @@ def test_operator_selfadjoint_when_time_symmetric(schw_leaf20):
     fr = schw_leaf20.frames
     L = assemble_linearization(fr, "L_script")
     # weighted operator is symmetric; sigma_min equals the smallest |eigenvalue|
-    R = np.linalg.cholesky(sv._mass(fr, fr.lmax)).T
+    R = np.linalg.cholesky(sv._mass(fr)).T
     W = R @ L @ np.linalg.inv(R)
     assert np.max(np.abs(W - W.T)) < 1e-10
     eig = np.linalg.eigvalsh(0.5 * (W + W.T))

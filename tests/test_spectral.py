@@ -28,7 +28,7 @@ def test_weights_sum_to_sphere_area():
 
 
 def test_second_moment_of_direction():
-    om = G8.unit_vectors()["o"]
+    om = G8.unit_vectors["o"]
     val = G8.integrate(om[:, 0] ** 2)
     assert abs(val - 4 * np.pi / 3) < 1e-13
 
@@ -66,7 +66,7 @@ def _dense_jet(lmax, c, th, ph):
 @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
 def test_transforms_match_dense_basis(lmax, lead):
     grid = get_grid(lmax)
-    th, ph = grid.mesh()
+    th, ph = grid.mesh
     rng = np.random.default_rng(lmax + len(lead))
     c = rng.normal(size=lead + (grid.nbasis,))
     values = rng.normal(size=lead + (grid.nnodes,))
@@ -92,7 +92,7 @@ def test_constant_has_only_monopole():
 
 
 def test_coordinate_function_is_pure_dipole():
-    om = G8.unit_vectors()["o"]
+    om = G8.unit_vectors["o"]
     c = G8.analyze(om[:, 0])
     mask = np.ones(G8.nbasis, bool)
     for m in (-1, 0, 1):
@@ -130,7 +130,7 @@ def test_basis_theta_derivative_matches_finite_differences():
 def test_synth_jet_derivatives_match_finite_differences():
     rng = np.random.default_rng(5)
     c = rng.normal(size=G8.nbasis)
-    th, ph = G8.mesh()
+    th, ph = G8.mesh
     h = 1e-6
     jet = G8.synth_jet(c)
     for key, dth, dph in (("ft", h, 0.0), ("fp", 0.0, h)):
@@ -161,15 +161,18 @@ def test_basis_jet_matches_synth_jet(grid, lmax):
 
 def test_cached_grid_is_read_only():
     grid = get_grid(8)
-    for name in ("theta", "phi", "w", "legendre", "trig", "spectral_index", "ls", "ms"):
+    tables = [getattr(grid, name) for name in ("theta", "phi", "w", "legendre", "trig", "spectral_index", "ls", "ms")]
+    for table in tables + [*grid.mesh, *grid.unit_vectors.values()]:
         with pytest.raises(ValueError):
-            getattr(grid, name)[0] = 0
+            table[0] = 0
+    with pytest.raises(TypeError):
+        grid.unit_vectors["o"] = np.zeros((grid.nnodes, 3))
 
 
 def test_mesh_and_unit_vectors_are_cached_read_only():
     grid = get_grid(8)
     TH, PH = np.meshgrid(grid.theta, grid.phi, indexing="ij")
-    th, ph = grid.mesh()
+    th, ph = grid.mesh
     assert np.array_equal(th, TH.ravel()) and np.array_equal(ph, PH.ravel())
     st_, ct = np.sin(th), np.cos(th)
     sp, cp = np.sin(ph), np.cos(ph)
@@ -182,8 +185,8 @@ def test_mesh_and_unit_vectors_are_cached_read_only():
         "otp": np.stack([-ct * sp, ct * cp, zero], axis=-1),
         "opp": np.stack([-st_ * cp, -st_ * sp, zero], axis=-1),
     }
-    uv = grid.unit_vectors()
-    assert uv is grid.unit_vectors() and grid.mesh()[0] is th
+    uv = grid.unit_vectors
+    assert uv is grid.unit_vectors and grid.mesh[0] is th
     assert list(uv) == list(expected)
     for key, val in expected.items():
         assert np.array_equal(uv[key], val)
@@ -226,13 +229,27 @@ def test_dealias_band_limit_covers_products():
     assert dealias_lmax(24) >= 36
 
 
+def test_synthesis_reads_the_band_from_the_coefficients():
+    grid = get_grid(13)
+    c = np.random.default_rng(8).normal(size=(2, n_coeffs(8)))
+    padded = pad_coeffs(c, 8, 13)
+    assert np.array_equal(grid.synthesize(c), grid.synthesize(padded))
+    jet, jet_padded = grid.synth_jet(c), grid.synth_jet(padded)
+    assert list(jet) == list(jet_padded)
+    for key in jet:
+        assert np.array_equal(jet[key], jet_padded[key]), key
+
+
 def test_errors():
     with pytest.raises(BandLimitTooSmall):
         build_grid(3)
     with pytest.raises(ShapeMismatch):
         G8.analyze(np.ones(5))
-    with pytest.raises(ShapeMismatch):
-        G8.synthesize(np.ones(7))
+    for transform in (G8.synthesize, G8.synth_jet):
+        with pytest.raises(ShapeMismatch, match="not a square"):
+            transform(np.ones(7))
+        with pytest.raises(ShapeMismatch, match="exceed the grid"):
+            transform(np.ones(n_coeffs(9)))
     with pytest.raises(ShapeMismatch):
         synthesize_at(np.zeros(5), [1.0], [0.0])
     nan_nodes = np.ones(G8.nnodes)
