@@ -5,8 +5,9 @@ derivatives of the metric, values plus first derivatives of the extrinsic
 curvature); finite differencing appears only in test oracles.  Providers
 take points of shape (n, 3), and the curvature operations take the jets they
 return.  A provider call forms only g, dg and K; ddg and dK, which only the
-curvature of the data (Ricci, nabla K) and the constraint densities
-read, are formed from the points on first read.  Index layout:
+curvature of the data (Ricci, nabla K, and their contractions along a normal
+in _normal_contractions) and the constraint densities read, are formed from
+the points on first read.  Index layout:
 
     g[n, i, j]              metric components
     dg[n, i, j, k]          d_k g_ij
@@ -775,6 +776,57 @@ def ricci_scalar_curvature(jet: MetricJet):
     )
     scal = np.einsum("nij,nij->n", jet.ginv, ric)
     return ric, scal
+
+
+def _normal_contractions(mj: MetricJet, ej: ExtrinsicJet, nu):
+    """Ric(nu, nu) and nu^k d_k tr K - nabla_nu K(nu, nu) at vectors nu[n, i], contracted directly.
+
+    The same numbers as ricci_scalar_curvature's Ricci tensor and
+    trace_derivative / covariant_derivative contracted with nu, without
+    d Gamma, the full Ricci tensor or nabla K.  With Gam = Gamma^a_bc (the
+    jet's own), B^k_l = Gamma^k_jl nu^j, Gamma^l_nn = B^l_j nu^j,
+    Dg_ij = d_nu g_ij and c_q = g^kp d_k g_pq, the Ricci tensor
+    d_k Gamma^k_ij - d_j Gamma^k_ki + Gamma^k_kl Gamma^l_ij - Gamma^k_jl Gamma^l_ik
+    contracts to
+
+        Ric(nu, nu) = g^kd (Y_dk - Z_kd / 2 - V_dk / 2) - c_q Gamma^q_nn
+                      + tr((g^-1 Dg)^2) / 2 + Gamma^k_kl Gamma^l_nn - tr(B^2),
+
+    where Y_dk = d_k d_i g_dj nu^i nu^j, Z_kd = d_k d_d g_ij nu^i nu^j and
+    V_dk = d_i d_j g_dk nu^i nu^j are the three contractions of ddg with
+    nu nu (from d_k g^ad = -g^ap d_k g_pq g^qd and
+    Gamma^k_ki = g^kd d_i g_dk / 2), and
+
+        nu.d tr K - nabla_nu K(nu, nu) = tr(g^-1 d_nu K) - tr(g^-1 Dg g^-1 K)
+                                          - d_nu K(nu, nu) + 2 Gamma^l_nn K_lj nu^j.
+    """
+    n = nu.shape[0]
+    ginv, dg, Gam, K = mj.ginv, mj.dg, mj.Gam, ej.K
+    col = nu[:, :, None]
+    B = (Gam.reshape(n, 9, 3) @ col).reshape(n, 3, 3)   # Gamma^k_lj nu^j = Gamma^k_jl nu^j
+    Gnn = (B @ col)[:, :, 0]
+    Dg = (dg.reshape(n, 9, 3) @ col).reshape(n, 3, 3)
+    gDg = ginv @ Dg
+    c = np.einsum("nkp,npqk->nq", ginv, dg)
+    # ddg[n, i, j, k, l] = d_k d_l g_ij contracted with nu on its last index, then on one more
+    X = mj.ddg.reshape(n, 27, 3) @ col                   # [d, j, k]: d_k d_i g_dj nu^i
+    Y = np.einsum("ndjk,nj->ndk", X.reshape(n, 3, 3, 3), nu)
+    V = (X.reshape(n, 9, 3) @ col).reshape(n, 3, 3)      # [d, k] from d_j d_i g_dk nu^i nu^j
+    Z = (nu[:, None, :] @ (nu[:, None, :] @ mj.ddg.reshape(n, 3, 27)).reshape(n, 3, 9)).reshape(n, 3, 3)
+    ricnn = (
+        np.einsum("nkd,ndk->n", ginv, Y - 0.5 * V) - 0.5 * np.einsum("nkd,nkd->n", ginv, Z)
+        - np.einsum("nq,nq->n", c, Gnn)
+        + 0.5 * np.einsum("nab,nba->n", gDg, gDg)
+        + np.einsum("nkkl,nl->n", Gam, Gnn)
+        - np.einsum("nkl,nlk->n", B, B)
+    )
+    DK = (ej.dK.reshape(n, 9, 3) @ col).reshape(n, 3, 3)
+    Knu = (K @ col)[:, :, 0]
+    kscal = (
+        np.einsum("nab,nba->n", ginv, DK) - np.einsum("nab,nba->n", gDg, ginv @ K)
+        - np.einsum("ni,nij,nj->n", nu, DK, nu) + 2.0 * np.einsum("nl,nl->n", Gnn, Knu)
+    )
+    return ricnn, kscal
 
 
 def conjugate_momentum(jet: MetricJet, K):

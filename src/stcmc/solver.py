@@ -14,8 +14,10 @@ projects their action on each base-band harmonic onto the base band by the
 grid's separable quadrature (SphereGrid.bilinear), with no dense basis.  The
 fields reuse the frame's geometry: CurvatureField's ambient Hessian D_ab feeds
 both A (normal part, in surface_frames) and the induced connection of the
-Laplacian (tangential part, Gauss formula), and Ric(nu, nu) and nabla K read
-the inverse and Christoffel symbols its metric jet already holds.  The Laplace
+Laplacian (tangential part, Gauss formula), and Ric(nu, nu) and
+grad_nu tr K - grad_nu K(nu, nu) are the jets contracted along nu directly
+(chart._normal_contractions), with the inverse and Christoffel symbols the
+metric jet already holds, and no Ricci tensor or nabla K.  The Laplace
 spectrum uses the variational stiffness/mass form instead, from the same
 quadrature, which preserves self-adjointness.  Its eigenpairs come from the
 half-band pencil (the leading blocks of the full-band stiffness and mass
@@ -23,9 +25,20 @@ matrices, so only the stiffness's first columns are assembled), and the
 full band accepts them when each pair's full-band residual, in the norm of
 the inverse mass matrix, is a backward error of at most SPECTRUM_RTOL of
 the pencil's scale; otherwise the full-band pencil is solved.  sigma_min of
-script-L is found by block inverse iteration from one LU of L and the
-Cholesky factor of the mass matrix that certifies the half-band pairs,
-without forming the weighted operator.
+script-L comes from the half band the same way: block inverse iteration on
+the half-band operator, weighted by the leading block of the mass matrix's
+Cholesky factor, gives the smallest singular triplet, and the full band
+accepts its value when both of the triplet's full-band residuals are at most
+SPECTRUM_RTOL of the operator's norm.  By the Jordan-Wielandt residual bound
+(B. Parlett, The Symmetric Eigenvalue Problem, section 10; G. Stewart and
+J. Sun, Matrix Perturbation Theory, 1990) that value then lies within the
+residuals of a singular value of the full-band operator; that it is the
+smallest rests, as for the eigenpairs, on the upper half of the band being
+dominated by the Laplacian.  The residuals apply L and its transpose without
+forming them (synth_jet and analyze, and the transposed jet analysis), so a
+certified leaf forms and factors no full-band operator.  Otherwise, the same
+inverse iteration runs on one LU of the full-band L, without forming the
+weighted operator.
 
 Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
@@ -54,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .chart import covariant_derivative, ricci_scalar_curvature, trace_derivative
+from .chart import _normal_contractions
 from .errors import (
     ConfigError,
     DegenerateInducedMetric,
@@ -67,7 +80,7 @@ from .errors import (
     StcmcError,
     TrappedRegion,
 )
-from .spectral import MIN_LMAX, n_coeffs, pad_coeffs, truncate_coeffs
+from .spectral import _JET_DERIVATIVES, MIN_LMAX, n_coeffs, pad_coeffs, truncate_coeffs
 from .surfaces import (
     CurvatureField,
     GraphSurface,
@@ -82,11 +95,12 @@ DAMPING = 0.5           # Newton step shrink factor on residual increase
 MAX_DAMPING_ROUNDS = 6
 NEWTON_MAX_ITER = 30    # Newton iterations before MaxIterations
 RCOND = 1e-13           # Newton steps below this condition estimate use lstsq; sigma_min the full SVD
-# Relative accuracy of the spectra: the sigma_min sweeps (_sigma_min_weighted)
-# stop when sigma_min changes by at most SPECTRUM_RTOL relative, and fall back
-# to the full SVD after SIGMA_MIN_SWEEPS; half-band eigenpairs
-# (_half_band_pairs) are kept when each one's full-band backward error is at
-# most SPECTRUM_RTOL of the pencil's scale
+# Relative accuracy of the spectra: the sigma_min sweeps (_inverse_iteration)
+# settle when sigma_min changes by at most SPECTRUM_RTOL relative, and fall
+# back to the full SVD after SIGMA_MIN_SWEEPS; half-band eigenpairs
+# (_half_band_pairs) and the half-band sigma_min (_half_band_sigma_min) are
+# kept when their full-band residuals are at most SPECTRUM_RTOL of the
+# operator's scale
 SPECTRUM_RTOL = 1e-13
 SIGMA_MIN_SWEEPS = 20
 
@@ -165,11 +179,8 @@ class _OperatorFields:
     def __init__(self, fr: CurvatureField):
         mj, ej = fr.metric_jet, fr.extrinsic_jet
         nu = fr.nu
-        ric, _ = ricci_scalar_curvature(mj)
-        self.ricnn = np.einsum("nij,ni,nj->n", ric, nu, nu)
-        # grad_nu tr K - grad_nu K(nu, nu)
-        covK_nnn = np.einsum("nk,ni,nj,nijk->n", nu, nu, nu, covariant_derivative(mj, ej))
-        self.kscal = np.einsum("nk,nk->n", nu, trace_derivative(mj, ej)) - covK_nnn
+        # Ric(nu, nu) and grad_nu tr K - grad_nu K(nu, nu), contracted along nu
+        self.ricnn, self.kscal = _normal_contractions(mj, ej, nu)
         # K(grad^S u, nu) = kv^beta d_beta u
         self.kv = (fr.g2inv.transpose(0, 2, 1) @ (fr.tang @ (ej.K @ nu[:, :, None])))[:, :, 0]
         # contracted induced Christoffels g2inv^{ab} GammaS^g_ab for the nodal
@@ -578,40 +589,129 @@ def _sigma_min_weighted(fr: CurvatureField, fields: _OperatorFields, R):
     """Smallest singular value of script-L in the dmu-weighted L2 norm.
 
     With the mass matrix M = R^T R (R upper triangular), the weighted
-    operator is W = R L R^{-1} acting on orthonormalized coordinates.
-    sigma_min(W) is found by block inverse iteration on W^T W without
-    forming W: (W^T W)^{-1} = R L^{-1} M^{-1} L^{-T} R^T is applied by one
-    LU of L and triangular solves with R.  The start block holds the l = 1
-    triple, where the smallest singular values sit (the translations), and
-    one guard column of equal weights on every harmonic; no random start.
-    Each sweep forms T = R^{-T} L^{-T} R^T Q, then the new block
-    Y = R L^{-1} R^{-1} T = (W^T W)^{-1} Q, orthonormalizes it by QR,
-    Y = Q' r, and takes the singular values of the 625x4 (at lmax 24)
-    product W Q' = T r^{-1}, whose smallest is an upper bound on
-    sigma_min(W) that falls to it.  The sweeps stop when that value changes
-    by at most SPECTRUM_RTOL relative.  Where the condition estimate of L is
-    at or below RCOND (at zero energy the translations are a kernel and L is
-    singular), or the sweeps do not settle in SIGMA_MIN_SWEEPS, W is formed
-    and its full SVD taken instead.
+    operator is W = R L R^{-1} acting on orthonormalized coordinates.  The
+    value comes from the half band where the full band certifies it
+    (_half_band_sigma_min); otherwise, and where there is no coarse band,
+    from the full-band L: block inverse iteration (_inverse_iteration) from
+    one LU of L, and where the condition estimate of L is at or below RCOND
+    (at zero energy the translations are a kernel and L is singular), or the
+    sweeps do not settle, the full SVD of the formed W.
     """
-    Lmat = fr.grid.operator_matrix(_nodal_coefficients(fr, fields, "L_script"), fr.lmax)
+    a = _nodal_coefficients(fr, fields, "L_script")
+    coarse = _coarse_lmax(fr.lmax)
+    if coarse is not None:
+        smin = _half_band_sigma_min(fr, a, R, coarse)
+        if smin is not None:
+            return smin
+    Lmat = fr.grid.operator_matrix(a, fr.lmax)
     lu, rcond = _lu_rcond(Lmat)
     if rcond > RCOND:
-        nb = Lmat.shape[0]
-        Q = np.zeros((nb, 4))
-        Q[1:4, :3] = np.eye(3)  # the l = 1 harmonics, coeff_index(1, m) = 2 + m
-        Q[:, 3] = 1.0 / math.sqrt(nb)
-        smin = math.inf
-        for _ in range(SIGMA_MIN_SWEEPS):
-            T = scipy.linalg.solve_triangular(R, scipy.linalg.lu_solve(lu, R.T @ Q, trans=1), trans="T")
-            Q, r = np.linalg.qr(R @ scipy.linalg.lu_solve(lu, scipy.linalg.solve_triangular(R, T)))
-            WQ = scipy.linalg.solve_triangular(r, T.T, trans="T").T
-            prev, smin = smin, float(np.linalg.svd(WQ, compute_uv=False).min())
-            if abs(prev - smin) <= SPECTRUM_RTOL * smin:
-                return smin
+        settled = _inverse_iteration(lu, R)
+        if settled is not None:
+            return settled[0]
     # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
     W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
     return float(np.linalg.svd(W, compute_uv=False).min())
+
+
+def _inverse_iteration(lu, R):
+    """Block inverse iteration for sigma_min(W), W = R L R^{-1}, from one LU of L.
+
+    Runs on W^T W without forming W (_sweep).  The start block holds the
+    l = 1 triple, where the smallest singular values sit (the translations),
+    and one guard column of equal weights on every harmonic; no random start.
+    The smallest singular value of each sweep's W Q' is an upper bound on
+    sigma_min(W) that falls to it; it settles at the first sweep that changes
+    it by at most SPECTRUM_RTOL relative.  Returns (sigma, Q', W Q') of that
+    sweep, or None where the value does not settle in SIGMA_MIN_SWEEPS sweeps.
+    """
+    nb = R.shape[0]
+    Q = np.zeros((nb, 4))
+    Q[1:4, :3] = np.eye(3)  # the l = 1 harmonics, coeff_index(1, m) = 2 + m
+    Q[:, 3] = 1.0 / math.sqrt(nb)
+    smin = math.inf
+    for _ in range(SIGMA_MIN_SWEEPS):
+        Q, WQ = _sweep(lu, R, Q)
+        prev, smin = smin, float(np.linalg.svd(WQ, compute_uv=False).min())
+        if abs(prev - smin) <= SPECTRUM_RTOL * smin:
+            return smin, Q, WQ
+    return None
+
+
+def _sweep(lu, R, Q):
+    """One inverse-iteration sweep: (Q', W Q') with Y = (W^T W)^{-1} Q = Q' r by QR.
+
+    (W^T W)^{-1} = R L^{-1} M^{-1} L^{-T} R^T is applied by the LU of L and
+    triangular solves with R: T = R^{-T} L^{-T} R^T Q, then
+    Y = R L^{-1} R^{-1} T, and W Q' = T r^{-1}.
+    """
+    T = scipy.linalg.solve_triangular(R, scipy.linalg.lu_solve(lu, R.T @ Q, trans=1), trans="T")
+    Q, r = np.linalg.qr(R @ scipy.linalg.lu_solve(lu, scipy.linalg.solve_triangular(R, T)))
+    return Q, scipy.linalg.solve_triangular(r, T.T, trans="T").T
+
+
+def _half_band_sigma_min(fr: CurvatureField, a, R, coarse):
+    """sigma_min(W) from the half band, where the full band certifies it; else None.
+
+    The half-band operator W_c = R_c L_c R_c^{-1} has L_c = L[:nc, :nc] (the
+    band-coarse operator_matrix on the same grid) and R_c = R[:nc, :nc], the
+    Cholesky factor of the leading block of M.  _inverse_iteration gives its
+    smallest singular value, and two refining sweeps the triplet (the
+    singular vectors' error falls only as the square root of the value's):
+    sigma, the right vector v = Q' y and the left vector w = (W Q') y / sigma,
+    y the smallest right singular vector of the thin W Q'.  Zero-padded, the
+    triplet has the full-band residuals r = W v - sigma w and
+    s = W^T w - sigma v.
+    Neither forms the full-band L: R^{-1} v stays in the half band, so
+    W v = R L (R^{-1} v) is one synth_jet, nodal combination and analyze;
+    R^T w is full length, so W^T w = R^{-T} L^T (R^T w) applies L^T by the
+    transposed jet analysis (SphereGrid._analyze_jet).
+
+    The certificate (Jordan-Wielandt; B. Parlett, The Symmetric Eigenvalue
+    Problem, section 10; G. Stewart and J. Sun, Matrix Perturbation Theory,
+    1990): the symmetric [[0, W], [W^T, 0]] has the eigenvalues
+    +-sigma_i(W), and the unit vector (w, v) / sqrt(2) has the residual
+    sqrt((|r|^2 + |s|^2) / 2) <= max(|r|, |s|) against sigma, so some
+    singular value of W lies within max(|r|, |s|) of sigma.  sigma is kept
+    when both norms are at most SPECTRUM_RTOL of the scale |W x|, with
+    x = R e_j / |R e_j| for the band's last harmonic j (l = |m| = lmax): a
+    lower bound on |W|_2, near its l(l + 1) / r^2, so the test is no looser
+    than one against |W|_2.  Its limit: the residuals show that sigma is a
+    singular value of W, not that it is the smallest.  That rests, as for
+    the half-band eigenpairs (_half_band_pairs), on the l > coarse block
+    being dominated by the Laplacian, whose singular values there grow like
+    l(l + 1) / r^2, far above the translational ones near 6 m / r^3 that
+    set sigma_min.  Returns None where L_c has a condition estimate at or
+    below RCOND, the sweeps do not settle or a residual is too large.
+    """
+    grid, nc, nb = fr.grid, n_coeffs(coarse), R.shape[0]
+    Rc = R[:nc, :nc]
+    lu, rcond = _lu_rcond(grid.operator_matrix(a, coarse))
+    if not rcond > RCOND:
+        return None
+    settled = _inverse_iteration(lu, Rc)
+    if settled is None:
+        return None
+    Q = settled[1]
+    for _ in range(2):
+        Q, WQ = _sweep(lu, Rc, Q)
+    U, S, Vt = np.linalg.svd(WQ, full_matrices=False)
+    smin, v, w = float(S[-1]), Q @ Vt[-1], U[:, -1]
+    # L R^{-1} v and L e_j in one synth_jet and one analyze
+    x = np.zeros((2, nb))
+    x[0, :nc] = scipy.linalg.solve_triangular(Rc, v)
+    x[1, -1] = 1.0
+    jet = grid.synth_jet(x)
+    RLx = truncate_coeffs(grid.analyze(sum(f * jet[key] for key, f in zip(_JET_DERIVATIVES, a))), fr.lmax) @ R.T
+    r = RLx[0]
+    r[:nc] -= smin * w
+    scale = float(np.linalg.norm(RLx[1]) / np.linalg.norm(R[:, -1]))
+    f = grid.synthesize(R[:nc].T @ w)
+    s = scipy.linalg.solve_triangular(R, truncate_coeffs(grid._analyze_jet([c * f for c in a]), fr.lmax), trans="T")
+    s[:nc] -= smin * v
+    if max(np.linalg.norm(r), np.linalg.norm(s)) <= SPECTRUM_RTOL * scale:
+        return smin
+    return None
 
 
 def uniqueness_cross_check(prov, sigma, seeds, config: SolveConfig | None = None):

@@ -62,26 +62,35 @@ def _legendre_orders(lmax, ct, st):
 
     Fully normalized, int_0^pi P_lm^2 sin(theta) dtheta = 1/(2 pi): the m = 0
     harmonics are P_l0 themselves and the m > 0 harmonics pick up a sqrt(2)
-    azimuthal factor.  No Condon-Shortley phase.  One three-term recurrence in
-    l per order m, seeded by the sectoral P_mm.  Nothing divides by
-    sin(theta), so the poles are regular.
+    azimuthal factor.  No Condon-Shortley phase.  The three-term recurrence in
+    l runs for every order at once: step k sets degree m + k of each order m
+    with m + k <= lmax, seeded by the sectoral P_mm (one product per order).
+    Each entry takes the same scalar coefficients and operations as a
+    recurrence run order by order.  The steps are stored packed, step k in
+    rows start[k] + m, so the table holds the triangle l >= m only, and each
+    order is gathered from it when yielded.  Nothing divides by sin(theta),
+    so the poles are regular.
     """
+    M = lmax + 1
+    col = (-1,) + (1,) * ct.ndim  # a coefficient per order, broadcast over the points
+    start = np.concatenate(([0], np.cumsum(np.arange(M, 0, -1))))  # step k: M - k orders
+    T = np.empty((start[-1],) + ct.shape)  # T[start[k] + m] = P_{m + k, m}
     pmm = np.full(ct.shape, math.sqrt(1.0 / (4.0 * math.pi)))
-    for m in range(lmax + 1):
-        if m > 0:
-            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * pmm
-        P = np.empty((lmax + 1 - m,) + ct.shape)
-        P[0] = pmm
-        if m < lmax:
-            P[1] = math.sqrt(2.0 * m + 3.0) * ct * pmm
-        for l in range(m + 2, lmax + 1):
-            a = math.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
-            b = math.sqrt(
-                (2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
-                / ((2.0 * l - 3.0) * (l - m) * (l + m))
-            )
-            P[l - m] = a * ct * P[l - m - 1] - b * P[l - m - 2]
-        yield m, P
+    T[0] = pmm
+    for m in range(1, M):
+        pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * pmm
+        T[m] = pmm
+    orders = np.arange(M)
+    T[start[1] : start[1] + M - 1] = np.sqrt(2.0 * orders[: M - 1] + 3.0).reshape(col) * ct * T[: M - 1]
+    for k in range(2, M):
+        m = orders[: M - k]
+        l = m + k
+        a = np.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
+        b = np.sqrt((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m) / ((2.0 * l - 3.0) * (l - m) * (l + m)))
+        prev1, prev2 = T[start[k - 1] : start[k - 1] + M - k], T[start[k - 2] : start[k - 2] + M - k]
+        T[start[k] : start[k] + M - k] = a.reshape(col) * ct * prev1 - b.reshape(col) * prev2
+    for m in range(M):
+        yield m, T[start[: M - m] + m]
 
 
 def _legendre_jets(lmax, theta):
@@ -238,13 +247,22 @@ class SphereGrid:
         k = math.prod(lead)
         # nphi = 2 M: the orders m <= lmax stop below the Nyquist frequency
         F = np.fft.rfft(values.reshape(k, nt, self.nphi))[..., :M] * self.w[:: self.nphi, None]
-        # (m, theta, field) with each field's real and imaginary part adjacent
-        F = np.ascontiguousarray(F.transpose(2, 1, 0)).view(np.float64)
-        out = np.matmul(self.legendre[:, :nt].transpose(0, 2, 1), F)
+        return self._legendre_analysis(F, slice(0, nt)).reshape(lead + (self.nbasis,))
+
+    def _legendre_analysis(self, spectra, rows):
+        """Weighted phi spectra (field, row, m) -> (field, nbasis) coefficients, contracted against table rows.
+
+        The transpose of _legendre_sums: each field's spectra are summed over
+        the rows against the rows' Legendre values of every harmonic.
+        """
+        k, M = spectra.shape[0], self.lmax + 1
+        # (m, row, field) with each field's real and imaginary part adjacent
+        S = np.ascontiguousarray(spectra.transpose(2, 1, 0)).view(np.float64)
+        out = np.matmul(self.legendre[:, rows].transpose(0, 2, 1), S)
         # sum_j f_j cos(m phi_j) = Re F_m and sum_j f_j sin(m phi_j) = -Im F_m
         out = out.reshape(M * M, k, 2).transpose(1, 0, 2).reshape(k, 2 * M * M)[:, self.spectral_index]
         out[:, self.ms < 0] *= -1.0
-        return out.reshape(lead + (self.nbasis,))
+        return out
 
     def _legendre_sums(self, coeffs, rows):
         """Legendre sums of each order m against table rows, as phi spectra.
@@ -299,6 +317,26 @@ class SphereGrid:
         np.multiply(C[0], -m * m, out=X[5, ..., :M])        # fpp
         f, ft, ftt, fp, ftp, fpp = self._nodal(X, np.shape(coeffs)[:-1])
         return {"f": f, "ft": ft, "fp": fp, "ftt": ftt, "ftp": ftp, "fpp": fpp}
+
+    def _analyze_jet(self, fields):
+        """Transpose of synth_jet: entry k sums the quadratures of fields[t] against D_t Y_k.
+
+        fields holds one nodal field per synth_jet key, in _JET_DERIVATIVES
+        order, and the result every harmonic of the grid's band; for the six
+        fields a_t f, its leading n_coeffs(lmax) entries are
+        operator_matrix(a, lmax)^T applied to the coefficients of f.  d/dphi
+        moves onto the phi spectra as multiplication by -i m (the transpose of
+        synth_jet's i m), and the fields that share a theta table (P, dP or
+        d2P) are summed before its one Legendre contraction.
+        """
+        fields = self._check_values(fields)
+        nt, M = self.ntheta, self.lmax + 1
+        F = np.fft.rfft(fields.reshape(len(_JET_DERIVATIVES), nt, self.nphi))[..., :M] * self.w[:: self.nphi, None]
+        im = -1j * np.arange(M)
+        G = np.zeros((3, nt, M), dtype=np.complex128)
+        for Ft, (q, d) in zip(F, _JET_DERIVATIVES.values()):
+            G[q] += Ft * (1.0, im, im * im)[d]
+        return self._legendre_analysis(G.reshape(1, 3 * nt, M), slice(None))[0]
 
     def bilinear(self, terms, lmax, col_lmax=None):
         """Base-band matrix of a sum of bilinear forms, by quadrature.

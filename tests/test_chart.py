@@ -17,13 +17,16 @@ from stcmc.chart import (
     RotatedProvider,
     SchwarzschildProvider,
     TranslatedProvider,
+    _normal_contractions,
     _points_first,
     _sym_ik,
     build_provider,
     christoffel,
     conjugate_momentum,
     constraint_densities,
+    covariant_derivative,
     ricci_scalar_curvature,
+    trace_derivative,
 )
 from stcmc.errors import (
     ConfigError,
@@ -546,6 +549,37 @@ def test_graphical_dk_contractions_match_einsum(graphical):
             assert _relative_gap(prov.extrinsic_jet(x).dK, _generic_dk(prov, x)) <= 1e-14
 
 
+# the catalog, with an extrinsic term in the perturbation
+_NORMAL_CONFIGS = dict(
+    _CATALOG_CONFIGS,
+    custom_perturbation={
+        "kind": "custom_perturbation",
+        "perturbation_terms": _CATALOG_CONFIGS["custom_perturbation"]["perturbation_terms"]
+        + [{"target": "K", "i": 0, "j": 1, "coeff": 0.5, "decay": 2.0, "angular": [1, 0, 0]}],
+    },
+)
+
+
+@pytest.mark.parametrize("kind", sorted(_NORMAL_CONFIGS))
+def test_normal_contractions_match_the_full_tensors(kind):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(200, 3))
+    x *= rng.uniform(15.0, 40.0, size=(200, 1)) / np.linalg.norm(x, axis=1, keepdims=True)
+    prov = build_provider(_NORMAL_CONFIGS[kind])
+    mj, ej = prov.metric_jet(x), prov.extrinsic_jet(x)
+    nu = rng.normal(size=(200, 3))
+    nu /= np.sqrt(np.einsum("ni,nij,nj->n", nu, mj.g, nu))[:, None]  # g-unit
+    ricnn, kscal = _normal_contractions(mj, ej, nu)
+    ric, _ = ricci_scalar_curvature(mj)
+    ref_ric = np.einsum("nij,ni,nj->n", ric, nu, nu)
+    covK = np.einsum("nk,ni,nj,nijk->n", nu, nu, nu, covariant_derivative(mj, ej))
+    ref_k = np.einsum("nk,nk->n", nu, trace_derivative(mj, ej)) - covK
+    for got, ref in ((ricnn, ref_ric), (kscal, ref_k)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if kind not in ("euclidean", "schwarzschild_canonical", "translated"):
+        assert np.max(np.abs(ref_k)) > 0  # the extrinsic terms are exercised
+
+
 def test_scalar_is_trace_of_ricci(graphical, sample_points):
     jet = graphical.metric_jet(sample_points)
     ric, scal = ricci_scalar_curvature(jet)
@@ -802,14 +836,15 @@ def test_first_order_consumers_form_no_second_order(graphical, formations):
 def test_graph_jacobian_reuses_frame_geometry(schw, graphical, formations):
     S = GraphSurface.round([0.5, 0.0, 0.0], 30.0, 6)
     # from the provider call on: the frames read the slice metric's inverse and
-    # Gam; a Jacobian adds its ddg and dginv and the extrinsic jet's dK
+    # Gam; a Jacobian adds its ddg and the extrinsic jet's dK, and no dginv:
+    # its normal contractions read d g^-1 as -g^-1 dg g^-1
     for prov in (schw, graphical):
         formations.clear()
         fr = surface_frames(prov, S)
         graph_jacobian(fr)
         once = Counter(formations)
         graph_jacobian(fr)
-        assert formations == once == Counter(inv=1, Gam=1, ddg=1, dginv=1, dK=1)
+        assert formations == once == Counter(inv=1, Gam=1, ddg=1, dK=1)
 
 
 # -- wrappers pass the second order through ----------------------------------------

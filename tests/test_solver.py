@@ -28,7 +28,7 @@ from stcmc.solver import (
     newton_solve,
     uniqueness_cross_check,
 )
-from stcmc.spectral import coeff_index, lm_arrays, n_coeffs, pad_coeffs, real_sph_basis, truncate_coeffs
+from stcmc.spectral import SphereGrid, coeff_index, lm_arrays, n_coeffs, pad_coeffs, real_sph_basis, truncate_coeffs
 from stcmc.surfaces import GraphSurface, _embedding, surface_frames
 
 from conftest import ScaledExtrinsicProvider, apriori_class_check, parametrized_area_and_center
@@ -773,6 +773,7 @@ def test_half_band_spectrum_matches_full_band(half_band_leaves, monkeypatch, lea
     assert shapes == [(nc, nc)]  # the half band is certified: no full-band eigh
     with monkeypatch.context() as m:
         m.setattr(sv, "_half_band_pairs", lambda *args: None)
+        m.setattr(sv, "_half_band_sigma_min", lambda *args: None)
         full = laplace_spectrum(fr, k=k)
     assert shapes[1:] == [(n_coeffs(lmax),) * 2]
     lam, ref = half.eigenvalues, full.eigenvalues
@@ -882,22 +883,53 @@ def perturbed_leaf():
     return res
 
 
-@pytest.mark.parametrize("leaf", ["canonical", "graphical", "perturbed"])
+def _sigma_min_leaf(request, leaf):
+    """Frames of a leaf; the half band certifies sigma_min on the canonical and the graphical lmax-24 leaf."""
+    if leaf == "graphical24":
+        return request.getfixturevalue("half_band_leaves")["graphical"]
+    return request.getfixturevalue({"canonical": "schw_leaf20", "graphical": "graphical_leaf60", "perturbed": "perturbed_leaf"}[leaf]).frames
+
+
+def _factorizations(monkeypatch):
+    """Records the band of every operator_matrix call and the shape of every LU of the solver."""
+    bands, lus = [], []
+    operator_matrix, lu_rcond = SphereGrid.operator_matrix, sv._lu_rcond
+    monkeypatch.setattr(SphereGrid, "operator_matrix", lambda grid, a, lmax: bands.append(lmax) or operator_matrix(grid, a, lmax))
+    monkeypatch.setattr(sv, "_lu_rcond", lambda A: lus.append(A.shape) or lu_rcond(A))
+    return bands, lus
+
+
+@pytest.mark.parametrize("leaf", ["canonical", "graphical24", "graphical", "perturbed"])
 def test_sigma_min_inverse_iteration_matches_svd(request, monkeypatch, leaf):
-    fr = request.getfixturevalue({"canonical": "schw_leaf20", "graphical": "graphical_leaf60", "perturbed": "perturbed_leaf"}[leaf]).frames
-    # _lu_rcond factors L; the reference forms W = R L R^{-1} from the captured L and M = R^T R
-    factored, masses = [], []
-    lu_rcond, mass = sv._lu_rcond, sv._mass
-    monkeypatch.setattr(sv, "_lu_rcond", lambda L: factored.append(L) or lu_rcond(L))
+    fr = _sigma_min_leaf(request, leaf)
+    # the independent reference: the full SVD of W = R L R^{-1} from the assembled full-band L and M = R^T R
+    R = np.linalg.cholesky(sv._mass(fr)).T
+    W = scipy.linalg.solve_triangular(R, (R @ assemble_linearization(fr, "L_script")).T, trans="T").T
+    ref = np.linalg.svd(W, compute_uv=False).min()
+    masses, mass = [], sv._mass
     monkeypatch.setattr(sv, "_mass", lambda *a: masses.append(mass(*a)) or masses[-1])
+    bands, lus = _factorizations(monkeypatch)
     full_svds = _full_svds(monkeypatch)
     smin = laplace_spectrum(fr, k=4).sigma_min_L
-    assert full_svds() == 0 and len(factored) == 1 and len(masses) == 1
-    R = np.linalg.cholesky(masses[0]).T
-    W = scipy.linalg.solve_triangular(R, (R @ factored[0]).T, trans="T").T
-    ref = np.linalg.svd(W, compute_uv=False).min()
+    # one mass matrix per spectrum; a certified leaf assembles and factors the half-band L_script only,
+    # the others fall back to the full band after it
+    nb, nc, coarse = n_coeffs(fr.lmax), n_coeffs(fr.lmax // 2), fr.lmax // 2
+    certified = leaf in ("canonical", "graphical24")
+    assert full_svds() == 0 and len(masses) == 1
+    assert bands == ([coarse] if certified else [coarse, fr.lmax])
+    assert lus == ([(nc, nc)] if certified else [(nc, nc), (nb, nb)])
     # both values carry a roundoff of order eps * sigma_max / sigma_min relative
     assert abs(smin - ref) <= 1e-12 * ref
+
+
+def test_uncertified_sigma_min_falls_back_to_the_full_band(perturbed_leaf, monkeypatch):
+    fr = perturbed_leaf.frames
+    # the half band is tried and refused (test_sigma_min_inverse_iteration_matches_svd counts its factorizations)
+    smin = laplace_spectrum(fr, k=4).sigma_min_L
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_half_band_sigma_min", lambda *args: None)
+        forced = laplace_spectrum(fr, k=4).sigma_min_L
+    assert smin == forced
 
 
 def test_sigma_min_takes_the_svd_only_where_w_is_singular(schw_leaf20, euclid, monkeypatch):

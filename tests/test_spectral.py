@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from stcmc.errors import BandLimitTooSmall, ShapeMismatch
 from stcmc.solver import laplace_spectrum
 from stcmc.spectral import (
+    _legendre_orders,
     build_grid,
     coeff_index,
     dealias_lmax,
@@ -157,6 +160,54 @@ def test_basis_jet_matches_synth_jet(grid, lmax):
     mat = grid.operator_matrix(a, lmax)
     assert mat.shape == (nb, nb)
     assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("grid,lmax", [(G8, 8), (G16, 10), (get_grid(dealias_lmax(24)), 24)])
+def test_jet_analysis_is_the_transposed_operator(grid, lmax):
+    # L^T y by one synthesis, six products and the transposed jet analysis, and
+    # L u by one synth_jet, the nodal combination and analyze (the matrix-free
+    # applications of the sigma_min certificate)
+    rng = np.random.default_rng(lmax)
+    a = rng.normal(size=(6, grid.nnodes))
+    L = grid.operator_matrix(a, lmax)
+    nb = n_coeffs(lmax)
+    y, u = rng.normal(size=nb), rng.normal(size=n_coeffs(lmax // 2))
+    got = truncate_coeffs(grid._analyze_jet(a * grid.synthesize(y)), lmax)
+    ref = L.T @ y
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    jet = grid.synth_jet(u)
+    got = truncate_coeffs(grid.analyze(sum(ak * jet[key] for ak, key in zip(a, ("f", "ft", "fp", "ftt", "ftp", "fpp")))), lmax)
+    ref = L[:, : u.size] @ u
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _legendre_orders_per_order(lmax, ct, st):
+    """The tables order by order: one three-term recurrence in l per order m (the reference)."""
+    pmm = np.full(ct.shape, math.sqrt(1.0 / (4.0 * math.pi)))
+    for m in range(lmax + 1):
+        if m > 0:
+            pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * pmm
+        P = np.empty((lmax + 1 - m,) + ct.shape)
+        P[0] = pmm
+        if m < lmax:
+            P[1] = math.sqrt(2.0 * m + 3.0) * ct * pmm
+        for l in range(m + 2, lmax + 1):
+            a = math.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
+            b = math.sqrt(
+                (2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m)
+                / ((2.0 * l - 3.0) * (l - m) * (l + m))
+            )
+            P[l - m] = a * ct * P[l - m - 1] - b * P[l - m - 2]
+        yield m, P
+
+
+@pytest.mark.parametrize("lmax", [4, 5, 12, 24, 37])
+def test_legendre_orders_match_the_per_order_recurrence(lmax):
+    theta = np.concatenate([[0.0, np.pi], np.random.default_rng(lmax).uniform(0.0, np.pi, 50)])
+    ct, st = np.cos(theta), np.sin(theta)
+    got, ref = list(_legendre_orders(lmax, ct, st)), list(_legendre_orders_per_order(lmax, ct, st))
+    assert [m for m, _ in got] == [m for m, _ in ref] == list(range(lmax + 1))
+    assert all(np.array_equal(P, Q) for (_, P), (_, Q) in zip(got, ref))
 
 
 def test_cached_grid_is_read_only():
