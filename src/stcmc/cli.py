@@ -23,7 +23,7 @@ from .chart import build_provider
 from .charges import _fit_columns, adm_energy, sphere_fluxes, stcmc_center_coordinate, velocity_integral
 from .errors import ConfigError, StcmcError, ZeroEnergy
 from .solver import SolveConfig, check_spectrum_k, foliate, laplace_spectrum, newton_solve
-from .surfaces import GraphSurface, check_sigma, surface_to_csv
+from .surfaces import GraphSurface, check_positive, surface_to_csv
 
 
 def parse_grid(text):
@@ -166,7 +166,7 @@ def cmd_charges(args):
 
 def cmd_solve(args):
     prov = _provider_from_args(args)
-    check_sigma(args.sigma)
+    check_positive(args.sigma, "sigma")
     r0 = args.r0 if args.r0 is not None else args.sigma
     seed = GraphSurface.round(np.zeros(3), r0, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))
@@ -206,7 +206,7 @@ def cmd_foliate(args):
 
 def cmd_spectrum(args):
     prov = _provider_from_args(args)
-    check_sigma(args.sigma)
+    check_positive(args.sigma, "sigma")
     check_spectrum_k(args.k, args.lmax)
     seed = GraphSurface.round(np.zeros(3), args.sigma, args.lmax)
     result = newton_solve(prov, args.sigma, seed, SolveConfig(lmax=args.lmax, tol=args.tol))

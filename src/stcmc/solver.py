@@ -84,7 +84,7 @@ from .spectral import _JET_DERIVATIVES, MIN_LMAX, n_coeffs, pad_coeffs, truncate
 from .surfaces import (
     CurvatureField,
     GraphSurface,
-    check_sigma,
+    check_positive,
     euclidean_center,
     nodal_radius,
     rebase,
@@ -111,8 +111,7 @@ class SolveConfig:
     tol: float = 1e-10          # sup-norm tolerance on sqrt(H^2-P^2) - 2/sigma
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ConfigError(f"tolerance must be finite and positive, got {self.tol!r}")
+        check_positive(self.tol, "tolerance")
 
 
 @dataclass
@@ -280,7 +279,7 @@ def newton_solve(prov, sigma, initial: GraphSurface, config: SolveConfig | None 
     history holds (lmax, residual sup) of every residual evaluation of both.
     """
     cfg = config or SolveConfig(lmax=initial.lmax)
-    check_sigma(sigma)
+    check_positive(sigma, "sigma")
     if initial.lmax != cfg.lmax:
         raise ConfigError(f"initial surface has band limit {initial.lmax}, the config {cfg.lmax}")
     history, iterations = [], 0

@@ -62,8 +62,7 @@ class GraphSurface:
                 f"coefficient vector has length {self.coeffs.shape}, "
                 f"expected {n_coeffs(self.lmax)} for lmax={self.lmax}"
             )
-        if not 0 < self.r0 < np.inf:
-            raise ConfigError(f"base radius must be finite and positive, got {self.r0!r}")
+        check_positive(self.r0, "base radius")
 
     @classmethod
     def round(cls, center, r0, lmax):
@@ -292,10 +291,10 @@ def surface_frames(prov, surface: GraphSurface) -> CurvatureField:
 
 # -- quasilinear graph equation over the flat polar foliation ----------------
 
-def check_sigma(sigma):
-    """Raise ConfigError unless the leaf radius sigma is finite and positive."""
-    if not 0 < sigma < math.inf:
-        raise ConfigError(f"sigma must be finite and positive, got {sigma!r}")
+def check_positive(value, what):
+    """Raise ConfigError unless value (a leaf radius sigma, a tolerance, ..) is finite and positive."""
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{what} must be finite and positive, got {value!r}")
 
 
 def _check_flat_metric(prov, points):
@@ -378,7 +377,7 @@ def appendix_graph_residual(sigma, f_coeffs, lmax, prov=None):
     f_coeffs has shape (..., n_coeffs(lmax)); the residual has shape
     (..., nnodes) on the dealiased grid.
     """
-    check_sigma(sigma)
+    check_positive(sigma, "sigma")
     grid, jets = _height_jets(f_coeffs, lmax)
     return _pointwise_residual(sigma, grid, jets, prov)
 
@@ -413,7 +412,7 @@ GRAPH_MAX_ITER = 40
 CHORD_CONTRACTION = 4.0
 
 
-def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
+def solve_graph_residual(sigma, f0_coeffs, lmax, tol=1e-12):
     """Chord-Newton-solve the graph equation with a finite-difference Jacobian.
 
     Deliberately independent of the embedding-based machinery so the two
@@ -426,7 +425,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
     the last pseudo-inverse and keeps it if it lowers the projected residual
     sup by CHORD_CONTRACTION; otherwise (or if that step reaches the origin)
     the Jacobian is rebuilt at the current iterate and a damped Newton step
-    is taken.  Raises ConfigError for a sigma that is not finite and
+    is taken.  Raises ConfigError for a sigma or tol that is not finite and
     positive and ShapeMismatch for a seed that is not one height of
     n_coeffs(lmax) coefficients, before any evaluation; MaxIterations after
     GRAPH_MAX_ITER steps, NewtonDiverged when 30 halvings of a fresh step do
@@ -434,7 +433,8 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
     reaches the origin), with sigma, iteration and sup in the message;
     MaxIterations and NewtonDiverged also carry them as attributes.
     """
-    check_sigma(sigma)
+    check_positive(sigma, "sigma")
+    check_positive(tol, "tolerance")
     nb = n_coeffs(lmax)
     f = np.asarray(f0_coeffs, dtype=float).copy()
     if f.shape != (nb,):
@@ -442,7 +442,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
     grid = get_grid(dealias_lmax(lmax))
 
     def proj_res(fc):
-        r = appendix_graph_residual(sigma, fc, lmax, prov)
+        r = appendix_graph_residual(sigma, fc, lmax)
         return truncate_coeffs(grid.analyze(r), lmax)
 
     def trial(fc):
@@ -466,7 +466,7 @@ def solve_graph_residual(sigma, f0_coeffs, lmax, prov=None, tol=1e-12):
                 f = f + step
                 R = R_try
                 continue
-        J = _graph_jacobian(sigma, f, lmax, prov)
+        J = _graph_jacobian(sigma, f, lmax, None)
         # min-norm step (translations are a near-kernel in flat space) with
         # backtracking: the raw step can be huge along those directions
         Jpinv = np.linalg.pinv(J, rcond=1e-10)

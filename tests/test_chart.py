@@ -160,28 +160,49 @@ def test_translated_matches_shifted_evaluation(schw, sample_points):
     assert np.array_equal(a.dg, b.dg)
 
 
-def test_rotated_extrinsic_is_conjugated(graphical, sample_points):
-    prov = RotatedProvider(graphical, ROT)
-    a = prov.extrinsic_jet(sample_points)
-    inner = graphical.extrinsic_jet(sample_points @ ROT)
-    expected = np.einsum("ia,jb,nab->nij", ROT, ROT, inner.K)
-    assert np.max(np.abs(a.K - expected)) < 1e-15
+def _conjugated(a):
+    """The one-einsum reference O_ia O_jb .. a[n, a, b, ..] of a rotated tensor of any rank.
+
+    It sums in np.longdouble, so where the platform has extended precision
+    the reference's own roundoff (up to ~9e-16 of the largest entry of a
+    rotated ddg in double) does not count against the rotation under test.
+    """
+    rank = a.ndim - 1
+    subs = ",".join(i + c for i, c in zip("ijkl", "abcd"[:rank]))
+    O = ROT.astype(np.longdouble)
+    return np.einsum(f"{subs},n{'abcd'[:rank]}->n{'ijkl'[:rank]}", *[O] * rank, a.astype(np.longdouble))
+
+
+@pytest.mark.parametrize("name", ["g", "dg", "ddg", "K", "dK"])
+def test_rotated_jets_are_conjugated(name, graphical, sample_points):
+    jet = "extrinsic_jet" if name in ("K", "dK") else "metric_jet"
+    a = getattr(getattr(RotatedProvider(graphical, ROT), jet)(sample_points), name)
+    expected = _conjugated(getattr(getattr(graphical, jet)(sample_points @ ROT), name))
+    # the rotation under test sums in double, one index at a time
+    assert np.max(np.abs(a - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 # -- jets against finite differences ------------------------------------------
 
-@pytest.mark.parametrize("name", ["schw", "graphical", "perturbed"])
-def test_first_derivatives_match_finite_differences(name, schw, graphical, sample_points):
-    prov = {
-        "schw": schw,
-        "graphical": graphical,
-        "perturbed": PerturbationProvider(
+def _fd_provider(name, schw, graphical):
+    """The providers whose jets are checked against finite differences of their lower orders."""
+    if name == "perturbed":
+        return PerturbationProvider(
             [
                 {"target": "g", "i": 0, "j": 1, "coeff": 0.3, "decay": 1.0, "angular": [1, 0, 1]},
                 {"target": "K", "i": 2, "j": 2, "coeff": 0.1, "decay": 2.0, "angular": [0, 1, 0]},
             ]
-        ),
-    }[name]
+        )
+    if name == "translated":
+        return TranslatedProvider(graphical, [1.0, -2.0, 0.5])
+    if name == "rotated":
+        return RotatedProvider(graphical, ROT)
+    return {"schw": schw, "graphical": graphical}[name]
+
+
+@pytest.mark.parametrize("name", ["schw", "graphical", "perturbed"])
+def test_first_derivatives_match_finite_differences(name, schw, graphical, sample_points):
+    prov = _fd_provider(name, schw, graphical)
     jet = prov.metric_jet(sample_points)
     r = np.linalg.norm(sample_points, axis=1).min()
     fd = fd_metric_derivative(prov, sample_points, 1e-4 * r)
@@ -195,13 +216,16 @@ def test_first_derivatives_match_finite_differences(name, schw, graphical, sampl
         assert np.max(np.abs(fdk - ext.dK[..., k])) < 1e-7
 
 
-def test_second_derivatives_match_finite_differences(graphical, sample_points):
-    jet = graphical.metric_jet(sample_points)
+@pytest.mark.parametrize("name", ["schw", "graphical", "perturbed", "translated", "rotated"])
+def test_second_derivatives_match_finite_differences(name, schw, graphical, sample_points):
+    prov = _fd_provider(name, schw, graphical)
+    jet = prov.metric_jet(sample_points)
+    assert np.any(jet.ddg)
     h = 1e-4 * np.linalg.norm(sample_points, axis=1).min()
     for k in range(3):
         e = np.zeros(3)
         e[k] = h
-        fd = (graphical.metric_jet(sample_points + e).dg - graphical.metric_jet(sample_points - e).dg) / (2 * h)
+        fd = (prov.metric_jet(sample_points + e).dg - prov.metric_jet(sample_points - e).dg) / (2 * h)
         assert np.max(np.abs(fd - jet.ddg[..., k])) < 1e-6
 
 
@@ -814,15 +838,25 @@ def test_graphical_extrinsic_jet_forms_no_base_geometry(graphical, sample_points
     assert formations == Counter(dK=1)
 
 
+def _holds_only_the_points(second, points):
+    """Assert that a jet's deferred second order holds its form and (a copy of the points, r, True) only."""
+    form, *held = second.args
+    assert callable(form) and not second.keywords
+    assert not any(isinstance(a, (MetricJet, ExtrinsicJet)) for a in held)
+    x, r, flag = held
+    assert flag is True
+    assert x is not points and np.array_equal(x, points)
+    assert np.array_equal(r, np.linalg.norm(points, axis=1))
+
+
 def test_graphical_dk_holds_only_the_points(graphical, sample_points):
-    ext = graphical.extrinsic_jet(sample_points)
-    form, *held = ext.second.args
-    assert callable(form) and not ext.second.keywords
-    assert not any(isinstance(a, MetricJet) for a in held)
-    x, r, derivative = held
-    assert derivative is True
-    assert x is not sample_points and np.array_equal(x, sample_points)
-    assert np.array_equal(r, np.linalg.norm(sample_points, axis=1))
+    _holds_only_the_points(graphical.extrinsic_jet(sample_points).second, sample_points)
+
+
+@pytest.mark.parametrize("name", ["schw", "graphical"])
+def test_slice_ddg_holds_only_the_points(name, schw, graphical, sample_points):
+    prov = {"schw": schw, "graphical": graphical}[name]
+    _holds_only_the_points(prov.metric_jet(sample_points).second, sample_points)
 
 
 def test_first_order_consumers_form_no_second_order(graphical, formations):
@@ -859,13 +893,7 @@ _WRAPPERS = {
 def _inner_jets(kind, inner, x):
     """The inner jets a wrapper reads at x, and its map of ddg and of dK."""
     if kind == "rotated":
-        O = ROT
-        return (
-            inner.metric_jet(x @ O),
-            inner.extrinsic_jet(x @ O),
-            lambda ddg: np.einsum("ia,jb,kc,ld,nabcd->nijkl", O, O, O, O, ddg),
-            lambda dK: np.einsum("ia,jb,kc,nabc->nijk", O, O, O, dK),
-        )
+        return inner.metric_jet(x @ ROT), inner.extrinsic_jet(x @ ROT), _conjugated, _conjugated
     if kind == "translated":
         c = np.array([1.0, -2.0, 0.5])
         return inner.metric_jet(x - c), inner.extrinsic_jet(x - c), lambda ddg: ddg, lambda dK: dK
@@ -879,8 +907,11 @@ def test_wrappers_defer_the_inner_second_order(kind, graphical, sample_points, f
     jet.g, jet.dg, ext.K
     assert formations["ddg"] == 0 and formations["dK"] == 0
     mj, ej, rot_ddg, rot_dK = _inner_jets(kind, graphical, sample_points)
-    assert np.array_equal(jet.ddg, rot_ddg(mj.ddg))
-    assert np.array_equal(ext.dK, rot_dK(ej.dK))
+    for a, expected in ((jet.ddg, rot_ddg(mj.ddg)), (ext.dK, rot_dK(ej.dK))):
+        if kind == "rotated":  # the rotation sums in double, one index at a time
+            assert np.max(np.abs(a - expected)) <= 1e-15 * np.max(np.abs(expected))
+        else:
+            assert np.array_equal(a, expected)
 
 
 @pytest.mark.parametrize("kind", sorted(_WRAPPERS))

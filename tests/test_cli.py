@@ -4,8 +4,11 @@ import dataclasses
 import filecmp
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,3 +412,15 @@ def test_undeclared_flag_exits_2(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_ci_gates_pass(tmp_path):
+    """Each gate run of the tier-1 workflow, by ci/gates.sh with this interpreter as `python`, exits 0."""
+    root = Path(__file__).resolve().parents[1]
+    gates = re.findall(r"run: bash ci/gates\.sh (\w+)$", (root / ".github" / "workflows" / "tier1.yml").read_text(), re.M)
+    assert len(gates) == 7
+    path = os.pathsep.join([str(Path(sys.executable).parent), os.environ.get("PATH", "")])
+    env = {**os.environ, "PATH": path, "RUNNER_TEMP": str(tmp_path), "OPENBLAS_NUM_THREADS": "1"}
+    for gate in gates:
+        run = subprocess.run(["bash", str(root / "ci" / "gates.sh"), gate], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, f"{gate}:\n{run.stdout}\n{run.stderr}"

@@ -750,6 +750,14 @@ def test_graph_equation_rejects_a_bad_sigma(monkeypatch, sigma):
         appendix_graph_residual(sigma, _criterion_10_like_seed(), 10)
 
 
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+def test_graph_equation_rejects_a_bad_tol(monkeypatch, tol):
+    calls = _graph_newton_calls(monkeypatch)
+    with pytest.raises(ConfigError, match="tolerance must be finite and positive"):
+        solve_graph_residual(7.0, _criterion_10_like_seed(), 10, tol=tol)
+    assert calls == []
+
+
 @pytest.mark.parametrize("shape", [(100,), (n_coeffs(10) + 1,), (1,), (2, n_coeffs(10))])
 def test_graph_newton_rejects_a_seed_of_the_wrong_shape(monkeypatch, shape):
     calls = _graph_newton_calls(monkeypatch)
