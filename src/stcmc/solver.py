@@ -21,24 +21,23 @@ metric jet already holds, and no Ricci tensor or nabla K.  The Laplace
 spectrum uses the variational stiffness/mass form instead, from the same
 quadrature, which preserves self-adjointness.  Its eigenpairs come from the
 half-band pencil (the leading blocks of the full-band stiffness and mass
-matrices, so only the stiffness's first columns are assembled), and the
-full band accepts them when each pair's full-band residual, in the norm of
-the inverse mass matrix, is a backward error of at most SPECTRUM_RTOL of
-the pencil's scale; otherwise the full-band pencil is solved.  sigma_min of
-script-L comes from the half band the same way: block inverse iteration on
-the half-band operator, weighted by the leading block of the mass matrix's
-Cholesky factor, gives the smallest singular triplet, and the full band
-accepts its value when both of the triplet's full-band residuals are at most
-SPECTRUM_RTOL of the operator's norm.  By the Jordan-Wielandt residual bound
-(B. Parlett, The Symmetric Eigenvalue Problem, section 10; G. Stewart and
-J. Sun, Matrix Perturbation Theory, 1990) that value then lies within the
-residuals of a singular value of the full-band operator; that it is the
-smallest rests, as for the eigenpairs, on the upper half of the band being
-dominated by the Laplacian.  The residuals apply L and its transpose without
-forming them (synth_jet and analyze, and the transposed jet analysis), so a
-certified leaf forms and factors no full-band operator.  Otherwise, the same
-inverse iteration runs on one LU of the full-band L, without forming the
-weighted operator.
+matrices), kept when each pair's full-band residual, in the inverse mass
+norm, is a backward error of at most SPECTRUM_RTOL of the pencil's scale.
+sigma_min of script-L comes from the half band the same way: block inverse
+iteration on the half-band operator, weighted by the Cholesky factor R_c
+of the half-band mass matrix, gives the smallest singular triplet, kept
+when both of its full-band residuals are at most SPECTRUM_RTOL of the
+operator's norm (a Jordan-Wielandt residual bound; B. Parlett, The
+Symmetric Eigenvalue Problem, section 10).  Both certificates apply the
+full-band operators matrix-free, through their quadrature:
+M u = analyze(dmu synthesize(u)), the stiffness and L^T by the transposed
+jet analysis, the M norm as the quadrature of dmu u^2, and every M^{-1}
+norm by the rigorous bound |x| / sqrt(min dmu) (M >= min(dmu) I: positive
+weights, and the dealiased grid integrates the band's squares exactly).  So
+a certified leaf forms only half-band matrices.  Where a certificate
+refuses, the full-band problem is solved, with the full-band M and its
+factor formed once for both fallbacks, and sigma_min from the same inverse
+iteration on one LU of the full-band L.
 
 Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
@@ -61,6 +60,7 @@ of asymptotically Schwarzschild data lie at large sigma.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -464,17 +464,26 @@ def _annotate_lapse_positivity(leaves):
 
 # -- spectra -------------------------------------------------------------------
 
-def _stiffness(fr: CurvatureField, col_lmax=None):
-    """Stiffness matrix of the induced Laplacian: base-band rows, columns to col_lmax (fr.lmax by default)."""
+def _stiffness(fr: CurvatureField, lmax=None):
+    """Stiffness matrix of the induced Laplacian in the band lmax (fr.lmax by default)."""
     gi = fr.dmu[:, None, None] * fr.g2inv
     grad = ("ft", "fp")
-    return fr.grid.bilinear([(grad[a], grad[b], gi[:, a, b]) for a in (0, 1) for b in (0, 1)], fr.lmax, col_lmax)
+    return fr.grid.bilinear([(grad[a], grad[b], gi[:, a, b]) for a in (0, 1) for b in (0, 1)], lmax or fr.lmax)
 
 
-def _mass(fr: CurvatureField):
-    """Mass matrix of the area measure in the base band, symmetrized."""
-    M = fr.grid.bilinear([("f", "f", fr.dmu)], fr.lmax)
+def _mass(fr: CurvatureField, lmax=None):
+    """Mass matrix of the area measure in the band lmax (fr.lmax by default), symmetrized."""
+    M = fr.grid.bilinear([("f", "f", fr.dmu)], lmax or fr.lmax)
     return 0.5 * (M + M.T)
+
+
+def _mass_factor(fr: CurvatureField, lmax):
+    """(M, R): the band-lmax mass matrix and its Cholesky factor, M = R^T R; EigenSolverFailure where M is not positive."""
+    M = _mass(fr, lmax)
+    try:
+        return M, scipy.linalg.cholesky(M)
+    except scipy.linalg.LinAlgError as exc:
+        raise EigenSolverFailure(f"mass matrix: {exc}") from exc
 
 
 def check_spectrum_k(k, lmax):
@@ -494,36 +503,33 @@ def _eigh(S, M, n):
         raise EigenSolverFailure(str(exc)) from exc
 
 
-def _half_band_pairs(S_cols, M, R, k):
+def _half_band_pairs(fr: CurvatureField, Sc, Mc, k):
     """The k + 1 lowest eigenpairs from the half-band pencil, where the full band accepts them.
 
-    S_cols holds the first nc columns of the full-band stiffness matrix and
-    M = R^T R is the full-band mass matrix; their leading nc x nc blocks are
-    the half-band Galerkin matrices on the same quadrature.  That pencil is
-    solved for k + 1 pairs (lambda_i, v_i), and each v_i, zero-padded to the
-    full band, has the full-band residual r_i = S_cols v_i - lambda_i M[:, :nc] v_i.
-    With v_i M-normalized, the M^{-1} norm of r_i is the size of the
-    smallest symmetric perturbation of the full-band pencil for which the
-    pair is exact (its backward error).  The pairs are kept when every such
-    norm is at most SPECTRUM_RTOL of the pencil's scale, taken as the
-    largest Rayleigh quotient S_jj / M_jj of the half-band harmonics: a lower
-    bound on the pencil's largest eigenvalue, so the test is no looser than
-    one against that eigenvalue.
-
-    Returns (lambda_0..k, the padded v_0..k), or None where the pairs are
-    not kept.
+    Sc and Mc are the half-band stiffness and mass matrices, the leading
+    blocks of the full-band ones.  Their pencil gives k + 1 pairs
+    (lambda_i, v_i), and each v_i, zero-padded, has the full-band residual
+    r_i = S v_i - lambda_i M v_i: one transposed jet analysis of the nodal
+    fields dmu g^{-1} grad v_i and -lambda_i dmu v_i, with no full-band
+    matrix.  With v_i M-normalized, |r_i|_{M^{-1}} is the pair's backward
+    error (the smallest symmetric perturbation of the full-band pencil for
+    which it is exact), at most |r_i| / sqrt(min dmu) as M >= min(dmu) I
+    (laplace_spectrum).  The pairs are kept when every such bound is at
+    most SPECTRUM_RTOL of the pencil's scale, the largest Rayleigh quotient
+    S_jj / M_jj of the half-band harmonics: a lower bound on the pencil's
+    largest eigenvalue, so the test is no looser than one against it.
+    Returns (lambda_0..k, the padded v_0..k), or None.
     """
-    nb, nc = S_cols.shape
-    Sc = S_cols[:nc]
-    lam, V = _eigh(0.5 * (Sc + Sc.T), M[:nc, :nc], k + 1)
-    resid = S_cols @ V - (M[:, :nc] @ V) * lam
-    rnorm = np.linalg.norm(scipy.linalg.solve_triangular(R, resid, trans="T"), axis=0)
-    scale = float(np.max(np.diag(Sc) / np.diag(M)[:nc]))
+    lam, V = _eigh(0.5 * (Sc + Sc.T), Mc, k + 1)
+    jet = fr.grid.synth_jet(V.T, order=1)
+    gi, ft, fp = fr.dmu[:, None, None] * fr.g2inv, jet["ft"], jet["fp"]
+    fields = {key: gi[:, a, 0] * ft + gi[:, a, 1] * fp for a, key in enumerate(("ft", "fp"))}
+    fields["f"] = -lam[:, None] * fr.dmu * jet["f"]
+    rnorm = np.linalg.norm(truncate_coeffs(fr.grid._analyze_jet(fields), fr.lmax), axis=1) / np.sqrt(np.min(fr.dmu))
+    scale = float(np.max(np.diag(Sc) / np.diag(Mc)))
     if not np.max(rnorm) <= SPECTRUM_RTOL * scale:
         return None
-    padded = np.zeros((nb, k + 1))
-    padded[:nc] = V
-    return lam, padded
+    return lam, pad_coeffs(V.T, _coarse_lmax(fr.lmax), fr.lmax).T
 
 
 def laplace_spectrum(fr: CurvatureField, k=8):
@@ -538,7 +544,16 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     Otherwise, and where the half band has no coarse stage or fewer than
     k + 1 harmonics, the full-band pencil is solved.  The leaves' harmonic
     content decays geometrically in l, so the half band fixes the low pairs
-    to roundoff.  The l = 1 eigenfunctions are aligned with the scaled
+    to roundoff.  sigma_min (_sigma_min_weighted) comes from the half band
+    the same way.  Both certificates apply the full-band operators
+    matrix-free, through their quadrature, so a certified leaf forms only
+    the half-band M_c = R_c^T R_c and stiffness.  The M norm of a field u is
+    the quadrature of dmu u^2, and every M^{-1} norm is bounded by
+    |x| / sqrt(min dmu): c^T M c = sum_n w_n dmu_n u_n^2 >= min(dmu) |c|^2
+    for u the synthesis of c, as the weights are positive and the dealiased
+    grid integrates the band's squares exactly, so M >= min(dmu) I.  The
+    full-band M and R are formed where a certificate refuses, once for both
+    fallbacks.  The l = 1 eigenfunctions are aligned with the scaled
     coordinate functions by one QR of their projections onto them (see
     SpectralReport for what depends on the rotation within the triple).
     Raises EigenSolverFailure where the pencil cannot be solved.
@@ -546,21 +561,18 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     check_spectrum_k(k, fr.lmax)
     fields = _OperatorFields(fr)  # first, so that no matrix is held through its formation
     coarse = _coarse_lmax(fr.lmax)
-    M = _mass(fr)
-    try:
-        R = scipy.linalg.cholesky(M)  # M = R^T R, shared by the certificate and sigma_min
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenSolverFailure(f"mass matrix: {exc}") from exc
-    pairs = None
-    if coarse is not None and k + 1 <= n_coeffs(coarse):
-        pairs = _half_band_pairs(_stiffness(fr, coarse), M, R, k)
+    full = functools.cache(lambda: _mass_factor(fr, fr.lmax))  # (M, R), formed where a certificate refuses
+    pairs = Rc = None
+    if coarse is not None:
+        Mc, Rc = _mass_factor(fr, coarse)
+        if k + 1 <= n_coeffs(coarse):
+            pairs = _half_band_pairs(fr, _stiffness(fr, coarse), Mc, k)
     if pairs is None:
         S = _stiffness(fr)
-        lam, V = _eigh(0.5 * (S + S.T), M, k + 1)
+        lam, V = _eigh(0.5 * (S + S.T), full()[0], k + 1)
         del S
     else:
         lam, V = pairs
-    del M
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * fr.area_radius**4)) * (fr.X - fr.center[None, :])
     w = fr.grid.w * fr.dmu
     proj = np.einsum("in,nj,n->ij", fr.grid.synthesize(V[:, 1:4].T), fdelta, w)
@@ -570,7 +582,7 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
     ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
-    smin = _sigma_min_weighted(fr, fields, R)
+    smin = _sigma_min_weighted(fr, fields, Rc, full)
     return SpectralReport(
         eigenvalues=lam,
         eigenfunctions=V,
@@ -584,24 +596,24 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     )
 
 
-def _sigma_min_weighted(fr: CurvatureField, fields: _OperatorFields, R):
+def _sigma_min_weighted(fr: CurvatureField, fields: _OperatorFields, Rc, full):
     """Smallest singular value of script-L in the dmu-weighted L2 norm.
 
     With the mass matrix M = R^T R (R upper triangular), the weighted
     operator is W = R L R^{-1} acting on orthonormalized coordinates.  The
-    value comes from the half band where the full band certifies it
-    (_half_band_sigma_min); otherwise, and where there is no coarse band,
-    from the full-band L: block inverse iteration (_inverse_iteration) from
-    one LU of L, and where the condition estimate of L is at or below RCOND
-    (at zero energy the translations are a kernel and L is singular), or the
-    sweeps do not settle, the full SVD of the formed W.
+    value comes from the half band (factor Rc, None without a coarse band)
+    where the full band certifies it (_half_band_sigma_min); otherwise from
+    the full-band L and the R of full() = (M, R): block inverse iteration
+    (_inverse_iteration) from one LU of L, and where the condition estimate
+    of L is at or below RCOND (at zero energy the translations are a kernel
+    and L is singular), or the sweeps do not settle, the full SVD of W.
     """
     a = _nodal_coefficients(fr, fields, "L_script")
-    coarse = _coarse_lmax(fr.lmax)
-    if coarse is not None:
-        smin = _half_band_sigma_min(fr, a, R, coarse)
+    if Rc is not None:
+        smin = _half_band_sigma_min(fr, a, Rc)
         if smin is not None:
             return smin
+    R = full()[1]
     Lmat = fr.grid.operator_matrix(a, fr.lmax)
     lu, rcond = _lu_rcond(Lmat)
     if rcond > RCOND:
@@ -649,22 +661,23 @@ def _sweep(lu, R, Q):
     return Q, scipy.linalg.solve_triangular(r, T.T, trans="T").T
 
 
-def _half_band_sigma_min(fr: CurvatureField, a, R, coarse):
+def _half_band_sigma_min(fr: CurvatureField, a, Rc):
     """sigma_min(W) from the half band, where the full band certifies it; else None.
 
     The half-band operator W_c = R_c L_c R_c^{-1} has L_c = L[:nc, :nc] (the
-    band-coarse operator_matrix on the same grid) and R_c = R[:nc, :nc], the
-    Cholesky factor of the leading block of M.  _inverse_iteration gives its
-    smallest singular value, and two refining sweeps the triplet (the
-    singular vectors' error falls only as the square root of the value's):
-    sigma, the right vector v = Q' y and the left vector w = (W Q') y / sigma,
-    y the smallest right singular vector of the thin W Q'.  Zero-padded, the
-    triplet has the full-band residuals r = W v - sigma w and
-    s = W^T w - sigma v.
-    Neither forms the full-band L: R^{-1} v stays in the half band, so
-    W v = R L (R^{-1} v) is one synth_jet, nodal combination and analyze;
-    R^T w is full length, so W^T w = R^{-T} L^T (R^T w) applies L^T by the
-    transposed jet analysis (SphereGrid._analyze_jet).
+    band-coarse operator_matrix on the same grid) and R_c the Cholesky
+    factor of M_c, R[:nc, :nc] in exact arithmetic.  _inverse_iteration
+    gives its smallest singular value, and two refining sweeps the triplet
+    (the singular vectors' error falls only as the square root of the
+    value's): sigma, v = Q' y and w = (W Q') y / sigma, y the smallest right
+    singular vector of the thin W Q'.  Zero-padded, the triplet has the
+    full-band residuals r = W v - sigma w and s = W^T w - sigma v.  As R is
+    upper triangular, y = R_c^{-1} v and z = R_c^{-1} w give
+    |r| = |L y - sigma z|_M and |s| = |L^T M z - sigma M y|_{M^{-1}}, the
+    latter at most |.| / sqrt(min dmu) as M >= min(dmu) I (laplace_spectrum).
+    No full-band matrix is formed: L by synth_jet and analyze, L^T by the
+    transposed jet analysis, M by the analysis of dmu times a synthesis,
+    and the M norm as the quadrature of dmu u^2.
 
     The certificate (Jordan-Wielandt; B. Parlett, The Symmetric Eigenvalue
     Problem, section 10; G. Stewart and J. Sun, Matrix Perturbation Theory,
@@ -673,19 +686,19 @@ def _half_band_sigma_min(fr: CurvatureField, a, R, coarse):
     sqrt((|r|^2 + |s|^2) / 2) <= max(|r|, |s|) against sigma, so some
     singular value of W lies within max(|r|, |s|) of sigma.  sigma is kept
     when both norms are at most SPECTRUM_RTOL of the scale |W x|, with
-    x = R e_j / |R e_j| for the band's last harmonic j (l = |m| = lmax): a
-    lower bound on |W|_2, near its l(l + 1) / r^2, so the test is no looser
-    than one against |W|_2.  Its limit: the residuals show that sigma is a
-    singular value of W, not that it is the smallest.  That rests, as for
-    the half-band eigenpairs (_half_band_pairs), on the l > coarse block
-    being dominated by the Laplacian, whose singular values there grow like
-    l(l + 1) / r^2, far above the translational ones near 6 m / r^3 that
-    set sigma_min.  Returns None where L_c has a condition estimate at or
-    below RCOND, the sweeps do not settle or a residual is too large.
+    x = R e_j / |R e_j| for the band's last harmonic j (l = |m| = lmax),
+    i.e. |L e_j|_M / |e_j|_M: a lower bound on |W|_2, near its
+    l(l + 1) / r^2, so the test is no looser than one against |W|_2.  Its
+    limit: the residuals show that sigma is a singular value of W, not that
+    it is the smallest.  That rests, as for the half-band eigenpairs
+    (_half_band_pairs), on the l > coarse block being dominated by the
+    Laplacian, whose singular values there grow like l(l + 1) / r^2, far
+    above the translational ones near 6 m / r^3 that set sigma_min.
+    Returns None where L_c has a condition estimate at or below RCOND, the
+    sweeps do not settle or a residual is too large.
     """
-    grid, nc, nb = fr.grid, n_coeffs(coarse), R.shape[0]
-    Rc = R[:nc, :nc]
-    lu, rcond = _lu_rcond(grid.operator_matrix(a, coarse))
+    grid, nc, nb = fr.grid, Rc.shape[0], n_coeffs(fr.lmax)
+    lu, rcond = _lu_rcond(grid.operator_matrix(a, _coarse_lmax(fr.lmax)))
     if not rcond > RCOND:
         return None
     settled = _inverse_iteration(lu, Rc)
@@ -695,20 +708,21 @@ def _half_band_sigma_min(fr: CurvatureField, a, R, coarse):
     for _ in range(2):
         Q, WQ = _sweep(lu, Rc, Q)
     U, S, Vt = np.linalg.svd(WQ, full_matrices=False)
-    smin, v, w = float(S[-1]), Q @ Vt[-1], U[:, -1]
-    # L R^{-1} v and L e_j in one synth_jet and one analyze
-    x = np.zeros((2, nb))
-    x[0, :nc] = scipy.linalg.solve_triangular(Rc, v)
-    x[1, -1] = 1.0
+    smin = float(S[-1])
+    # y, z and e_j in one synth_jet; L y, L e_j, M y and M z in one analyze
+    x = np.zeros((3, nb))
+    x[:2, :nc] = scipy.linalg.solve_triangular(Rc, np.stack([Q @ Vt[-1], U[:, -1]], axis=1)).T
+    x[2, -1] = 1.0
     jet = grid.synth_jet(x)
-    RLx = truncate_coeffs(grid.analyze(sum(f * jet[key] for key, f in zip(_JET_DERIVATIVES, a))), fr.lmax) @ R.T
-    r = RLx[0]
-    r[:nc] -= smin * w
-    scale = float(np.linalg.norm(RLx[1]) / np.linalg.norm(R[:, -1]))
-    f = grid.synthesize(R[:nc].T @ w)
-    s = scipy.linalg.solve_triangular(R, truncate_coeffs(grid._analyze_jet([c * f for c in a]), fr.lmax), trans="T")
-    s[:nc] -= smin * v
-    if max(np.linalg.norm(r), np.linalg.norm(s)) <= SPECTRUM_RTOL * scale:
+    dmu, f = fr.dmu, jet["f"]
+    Lx = sum(c * jet[key][::2] for key, c in zip(_JET_DERIVATIVES, a))
+    Ly, Le, My, Mz = truncate_coeffs(grid.analyze(np.concatenate([Lx, dmu * f[:2]])), fr.lmax)
+    u = grid.synthesize(np.stack([Ly - smin * x[1], Le, Mz]))
+    r, Le_norm = np.sqrt(fr.integrate(u[:2] ** 2))
+    scale = float(Le_norm / np.sqrt(fr.integrate(f[2] ** 2)))
+    LtMz = truncate_coeffs(grid._analyze_jet({key: c * u[2] for key, c in zip(_JET_DERIVATIVES, a)}), fr.lmax)
+    s = np.linalg.norm(LtMz - smin * My) / np.sqrt(np.min(dmu))
+    if max(r, s) <= SPECTRUM_RTOL * scale:
         return smin
     return None
 

@@ -57,6 +57,23 @@ def lm_arrays(lmax):
     return ls, ms
 
 
+@lru_cache(maxsize=32)
+def _legendre_steps(lmax):
+    """Read-only constants of _legendre_orders: (step offsets, sectoral factors, step-1 factors, (a, b) per step, order rows)."""
+    M, orders = lmax + 1, np.arange(lmax + 1)
+    start = np.concatenate(([0], np.cumsum(np.arange(M, 0, -1))))  # step k: M - k orders
+    sectoral = np.array([math.sqrt((2.0 * m + 1.0) / (2.0 * m)) for m in range(1, M)])
+    first = np.sqrt(2.0 * orders[: M - 1] + 3.0)
+    steps = []
+    for k in range(2, M):
+        m, l = orders[: M - k], orders[: M - k] + k
+        a = np.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
+        b = np.sqrt((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m) / ((2.0 * l - 3.0) * (l - m) * (l + m)))
+        steps.append((_read_only(a), _read_only(b)))
+    gathers = tuple(_read_only(start[: M - m] + m) for m in range(M))
+    return _read_only(start), _read_only(sectoral), _read_only(first), tuple(steps), gathers
+
+
 def _legendre_orders(lmax, ct, st):
     """Yield (m, P) with P[l - m] = P_lm(cos theta) for l = m..lmax.
 
@@ -64,33 +81,28 @@ def _legendre_orders(lmax, ct, st):
     harmonics are P_l0 themselves and the m > 0 harmonics pick up a sqrt(2)
     azimuthal factor.  No Condon-Shortley phase.  The three-term recurrence in
     l runs for every order at once: step k sets degree m + k of each order m
-    with m + k <= lmax, seeded by the sectoral P_mm (one product per order).
-    Each entry takes the same scalar coefficients and operations as a
-    recurrence run order by order.  The steps are stored packed, step k in
-    rows start[k] + m, so the table holds the triangle l >= m only, and each
-    order is gathered from it when yielded.  Nothing divides by sin(theta),
-    so the poles are regular.
+    with m + k <= lmax, seeded by the sectoral P_mm (one running product over
+    the orders).  Each entry takes the same scalar coefficients and operations
+    as a recurrence run order by order; the coefficients are the band's
+    cached _legendre_steps.  The steps are stored packed, step k in rows
+    start[k] + m, so the table holds the triangle l >= m only, and each order
+    is gathered from it when yielded.  Nothing divides by sin(theta), so the
+    poles are regular.
     """
     M = lmax + 1
     col = (-1,) + (1,) * ct.ndim  # a coefficient per order, broadcast over the points
-    start = np.concatenate(([0], np.cumsum(np.arange(M, 0, -1))))  # step k: M - k orders
+    start, sectoral, first, steps, gathers = _legendre_steps(lmax)
     T = np.empty((start[-1],) + ct.shape)  # T[start[k] + m] = P_{m + k, m}
-    pmm = np.full(ct.shape, math.sqrt(1.0 / (4.0 * math.pi)))
-    T[0] = pmm
-    for m in range(1, M):
-        pmm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * pmm
-        T[m] = pmm
-    orders = np.arange(M)
-    T[start[1] : start[1] + M - 1] = np.sqrt(2.0 * orders[: M - 1] + 3.0).reshape(col) * ct * T[: M - 1]
-    for k in range(2, M):
-        m = orders[: M - k]
-        l = m + k
-        a = np.sqrt((2.0 * l - 1.0) * (2.0 * l + 1.0) / ((l - m) * (l + m)))
-        b = np.sqrt((2.0 * l + 1.0) * (l - 1.0 - m) * (l - 1.0 + m) / ((2.0 * l - 3.0) * (l - m) * (l + m)))
+    T[0] = math.sqrt(1.0 / (4.0 * math.pi))
+    # P_mm = P_{m-1, m-1} (c_m st), the product taken in the order of the per-order recurrence
+    np.multiply(sectoral.reshape(col), st, out=T[1:M])
+    np.multiply.accumulate(T[:M], axis=0, out=T[:M])
+    T[start[1] : start[1] + M - 1] = first.reshape(col) * ct * T[: M - 1]
+    for k, (a, b) in enumerate(steps, 2):
         prev1, prev2 = T[start[k - 1] : start[k - 1] + M - k], T[start[k - 2] : start[k - 2] + M - k]
         T[start[k] : start[k] + M - k] = a.reshape(col) * ct * prev1 - b.reshape(col) * prev2
     for m in range(M):
-        yield m, T[start[: M - m] + m]
+        yield m, T[gathers[m]]
 
 
 def _legendre_jets(lmax, theta):
@@ -300,92 +312,96 @@ class SphereGrid:
         X[..., :-1] = C
         return self._nodal(X, np.shape(coeffs)[:-1])
 
-    def synth_jet(self, coeffs):
-        """Nodal value and first/second angular derivatives of a field of any band up to the grid's.
+    def synth_jet(self, coeffs, order=2):
+        """Nodal value and angular derivatives to `order` (1 or 2) of a field of any band up to the grid's.
 
-        Returns dict with keys 'f', 'ft', 'fp', 'ftt', 'ftp', 'fpp'.  The
-        theta-derivatives come from the tabulated dP and d2P; d/dphi acts on
-        the order-m spectra as multiplication by i m.
+        Returns dict with keys 'f', 'ft', 'fp' and, at order 2, 'ftt', 'ftp',
+        'fpp'.  The theta-derivatives come from the tabulated dP and d2P;
+        d/dphi acts on the order-m spectra as multiplication by i m.
         """
-        nt, M = self.ntheta, self.lmax + 1
-        C = self._legendre_sums(coeffs, slice(None))
-        C = C.reshape(C.shape[0], 3, nt, M).swapaxes(0, 1)
-        X = np.zeros((6,) + C.shape[1:-1] + (M + 1,), dtype=np.complex128)
-        X[:3, ..., :M] = C                                  # f, ft, ftt from P, dP, d2P
+        nt, M, nq = self.ntheta, self.lmax + 1, order + 1
+        C = self._legendre_sums(coeffs, slice(0, nq * nt))
+        C = C.reshape(C.shape[0], nq, nt, M).swapaxes(0, 1)
+        X = np.zeros((3 * order,) + C.shape[1:-1] + (M + 1,), dtype=np.complex128)
+        X[:nq, ..., :M] = C                                        # f, ft, ftt from P, dP, d2P
         m = np.arange(M + 0.0)
-        np.multiply(C[:2], 1j * m, out=X[3:5, ..., :M])     # fp, ftp
-        np.multiply(C[0], -m * m, out=X[5, ..., :M])        # fpp
-        f, ft, ftt, fp, ftp, fpp = self._nodal(X, np.shape(coeffs)[:-1])
+        np.multiply(C[:order], 1j * m, out=X[nq : nq + order, ..., :M])  # fp, ftp
+        if order == 2:
+            np.multiply(C[0], -m * m, out=X[5, ..., :M])           # fpp
+        f, ft, *rest = self._nodal(X, np.shape(coeffs)[:-1])
+        if order == 1:
+            return {"f": f, "ft": ft, "fp": rest[0]}
+        ftt, fp, ftp, fpp = rest
         return {"f": f, "ft": ft, "fp": fp, "ftt": ftt, "ftp": ftp, "fpp": fpp}
 
     def _analyze_jet(self, fields):
-        """Transpose of synth_jet: entry k sums the quadratures of fields[t] against D_t Y_k.
+        """Transpose of synth_jet: entry k sums the quadratures of each field against D_t Y_k, t its key.
 
-        fields holds one nodal field per synth_jet key, in _JET_DERIVATIVES
-        order, and the result every harmonic of the grid's band; for the six
-        fields a_t f, its leading n_coeffs(lmax) entries are
-        operator_matrix(a, lmax)^T applied to the coefficients of f.  d/dphi
-        moves onto the phi spectra as multiplication by -i m (the transpose of
-        synth_jet's i m), and the fields that share a theta table (P, dP or
-        d2P) are summed before its one Legendre contraction.
+        fields maps synth_jet keys to nodal fields of one shape (..., nnodes),
+        and the result holds every harmonic of the grid's band per leading
+        index; for the six fields a_t f, its leading n_coeffs(lmax) entries
+        are operator_matrix(a, lmax)^T applied to the coefficients of f.
+        d/dphi moves onto the phi spectra as multiplication by -i m (the
+        transpose of synth_jet's i m), and the given fields that share a theta
+        table (P, dP or d2P) are summed before its one Legendre contraction.
         """
-        fields = self._check_values(fields)
-        nt, M = self.ntheta, self.lmax + 1
-        F = np.fft.rfft(fields.reshape(len(_JET_DERIVATIVES), nt, self.nphi))[..., :M] * self.w[:: self.nphi, None]
+        keys = list(fields)
+        values = self._check_values(np.stack([fields[key] for key in keys]))
+        lead = values.shape[1:-1]
+        nt, M, k = self.ntheta, self.lmax + 1, math.prod(lead)
+        F = np.fft.rfft(values.reshape(len(keys), k, nt, self.nphi))[..., :M] * self.w[:: self.nphi, None]
+        qs = [_JET_DERIVATIVES[key][0] for key in keys]
+        q0, nq = min(qs), max(qs) - min(qs) + 1
         im = -1j * np.arange(M)
-        G = np.zeros((3, nt, M), dtype=np.complex128)
-        for Ft, (q, d) in zip(F, _JET_DERIVATIVES.values()):
-            G[q] += Ft * (1.0, im, im * im)[d]
-        return self._legendre_analysis(G.reshape(1, 3 * nt, M), slice(None))[0]
+        factors = (1.0, im, im * im)
+        G = np.zeros((k, nq, nt, M), dtype=np.complex128)
+        for Ft, key in zip(F, keys):
+            q, d = _JET_DERIVATIVES[key]
+            G[:, q - q0] += Ft * factors[d]
+        return self._legendre_analysis(G.reshape(k, nq * nt, M), slice(q0 * nt, (q0 + nq) * nt)).reshape(lead + (self.nbasis,))
 
-    def bilinear(self, terms, lmax, col_lmax=None):
+    def bilinear(self, terms, lmax):
         """Base-band matrix of a sum of bilinear forms, by quadrature.
 
         `terms` holds (left, right, f): synth_jet keys ('f', 'ft', 'fp',
         'ftt', 'ftp', 'fpp') of the derivatives D_left, D_right and a nodal
         field f.  Entry [k, j] is the sum over terms of the quadrature of
-        f (D_left Y_k)(D_right Y_j), for k < n_coeffs(lmax) and
-        j < n_coeffs(col_lmax) (col_lmax <= lmax, lmax by default): a
-        column band gives the leading columns of the square matrix.
+        f (D_left Y_k)(D_right Y_j), for j, k < n_coeffs(lmax).
 
         Each derivative of Y is a Legendre table in theta times a `trig`
         factor in phi, so the sum separates: one phi-sum per latitude and
         pair of (order, cos/sin) slots, the right theta table folded in per
-        harmonic j, and one theta contraction per left order m.  The right
-        factors and the fold run over the columns only.
+        harmonic j, and one theta contraction per left order m.
         """
         nb = n_coeffs(lmax)
         M, nt, nphi = lmax + 1, self.ntheta, self.nphi
-        Mc = M if col_lmax is None else col_lmax + 1
-        nc = n_coeffs(Mc - 1)
         ls, ms = self.ls[:nb], self.ms[:nb]
         slots = 2 * np.abs(ms) + (ms < 0)
         trig = self.trig[:, :, :M].reshape(3, nphi, 2 * M)
-        leg = self.legendre[:M].reshape(M, 3, nt, -1)[..., :M]       # [m, q, i, l]
-        right = leg[np.abs(ms[:nc]), :, :, ls[:nc]].transpose(1, 2, 0)  # [q, i, j]
+        leg = self.legendre[:M].reshape(M, 3, nt, -1)[..., :M]   # [m, q, i, l]
+        right = leg[np.abs(ms), :, :, ls].transpose(1, 2, 0)       # [q, i, j]
         # left derivative -> right theta table -> weighted field times the
         # right trig factor, [longitude, latitude, slot_j]
         groups = {}
         for lkey, rkey, f in terms:
             q, d = _JET_DERIVATIVES[rkey]
-            fw = (self.w * np.asarray(f, dtype=float)).reshape(nt, nphi).T[:, :, None] * trig[d][:, None, : 2 * Mc]
+            fw = (self.w * np.asarray(f, dtype=float)).reshape(nt, nphi).T[:, :, None] * trig[d][:, None, :]
             sums = groups.setdefault(_JET_DERIVATIVES[lkey], {})
             sums[q] = sums[q] + fw if q in sums else fw
         # phi-sums G[m_k, c_k, i, slot_j] against the left trig factor, and the
         # left theta tables stacked along the contracted (left, i) axis
         folds = [
-            [((trig[d].T @ fw.reshape(nphi, -1)).reshape(M, 2, nt, 2 * Mc), right[q]) for q, fw in sums.items()]
+            [((trig[d].T @ fw.reshape(nphi, -1)).reshape(M, 2, nt, 2 * M), right[q]) for q, fw in sums.items()]
             for (_, d), sums in groups.items()
         ]
         left = np.concatenate([leg[:, q] for q, _ in groups], axis=1)  # [m, (left, i), l]
-        cols = slots[:nc]
-        out = np.empty((M, 2, M, nc))
+        out = np.empty((M, 2, M, nb))
         for m in range(M):
             # per order, so the folded (cos/sin, (left, i), j) block stays in cache;
             # l < m rows of the table are zero and stay unset
-            W = np.concatenate([sum(G[m][..., cols] * P for G, P in fold) for fold in folds], axis=1)
+            W = np.concatenate([sum(G[m][..., slots] * P for G, P in fold) for fold in folds], axis=1)
             np.matmul(left[m, :, m:].T, W, out=out[m, :, m:])
-        return out.reshape(2 * M * M, nc)[slots * M + ls]
+        return out.reshape(2 * M * M, nb)[slots * M + ls]
 
     def operator_matrix(self, a, lmax):
         """Base-band matrix of a0 u + a1 u_t + a2 u_p + a3 u_tt + a4 u_tp + a5 u_pp.

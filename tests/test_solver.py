@@ -734,12 +734,65 @@ def test_stiffness_mass_match_dense_basis(graphical, lmax):
     grad = (Yt, Yp)
     S_ref = sum(grad[a].T @ ((w * fr.g2inv[:, a, b])[:, None] * grad[b]) for a in (0, 1) for b in (0, 1))
     M_ref = Y.T @ (w[:, None] * Y)
-    # the column-banded stiffness of the half-band spectrum: the leading columns
+    # the half-band matrices of the spectrum: the leading blocks
     nc = n_coeffs(lmax // 2)
-    pairs = ((sv._stiffness(fr), S_ref), (sv._stiffness(fr, lmax // 2), S_ref[:, :nc]), (sv._mass(fr), M_ref))
+    pairs = (
+        (sv._stiffness(fr), S_ref), (sv._stiffness(fr, lmax // 2), S_ref[:nc, :nc]),
+        (sv._mass(fr), M_ref), (sv._mass(fr, lmax // 2), M_ref[:nc, :nc]),
+    )
     for mat, ref in pairs:
         assert mat.shape == ref.shape
         assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.fixture(scope="module")
+def matrix_free_leaves(graphical, half_band_leaves, perturbed_leaf):
+    """Frames: rough graphical surfaces at lmax 8 and 24, the graphical lmax-24 leaf and the perturbed lmax-8 leaf."""
+    rough = {
+        f"graphical{lmax}": surface_frames(graphical, random_surface(np.random.default_rng(lmax), lmax=lmax, r0=30.0, amp=0.3))
+        for lmax in (8, 24)
+    }
+    return {**rough, "graphical_leaf24": half_band_leaves["graphical"], "perturbed": perturbed_leaf.frames}
+
+
+@pytest.mark.parametrize("leaf", ["graphical8", "graphical24", "graphical_leaf24", "perturbed"])
+def test_matrix_free_mass_and_stiffness_match_the_assembled(matrix_free_leaves, leaf):
+    # M u = analyze(dmu synthesize(u)) and S u, the transposed jet analysis of dmu g^{-1} grad u: the
+    # full-band applications of the spectrum's certificates, on a batch of columns
+    fr = matrix_free_leaves[leaf]
+    grid, nb = fr.grid, n_coeffs(fr.lmax)
+    u = np.random.default_rng(fr.lmax).normal(size=(3, nb))
+    jet = grid.synth_jet(u)
+    gi = fr.dmu[:, None, None] * fr.g2inv
+    Mu = truncate_coeffs(grid.analyze(fr.dmu * jet["f"]), fr.lmax)
+    fields = {key: gi[:, a, 0] * jet["ft"] + gi[:, a, 1] * jet["fp"] for a, key in enumerate(("ft", "fp"))}
+    Su = truncate_coeffs(grid._analyze_jet(fields), fr.lmax)
+    for got, mat in ((Mu, sv._mass(fr)), (Su, sv._stiffness(fr))):
+        ref = u @ mat.T
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the M norm by quadrature
+    norms = np.sqrt(np.einsum("ij,jk,ik->i", u, sv._mass(fr), u))
+    assert np.max(np.abs(np.sqrt(fr.integrate(jet["f"] ** 2)) - norms)) <= 1e-13 * np.max(norms)
+
+
+@pytest.mark.parametrize("leaf", ["graphical8", "graphical24", "graphical_leaf24", "perturbed"])
+def test_mass_matrix_is_bounded_below_by_the_least_area_density(matrix_free_leaves, leaf):
+    # M >= min(dmu) I: the bound behind every M^{-1} norm of the certificates (laplace_spectrum)
+    fr = matrix_free_leaves[leaf]
+    lam_min = scipy.linalg.eigvalsh(sv._mass(fr), subset_by_index=[0, 0])[0]
+    assert lam_min >= np.min(fr.dmu) * (1.0 - 1e-13)
+
+
+def test_certified_spectrum_forms_no_full_band_matrix(half_band_leaves, monkeypatch):
+    fr = half_band_leaves["graphical"]
+    nc = n_coeffs(fr.lmax // 2)
+    bands, choleskys = [], []
+    bilinear, cholesky = SphereGrid.bilinear, scipy.linalg.cholesky
+    monkeypatch.setattr(SphereGrid, "bilinear", lambda grid, terms, lmax: bands.append(lmax) or bilinear(grid, terms, lmax))
+    monkeypatch.setattr(scipy.linalg, "cholesky", lambda a, *args, **kw: choleskys.append(a.shape) or cholesky(a, *args, **kw))
+    laplace_spectrum(fr, k=8)
+    assert set(bands) == {fr.lmax // 2}  # no full-band bilinear form
+    assert choleskys and max(max(shape) for shape in choleskys) <= nc
 
 
 def _eigh_shapes(monkeypatch):
@@ -907,15 +960,16 @@ def test_sigma_min_inverse_iteration_matches_svd(request, monkeypatch, leaf):
     W = scipy.linalg.solve_triangular(R, (R @ assemble_linearization(fr, "L_script")).T, trans="T").T
     ref = np.linalg.svd(W, compute_uv=False).min()
     masses, mass = [], sv._mass
-    monkeypatch.setattr(sv, "_mass", lambda *a: masses.append(mass(*a)) or masses[-1])
+    monkeypatch.setattr(sv, "_mass", lambda fr, lmax=None: masses.append(lmax) or mass(fr, lmax))
     bands, lus = _factorizations(monkeypatch)
     full_svds = _full_svds(monkeypatch)
     smin = laplace_spectrum(fr, k=4).sigma_min_L
-    # one mass matrix per spectrum; a certified leaf assembles and factors the half-band L_script only,
-    # the others fall back to the full band after it
+    # a certified leaf assembles the half-band mass matrix and L_script only; the others
+    # fall back to the full band after it, with one full-band mass matrix for both fallbacks
     nb, nc, coarse = n_coeffs(fr.lmax), n_coeffs(fr.lmax // 2), fr.lmax // 2
     certified = leaf in ("canonical", "graphical24")
-    assert full_svds() == 0 and len(masses) == 1
+    assert full_svds() == 0
+    assert masses == ([coarse] if certified else [coarse, fr.lmax])
     assert bands == ([coarse] if certified else [coarse, fr.lmax])
     assert lus == ([(nc, nc)] if certified else [(nc, nc), (nb, nb)])
     # both values carry a roundoff of order eps * sigma_max / sigma_min relative

@@ -86,6 +86,11 @@ def test_transforms_match_dense_basis(lmax, lead):
     assert list(jet) == list(ref)
     for key in ref:
         assert rel(jet[key], ref[key]) <= 1e-13, key
+    # the first-order jet: its three keys, from the P and dP tables alone
+    first = grid.synth_jet(c, order=1)
+    assert list(first) == ["f", "ft", "fp"]
+    for key in first:
+        assert rel(first[key], ref[key]) <= 1e-13, key
 
 
 def test_constant_has_only_monopole():
@@ -172,9 +177,20 @@ def test_jet_analysis_is_the_transposed_operator(grid, lmax):
     L = grid.operator_matrix(a, lmax)
     nb = n_coeffs(lmax)
     y, u = rng.normal(size=nb), rng.normal(size=n_coeffs(lmax // 2))
-    got = truncate_coeffs(grid._analyze_jet(a * grid.synthesize(y)), lmax)
+    keys = ("f", "ft", "fp", "ftt", "ftp", "fpp")
+    got = truncate_coeffs(grid._analyze_jet(dict(zip(keys, a * grid.synthesize(y)))), lmax)
     ref = L.T @ y
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # a batch of columns in one call, and a subset of the keys: the transpose of those terms alone
+    Y = rng.normal(size=(3, nb))
+    got = truncate_coeffs(grid._analyze_jet(dict(zip(keys, a[:, None] * grid.synthesize(Y)))), lmax)
+    assert got.shape == (3, nb)
+    assert np.max(np.abs(got - Y @ L)) <= 1e-13 * np.max(np.abs(Y @ L))
+    for sub in (("ft", "fp"), ("f", "ftt"), ("fpp",)):
+        idx = [keys.index(key) for key in sub]
+        Lsub = grid.operator_matrix([a[i] if i in idx else np.zeros(grid.nnodes) for i in range(6)], lmax)
+        got = truncate_coeffs(grid._analyze_jet({keys[i]: a[i] * grid.synthesize(Y) for i in idx}), lmax)
+        assert np.max(np.abs(got - Y @ Lsub)) <= 1e-13 * np.max(np.abs(Y @ Lsub))
     jet = grid.synth_jet(u)
     got = truncate_coeffs(grid.analyze(sum(ak * jet[key] for ak, key in zip(a, ("f", "ft", "fp", "ftt", "ftp", "fpp")))), lmax)
     ref = L[:, : u.size] @ u
