@@ -24,8 +24,8 @@ foliation() {
 
 spectrum() {
   # sigma 40 at lmax 24: both half-band certificates accept the leaf; sigma 20 at lmax 12: both refuse
-  # it, so its spectrum runs the full-band fallbacks
-  for args in "--sigma 40" "--sigma 20 --lmax 12"; do
+  # it, so its spectrum goes on to the full band; sigma 20 at lmax 6: no half band, one full-band pass
+  for args in "--sigma 40" "--sigma 20 --lmax 12" "--sigma 20 --lmax 6"; do
     log="$(PYTHONPATH=src python -W error::RuntimeWarning -m stcmc spectrum --data schwarzschild_graphical --mass 1 --u 1,0,0 $args)"
     echo "$log"
     # criterion 7's floor: sigma_min(L) >= 0.9 * 3|m_H|/sigma^3

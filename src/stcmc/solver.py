@@ -19,25 +19,23 @@ grad_nu tr K - grad_nu K(nu, nu) are the jets contracted along nu directly
 (chart._normal_contractions), with the inverse and Christoffel symbols the
 metric jet already holds, and no Ricci tensor or nabla K.  The Laplace
 spectrum uses the variational stiffness/mass form instead, from the same
-quadrature, which preserves self-adjointness.  Its eigenpairs come from the
-half-band pencil (the leading blocks of the full-band stiffness and mass
-matrices), kept when each pair's full-band residual, in the inverse mass
-norm, is a backward error of at most SPECTRUM_RTOL of the pencil's scale.
-sigma_min of script-L comes from the half band the same way: block inverse
-iteration on the half-band operator, weighted by the Cholesky factor R_c
-of the half-band mass matrix, gives the smallest singular triplet, kept
-when both of its full-band residuals are at most SPECTRUM_RTOL of the
-operator's norm (a Jordan-Wielandt residual bound; B. Parlett, The
-Symmetric Eigenvalue Problem, section 10).  Both certificates apply the
-full-band operators matrix-free, through their quadrature:
-M u = analyze(dmu synthesize(u)), the stiffness and L^T by the transposed
-jet analysis, the M norm as the quadrature of dmu u^2, and every M^{-1}
-norm by the rigorous bound |x| / sqrt(min dmu) (M >= min(dmu) I: positive
-weights, and the dealiased grid integrates the band's squares exactly).  So
-a certified leaf forms only half-band matrices.  Where a certificate
-refuses, the full-band problem is solved, with the full-band M and its
-factor formed once for both fallbacks, and sigma_min from the same inverse
-iteration on one LU of the full-band L.
+quadrature, which preserves self-adjointness.  The spectrum visits the
+half band, then the full band (_bands), and stops at the first band that
+holds both results.  Each band forms its mass matrix M and Cholesky factor
+R once; its eigenpairs come from its pencil, and sigma_min of script-L from
+block inverse iteration on one LU of its operator, weighted by R.  Below
+the full band each result is kept only where its full-band residuals
+certify it: each eigenpair's, in the inverse mass norm, a backward error of
+at most SPECTRUM_RTOL of the pencil's scale, and the smallest singular
+triplet's two, at most SPECTRUM_RTOL of the operator's norm (a
+Jordan-Wielandt residual bound; B. Parlett, The Symmetric Eigenvalue
+Problem, section 10).  The certificates apply the full-band operators
+matrix-free, through their quadrature: M u = analyze(dmu synthesize(u)),
+the stiffness and L^T by the transposed jet analysis, the M norm as the
+quadrature of dmu u^2, and every M^{-1} norm by the rigorous bound
+|x| / sqrt(min dmu) (M >= min(dmu) I: positive weights, and the dealiased
+grid integrates the band's squares exactly).  So a certified leaf forms
+only half-band matrices.
 
 Newton runs on the graph height directly: the Jacobian is the normal-speed
 operator composed with multiplication by g(omega, nu) plus the tangential
@@ -60,7 +58,6 @@ of asymptotically Schwarzschild data lie at large sigma.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -98,9 +95,9 @@ RCOND = 1e-13           # Newton steps below this condition estimate use lstsq; 
 # Relative accuracy of the spectra: the sigma_min sweeps (_inverse_iteration)
 # settle when sigma_min changes by at most SPECTRUM_RTOL relative, and fall
 # back to the full SVD after SIGMA_MIN_SWEEPS; half-band eigenpairs
-# (_half_band_pairs) and the half-band sigma_min (_half_band_sigma_min) are
-# kept when their full-band residuals are at most SPECTRUM_RTOL of the
-# operator's scale
+# (_eigenpairs) and the half-band sigma_min (_certified_sigma_min) are kept
+# when their full-band residuals are at most SPECTRUM_RTOL of the operator's
+# scale
 SPECTRUM_RTOL = 1e-13
 SIGMA_MIN_SWEEPS = 20
 
@@ -503,33 +500,10 @@ def _eigh(S, M, n):
         raise EigenSolverFailure(str(exc)) from exc
 
 
-def _half_band_pairs(fr: CurvatureField, Sc, Mc, k):
-    """The k + 1 lowest eigenpairs from the half-band pencil, where the full band accepts them.
-
-    Sc and Mc are the half-band stiffness and mass matrices, the leading
-    blocks of the full-band ones.  Their pencil gives k + 1 pairs
-    (lambda_i, v_i), and each v_i, zero-padded, has the full-band residual
-    r_i = S v_i - lambda_i M v_i: one transposed jet analysis of the nodal
-    fields dmu g^{-1} grad v_i and -lambda_i dmu v_i, with no full-band
-    matrix.  With v_i M-normalized, |r_i|_{M^{-1}} is the pair's backward
-    error (the smallest symmetric perturbation of the full-band pencil for
-    which it is exact), at most |r_i| / sqrt(min dmu) as M >= min(dmu) I
-    (laplace_spectrum).  The pairs are kept when every such bound is at
-    most SPECTRUM_RTOL of the pencil's scale, the largest Rayleigh quotient
-    S_jj / M_jj of the half-band harmonics: a lower bound on the pencil's
-    largest eigenvalue, so the test is no looser than one against it.
-    Returns (lambda_0..k, the padded v_0..k), or None.
-    """
-    lam, V = _eigh(0.5 * (Sc + Sc.T), Mc, k + 1)
-    jet = fr.grid.synth_jet(V.T, order=1)
-    gi, ft, fp = fr.dmu[:, None, None] * fr.g2inv, jet["ft"], jet["fp"]
-    fields = {key: gi[:, a, 0] * ft + gi[:, a, 1] * fp for a, key in enumerate(("ft", "fp"))}
-    fields["f"] = -lam[:, None] * fr.dmu * jet["f"]
-    rnorm = np.linalg.norm(truncate_coeffs(fr.grid._analyze_jet(fields), fr.lmax), axis=1) / np.sqrt(np.min(fr.dmu))
-    scale = float(np.max(np.diag(Sc) / np.diag(Mc)))
-    if not np.max(rnorm) <= SPECTRUM_RTOL * scale:
-        return None
-    return lam, pad_coeffs(V.T, _coarse_lmax(fr.lmax), fr.lmax).T
+def _bands(lmax):
+    """The bands of a leaf's spectrum, coarse to fine: [_coarse_lmax(lmax), lmax], or [lmax] without a coarse band."""
+    coarse = _coarse_lmax(lmax)
+    return [lmax] if coarse is None else [coarse, lmax]
 
 
 def laplace_spectrum(fr: CurvatureField, k=8):
@@ -537,42 +511,41 @@ def laplace_spectrum(fr: CurvatureField, k=8):
 
     The generalized symmetric problem S v = lambda M v is assembled in the
     variational form (stiffness from surface gradients, mass from the area
-    measure), so self-adjointness is exact up to quadrature.  The eigenpairs
-    are solved coarse to fine: the half-band pencil (band _coarse_lmax, the
-    leading blocks of the full-band matrices) gives k + 1 pairs, which are
-    kept where their full-band residuals certify them (_half_band_pairs).
-    Otherwise, and where the half band has no coarse stage or fewer than
-    k + 1 harmonics, the full-band pencil is solved.  The leaves' harmonic
-    content decays geometrically in l, so the half band fixes the low pairs
-    to roundoff.  sigma_min (_sigma_min_weighted) comes from the half band
-    the same way.  Both certificates apply the full-band operators
-    matrix-free, through their quadrature, so a certified leaf forms only
-    the half-band M_c = R_c^T R_c and stiffness.  The M norm of a field u is
-    the quadrature of dmu u^2, and every M^{-1} norm is bounded by
-    |x| / sqrt(min dmu): c^T M c = sum_n w_n dmu_n u_n^2 >= min(dmu) |c|^2
-    for u the synthesis of c, as the weights are positive and the dealiased
-    grid integrates the band's squares exactly, so M >= min(dmu) I.  The
-    full-band M and R are formed where a certificate refuses, once for both
-    fallbacks.  The l = 1 eigenfunctions are aligned with the scaled
-    coordinate functions by one QR of their projections onto them (see
-    SpectralReport for what depends on the rotation within the triple).
-    Raises EigenSolverFailure where the pencil cannot be solved.
+    measure), so self-adjointness is exact up to quadrature.  The spectrum
+    visits the bands of _bands coarse to fine, the half band (_coarse_lmax,
+    whose matrices are the leading blocks of the full-band ones) and then
+    the full band, and stops at the first band where both results are held.
+    Each band forms its M = R^T R once; the k + 1 lowest eigenpairs come
+    from its pencil (_eigenpairs), tried at the half band only where it
+    holds k + 1 harmonics, and sigma_min from its operator
+    (_sigma_min_weighted).  Below the full band each result is kept only
+    where its full-band residuals certify it.  The leaves' harmonic content
+    decays geometrically in l, so the half band fixes the low pairs and
+    sigma_min to roundoff, and a certified leaf forms only half-band
+    matrices: the certificates apply the full-band operators matrix-free,
+    through their quadrature.  The M norm of a field u is the quadrature of
+    dmu u^2, and every M^{-1} norm is bounded by |x| / sqrt(min dmu):
+    c^T M c = sum_n w_n dmu_n u_n^2 >= min(dmu) |c|^2 for u the synthesis of
+    c, as the weights are positive and the dealiased grid integrates the
+    band's squares exactly, so M >= min(dmu) I.  The l = 1 eigenfunctions
+    are aligned with the scaled coordinate functions by one QR of their
+    projections onto them (see SpectralReport for what depends on the
+    rotation within the triple).  Raises EigenSolverFailure where the
+    pencil cannot be solved.
     """
     check_spectrum_k(k, fr.lmax)
     fields = _OperatorFields(fr)  # first, so that no matrix is held through its formation
-    coarse = _coarse_lmax(fr.lmax)
-    full = functools.cache(lambda: _mass_factor(fr, fr.lmax))  # (M, R), formed where a certificate refuses
-    pairs = Rc = None
-    if coarse is not None:
-        Mc, Rc = _mass_factor(fr, coarse)
-        if k + 1 <= n_coeffs(coarse):
-            pairs = _half_band_pairs(fr, _stiffness(fr, coarse), Mc, k)
-    if pairs is None:
-        S = _stiffness(fr)
-        lam, V = _eigh(0.5 * (S + S.T), full()[0], k + 1)
-        del S
-    else:
-        lam, V = pairs
+    a = _nodal_coefficients(fr, fields, "L_script")
+    pairs = smin = None
+    for band in _bands(fr.lmax):
+        M, R = _mass_factor(fr, band)
+        if pairs is None and k + 1 <= n_coeffs(band):
+            pairs = _eigenpairs(fr, band, M, k)
+        if smin is None:
+            smin = _sigma_min_weighted(fr, a, band, R)
+        if pairs is not None and smin is not None:
+            break
+    lam, V = pairs
     fdelta = np.sqrt(3.0 / (4.0 * np.pi * fr.area_radius**4)) * (fr.X - fr.center[None, :])
     w = fr.grid.w * fr.dmu
     proj = np.einsum("in,nj,n->ij", fr.grid.synthesize(V[:, 1:4].T), fdelta, w)
@@ -582,7 +555,6 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     sigma = 2.0 / float(fr.integrate(fr.stcmc) / fr.area)
     ric_ints = np.einsum("n,in,in->i", w * fields.ricnn, al_nodal, al_nodal)
     predicted = 2.0 / sigma**2 + 6.0 * mH / sigma**3 + ric_ints
-    smin = _sigma_min_weighted(fr, fields, Rc, full)
     return SpectralReport(
         eigenvalues=lam,
         eigenfunctions=V,
@@ -596,30 +568,56 @@ def laplace_spectrum(fr: CurvatureField, k=8):
     )
 
 
-def _sigma_min_weighted(fr: CurvatureField, fields: _OperatorFields, Rc, full):
-    """Smallest singular value of script-L in the dmu-weighted L2 norm.
+def _eigenpairs(fr: CurvatureField, band, M, k):
+    """The k + 1 lowest eigenpairs (lambda_0..k, v_0..k padded to fr.lmax) of the band's pencil.
 
-    With the mass matrix M = R^T R (R upper triangular), the weighted
-    operator is W = R L R^{-1} acting on orthonormalized coordinates.  The
-    value comes from the half band (factor Rc, None without a coarse band)
-    where the full band certifies it (_half_band_sigma_min); otherwise from
-    the full-band L and the R of full() = (M, R): block inverse iteration
-    (_inverse_iteration) from one LU of L, and where the condition estimate
-    of L is at or below RCOND (at zero energy the translations are a kernel
-    and L is singular), or the sweeps do not settle, the full SVD of W.
+    M is the band's mass matrix.  At the full band the pairs are returned
+    as solved.  Below it they are returned where the full band accepts
+    them, else None: each v_i, zero-padded, has the full-band residual
+    r_i = S v_i - lambda_i M v_i, one transposed jet analysis of the nodal
+    fields dmu g^{-1} grad v_i and -lambda_i dmu v_i, with no full-band
+    matrix.  With v_i M-normalized, |r_i|_{M^{-1}} is the pair's backward
+    error (the smallest symmetric perturbation of the full-band pencil for
+    which it is exact), at most |r_i| / sqrt(min dmu) as M >= min(dmu) I
+    (laplace_spectrum).  The pairs are kept when every such bound is at
+    most SPECTRUM_RTOL of the pencil's scale, the largest Rayleigh quotient
+    S_jj / M_jj of the band's harmonics: a lower bound on the pencil's
+    largest eigenvalue, so the test is no looser than one against it.
     """
-    a = _nodal_coefficients(fr, fields, "L_script")
-    if Rc is not None:
-        smin = _half_band_sigma_min(fr, a, Rc)
-        if smin is not None:
-            return smin
-    R = full()[1]
-    Lmat = fr.grid.operator_matrix(a, fr.lmax)
+    S = _stiffness(fr, band)
+    lam, V = _eigh(0.5 * (S + S.T), M, k + 1)
+    if band == fr.lmax:
+        return lam, V
+    jet = fr.grid.synth_jet(V.T, order=1)
+    gi, ft, fp = fr.dmu[:, None, None] * fr.g2inv, jet["ft"], jet["fp"]
+    fields = {key: gi[:, a, 0] * ft + gi[:, a, 1] * fp for a, key in enumerate(("ft", "fp"))}
+    fields["f"] = -lam[:, None] * fr.dmu * jet["f"]
+    rnorm = np.linalg.norm(truncate_coeffs(fr.grid._analyze_jet(fields), fr.lmax), axis=1) / np.sqrt(np.min(fr.dmu))
+    scale = float(np.max(np.diag(S) / np.diag(M)))
+    if not np.max(rnorm) <= SPECTRUM_RTOL * scale:
+        return None
+    return lam, pad_coeffs(V.T, band, fr.lmax).T
+
+
+def _sigma_min_weighted(fr: CurvatureField, a, band, R):
+    """Smallest singular value of script-L (coefficient fields a) in the dmu-weighted L2 norm, from the band.
+
+    With the band's mass matrix M = R^T R (R upper triangular), the
+    weighted operator is W = R L R^{-1} acting on orthonormalized
+    coordinates.  Block inverse iteration (_inverse_iteration) from one LU
+    of the band's L gives its smallest singular value; below the full band
+    it is returned where the full band certifies it (_certified_sigma_min),
+    else None.  At the full band, where the condition estimate of L is at
+    or below RCOND (at zero energy the translations are a kernel and L is
+    singular), or the sweeps do not settle, the value is the full SVD's.
+    """
+    Lmat = fr.grid.operator_matrix(a, band)
     lu, rcond = _lu_rcond(Lmat)
-    if rcond > RCOND:
-        settled = _inverse_iteration(lu, R)
-        if settled is not None:
-            return settled[0]
+    settled = _inverse_iteration(lu, R) if rcond > RCOND else None
+    if band < fr.lmax:
+        return None if settled is None else _certified_sigma_min(fr, a, lu, R, settled[1])
+    if settled is not None:
+        return settled[0]
     # W = (R L) R^{-1}, i.e. R^T W^T = (R L)^T
     W = scipy.linalg.solve_triangular(R, (R @ Lmat).T, trans="T").T
     return float(np.linalg.svd(W, compute_uv=False).min())
@@ -633,8 +631,9 @@ def _inverse_iteration(lu, R):
     and one guard column of equal weights on every harmonic; no random start.
     The smallest singular value of each sweep's W Q' is an upper bound on
     sigma_min(W) that falls to it; it settles at the first sweep that changes
-    it by at most SPECTRUM_RTOL relative.  Returns (sigma, Q', W Q') of that
-    sweep, or None where the value does not settle in SIGMA_MIN_SWEEPS sweeps.
+    it by at most SPECTRUM_RTOL relative.  Returns (sigma, Q') of that sweep,
+    from which _certified_sigma_min sweeps again, or None where the value
+    does not settle in SIGMA_MIN_SWEEPS sweeps.
     """
     nb = R.shape[0]
     Q = np.zeros((nb, 4))
@@ -645,7 +644,7 @@ def _inverse_iteration(lu, R):
         Q, WQ = _sweep(lu, R, Q)
         prev, smin = smin, float(np.linalg.svd(WQ, compute_uv=False).min())
         if abs(prev - smin) <= SPECTRUM_RTOL * smin:
-            return smin, Q, WQ
+            return smin, Q
     return None
 
 
@@ -661,18 +660,18 @@ def _sweep(lu, R, Q):
     return Q, scipy.linalg.solve_triangular(r, T.T, trans="T").T
 
 
-def _half_band_sigma_min(fr: CurvatureField, a, Rc):
-    """sigma_min(W) from the half band, where the full band certifies it; else None.
+def _certified_sigma_min(fr: CurvatureField, a, lu, Rc, Q):
+    """The half-band sigma_min(W_c), where the full band certifies it; else None.
 
     The half-band operator W_c = R_c L_c R_c^{-1} has L_c = L[:nc, :nc] (the
-    band-coarse operator_matrix on the same grid) and R_c the Cholesky
-    factor of M_c, R[:nc, :nc] in exact arithmetic.  _inverse_iteration
-    gives its smallest singular value, and two refining sweeps the triplet
-    (the singular vectors' error falls only as the square root of the
-    value's): sigma, v = Q' y and w = (W Q') y / sigma, y the smallest right
-    singular vector of the thin W Q'.  Zero-padded, the triplet has the
-    full-band residuals r = W v - sigma w and s = W^T w - sigma v.  As R is
-    upper triangular, y = R_c^{-1} v and z = R_c^{-1} w give
+    band-coarse operator_matrix on the same grid, factored in lu) and R_c
+    the Cholesky factor of M_c, R[:nc, :nc] in exact arithmetic.  From the
+    settled block Q of _inverse_iteration, two refining sweeps give the
+    triplet (the singular vectors' error falls only as the square root of
+    the value's): sigma, v = Q' y and w = (W Q') y / sigma, y the smallest
+    right singular vector of the thin W Q'.  Zero-padded, the triplet has
+    the full-band residuals r = W v - sigma w and s = W^T w - sigma v.  As R
+    is upper triangular, y = R_c^{-1} v and z = R_c^{-1} w give
     |r| = |L y - sigma z|_M and |s| = |L^T M z - sigma M y|_{M^{-1}}, the
     latter at most |.| / sqrt(min dmu) as M >= min(dmu) I (laplace_spectrum).
     No full-band matrix is formed: L by synth_jet and analyze, L^T by the
@@ -691,20 +690,11 @@ def _half_band_sigma_min(fr: CurvatureField, a, Rc):
     l(l + 1) / r^2, so the test is no looser than one against |W|_2.  Its
     limit: the residuals show that sigma is a singular value of W, not that
     it is the smallest.  That rests, as for the half-band eigenpairs
-    (_half_band_pairs), on the l > coarse block being dominated by the
+    (_eigenpairs), on the l > coarse block being dominated by the
     Laplacian, whose singular values there grow like l(l + 1) / r^2, far
     above the translational ones near 6 m / r^3 that set sigma_min.
-    Returns None where L_c has a condition estimate at or below RCOND, the
-    sweeps do not settle or a residual is too large.
     """
     grid, nc, nb = fr.grid, Rc.shape[0], n_coeffs(fr.lmax)
-    lu, rcond = _lu_rcond(grid.operator_matrix(a, _coarse_lmax(fr.lmax)))
-    if not rcond > RCOND:
-        return None
-    settled = _inverse_iteration(lu, Rc)
-    if settled is None:
-        return None
-    Q = settled[1]
     for _ in range(2):
         Q, WQ = _sweep(lu, Rc, Q)
     U, S, Vt = np.linalg.svd(WQ, full_matrices=False)

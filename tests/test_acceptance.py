@@ -151,14 +151,14 @@ def test_record_classes_the_pinned_roundoff_entries():
 def test_foliate_csv_matches_the_numbers_record(tmp_path, capsys, monkeypatch):
     record = NUMBERS["foliate"]
     out = tmp_path / "fol.csv"
-    certified, half_band = [], solver._half_band_sigma_min
+    certified, half_band = [], solver._certified_sigma_min
 
     def recorded(*args):
         smin = half_band(*args)
         certified.append(smin is not None)
         return smin
 
-    monkeypatch.setattr(solver, "_half_band_sigma_min", recorded)
+    monkeypatch.setattr(solver, "_certified_sigma_min", recorded)
     assert cli.main(record["argv"] + ["--out", str(out)]) == 0
     assert certified == [True] * len(record["columns"]["sigma"])  # every leaf's sigma_min from the half band
     with open(out) as fh:

@@ -825,8 +825,7 @@ def test_half_band_spectrum_matches_full_band(half_band_leaves, monkeypatch, lea
     nc = n_coeffs(lmax // 2)
     assert shapes == [(nc, nc)]  # the half band is certified: no full-band eigh
     with monkeypatch.context() as m:
-        m.setattr(sv, "_half_band_pairs", lambda *args: None)
-        m.setattr(sv, "_half_band_sigma_min", lambda *args: None)
+        m.setattr(sv, "_bands", lambda lmax: [lmax])
         full = laplace_spectrum(fr, k=k)
     assert shapes[1:] == [(n_coeffs(lmax),) * 2]
     lam, ref = half.eigenvalues, full.eigenvalues
@@ -943,6 +942,13 @@ def _sigma_min_leaf(request, leaf):
     return request.getfixturevalue({"canonical": "schw_leaf20", "graphical": "graphical_leaf60", "perturbed": "perturbed_leaf"}[leaf]).frames
 
 
+def _mass_factor_bands(monkeypatch):
+    """Records the band of every mass matrix and Cholesky factor that the spectrum forms."""
+    bands, mass_factor = [], sv._mass_factor
+    monkeypatch.setattr(sv, "_mass_factor", lambda fr, lmax: bands.append(lmax) or mass_factor(fr, lmax))
+    return bands
+
+
 def _factorizations(monkeypatch):
     """Records the band of every operator_matrix call and the shape of every LU of the solver."""
     bands, lus = [], []
@@ -959,13 +965,12 @@ def test_sigma_min_inverse_iteration_matches_svd(request, monkeypatch, leaf):
     R = np.linalg.cholesky(sv._mass(fr)).T
     W = scipy.linalg.solve_triangular(R, (R @ assemble_linearization(fr, "L_script")).T, trans="T").T
     ref = np.linalg.svd(W, compute_uv=False).min()
-    masses, mass = [], sv._mass
-    monkeypatch.setattr(sv, "_mass", lambda fr, lmax=None: masses.append(lmax) or mass(fr, lmax))
+    masses = _mass_factor_bands(monkeypatch)
     bands, lus = _factorizations(monkeypatch)
     full_svds = _full_svds(monkeypatch)
     smin = laplace_spectrum(fr, k=4).sigma_min_L
     # a certified leaf assembles the half-band mass matrix and L_script only; the others
-    # fall back to the full band after it, with one full-band mass matrix for both fallbacks
+    # go on to the full band after it, with one mass matrix per band
     nb, nc, coarse = n_coeffs(fr.lmax), n_coeffs(fr.lmax // 2), fr.lmax // 2
     certified = leaf in ("canonical", "graphical24")
     assert full_svds() == 0
@@ -981,9 +986,43 @@ def test_uncertified_sigma_min_falls_back_to_the_full_band(perturbed_leaf, monke
     # the half band is tried and refused (test_sigma_min_inverse_iteration_matches_svd counts its factorizations)
     smin = laplace_spectrum(fr, k=4).sigma_min_L
     with monkeypatch.context() as m:
-        m.setattr(sv, "_half_band_sigma_min", lambda *args: None)
+        m.setattr(sv, "_bands", lambda lmax: [lmax])
         forced = laplace_spectrum(fr, k=4).sigma_min_L
     assert smin == forced
+
+
+@pytest.mark.parametrize("case", ["mixed", "pairs_fill_no_half_band", "no_coarse_band"])
+def test_spectrum_visits_each_band_once(schw_leaf20, schw, monkeypatch, case):
+    # the band loop of laplace_spectrum: one mass factor per band visited, and the full band solves only
+    # what the half band did not hold
+    fr, k = schw_leaf20.frames, 8
+    if case == "mixed":  # eigenpairs certified at the half band, sigma_min refused there
+        monkeypatch.setattr(sv, "_certified_sigma_min", lambda *args: None)
+    elif case == "pairs_fill_no_half_band":  # k + 1 = 26 > 25 harmonics of the lmax-4 half band
+        k = 25
+    else:
+        fr = surface_frames(schw, GraphSurface.round([0, 0, 0], 19.0, 6))
+    nb, nc = n_coeffs(fr.lmax), n_coeffs(fr.lmax // 2)
+    masses = _mass_factor_bands(monkeypatch)
+    bands, lus = _factorizations(monkeypatch)
+    shapes = _eigh_shapes(monkeypatch)
+    rep = laplace_spectrum(fr, k=k)
+    if case == "no_coarse_band":
+        assert masses == bands == [fr.lmax] and lus == shapes == [(nb, nb)]
+        return
+    assert masses == [fr.lmax // 2, fr.lmax]
+    mixed = case == "mixed"
+    assert bands == ([fr.lmax // 2, fr.lmax] if mixed else [fr.lmax // 2])
+    assert lus == ([(nc, nc), (nb, nb)] if mixed else [(nc, nc)])
+    assert shapes == ([(nc, nc)] if mixed else [(nb, nb)])
+    with monkeypatch.context() as m:
+        m.setattr(sv, "_bands", lambda lmax: [lmax])
+        forced = laplace_spectrum(fr, k=k)
+    if mixed:
+        assert rep.sigma_min_L == forced.sigma_min_L
+    else:  # the full-band pairs, and sigma_min from the half band
+        assert np.array_equal(rep.eigenvalues, forced.eigenvalues)
+        assert abs(rep.sigma_min_L - forced.sigma_min_L) <= 1e-12 * forced.sigma_min_L
 
 
 def test_sigma_min_takes_the_svd_only_where_w_is_singular(schw_leaf20, euclid, monkeypatch):
