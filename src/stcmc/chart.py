@@ -25,12 +25,12 @@ contractions of the curvature operations are batched matrix products on
 reshaped or transposed views.  The Schwarzschild and graphical providers
 build their jets components first, with the point axis last, so that each
 elementwise product runs along the points, and turn each array points-first
-once; each forms its metric in one function, _metric(x, r, second), which
-returns (g, dg), or ddg when second is set, as the graphical _extrinsic
-returns K or dK.  The rotated chart rotates every tensor rank by one law,
-_rotated.  The domain check is one method, DataProvider._check, which every
-provider of data runs on its points when a jet is made (the horizon, then
-the core); the graphical slice adds its spacelike check.
+once, a second order block by block; each forms its metric in one function,
+_metric(x, r, second), which returns (g, dg), or ddg when second is set, as
+the graphical _extrinsic returns K or dK.  The rotated chart rotates every
+tensor rank by one law, _rotated.  Every provider of data runs one domain
+check, DataProvider._check, on its points when a jet is made (the horizon,
+then the core); the graphical slice adds its spacelike check.
 
 The catalog covers the flat chart, the Schwarzschild slice in areal
 coordinates g = N^-2 dr^2 + r^2 dOmega^2 with N = sqrt(1 - 2m/r), the
@@ -65,6 +65,8 @@ from .errors import (
 )
 
 _EYE = np.eye(3)
+# the most points per block of _formed, of 512/1024/1444 the lowest foliate peak memory; 2888 nodes make three blocks
+_BLOCK = 1024
 
 
 def _read_only(a):
@@ -73,15 +75,29 @@ def _read_only(a):
 
 
 def _deferred(form, x, *args):
-    """A jet's second order: form(x, *args), components first, made points-first when first read.
+    """A jet's second order: form(x, r, flag), components first, formed by _formed when first read.
 
     The callable holds the form, a private copy of the points and args only.
     """
     return partial(_formed, form, x.copy(), *args)
 
 
-def _formed(form, *args):
-    return _points_first(form(*args))
+def _formed(form, x, r, flag):
+    """form(x, r, flag) points-first, over the fewest blocks of at most _BLOCK points, written into one output.
+
+    Each entry is formed from its own point only, so blocking changes no bit: the block sizes differ by at
+    most one, so only a single point forms alone (einsum reduces a one-point axis in another order).
+    """
+    k = max(-(-len(x) // _BLOCK), 1)
+    bounds = [i * len(x) // k for i in range(k + 1)]
+    out = None
+    for s, e in zip(bounds, bounds[1:]):
+        block = form(x[s:e], r[s:e], flag)
+        if out is None:
+            out = np.empty((len(x),) + block.shape[:-1])
+        out[s:e] = np.moveaxis(block, -1, 0)
+        del block  # not held while the next block forms
+    return out
 
 
 def _second_order(jet):
@@ -95,8 +111,8 @@ def _second_order(jet):
 class MetricJet:
     """Metric jet; ddg, ginv, dginv and Gam are formed once, when first read.
 
-    ddg is `second()`, which is then dropped (set to None).  ginv is the
-    cofactor inverse, with the determinant taken from the same cofactors.
+    ddg is `second()`, in point blocks (_formed), then dropped (set to None).
+    ginv is the cofactor inverse, with the determinant from the same cofactors.
     """
 
     g: np.ndarray
@@ -182,10 +198,8 @@ def _as_points(x):
 def _components_first(x):
     """Points x[n, i] as the contiguous x[i, n].
 
-    The Schwarzschild and graphical providers form their jets with the point
-    axis last, so that each elementwise product runs along it rather than
-    along an axis of length 3; a jet's arrays are turned points-first once,
-    by _points_first.
+    The private jets hold the point axis last, so that each elementwise
+    product runs along it; _points_first and _formed turn them points-first.
     """
     return np.ascontiguousarray(x.T)
 
@@ -209,13 +223,16 @@ def _radial_tensors(r, n, d1, d2=None, d3=None):
         nn = n[:, None] * n[None]
         hess = d2 * nn + (d1 / r) * (_EYE[:, :, None] - nn)
     if d3 is not None:
+        # f''' nnn + (f''/r - f'/r^2)(delta_ij n_k + delta_ik n_j + delta_jk n_i - 3 nnn), the bracket formed
+        # first: it vanishes on the axes, where grouping by f''' - 3 f''/r + 3 f'/r^2 cancels
         nnn = n[:, None, None] * n[None, :, None] * n[None, None]
-        sym = (
-            _EYE[:, :, None, None] * n[None, None]
-            + _EYE[:, None, :, None] * n[None, :, None]
-            + _EYE[None, :, :, None] * n[:, None, None]
-        )
-        third = d3 * nnn + (d2 / r) * (sym - 3.0 * nnn) + (d1 / r**2) * (3.0 * nnn - sym)
+        third = -3.0 * nnn
+        for a in range(3):
+            third[a, a] += n
+            third[a, :, a] += n
+            third[:, a, a] += n
+        third *= d2 / r - d1 / r**2
+        third += d3 * nnn
     return grad, hess, third
 
 
@@ -449,19 +466,17 @@ class GraphicalSchwarzschildProvider(DataProvider):
         if not second:
             g, dg = base
             return g - N2 * TT, dg - dN2[None, None] * TT[:, :, None] - N2 * dTT
-        ddTT = (
-            dddT[:, None, :, :] * dT[None, :, None, None]
-            + ddT[:, None, :, None] * ddT[None, :, None, :]
-            + ddT[:, None, None, :] * ddT[None, :, :, None]
-            + dT[:, None, None, None] * dddT[None]
-        )
-        return (
-            base
-            - ddN2[None, None] * TT[:, :, None, None]
-            - dN2[None, None, :, None] * dTT[:, :, None]
-            - dN2[None, None, None] * dTT[:, :, :, None]
-            - N2 * ddTT
-        )
+        # ddg_T = ddg - ddN2 TT - dN2 dTT - dN2 dTT - N2 ddTT, each sum taken in place in that order
+        ddTT = dddT[:, None, :, :] * dT[None, :, None, None]
+        ddTT += ddT[:, None, :, None] * ddT[None, :, None, :]
+        ddTT += ddT[:, None, None, :] * ddT[None, :, :, None]
+        ddTT += dT[:, None, None, None] * dddT[None]
+        base -= ddN2[None, None] * TT[:, :, None, None]
+        base -= dN2[None, None, :, None] * dTT[:, :, None]
+        base -= dN2[None, None, None] * dTT[:, :, :, None]
+        ddTT *= N2
+        base -= ddTT
+        return base
 
     def extrinsic_jet(self, x):
         x, r = self._check(x)

@@ -147,6 +147,13 @@ def real_sph_basis(lmax, theta, phi):
     return np.ascontiguousarray(Y.T), np.ascontiguousarray(Yt.T)
 
 
+@lru_cache(maxsize=32)
+def _order_rows(lmax):
+    """Read-only coefficient rows of each order m: l^2 + l at m = 0, else the stacked (cos, sin) rows l^2 + l +- m."""
+    ls = [np.arange(m, lmax + 1) for m in range(lmax + 1)]
+    return tuple(_read_only(np.stack([l * l + l + m, l * l + l - m]) if m else l * l + l) for m, l in enumerate(ls))
+
+
 def synthesize_at(coeffs, theta, phi):
     """Field of flat harmonic coefficients at scattered directions.
 
@@ -157,14 +164,12 @@ def synthesize_at(coeffs, theta, phi):
     lmax = _band_limit(coeffs.shape[-1])
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     phi = np.atleast_1d(np.asarray(phi, dtype=float))
+    mphi = np.multiply.outer(np.arange(1, lmax + 1), phi)
+    cos, sin = np.cos(mphi), np.sin(mphi)
     out = np.zeros(theta.shape)
-    for m, P in _legendre_orders(lmax, np.cos(theta), np.sin(theta)):
-        l = np.arange(m, lmax + 1)
-        if m == 0:
-            out += coeffs[l * l + l] @ P
-            continue
-        cos_sin = coeffs[np.stack([l * l + l + m, l * l + l - m])] @ P
-        out += math.sqrt(2.0) * (cos_sin[0] * np.cos(m * phi) + cos_sin[1] * np.sin(m * phi))
+    for (m, P), rows in zip(_legendre_orders(lmax, np.cos(theta), np.sin(theta)), _order_rows(lmax)):
+        cs = coeffs[rows] @ P
+        out += cs if m == 0 else math.sqrt(2.0) * (cs[0] * cos[m - 1] + cs[1] * sin[m - 1])
     return out
 
 

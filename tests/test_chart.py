@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -17,8 +18,11 @@ from stcmc.chart import (
     RotatedProvider,
     SchwarzschildProvider,
     TranslatedProvider,
+    _BLOCK,
+    _formed,
     _normal_contractions,
     _points_first,
+    _radial_tensors,
     _sym_ik,
     build_provider,
     christoffel,
@@ -38,7 +42,7 @@ from stcmc.errors import (
 )
 from stcmc.charges import adm_mass, sphere_fluxes
 from stcmc.solver import curvature_residual, graph_jacobian
-from stcmc.spectral import get_grid
+from stcmc.spectral import dealias_lmax, get_grid
 from stcmc.surfaces import GraphSurface, rebase, surface_frames
 
 from conftest import ScaledExtrinsicProvider
@@ -525,6 +529,23 @@ def test_time_function_jets_match_separate_radial_parts():
         assert _relative_gap(got, want) <= 1e-14
 
 
+def test_radial_third_order_matches_broadcast_form():
+    """The third order's slice adds against the broadcast form, near the horizon and far out."""
+    x, r = _leaf_points(SchwarzschildProvider(1.0))
+    for scale in (0.12, 1.0, 120.0):
+        xs, rs = scale * x, scale * r
+        nvec = xs / rs[:, None]
+        s, c = np.sin(np.log(rs)), np.cos(np.log(rs))
+        N = np.sqrt(1.0 - 2.0 / rs)
+        for d in (
+            (c / rs, -(s + c) / rs**2, (3.0 * s + c) / rs**3),  # sin(ln r)
+            (-1.0 / rs**2, 2.0 / rs**3, -6.0 / rs**4),  # 1/r
+            (1.0 / (rs**2 * N), -2.0 / (rs**3 * N) - 1.0 / (rs**4 * N**3), 3.0 / rs**4),  # N, any third order
+        ):
+            third = _points_first(_radial_tensors(rs, np.ascontiguousarray(nvec.T), *d)[2])
+            assert _relative_gap(third, _radial(rs, nvec, *d)[2]) <= 1e-15
+
+
 def _generic_dk(prov, x):
     """dK of the graphical slice by the generic route: the base jet's cofactor inverse, Gam, dGam and einsums."""
     r = np.linalg.norm(x, axis=1)
@@ -857,6 +878,65 @@ def test_graphical_dk_holds_only_the_points(graphical, sample_points):
 def test_slice_ddg_holds_only_the_points(name, schw, graphical, sample_points):
     prov = {"schw": schw, "graphical": graphical}[name]
     _holds_only_the_points(prov.metric_jet(sample_points).second, sample_points)
+
+
+def _counted(form):
+    """form, and the list of the point counts it is called with."""
+    sizes = []
+
+    def counted(x, r, flag):
+        sizes.append(len(x))
+        return form(x, r, flag)
+
+    return counted, sizes
+
+
+@pytest.mark.parametrize("n", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2888])
+def test_blocked_formation_matches_one_pass(n):
+    """Each deferred second order, formed in blocks of _BLOCK points, equals its form over all points in one call."""
+    x = 30.0 * get_grid(dealias_lmax(24)).unit_vectors["o"][:n]
+    assert x.shape[0] == n
+    pert = PerturbationProvider(
+        [
+            {"target": "g", "i": 0, "j": 1, "coeff": 0.3, "decay": 1.0, "angular": [1, 0, 2]},
+            {"target": "K", "i": 2, "j": 2, "coeff": -0.2, "decay": 2.0, "angular": [0, 1, 1]},
+        ]
+    )
+    seconds = [pert.metric_jet(x).second, pert.extrinsic_jet(x).second]
+    for m in (1.0, -1.0):
+        graphical = GraphicalSchwarzschildProvider(m, [0.6, -0.3, 0.8])
+        seconds += [SchwarzschildProvider(m).metric_jet(x).second, graphical.metric_jet(x).second]
+        seconds.append(graphical.extrinsic_jet(x).second)
+    for second in seconds:
+        form, xs, r, flag = second.args
+        counted, sizes = _counted(form)
+        blocked = _formed(counted, xs, r, flag)
+        # the fewest blocks of at most _BLOCK points, sizes within one; at most _BLOCK points keep one call
+        assert len(sizes) == -(-n // _BLOCK) and sum(sizes) == n
+        assert max(sizes) <= _BLOCK and max(sizes) - min(sizes) <= 1
+        assert np.array_equal(blocked, _points_first(form(xs, r, flag)))
+        assert np.array_equal(second(), blocked)
+
+
+def test_second_order_transient_is_bounded():
+    """Forming the graphical ddg, then dK, at the lmax-24 working grid holds a few blocks besides each result."""
+    prov = GraphicalSchwarzschildProvider(1.0, [0.6, -0.3, 0.8])
+    x = 30.0 * get_grid(dealias_lmax(24)).unit_vectors["o"]
+    assert x.shape[0] == 2888
+    jet, ext = prov.metric_jet(x), prov.extrinsic_jet(x)
+    tracemalloc.start()
+    try:
+        ddg = jet.ddg
+        ddg_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        dK = ext.dK
+        dK_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # one pass over all points peaked at 5.1x the held ddg and 11.5x the held dK
+    assert ddg_peak <= 3 * ddg.nbytes
+    assert dK_peak <= 6 * dK.nbytes
 
 
 def test_first_order_consumers_form_no_second_order(graphical, formations):

@@ -9,6 +9,7 @@ from stcmc.errors import BandLimitTooSmall, ShapeMismatch
 from stcmc.solver import laplace_spectrum
 from stcmc.spectral import (
     _legendre_orders,
+    _order_rows,
     build_grid,
     coeff_index,
     dealias_lmax,
@@ -332,3 +333,23 @@ def test_lm_arrays_layout():
     assert ls[coeff_index(2, -1)] == 2
     assert ms[coeff_index(2, -1)] == -1
     assert len(ls) == n_coeffs(3)
+
+
+def test_synthesize_at_matches_per_order_loop():
+    """One cos and one sin call for all orders and the cached order rows change no bit of the per-order sum."""
+    rng = np.random.default_rng(31)
+    for lmax in (4, 12, 24):
+        c = rng.normal(size=n_coeffs(lmax))
+        th, ph = np.arccos(rng.uniform(-1.0, 1.0, 300)), rng.uniform(0.0, 2.0 * np.pi, 300)
+        ref = np.zeros(300)
+        for m, P in _legendre_orders(lmax, np.cos(th), np.sin(th)):
+            l = np.arange(m, lmax + 1)
+            if m == 0:
+                ref += c[l * l + l] @ P
+                continue
+            cos_sin = c[np.stack([l * l + l + m, l * l + l - m])] @ P
+            ref += math.sqrt(2.0) * (cos_sin[0] * np.cos(m * ph) + cos_sin[1] * np.sin(m * ph))
+        assert np.array_equal(synthesize_at(c, th, ph), ref)
+        assert _order_rows(lmax) is _order_rows(lmax)
+        with pytest.raises(ValueError):
+            _order_rows(lmax)[1][0, 0] = 0
